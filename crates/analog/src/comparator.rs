@@ -13,8 +13,17 @@
 //! * **metastability** — inputs within a vanishing window of the threshold
 //!   resolve to an arbitrary value. Modelled as a window in which the
 //!   decision is taken from the noise stream.
+//!
+//! Each comparator owns its decision-noise stream: a single SplitMix64
+//! word advanced by [`standard_normal_step`], seeded per comparator by
+//! the die that owns it ([`Comparator::seed_stream`]). Only that
+//! comparator ever draws from it, in the order of its own decisions, so
+//! a converter may evaluate different comparators in any interleaving
+//! (stage by stage for one sample, or a wavefront of stages over
+//! several samples) and every decision stays bit-identical.
 
 use crate::noise::NoiseSource;
+use crate::stripe::{splitmix64, standard_normal_step};
 
 /// Statistical description of a comparator design.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -53,12 +62,15 @@ impl ComparatorSpec {
     }
 
     /// Fabricates one comparator instance, drawing its static offset.
+    /// The decision-noise stream starts at state 0; owners seed it with
+    /// [`Comparator::seed_stream`] so fabrication draws stay untouched.
     pub fn fabricate(&self, threshold_v: f64, noise: &mut NoiseSource) -> Comparator {
         Comparator {
             threshold_v,
             offset_v: noise.gaussian(0.0, self.offset_sigma_v),
             spec: *self,
             last_decision: false,
+            stream: 0,
         }
     }
 }
@@ -76,6 +88,8 @@ pub struct Comparator {
     offset_v: f64,
     spec: ComparatorSpec,
     last_decision: bool,
+    /// The private decision-noise stream (one SplitMix64 state word).
+    stream: u64,
 }
 
 impl Comparator {
@@ -99,9 +113,14 @@ impl Comparator {
         self.offset_v = offset_v;
     }
 
+    /// Restarts the decision-noise stream at `seed`.
+    pub fn seed_stream(&mut self, seed: u64) {
+        self.stream = seed;
+    }
+
     /// Makes one clocked decision: is `input_v` above the (noisy, offset,
     /// hysteretic) threshold?
-    pub fn decide(&mut self, input_v: f64, noise: &mut NoiseSource) -> bool {
+    pub fn decide(&mut self, input_v: f64) -> bool {
         let hysteresis = if self.last_decision {
             -self.spec.hysteresis_v
         } else {
@@ -112,17 +131,19 @@ impl Comparator {
         // Hot-path draw skip: when the deterministic overdrive sits more
         // than 8σ outside the metastability window, a noise draw cannot
         // flip the outcome (P < 1e-15, far below the converter's noise
-        // floor), so the noise stream is left untouched. In a 1.5-bit
-        // pipeline the vast majority of decisions are overwhelming, which
-        // removes most per-sample Gaussian draws from `convert_one`.
-        let margin = 8.0 * self.spec.noise_rms_v + self.spec.metastable_window_v;
+        // floor), so the stream is left untouched. In a 1.5-bit pipeline
+        // the vast majority of decisions are overwhelming. The skip is
+        // safe for any evaluation order because the stream is private.
+        let sigma = self.spec.noise_rms_v;
+        let margin = 8.0 * sigma + self.spec.metastable_window_v;
         let decision = if deterministic.abs() > margin {
             deterministic > 0.0
         } else {
-            let overdrive = deterministic + noise.gaussian(0.0, self.spec.noise_rms_v);
+            let overdrive = deterministic + sigma * standard_normal_step(&mut self.stream);
             if overdrive.abs() < self.spec.metastable_window_v {
-                // Inside the metastable window the latch resolves arbitrarily.
-                noise.uniform(0.0, 1.0) > 0.5
+                // Inside the metastable window the latch resolves
+                // arbitrarily: one fair coin from the stream's top bit.
+                splitmix64(&mut self.stream) >> 63 == 1
             } else {
                 overdrive > 0.0
             }
@@ -139,18 +160,16 @@ mod tests {
     #[test]
     fn ideal_comparator_is_exact() {
         let mut c = Comparator::ideal(0.25);
-        let mut n = NoiseSource::from_seed(1);
-        assert!(c.decide(0.2501, &mut n));
-        assert!(!c.decide(0.2499, &mut n));
+        assert!(c.decide(0.2501));
+        assert!(!c.decide(0.2499));
     }
 
     #[test]
     fn offset_shifts_threshold() {
         let mut c = Comparator::ideal(0.0);
         c.set_offset_v(0.05);
-        let mut n = NoiseSource::from_seed(2);
-        assert!(!c.decide(0.04, &mut n));
-        assert!(c.decide(0.06, &mut n));
+        assert!(!c.decide(0.04));
+        assert!(c.decide(0.06));
     }
 
     #[test]
@@ -174,11 +193,74 @@ mod tests {
             noise_rms_v: 1e-3,
             ..ComparatorSpec::ideal()
         };
-        let mut n = NoiseSource::from_seed(4);
-        let mut c = spec.fabricate(0.0, &mut n);
-        let highs = (0..1000).filter(|_| c.decide(0.0, &mut n)).count();
+        let mut c = spec.fabricate(0.0, &mut NoiseSource::from_seed(4));
+        c.seed_stream(4);
+        let highs = (0..1000).filter(|_| c.decide(0.0)).count();
         // Exactly at threshold with noise: roughly half the decisions high.
         assert!((300..700).contains(&highs), "highs {highs}");
+    }
+
+    /// Standard normal CDF via the Abramowitz–Stegun 7.1.26 erf fit
+    /// (|error| < 1.5e-7, far below the Monte-Carlo tolerance here).
+    fn phi(x: f64) -> f64 {
+        let z = x.abs() / std::f64::consts::SQRT_2;
+        let t = 1.0 / (1.0 + 0.327_591_1 * z);
+        let poly = t
+            * (0.254_829_592
+                + t * (-0.284_496_736
+                    + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
+        let erf = 1.0 - poly * (-z * z).exp();
+        if x >= 0.0 {
+            0.5 * (1.0 + erf)
+        } else {
+            0.5 * (1.0 - erf)
+        }
+    }
+
+    #[test]
+    fn flip_rate_at_threshold_plus_delta_is_phi_of_delta_over_sigma() {
+        // The decision-noise model in distribution: held at threshold +
+        // δ, the comparator reads high with probability Φ(δ/σ). Checked
+        // at several overdrives against a 5σ binomial band, on several
+        // stream seeds.
+        let sigma = 1e-3;
+        let spec = ComparatorSpec {
+            noise_rms_v: sigma,
+            ..ComparatorSpec::ideal()
+        };
+        let trials = 40_000usize;
+        for (seed, delta_over_sigma) in [(1u64, 0.0), (2, 0.5), (3, -1.0), (4, 1.5), (5, -2.5)] {
+            let mut c = spec.fabricate(0.0, &mut NoiseSource::from_seed(seed));
+            c.seed_stream(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let highs = (0..trials)
+                .filter(|_| c.decide(delta_over_sigma * sigma))
+                .count();
+            let p = phi(delta_over_sigma);
+            let rate = highs as f64 / trials as f64;
+            let se = (p * (1.0 - p) / trials as f64).sqrt();
+            assert!(
+                (rate - p).abs() <= 5.0 * se,
+                "δ/σ = {delta_over_sigma}: flip rate {rate:.4} vs Φ = {p:.4} (±{:.4})",
+                5.0 * se
+            );
+        }
+    }
+
+    #[test]
+    fn metastable_window_resolves_as_a_fair_coin() {
+        let spec = ComparatorSpec {
+            metastable_window_v: 1e-3,
+            ..ComparatorSpec::ideal()
+        };
+        let mut c = spec.fabricate(0.0, &mut NoiseSource::from_seed(6));
+        c.seed_stream(6);
+        let trials = 40_000;
+        let highs = (0..trials).filter(|_| c.decide(1e-4)).count();
+        let rate = highs as f64 / trials as f64;
+        assert!(
+            (rate - 0.5).abs() < 5.0 * (0.25 / trials as f64).sqrt(),
+            "rate {rate}"
+        );
     }
 
     #[test]
@@ -187,30 +269,28 @@ mod tests {
             hysteresis_v: 5e-3,
             ..ComparatorSpec::ideal()
         };
-        let mut n = NoiseSource::from_seed(5);
-        let mut c = spec.fabricate(0.0, &mut n);
+        let mut c = spec.fabricate(0.0, &mut NoiseSource::from_seed(5));
         // Drive high first; a small negative input then still reads high
         // because the threshold moved down.
-        assert!(c.decide(0.1, &mut n));
-        assert!(c.decide(-0.003, &mut n));
+        assert!(c.decide(0.1));
+        assert!(c.decide(-0.003));
         // Drive low firmly; the same small input now reads low.
-        assert!(!c.decide(-0.1, &mut n));
-        assert!(!c.decide(0.003, &mut n));
+        assert!(!c.decide(-0.1));
+        assert!(!c.decide(0.003));
     }
 
     #[test]
     fn overwhelming_overdrive_skips_the_noise_draw() {
         let spec = ComparatorSpec::dynamic_latch();
-        let mut n = NoiseSource::from_seed(9);
-        let mut c = spec.fabricate(0.0, &mut n);
-        let mut untouched = n.clone();
+        let mut c = spec.fabricate(0.0, &mut NoiseSource::from_seed(9));
+        c.seed_stream(9);
+        let untouched = c.clone();
         // Overdrives far beyond 8σ decide without consuming the stream.
-        assert!(c.decide(0.5, &mut n));
-        assert!(!c.decide(-0.5, &mut n));
+        assert!(c.decide(0.5));
+        assert!(!c.decide(-0.5));
         assert_eq!(
-            n.gaussian(0.0, 1.0).to_bits(),
-            untouched.gaussian(0.0, 1.0).to_bits(),
-            "certain decisions must leave the noise stream untouched"
+            c.stream, untouched.stream,
+            "certain decisions must leave the stream untouched"
         );
     }
 
@@ -218,10 +298,10 @@ mod tests {
     fn decisions_are_reproducible_for_same_seed() {
         let spec = ComparatorSpec::dynamic_latch();
         let run = |seed| {
-            let mut n = NoiseSource::from_seed(seed);
-            let mut c = spec.fabricate(0.1, &mut n);
+            let mut c = spec.fabricate(0.1, &mut NoiseSource::from_seed(seed));
+            c.seed_stream(seed);
             (0..64)
-                .map(|i| c.decide((i as f64 / 64.0) - 0.5, &mut n))
+                .map(|i| c.decide((i as f64 / 64.0) - 0.5))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(11), run(11));

@@ -67,6 +67,6 @@ pub use noise::{ApertureJitter, NoiseSource};
 pub use opamp::{OpAmp, OpAmpSpec};
 pub use process::{OperatingConditions, ProcessCorner};
 pub use sc::{equivalent_resistance, ScBiasLoop, SwitchedCapBranch};
-pub use stripe::{NormalBlock, SampleNoise};
+pub use stripe::{standard_normal_fill, SampleNoise};
 pub use switch::{SamplingNetwork, SwitchModel, SwitchTopology};
 pub use twopole::TwoPoleAmp;

@@ -1,5 +1,5 @@
-//! The per-sample noise engine: one SplitMix64 stream per die with a
-//! polynomial Box–Muller transform, built to be drawn in lane stripes.
+//! The per-sample noise engine: SplitMix64 streams with a polynomial
+//! Box–Muller transform, built to be drawn in flat blocks.
 //!
 //! [`NoiseSource`](crate::noise::NoiseSource) (StdRng + libm Box–Muller)
 //! is the right tool for *fabrication*: it runs once per die, and its
@@ -15,15 +15,17 @@
 //!
 //! * a **SplitMix64** state per die — one add + two xor-multiply mixes
 //!   per u64, trivially inlined, with the whole generator state a single
-//!   `u64` that a lane batch can gather into a flat array and advance in
-//!   a vectorizable stripe;
+//!   `u64` that a converter can pre-draw from in one flat block per
+//!   chunk of samples;
 //! * a **single-sided Box–Muller** transform, `z = √(−2 ln u₁) ·
 //!   cos(2π u₂)`, evaluated with branch-free polynomial `ln`/`cos`
 //!   kernels (no libm calls, nothing opaque to the autovectorizer). The
 //!   sine half of the classical pair is simply not formed: each draw
 //!   consumes a fresh uniform pair, which keeps the stream's
-//!   draws-per-sample count data-independent and the lane stripe
-//!   uniform.
+//!   draws-per-sample count data-independent.
+//!
+//! The same generator backs each comparator's private decision-noise
+//! stream ([`crate::comparator::Comparator`]).
 //!
 //! The polynomial kernels are accurate to ≲1e-9 relative (`ln`) and
 //! ≲1e-13 absolute (`cos`) — error some 60 dB below the −110 dBFS
@@ -46,9 +48,9 @@ const U53: f64 = 1.0 / (1u64 << 53) as f64;
 /// This is the reference SplitMix64 finalizer (Steele, Lea & Flood,
 /// "Fast splittable pseudorandom number generators"): an odd-gamma
 /// Weyl sequence pushed through two xor-multiply avalanche rounds.
-/// Exposed as a free function over a bare `&mut u64` so lane kernels can
-/// advance a gathered *array* of states in a vectorizable loop;
-/// [`SampleNoise`] is the owning-struct view of the same sequence.
+/// Exposed as a free function over a bare `&mut u64` so comparators and
+/// seed derivations can advance plain state words; [`SampleNoise`] is
+/// the owning-struct view of the same sequence.
 #[inline]
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(GAMMA);
@@ -148,7 +150,7 @@ fn cos_turns(u: f64) -> f64 {
 /// This exists for the settling hot path: the slew-limited branch of
 /// the opamp model needs `exp(−t/τ)` of a *data-dependent* duration,
 /// and a libm call there is both a serial dependency chain and an
-/// autovectorization barrier in the lane kernel's amplify loop. Like
+/// autovectorization barrier in the record kernel's amplify loop. Like
 /// the `ln`/`cos` kernels, this one is pure arithmetic and packs.
 #[inline]
 pub fn exp_nonpos(x: f64) -> f64 {
@@ -182,7 +184,7 @@ pub fn exp_nonpos(x: f64) -> f64 {
 }
 
 /// The single-sided Box–Muller transform shared by every draw shape
-/// (scalar step, lane stripe, sample block), so their deviates are
+/// (scalar step and stream fill), so their deviates are
 /// bit-identical by construction.
 #[inline]
 fn box_muller(u1: f64, u2: f64) -> f64 {
@@ -194,10 +196,10 @@ fn box_muller(u1: f64, u2: f64) -> f64 {
 /// The single-sided Box–Muller transform: `u₁ ∈ (0, 1]` (offset by one
 /// grid step so the log argument is never zero), `u₂ ∈ [0, 1)`, deviate
 /// `√(−2 ln u₁)·cos(2π u₂)`. A free function over a bare state word for
-/// the same reason as [`splitmix64`]: lane kernels stripe it over a
-/// gathered state array, and [`SampleNoise::standard_normal`] delegates
-/// to it, which is what makes laned and scalar draws bit-identical by
-/// construction.
+/// the same reason as [`splitmix64`]: comparators advance their own
+/// bare state words with it, and [`SampleNoise::standard_normal`]
+/// delegates to it, which is what makes every draw shape bit-identical
+/// by construction.
 #[inline]
 pub fn standard_normal_step(state: &mut u64) -> f64 {
     let u1 = ((splitmix64(state) >> 11) + 1) as f64 * U53;
@@ -205,174 +207,84 @@ pub fn standard_normal_step(state: &mut u64) -> f64 {
     box_muller(u1, u2)
 }
 
-/// Width of one fully-unrolled stripe pass: full chunks of this many
-/// lanes go through the fixed-trip-count kernel the autovectorizer
-/// turns into packed code; the remainder falls back to scalar steps.
-const STRIPE: usize = 8;
+/// Uniform pairs generated per pass of [`standard_normal_fill`]: small
+/// enough to live on the stack and in L1, large enough to amortize the
+/// transform loop's constant loads.
+const FILL_BLOCK: usize = 64;
 
-/// Draws one standard-normal deviate per lane, advancing each state by
-/// exactly two SplitMix64 words.
+/// Fills `out` with standard normals from one stream: `out[i]` is
+/// exactly the `i`-th [`standard_normal_step`] from `state`, which
+/// advances by `2·out.len()` words — the record kernel's per-chunk
+/// pre-draw.
 ///
-/// Per lane this computes *precisely* [`standard_normal_step`] — same
-/// uniforms, same kernels, same operation order, so every lane's output
-/// is bit-identical to a scalar draw from the same state. The
-/// difference is scheduling: full [`STRIPE`]-wide chunks run as two
-/// fixed-trip-count array passes (generate uniforms, then transform),
-/// which LLVM autovectorizes — the transform's f64 polynomial/mask math
-/// packs 2–4 lanes per instruction, where calling the scalar step in a
-/// loop leaves each draw a serial ~100-cycle dependency chain.
-///
-/// # Panics
-///
-/// Panics if `states` and `out` have different lengths.
-pub fn standard_normal_stripe(states: &mut [u64], out: &mut [f64]) {
-    assert_eq!(
-        states.len(),
-        out.len(),
-        "stripe buffers disagree: {} states, {} outputs",
-        states.len(),
-        out.len()
-    );
-    let mut st = states.chunks_exact_mut(STRIPE);
-    let mut ot = out.chunks_exact_mut(STRIPE);
-    for (s, o) in st.by_ref().zip(ot.by_ref()) {
-        let s: &mut [u64; STRIPE] = s.try_into().expect("exact chunk");
-        let o: &mut [f64; STRIPE] = o.try_into().expect("exact chunk");
-        // Pass 1 — advance the generators. The u64 multiplies inside
-        // SplitMix64 have no packed form on baseline x86-64, so this
-        // loop stays scalar; isolating it here keeps it from poisoning
-        // the vectorizable transform pass below.
-        let mut u1 = [0.0f64; STRIPE];
-        let mut u2 = [0.0f64; STRIPE];
-        for i in 0..STRIPE {
-            u1[i] = ((splitmix64(&mut s[i]) >> 11) + 1) as f64 * U53;
-            u2[i] = (splitmix64(&mut s[i]) >> 11) as f64 * U53;
-        }
-        // Pass 2 — the Box–Muller transform, branch-free and all-f64:
-        // this is the loop that actually packs.
-        for i in 0..STRIPE {
-            o[i] = box_muller(u1[i], u2[i]);
-        }
-    }
-    for (s, o) in st.into_remainder().iter_mut().zip(ot.into_remainder()) {
-        *o = standard_normal_step(s);
-    }
-}
-
-/// Reusable buffers for drawing a whole sample's worth of deviates for
-/// every lane in one call — the widest (and fastest) draw shape.
-///
-/// A lane kernel that knows, up front, that each of a sample's D draw
-/// slots consumes on *every* lane (sigma positive lane-uniformly) may
-/// generate all D×N deviates at the top of the sample instead of D
-/// separate stripes interleaved with stage math. Per lane the D draws
-/// are generated in slot order, so each lane's stream consumption is
-/// exactly the scalar sequence and the deviates are bit-identical to
-/// [`standard_normal_step`] — the only thing that changes is
-/// scheduling: the transform runs as one flat D×N-element pass with no
-/// intervening code to spill its polynomial constants, which is worth
-/// ~2× over per-slot stripes at D ≈ 12.
-///
-/// The buffers are plain `Vec`s sized on first use and reused across
-/// samples (call [`NormalBlock::fill`] per sample; no per-sample
-/// allocation after the first).
-#[derive(Debug, Clone, Default)]
-pub struct NormalBlock {
-    u1: Vec<f64>,
-    u2: Vec<f64>,
-    z: Vec<f64>,
-}
-
-impl NormalBlock {
-    /// Creates an empty block (buffers grow on first [`Self::fill`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Draws `draws` standard normals from every state, draw-major:
-    /// after the call, [`Self::z`]`[d·N + l]` is lane `l`'s `d`-th
-    /// deviate, and each state has advanced by `2·draws` words.
-    ///
-    /// Draw-major layout makes both ends of the block contiguous over
-    /// lanes: generation iterates slot-outer/lane-inner — lane `l`
-    /// still consumes its own words in exactly the scalar order (draw
-    /// `d` eats words `2d` and `2d+1`), but the N independent SplitMix64
-    /// chains now interleave, so the out-of-order core overlaps their
-    /// multiply latencies instead of walking one lane's serial chain at
-    /// a time — and consumers read one slot as a flat `[d·N..][..N]`
-    /// stripe.
-    pub fn fill(&mut self, states: &mut [u64], draws: usize) {
-        // Same multiversioning discipline as the amplify kernel: the
-        // AVX2 clone widens the identical IEEE-exact arithmetic from
-        // SSE2's 2-wide to 4-wide (no FMA contraction — Rust never
-        // enables it), so deviates stay bit-identical.
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: guarded by runtime feature detection.
-            unsafe { self.fill_avx2(states, draws) };
-            return;
-        }
-        self.fill_impl(states, draws);
-    }
-
-    /// AVX2 re-instantiation of [`Self::fill_impl`].
+/// Only the scheduling differs from a loop of steps. SplitMix64 is a
+/// Weyl sequence, so word `w` of the stream is the finalizer applied to
+/// `state + (w+1)·γ`: every word is computed from its index with no
+/// chain through the previous one. Each block of `FILL_BLOCK` draws
+/// generates its uniforms in one pass of independent integer work, then
+/// transforms them in one flat branch-free loop with no intervening code
+/// to spill its polynomial constants.
+pub fn standard_normal_fill(state: &mut u64, out: &mut [f64]) {
+    // Same multiversioning discipline as the amplify kernel: the AVX2
+    // clone widens the identical IEEE-exact arithmetic from SSE2's
+    // 2-wide to 4-wide (no FMA contraction — Rust never enables it),
+    // so deviates stay bit-identical.
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn fill_avx2(&mut self, states: &mut [u64], draws: usize) {
-        self.fill_impl(states, draws);
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: guarded by runtime feature detection.
+        unsafe { standard_normal_fill_avx2(state, out) };
+        return;
     }
+    standard_normal_fill_impl(state, out);
+}
 
-    /// Portable body of [`Self::fill`]; `inline(always)` so the
-    /// feature-gated wrappers re-instantiate it under their own target
-    /// features.
-    #[inline(always)]
-    fn fill_impl(&mut self, states: &mut [u64], draws: usize) {
-        let n = states.len();
-        let len = draws * n;
-        self.u1.resize(len, 0.0);
-        self.u2.resize(len, 0.0);
-        self.z.resize(len, 0.0);
-        // Pass 1 — lane-inner generation (see above): contiguous
-        // writes, interleaved independent integer chains.
-        for d in 0..draws {
-            let row = &mut self.u1[d * n..(d + 1) * n];
-            let row2 = &mut self.u2[d * n..(d + 1) * n];
-            for (l, st) in states.iter_mut().enumerate() {
-                row[l] = ((splitmix64(st) >> 11) + 1) as f64 * U53;
-                row2[l] = (splitmix64(st) >> 11) as f64 * U53;
-            }
-        }
-        // Pass 2 — one flat branch-free transform over all D×N
-        // elements: the vector body amortizes its constant loads over
-        // the whole block.
-        for ((z, &u1), &u2) in self.z.iter_mut().zip(&self.u1).zip(&self.u2) {
-            *z = box_muller(u1, u2);
-        }
-    }
+/// AVX2 re-instantiation of [`standard_normal_fill_impl`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn standard_normal_fill_avx2(state: &mut u64, out: &mut [f64]) {
+    standard_normal_fill_impl(state, out);
+}
 
-    /// The deviates of the last [`Self::fill`], draw-major
-    /// (`z[d·N + l]`).
-    pub fn z(&self) -> &[f64] {
-        &self.z
+/// Portable body of [`standard_normal_fill`]; `inline(always)` so the
+/// feature-gated wrapper re-instantiates it under its own target
+/// features.
+#[inline(always)]
+fn standard_normal_fill_impl(state: &mut u64, out: &mut [f64]) {
+    let mut u1 = [0.0f64; FILL_BLOCK];
+    let mut u2 = [0.0f64; FILL_BLOCK];
+    for block in out.chunks_mut(FILL_BLOCK) {
+        let n = block.len();
+        let base = *state;
+        for (i, (a, b)) in u1[..n].iter_mut().zip(&mut u2[..n]).enumerate() {
+            // Draw i eats words 2i and 2i+1: states base + (2i+1)·γ and
+            // base + (2i+2)·γ, each finalized on its own.
+            let mut s1 = base.wrapping_add((2 * i as u64).wrapping_mul(GAMMA));
+            let mut s2 = s1.wrapping_add(GAMMA);
+            *a = ((splitmix64(&mut s1) >> 11) + 1) as f64 * U53;
+            *b = (splitmix64(&mut s2) >> 11) as f64 * U53;
+        }
+        for ((z, &a), &b) in block.iter_mut().zip(&u1).zip(&u2) {
+            *z = box_muller(a, b);
+        }
+        *state = base.wrapping_add((2 * n as u64).wrapping_mul(GAMMA));
     }
 }
 
 /// A die's per-sample noise stream: jitter, front-end, and merged
 /// per-stage draws all come from here during conversion (fabrication
-/// and the rare marginal-comparator draws stay on the die's
-/// [`NoiseSource`](crate::noise::NoiseSource)).
+/// stays on the die's [`NoiseSource`](crate::noise::NoiseSource);
+/// comparators draw from their own streams).
 ///
 /// The entire generator state is one `u64`, exposed via
-/// [`SampleNoise::state`]/[`SampleNoise::set_state`] so a lane batch can
-/// gather N streams into a flat array, advance them in vectorizable
-/// stripes, and scatter them back — with every lane's draw sequence
-/// bit-identical to the scalar calls it replaces.
+/// [`SampleNoise::state`]/[`SampleNoise::set_state`] so the record
+/// kernel can pre-draw a whole chunk with [`standard_normal_fill`]
+/// and resume the stream exactly where the block left off.
 ///
 /// ```
 /// use adc_analog::stripe::SampleNoise;
 /// let mut a = SampleNoise::from_seed(7);
 /// let mut b = SampleNoise::from_seed(7);
-/// assert_eq!(a.gaussian(0.0, 1e-3).to_bits(), b.gaussian(0.0, 1e-3).to_bits());
+/// assert_eq!(a.standard_normal().to_bits(), b.standard_normal().to_bits());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SampleNoise {
@@ -388,14 +300,13 @@ impl SampleNoise {
         Self { state: seed }
     }
 
-    /// The raw SplitMix64 state, for lane gather.
+    /// The raw SplitMix64 state, for block pre-draws.
     pub fn state(&self) -> u64 {
         self.state
     }
 
-    /// Restores a state captured by [`SampleNoise::state`], for lane
-    /// scatter. The stream continues exactly where the captured one
-    /// left off.
+    /// Restores a state captured by [`SampleNoise::state`]. The stream
+    /// continues exactly where the captured one left off.
     pub fn set_state(&mut self, state: u64) {
         self.state = state;
     }
@@ -404,20 +315,6 @@ impl SampleNoise {
     #[inline]
     pub fn standard_normal(&mut self) -> f64 {
         standard_normal_step(&mut self.state)
-    }
-
-    /// Draws a normal deviate with the given mean and standard
-    /// deviation. A zero or negative `sigma` returns `mean` exactly
-    /// *without consuming the stream*, matching
-    /// [`NoiseSource::gaussian`](crate::noise::NoiseSource::gaussian)'s
-    /// off-switch contract.
-    #[inline]
-    pub fn gaussian(&mut self, mean: f64, sigma: f64) -> f64 {
-        if sigma <= 0.0 {
-            mean
-        } else {
-            mean + sigma * self.standard_normal()
-        }
     }
 }
 
@@ -517,19 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn gaussian_gates_on_sigma_without_consuming() {
-        let mut gated = SampleNoise::from_seed(9);
-        let mut free = SampleNoise::from_seed(9);
-        assert_eq!(gated.gaussian(0.25, 0.0), 0.25);
-        assert_eq!(gated.gaussian(-1.0, -3.0), -1.0);
-        // The gated draws consumed nothing: both streams still align.
-        assert_eq!(
-            gated.gaussian(0.0, 1.0).to_bits(),
-            free.gaussian(0.0, 1.0).to_bits()
-        );
-    }
-
-    #[test]
     fn state_roundtrip_resumes_the_stream() {
         let mut a = SampleNoise::from_seed(1234);
         let _ = a.standard_normal();
@@ -539,55 +423,30 @@ mod tests {
     }
 
     #[test]
-    fn striped_draws_match_scalar_steps_bit_for_bit() {
-        // Every lane count — full chunks, remainders, and the
-        // degenerate single lane — must reproduce the scalar sequence.
-        for lanes in [1, 3, 7, 8, 9, 16, 21] {
-            let mut striped: Vec<u64> = (0..lanes as u64).map(|l| l * 31 + 5).collect();
-            let mut scalar = striped.clone();
-            let mut out = vec![0.0f64; lanes];
-            for round in 0..16 {
-                standard_normal_stripe(&mut striped, &mut out);
-                for (l, (st, &z)) in scalar.iter_mut().zip(&out).enumerate() {
-                    let want = standard_normal_step(st);
+    fn stream_fill_matches_scalar_steps_bit_for_bit() {
+        for count in [0usize, 1, 2, 7, 12, 300, 3072] {
+            let mut filled = 0xDEAD_BEEF_u64 ^ count as u64;
+            let mut scalar = filled;
+            let mut z = vec![0.0; count];
+            for round in 0..3 {
+                standard_normal_fill(&mut filled, &mut z);
+                for (i, zi) in z.iter().enumerate() {
+                    let want = standard_normal_step(&mut scalar);
                     assert_eq!(
-                        z.to_bits(),
+                        zi.to_bits(),
                         want.to_bits(),
-                        "lane {l}/{lanes} round {round}"
+                        "draw {i} of {count}, round {round}"
                     );
                 }
-                assert_eq!(striped, scalar, "states diverged at round {round}");
-            }
-        }
-    }
-
-    #[test]
-    fn block_draws_match_scalar_steps_bit_for_bit() {
-        for (lanes, draws) in [(1, 12), (4, 1), (8, 12), (16, 7), (5, 3)] {
-            let mut blocked: Vec<u64> = (0..lanes as u64).map(|l| l * 977 + 13).collect();
-            let mut scalar = blocked.clone();
-            let mut block = NormalBlock::new();
-            for round in 0..4 {
-                block.fill(&mut blocked, draws);
-                for (l, st) in scalar.iter_mut().enumerate() {
-                    for d in 0..draws {
-                        let want = standard_normal_step(st);
-                        assert_eq!(
-                            block.z()[d * lanes + l].to_bits(),
-                            want.to_bits(),
-                            "lane {l} draw {d} round {round} ({lanes}x{draws})"
-                        );
-                    }
-                }
-                assert_eq!(blocked, scalar, "states diverged ({lanes}x{draws})");
+                assert_eq!(filled, scalar, "state diverged ({count} draws)");
             }
         }
     }
 
     #[test]
     fn struct_and_free_function_draws_are_identical() {
-        // The lane kernel stripes `standard_normal_step` over gathered
-        // states; the scalar path calls the struct. Same bits.
+        // Comparators step bare state words; the converter calls the
+        // struct. Same bits.
         let mut owned = SampleNoise::from_seed(55);
         let mut state = 55u64;
         for _ in 0..64 {

@@ -6,10 +6,11 @@
 //!   on the capture path (RF generator → band-pass filter → ADC) with
 //!   each non-ideality toggled, so a regression in any specialized path
 //!   (jitter-off, thermal-off, ripple-on) is visible on its own row;
-//! * **lanes** — the lane-parallel SoA kernel (`LaneBatch`) at 1, 4,
-//!   and 8 lanes on the same capture path, total samples/sec across all
-//!   lanes plus the speedup over the scalar `nominal` row measured in
-//!   the same run (the figure the CI lanes gate holds);
+//! * **lanes** — `LaneBatch` (N dies, each converting through the
+//!   systolic kernel in turn) at 1, 4, and 8 lanes on the same capture
+//!   path, total samples/sec across all lanes plus the speedup over the
+//!   scalar `nominal` row measured in the same run (the figure the CI
+//!   lanes gate holds; the 1-lane row is the scalar kernel itself);
 //! * **fft** — `fft_real_into` microseconds per call and per point at
 //!   the record lengths the testbench actually uses (1k..16k), the
 //!   figure the planned real-input FFT is accountable to.
@@ -53,8 +54,9 @@ struct ConversionFigure {
 }
 
 /// One lane-batch measurement: N nominal dies (seeds `1..=N`)
-/// converting the shared capture waveform in lock-step through the SoA
-/// lane kernel. `samples_per_sec` counts every lane's samples;
+/// converting the shared capture waveform, one die after another
+/// through the systolic kernel. `samples_per_sec` counts every lane's
+/// samples;
 /// `speedup_vs_scalar` divides by the scalar `nominal` row measured in
 /// the same run, so the figure is host-relative by construction.
 struct LaneFigure {
@@ -106,7 +108,8 @@ fn conversion_configs() -> Vec<(&'static str, AdcConfig)> {
 fn bench_conversion(name: &'static str, config: AdcConfig) -> ConversionFigure {
     let f_cr = config.f_cr_hz;
     let mut adc = PipelineAdc::build(config, GOLDEN_SEED).expect("benchmark config builds");
-    let (f_in, _) = coherent_frequency_clear(f_cr, RECORD_LEN, 10e6, 8);
+    let (f_in, _) = coherent_frequency_clear(f_cr, RECORD_LEN, 10e6, 8)
+        .expect("an 8k record always has a clear tone bin");
     let generator = SineSource::rf_generator(0.995 * adc.config().v_ref_v, f_in);
     let filtered = BandpassFilter::passive_high_order(f_in).clean(&generator);
 
@@ -139,7 +142,7 @@ fn bench_conversion(name: &'static str, config: AdcConfig) -> ConversionFigure {
 
 /// Times the lane-batched capture path at one lane count: the same RF
 /// generator → band-pass filter stimulus as [`bench_conversion`]'s
-/// nominal row, converted by `n_lanes` Monte-Carlo dies in lock-step.
+/// nominal row, converted by `n_lanes` Monte-Carlo dies in one batch.
 /// One batch record (all lanes) is one timing window; the fastest
 /// window is the figure.
 fn bench_lanes(n_lanes: usize, scalar_samples_per_sec: f64) -> LaneFigure {
@@ -147,7 +150,8 @@ fn bench_lanes(n_lanes: usize, scalar_samples_per_sec: f64) -> LaneFigure {
     let f_cr = config.f_cr_hz;
     let seeds: Vec<u64> = (1..=n_lanes as u64).collect();
     let mut batch = LaneBatch::build(&config, &seeds).expect("benchmark config builds");
-    let (f_in, _) = coherent_frequency_clear(f_cr, RECORD_LEN, 10e6, 8);
+    let (f_in, _) = coherent_frequency_clear(f_cr, RECORD_LEN, 10e6, 8)
+        .expect("an 8k record always has a clear tone bin");
     let generator = SineSource::rf_generator(0.995 * batch.lanes()[0].config().v_ref_v, f_in);
     let filtered = BandpassFilter::passive_high_order(f_in).clean(&generator);
 

@@ -39,8 +39,10 @@ fn main() {
             GOLDEN_SEED,
             centres_mhz.to_vec(),
             |_ctx, &centre_mhz| {
-                let (f1, m1) = coherent_frequency_clear(f_cr, n, centre_mhz * 1e6 * 0.97, 8);
-                let (f2, m2) = coherent_frequency_clear(f_cr, n, centre_mhz * 1e6 * 1.03, 8);
+                let (f1, m1) = coherent_frequency_clear(f_cr, n, centre_mhz * 1e6 * 0.97, 8)
+                    .expect("the IMD record has clear tone bins");
+                let (f2, m2) = coherent_frequency_clear(f_cr, n, centre_mhz * 1e6 * 1.03, 8)
+                    .expect("the IMD record has clear tone bins");
                 let stimulus = MultiTone {
                     tones: vec![SineSource::clean(0.49, f1), SineSource::clean(0.49, f2)],
                 };

@@ -11,13 +11,16 @@
 //! Conversion is sample-accurate: the input waveform is evaluated at
 //! jittered sampling instants, tracked through the nonlinear input switch,
 //! resolved stage by stage with settling memory, and aligned/corrected
-//! into 12-bit codes.
+//! into 12-bit codes. Records run through the systolic kernel of
+//! [`crate::systolic`], which advances the stages as a wavefront the way
+//! the silicon pipelines them; single held conversions run
+//! `PipelineAdc::convert_one` stage by stage, with identical results.
 
 use adc_analog::bandgap::{Bandgap, ReferenceBuffer};
 use adc_analog::capacitor::{Capacitor, CapacitorSpec};
 use adc_analog::noise::NoiseSource;
 use adc_analog::opamp::{OpAmp, OpAmpSpec};
-use adc_analog::stripe::SampleNoise;
+use adc_analog::stripe::{splitmix64, SampleNoise};
 use adc_analog::switch::{SamplingNetwork, SwitchModel};
 use adc_bias::generator::{BiasScheme, FixedBiasGenerator, ScBiasGenerator};
 use adc_bias::mirror::{BiasNetwork, MirrorBankSpec};
@@ -31,6 +34,7 @@ use crate::error::BuildAdcError;
 use crate::mdac::Mdac;
 use crate::stage::PipelineStage;
 use crate::subconverter::{Adsc, FlashBackend, StageDecision};
+use crate::systolic::Systolic;
 
 /// Input capacitance presented by the flash backend to the last stage.
 const FLASH_INPUT_CAP_F: f64 = 0.2e-12;
@@ -38,32 +42,6 @@ const FLASH_INPUT_CAP_F: f64 = 0.2e-12;
 /// Conversions run before a record starts, so settling and tracking
 /// memory reach steady state.
 pub(crate) const WARMUP_SAMPLES: usize = 16;
-
-/// Every `TRACE_EVERY`-th conversion records per-stage spans when
-/// tracing is enabled. Deterministic subsampling (by the conversion
-/// counter, not by time) keeps trace volume sane — a 16k-sample record
-/// would otherwise emit ~450k stage events — while still profiling the
-/// MDAC/flash split at statistically meaningful coverage.
-const TRACE_EVERY: u64 = 512;
-
-/// Static span names for the per-stage MDAC spans (`stage_count <= 14`
-/// is enforced by [`PipelineAdc::build`]).
-const STAGE_SPAN_NAMES: [&str; 14] = [
-    "mdac-stage1",
-    "mdac-stage2",
-    "mdac-stage3",
-    "mdac-stage4",
-    "mdac-stage5",
-    "mdac-stage6",
-    "mdac-stage7",
-    "mdac-stage8",
-    "mdac-stage9",
-    "mdac-stage10",
-    "mdac-stage11",
-    "mdac-stage12",
-    "mdac-stage13",
-    "mdac-stage14",
-];
 
 /// A continuous-time input signal the converter can sample.
 ///
@@ -95,8 +73,10 @@ pub trait Waveform {
         (self.value(t_s), self.slope(t_s))
     }
 
-    /// Evaluates the waveform on the uniform grid `t = t0_s + k·dt_s`,
-    /// writing `values[k]` and `slopes[k]` for `k < values.len()`.
+    /// Evaluates the waveform on the uniform grid `t = (first + k)·dt_s`,
+    /// writing `values[k]` and `slopes[k]` for `k < values.len()`. The
+    /// converter fills its exact (jitter-free) sampling grid this way one
+    /// chunk at a time, so grid instant `k` is always `k·dt_s` exactly.
     /// Batch-friendly sources (e.g. a pure sine via a phase recurrence)
     /// may override with a faster scheme; deviations from
     /// [`Waveform::sample_at`] at the same instants must stay negligible
@@ -106,10 +86,10 @@ pub trait Waveform {
     /// # Panics
     ///
     /// Panics if `values` and `slopes` differ in length.
-    fn fill_with_slope(&self, t0_s: f64, dt_s: f64, values: &mut [f64], slopes: &mut [f64]) {
+    fn fill_with_slope(&self, first: usize, dt_s: f64, values: &mut [f64], slopes: &mut [f64]) {
         assert_eq!(values.len(), slopes.len());
         for (k, (v, s)) in values.iter_mut().zip(slopes.iter_mut()).enumerate() {
-            let t = t0_s + k as f64 * dt_s;
+            let t = (first + k) as f64 * dt_s;
             let (value, slope) = self.sample_at(t);
             *v = value;
             *s = slope;
@@ -127,7 +107,7 @@ impl<F: Fn(f64) -> f64> Waveform for F {
 ///
 /// Everything here is a pure function of the fabricated stage, the
 /// timing budget, and the reference buffer — none of it changes between
-/// samples, so [`PipelineAdc::convert_one`] reads it instead of
+/// samples, so the conversion paths read it instead of
 /// re-deriving settling exponentials and noise sigmas 110 M times a
 /// second. Rebuilt lazily whenever [`PipelineAdc::stage_mut`] hands out
 /// mutable stage access (fault injection may change any constant).
@@ -162,10 +142,9 @@ pub struct PipelineAdc {
     reference: ReferenceBuffer,
     power: PowerModel,
     correction: CorrectionPipeline,
-    pub(crate) noise: NoiseSource,
     /// The hot-path noise stream: jitter, front-end, and merged
     /// per-stage draws during conversion (see [`adc_analog::stripe`]).
-    /// Marginal-comparator draws stay on `noise`.
+    /// Comparators draw from their own streams.
     pub(crate) sample_noise: SampleNoise,
     /// Combined auxiliary + flicker input-referred noise at this rate
     /// (includes a dedicated SHA's noise when configured).
@@ -184,9 +163,8 @@ pub struct PipelineAdc {
     pub(crate) front_noise_rms_v: f64,
     /// Set when [`PipelineAdc::stage_mut`] may have invalidated `plans`.
     plans_dirty: bool,
-    /// Reusable waveform-evaluation buffers for the batched grid path.
-    scratch_values: Vec<f64>,
-    scratch_slopes: Vec<f64>,
+    /// Reusable chunk buffers of the systolic record kernel.
+    systolic: Systolic,
 }
 
 /// The raw digital output of one conversion, before error correction —
@@ -232,7 +210,7 @@ impl PipelineAdc {
 
         let mut root = NoiseSource::from_seed(seed);
         let mut fab = root.fork();
-        let runtime = root.fork();
+        let mut runtime = root.fork();
         // The per-sample hot-path stream; derived *after* the fab and
         // runtime forks so existing dies fabricate bit-identically.
         let sample_noise = SampleNoise::from_seed(root.fork_seed());
@@ -335,7 +313,18 @@ impl PipelineAdc {
                 leak_cubic_a_per_v3: config.leak_cubic_a_per_v3,
             });
         }
-        let flash = FlashBackend::fabricate(&config.comparator, config.v_ref_v, &mut fab);
+        let mut flash = FlashBackend::fabricate(&config.comparator, config.v_ref_v, &mut fab);
+        // Per-comparator decision-noise streams, seeded in comparator
+        // order (stage 1 upper/lower, ..., then the flash) from the
+        // runtime fork; fabrication never sees these draws.
+        let mut comparator_seeds = runtime.next_u64();
+        for comparator in stages
+            .iter_mut()
+            .flat_map(|s| s.adsc.comparators_mut())
+            .chain(flash.comparators_mut())
+        {
+            comparator.seed_stream(splitmix64(&mut comparator_seeds));
+        }
 
         // Front-end sampling network with the configured switch topology.
         let mut switch = SwitchModel::nominal(config.input_switch);
@@ -389,7 +378,6 @@ impl PipelineAdc {
             reference,
             power,
             correction,
-            noise: runtime,
             sample_noise,
             aux_noise_rms_v,
             adsc_skew_s,
@@ -400,8 +388,7 @@ impl PipelineAdc {
             plans: Vec::new(),
             front_noise_rms_v: 0.0,
             plans_dirty: true,
-            scratch_values: Vec::new(),
-            scratch_slopes: Vec::new(),
+            systolic: Systolic::default(),
         })
     }
 
@@ -506,12 +493,15 @@ impl PipelineAdc {
     /// Like [`Self::convert_waveform`], appending into a caller-owned
     /// buffer (cleared first) so repeated captures reuse one allocation.
     ///
-    /// With jitter disabled the sampling instants form an exact uniform
-    /// grid, so the waveform is evaluated in one batched
-    /// [`Waveform::fill_with_slope`] pass. The grid instants and the
-    /// conversion itself are bit-identical to the per-sample path;
-    /// sources that override `fill_with_slope` with a recurrence may
-    /// contribute ulp-scale waveform deviations (see the trait docs).
+    /// The record runs through the systolic kernel ([`crate::systolic`]):
+    /// per chunk of samples, one flat pre-draw of the chunk's deviates,
+    /// a serial front-end pass, then the stages as a wavefront. Codes are
+    /// bit-identical to converting the samples one at a time. With jitter
+    /// disabled the sampling instants form the exact grid `k·period`, and
+    /// the waveform is evaluated one chunk at a time through
+    /// [`Waveform::fill_with_slope`]; sources that override it with a
+    /// recurrence may contribute ulp-scale waveform deviations (see the
+    /// trait docs).
     pub fn convert_waveform_into<W: Waveform + ?Sized>(
         &mut self,
         waveform: &W,
@@ -519,39 +509,11 @@ impl PipelineAdc {
         out: &mut Vec<u16>,
     ) {
         let _trace_record = adc_trace::span_with("record", n_samples as u64);
-        let period = self.timing.period_s;
         out.clear();
         out.reserve(n_samples);
-        let total = n_samples + WARMUP_SAMPLES;
-        // adc-lint: allow(float-eq) reason="feature gate: zero jitter sigma selects the exact-grid batch path"
-        if self.config.jitter.sigma_s == 0.0 {
-            // Jitter off: t = k·period exactly (the jitter source returns
-            // exactly 0.0 without consuming the noise stream), so the
-            // batched grid evaluation is bit-identical to per-sample.
-            let mut values = std::mem::take(&mut self.scratch_values);
-            let mut slopes = std::mem::take(&mut self.scratch_slopes);
-            values.resize(total, 0.0);
-            slopes.resize(total, 0.0);
-            waveform.fill_with_slope(0.0, period, &mut values, &mut slopes);
-            for (k, (&v, &dvdt)) in values.iter().zip(slopes.iter()).enumerate() {
-                let code = self.convert_one(v, dvdt);
-                if k >= WARMUP_SAMPLES {
-                    out.push(code);
-                }
-            }
-            self.scratch_values = values;
-            self.scratch_slopes = slopes;
-        } else {
-            for k in 0..total {
-                let t =
-                    k as f64 * period + self.sample_noise.gaussian(0.0, self.config.jitter.sigma_s);
-                let (v, dvdt) = waveform.sample_at(t);
-                let code = self.convert_one(v, dvdt);
-                if k >= WARMUP_SAMPLES {
-                    out.push(code);
-                }
-            }
-        }
+        let mut systolic = std::mem::take(&mut self.systolic);
+        systolic.convert(self, waveform, n_samples, out);
+        self.systolic = systolic;
     }
 
     /// Mutable access to a stage, for fault-injection experiments.
@@ -578,9 +540,9 @@ impl PipelineAdc {
     }
 
     /// Rebuilds the hoisted plans if fault injection may have changed a
-    /// stage constant — the lane kernel calls this once per batch before
-    /// gathering plan copies into its stage-major arrays, mirroring the
-    /// per-sample check [`PipelineAdc::convert_one`] performs.
+    /// stage constant — the record kernel calls this once per record,
+    /// mirroring the per-sample check [`PipelineAdc::convert_one`]
+    /// performs.
     pub(crate) fn ensure_plans(&mut self) {
         if self.plans_dirty {
             self.rebuild_plans();
@@ -627,26 +589,25 @@ impl PipelineAdc {
         self.plans_dirty = false;
     }
 
-    /// Runs the full conversion of one sampled instant.
+    /// Runs the full conversion of one sampled instant, stage by stage.
     ///
-    /// This is the planned hot path: settling exponentials, effective
-    /// references, droop factors, and merged noise sigmas all come from
-    /// [`StagePlan`]s, and a stage consumes at most one Gaussian draw
-    /// (plus comparator draws only for marginal decisions). Zero-sigma
-    /// draws never touch the noise stream, so the fully ideal converter
-    /// stays draw-free and bit-exact.
-    fn convert_one(&mut self, v: f64, dvdt: f64) -> u16 {
+    /// This is the planned per-sample path the held conversions use:
+    /// settling exponentials, effective references, droop factors, and
+    /// merged noise sigmas all come from [`StagePlan`]s. Its draw
+    /// schedule is fixed: one front-end draw, then one draw per stage,
+    /// each consumed whatever its sigma (a zero sigma contributes an exact
+    /// `0.0`, so the ideal converter stays exact). The record kernel
+    /// consumes the same slots, after one jitter draw per sample, which
+    /// is what makes its codes equal a loop of these calls.
+    pub(crate) fn convert_one(&mut self, v: f64, dvdt: f64) -> u16 {
         if self.plans_dirty {
             self.rebuild_plans();
         }
-        // Per-stage spans on a deterministic subsample of conversions;
-        // the gate costs one relaxed atomic load when tracing is off.
-        let trace_stages = adc_trace::enabled() && self.sample_count.is_multiple_of(TRACE_EVERY);
         let period = self.timing.period_s;
         // Front end: deterministic tracking, then front kT/C and the
         // auxiliary/flicker noise merged into one draw.
         let tracked = self.front_end.track(v, dvdt, period);
-        let mut x = tracked + self.sample_noise.gaussian(0.0, self.front_noise_rms_v);
+        let mut x = tracked + (0.0 + self.front_noise_rms_v * self.sample_noise.standard_normal());
         self.front_end.commit_held_v(x);
         // Finite PSRR couples supply ripple into the signal path.
         // adc-lint: allow(float-eq) reason="feature gate: ripple injection is configured exactly 0.0 when disabled"
@@ -661,33 +622,26 @@ impl PipelineAdc {
         // path, skewed from the main sampling instant.
         let stage1_adsc_error = self.adsc_skew_s * dvdt;
         self.scratch_decisions.clear();
-        for (stage, plan) in self.stages.iter_mut().zip(&self.plans) {
-            let _trace_stage =
-                trace_stages.then(|| adc_trace::span(STAGE_SPAN_NAMES[stage.index.min(13)]));
-            let adsc_error = if stage.index == 0 {
-                stage1_adsc_error
-            } else {
-                0.0
-            };
+        for (s, (stage, plan)) in self.stages.iter_mut().zip(&self.plans).enumerate() {
+            let adsc_error = if s == 0 { stage1_adsc_error } else { 0.0 };
             // Hold-phase leakage droop (cubic => distortion at low rates).
             x -= plan.droop_k * x * x * x;
-            let decision = stage.adsc.decide(x + adsc_error, &mut self.noise);
+            let decision = stage.adsc.decide(x + adsc_error);
             // The DSB selects the reference; droop depends on the DAC
             // level, and with d = 0 the reference noise cannot reach the
-            // output, so its draw is skipped exactly.
+            // output (its sigma merges out of `sigma_d0`).
             let (v_ref_eff, sigma) = if decision.dac_level == 0 {
                 (plan.vref_d0, plan.sigma_d0)
             } else {
                 (plan.vref_d1, plan.sigma_d1)
             };
-            let noise_v = self.sample_noise.gaussian(0.0, sigma);
+            let noise_v = 0.0 + sigma * self.sample_noise.standard_normal();
             x = stage
                 .mdac
                 .amplify_planned(&plan.mdac, x, decision.dac_level, v_ref_eff, noise_v);
             self.scratch_decisions.push(decision);
         }
-        let _trace_flash = trace_stages.then(|| adc_trace::span("flash"));
-        let flash_code = self.flash.decide(x, &mut self.noise);
+        let flash_code = self.flash.decide(x);
         self.last_flash_code = flash_code;
         correction::assemble_code(&self.scratch_decisions, flash_code) as u16
     }
@@ -910,10 +864,15 @@ mod tests {
     /// Replicates the pre-plan conversion loop (per-stage
     /// `process_with_adsc_error`, per-event `effective_v`) so the hoisted
     /// planned path can be checked against it.
-    fn unplanned_convert_one(adc: &mut PipelineAdc, v: f64, dvdt: f64) -> u16 {
+    fn unplanned_convert_one(
+        adc: &mut PipelineAdc,
+        noise: &mut NoiseSource,
+        v: f64,
+        dvdt: f64,
+    ) -> u16 {
         let period = adc.timing.period_s;
-        let mut x = adc.front_end.sample(v, dvdt, period, &mut adc.noise);
-        x += adc.noise.gaussian(0.0, adc.aux_noise_rms_v);
+        let mut x = adc.front_end.sample(v, dvdt, period, noise);
+        x += noise.gaussian(0.0, adc.aux_noise_rms_v);
         if adc.ripple_referred_v != 0.0 {
             let t = adc.sample_count as f64 * period;
             x += adc.ripple_referred_v
@@ -935,12 +894,12 @@ mod tests {
                 &adc.reference,
                 adc.timing.settle_time_s,
                 hold_time,
-                &mut adc.noise,
+                noise,
             );
             adc.scratch_decisions.push(decision);
             x = residue;
         }
-        let flash_code = adc.flash.decide(x, &mut adc.noise);
+        let flash_code = adc.flash.decide(x);
         correction::assemble_code(&adc.scratch_decisions, flash_code) as u16
     }
 
@@ -968,37 +927,15 @@ mod tests {
         let mut planned = PipelineAdc::build(cfg, 21).unwrap();
         planned.reference.noise_rms_v = 0.0;
         let mut reference = planned.clone();
+        let mut silent = NoiseSource::from_seed(21);
         for i in 0..512 {
             let v = -0.95 + 1.9 * f64::from(i) / 512.0;
             assert_eq!(
                 planned.convert_one(v, 0.0),
-                unplanned_convert_one(&mut reference, v, 0.0),
+                unplanned_convert_one(&mut reference, &mut silent, v, 0.0),
                 "planned path diverged at v = {v}"
             );
         }
-    }
-
-    #[test]
-    fn convert_waveform_into_matches_per_sample_evaluation() {
-        // Jitter off => the batched grid path runs; its codes must be
-        // bit-identical to evaluating value/slope one instant at a time.
-        let mut cfg = AdcConfig::nominal_110ms();
-        cfg.jitter.sigma_s = 0.0;
-        let wave = |t: f64| 0.9 * (2.0 * std::f64::consts::PI * 10.3e6 * t).sin();
-        let mut batched = PipelineAdc::build(cfg.clone(), 42).unwrap();
-        let mut out = vec![9999u16; 3]; // stale contents must be cleared
-        batched.convert_waveform_into(&wave, 256, &mut out);
-        let mut manual_adc = PipelineAdc::build(cfg, 42).unwrap();
-        let period = manual_adc.timing().period_s;
-        let mut manual = Vec::new();
-        for k in 0..256 + WARMUP_SAMPLES {
-            let t = k as f64 * period;
-            let code = manual_adc.convert_one(wave.value(t), Waveform::slope(&wave, t));
-            if k >= WARMUP_SAMPLES {
-                manual.push(code);
-            }
-        }
-        assert_eq!(out, manual);
     }
 
     #[test]
@@ -1008,7 +945,7 @@ mod tests {
         let mut a = PipelineAdc::build(cfg.clone(), 7).unwrap();
         let mut b = PipelineAdc::build(cfg, 7).unwrap();
         let direct = a.convert_waveform(&wave, 256);
-        let mut reused = Vec::new();
+        let mut reused = vec![9999u16; 3]; // stale contents must be cleared
         b.convert_waveform_into(&wave, 256, &mut reused);
         assert_eq!(direct, reused);
     }

@@ -1,71 +1,30 @@
-//! Lane-parallel structure-of-arrays conversion: N independent dies
-//! advance through each MDAC stage in lock-step.
+//! Lane batches: N independent dies converting one record each.
 //!
-//! The scalar planned path ([`PipelineAdc::convert_waveform_into`])
-//! converts one sample at a time: ten dependent stage evaluations —
-//! droop, ADSC decision, one merged Gaussian draw, settling — form a
-//! serial floating-point chain the CPU cannot overlap. A [`LaneBatch`]
-//! carries 4–16 *independent* conversions (Monte-Carlo die variants,
-//! interleaved channels, or just separate records) through the same
-//! stage together, restructured from array-of-structs to
-//! structure-of-arrays:
+//! A [`LaneBatch`] carries N dies (Monte-Carlo variants, interleaved
+//! channels, fault-injected mutants, or just separate records of one
+//! design) through one call. Each die converts its record in turn
+//! through the systolic record kernel ([`crate::systolic`]), which
+//! already keeps a die's active stages busy as one wavefront.
 //!
-//! * the hoisted [`StagePlan`]s and the MDAC settling memories are
-//!   gathered once per batch into flat stage-major arrays, so the
-//!   per-stage inner loops stream over contiguous state instead of
-//!   chasing `lanes[l].stages[s]` pointers, and the per-sample
-//!   `plans_dirty` check is amortized away;
-//! * each stage becomes three short lane loops — decide (per-lane
-//!   comparators), a Gaussian *draw stripe* (one merged draw per lane
-//!   from that lane's own stream), and a branch-free SoA amplify
-//!   kernel ([`AmpConstants::amplify_lanes`]) the compiler packs into
-//!   SIMD lanes (runtime-dispatched to an AVX2 instantiation on
-//!   x86-64 hosts that have it — bit-identical, just wider);
-//! * the per-sample hot draws (jitter, front end, ten merged stage
-//!   draws) live on each die's single-word
-//!   [`SampleNoise`](adc_analog::stripe::SampleNoise) stream, so the
-//!   batch pre-draws the whole sample's block for all lanes at once
-//!   ([`NormalBlock`], draw-major) and each loop consumes its slot as
-//!   a contiguous lane stripe;
-//! * the independent per-lane FP chains give the out-of-order core real
-//!   instruction-level parallelism: while lane 0's settling
-//!   exponential/divide is in flight, lanes 1..N issue theirs.
+//! # Bit-exactness
 //!
-//! # Bit-exactness discipline
-//!
-//! Every lane is one [`PipelineAdc`] with its **own** noise streams,
-//! and the kernel executes lanes in lock-step *sample-major,
-//! stage-major, lane-minor*. The per-sample hot draws are
-//! unconditional and fixed-count, so the block pre-draw consumes each
-//! lane's `SampleNoise` words in exactly the scalar order; the
-//! data-dependent draws (marginal comparator decisions) stay on the
-//! die's fabrication-side `NoiseSource` and are taken per lane at
-//! exactly the point the scalar path would take them. Interleaving
-//! *between* lanes touches only other streams and is therefore
-//! invisible per lane. Consequently each lane's output is
-//! bit-identical to running that waveform alone through the scalar
-//! planned path at the same seed — asserted by this module's tests and
-//! by the `determinism` integration suite. (Splitting the hot draws
-//! onto `SampleNoise` changed realizations relative to the
-//! single-stream model, which is why `NUMERICS_EPOCH` is 3.) See
-//! DESIGN.md §16.
-
-use adc_analog::stripe::{standard_normal_step, standard_normal_stripe, NormalBlock};
+//! Dies in a batch share no state: each keeps its own plans, settling
+//! memories, sample-noise stream, and per-comparator decision streams.
+//! Each lane's record is therefore bit-identical to converting that
+//! waveform alone at the same seed — asserted by this module's tests and
+//! by the `determinism` integration suite. See DESIGN.md §16 and §18.
 
 use crate::config::AdcConfig;
-use crate::converter::{PipelineAdc, StagePlan, Waveform, WARMUP_SAMPLES};
-use crate::correction;
+use crate::converter::{PipelineAdc, Waveform};
 use crate::error::BuildAdcError;
-use crate::mdac::AmpConstants;
-use crate::subconverter::StageDecision;
 
 /// Why a set of dies cannot form a [`LaneBatch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LaneError {
     /// A batch needs at least one lane.
     Empty,
-    /// Lanes must agree on stage count so the lock-step stage loop is
-    /// well-formed (configs may otherwise differ freely).
+    /// Lanes must agree on stage count: a batch holds dies of one
+    /// pipeline design (configs may otherwise differ freely).
     MismatchedStageCount {
         /// Index of the offending lane.
         lane: usize,
@@ -87,7 +46,7 @@ impl std::fmt::Display for LaneError {
             } => write!(
                 f,
                 "lane {lane} has {got} stages, lane 0 has {expected}: \
-                 lock-step execution needs a uniform stage count"
+                 a lane batch needs a uniform stage count"
             ),
         }
     }
@@ -95,7 +54,7 @@ impl std::fmt::Display for LaneError {
 
 impl std::error::Error for LaneError {}
 
-/// N fabricated dies converting in lock-step (see the module docs).
+/// N fabricated dies converting one record each (see the module docs).
 ///
 /// ```
 /// use adc_pipeline::config::AdcConfig;
@@ -114,73 +73,6 @@ impl std::error::Error for LaneError {}
 #[derive(Debug, Clone)]
 pub struct LaneBatch {
     lanes: Vec<PipelineAdc>,
-    stage_count: usize,
-    /// Stage-major gathered plans: `plan_soa[s·N + l]` is lane `l`'s
-    /// plan for stage `s`. Rebuilt at the top of every batch.
-    plan_soa: Vec<StagePlan>,
-    /// Stage-major gathered MDAC settling memories, scattered back into
-    /// the lanes when the batch completes.
-    prev_soa: Vec<f64>,
-    /// Per-lane residue (the value walking down the pipeline).
-    x: Vec<f64>,
-    /// Per-lane stage-1 ADSC aperture-skew error for the current sample.
-    adsc_err: Vec<f64>,
-    /// Per-lane DAC level of the current stage, as the exact small
-    /// integer `f64` the amplify kernel multiplies with (`f64::from` of
-    /// the decision).
-    dac: Vec<f64>,
-    /// Per-lane effective reference of the current stage.
-    vref: Vec<f64>,
-    /// Per-lane merged noise sigma of the current stage.
-    sigma: Vec<f64>,
-    /// Per-lane merged Gaussian draw of the current stage (the stripe).
-    noise_v: Vec<f64>,
-    /// Lane-major decisions of the current sample:
-    /// `decisions[l·stages + s]`.
-    decisions: Vec<StageDecision>,
-    /// Per-lane conversion period, seconds.
-    periods: Vec<f64>,
-    /// Lane-major pre-evaluated waveform values for exact-grid (jitter
-    /// off) lanes: `values[l·total + k]`.
-    values: Vec<f64>,
-    /// Lane-major pre-evaluated waveform slopes (exact-grid lanes).
-    slopes: Vec<f64>,
-    /// Gathered per-lane SplitMix64 sample-noise states, advanced in
-    /// vectorizable stripes and scattered back when the batch completes.
-    states: Vec<u64>,
-    /// Whole-sample deviate block (see [`BlockPlan`]), reused across
-    /// samples.
-    block: NormalBlock,
-    /// Stage-major field-major gather of the per-lane amplify constants
-    /// (see [`AmpConstants`]), rebuilt with `plan_soa`.
-    amp: AmpConstants,
-}
-
-/// The per-sample draw schedule when every draw slot is lane-uniform:
-/// which slot (if any) of the pre-drawn [`NormalBlock`] feeds jitter,
-/// the front end, and each stage's merged draw.
-///
-/// Eligibility is decided per batch from the gathered configs and
-/// plans: a slot qualifies when its sigma is positive on *every* lane
-/// (consumes everywhere) or non-positive on every lane (consumes
-/// nowhere). Then the number of stream words each lane spends per
-/// sample is a constant, so all of them can be drawn at the top of the
-/// sample in one wide block — per lane in exactly the scalar
-/// consumption order, so bit-exactness is untouched. Any mixed slot
-/// (sigma on for some lanes only, or a stage whose two DSB sigma
-/// candidates straddle zero) makes consumption data-dependent, and the
-/// batch falls back to the per-site stripes.
-#[derive(Debug, Clone)]
-struct BlockPlan {
-    /// Block slot of the aperture-jitter draw (`None`: jitter off on
-    /// every lane, no draw).
-    jitter: Option<usize>,
-    /// Block slot of the merged front-end draw.
-    front: Option<usize>,
-    /// Block slot of each stage's merged draw.
-    stage: Vec<Option<usize>>,
-    /// Total slots per lane per sample.
-    draws: usize,
 }
 
 impl LaneBatch {
@@ -203,26 +95,7 @@ impl LaneBatch {
                 });
             }
         }
-        let n = lanes.len();
-        Ok(Self {
-            lanes,
-            stage_count,
-            plan_soa: Vec::new(),
-            prev_soa: Vec::new(),
-            x: vec![0.0; n],
-            adsc_err: vec![0.0; n],
-            dac: vec![0.0; n],
-            vref: vec![0.0; n],
-            sigma: vec![0.0; n],
-            noise_v: vec![0.0; n],
-            decisions: vec![StageDecision { dac_level: 0 }; n * stage_count],
-            periods: vec![0.0; n],
-            values: Vec::new(),
-            slopes: Vec::new(),
-            states: vec![0; n],
-            block: NormalBlock::new(),
-            amp: AmpConstants::default(),
-        })
+        Ok(Self { lanes })
     }
 
     /// Fabricates one die per seed from a shared configuration — the
@@ -319,9 +192,8 @@ impl LaneBatch {
         out
     }
 
-    /// The lock-step SoA kernel (see the module docs): every lane's
-    /// record is bit-identical to
-    /// [`PipelineAdc::convert_waveform_into`] on that lane alone.
+    /// Converts one record per lane, each through
+    /// [`PipelineAdc::convert_waveform_into`] on that lane.
     ///
     /// # Panics
     ///
@@ -337,292 +209,8 @@ impl LaneBatch {
         assert_eq!(waveforms.len(), n, "one waveform per lane");
         assert_eq!(out.len(), n, "one output record per lane");
         let _trace = adc_trace::span_with("lane_record", (n_samples * n) as u64);
-        let total = n_samples + WARMUP_SAMPLES;
-        for rec in out.iter_mut() {
-            rec.clear();
-            rec.reserve(n_samples);
-        }
-
-        // Gather: plans (rebuilt if fault injection dirtied them) and
-        // MDAC settling memories into stage-major SoA arrays.
-        for lane in &mut self.lanes {
-            lane.ensure_plans();
-        }
-        self.plan_soa.clear();
-        self.prev_soa.clear();
-        self.amp.clear();
-        for s in 0..self.stage_count {
-            for lane in &self.lanes {
-                self.plan_soa.push(lane.plans[s]);
-                self.prev_soa.push(lane.stages[s].mdac.prev_output_v());
-                self.amp.push(&lane.plans[s].mdac);
-            }
-        }
-        for (l, lane) in self.lanes.iter().enumerate() {
-            self.periods[l] = lane.timing.period_s;
-            self.states[l] = lane.sample_noise.state();
-        }
-        // Decide once whether the whole sample's draws can be
-        // pre-generated as one wide block (the fast shape) or must be
-        // striped per site (mixed sigmas).
-        let block_plan = self.plan_block();
-
-        // Exact-grid lanes (jitter off) evaluate their whole record in
-        // one batched fill, exactly as the scalar path does; jittered
-        // lanes must evaluate per sample *after* their jitter draw.
-        self.values.resize(total * n, 0.0);
-        self.slopes.resize(total * n, 0.0);
-        for (l, w) in waveforms.iter().enumerate() {
-            // adc-lint: allow(float-eq) reason="feature gate: zero jitter sigma selects the exact-grid batch path, mirroring the scalar converter"
-            if self.lanes[l].config.jitter.sigma_s == 0.0 {
-                let span = l * total..(l + 1) * total;
-                w.fill_with_slope(
-                    0.0,
-                    self.periods[l],
-                    &mut self.values[span.clone()],
-                    &mut self.slopes[span],
-                );
-            }
-        }
-
-        for k in 0..total {
-            // Block-eligible batches generate every lane's entire
-            // sample worth of deviates here, in one flat vector pass —
-            // per lane in exactly the scalar consumption order.
-            if let Some(bp) = &block_plan {
-                if bp.draws > 0 {
-                    self.block.fill(&mut self.states, bp.draws);
-                }
-            }
-            // Front end, staged across lanes. Per-lane stream order is
-            // exactly convert_one's: jitter draw, then the merged front
-            // kT/C ⊕ aux draw.
-            //
-            // (1) Jitter stripe — jittered lanes draw their aperture
-            // error; exact-grid lanes have zero sigma, which never
-            // touches the stream.
-            for l in 0..n {
-                self.sigma[l] = self.lanes[l].config.jitter.sigma_s;
-            }
-            match &block_plan {
-                Some(bp) => self.consume_block_slot(bp.jitter),
-                None => self.gaussian_stripe(),
-            }
-            // (2) Waveform evaluation + deterministic tracking, adjacent
-            // across lanes so independent `sample_at` chains overlap.
-            #[allow(clippy::needless_range_loop)] // l indexes five parallel stripes
-            for l in 0..n {
-                let lane = &mut self.lanes[l];
-                let period = self.periods[l];
-                // adc-lint: allow(float-eq) reason="feature gate: zero jitter sigma selects the exact-grid batch path, mirroring the scalar converter"
-                let (v, dvdt) = if lane.config.jitter.sigma_s == 0.0 {
-                    (self.values[l * total + k], self.slopes[l * total + k])
-                } else {
-                    let t = k as f64 * period + self.noise_v[l];
-                    waveforms[l].sample_at(t)
-                };
-                self.x[l] = lane.front_end.track(v, dvdt, period);
-                self.adsc_err[l] = lane.adsc_skew_s * dvdt;
-            }
-            // (3) Front-noise stripe.
-            for l in 0..n {
-                self.sigma[l] = self.lanes[l].front_noise_rms_v;
-            }
-            match &block_plan {
-                Some(bp) => self.consume_block_slot(bp.front),
-                None => self.gaussian_stripe(),
-            }
-            // (4) Commit the held value; ripple phase; sample counter.
-            for l in 0..n {
-                let lane = &mut self.lanes[l];
-                let mut xv = self.x[l] + self.noise_v[l];
-                lane.front_end.commit_held_v(xv);
-                // adc-lint: allow(float-eq) reason="feature gate: ripple injection is configured exactly 0.0 when disabled"
-                if lane.ripple_referred_v != 0.0 {
-                    let t = lane.sample_count as f64 * self.periods[l];
-                    xv += lane.ripple_referred_v
-                        * (2.0 * std::f64::consts::PI * lane.config.supply_ripple_hz * t).sin();
-                }
-                lane.sample_count += 1;
-                self.x[l] = xv;
-            }
-
-            // Stages in lock-step: three lane loops per stage.
-            for s in 0..self.stage_count {
-                let plans = &self.plan_soa[s * n..(s + 1) * n];
-                // Droop + ADSC decision + DSB reference/sigma select.
-                // Comparator draws consume each lane's own stream only
-                // for marginal decisions, exactly as in the scalar path.
-                #[allow(clippy::needless_range_loop)] // l indexes seven parallel stripes
-                for l in 0..n {
-                    let lane = &mut self.lanes[l];
-                    let plan = &plans[l];
-                    let mut xv = self.x[l];
-                    xv -= plan.droop_k * xv * xv * xv;
-                    let adsc_error = if s == 0 { self.adsc_err[l] } else { 0.0 };
-                    let decision = lane.stages[s].adsc.decide(xv + adsc_error, &mut lane.noise);
-                    self.x[l] = xv;
-                    self.dac[l] = f64::from(decision.dac_level);
-                    self.decisions[l * self.stage_count + s] = decision;
-                    let (v_ref_eff, sigma) = if decision.dac_level == 0 {
-                        (plan.vref_d0, plan.sigma_d0)
-                    } else {
-                        (plan.vref_d1, plan.sigma_d1)
-                    };
-                    self.vref[l] = v_ref_eff;
-                    self.sigma[l] = sigma;
-                }
-                // The draw stripe: one merged Gaussian per lane from that
-                // lane's own stream, staged so the transcendental chains
-                // of all pair-drawing lanes overlap (block-eligible
-                // batches already drew it at the top of the sample).
-                match &block_plan {
-                    Some(bp) => self.consume_block_slot(bp.stage[s]),
-                    None => self.gaussian_stripe(),
-                }
-                // Pure-FP amplify over the gathered field-major
-                // constants: no stream access, no pointer chasing, no
-                // per-lane branches — the packed loop the lane
-                // restructuring exists for (see [`AmpConstants`]).
-                self.amp.amplify_lanes(
-                    s * n,
-                    &mut self.x,
-                    &self.dac,
-                    &self.vref,
-                    &self.noise_v,
-                    &mut self.prev_soa[s * n..(s + 1) * n],
-                );
-            }
-
-            // Flash + digital correction, lane by lane.
-            #[allow(clippy::needless_range_loop)] // l indexes lanes, decisions, and out
-            for l in 0..n {
-                let lane = &mut self.lanes[l];
-                let flash_code = lane.flash.decide(self.x[l], &mut lane.noise);
-                lane.last_flash_code = flash_code;
-                if k >= WARMUP_SAMPLES {
-                    let dec = &self.decisions[l * self.stage_count..(l + 1) * self.stage_count];
-                    out[l].push(correction::assemble_code(dec, flash_code) as u16);
-                }
-            }
-        }
-
-        // Scatter the settling memories and sample-noise streams back so
-        // the lanes remain valid scalar converters mid-stream.
-        for s in 0..self.stage_count {
-            for (l, lane) in self.lanes.iter_mut().enumerate() {
-                lane.stages[s]
-                    .mdac
-                    .set_prev_output_v(self.prev_soa[s * n + l]);
-            }
-        }
-        for (l, lane) in self.lanes.iter_mut().enumerate() {
-            lane.sample_noise.set_state(self.states[l]);
-        }
-    }
-
-    /// Classifies the batch for whole-sample block draws: `Some` with a
-    /// slot schedule when every draw site consumes lane-uniformly and
-    /// data-independently, `None` (stripe fallback) otherwise. Must run
-    /// after the plans are gathered — the stage sigma candidates live
-    /// in [`StagePlan`].
-    fn plan_block(&self) -> Option<BlockPlan> {
-        let n = self.lanes.len();
-        let mut draws = 0usize;
-        // A slot is schedulable when its sigma is positive on all lanes
-        // (always consumes) or non-positive on all lanes (never does —
-        // the zero-sigma gate matches `SampleNoise::gaussian`).
-        let mut slot_for = |on: usize, off: usize| -> Option<Option<usize>> {
-            if on == n {
-                draws += 1;
-                Some(Some(draws - 1))
-            } else if off == n {
-                Some(None)
-            } else {
-                None
-            }
-        };
-        let on = |p: bool| usize::from(p);
-        let (mut j_on, mut j_off, mut f_on, mut f_off) = (0, 0, 0, 0);
-        for lane in &self.lanes {
-            j_on += on(lane.config.jitter.sigma_s > 0.0);
-            j_off += on(lane.config.jitter.sigma_s <= 0.0);
-            f_on += on(lane.front_noise_rms_v > 0.0);
-            f_off += on(lane.front_noise_rms_v <= 0.0);
-        }
-        let jitter = slot_for(j_on, j_off)?;
-        let front = slot_for(f_on, f_off)?;
-        let mut stage = Vec::with_capacity(self.stage_count);
-        for s in 0..self.stage_count {
-            let (mut s_on, mut s_off) = (0, 0);
-            for plan in &self.plan_soa[s * n..(s + 1) * n] {
-                // Both DSB candidates must agree on consumption, or the
-                // per-sample decision would gate the draw.
-                s_on += on(plan.sigma_d0 > 0.0 && plan.sigma_d1 > 0.0);
-                s_off += on(plan.sigma_d0 <= 0.0 && plan.sigma_d1 <= 0.0);
-            }
-            stage.push(slot_for(s_on, s_off)?);
-        }
-        Some(BlockPlan {
-            jitter,
-            front,
-            stage,
-            draws,
-        })
-    }
-
-    /// Consumes one pre-drawn block slot into `noise_v`, exactly as
-    /// `gaussian(0.0, self.sigma[l])` would: scale lane `l`'s deviate
-    /// by its sigma, or zero the whole stripe for a no-draw slot. The
-    /// draw-major block makes a slot one contiguous lane stripe.
-    fn consume_block_slot(&mut self, slot: Option<usize>) {
-        let n = self.lanes.len();
-        match slot {
-            Some(d) => {
-                let z = &self.block.z()[d * n..][..n];
-                for ((nv, &sigma), &zd) in self.noise_v.iter_mut().zip(&self.sigma).zip(z) {
-                    *nv = 0.0 + sigma * zd;
-                }
-            }
-            None => self.noise_v.fill(0.0),
-        }
-    }
-
-    /// One `gaussian(0.0, self.sigma[l])` per lane, in lane order, into
-    /// `self.noise_v` — bit-identical per lane to the scalar path's
-    /// serial [`adc_analog::stripe::SampleNoise::gaussian`] calls, by
-    /// construction: both sides delegate to
-    /// [`standard_normal_step`] on the same per-lane state sequence.
-    /// The stripe advances the *gathered* state array, so the whole
-    /// loop — SplitMix64 mixes, polynomial `ln`/`cos`, scale — is
-    /// straight-line FP/integer code over flat slices that the
-    /// autovectorizer can chew; this is where the nominal-config lane
-    /// speedup comes from, because the ~12 merged draws per sample were
-    /// a third of scalar conversion time and overlapped not at all.
-    fn gaussian_stripe(&mut self) {
-        // Hot case: every lane's sigma is positive (any noise-on
-        // config), so the whole batch draws through the packed stripe
-        // kernel and then scales per lane.
-        if self.sigma.iter().all(|&s| s > 0.0) {
-            standard_normal_stripe(&mut self.states, &mut self.noise_v);
-            for (nv, &sigma) in self.noise_v.iter_mut().zip(&self.sigma) {
-                *nv = 0.0 + sigma * *nv;
-            }
-        } else {
-            // Mixed/off sigmas: the zero-sigma gate returns the mean
-            // without consuming the stream, exactly as `gaussian` does.
-            for ((nv, &sigma), st) in self
-                .noise_v
-                .iter_mut()
-                .zip(&self.sigma)
-                .zip(&mut self.states)
-            {
-                *nv = if sigma <= 0.0 {
-                    0.0
-                } else {
-                    0.0 + sigma * standard_normal_step(st)
-                };
-            }
+        for ((lane, waveform), rec) in self.lanes.iter_mut().zip(waveforms).zip(out) {
+            lane.convert_waveform_into(*waveform, n_samples, rec);
         }
     }
 }
@@ -741,7 +329,7 @@ mod tests {
                 got: 8
             }
         );
-        assert!(err.to_string().contains("lock-step"));
+        assert!(err.to_string().contains("uniform stage count"));
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //!   [`config::AdcConfig::ideal`] preset;
 //! * [`converter`] — [`converter::PipelineAdc`]: fabrication from a seed,
 //!   waveform conversion, power introspection;
+//! * [`systolic`] — the record kernel: stages advance as a wavefront,
+//!   as in the silicon pipeline;
+//! * [`lanes`] — N dies converting one record each;
 //! * [`stage`], [`mdac`], [`subconverter`] — the per-stage blocks;
 //! * [`correction`] — redundancy-exploiting digital error correction;
 //! * [`clocking`] — local vs non-overlap clock timing budgets;
@@ -52,6 +55,7 @@ pub mod lanes;
 pub mod mdac;
 pub mod stage;
 pub mod subconverter;
+pub mod systolic;
 
 pub use calibration::{calibrate_foreground, CalibrateError, CalibrationWeights};
 pub use clocking::{ClockScheme, TimingBudget};

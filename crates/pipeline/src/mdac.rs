@@ -48,9 +48,8 @@ pub struct MdacPlan {
 
 impl MdacPlan {
     /// The planned amplification as a pure function of the plan plus the
-    /// settling memory handed in by reference — the form the SoA lane
-    /// kernel ([`crate::lanes`]) iterates over flat per-lane state
-    /// arrays. [`Mdac::amplify_planned`] delegates here with the MDAC's
+    /// settling memory handed in by reference. [`Mdac::amplify_planned`]
+    /// (the per-sample path) delegates here with the MDAC's
     /// own `prev_output_v`, so both entry points share one body and stay
     /// bit-identical by construction.
     pub fn amplify(
@@ -94,8 +93,8 @@ impl MdacPlan {
 /// plus the branch-free lane kernel that consumes them.
 ///
 /// [`MdacPlan::amplify`] reads ~20 plan constants behind one `&self`;
-/// in a lane batch that makes the amplify loop stride 160-byte
-/// array-of-structs records and branch per lane on plan-dependent
+/// across the record kernel's stage lanes that would make the amplify
+/// loop stride 160-byte array-of-structs records and branch per lane on plan-dependent
 /// conditions, and the autovectorizer gives up. Gathered field-major,
 /// the identical arithmetic becomes independent flat streams the
 /// compiler packs. Two conditions are *pre-resolved* into the gathered

@@ -44,7 +44,8 @@ impl PipelineStage {
     /// * `settle_time_s` — MDAC settling time from the timing budget;
     /// * `hold_time_s` — how long the sample sat on the capacitors
     ///   (leakage droop);
-    /// * `noise` — runtime noise source.
+    /// * `noise` — runtime noise source for the sampled, reference, and
+    ///   opamp noise (comparators draw from their own streams).
     ///
     /// Returns the ADSC decision and the residue for the next stage.
     pub fn process(
@@ -82,7 +83,7 @@ impl PipelineStage {
 
         // The ADSC samples the input through its own (noisy, possibly
         // skewed) path.
-        let decision = self.adsc.decide(v + adsc_error_v, noise);
+        let decision = self.adsc.decide(v + adsc_error_v);
         // The DSB selects the reference; droop depends on the DAC level.
         let v_ref_eff = reference.effective_v(decision.dac_level, noise);
         let residue = self

@@ -55,15 +55,20 @@ impl Adsc {
     }
 
     /// Resolves the sampled stage input into a decision.
-    pub fn decide(&mut self, v_in: f64, noise: &mut NoiseSource) -> StageDecision {
-        let above = self.high.decide(v_in, noise);
-        let below = !self.low.decide(v_in, noise);
+    pub fn decide(&mut self, v_in: f64) -> StageDecision {
+        let above = self.high.decide(v_in);
+        let below = !self.low.decide(v_in);
         let dac_level = match (above, below) {
             (true, _) => 1,
             (_, true) => -1,
             _ => 0,
         };
         StageDecision { dac_level }
+    }
+
+    /// The two comparators, upper first (for seeding their streams).
+    pub fn comparators_mut(&mut self) -> [&mut Comparator; 2] {
+        [&mut self.high, &mut self.low]
     }
 
     /// Injects a static offset on the upper comparator (fault injection).
@@ -104,13 +109,18 @@ impl FlashBackend {
         )
     }
 
+    /// The comparators, lowest threshold first (for seeding streams).
+    pub fn comparators_mut(&mut self) -> &mut [Comparator] {
+        &mut self.comparators
+    }
+
     /// Resolves the final residue into a 2-bit code (0..=3), via a
     /// thermometer-to-binary conversion that tolerates bubbles (a single
     /// out-of-order comparator does not produce a wild code).
-    pub fn decide(&mut self, v_in: f64, noise: &mut NoiseSource) -> u8 {
+    pub fn decide(&mut self, v_in: f64) -> u8 {
         let mut count = 0u8;
         for c in &mut self.comparators {
-            if c.decide(v_in, noise) {
+            if c.decide(v_in) {
                 count += 1;
             }
         }
@@ -122,19 +132,14 @@ impl FlashBackend {
 mod tests {
     use super::*;
 
-    fn quiet() -> NoiseSource {
-        NoiseSource::from_seed(1)
-    }
-
     #[test]
     fn ideal_adsc_thresholds_are_quarter_ref() {
         let mut a = Adsc::ideal(1.0);
-        let mut n = quiet();
-        assert_eq!(a.decide(0.3, &mut n).dac_level, 1);
-        assert_eq!(a.decide(0.2, &mut n).dac_level, 0);
-        assert_eq!(a.decide(0.0, &mut n).dac_level, 0);
-        assert_eq!(a.decide(-0.2, &mut n).dac_level, 0);
-        assert_eq!(a.decide(-0.3, &mut n).dac_level, -1);
+        assert_eq!(a.decide(0.3).dac_level, 1);
+        assert_eq!(a.decide(0.2).dac_level, 0);
+        assert_eq!(a.decide(0.0).dac_level, 0);
+        assert_eq!(a.decide(-0.2).dac_level, 0);
+        assert_eq!(a.decide(-0.3).dac_level, -1);
     }
 
     #[test]
@@ -148,30 +153,27 @@ mod tests {
     fn offset_moves_decision_boundary_only_locally() {
         let mut a = Adsc::ideal(1.0);
         a.set_high_offset_v(0.1); // upper threshold now at 0.35
-        let mut n = quiet();
-        assert_eq!(a.decide(0.3, &mut n).dac_level, 0); // was 1
-        assert_eq!(a.decide(0.4, &mut n).dac_level, 1);
-        assert_eq!(a.decide(-0.3, &mut n).dac_level, -1); // unaffected
+        assert_eq!(a.decide(0.3).dac_level, 0); // was 1
+        assert_eq!(a.decide(0.4).dac_level, 1);
+        assert_eq!(a.decide(-0.3).dac_level, -1); // unaffected
     }
 
     #[test]
     fn ideal_flash_counts_thermometer() {
         let mut f = FlashBackend::ideal(1.0);
-        let mut n = quiet();
-        assert_eq!(f.decide(-0.8, &mut n), 0);
-        assert_eq!(f.decide(-0.3, &mut n), 1);
-        assert_eq!(f.decide(0.3, &mut n), 2);
-        assert_eq!(f.decide(0.8, &mut n), 3);
+        assert_eq!(f.decide(-0.8), 0);
+        assert_eq!(f.decide(-0.3), 1);
+        assert_eq!(f.decide(0.3), 2);
+        assert_eq!(f.decide(0.8), 3);
     }
 
     #[test]
     fn flash_boundaries_are_half_ref() {
         let mut f = FlashBackend::ideal(1.0);
-        let mut n = quiet();
-        assert_eq!(f.decide(-0.5001, &mut n), 0);
-        assert_eq!(f.decide(-0.4999, &mut n), 1);
-        assert_eq!(f.decide(0.4999, &mut n), 2);
-        assert_eq!(f.decide(0.5001, &mut n), 3);
+        assert_eq!(f.decide(-0.5001), 0);
+        assert_eq!(f.decide(-0.4999), 1);
+        assert_eq!(f.decide(0.4999), 2);
+        assert_eq!(f.decide(0.5001), 3);
     }
 
     #[test]
@@ -185,9 +187,9 @@ mod tests {
             // Access via behaviour: a decision at ±(Vref/4 ± 6σ) must be
             // unambiguous.
             let mut a = a;
-            assert_eq!(a.decide(0.4, &mut n).dac_level, 1);
-            assert_eq!(a.decide(-0.4, &mut n).dac_level, -1);
-            assert_eq!(a.decide(0.0, &mut n).dac_level, 0);
+            assert_eq!(a.decide(0.4).dac_level, 1);
+            assert_eq!(a.decide(-0.4).dac_level, -1);
+            assert_eq!(a.decide(0.0).dac_level, 0);
         }
     }
 }

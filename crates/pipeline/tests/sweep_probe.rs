@@ -25,7 +25,7 @@ fn measure(f_cr: f64, fin: f64) -> (f64, f64, f64) {
         ..AdcConfig::nominal_110ms()
     };
     let mut adc = PipelineAdc::build(cfg, 7).unwrap();
-    let (f, _) = adc_spectral::window::coherent_frequency_clear(f_cr, n, fin, 8);
+    let (f, _) = adc_spectral::window::coherent_frequency_clear(f_cr, n, fin, 8).unwrap();
     let codes = adc.convert_waveform(&Sine { a: 0.999, f }, n);
     let rec: Vec<f64> = codes.iter().map(|&c| adc.reconstruct_v(c)).collect();
     let a = analyze_tone(&rec, &ToneAnalysisConfig::coherent()).unwrap();

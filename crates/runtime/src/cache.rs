@@ -44,9 +44,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// per-stage Gaussian draws, batched waveform sampling, planned
 /// real-input FFT); 3 = lane-parallel SoA kernels (per-sample hot
 /// draws split onto a dedicated SplitMix64 `SampleNoise` stream forked
-/// from the die seed, select-form settling tail) — same documented
-/// noise model, different realizations.
-pub const NUMERICS_EPOCH: u32 = 3;
+/// from the die seed, select-form settling tail); 4 = systolic record
+/// kernel (per-comparator SplitMix64 decision-noise streams, every
+/// per-sample draw slot consumed unconditionally, jitter-free grids
+/// evaluated per chunk) — same documented noise model, different
+/// realizations.
+pub const NUMERICS_EPOCH: u32 = 4;
 
 /// Hashes a job configuration's canonical serialization.
 ///

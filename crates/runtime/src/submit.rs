@@ -263,8 +263,16 @@ impl JobPool {
     /// queued job to completion, and joins the workers. Idempotent —
     /// later calls return immediately.
     pub fn shutdown(&self) {
-        self.state.draining.store(true, Ordering::SeqCst);
-        self.state.task_ready.notify_all();
+        {
+            // Flag and wake-up under the queue lock: a worker that has
+            // checked `draining` but not yet parked in `wait` holds this
+            // lock, so it either sees the flag or is already waiting when
+            // the notification fires. Outside the lock the wake-up could
+            // land in that gap and leave the worker parked forever.
+            let _queue = self.state.queue.lock().expect("pool queue lock");
+            self.state.draining.store(true, Ordering::SeqCst);
+            self.state.task_ready.notify_all();
+        }
         let workers = std::mem::take(&mut *self.workers.lock().expect("pool worker lock"));
         for worker in workers {
             let _ = worker.join();
@@ -397,6 +405,29 @@ mod tests {
             Err(JobError::Failed("pool is draining".to_string()))
         );
         assert_eq!(pool.pending(), 0);
+    }
+
+    #[test]
+    fn shutdown_never_strands_an_idle_worker() {
+        // Regression for a lost wake-up: a worker between its `draining`
+        // check and `wait` missed an unlocked `notify_all` and never
+        // exited, hanging `shutdown`'s join. Each cycle races a fresh
+        // idle worker against shutdown; the whole run must finish well
+        // inside the timeout.
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            for cycle in 0..2_000u64 {
+                let pool = JobPool::new("churn", cycle, 1);
+                let handle = pool.submit(None, move |_| Ok::<_, JobError>(cycle));
+                assert_eq!(handle.into_result().unwrap(), cycle);
+                pool.shutdown();
+            }
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(60)).is_ok(),
+            "a pool shutdown hung: a worker missed the drain wake-up"
+        );
     }
 
     #[test]

@@ -49,7 +49,7 @@ use std::time::Duration;
 use adc_pipeline::config::AdcConfig;
 use adc_pipeline::error::BuildAdcError;
 use adc_runtime::{JobError, JobPool, RunObserver};
-use adc_testbench::{MeasurementSession, RampSource};
+use adc_testbench::{clear_tone_hz, MeasurementSession, RampSource};
 
 use adc_calib::{Alignment, GangedCapture, GangedError, GangedScenario};
 use adc_pipeline::interleave::InterleaveMismatch;
@@ -463,6 +463,17 @@ pub(crate) fn validate(req: &DigitizeRequest, cfg: &ServerConfig) -> Result<(), 
             }
         }
     }
+    if let WaveformSpec::Tone { f_target_hz } = req.waveform {
+        // A non-positive rate is the build step's typed error; only a
+        // buildable rate can place (or fail to place) a coherent tone.
+        let f_cr = digitize_config(req).f_cr_hz;
+        if f_cr > 0.0 && clear_tone_hz(f_cr, req.n_samples as usize, f_target_hz).is_none() {
+            return Err(format!(
+                "a {}-sample record has no coherent tone bin clear of DC and Nyquist",
+                req.n_samples
+            ));
+        }
+    }
     Ok(())
 }
 
@@ -605,6 +616,38 @@ mod tests {
             validate(&dc, &cfg).is_ok(),
             "dc records need no power of two"
         );
+    }
+
+    proptest::proptest! {
+        /// Tone requests the bench cannot place (16 and 32 samples) are
+        /// refused at validation for every preset, target, and rate
+        /// override, so no worker ever reaches the capture; every
+        /// power-of-two record of 64 samples or more is admitted.
+        #[test]
+        fn tone_validation_refuses_exactly_the_unplaceable_records(
+            preset_tag in 0u8..3,
+            f_mhz in 0.1f64..500.0,
+            rate_mhz in 5.0f64..250.0,
+            override_rate in 0u8..2,
+            log_n in 4u32..15,
+        ) {
+            let n = 1u32 << log_n;
+            let req = DigitizeRequest {
+                preset: [Preset::Nominal110, Preset::Ideal, Preset::Sibling220]
+                    [usize::from(preset_tag)],
+                overrides: ConfigOverrides {
+                    f_cr_hz: (override_rate == 1).then_some(rate_mhz * 1e6),
+                    ..ConfigOverrides::default()
+                },
+                ..DigitizeRequest::tone(7, f_mhz * 1e6, n)
+            };
+            let verdict = validate(&req, &ServerConfig::default());
+            if n < 64 {
+                proptest::prop_assert!(verdict.is_err(), "n = {} admitted", n);
+            } else {
+                proptest::prop_assert!(verdict.is_ok(), "n = {}: {:?}", n, verdict);
+            }
+        }
     }
 
     #[test]

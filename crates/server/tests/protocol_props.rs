@@ -527,6 +527,35 @@ proptest! {
         prop_assert!(decode_request(&frame[..cut]).is_err());
     }
 
+    /// Tone requests too short to place a coherent tone clear of DC
+    /// and Nyquist (16 and 32 samples) are still well-formed frames:
+    /// they round-trip through the pipelined framing, so the server's
+    /// validation — not the decoder — answers them, with a typed
+    /// `InvalidRequest`. The placement rule it applies refuses them at
+    /// every preset rate and target.
+    #[test]
+    fn short_tone_requests_decode_but_cannot_be_placed(
+        corr_id in 0u64..u64::MAX,
+        seed in 0u64..u64::MAX,
+        preset_tag in 0u8..3,
+        f_mhz in 0.1f64..500.0,
+        short in 0usize..2,
+    ) {
+        let n = [16u32, 32][short];
+        let req = DigitizeRequest {
+            preset: preset(preset_tag),
+            ..DigitizeRequest::tone(seed, f_mhz * 1e6, n)
+        };
+        let submit = Request::Submit(SubmitRequest {
+            corr_id,
+            body: SubmitBody::Digitize(req.clone()),
+        });
+        prop_assert_eq!(decode_request(&encode_request(&submit)), Ok(submit));
+        let f_cr = adc_server::preset_config(req.preset).f_cr_hz;
+        prop_assert!(adc_testbench::clear_tone_hz(f_cr, n as usize, f_mhz * 1e6).is_none());
+        prop_assert!(adc_testbench::clear_tone_hz(f_cr, 64, f_mhz * 1e6).is_some());
+    }
+
     /// A pipelined response stream — tagged frames from many requests
     /// interleaved out of order — reassembles exactly through the
     /// incremental [`FrameAssembler`] no matter how the transport

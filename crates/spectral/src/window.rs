@@ -164,38 +164,49 @@ pub fn alias_bin(cycles: usize, n: usize) -> usize {
 /// nudge the alias would collide with the DC or Nyquist exclusion region
 /// and the analysis would see no tone at all.
 ///
+/// Returns `None` when no odd cycle count clears the exclusion regions:
+/// a record too short for `min_alias_bin` (e.g. `n = 32` with 8 bins of
+/// clearance leaves only the even bin 8, and `n = 16` leaves nothing).
+///
 /// # Panics
 ///
-/// Panics on the same inputs as [`coherent_frequency`], or if no suitable
-/// cycle count exists (`min_alias_bin` too large for `n`).
+/// Panics on the same inputs as [`coherent_frequency`].
+///
+/// ```
+/// use adc_spectral::window::coherent_frequency_clear;
+/// assert!(coherent_frequency_clear(110e6, 8192, 10e6, 8).is_some());
+/// assert_eq!(coherent_frequency_clear(110e6, 32, 10e6, 8), None);
+/// assert_eq!(coherent_frequency_clear(110e6, 16, 10e6, 8), None);
+/// ```
 pub fn coherent_frequency_clear(
     fs_hz: f64,
     n: usize,
     f_target_hz: f64,
     min_alias_bin: usize,
-) -> (f64, usize) {
+) -> Option<(f64, usize)> {
     let (_, m0) = coherent_frequency(fs_hz, n, f_target_hz);
-    assert!(
-        min_alias_bin < n / 2,
-        "min_alias_bin {min_alias_bin} leaves no usable bins for n = {n}"
-    );
+    if min_alias_bin >= n / 2 {
+        return None;
+    }
     let ok = |m: usize| {
         let b = alias_bin(m, n);
         b >= min_alias_bin && b <= n / 2 - min_alias_bin
     };
+    // Stepping ±2 from an odd m0 visits every odd residue mod n, so a
+    // miss over k < n means no odd bin clears the regions at all.
     for k in 0..n {
         let up = m0 + 2 * k;
         if ok(up) {
-            return (up as f64 * fs_hz / n as f64, up);
+            return Some((up as f64 * fs_hz / n as f64, up));
         }
         if m0 > 2 * k {
             let down = m0 - 2 * k;
             if down >= 1 && ok(down) {
-                return (down as f64 * fs_hz / n as f64, down);
+                return Some((down as f64 * fs_hz / n as f64, down));
             }
         }
     }
-    unreachable!("a clear alias bin always exists for min_alias_bin < n/2");
+    None
 }
 
 #[cfg(test)]
@@ -310,7 +321,7 @@ mod clear_tests {
         // 10 MHz at 5 MS/s: plain coherent choice aliases to bin 1; the
         // clear variant moves it out of the exclusion region.
         let n = 8192;
-        let (_, m) = coherent_frequency_clear(5e6, n, 10e6, 8);
+        let (_, m) = coherent_frequency_clear(5e6, n, 10e6, 8).unwrap();
         let b = alias_bin(m, n);
         assert!(b >= 8 && b <= n / 2 - 8, "bin {b}");
         assert_eq!(m % 2, 1);
@@ -320,7 +331,7 @@ mod clear_tests {
     fn clear_frequency_is_noop_when_already_clear() {
         let n = 8192;
         let (f0, m0) = coherent_frequency(110e6, n, 10e6);
-        let (f1, m1) = coherent_frequency_clear(110e6, n, 10e6, 8);
+        let (f1, m1) = coherent_frequency_clear(110e6, n, 10e6, 8).unwrap();
         assert_eq!(m0, m1);
         assert_eq!(f0, f1);
     }
@@ -330,8 +341,21 @@ mod clear_tests {
         // 10 MHz at 20 MS/s: alias sits exactly at Nyquist without the
         // nudge.
         let n = 8192;
-        let (_, m) = coherent_frequency_clear(20e6, n, 10e6, 8);
+        let (_, m) = coherent_frequency_clear(20e6, n, 10e6, 8).unwrap();
         let b = alias_bin(m, n);
         assert!(b <= n / 2 - 8, "bin {b}");
+    }
+
+    #[test]
+    fn short_records_without_a_clear_odd_bin_are_none() {
+        // n = 32 leaves only bin 8 (even) in [8, 8]; n = 16 leaves no
+        // range at all. n = 64 has odd bins in [8, 24].
+        for fs in [20e6, 110e6, 220e6] {
+            assert_eq!(coherent_frequency_clear(fs, 16, 10e6, 8), None);
+            assert_eq!(coherent_frequency_clear(fs, 32, 10e6, 8), None);
+            let (_, m) = coherent_frequency_clear(fs, 64, 10e6, 8).unwrap();
+            let b = alias_bin(m, 64);
+            assert!((8..=24).contains(&b) && b % 2 == 1, "bin {b}");
+        }
     }
 }

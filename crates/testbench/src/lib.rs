@@ -50,7 +50,7 @@ pub use montecarlo::{
 };
 pub use policy::RunPolicy;
 pub use report::CampaignReporter;
-pub use session::{LaneBench, MeasurementSession, ToneMeasurement, GOLDEN_SEED};
+pub use session::{clear_tone_hz, LaneBench, MeasurementSession, ToneMeasurement, GOLDEN_SEED};
 pub use signal::{DcSource, Harmonic, MultiTone, RampSource, SineSource};
 pub use survey::{
     fig8_survey, schreier_fom_db, walden_adjusted_fm, walden_pj_per_step, SurveyEntry,

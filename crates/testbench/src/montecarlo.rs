@@ -240,12 +240,12 @@ pub fn measure_die(
     })
 }
 
-/// Fabricates and measures a whole group of dies through the
-/// lane-parallel SoA kernel: one [`LaneBench`] carries every die
-/// through the shared stimulus in lock-step. Per-lane bit-exactness
-/// (the kernel's contract, re-asserted by the `determinism` suite)
-/// makes this interchangeable with mapping [`measure_die`] over
-/// `die_seeds` — same `DieResult`s, same cache entries — just faster.
+/// Fabricates and measures a whole group of dies as one lane batch:
+/// one [`LaneBench`] carries every die
+/// through the shared stimulus. Per-lane bit-exactness (the kernel's
+/// contract, re-asserted by the `determinism` suite) makes this
+/// interchangeable with mapping [`measure_die`] over `die_seeds` — same
+/// `DieResult`s, same cache entries.
 ///
 /// # Errors
 ///
@@ -338,9 +338,8 @@ pub fn run_monte_carlo_with(
     let plan = monte_carlo_plan(config, die_count, f_in_target_hz, record_len);
     let funnel = ErrorFunnel::new();
     let dies = if policy.lanes > 1 {
-        // Lane-batched: groups of dies advance through one LaneBench in
-        // lock-step. Same per-die cache keys, same results (per-lane
-        // bit-exactness), different wall time.
+        // Lane-batched: groups of dies go through one LaneBench. Same
+        // per-die cache keys, same results (per-lane bit-exactness).
         let run = policy.run_campaign_grouped(
             &plan.campaign,
             plan.seed,

@@ -27,7 +27,7 @@ pub struct RunPolicy {
     pub cache: Option<Arc<ResultCache>>,
     /// Lane-batch width for lane-compatible campaigns (Monte-Carlo die
     /// measurement): groups of up to `lanes` jobs advance through the
-    /// SoA lane kernel together instead of one session each. `0` or `1`
+    /// record kernel together instead of one session each. `0` or `1`
     /// (the default) runs scalar per-job sessions. Per-lane
     /// bit-exactness means the results are identical either way — only
     /// wall time changes.

@@ -51,6 +51,24 @@ struct SessionScratch {
     spectral: SpectralScratch,
 }
 
+/// The coherent tone frequency a capture of `n` samples places near
+/// `f_target_hz` (the rule every bench capture uses), or `None` when
+/// `n` has no odd bin clear of DC and Nyquist (fewer than 64 samples).
+/// Servers check this before admitting a tone request.
+pub fn clear_tone_hz(f_cr_hz: f64, n: usize, f_target_hz: f64) -> Option<f64> {
+    coherent_frequency_clear(f_cr_hz, n, f_target_hz, 8).map(|(f_in, _)| f_in)
+}
+
+/// [`clear_tone_hz`] for a capture that is about to run.
+///
+/// # Panics
+///
+/// Panics when the record is too short to place a clear tone.
+fn placed_tone_hz(f_cr_hz: f64, n: usize, f_target_hz: f64) -> f64 {
+    clear_tone_hz(f_cr_hz, n, f_target_hz)
+        .expect("tone records need at least 64 samples to place a clear bin")
+}
+
 /// One die on the measurement bench.
 #[derive(Debug, Clone)]
 pub struct MeasurementSession {
@@ -124,10 +142,16 @@ impl MeasurementSession {
 
     /// Like [`Self::capture_tone`], capturing into a caller-owned buffer
     /// (cleared first) and returning the exact stimulus frequency.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `record_len` is too short to place a coherent tone
+    /// clear of DC and Nyquist (fewer than 64 samples); see
+    /// [`coherent_frequency_clear`].
     pub fn capture_tone_into(&mut self, f_target_hz: f64, out: &mut Vec<u16>) -> f64 {
         let _trace = adc_trace::span_with("capture_tone", self.record_len as u64);
         let f_cr = self.adc.config().f_cr_hz;
-        let (f_in, _) = coherent_frequency_clear(f_cr, self.record_len, f_target_hz, 8);
+        let f_in = placed_tone_hz(f_cr, self.record_len, f_target_hz);
         let generator = SineSource::rf_generator(self.amplitude_v, f_in);
         let filtered = BandpassFilter::passive_high_order(f_in).clean(&generator);
         self.adc.reset();
@@ -169,7 +193,9 @@ impl MeasurementSession {
     pub fn measure_linearity(&mut self, samples: usize) -> Result<LinearityResult, LinearityError> {
         let f_cr = self.adc.config().f_cr_hz;
         let n_pow2 = samples.next_power_of_two();
-        let (f_in, _) = coherent_frequency_clear(f_cr, n_pow2, f_cr / 11.3, 8);
+        let Some((f_in, _)) = coherent_frequency_clear(f_cr, n_pow2, f_cr / 11.3, 8) else {
+            return Err(LinearityError::EmptyRecord);
+        };
         // Slight overdrive so the rail codes populate.
         let source = SineSource::clean(self.adc.config().v_ref_v * 1.02, f_in);
         self.adc.reset();
@@ -185,16 +211,17 @@ impl MeasurementSession {
     }
 }
 
-/// N dies on the bench at once, captured through the lane-parallel SoA
-/// kernel ([`LaneBatch`]) instead of one [`MeasurementSession`] each.
+/// N dies on the bench at once, captured as one [`LaneBatch`] instead
+/// of one [`MeasurementSession`] each.
 ///
 /// The bench semantics are [`MeasurementSession`]'s exactly — same
 /// coherent-frequency selection, same RF generator and band-pass
 /// filter, same default record length and near-full-scale amplitude —
 /// so each lane's captured record and tone analysis are bit-identical
-/// to a scalar session on that die at the same seed. The lanes just
-/// advance through the stage math together, which is what makes
-/// Monte-Carlo die campaigns and interleaved-array captures fast.
+/// to a scalar session on that die at the same seed, while the bench
+/// shares one stimulus, one set of spectral scratch and one analysis
+/// setup across every die of a Monte-Carlo campaign or interleaved
+/// array.
 #[derive(Debug, Clone)]
 pub struct LaneBench {
     batch: LaneBatch,
@@ -259,7 +286,7 @@ impl LaneBench {
                 .all(|l| l.config().f_cr_hz.to_bits() == f_cr.to_bits()),
             "lanes must share a conversion rate for one coherent capture grid"
         );
-        let (f_in, _) = coherent_frequency_clear(f_cr, self.record_len, f_target_hz, 8);
+        let f_in = placed_tone_hz(f_cr, self.record_len, f_target_hz);
         let generator = SineSource::rf_generator(self.amplitude_v, f_in);
         let filtered = BandpassFilter::passive_high_order(f_in).clean(&generator);
         self.batch.reset();

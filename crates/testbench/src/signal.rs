@@ -164,11 +164,11 @@ impl Waveform for SineSource {
     /// [`RECURRENCE_BLOCK`] samples so rounding drift stays ≲1e-13
     /// relative — negligible against every modelled noise source. Wobbly
     /// or harmonic-bearing sources fall back to per-sample evaluation.
-    fn fill_with_slope(&self, t0_s: f64, dt_s: f64, values: &mut [f64], slopes: &mut [f64]) {
+    fn fill_with_slope(&self, first: usize, dt_s: f64, values: &mut [f64], slopes: &mut [f64]) {
         assert_eq!(values.len(), slopes.len());
         if self.phase_wobble_rad > 0.0 || !self.harmonics.is_empty() {
             for (k, (v, s)) in values.iter_mut().zip(slopes.iter_mut()).enumerate() {
-                let t = t0_s + k as f64 * dt_s;
+                let t = (first + k) as f64 * dt_s;
                 let (value, slope) = self.sample_at(t);
                 *v = value;
                 *s = slope;
@@ -181,7 +181,7 @@ impl Waveform for SineSource {
         let n = values.len();
         let mut k = 0usize;
         while k < n {
-            let (mut sin_theta, mut cos_theta) = self.theta(t0_s + k as f64 * dt_s).sin_cos();
+            let (mut sin_theta, mut cos_theta) = self.theta((first + k) as f64 * dt_s).sin_cos();
             let block = (n - k).min(RECURRENCE_BLOCK);
             for i in k..k + block {
                 values[i] = self.dc_v + self.amplitude_v * sin_theta;
@@ -344,7 +344,7 @@ mod tests {
         let dt = 1.0 / 110e6;
         let mut values = vec![0.0; n];
         let mut slopes = vec![0.0; n];
-        s.fill_with_slope(0.0, dt, &mut values, &mut slopes);
+        s.fill_with_slope(0, dt, &mut values, &mut slopes);
         for k in 0..n {
             let (v, d) = s.sample_at(k as f64 * dt);
             assert!(
@@ -370,9 +370,11 @@ mod tests {
         let dt = 1.0 / 110e6;
         let mut values = vec![0.0; n];
         let mut slopes = vec![0.0; n];
-        s.fill_with_slope(1e-8, dt, &mut values, &mut slopes);
+        // A grid that starts mid-record: instant k is (first + k)·dt.
+        let first = 300;
+        s.fill_with_slope(first, dt, &mut values, &mut slopes);
         for k in 0..n {
-            let (v, d) = s.sample_at(1e-8 + k as f64 * dt);
+            let (v, d) = s.sample_at((first + k) as f64 * dt);
             assert_eq!(values[k].to_bits(), v.to_bits());
             assert_eq!(slopes[k].to_bits(), d.to_bits());
         }

@@ -94,7 +94,7 @@ fn tracing_on_and_off_are_bit_identical() {
     assert_eq!(digest(&untraced), digest(&traced));
 }
 
-/// The lane-parallel SoA kernel's determinism contract: at 1, 4, and
+/// The lane batch's determinism contract: at 1, 4, and
 /// 8 lanes, with aperture jitter on and off, every lane's record is
 /// **bit-identical** to converting that lane's waveform alone through
 /// the scalar planned path at the same seed — and the whole laned

@@ -121,7 +121,8 @@ proptest! {
         log_n in 8usize..14,
     ) {
         let n = 1 << log_n;
-        let (f, m) = coherent_frequency_clear(fs_mhz * 1e6, n, target_mhz * 1e6, 8);
+        let (f, m) = coherent_frequency_clear(fs_mhz * 1e6, n, target_mhz * 1e6, 8)
+            .expect("records of 256+ samples always place a clear bin");
         prop_assert_eq!(m % 2, 1);
         let b = alias_bin(m, n);
         prop_assert!(b >= 8 && b <= n / 2 - 8, "bin {}", b);
@@ -146,13 +147,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The lane-parallel SoA kernel neither reorders nor
-    /// cross-contaminates lanes at *any* batch width: for an arbitrary
-    /// lane count and seed base, every lane of a batch fed
-    /// lane-distinct waveforms reproduces, bit for bit, the scalar
-    /// planned path on that lane's own waveform and seed. A lane
-    /// permutation, an off-by-one in a stage-major stripe, or one
-    /// lane's noise draw leaking into a neighbor all fail here.
+    /// Lane batches neither reorder nor cross-contaminate lanes at
+    /// *any* batch width: for an arbitrary lane count and seed base,
+    /// every lane of a batch fed lane-distinct waveforms reproduces,
+    /// bit for bit, the scalar path on that lane's own waveform and
+    /// seed. A lane permutation, an off-by-one in a stage-major stripe,
+    /// or one lane's noise draw leaking into a neighbor all fail here.
     #[test]
     fn lane_batches_never_reorder_or_cross_contaminate(
         lanes in 1usize..12,

@@ -368,6 +368,9 @@ fn invalid_requests_come_back_as_typed_errors() {
         DigitizeRequest::tone(1, F_TARGET, 0),
         DigitizeRequest::tone(1, F_TARGET, 1000), // not a power of two
         DigitizeRequest::tone(1, -5e6, RECORD),
+        // Too short to place a coherent tone clear of DC and Nyquist.
+        DigitizeRequest::tone(1, F_TARGET, 16),
+        DigitizeRequest::tone(1, F_TARGET, 32),
         DigitizeRequest {
             overrides: ConfigOverrides {
                 amplitude_v: Some(f64::NAN),
@@ -401,6 +404,32 @@ fn invalid_requests_come_back_as_typed_errors() {
 
     // The connection survives all of the above.
     assert_eq!(client.ping(99).expect("ping after errors"), 99);
+
+    // Pipelined, the short tones fail per request while their
+    // neighbours on the same connection complete and verify.
+    let mut pipelined = PipelinedClient::connect(handle.addr()).expect("pipelined connect");
+    let short16 = pipelined
+        .submit(&DigitizeRequest::tone(2, F_TARGET, 16))
+        .expect("submit");
+    let good = pipelined
+        .submit(&DigitizeRequest::tone(3, F_TARGET, 64))
+        .expect("submit");
+    let short32 = pipelined
+        .submit(&DigitizeRequest::tone(4, F_TARGET, 32))
+        .expect("submit");
+    for _ in 0..3 {
+        match pipelined.next_completion().expect("completion") {
+            (corr, PipelinedOutcome::ServerError { code, .. }) => {
+                assert!(corr == short16 || corr == short32, "corr {corr}");
+                assert_eq!(code, ErrorCode::InvalidRequest);
+            }
+            (corr, PipelinedOutcome::Digitize(result)) => {
+                assert_eq!(corr, good);
+                assert_eq!(result.samples, direct_record_n(3, 64).0);
+            }
+            other => panic!("unexpected completion {other:?}"),
+        }
+    }
 
     // A corrupt frame gets a Protocol error and a close — not a hang.
     let mut raw = TcpStream::connect(handle.addr()).expect("raw connect");
