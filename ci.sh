@@ -35,6 +35,12 @@
 #                  loopback servers and diffs the distributed campaign
 #                  digest against the in-process one, in release under
 #                  the same hard wall-clock guard as `service`
+#   perfbench   -- benchmark build gate: perfbench/ (the repo's
+#                  benchmark, its own cargo workspace with path deps on
+#                  the crates) builds in release and passes its tests,
+#                  so a change to adc-server's public API that the
+#                  benchmark compiles against fails CI, not the
+#                  benchmark run
 #   perf        -- regression gate: regenerates BENCH_runtime.json,
 #                  BENCH_service.json, BENCH_dsp.json,
 #                  BENCH_interleave.json, and BENCH_cluster.json in a
@@ -56,7 +62,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(fmt clippy lint build test determinism service cluster perf)
+ALL_STAGES=(fmt clippy lint build test determinism service cluster perfbench perf)
 DENY_PERF=0
 SELECTED=()
 for arg in "$@"; do
@@ -184,6 +190,11 @@ stage_service() {
 
 stage_cluster() {
   timeout 300 cargo test -q --release --test cluster
+}
+
+stage_perfbench() {
+  cargo build --release --offline --manifest-path perfbench/Cargo.toml
+  cargo test --offline --manifest-path perfbench/Cargo.toml
 }
 
 stage_perf() {

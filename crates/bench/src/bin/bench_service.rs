@@ -33,7 +33,7 @@
 //! sample count, stream CRC), and one record is replayed in-process
 //! to prove the service boundary is bit-identical. All requests share
 //! one tone shape at distinct seeds — exactly the concurrent-arrival
-//! workload the reactor coalesces into lane-parallel batches.
+//! workload the reactor coalesces into shared jobs.
 
 use std::time::{Duration, Instant};
 

@@ -103,6 +103,17 @@ pub const PANIC_ROOTS: &[PanicRoot] = &[
         path: "crates/server/src/reactor.rs",
         symbol: Some("ingest"),
     },
+    // Request validation is the one gate every decoded digitize request
+    // crosses on the reactor thread before admission; like ingest, a
+    // panic here would take down every connection, not just the sender.
+    PanicRoot {
+        path: "crates/server/src/server.rs",
+        symbol: Some("validate"),
+    },
+    PanicRoot {
+        path: "crates/server/src/server.rs",
+        symbol: Some("validate_ganged"),
+    },
 ];
 
 /// The one place allowed to read process environment variables.

@@ -1,16 +1,18 @@
 //! Clients for the digitization service.
 //!
-//! [`Client`] owns one connection and exposes the protocol as plain
-//! blocking calls: [`Client::ping`], [`Client::digitize`] (reassembles
-//! the streamed batches and verifies the stream CRC),
-//! [`Client::metrics`], and [`Client::shutdown`]. Requests on one
-//! `Client` are sequential.
+//! [`PipelinedClient`] owns one connection and keeps many requests in
+//! flight on it: each [`PipelinedClient::submit`] assigns a correlation
+//! id and returns immediately; [`PipelinedClient::next_completion`]
+//! yields finished requests in whatever order the server completes
+//! them, each reassembled and checked (batch order, sample count,
+//! stream CRC).
 //!
-//! [`PipelinedClient`] keeps many requests in flight on one connection:
-//! each [`PipelinedClient::submit`] assigns a correlation id and
-//! returns immediately; [`PipelinedClient::next_completion`] yields
-//! finished requests in whatever order the server completes them, with
-//! the same reassembly and CRC verification as the blocking path.
+//! [`Client`] is the blocking face of the same connection:
+//! [`Client::digitize`] is a submit followed by its completion, and the
+//! control calls ([`Client::ping`], [`Client::metrics`], job batches,
+//! cache traffic, [`Client::shutdown`]) are one untagged round trip
+//! each. Both clients share one frame assembler and one verification
+//! path.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
@@ -19,8 +21,8 @@ use std::time::Duration;
 
 use crate::protocol::{
     self, encode_request, CacheFillRequest, CacheQueryRequest, DigitizeDone, DigitizeRequest,
-    ErrorCode, FrameAssembler, FrameReadError, GangedDone, GangedRequest, JobBatchRequest,
-    JobResultBatch, MetricsSnapshot, Request, Response, SubmitBody, SubmitRequest, WireError,
+    ErrorCode, FrameAssembler, GangedDone, GangedRequest, JobBatchRequest, JobResultBatch,
+    MetricsSnapshot, Request, Response, SubmitBody, SubmitRequest, WireError,
 };
 use crate::server::{stream_crc, value_stream_crc};
 
@@ -65,15 +67,6 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
-impl From<FrameReadError> for ClientError {
-    fn from(e: FrameReadError) -> Self {
-        match e {
-            FrameReadError::Io(io) => Self::Io(io),
-            FrameReadError::Wire(w) => Self::Wire(w),
-        }
-    }
-}
-
 /// A completed digitization: the full reassembled record plus the
 /// server's completion summary.
 #[derive(Debug, Clone)]
@@ -96,11 +89,14 @@ pub struct GangedResult {
     pub done: GangedDone,
 }
 
-/// One blocking connection to an `adc-server`.
+/// One blocking connection to an `adc-server`: a [`PipelinedClient`]
+/// with at most one request in flight.
+///
+/// A digitize call is a submit followed by its completion, checked on
+/// the pipelined path; control calls are one untagged round trip each.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
-    max_payload: u32,
+    inner: PipelinedClient,
 }
 
 impl Client {
@@ -110,11 +106,8 @@ impl Client {
     ///
     /// Propagates connection failures.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
         Ok(Self {
-            stream,
-            max_payload: protocol::MAX_PAYLOAD,
+            inner: PipelinedClient::connect(addr)?,
         })
     }
 
@@ -126,18 +119,21 @@ impl Client {
     ///
     /// Propagates socket option failures.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.stream.set_read_timeout(timeout)
+        self.inner.set_read_timeout(timeout)
     }
 
-    fn send(&mut self, request: &Request) -> Result<(), ClientError> {
-        let frame = encode_request(request);
-        self.stream.write_all(&frame)?;
-        self.stream.flush()?;
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Result<Response, ClientError> {
-        Ok(protocol::read_response(&mut self.stream, self.max_payload)?)
+    /// Waits for request `corr` to finish; a typed server error becomes
+    /// [`ClientError::Server`].
+    fn completion(&mut self, corr: u64) -> Result<PipelinedOutcome, ClientError> {
+        match self.inner.next_completion()? {
+            (done, _) if done != corr => Err(ClientError::UnexpectedResponse(
+                "completion for another request",
+            )),
+            (_, PipelinedOutcome::ServerError { code, detail }) => {
+                Err(ClientError::Server { code, detail })
+            }
+            (_, outcome) => Ok(outcome),
+        }
     }
 
     /// Round-trips a liveness probe, returning the echoed token.
@@ -146,10 +142,8 @@ impl Client {
     ///
     /// Transport, wire, or server errors; see [`ClientError`].
     pub fn ping(&mut self, token: u64) -> Result<u64, ClientError> {
-        self.send(&Request::Ping { token })?;
-        match self.recv()? {
+        match self.inner.round_trip(&Request::Ping { token })? {
             Response::Pong { token } => Ok(token),
-            Response::Error { code, detail } => Err(ClientError::Server { code, detail }),
             _ => Err(ClientError::UnexpectedResponse("expected pong")),
         }
     }
@@ -164,51 +158,12 @@ impl Client {
     /// errors like `TimedOut`), and [`ClientError::StreamCorrupt`] if
     /// reassembly fails a consistency check.
     pub fn digitize(&mut self, request: &DigitizeRequest) -> Result<DigitizeResult, ClientError> {
-        self.send(&Request::Digitize(request.clone()))?;
-        let mut samples: Vec<u16> = Vec::new();
-        let mut next_seq = 0u32;
-        loop {
-            match self.recv()? {
-                Response::Batch {
-                    seq,
-                    samples: chunk,
-                } => {
-                    if seq != next_seq {
-                        return Err(ClientError::StreamCorrupt(format!(
-                            "batch {seq} arrived, expected {next_seq}"
-                        )));
-                    }
-                    next_seq += 1;
-                    samples.extend_from_slice(&chunk);
-                }
-                Response::Done(done) => {
-                    if done.total_samples as usize != samples.len() {
-                        return Err(ClientError::StreamCorrupt(format!(
-                            "done claims {} samples, reassembled {}",
-                            done.total_samples,
-                            samples.len()
-                        )));
-                    }
-                    if done.batches != next_seq {
-                        return Err(ClientError::StreamCorrupt(format!(
-                            "done claims {} batches, received {}",
-                            done.batches, next_seq
-                        )));
-                    }
-                    let crc = stream_crc(&samples);
-                    if crc != done.stream_crc32 {
-                        return Err(ClientError::StreamCorrupt(format!(
-                            "stream CRC {:08x} != server's {:08x}",
-                            crc, done.stream_crc32
-                        )));
-                    }
-                    return Ok(DigitizeResult { samples, done });
-                }
-                Response::Error { code, detail } => {
-                    return Err(ClientError::Server { code, detail })
-                }
-                _ => return Err(ClientError::UnexpectedResponse("expected batch or done")),
-            }
+        let corr = self.inner.submit(request)?;
+        match self.completion(corr)? {
+            PipelinedOutcome::Digitize(result) => Ok(result),
+            _ => Err(ClientError::UnexpectedResponse(
+                "expected a digitize record",
+            )),
         }
     }
 
@@ -227,52 +182,10 @@ impl Client {
         &mut self,
         request: &GangedRequest,
     ) -> Result<GangedResult, ClientError> {
-        self.send(&Request::Ganged(request.clone()))?;
-        let mut values: Vec<f64> = Vec::new();
-        let mut next_seq = 0u32;
-        loop {
-            match self.recv()? {
-                Response::GangedBatch { seq, values: chunk } => {
-                    if seq != next_seq {
-                        return Err(ClientError::StreamCorrupt(format!(
-                            "batch {seq} arrived, expected {next_seq}"
-                        )));
-                    }
-                    next_seq += 1;
-                    values.extend_from_slice(&chunk);
-                }
-                Response::GangedDone(done) => {
-                    if done.total_samples as usize != values.len() {
-                        return Err(ClientError::StreamCorrupt(format!(
-                            "done claims {} values, reassembled {}",
-                            done.total_samples,
-                            values.len()
-                        )));
-                    }
-                    if done.batches != next_seq {
-                        return Err(ClientError::StreamCorrupt(format!(
-                            "done claims {} batches, received {}",
-                            done.batches, next_seq
-                        )));
-                    }
-                    let crc = value_stream_crc(&values);
-                    if crc != done.stream_crc32 {
-                        return Err(ClientError::StreamCorrupt(format!(
-                            "stream CRC {:08x} != server's {:08x}",
-                            crc, done.stream_crc32
-                        )));
-                    }
-                    return Ok(GangedResult { values, done });
-                }
-                Response::Error { code, detail } => {
-                    return Err(ClientError::Server { code, detail })
-                }
-                _ => {
-                    return Err(ClientError::UnexpectedResponse(
-                        "expected ganged batch or done",
-                    ))
-                }
-            }
+        let corr = self.inner.submit_ganged(request)?;
+        match self.completion(corr)? {
+            PipelinedOutcome::Ganged(result) => Ok(result),
+            _ => Err(ClientError::UnexpectedResponse("expected a ganged record")),
         }
     }
 
@@ -290,8 +203,7 @@ impl Client {
     /// [`ClientError::StreamCorrupt`] if the response does not answer
     /// the submitted batch.
     pub fn job_batch(&mut self, request: &JobBatchRequest) -> Result<JobResultBatch, ClientError> {
-        self.send(&Request::JobBatch(request.clone()))?;
-        match self.recv()? {
+        match self.inner.round_trip(&Request::JobBatch(request.clone()))? {
             Response::JobResult(result) => {
                 if result.batch_id != request.batch_id {
                     return Err(ClientError::StreamCorrupt(format!(
@@ -308,7 +220,6 @@ impl Client {
                 }
                 Ok(result)
             }
-            Response::Error { code, detail } => Err(ClientError::Server { code, detail }),
             _ => Err(ClientError::UnexpectedResponse("expected job result")),
         }
     }
@@ -324,13 +235,12 @@ impl Client {
         campaign: &str,
         keys: &[u64],
     ) -> Result<Vec<(u64, String)>, ClientError> {
-        self.send(&Request::CacheQuery(CacheQueryRequest {
+        let request = Request::CacheQuery(CacheQueryRequest {
             campaign: campaign.to_string(),
             keys: keys.to_vec(),
-        }))?;
-        match self.recv()? {
+        });
+        match self.inner.round_trip(&request)? {
             Response::CacheHits { entries } => Ok(entries),
-            Response::Error { code, detail } => Err(ClientError::Server { code, detail }),
             _ => Err(ClientError::UnexpectedResponse("expected cache hits")),
         }
     }
@@ -346,13 +256,12 @@ impl Client {
         campaign: &str,
         entries: &[(u64, String)],
     ) -> Result<u32, ClientError> {
-        self.send(&Request::CacheFill(CacheFillRequest {
+        let request = Request::CacheFill(CacheFillRequest {
             campaign: campaign.to_string(),
             entries: entries.to_vec(),
-        }))?;
-        match self.recv()? {
+        });
+        match self.inner.round_trip(&request)? {
             Response::CacheFillAck { accepted } => Ok(accepted),
-            Response::Error { code, detail } => Err(ClientError::Server { code, detail }),
             _ => Err(ClientError::UnexpectedResponse("expected cache fill ack")),
         }
     }
@@ -363,10 +272,8 @@ impl Client {
     ///
     /// Transport, wire, or server errors; see [`ClientError`].
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, ClientError> {
-        self.send(&Request::Metrics)?;
-        match self.recv()? {
+        match self.inner.round_trip(&Request::Metrics)? {
             Response::Metrics(snapshot) => Ok(snapshot),
-            Response::Error { code, detail } => Err(ClientError::Server { code, detail }),
             _ => Err(ClientError::UnexpectedResponse("expected metrics")),
         }
     }
@@ -378,10 +285,8 @@ impl Client {
     ///
     /// Transport, wire, or server errors; see [`ClientError`].
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        self.send(&Request::Shutdown)?;
-        match self.recv()? {
+        match self.inner.round_trip(&Request::Shutdown)? {
             Response::ShutdownAck => Ok(()),
-            Response::Error { code, detail } => Err(ClientError::Server { code, detail }),
             _ => Err(ClientError::UnexpectedResponse("expected shutdown ack")),
         }
     }
@@ -405,11 +310,57 @@ pub enum PipelinedOutcome {
     },
 }
 
+/// One streamed record being reassembled: the items so far and the
+/// batch sequence number expected next.
+#[derive(Debug, Default)]
+struct Reassembly<T> {
+    items: Vec<T>,
+    next_seq: u32,
+}
+
+impl<T: Copy> Reassembly<T> {
+    fn batch(&mut self, seq: u32, chunk: &[T]) -> Result<(), String> {
+        if seq != self.next_seq {
+            return Err(format!("batch {seq} arrived, expected {}", self.next_seq));
+        }
+        self.next_seq += 1;
+        self.items.extend_from_slice(chunk);
+        Ok(())
+    }
+
+    /// Checks the server's end-of-stream summary against what arrived.
+    fn finish(
+        self,
+        total: u32,
+        batches: u32,
+        crc: u32,
+        stream_crc: fn(&[T]) -> u32,
+    ) -> Result<Vec<T>, String> {
+        if total as usize != self.items.len() {
+            return Err(format!(
+                "done claims {total} items, reassembled {}",
+                self.items.len()
+            ));
+        }
+        if batches != self.next_seq {
+            return Err(format!(
+                "done claims {batches} batches, received {}",
+                self.next_seq
+            ));
+        }
+        let computed = stream_crc(&self.items);
+        if computed != crc {
+            return Err(format!("stream CRC {computed:08x} != server's {crc:08x}"));
+        }
+        Ok(self.items)
+    }
+}
+
 /// In-progress reassembly of one pipelined request.
 #[derive(Debug)]
 enum Accum {
-    Digitize { samples: Vec<u16>, next_seq: u32 },
-    Ganged { values: Vec<f64>, next_seq: u32 },
+    Digitize(Reassembly<u16>),
+    Ganged(Reassembly<f64>),
 }
 
 /// A pipelined connection: many requests in flight at once, completed
@@ -418,9 +369,8 @@ enum Accum {
 /// Every submission gets a nonzero correlation id (assigned here,
 /// counting up from 1); the server tags each response frame with it,
 /// so interleaved streams demultiplex unambiguously. Completions are
-/// yielded in **server finish order**, each verified exactly like the
-/// blocking [`Client`] path: batch ordering, sample count, and stream
-/// CRC.
+/// yielded in **server finish order**, each verified for batch
+/// ordering, sample count, and stream CRC.
 ///
 /// ```
 /// use adc_server::{DigitizeRequest, PipelinedClient, PipelinedOutcome, Server, ServerConfig};
@@ -444,10 +394,12 @@ enum Accum {
 pub struct PipelinedClient {
     stream: TcpStream,
     assembler: FrameAssembler,
-    max_payload: u32,
     next_corr: u64,
     pending: BTreeMap<u64, Accum>,
     ready: VecDeque<(u64, PipelinedOutcome)>,
+    /// Untagged frames not yet consumed: control replies, or a
+    /// connection-level error.
+    untagged: VecDeque<Response>,
 }
 
 impl PipelinedClient {
@@ -462,10 +414,10 @@ impl PipelinedClient {
         Ok(Self {
             stream,
             assembler: FrameAssembler::new(),
-            max_payload: protocol::MAX_PAYLOAD,
             next_corr: 1,
             pending: BTreeMap::new(),
             ready: VecDeque::new(),
+            untagged: VecDeque::new(),
         })
     }
 
@@ -503,6 +455,23 @@ impl PipelinedClient {
         self.pending.len() + self.ready.len()
     }
 
+    fn send(&mut self, request: &Request) -> Result<(), ClientError> {
+        self.stream.write_all(&encode_request(request))?;
+        self.stream.flush()?;
+        Ok(())
+    }
+
+    fn submit_body(&mut self, body: SubmitBody, accum: Accum) -> Result<u64, ClientError> {
+        let corr = self.next_corr;
+        self.next_corr += 1;
+        self.send(&Request::Submit(SubmitRequest {
+            corr_id: corr,
+            body,
+        }))?;
+        self.pending.insert(corr, accum);
+        Ok(corr)
+    }
+
     /// Submits a digitization without waiting, returning its
     /// correlation id.
     ///
@@ -510,22 +479,10 @@ impl PipelinedClient {
     ///
     /// Transport failures writing the request frame.
     pub fn submit(&mut self, request: &DigitizeRequest) -> Result<u64, ClientError> {
-        let corr = self.next_corr;
-        self.next_corr += 1;
-        let frame = encode_request(&Request::Submit(SubmitRequest {
-            corr_id: corr,
-            body: SubmitBody::Digitize(request.clone()),
-        }));
-        self.stream.write_all(&frame)?;
-        self.stream.flush()?;
-        self.pending.insert(
-            corr,
-            Accum::Digitize {
-                samples: Vec::new(),
-                next_seq: 0,
-            },
-        );
-        Ok(corr)
+        self.submit_body(
+            SubmitBody::Digitize(request.clone()),
+            Accum::Digitize(Reassembly::default()),
+        )
     }
 
     /// Submits a ganged digitization without waiting, returning its
@@ -535,22 +492,26 @@ impl PipelinedClient {
     ///
     /// Transport failures writing the request frame.
     pub fn submit_ganged(&mut self, request: &GangedRequest) -> Result<u64, ClientError> {
-        let corr = self.next_corr;
-        self.next_corr += 1;
-        let frame = encode_request(&Request::Submit(SubmitRequest {
-            corr_id: corr,
-            body: SubmitBody::Ganged(request.clone()),
-        }));
-        self.stream.write_all(&frame)?;
-        self.stream.flush()?;
-        self.pending.insert(
-            corr,
-            Accum::Ganged {
-                values: Vec::new(),
-                next_seq: 0,
-            },
-        );
-        Ok(corr)
+        self.submit_body(
+            SubmitBody::Ganged(request.clone()),
+            Accum::Ganged(Reassembly::default()),
+        )
+    }
+
+    /// Sends one control request and blocks for its untagged reply; a
+    /// typed error reply becomes [`ClientError::Server`]. Tagged frames
+    /// arriving meanwhile go to their requests as usual.
+    fn round_trip(&mut self, request: &Request) -> Result<Response, ClientError> {
+        self.send(request)?;
+        loop {
+            match self.untagged.pop_front() {
+                Some(Response::Error { code, detail }) => {
+                    return Err(ClientError::Server { code, detail })
+                }
+                Some(response) => return Ok(response),
+                None => self.pump()?,
+            }
+        }
     }
 
     /// Blocks for the next finished request, in server completion
@@ -565,7 +526,7 @@ impl PipelinedClient {
     /// errors here — they arrive as [`PipelinedOutcome::ServerError`].
     pub fn next_completion(&mut self) -> Result<(u64, PipelinedOutcome), ClientError> {
         loop {
-            if let Some(done) = self.ready.pop_front() {
+            if let Some(done) = self.take_completion()? {
                 return Ok(done);
             }
             self.pump()?;
@@ -580,11 +541,11 @@ impl PipelinedClient {
     ///
     /// As [`Self::next_completion`].
     pub fn try_next_completion(&mut self) -> Result<Option<(u64, PipelinedOutcome)>, ClientError> {
-        if let Some(done) = self.ready.pop_front() {
+        if let Some(done) = self.take_completion()? {
             return Ok(Some(done));
         }
         match self.pump() {
-            Ok(()) => Ok(self.ready.pop_front()),
+            Ok(()) => self.take_completion(),
             Err(ClientError::Io(e))
                 if matches!(
                     e.kind(),
@@ -597,8 +558,25 @@ impl PipelinedClient {
         }
     }
 
-    /// Reads once from the socket and decodes every completed frame
-    /// into `ready`.
+    /// The next finished request, if any. An untagged frame here is
+    /// connection-level: an error frame means a protocol fault has
+    /// poisoned the stream.
+    fn take_completion(&mut self) -> Result<Option<(u64, PipelinedOutcome)>, ClientError> {
+        if let Some(done) = self.ready.pop_front() {
+            return Ok(Some(done));
+        }
+        match self.untagged.pop_front() {
+            None => Ok(None),
+            Some(Response::Error { code, detail }) => Err(ClientError::Server { code, detail }),
+            Some(_) => Err(ClientError::UnexpectedResponse(
+                "untagged frame on a pipelined connection",
+            )),
+        }
+    }
+
+    /// Reads once from the socket and routes every completed frame:
+    /// tagged frames to their request's reassembly, untagged ones to
+    /// [`Self::untagged`].
     fn pump(&mut self) -> Result<(), ClientError> {
         let mut buf = [0u8; 64 * 1024];
         let n = self.stream.read(&mut buf)?;
@@ -609,148 +587,181 @@ impl PipelinedClient {
             )));
         }
         self.assembler.extend(&buf[..n]);
-        loop {
-            let frame = self
-                .assembler
-                .next_frame(self.max_payload)
-                .map_err(ClientError::Wire)?;
-            let Some((kind, payload)) = frame else {
-                return Ok(());
-            };
-            let response = Response::decode(kind, &payload).map_err(ClientError::Wire)?;
-            self.accept_frame(response)?;
+        while let Some((kind, payload)) = self
+            .assembler
+            .next_frame(protocol::MAX_PAYLOAD)
+            .map_err(ClientError::Wire)?
+        {
+            match Response::decode(kind, &payload).map_err(ClientError::Wire)? {
+                Response::Tagged { corr_id, inner } => self.accept_tagged(corr_id, *inner)?,
+                untagged => self.untagged.push_back(untagged),
+            }
         }
+        Ok(())
     }
 
-    /// Routes one decoded frame to its request's reassembly state.
-    fn accept_frame(&mut self, response: Response) -> Result<(), ClientError> {
-        let (corr, inner) = match response {
-            Response::Tagged { corr_id, inner } => (corr_id, *inner),
-            // An untagged error is connection-level (protocol fault):
-            // the stream is poisoned, surface it as a hard error.
-            Response::Error { code, detail } => return Err(ClientError::Server { code, detail }),
+    /// Routes one tagged frame to its request's reassembly state.
+    fn accept_tagged(&mut self, corr: u64, inner: Response) -> Result<(), ClientError> {
+        let corrupt =
+            |detail: String| ClientError::StreamCorrupt(format!("request {corr}: {detail}"));
+        let unknown = |what: &str| corrupt(format!("{what} for no such pending request"));
+        let outcome = match inner {
+            Response::Batch { seq, samples } => {
+                return match self.pending.get_mut(&corr) {
+                    Some(Accum::Digitize(r)) => r.batch(seq, &samples).map_err(corrupt),
+                    _ => Err(unknown("code batch")),
+                }
+            }
+            Response::GangedBatch { seq, values } => {
+                return match self.pending.get_mut(&corr) {
+                    Some(Accum::Ganged(r)) => r.batch(seq, &values).map_err(corrupt),
+                    _ => Err(unknown("ganged batch")),
+                }
+            }
+            Response::Done(done) => match self.pending.remove(&corr) {
+                Some(Accum::Digitize(r)) => {
+                    let samples = r
+                        .finish(
+                            done.total_samples,
+                            done.batches,
+                            done.stream_crc32,
+                            stream_crc,
+                        )
+                        .map_err(corrupt)?;
+                    PipelinedOutcome::Digitize(DigitizeResult { samples, done })
+                }
+                _ => return Err(unknown("done")),
+            },
+            Response::GangedDone(done) => match self.pending.remove(&corr) {
+                Some(Accum::Ganged(r)) => {
+                    let values = r
+                        .finish(
+                            done.total_samples,
+                            done.batches,
+                            done.stream_crc32,
+                            value_stream_crc,
+                        )
+                        .map_err(corrupt)?;
+                    PipelinedOutcome::Ganged(GangedResult { values, done })
+                }
+                _ => return Err(unknown("ganged done")),
+            },
+            // Typed per-request failure (validation, overload shed,
+            // deadline): the request is over, the connection fine.
+            Response::Error { code, detail } => {
+                self.pending.remove(&corr);
+                PipelinedOutcome::ServerError { code, detail }
+            }
             _ => {
                 return Err(ClientError::UnexpectedResponse(
-                    "untagged frame on a pipelined connection",
+                    "unexpected tagged frame kind",
                 ))
             }
         };
-        let corrupt = |detail: String| Err(ClientError::StreamCorrupt(detail));
-        match inner {
-            Response::Batch {
-                seq,
-                samples: chunk,
-            } => match self.pending.get_mut(&corr) {
-                Some(Accum::Digitize { samples, next_seq }) => {
-                    if seq != *next_seq {
-                        return corrupt(format!(
-                            "request {corr}: batch {seq} arrived, expected {next_seq}"
-                        ));
-                    }
-                    *next_seq += 1;
-                    samples.extend_from_slice(&chunk);
-                    Ok(())
-                }
-                Some(Accum::Ganged { .. }) => {
-                    corrupt(format!("request {corr}: code batch on a ganged request"))
-                }
-                None => corrupt(format!("batch for unknown request {corr}")),
-            },
-            Response::Done(done) => match self.pending.remove(&corr) {
-                Some(Accum::Digitize { samples, next_seq }) => {
-                    if done.total_samples as usize != samples.len() {
-                        return corrupt(format!(
-                            "request {corr}: done claims {} samples, reassembled {}",
-                            done.total_samples,
-                            samples.len()
-                        ));
-                    }
-                    if done.batches != next_seq {
-                        return corrupt(format!(
-                            "request {corr}: done claims {} batches, received {next_seq}",
-                            done.batches
-                        ));
-                    }
-                    let crc = stream_crc(&samples);
-                    if crc != done.stream_crc32 {
-                        return corrupt(format!(
-                            "request {corr}: stream CRC {:08x} != server's {:08x}",
-                            crc, done.stream_crc32
-                        ));
-                    }
-                    self.ready.push_back((
-                        corr,
-                        PipelinedOutcome::Digitize(DigitizeResult { samples, done }),
-                    ));
-                    Ok(())
-                }
-                Some(other) => {
-                    self.pending.insert(corr, other);
-                    corrupt(format!("request {corr}: done on a ganged request"))
-                }
-                None => corrupt(format!("done for unknown request {corr}")),
-            },
-            Response::GangedBatch { seq, values: chunk } => match self.pending.get_mut(&corr) {
-                Some(Accum::Ganged { values, next_seq }) => {
-                    if seq != *next_seq {
-                        return corrupt(format!(
-                            "request {corr}: batch {seq} arrived, expected {next_seq}"
-                        ));
-                    }
-                    *next_seq += 1;
-                    values.extend_from_slice(&chunk);
-                    Ok(())
-                }
-                Some(Accum::Digitize { .. }) => corrupt(format!(
-                    "request {corr}: ganged batch on a digitize request"
-                )),
-                None => corrupt(format!("ganged batch for unknown request {corr}")),
-            },
-            Response::GangedDone(done) => match self.pending.remove(&corr) {
-                Some(Accum::Ganged { values, next_seq }) => {
-                    if done.total_samples as usize != values.len() {
-                        return corrupt(format!(
-                            "request {corr}: done claims {} values, reassembled {}",
-                            done.total_samples,
-                            values.len()
-                        ));
-                    }
-                    if done.batches != next_seq {
-                        return corrupt(format!(
-                            "request {corr}: done claims {} batches, received {next_seq}",
-                            done.batches
-                        ));
-                    }
-                    let crc = value_stream_crc(&values);
-                    if crc != done.stream_crc32 {
-                        return corrupt(format!(
-                            "request {corr}: stream CRC {:08x} != server's {:08x}",
-                            crc, done.stream_crc32
-                        ));
-                    }
-                    self.ready.push_back((
-                        corr,
-                        PipelinedOutcome::Ganged(GangedResult { values, done }),
-                    ));
-                    Ok(())
-                }
-                Some(other) => {
-                    self.pending.insert(corr, other);
-                    corrupt(format!("request {corr}: ganged done on a digitize request"))
-                }
-                None => corrupt(format!("ganged done for unknown request {corr}")),
-            },
-            Response::Error { code, detail } => {
-                // Typed per-request failure (validation, overload shed,
-                // deadline): the request is over, the connection fine.
-                self.pending.remove(&corr);
-                self.ready
-                    .push_back((corr, PipelinedOutcome::ServerError { code, detail }));
-                Ok(())
+        self.ready.push_back((corr, outcome));
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{encode_response, MAX_PAYLOAD};
+    use std::net::TcpListener;
+
+    fn tagged(corr_id: u64, inner: Response) -> Response {
+        Response::Tagged {
+            corr_id,
+            inner: Box::new(inner),
+        }
+    }
+
+    fn done(total_samples: u32, batches: u32, stream_crc32: u32) -> Response {
+        Response::Done(DigitizeDone {
+            total_samples,
+            batches,
+            f_in_hz: 0.0,
+            stream_crc32,
+        })
+    }
+
+    /// Accepts one connection, waits for its first request frame, and
+    /// answers it with `frames`.
+    fn forge(frames: Vec<Response>) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let join = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut assembler = FrameAssembler::new();
+            let mut buf = [0u8; 4096];
+            while assembler.next_frame(MAX_PAYLOAD).unwrap().is_none() {
+                let n = stream.read(&mut buf).unwrap();
+                assert!(n > 0, "client closed before its request");
+                assembler.extend(&buf[..n]);
             }
-            _ => Err(ClientError::UnexpectedResponse(
-                "unexpected tagged frame kind",
-            )),
+            for frame in &frames {
+                stream.write_all(&encode_response(frame)).unwrap();
+            }
+        });
+        (addr, join)
+    }
+
+    #[test]
+    fn forged_streams_are_stream_corrupt_on_both_clients() {
+        // Every first submission on a connection is correlation id 1.
+        let good_crc = stream_crc(&[1, 2]);
+        let batch = || {
+            tagged(
+                1,
+                Response::Batch {
+                    seq: 0,
+                    samples: vec![1, 2],
+                },
+            )
+        };
+        let cases = [
+            (
+                "skipped seq",
+                vec![tagged(
+                    1,
+                    Response::Batch {
+                        seq: 1,
+                        samples: vec![1, 2],
+                    },
+                )],
+            ),
+            (
+                "wrong total",
+                vec![batch(), tagged(1, done(3, 1, good_crc))],
+            ),
+            (
+                "bad stream crc",
+                vec![batch(), tagged(1, done(2, 1, good_crc ^ 1))],
+            ),
+            (
+                "done for an unknown id",
+                vec![tagged(99, done(0, 0, stream_crc(&[])))],
+            ),
+        ];
+        let request = DigitizeRequest::tone(1, 10e6, 2);
+        for (name, frames) in cases {
+            let (addr, join) = forge(frames.clone());
+            let blocking = Client::connect(addr).unwrap().digitize(&request);
+            assert!(
+                matches!(blocking, Err(ClientError::StreamCorrupt(_))),
+                "{name}: Client::digitize gave {blocking:?}"
+            );
+            join.join().unwrap();
+
+            let (addr, join) = forge(frames);
+            let mut pipelined = PipelinedClient::connect(addr).unwrap();
+            pipelined.submit(&request).unwrap();
+            let completion = pipelined.next_completion();
+            assert!(
+                matches!(completion, Err(ClientError::StreamCorrupt(_))),
+                "{name}: next_completion gave {completion:?}"
+            );
+            join.join().unwrap();
         }
     }
 }

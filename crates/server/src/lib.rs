@@ -19,22 +19,26 @@
 //! * [`protocol`] — the wire format: framing (magic, version, kind,
 //!   length, CRC-32 trailer), request/response payload codecs, and
 //!   total, panic-free decoding with typed [`protocol::WireError`]s.
+//!   Every digitization travels as one [`Request::Submit`] under a
+//!   nonzero correlation id and is answered in [`Response::Tagged`]
+//!   frames.
 //! * [`server`] — configuration, lifecycle, and the served
 //!   computations, dispatched onto a [`adc_runtime::JobPool`] with
 //!   cooperative per-request deadlines and graceful
 //!   drain-then-shutdown. The socket side is a readiness-driven
 //!   reactor: one thread multiplexes every connection over `poll(2)`,
 //!   pipelines requests under client-chosen correlation ids (out-of-
-//!   order completion), coalesces identical tone requests into
-//!   lane-parallel jobs, and sheds overload from bounded admission
-//!   queues with typed [`ErrorCode::Overloaded`] frames.
+//!   order completion), coalesces identical tone requests into shared
+//!   pool jobs, and sheds overload from bounded admission queues with
+//!   typed [`ErrorCode::Overloaded`] frames.
 //! * [`metrics`] — lock-free request counters, an in-flight gauge, and
 //!   a log-linear latency histogram (~6% relative error) fed from the
 //!   pool's [`adc_runtime::RunObserver`] hooks; snapshots answer
 //!   `Metrics` requests.
-//! * [`client`] — a blocking [`Client`] for one-at-a-time calls, and a
-//!   [`PipelinedClient`] that keeps many correlated requests in flight
-//!   on one connection and yields completions in server finish order.
+//! * [`client`] — a [`PipelinedClient`] that keeps many correlated
+//!   requests in flight on one connection and yields verified
+//!   completions in server finish order, and a blocking [`Client`]
+//!   for one-at-a-time calls that is a thin wrapper over it.
 //!
 //! Besides single-die digitization, the server speaks a **ganged**
 //! mode ([`GangedRequest`]): it fabricates an M-way time-interleaved

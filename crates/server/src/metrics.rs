@@ -9,7 +9,7 @@
 //!   [`RunObserver`] implementation — `on_job_start` raises the
 //!   in-flight gauge, `on_job_finish` lowers it, records the job's wall
 //!   time into the histogram once per logical request the job served
-//!   (`JobReport::requests` — a coalesced lane batch counts each
+//!   (`JobReport::requests` — a coalesced job counts each
 //!   member), and accumulates its streamed-sample credit.
 //!
 //! [`MetricsRegistry::snapshot`] freezes everything into the wire-level
@@ -180,7 +180,7 @@ impl MetricsRegistry {
         self.overloaded.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Credits `n` requests served inside a coalesced lane batch of two
+    /// Credits `n` requests served inside a coalesced job of two
     /// or more.
     pub fn coalesced(&self, n: u64) {
         self.coalesced.fetch_add(n, Ordering::Relaxed);

@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic       0x41444353 ("ADCS"), little endian
-//!      4     2  version     protocol version, currently 1
+//!      4     2  version     protocol version, currently 2
 //!      6     1  kind        frame type (request 0x01..=0x0F, response 0x81..=0x8F)
 //!      7     4  payload_len bytes of payload that follow (bounded)
 //!     11     n  payload     kind-specific body, little-endian scalars
@@ -21,14 +21,22 @@
 //! Decoding is total: any byte sequence either parses or yields a typed
 //! [`WireError`] — never a panic, never a partial value. Frames that
 //! fail the magic, version, size, or CRC checks are rejected before
-//! their payload is interpreted.
-
-use std::io::{Read, Write};
+//! their payload is interpreted; [`FrameAssembler::next_frame`] is the
+//! one place those checks live.
+//!
+//! Digitization travels only as [`Request::Submit`] under a nonzero
+//! client-chosen correlation id, and every frame of its answer comes
+//! back as [`Response::Tagged`]. Control requests (ping, metrics,
+//! shutdown, cluster and cache traffic) are answered by one untagged
+//! frame each.
 
 /// Frame magic: `"ADCS"` as a little-endian `u32`.
 pub const MAGIC: u32 = 0x5343_4441;
-/// Protocol version this build speaks.
-pub const VERSION: u16 = 1;
+/// Protocol version this build speaks. Version 2 dropped the bare
+/// digitize and ganged frames (kinds 0x02 and 0x05) in favour of
+/// [`Request::Submit`], so a version-1 peer gets
+/// [`WireError::BadVersion`] rather than an unknown kind.
+pub const VERSION: u16 = 2;
 /// Fixed frame-header size (magic + version + kind + payload_len).
 pub const HEADER_LEN: usize = 11;
 /// Hard ceiling on payload size a peer may declare (16 MiB) — guards
@@ -689,20 +697,16 @@ pub enum SubmitBody {
     Ganged(GangedRequest),
 }
 
-/// A pipelined digitization request: the client picks `corr_id` and may
-/// send further `Submit` frames without waiting; every response frame
+/// A digitization request: the client picks `corr_id` and may send
+/// further `Submit` frames without waiting; every response frame
 /// belonging to this request comes back wrapped in
 /// [`Response::Tagged`] with the same id, and requests complete in
 /// whatever order the server finishes them.
-///
-/// `corr_id == 0` selects **legacy ordered mode**: responses travel
-/// untagged and at most one id-0 request runs per connection at a time,
-/// exactly like the bare [`Request::Digitize`] / [`Request::Ganged`]
-/// frames (which are equivalent to a `Submit` with id 0).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubmitRequest {
-    /// Client-chosen correlation id; echoed on every response frame of
-    /// this request. `0` = legacy ordered mode.
+    /// Client-chosen correlation id, nonzero (the decoder rejects `0`
+    /// as [`WireError::Malformed`]); echoed on every response frame of
+    /// this request.
     pub corr_id: u64,
     /// The digitization to run.
     pub body: SubmitBody,
@@ -716,30 +720,26 @@ pub enum Request {
         /// Opaque token echoed in the pong.
         token: u64,
     },
-    /// Digitize a waveform and stream the codes back.
-    Digitize(DigitizeRequest),
     /// Snapshot the server's metrics registry.
     Metrics,
     /// Begin graceful drain-then-shutdown.
     Shutdown,
-    /// Digitize through a time-interleaved array and stream the
-    /// interleaved record back.
-    Ganged(GangedRequest),
     /// Execute a batch of campaign jobs through the host's job runner.
     JobBatch(JobBatchRequest),
     /// Probe the host's warm cache for a set of canonical keys.
     CacheQuery(CacheQueryRequest),
     /// Merge computed entries into the host's warm cache.
     CacheFill(CacheFillRequest),
-    /// A pipelined digitization under a client-chosen correlation id.
+    /// A digitization (single die or ganged array) under a
+    /// client-chosen correlation id.
     Submit(SubmitRequest),
 }
 
+// Kinds 0x02 and 0x05 carried the version-1 bare digitize and ganged
+// frames; they stay unassigned.
 const KIND_PING: u8 = 0x01;
-const KIND_DIGITIZE: u8 = 0x02;
 const KIND_METRICS: u8 = 0x03;
 const KIND_SHUTDOWN: u8 = 0x04;
-const KIND_GANGED: u8 = 0x05;
 const KIND_JOB_BATCH: u8 = 0x06;
 const KIND_CACHE_QUERY: u8 = 0x07;
 const KIND_CACHE_FILL: u8 = 0x08;
@@ -825,10 +825,8 @@ impl Request {
     fn kind(&self) -> u8 {
         match self {
             Self::Ping { .. } => KIND_PING,
-            Self::Digitize(_) => KIND_DIGITIZE,
             Self::Metrics => KIND_METRICS,
             Self::Shutdown => KIND_SHUTDOWN,
-            Self::Ganged(_) => KIND_GANGED,
             Self::JobBatch(_) => KIND_JOB_BATCH,
             Self::CacheQuery(_) => KIND_CACHE_QUERY,
             Self::CacheFill(_) => KIND_CACHE_FILL,
@@ -840,8 +838,6 @@ impl Request {
         let mut w = PayloadWriter::new();
         match self {
             Self::Ping { token } => w.u64(*token),
-            Self::Digitize(d) => encode_digitize_fields(d, &mut w),
-            Self::Ganged(g) => encode_ganged_fields(g, &mut w),
             Self::Submit(s) => {
                 w.u64(s.corr_id);
                 match &s.body {
@@ -892,12 +888,13 @@ impl Request {
         let mut r = PayloadReader::new(payload);
         let request = match kind {
             KIND_PING => Self::Ping { token: r.u64()? },
-            KIND_DIGITIZE => Self::Digitize(decode_digitize_fields(&mut r)?),
             KIND_METRICS => Self::Metrics,
             KIND_SHUTDOWN => Self::Shutdown,
-            KIND_GANGED => Self::Ganged(decode_ganged_fields(&mut r)?),
             KIND_SUBMIT => {
                 let corr_id = r.u64()?;
+                if corr_id == 0 {
+                    return Err(WireError::Malformed("submit corr_id 0"));
+                }
                 let body = match r.u8()? {
                     0 => SubmitBody::Digitize(decode_digitize_fields(&mut r)?),
                     1 => SubmitBody::Ganged(decode_ganged_fields(&mut r)?),
@@ -1106,7 +1103,7 @@ pub struct MetricsSnapshot {
     pub p99_us: u64,
     /// Requests shed by admission control (`Overloaded` frames sent).
     pub overloaded: u64,
-    /// Digitize requests served as members of a coalesced lane batch of
+    /// Digitize requests served as members of a coalesced job of
     /// two or more (a subset of `completed`).
     pub coalesced: u64,
 }
@@ -1412,45 +1409,6 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
     encode_frame(response.kind(), &response.payload())
 }
 
-/// Validates framing (magic, version, size bound, CRC) and returns the
-/// frame kind and payload slice.
-fn check_frame(bytes: &[u8], max_payload: u32) -> Result<(u8, &[u8]), WireError> {
-    let magic = u32::from_le_bytes(field(bytes, 0)?);
-    if magic != MAGIC {
-        return Err(WireError::BadMagic(magic));
-    }
-    let version = u16::from_le_bytes(field(bytes, 4)?);
-    if version != VERSION {
-        return Err(WireError::BadVersion(version));
-    }
-    let [kind] = field(bytes, 6)?;
-    let declared = u32::from_le_bytes(field(bytes, 7)?);
-    if declared > max_payload {
-        return Err(WireError::Oversize {
-            declared,
-            max: max_payload,
-        });
-    }
-    let body_len = HEADER_LEN + declared as usize;
-    let total = body_len + 4;
-    if bytes.len() < total {
-        return Err(WireError::Truncated);
-    }
-    if bytes.len() > total {
-        return Err(WireError::TrailingBytes(bytes.len() - total));
-    }
-    let body = bytes.get(..body_len).ok_or(WireError::Truncated)?;
-    let received = u32::from_le_bytes(field(bytes, body_len)?);
-    let computed = crc32(body);
-    if computed != received {
-        return Err(WireError::BadCrc { computed, received });
-    }
-    let payload = bytes
-        .get(HEADER_LEN..body_len)
-        .ok_or(WireError::Truncated)?;
-    Ok((kind, payload))
-}
-
 /// Decodes the `(kind, payload)` pair a [`FrameAssembler`] yields into
 /// a [`Request`].
 ///
@@ -1471,16 +1429,30 @@ pub fn decode_response_frame(kind: u8, payload: &[u8]) -> Result<Response, WireE
     Response::decode(kind, payload)
 }
 
+/// Runs `bytes` through a [`FrameAssembler`] as exactly one frame: an
+/// incomplete frame is `Truncated`, bytes after it `TrailingBytes`.
+fn single_frame(bytes: &[u8]) -> Result<(u8, Vec<u8>), WireError> {
+    let mut assembler = FrameAssembler::new();
+    assembler.extend(bytes);
+    let frame = assembler
+        .next_frame(MAX_PAYLOAD)?
+        .ok_or(WireError::Truncated)?;
+    match assembler.buffered() {
+        0 => Ok(frame),
+        left => Err(WireError::TrailingBytes(left)),
+    }
+}
+
 /// Decodes one complete request frame from a byte slice.
 pub fn decode_request(bytes: &[u8]) -> Result<Request, WireError> {
-    let (kind, payload) = check_frame(bytes, MAX_PAYLOAD)?;
-    Request::decode(kind, payload)
+    let (kind, payload) = single_frame(bytes)?;
+    Request::decode(kind, &payload)
 }
 
 /// Decodes one complete response frame from a byte slice.
 pub fn decode_response(bytes: &[u8]) -> Result<Response, WireError> {
-    let (kind, payload) = check_frame(bytes, MAX_PAYLOAD)?;
-    Response::decode(kind, payload)
+    let (kind, payload) = single_frame(bytes)?;
+    Response::decode(kind, &payload)
 }
 
 /// Incremental frame assembler for nonblocking transports.
@@ -1576,155 +1548,64 @@ impl FrameAssembler {
     }
 }
 
-/// What [`read_frame`] can fail with: transport I/O or protocol.
-#[derive(Debug)]
-pub enum FrameReadError {
-    /// The underlying transport failed (includes clean EOF between
-    /// frames, surfaced as `UnexpectedEof`).
-    Io(std::io::Error),
-    /// The bytes were read but violated the protocol.
-    Wire(WireError),
-}
-
-impl std::fmt::Display for FrameReadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Io(e) => write!(f, "transport: {e}"),
-            Self::Wire(e) => write!(f, "protocol: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for FrameReadError {}
-
-impl From<std::io::Error> for FrameReadError {
-    fn from(e: std::io::Error) -> Self {
-        Self::Io(e)
-    }
-}
-
-impl From<WireError> for FrameReadError {
-    fn from(e: WireError) -> Self {
-        Self::Wire(e)
-    }
-}
-
-/// Reads one full frame (header, payload, CRC) from `reader`, enforcing
-/// `max_payload`, and returns its raw kind and payload after CRC
-/// verification.
-///
-/// # Errors
-///
-/// [`FrameReadError::Io`] on transport failure (including EOF) and
-/// [`FrameReadError::Wire`] on any protocol violation.
-pub fn read_frame<R: Read>(
-    reader: &mut R,
-    max_payload: u32,
-) -> Result<(u8, Vec<u8>), FrameReadError> {
-    let mut header = [0u8; HEADER_LEN];
-    reader.read_exact(&mut header)?;
-    let magic = u32::from_le_bytes(field(&header, 0)?);
-    if magic != MAGIC {
-        return Err(WireError::BadMagic(magic).into());
-    }
-    let version = u16::from_le_bytes(field(&header, 4)?);
-    if version != VERSION {
-        return Err(WireError::BadVersion(version).into());
-    }
-    let [kind] = field(&header, 6)?;
-    let declared = u32::from_le_bytes(field(&header, 7)?);
-    if declared > max_payload {
-        return Err(WireError::Oversize {
-            declared,
-            max: max_payload,
-        }
-        .into());
-    }
-    let mut rest = vec![0u8; declared as usize + 4];
-    reader.read_exact(&mut rest)?;
-    let payload_end = declared as usize;
-    let received = u32::from_le_bytes(field(&rest, payload_end)?);
-    let mut crc_input = Vec::with_capacity(HEADER_LEN + payload_end);
-    crc_input.extend_from_slice(&header);
-    crc_input.extend_from_slice(rest.get(..payload_end).ok_or(WireError::Truncated)?);
-    let computed = crc32(&crc_input);
-    if computed != received {
-        return Err(WireError::BadCrc { computed, received }.into());
-    }
-    rest.truncate(payload_end);
-    Ok((kind, rest))
-}
-
-/// Reads and decodes one request frame from `reader`.
-///
-/// # Errors
-///
-/// See [`read_frame`].
-pub fn read_request<R: Read>(reader: &mut R, max_payload: u32) -> Result<Request, FrameReadError> {
-    let (kind, payload) = read_frame(reader, max_payload)?;
-    Ok(Request::decode(kind, &payload)?)
-}
-
-/// Reads and decodes one response frame from `reader`.
-///
-/// # Errors
-///
-/// See [`read_frame`].
-pub fn read_response<R: Read>(
-    reader: &mut R,
-    max_payload: u32,
-) -> Result<Response, FrameReadError> {
-    let (kind, payload) = read_frame(reader, max_payload)?;
-    Ok(Response::decode(kind, &payload)?)
-}
-
-/// Writes one encoded frame to `writer`.
-///
-/// # Errors
-///
-/// Propagates transport I/O errors.
-pub fn write_frame<W: Write>(writer: &mut W, frame: &[u8]) -> std::io::Result<()> {
-    writer.write_all(frame)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn digitize(corr_id: u64, d: DigitizeRequest) -> Request {
+        Request::Submit(SubmitRequest {
+            corr_id,
+            body: SubmitBody::Digitize(d),
+        })
+    }
+
+    fn ganged(corr_id: u64, g: GangedRequest) -> Request {
+        Request::Submit(SubmitRequest {
+            corr_id,
+            body: SubmitBody::Ganged(g),
+        })
+    }
 
     fn sample_requests() -> Vec<Request> {
         vec![
             Request::Ping { token: 0xDEAD_BEEF },
             Request::Metrics,
             Request::Shutdown,
-            Request::Digitize(DigitizeRequest::tone(7, 10e6, 4096)),
-            Request::Digitize(DigitizeRequest {
-                preset: Preset::Ideal,
-                seed: 42,
-                overrides: ConfigOverrides {
-                    f_cr_hz: Some(55e6),
-                    amplitude_v: Some(0.75),
-                    thermal_noise: Some(false),
+            digitize(1, DigitizeRequest::tone(7, 10e6, 4096)),
+            digitize(
+                u64::MAX,
+                DigitizeRequest {
+                    preset: Preset::Ideal,
+                    seed: 42,
+                    overrides: ConfigOverrides {
+                        f_cr_hz: Some(55e6),
+                        amplitude_v: Some(0.75),
+                        thermal_noise: Some(false),
+                    },
+                    waveform: WaveformSpec::Ramp {
+                        from_v: -1.0,
+                        to_v: 1.0,
+                    },
+                    n_samples: 1000,
+                    batch_size: 128,
+                    deadline_ms: 2500,
                 },
-                waveform: WaveformSpec::Ramp {
-                    from_v: -1.0,
-                    to_v: 1.0,
+            ),
+            ganged(2, GangedRequest::tone(7, 2, 20e6, 4096)),
+            ganged(
+                3,
+                GangedRequest {
+                    preset: Preset::Ideal,
+                    seed: 99,
+                    channels: MAX_GANGED_CHANNELS,
+                    mismatch: false,
+                    cal: GangedCal::Foreground,
+                    f_target_hz: 31e6,
+                    n_samples: 2048,
+                    batch_size: 512,
+                    deadline_ms: 10_000,
                 },
-                n_samples: 1000,
-                batch_size: 128,
-                deadline_ms: 2500,
-            }),
-            Request::Ganged(GangedRequest::tone(7, 2, 20e6, 4096)),
-            Request::Ganged(GangedRequest {
-                preset: Preset::Ideal,
-                seed: 99,
-                channels: MAX_GANGED_CHANNELS,
-                mismatch: false,
-                cal: GangedCal::Foreground,
-                f_target_hz: 31e6,
-                n_samples: 2048,
-                batch_size: 512,
-                deadline_ms: 10_000,
-            }),
+            ),
             Request::JobBatch(JobBatchRequest {
                 batch_id: 11,
                 campaign: "monte_carlo-0123456789abcdef".to_string(),
@@ -1763,14 +1644,8 @@ mod tests {
                     (8, String::new()),
                 ],
             }),
-            Request::Submit(SubmitRequest {
-                corr_id: 0x0123_4567_89AB_CDEF,
-                body: SubmitBody::Digitize(DigitizeRequest::tone(7, 10e6, 4096)),
-            }),
-            Request::Submit(SubmitRequest {
-                corr_id: 0,
-                body: SubmitBody::Ganged(GangedRequest::tone(7, 2, 20e6, 2048)),
-            }),
+            digitize(0x0123_4567_89AB_CDEF, DigitizeRequest::tone(7, 10e6, 4096)),
+            ganged(4, GangedRequest::tone(7, 2, 20e6, 2048)),
         ]
     }
 
@@ -1904,24 +1779,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_round_trip_through_io() {
-        let mut buf = Vec::new();
-        for req in sample_requests() {
-            write_frame(&mut buf, &encode_request(&req)).unwrap();
-        }
-        let mut cursor = std::io::Cursor::new(buf);
-        for req in sample_requests() {
-            assert_eq!(read_request(&mut cursor, MAX_PAYLOAD).unwrap(), req);
-        }
-        match read_request(&mut cursor, MAX_PAYLOAD) {
-            Err(FrameReadError::Io(e)) => {
-                assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof);
-            }
-            other => panic!("expected EOF, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn corrupted_magic_version_crc_are_typed_errors() {
         let frame = encode_request(&Request::Ping { token: 9 });
         let mut bad_magic = frame.clone();
@@ -1936,6 +1793,10 @@ mod tests {
             decode_request(&bad_version),
             Err(WireError::BadVersion(_))
         ));
+        // Trailing bytes after one complete frame are rejected.
+        let mut trailing = frame.clone();
+        trailing.push(0);
+        assert_eq!(decode_request(&trailing), Err(WireError::TrailingBytes(1)));
         let mut bad_payload = frame.clone();
         let n = bad_payload.len();
         bad_payload[n - 6] ^= 0x01; // payload byte: CRC must catch it
@@ -1947,7 +1808,7 @@ mod tests {
 
     #[test]
     fn truncation_at_every_length_is_rejected_not_panicking() {
-        let frame = encode_request(&Request::Digitize(DigitizeRequest::tone(1, 10e6, 512)));
+        let frame = encode_request(&digitize(1, DigitizeRequest::tone(1, 10e6, 512)));
         for len in 0..frame.len() {
             assert!(
                 decode_request(&frame[..len]).is_err(),
@@ -1968,15 +1829,15 @@ mod tests {
 
     #[test]
     fn ganged_channel_counts_outside_bounds_are_malformed() {
-        let good = Request::Ganged(GangedRequest::tone(1, 2, 20e6, 1024));
-        let Request::Ganged(template) = &good else {
-            unreachable!()
-        };
+        let template = GangedRequest::tone(1, 2, 20e6, 1024);
         for channels in [0u8, MAX_GANGED_CHANNELS + 1, 255] {
-            let bad = Request::Ganged(GangedRequest {
-                channels,
-                ..template.clone()
-            });
+            let bad = ganged(
+                1,
+                GangedRequest {
+                    channels,
+                    ..template.clone()
+                },
+            );
             // Encode bypasses decode validation; the decoder must reject.
             let frame = encode_request(&bad);
             assert_eq!(
@@ -1987,20 +1848,23 @@ mod tests {
         }
         // The boundary values decode fine.
         for channels in [1u8, MAX_GANGED_CHANNELS] {
-            let ok = Request::Ganged(GangedRequest {
-                channels,
-                ..template.clone()
-            });
+            let ok = ganged(
+                1,
+                GangedRequest {
+                    channels,
+                    ..template.clone()
+                },
+            );
             assert_eq!(decode_request(&encode_request(&ok)).unwrap(), ok);
         }
     }
 
     #[test]
     fn ganged_flag_and_discriminant_bytes_are_malformed_not_panics() {
-        // Corrupt the mismatch flag (offset: preset 1 + seed 8 + channels 1).
-        let frame_bytes = |req: &Request| encode_request(req);
-        let base = frame_bytes(&Request::Ganged(GangedRequest::tone(1, 2, 20e6, 1024)));
-        let payload_start = HEADER_LEN;
+        // Corrupt the mismatch flag (offset past corr_id 8 + body tag 1:
+        // preset 1 + seed 8 + channels 1).
+        let base = encode_request(&ganged(1, GangedRequest::tone(1, 2, 20e6, 1024)));
+        let payload_start = HEADER_LEN + 9;
         let patch = |offset: usize, value: u8| {
             let mut f = base.clone();
             f[payload_start + offset] = value;
@@ -2258,7 +2122,8 @@ mod tests {
 
     #[test]
     fn assembler_waits_while_a_frame_is_partial() {
-        let frame = encode_request(&Request::Digitize(DigitizeRequest::tone(1, 10e6, 256)));
+        let request = digitize(1, DigitizeRequest::tone(1, 10e6, 256));
+        let frame = encode_request(&request);
         let mut asm = FrameAssembler::new();
         for (i, &byte) in frame.iter().enumerate() {
             asm.extend(&[byte]);
@@ -2267,10 +2132,7 @@ mod tests {
                 assert!(got.is_none(), "byte {i}: frame incomplete");
             } else {
                 let (kind, payload) = got.expect("final byte completes the frame");
-                assert_eq!(
-                    Request::decode(kind, &payload).unwrap(),
-                    Request::Digitize(DigitizeRequest::tone(1, 10e6, 256))
-                );
+                assert_eq!(Request::decode(kind, &payload).unwrap(), request);
             }
         }
     }
@@ -2284,12 +2146,19 @@ mod tests {
     #[test]
     fn f64_fields_are_bit_exact_on_the_wire() {
         for value in [0.0, -0.0, f64::MIN_POSITIVE, 10e6 + 1e-7, f64::INFINITY] {
-            let req = Request::Digitize(DigitizeRequest {
-                waveform: WaveformSpec::Dc { level_v: value },
-                ..DigitizeRequest::tone(0, 0.0, 16)
-            });
+            let req = digitize(
+                1,
+                DigitizeRequest {
+                    waveform: WaveformSpec::Dc { level_v: value },
+                    ..DigitizeRequest::tone(0, 0.0, 16)
+                },
+            );
             let back = decode_request(&encode_request(&req)).unwrap();
-            let Request::Digitize(d) = back else {
+            let Request::Submit(SubmitRequest {
+                body: SubmitBody::Digitize(d),
+                ..
+            }) = back
+            else {
                 panic!("wrong kind");
             };
             let WaveformSpec::Dc { level_v } = d.waveform else {

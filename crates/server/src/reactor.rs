@@ -16,30 +16,29 @@
 //!   request per connection per round, resuming after the last admitted
 //!   connection) into pool jobs, bounded by global and per-connection
 //!   in-flight caps. Identical tone requests that are admitted in the
-//!   same round **coalesce** into one lane-parallel
-//!   [`LaneBench`] job that fabricates and converts every seed in a
-//!   single pass and streams each client its own record.
+//!   same round **coalesce** into one job of up to `max_coalesce_lanes`
+//!   members; every job, coalesced or not, converts each member through
+//!   the exact in-process path and streams its record as soon as it is
+//!   converted.
 //! * Workers never touch sockets: they push encoded frames into the
 //!   connection's [`ConnOut`] (blocking on the bound, polling their
 //!   deadline) and signal completion through an event list plus a
 //!   [`Waker`] byte that interrupts `poll`.
 //!
-//! ## Ordering and correlation
+//! ## Correlation
 //!
-//! A [`SubmitRequest`] with `corr_id != 0` may complete out of order;
-//! every one of its frames comes back wrapped in
-//! [`Response::Tagged`]. `corr_id == 0` (and the bare
-//! `Digitize`/`Ganged` frames, which are equivalent) is **legacy
-//! ordered mode**: at most one id-0 request is in flight per
-//! connection, so untagged responses never interleave.
+//! Every digitization arrives as a [`SubmitRequest`] under a nonzero
+//! client-chosen correlation id, may complete out of order, and has
+//! every frame of its answer wrapped in [`Response::Tagged`]. Control
+//! requests are answered inline with one untagged frame.
 //!
 //! ## Determinism
 //!
 //! Scheduling here decides *when* a record is computed, never *what* it
 //! contains: jobs derive entirely from the request (preset, overrides,
-//! seed, waveform), and a coalesced lane run is bit-identical to the
-//! scalar path per the lane-equivalence tests in `adc-testbench`. The
-//! module is in `adc-lint`'s determinism scope to keep it that way.
+//! seed, waveform), and a coalesced member runs the same
+//! [`run_digitize`] call a lone request does. The module is in
+//! `adc-lint`'s determinism scope to keep it that way.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -49,16 +48,15 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use adc_runtime::{JobCtx, JobError};
-use adc_testbench::LaneBench;
 
 use crate::protocol::{
     encode_response, error_code_for_build, DigitizeDone, DigitizeRequest, ErrorCode,
-    FrameAssembler, GangedDone, GangedRequest, Request, Response, SubmitBody, WaveformSpec,
-    WireError,
+    FrameAssembler, GangedDone, GangedRequest, Request, Response, SubmitBody, SubmitRequest,
+    WaveformSpec, WireError,
 };
 use crate::server::{
-    digitize_config, error_code_for_ganged, run_digitize, run_ganged, run_job_batch, stream_crc,
-    validate, validate_ganged, value_stream_crc, ServerConfig, Shared,
+    error_code_for_ganged, run_digitize, run_ganged, run_job_batch, stream_crc, validate,
+    validate_ganged, value_stream_crc, ServerConfig, Shared,
 };
 
 /// Bytes read from a socket per `read(2)` call.
@@ -119,7 +117,7 @@ mod sys {
 
 /// Wakes the reactor out of `poll` by writing one byte into a
 /// socketpair the reactor watches. Cloneable; shared with every worker
-/// through [`JobGuard`] and every [`ConnOut`].
+/// through every [`Ticket`] and [`ConnOut`].
 #[derive(Clone, Debug)]
 pub(crate) struct Waker {
     #[cfg(unix)]
@@ -168,9 +166,6 @@ pub(crate) enum Event {
     JobDone {
         /// Connection the request belonged to.
         conn: u64,
-        /// `true` for legacy ordered (corr id 0) requests — releases the
-        /// connection's ordered-mode slot.
-        legacy: bool,
         /// `true` when the request held a global in-flight slot (batch
         /// jobs run on their own thread and don't).
         global: bool,
@@ -289,8 +284,9 @@ impl ConnOut {
     }
 }
 
-/// Wraps a response in [`Response::Tagged`] when the request carried a
-/// nonzero correlation id.
+/// Encodes a response, wrapped in [`Response::Tagged`] for a
+/// digitization's nonzero correlation id; control replies pass `0` and
+/// travel untagged.
 fn wrap(corr: u64, response: Response) -> Vec<u8> {
     if corr == 0 {
         encode_response(&response)
@@ -305,7 +301,6 @@ fn wrap(corr: u64, response: Response) -> Vec<u8> {
 /// A worker's handle for streaming responses to one request: the
 /// connection's queue plus the request's correlation id (applied to
 /// every frame).
-#[derive(Clone)]
 pub(crate) struct ConnSink {
     out: Arc<ConnOut>,
     corr: u64,
@@ -332,26 +327,10 @@ impl ConnSink {
     }
 }
 
-/// One admitted-but-not-yet-dispatched digitization.
-#[derive(Debug)]
-enum Work {
-    Digitize { corr: u64, req: DigitizeRequest },
-    Ganged { corr: u64, req: GangedRequest },
-}
-
-impl Work {
-    fn corr(&self) -> u64 {
-        match self {
-            Self::Digitize { corr, .. } | Self::Ganged { corr, .. } => *corr,
-        }
-    }
-}
-
 /// The coalescing identity of a tone digitization: two requests with
-/// equal keys (everything but the seed) can fabricate and convert as
-/// lanes of one [`LaneBench`] pass. Floats key by bit pattern — the
-/// served computation is keyed on exact values, so coalescing must be
-/// too.
+/// equal keys (everything but the seed) can share one pool job. Floats
+/// key by bit pattern — the served computation is keyed on exact
+/// values, so coalescing must be too.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct LaneKey {
     preset: u8,
@@ -365,8 +344,8 @@ struct LaneKey {
 
 /// `Some` when the work is coalescible: a tone digitize with no
 /// deadline (a deadline is per-request; lane members must share fate).
-fn lane_key(work: &Work) -> Option<LaneKey> {
-    let Work::Digitize { req, .. } = work else {
+fn lane_key(work: &SubmitRequest) -> Option<LaneKey> {
+    let SubmitBody::Digitize(req) = &work.body else {
         return None;
     };
     if req.deadline_ms != 0 {
@@ -386,72 +365,76 @@ fn lane_key(work: &Work) -> Option<LaneKey> {
     })
 }
 
-/// One request's membership in a dispatched job.
-struct Member {
-    conn: u64,
-    legacy: bool,
-    sink: ConnSink,
+/// Queues a reactor event and wakes the reactor to apply it.
+fn post(shared: &Shared, event: Event) {
+    shared
+        .events
+        .lock()
+        .expect("reactor event lock")
+        .push(event);
+    shared.waker.wake();
 }
 
-/// Guarantees every dispatched request posts exactly one
-/// [`Event::JobDone`] — even when the job closure panics or is dropped
-/// unrun — so in-flight accounting can never leak and drain can never
-/// hang.
-struct JobGuard {
+/// One dispatched request's completion obligation. Dropping it posts
+/// exactly one [`Event::JobDone`] — also when the job closure unwinds
+/// or is dropped unrun, in which case the client first gets a typed
+/// `Internal` error — so in-flight accounting can never leak and drain
+/// can never hang.
+struct Ticket {
     shared: Arc<Shared>,
-    members: Vec<Member>,
+    conn: u64,
+    sink: ConnSink,
+    /// `true` when the request holds a global in-flight slot (batch
+    /// jobs run on their own thread and don't).
     global: bool,
-    settled: bool,
-    failed: bool,
+    /// `Some(failed)` once the job has settled the request.
+    failed: Option<bool>,
 }
 
-impl JobGuard {
-    fn new(shared: Arc<Shared>, global: bool, members: Vec<Member>) -> Self {
+impl Ticket {
+    fn new(shared: &Arc<Shared>, conn: u64, sink: ConnSink, global: bool) -> Self {
         Self {
-            shared,
-            members,
+            shared: Arc::clone(shared),
+            conn,
+            sink,
             global,
-            settled: false,
-            failed: false,
+            failed: None,
         }
     }
 
-    /// Records the job's outcome; called exactly once on the normal
-    /// path.
-    fn finish(&mut self, failed: bool) {
-        self.settled = true;
-        self.failed = failed;
+    /// Records the request's outcome and releases its slots.
+    fn settle(mut self, failed: bool) {
+        self.failed = Some(failed);
     }
 }
 
-impl Drop for JobGuard {
+impl Drop for Ticket {
     fn drop(&mut self) {
-        if !self.settled {
-            // The closure unwound or was dropped unrun: tell every
-            // member so no client waits forever on a lost request.
-            self.failed = true;
-            for member in &self.members {
-                let _ = member.sink.send_now(Response::Error {
-                    code: ErrorCode::Internal,
-                    detail: "request lost: the serving job unwound".to_string(),
-                });
-            }
-        }
-        {
-            let mut events = self.shared.events.lock().expect("reactor event lock");
-            for member in &self.members {
-                events.push(Event::JobDone {
-                    conn: member.conn,
-                    legacy: member.legacy,
-                    global: self.global,
-                    failed: self.failed,
-                });
-            }
-            if self.global {
-                events.push(Event::PoolSlotFreed);
-            }
-        }
-        self.shared.waker.wake();
+        let failed = *self.failed.get_or_insert_with(|| {
+            let _ = self.sink.send_now(Response::Error {
+                code: ErrorCode::Internal,
+                detail: "request lost: the serving job unwound".to_string(),
+            });
+            true
+        });
+        post(
+            &self.shared,
+            Event::JobDone {
+                conn: self.conn,
+                global: self.global,
+                failed,
+            },
+        );
+    }
+}
+
+/// A pool job's pool-depth slot, released when the job's closure ends
+/// or is dropped unrun.
+struct PoolSlot(Arc<Shared>);
+
+impl Drop for PoolSlot {
+    fn drop(&mut self) {
+        post(&self.0, Event::PoolSlotFreed);
     }
 }
 
@@ -464,11 +447,9 @@ struct Conn {
     wbuf: Vec<u8>,
     wpos: usize,
     /// Admitted requests waiting for an in-flight slot.
-    pending: VecDeque<Work>,
+    pending: VecDeque<SubmitRequest>,
     /// Requests currently running on the pool (or a batch thread).
     inflight: u32,
-    /// `true` while a legacy ordered (corr id 0) request is in flight.
-    legacy_busy: bool,
     read_closed: bool,
     dead: bool,
 }
@@ -629,7 +610,6 @@ impl Reactor {
             match event {
                 Event::JobDone {
                     conn,
-                    legacy,
                     global,
                     failed,
                 } => {
@@ -641,9 +621,6 @@ impl Reactor {
                     }
                     if let Some(c) = self.conns.get_mut(&conn) {
                         c.inflight = c.inflight.saturating_sub(1);
-                        if legacy {
-                            c.legacy_busy = false;
-                        }
                     }
                 }
                 Event::PoolSlotFreed => {
@@ -681,7 +658,6 @@ impl Reactor {
                             wpos: 0,
                             pending: VecDeque::new(),
                             inflight: 0,
-                            legacy_busy: false,
                             read_closed: false,
                             dead: false,
                         },
@@ -780,70 +756,24 @@ impl Reactor {
                 let _ = conn.out.push_now(wrap(0, Response::ShutdownAck));
                 conn.read_closed = true;
             }
-            Request::Digitize(req) => {
+            Request::Submit(submit) => {
                 shared.metrics.digitize();
-                if let Err(detail) = validate(&req, &shared.cfg) {
-                    shared.metrics.error();
-                    let _ = conn.out.push_now(wrap(
-                        0,
-                        Response::Error {
-                            code: ErrorCode::InvalidRequest,
-                            detail,
-                        },
-                    ));
-                    return;
-                }
-                enqueue(conn, &shared, Work::Digitize { corr: 0, req });
-            }
-            Request::Ganged(req) => {
-                shared.metrics.digitize();
-                if let Err(detail) = validate_ganged(&req, &shared.cfg) {
-                    shared.metrics.error();
-                    let _ = conn.out.push_now(wrap(
-                        0,
-                        Response::Error {
-                            code: ErrorCode::InvalidRequest,
-                            detail,
-                        },
-                    ));
-                    return;
-                }
-                enqueue(conn, &shared, Work::Ganged { corr: 0, req });
-            }
-            Request::Submit(sub) => {
-                shared.metrics.digitize();
-                let corr = sub.corr_id;
-                let work = match sub.body {
-                    SubmitBody::Digitize(req) => {
-                        if let Err(detail) = validate(&req, &shared.cfg) {
-                            shared.metrics.error();
-                            let _ = conn.out.push_now(wrap(
-                                corr,
-                                Response::Error {
-                                    code: ErrorCode::InvalidRequest,
-                                    detail,
-                                },
-                            ));
-                            return;
-                        }
-                        Work::Digitize { corr, req }
-                    }
-                    SubmitBody::Ganged(req) => {
-                        if let Err(detail) = validate_ganged(&req, &shared.cfg) {
-                            shared.metrics.error();
-                            let _ = conn.out.push_now(wrap(
-                                corr,
-                                Response::Error {
-                                    code: ErrorCode::InvalidRequest,
-                                    detail,
-                                },
-                            ));
-                            return;
-                        }
-                        Work::Ganged { corr, req }
-                    }
+                let verdict = match &submit.body {
+                    SubmitBody::Digitize(req) => validate(req, &shared.cfg),
+                    SubmitBody::Ganged(req) => validate_ganged(req, &shared.cfg),
                 };
-                enqueue(conn, &shared, work);
+                if let Err(detail) = verdict {
+                    shared.metrics.error();
+                    let _ = conn.out.push_now(wrap(
+                        submit.corr_id,
+                        Response::Error {
+                            code: ErrorCode::InvalidRequest,
+                            detail,
+                        },
+                    ));
+                    return;
+                }
+                enqueue(conn, &shared, submit);
             }
             Request::JobBatch(req) => {
                 shared.metrics.job_batch();
@@ -863,22 +793,14 @@ impl Reactor {
                     out: Arc::clone(&conn.out),
                     corr: 0,
                 };
-                let mut guard = JobGuard::new(
-                    Arc::clone(&shared),
-                    false,
-                    vec![Member {
-                        conn: id,
-                        legacy: false,
-                        sink: sink.clone(),
-                    }],
-                );
+                let ticket = Ticket::new(&shared, id, sink, false);
                 // Batch jobs orchestrate their own pool fan-out and
                 // block on cache I/O, so they get a plain thread instead
                 // of occupying a pool worker.
                 self.batch_threads.push(std::thread::spawn(move || {
                     let result = run_job_batch(&req, &runner, &shared);
-                    let delivered = sink.send_now(Response::JobResult(result));
-                    guard.finish(!delivered);
+                    let delivered = ticket.sink.send_now(Response::JobResult(result));
+                    ticket.settle(!delivered);
                 }));
             }
             Request::CacheQuery(q) => {
@@ -939,7 +861,7 @@ impl Reactor {
             .copied()
             .collect();
 
-        let mut admitted: Vec<(u64, Work)> = Vec::new();
+        let mut admitted: Vec<(u64, SubmitRequest)> = Vec::new();
         'admit: loop {
             let mut progressed = false;
             for &id in &order {
@@ -952,19 +874,9 @@ impl Reactor {
                 if conn.dead || conn.inflight as usize >= per_conn {
                     continue;
                 }
-                // Legacy ordered mode serializes corr-id-0 requests per
-                // connection without blocking later pipelined ones.
-                let pos = conn
-                    .pending
-                    .iter()
-                    .position(|w| w.corr() != 0 || !conn.legacy_busy);
-                let Some(pos) = pos else { continue };
-                let Some(work) = conn.pending.remove(pos) else {
+                let Some(work) = conn.pending.pop_front() else {
                     continue;
                 };
-                if work.corr() == 0 {
-                    conn.legacy_busy = true;
-                }
                 conn.inflight += 1;
                 self.inflight += 1;
                 self.cursor = id;
@@ -976,114 +888,58 @@ impl Reactor {
             }
         }
 
-        // Partition the admitted round into coalescible tone groups and
-        // singles, preserving admission order within each.
-        let mut groups: BTreeMap<LaneKey, Vec<(u64, Work)>> = BTreeMap::new();
-        let mut singles: Vec<(u64, Work)> = Vec::new();
+        // Coalescible tones group by key, preserving admission order
+        // within each group; everything else runs as a job of one.
+        let mut groups: BTreeMap<LaneKey, Vec<(u64, SubmitRequest)>> = BTreeMap::new();
         for (id, work) in admitted {
             match lane_key(&work) {
                 Some(key) => groups.entry(key).or_default().push((id, work)),
-                None => singles.push((id, work)),
+                None => self.submit(vec![(id, work)]),
             }
-        }
-        for (id, work) in singles {
-            self.submit_single(id, work);
         }
         for (_, mut members) in groups {
             while !members.is_empty() {
                 let take = members.len().min(max_lanes);
-                let chunk: Vec<(u64, Work)> = members.drain(..take).collect();
-                if chunk.len() == 1 {
-                    let (id, work) = chunk.into_iter().next().expect("chunk of one");
-                    self.submit_single(id, work);
-                } else {
-                    self.submit_lanes(chunk);
-                }
+                self.submit(members.drain(..take).collect());
             }
         }
     }
 
-    /// Dispatches one request as its own pool job.
-    fn submit_single(&mut self, id: u64, work: Work) {
-        let Some(conn) = self.conns.get(&id) else {
-            // The connection vanished between admission and dispatch;
-            // settle the slot immediately.
-            self.inflight = self.inflight.saturating_sub(1);
-            return;
-        };
-        let corr = work.corr();
-        let sink = ConnSink {
-            out: Arc::clone(&conn.out),
-            corr,
-        };
-        let cfg = self.shared.cfg.clone();
-        let mut guard = JobGuard::new(
-            Arc::clone(&self.shared),
-            true,
-            vec![Member {
-                conn: id,
-                legacy: corr == 0,
-                sink: sink.clone(),
-            }],
-        );
-        self.pool_jobs += 1;
-        match work {
-            Work::Digitize { req, .. } => {
-                let deadline = (req.deadline_ms > 0)
-                    .then(|| Duration::from_millis(u64::from(req.deadline_ms)));
-                let _handle = self.shared.pool.submit(deadline, move |ctx| {
-                    let result = digitize_job(&req, &cfg, ctx, &sink);
-                    guard.finish(result.is_err());
-                    result
-                });
-            }
-            Work::Ganged { req, .. } => {
-                let deadline = (req.deadline_ms > 0)
-                    .then(|| Duration::from_millis(u64::from(req.deadline_ms)));
-                let _handle = self.shared.pool.submit(deadline, move |ctx| {
-                    let result = ganged_job(&req, &cfg, ctx, &sink);
-                    guard.finish(result.is_err());
-                    result
-                });
-            }
-        }
-    }
-
-    /// Dispatches a group of identical tone requests as one
-    /// lane-parallel job.
-    fn submit_lanes(&mut self, chunk: Vec<(u64, Work)>) {
-        let mut guard_members = Vec::with_capacity(chunk.len());
-        let mut lane_inputs: Vec<(ConnSink, DigitizeRequest)> = Vec::with_capacity(chunk.len());
-        for (id, work) in chunk {
-            let Work::Digitize { corr, req } = work else {
-                continue;
-            };
+    /// Dispatches one pool job serving `members` in order: a lone
+    /// request of any kind, or a coalesced group of identical tones.
+    fn submit(&mut self, members: Vec<(u64, SubmitRequest)>) {
+        let mut tickets = Vec::with_capacity(members.len());
+        for (id, work) in members {
             let Some(conn) = self.conns.get(&id) else {
+                // The connection vanished between admission and
+                // dispatch; settle the slot immediately.
                 self.inflight = self.inflight.saturating_sub(1);
                 continue;
             };
             let sink = ConnSink {
                 out: Arc::clone(&conn.out),
-                corr,
+                corr: work.corr_id,
             };
-            guard_members.push(Member {
-                conn: id,
-                legacy: corr == 0,
-                sink: sink.clone(),
-            });
-            lane_inputs.push((sink, req));
+            tickets.push((Ticket::new(&self.shared, id, sink, true), work.body));
         }
-        if lane_inputs.is_empty() {
-            return;
-        }
-        self.shared.metrics.coalesced(lane_inputs.len() as u64);
+        // Only a lone request carries a deadline: `lane_key` keeps
+        // deadlined requests out of groups, whose members share fate.
+        let deadline_ms = match tickets.as_slice() {
+            [] => return,
+            [(_, SubmitBody::Digitize(req))] => req.deadline_ms,
+            [(_, SubmitBody::Ganged(req))] => req.deadline_ms,
+            [_, ..] => {
+                self.shared.metrics.coalesced(tickets.len() as u64);
+                0
+            }
+        };
+        let deadline = (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
         let cfg = self.shared.cfg.clone();
-        let mut guard = JobGuard::new(Arc::clone(&self.shared), true, guard_members);
+        let slot = PoolSlot(Arc::clone(&self.shared));
         self.pool_jobs += 1;
-        let _handle = self.shared.pool.submit(None, move |ctx| {
-            let result = lane_job(&cfg, ctx, &lane_inputs);
-            guard.finish(result.is_err());
-            result
+        let _handle = self.shared.pool.submit(deadline, move |ctx| {
+            let _slot = slot;
+            serve_job(&cfg, ctx, tickets)
         });
     }
 
@@ -1133,13 +989,13 @@ impl Reactor {
 /// Parks a request in the connection's admission queue, shedding the
 /// newest request with a typed [`ErrorCode::Overloaded`] frame when the
 /// queue is full.
-fn enqueue(conn: &mut Conn, shared: &Arc<Shared>, work: Work) {
+fn enqueue(conn: &mut Conn, shared: &Arc<Shared>, work: SubmitRequest) {
     let cap = shared.cfg.max_pending_per_conn.max(1);
     if conn.pending.len() >= cap {
         shared.metrics.overloaded();
         shared.metrics.error();
         let _ = conn.out.push_now(wrap(
-            work.corr(),
+            work.corr_id,
             Response::Error {
                 code: ErrorCode::Overloaded,
                 detail: format!(
@@ -1203,114 +1059,123 @@ fn flush_conn(conn: &mut Conn) {
     }
 }
 
-/// Streams one digitize request's response frames into its sink. Runs
-/// on a pool worker.
+/// Serves one pool job's members in order, each through its own
+/// kind's job, settling each member's ticket as soon as its stream
+/// ends. Runs on a pool worker.
+fn serve_job(
+    cfg: &ServerConfig,
+    ctx: &JobCtx,
+    members: Vec<(Ticket, SubmitBody)>,
+) -> Result<u64, JobError> {
+    let seed = match members.first() {
+        Some((_, SubmitBody::Digitize(req))) => req.seed,
+        Some((_, SubmitBody::Ganged(req))) => req.seed,
+        None => return Err(JobError::Failed("empty job".to_string())),
+    };
+    // Scope span ids to the request's fabrication seed — two server
+    // runs serving the same request produce the same span identities.
+    // A coalesced job's span carries its member count.
+    let _trace_task = adc_trace::task(seed);
+    let _trace_job = match members.len() {
+        1 => adc_trace::span_with("request", ctx.id.0),
+        n => adc_trace::span_with("coalesced", n as u64),
+    };
+    let (mut served, mut streamed, mut error) = (0u64, 0u64, None);
+    for (ticket, body) in members {
+        let result = match &body {
+            SubmitBody::Digitize(req) => digitize_job(req, cfg, ctx, &ticket.sink),
+            SubmitBody::Ganged(req) => ganged_job(req, cfg, ctx, &ticket.sink),
+        };
+        ticket.settle(result.is_err());
+        match result {
+            Ok(n) => {
+                served += 1;
+                streamed += n;
+            }
+            Err(e) => error = Some(e),
+        }
+    }
+    ctx.record_requests(served);
+    match error {
+        Some(e) if served == 0 => Err(e),
+        _ => Ok(streamed),
+    }
+}
+
+/// Sends a request's terminal error frame and returns the job error it
+/// stands for.
+fn fail(sink: &ConnSink, code: ErrorCode, detail: String) -> Result<u64, JobError> {
+    let _ = sink.send_now(Response::Error {
+        code,
+        detail: detail.clone(),
+    });
+    Err(match code {
+        ErrorCode::TimedOut => JobError::TimedOut,
+        _ => JobError::Failed(detail),
+    })
+}
+
+/// Samples (or values) per streamed batch frame for a request.
+fn batch_len(cfg: &ServerConfig, requested: u32) -> usize {
+    match requested {
+        0 => cfg.default_batch.max(1) as usize,
+        n => n as usize,
+    }
+}
+
+/// Converts one digitize request through [`run_digitize`] and streams
+/// its record.
 fn digitize_job(
     req: &DigitizeRequest,
     cfg: &ServerConfig,
     ctx: &JobCtx,
     sink: &ConnSink,
 ) -> Result<u64, JobError> {
-    let fail = |code: ErrorCode, detail: String| {
-        let _ = sink.send_now(Response::Error {
-            code,
-            detail: detail.clone(),
-        });
-        Err(JobError::Failed(detail))
-    };
-    // Scope span ids to the request's fabrication seed — two server
-    // runs serving the same request produce the same span identities.
-    let _trace_task = adc_trace::task(req.seed);
-    let _trace_request = adc_trace::span_with("request", ctx.id.0);
     if ctx.timed_out() {
-        let _ = sink.send_now(Response::Error {
-            code: ErrorCode::TimedOut,
-            detail: "deadline expired before simulation started".to_string(),
-        });
-        return Err(JobError::TimedOut);
+        let detail = "deadline expired before simulation started".to_string();
+        return fail(sink, ErrorCode::TimedOut, detail);
     }
-    let digitize_result = {
+    let converted = {
         let _trace_digitize = adc_trace::span("digitize");
         run_digitize(req)
     };
-    let (codes, f_in_hz) = match digitize_result {
+    let (codes, f_in_hz) = match converted {
         Ok(result) => result,
-        Err(build) => return fail(error_code_for_build(&build), build.to_string()),
+        Err(build) => return fail(sink, error_code_for_build(&build), build.to_string()),
     };
     if ctx.timed_out() {
-        let _ = sink.send_now(Response::Error {
-            code: ErrorCode::TimedOut,
-            detail: "deadline expired during conversion".to_string(),
-        });
-        return Err(JobError::TimedOut);
+        let detail = "deadline expired during conversion".to_string();
+        return fail(sink, ErrorCode::TimedOut, detail);
     }
-    let batch = if req.batch_size == 0 {
-        cfg.default_batch.max(1) as usize
-    } else {
-        req.batch_size as usize
-    };
-    let _trace_stream = adc_trace::span("stream");
-    let mut batches = 0u32;
-    for (seq, chunk) in codes.chunks(batch).enumerate() {
-        let sent = sink.send(
-            ctx,
-            Response::Batch {
-                seq: seq as u32,
-                samples: chunk.to_vec(),
-            },
-        );
-        if !sent {
-            let timed_out = ctx.timed_out();
-            let _ = sink.send_now(Response::Error {
-                code: ErrorCode::TimedOut,
-                detail: format!("deadline expired after {batches} batches"),
-            });
-            return if timed_out {
-                Err(JobError::TimedOut)
-            } else {
-                Err(JobError::Failed("client went away mid-stream".to_string()))
-            };
-        }
-        batches += 1;
-        ctx.record_samples(chunk.len() as u64);
-    }
-    let done = Response::Done(DigitizeDone {
-        total_samples: codes.len() as u32,
-        batches,
-        f_in_hz,
-        stream_crc32: stream_crc(&codes),
-    });
-    if !sink.send(ctx, done) {
-        return Err(JobError::Failed("client went away at done".to_string()));
-    }
-    ctx.record_requests(1);
-    Ok(codes.len() as u64)
+    let batch = batch_len(cfg, req.batch_size);
+    stream_record(
+        sink,
+        ctx,
+        &codes,
+        batch,
+        |seq, samples| Response::Batch { seq, samples },
+        |batches| {
+            Response::Done(DigitizeDone {
+                total_samples: codes.len() as u32,
+                batches,
+                f_in_hz,
+                stream_crc32: stream_crc(&codes),
+            })
+        },
+    )
 }
 
-/// Streams one ganged request's response frames into its sink —
-/// structurally the twin of [`digitize_job`] with the array scenario in
-/// place of the single-die session.
+/// Captures one ganged request through [`run_ganged`] and streams its
+/// record.
 fn ganged_job(
     req: &GangedRequest,
     cfg: &ServerConfig,
     ctx: &JobCtx,
     sink: &ConnSink,
 ) -> Result<u64, JobError> {
-    let fail = |code: ErrorCode, detail: String| {
-        let _ = sink.send_now(Response::Error {
-            code,
-            detail: detail.clone(),
-        });
-        Err(JobError::Failed(detail))
-    };
-    let _trace_task = adc_trace::task(req.seed);
-    let _trace_request = adc_trace::span_with("request", ctx.id.0);
     if ctx.timed_out() {
-        let _ = sink.send_now(Response::Error {
-            code: ErrorCode::TimedOut,
-            detail: "deadline expired before simulation started".to_string(),
-        });
-        return Err(JobError::TimedOut);
+        let detail = "deadline expired before simulation started".to_string();
+        return fail(sink, ErrorCode::TimedOut, detail);
     }
     let capture = {
         let _trace_ganged = adc_trace::span("ganged");
@@ -1318,165 +1183,66 @@ fn ganged_job(
     };
     let capture = match capture {
         Ok(capture) => capture,
-        Err(err) => return fail(error_code_for_ganged(&err), err.to_string()),
+        Err(err) => return fail(sink, error_code_for_ganged(&err), err.to_string()),
     };
     if ctx.timed_out() {
-        let _ = sink.send_now(Response::Error {
-            code: ErrorCode::TimedOut,
-            detail: "deadline expired during conversion".to_string(),
-        });
-        return Err(JobError::TimedOut);
+        let detail = "deadline expired during conversion".to_string();
+        return fail(sink, ErrorCode::TimedOut, detail);
     }
-    let batch = if req.batch_size == 0 {
-        cfg.default_batch.max(1) as usize
-    } else {
-        req.batch_size as usize
-    };
+    let batch = batch_len(cfg, req.batch_size);
+    stream_record(
+        sink,
+        ctx,
+        &capture.values,
+        batch,
+        |seq, values| Response::GangedBatch { seq, values },
+        |batches| {
+            Response::GangedDone(GangedDone {
+                total_samples: capture.values.len() as u32,
+                batches,
+                f_in_hz: capture.f_in_hz,
+                epochs_run: capture.epochs_run,
+                converged: capture.converged,
+                stream_crc32: value_stream_crc(&capture.values),
+            })
+        },
+    )
+}
+
+/// Streams one converted record into its sink: `batch`-sized frames
+/// built by `frame`, then the summary `done` builds from the batch
+/// count. The deadline is polled between frames, also while blocked on
+/// backpressure.
+fn stream_record<T: Copy>(
+    sink: &ConnSink,
+    ctx: &JobCtx,
+    items: &[T],
+    batch: usize,
+    frame: fn(u32, Vec<T>) -> Response,
+    done: impl FnOnce(u32) -> Response,
+) -> Result<u64, JobError> {
     let _trace_stream = adc_trace::span("stream");
     let mut batches = 0u32;
-    for (seq, chunk) in capture.values.chunks(batch).enumerate() {
-        let sent = sink.send(
-            ctx,
-            Response::GangedBatch {
-                seq: seq as u32,
-                values: chunk.to_vec(),
-            },
-        );
-        if !sent {
+    for chunk in items.chunks(batch) {
+        if !sink.send(ctx, frame(batches, chunk.to_vec())) {
             let timed_out = ctx.timed_out();
             let _ = sink.send_now(Response::Error {
                 code: ErrorCode::TimedOut,
                 detail: format!("deadline expired after {batches} batches"),
             });
-            return if timed_out {
-                Err(JobError::TimedOut)
+            return Err(if timed_out {
+                JobError::TimedOut
             } else {
-                Err(JobError::Failed("client went away mid-stream".to_string()))
-            };
+                JobError::Failed("client went away mid-stream".to_string())
+            });
         }
         batches += 1;
         ctx.record_samples(chunk.len() as u64);
     }
-    let done = Response::GangedDone(GangedDone {
-        total_samples: capture.values.len() as u32,
-        batches,
-        f_in_hz: capture.f_in_hz,
-        epochs_run: capture.epochs_run,
-        converged: capture.converged,
-        stream_crc32: value_stream_crc(&capture.values),
-    });
-    if !sink.send(ctx, done) {
+    if !sink.send(ctx, done(batches)) {
         return Err(JobError::Failed("client went away at done".to_string()));
     }
-    ctx.record_requests(1);
-    Ok(capture.values.len() as u64)
-}
-
-/// Runs a coalesced group of identical tone requests as lanes of one
-/// [`LaneBench`] pass and streams each client its own record. Per-lane
-/// output is bit-identical to the scalar [`run_digitize`] path at the
-/// same seed (the lane-equivalence property `adc-testbench` tests), so
-/// coalescing is invisible to clients.
-fn lane_job(
-    cfg: &ServerConfig,
-    ctx: &JobCtx,
-    lanes: &[(ConnSink, DigitizeRequest)],
-) -> Result<u64, JobError> {
-    let Some((_, first)) = lanes.first() else {
-        return Err(JobError::Failed("empty coalesced batch".to_string()));
-    };
-    let WaveformSpec::Tone { f_target_hz } = first.waveform else {
-        return Err(JobError::Failed(
-            "coalesced batch must be tone requests".to_string(),
-        ));
-    };
-    let _trace_task = adc_trace::task(first.seed);
-    let _trace_request = adc_trace::span_with("coalesced", lanes.len() as u64);
-    let fail_all = |code: ErrorCode, detail: &str| {
-        for (sink, _) in lanes {
-            let _ = sink.send_now(Response::Error {
-                code,
-                detail: detail.to_string(),
-            });
-        }
-    };
-    if ctx.timed_out() || ctx.cancelled() {
-        fail_all(
-            ErrorCode::TimedOut,
-            "deadline expired before simulation started",
-        );
-        return Err(JobError::TimedOut);
-    }
-    let seeds: Vec<u64> = lanes.iter().map(|(_, req)| req.seed).collect();
-    let config = digitize_config(first);
-    let mut bench = match LaneBench::new(config, &seeds) {
-        Ok(bench) => bench,
-        Err(build) => {
-            let detail = build.to_string();
-            fail_all(error_code_for_build(&build), &detail);
-            return Err(JobError::Failed(detail));
-        }
-    };
-    bench.record_len = first.n_samples as usize;
-    if let Some(a) = first.overrides.amplitude_v {
-        bench.amplitude_v = a;
-    }
-    let mut outs: Vec<Vec<u16>> = vec![Vec::new(); lanes.len()];
-    let f_in_hz = {
-        let _trace_lanes = adc_trace::span("digitize_lanes");
-        bench.capture_tone_into(f_target_hz, &mut outs)
-    };
-    let batch = if first.batch_size == 0 {
-        cfg.default_batch.max(1) as usize
-    } else {
-        first.batch_size as usize
-    };
-    let _trace_stream = adc_trace::span("stream");
-    let mut served = 0u64;
-    let mut streamed = 0u64;
-    for ((sink, _), codes) in lanes.iter().zip(&outs) {
-        let mut delivered = true;
-        let mut batches = 0u32;
-        for (seq, chunk) in codes.chunks(batch).enumerate() {
-            let sent = sink.send(
-                ctx,
-                Response::Batch {
-                    seq: seq as u32,
-                    samples: chunk.to_vec(),
-                },
-            );
-            if !sent {
-                let _ = sink.send_now(Response::Error {
-                    code: ErrorCode::TimedOut,
-                    detail: format!("deadline expired after {batches} batches"),
-                });
-                delivered = false;
-                break;
-            }
-            batches += 1;
-            ctx.record_samples(chunk.len() as u64);
-        }
-        if !delivered {
-            continue;
-        }
-        let done = Response::Done(DigitizeDone {
-            total_samples: codes.len() as u32,
-            batches,
-            f_in_hz,
-            stream_crc32: stream_crc(codes),
-        });
-        if sink.send(ctx, done) {
-            served += 1;
-            streamed += codes.len() as u64;
-        }
-    }
-    ctx.record_requests(served);
-    if served == 0 {
-        return Err(JobError::Failed(
-            "every coalesced client went away mid-stream".to_string(),
-        ));
-    }
-    Ok(streamed)
+    Ok(items.len() as u64)
 }
 
 #[cfg(test)]
@@ -1485,11 +1251,15 @@ mod tests {
     use crate::protocol::{encode_request, ConfigOverrides, Preset};
     use adc_runtime::{JobCtx, JobId};
 
-    fn tone(seed: u64) -> Work {
-        Work::Digitize {
-            corr: 1,
-            req: DigitizeRequest::tone(seed, 10e6, 2048),
+    fn digitize(req: DigitizeRequest) -> SubmitRequest {
+        SubmitRequest {
+            corr_id: 1,
+            body: SubmitBody::Digitize(req),
         }
+    }
+
+    fn tone(seed: u64) -> SubmitRequest {
+        digitize(DigitizeRequest::tone(seed, 10e6, 2048))
     }
 
     #[test]
@@ -1500,11 +1270,7 @@ mod tests {
 
         let mut other = DigitizeRequest::tone(3, 10e6, 2048);
         other.preset = Preset::Ideal;
-        let c = lane_key(&Work::Digitize {
-            corr: 1,
-            req: other,
-        })
-        .unwrap();
+        let c = lane_key(&digitize(other)).unwrap();
         assert_ne!(a, c, "preset splits the group");
 
         let mut amp = DigitizeRequest::tone(4, 10e6, 2048);
@@ -1512,17 +1278,13 @@ mod tests {
             amplitude_v: Some(0.5),
             ..ConfigOverrides::default()
         };
-        let d = lane_key(&Work::Digitize { corr: 1, req: amp }).unwrap();
+        let d = lane_key(&digitize(amp)).unwrap();
         assert_ne!(a, d, "amplitude override splits the group");
 
         let mut deadlined = DigitizeRequest::tone(5, 10e6, 2048);
         deadlined.deadline_ms = 100;
         assert!(
-            lane_key(&Work::Digitize {
-                corr: 1,
-                req: deadlined
-            })
-            .is_none(),
+            lane_key(&digitize(deadlined)).is_none(),
             "deadlines opt out of coalescing"
         );
 
@@ -1530,14 +1292,11 @@ mod tests {
             waveform: WaveformSpec::Dc { level_v: 0.1 },
             ..DigitizeRequest::tone(6, 10e6, 2048)
         };
-        assert!(
-            lane_key(&Work::Digitize { corr: 1, req: dc }).is_none(),
-            "only tones coalesce"
-        );
+        assert!(lane_key(&digitize(dc)).is_none(), "only tones coalesce");
 
-        let ganged = Work::Ganged {
-            corr: 1,
-            req: GangedRequest::tone(7, 2, 10e6, 2048),
+        let ganged = SubmitRequest {
+            corr_id: 1,
+            body: SubmitBody::Ganged(GangedRequest::tone(7, 2, 10e6, 2048)),
         };
         assert!(lane_key(&ganged).is_none(), "ganged never coalesces");
     }

@@ -16,8 +16,7 @@
 //!   reactor flushes; the bound is the backpressure mechanism.
 //! * Requests pipelined under nonzero correlation ids run concurrently
 //!   (up to the admission caps) and complete out of order; identical
-//!   tone requests arriving together coalesce into one lane-parallel
-//!   pass.
+//!   tone requests arriving together coalesce into one pool job.
 //!
 //! ## Deadlines
 //!
@@ -98,8 +97,7 @@ pub struct ServerConfig {
     /// Per-connection admission-queue depth; requests beyond it are
     /// shed with [`ErrorCode::Overloaded`].
     pub max_pending_per_conn: usize,
-    /// Most identical tone requests coalesced into one lane-parallel
-    /// job.
+    /// Most identical tone requests coalesced into one pool job.
     pub max_coalesce_lanes: usize,
     /// The host's campaign-job capability; `None` (the default) answers
     /// `JobBatch` requests with [`ErrorCode::Unsupported`].
@@ -305,8 +303,18 @@ impl Server {
 pub fn preset_config(preset: Preset) -> AdcConfig {
     match preset {
         Preset::Nominal110 => AdcConfig::nominal_110ms(),
-        Preset::Ideal => AdcConfig::ideal(110e6),
+        Preset::Ideal => AdcConfig::ideal(preset_rate_hz(Preset::Ideal)),
         Preset::Sibling220 => AdcConfig::sibling_220ms_10b(),
+    }
+}
+
+/// The conversion rate of [`preset_config`]`(preset)`, read without
+/// building the config: request validation runs on the reactor thread
+/// and must not reach the config builders' panicking checks.
+fn preset_rate_hz(preset: Preset) -> f64 {
+    match preset {
+        Preset::Nominal110 | Preset::Ideal => 110e6,
+        Preset::Sibling220 => 220e6,
     }
 }
 
@@ -466,7 +474,10 @@ pub(crate) fn validate(req: &DigitizeRequest, cfg: &ServerConfig) -> Result<(), 
     if let WaveformSpec::Tone { f_target_hz } = req.waveform {
         // A non-positive rate is the build step's typed error; only a
         // buildable rate can place (or fail to place) a coherent tone.
-        let f_cr = digitize_config(req).f_cr_hz;
+        let f_cr = req
+            .overrides
+            .f_cr_hz
+            .unwrap_or_else(|| preset_rate_hz(req.preset));
         if f_cr > 0.0 && clear_tone_hz(f_cr, req.n_samples as usize, f_target_hz).is_none() {
             return Err(format!(
                 "a {}-sample record has no coherent tone bin clear of DC and Nyquist",
@@ -647,6 +658,17 @@ mod tests {
             } else {
                 proptest::prop_assert!(verdict.is_ok(), "n = {}: {:?}", n, verdict);
             }
+        }
+    }
+
+    #[test]
+    fn preset_rates_match_the_preset_configs() {
+        for preset in [Preset::Nominal110, Preset::Ideal, Preset::Sibling220] {
+            assert_eq!(
+                preset_rate_hz(preset).to_bits(),
+                preset_config(preset).f_cr_hz.to_bits(),
+                "{preset:?}"
+            );
         }
     }
 

@@ -1,7 +1,8 @@
 //! Property tests over the wire protocol: encode/decode is a lossless
 //! round trip for arbitrary well-formed messages, and decoding is a
-//! *total* function — truncated or corrupted frames come back as typed
-//! [`WireError`]s, never panics.
+//! *total* function — truncated, corrupted, retired-kind, or
+//! wrong-version frames come back as typed [`WireError`]s, never
+//! panics.
 
 use proptest::prelude::*;
 
@@ -108,6 +109,34 @@ fn job_batch(batch_id: u64, seed: u64, jobs: usize, cfg_len: usize) -> JobBatchR
     }
 }
 
+fn submit(corr_id: u64, body: SubmitBody) -> Request {
+    Request::Submit(SubmitRequest { corr_id, body })
+}
+
+/// Recomputes a frame's CRC trailer after a deliberate header or
+/// payload edit, so the decoder sees the edit rather than a bad CRC.
+fn reseal(frame: &mut [u8]) {
+    let body = frame.len() - 4;
+    let crc = adc_server::protocol::crc32(&frame[..body]);
+    frame[body..].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// `frame` with its kind byte replaced, CRC resealed.
+fn with_kind(frame: &[u8], kind: u8) -> Vec<u8> {
+    let mut forged = frame.to_vec();
+    forged[6] = kind;
+    reseal(&mut forged);
+    forged
+}
+
+/// `frame` with its header version replaced, CRC resealed.
+fn with_version(frame: &[u8], version: u16) -> Vec<u8> {
+    let mut forged = frame.to_vec();
+    forged[4..6].copy_from_slice(&version.to_le_bytes());
+    reseal(&mut forged);
+    forged
+}
+
 fn cache_entries(seed: u64, n: usize, line_len: usize) -> Vec<(u64, String)> {
     (0..n)
         .map(|i| {
@@ -122,11 +151,16 @@ fn cache_entries(seed: u64, n: usize, line_len: usize) -> Vec<(u64, String)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Every request kind round-trips bit-exactly through the codec.
+    /// Every request kind round-trips bit-exactly through the codec,
+    /// and the same frame is rejected with a typed error when forged
+    /// into a retired kind (the version-1 bare digitize 0x02 and
+    /// ganged 0x05), a version-1 header, or a `Submit` under
+    /// correlation id 0.
     #[test]
     fn requests_round_trip(
         kind in 0u8..9,
         token in 0u64..u64::MAX,
+        corr_id in 1u64..u64::MAX,
         preset_tag in 0u8..3,
         seed in 0u64..u64::MAX,
         mask in 0u8..16,
@@ -140,13 +174,13 @@ proptest! {
     ) {
         let request = match kind {
             0 => Request::Ping { token },
-            1 => Request::Digitize(digitize(
+            1 => submit(corr_id, SubmitBody::Digitize(digitize(
                 preset_tag, seed, mask, wf_tag, f_a, f_b, n_samples, batch_size, deadline_ms,
-            )),
+            ))),
             2 => Request::Metrics,
-            3 => Request::Ganged(ganged(
+            3 => submit(corr_id, SubmitBody::Ganged(ganged(
                 preset_tag, seed, channels, mask, f_a, n_samples, batch_size, deadline_ms,
-            )),
+            ))),
             4 => Request::Shutdown,
             5 => Request::JobBatch(job_batch(
                 token, seed, n_samples as usize % 20, batch_size as usize % 48,
@@ -159,24 +193,39 @@ proptest! {
                 campaign: format!("fill-{}", token & 0xF),
                 entries: cache_entries(seed, n_samples as usize % 16, batch_size as usize),
             }),
-            // Pipelined submissions: the correlation id (any u64,
-            // including 0 = legacy ordered mode) must survive exactly.
-            _ => Request::Submit(SubmitRequest {
-                corr_id: token,
-                body: if wf_tag % 2 == 0 {
-                    SubmitBody::Digitize(digitize(
-                        preset_tag, seed, mask, wf_tag, f_a, f_b, n_samples, batch_size,
-                        deadline_ms,
-                    ))
-                } else {
-                    SubmitBody::Ganged(ganged(
-                        preset_tag, seed, channels, mask, f_a, n_samples, batch_size, deadline_ms,
-                    ))
-                },
+            // Submissions: any nonzero correlation id survives
+            // exactly.
+            _ => submit(token.max(1), if wf_tag % 2 == 0 {
+                SubmitBody::Digitize(digitize(
+                    preset_tag, seed, mask, wf_tag, f_a, f_b, n_samples, batch_size,
+                    deadline_ms,
+                ))
+            } else {
+                SubmitBody::Ganged(ganged(
+                    preset_tag, seed, channels, mask, f_a, n_samples, batch_size, deadline_ms,
+                ))
             }),
         };
-        let decoded = decode_request(&encode_request(&request));
+        let frame = encode_request(&request);
+        let decoded = decode_request(&frame);
         prop_assert_eq!(decoded.as_ref(), Ok(&request));
+
+        for retired in [0x02u8, 0x05] {
+            prop_assert_eq!(
+                decode_request(&with_kind(&frame, retired)),
+                Err(WireError::UnknownKind(retired))
+            );
+        }
+        prop_assert_eq!(
+            decode_request(&with_version(&frame, 1)),
+            Err(WireError::BadVersion(1))
+        );
+        if let Request::Submit(SubmitRequest { body, .. }) = request {
+            prop_assert_eq!(
+                decode_request(&encode_request(&submit(0, body))),
+                Err(WireError::Malformed("submit corr_id 0"))
+            );
+        }
     }
 
     /// Out-of-range channel counts in a ganged frame decode to the typed
@@ -199,9 +248,9 @@ proptest! {
         } else {
             raw_channels
         };
-        let request = Request::Ganged(ganged(
+        let request = submit(1, SubmitBody::Ganged(ganged(
             preset_tag, seed, bad_channels, flags, f_a, n_samples, 0, 0,
-        ));
+        )));
         // The encoder writes whatever it is given; the decoder must
         // reject it with the typed error, never a panic.
         let decoded = decode_request(&encode_request(&request));
@@ -216,11 +265,11 @@ proptest! {
         n_samples in 1u32..100_000,
         cut_frac in 0.0f64..1.0,
     ) {
-        let frame = encode_request(&Request::Ganged(GangedRequest {
+        let frame = encode_request(&submit(1, SubmitBody::Ganged(GangedRequest {
             channels,
             n_samples,
             ..GangedRequest::tone(seed, 2, 20e6, 4096)
-        }));
+        })));
         let cut = ((frame.len() as f64 * cut_frac) as usize).min(frame.len() - 1);
         prop_assert!(decode_request(&frame[..cut]).is_err());
     }
@@ -281,9 +330,7 @@ proptest! {
             .position(|(a, b)| a != b)
             .expect("encodings differ in the status byte");
         frame[pos] = bad_status;
-        let body = frame.len() - 4;
-        let crc = adc_server::protocol::crc32(&frame[..body]);
-        frame[body..].copy_from_slice(&crc.to_le_bytes());
+        reseal(&mut frame);
         prop_assert_eq!(
             decode_response(&frame),
             Err(WireError::Malformed("job status discriminant"))
@@ -468,11 +515,10 @@ proptest! {
         n_samples in 1u32..10_000,
         cut_frac in 0.0f64..1.0,
     ) {
-        let frame = encode_request(&Request::Digitize(DigitizeRequest::tone(
-            seed,
-            10e6,
-            n_samples,
-        )));
+        let frame = encode_request(&submit(
+            1,
+            SubmitBody::Digitize(DigitizeRequest::tone(seed, 10e6, n_samples)),
+        ));
         let cut = ((frame.len() as f64 * cut_frac) as usize).min(frame.len() - 1);
         prop_assert!(decode_request(&frame[..cut]).is_err());
     }
@@ -514,7 +560,7 @@ proptest! {
     /// decode.
     #[test]
     fn truncated_submit_frames_are_rejected(
-        corr_id in 0u64..u64::MAX,
+        corr_id in 1u64..u64::MAX,
         seed in 0u64..u64::MAX,
         n_samples in 1u32..100_000,
         cut_frac in 0.0f64..1.0,
@@ -535,7 +581,7 @@ proptest! {
     /// every preset rate and target.
     #[test]
     fn short_tone_requests_decode_but_cannot_be_placed(
-        corr_id in 0u64..u64::MAX,
+        corr_id in 1u64..u64::MAX,
         seed in 0u64..u64::MAX,
         preset_tag in 0u8..3,
         f_mhz in 0.1f64..500.0,

@@ -133,6 +133,11 @@ impl Window {
 pub fn coherent_frequency(fs_hz: f64, n: usize, f_target_hz: f64) -> (f64, usize) {
     assert!(n > 0 && n.is_power_of_two(), "record length must be 2^k");
     assert!(fs_hz > 0.0, "sample rate must be positive");
+    coherent_cycles(fs_hz, n, f_target_hz)
+}
+
+/// [`coherent_frequency`] after its input checks.
+fn coherent_cycles(fs_hz: f64, n: usize, f_target_hz: f64) -> (f64, usize) {
     let ideal = f_target_hz / fs_hz * n as f64;
     let mut m = ideal.round() as i64;
     if m % 2 == 0 {
@@ -167,16 +172,16 @@ pub fn alias_bin(cycles: usize, n: usize) -> usize {
 /// Returns `None` when no odd cycle count clears the exclusion regions:
 /// a record too short for `min_alias_bin` (e.g. `n = 32` with 8 bins of
 /// clearance leaves only the even bin 8, and `n = 16` leaves nothing).
-///
-/// # Panics
-///
-/// Panics on the same inputs as [`coherent_frequency`].
+/// It is total: the inputs [`coherent_frequency`] panics on (`n` not a
+/// nonzero power of two, `fs_hz` not positive) also give `None`.
 ///
 /// ```
 /// use adc_spectral::window::coherent_frequency_clear;
 /// assert!(coherent_frequency_clear(110e6, 8192, 10e6, 8).is_some());
 /// assert_eq!(coherent_frequency_clear(110e6, 32, 10e6, 8), None);
 /// assert_eq!(coherent_frequency_clear(110e6, 16, 10e6, 8), None);
+/// assert_eq!(coherent_frequency_clear(110e6, 1000, 10e6, 8), None);
+/// assert_eq!(coherent_frequency_clear(0.0, 8192, 10e6, 8), None);
 /// ```
 pub fn coherent_frequency_clear(
     fs_hz: f64,
@@ -184,10 +189,10 @@ pub fn coherent_frequency_clear(
     f_target_hz: f64,
     min_alias_bin: usize,
 ) -> Option<(f64, usize)> {
-    let (_, m0) = coherent_frequency(fs_hz, n, f_target_hz);
-    if min_alias_bin >= n / 2 {
+    if !(n.is_power_of_two() && fs_hz > 0.0) || min_alias_bin >= n / 2 {
         return None;
     }
+    let (_, m0) = coherent_cycles(fs_hz, n, f_target_hz);
     let ok = |m: usize| {
         let b = alias_bin(m, n);
         b >= min_alias_bin && b <= n / 2 - min_alias_bin

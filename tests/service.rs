@@ -5,14 +5,17 @@
 //! requests, corrupt frames, deadlines, drain) must all surface as
 //! typed protocol errors, never hangs or panics.
 
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 use pipeline_adc::pipeline::AdcConfig;
-use pipeline_adc::server::protocol::{self, encode_request, Request};
+use pipeline_adc::server::protocol::{
+    self, decode_response_frame, encode_request, FrameAssembler, Request,
+};
 use pipeline_adc::server::{
     ganged_scenario, Client, ClientError, ConfigOverrides, DigitizeRequest, ErrorCode,
-    GangedRequest, PipelinedClient, PipelinedOutcome, Server, ServerConfig, WaveformSpec,
+    GangedRequest, PipelinedClient, PipelinedOutcome, Response, Server, ServerConfig, WaveformSpec,
 };
 use pipeline_adc::testbench::MeasurementSession;
 
@@ -31,6 +34,32 @@ fn direct_record_n(seed: u64, n_samples: u32) -> (Vec<u16>, f64) {
         MeasurementSession::new(AdcConfig::nominal_110ms(), seed).expect("nominal builds");
     session.record_len = n_samples as usize;
     session.capture_tone(F_TARGET)
+}
+
+/// Writes `frame` on a raw socket and collects every response frame
+/// until the server closes the connection (a read timeout fails the
+/// test instead of hanging it).
+fn raw_exchange(addr: SocketAddr, frame: &[u8]) -> Vec<Response> {
+    let mut raw = TcpStream::connect(addr).expect("raw connect");
+    raw.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    raw.write_all(frame).expect("write raw frame");
+    let mut assembler = FrameAssembler::new();
+    let mut buf = [0u8; 4096];
+    let mut responses = Vec::new();
+    loop {
+        let n = raw.read(&mut buf).expect("server answers, then closes");
+        if n == 0 {
+            return responses;
+        }
+        assembler.extend(&buf[..n]);
+        while let Some((kind, payload)) = assembler
+            .next_frame(protocol::MAX_PAYLOAD)
+            .expect("well-formed reply frame")
+        {
+            responses.push(decode_response_frame(kind, &payload).expect("decodable reply"));
+        }
+    }
 }
 
 #[test]
@@ -232,6 +261,9 @@ fn overload_sheds_typed_errors_while_admitted_requests_complete() {
     let metrics = handle.metrics().snapshot();
     assert_eq!(metrics.overloaded, shed);
     assert_eq!(metrics.in_flight, 0);
+    // With one lane per job every request is served alone, and only
+    // jobs of two or more members count as coalesced.
+    assert_eq!(metrics.coalesced, 0);
 
     handle.shutdown();
     join.join().expect("server thread").expect("serve returns");
@@ -431,16 +463,21 @@ fn invalid_requests_come_back_as_typed_errors() {
         }
     }
 
-    // A corrupt frame gets a Protocol error and a close — not a hang.
-    let mut raw = TcpStream::connect(handle.addr()).expect("raw connect");
-    let mut frame = encode_request(&Request::Ping { token: 1 });
-    frame[0] ^= 0xFF; // destroy the magic
-    raw.write_all(&frame).expect("write corrupt frame");
-    match protocol::read_response(&mut raw, protocol::MAX_PAYLOAD) {
-        Ok(pipeline_adc::server::Response::Error { code, .. }) => {
-            assert_eq!(code, ErrorCode::Protocol)
+    // A corrupt frame, and a frame of the retired bare-digitize kind
+    // 0x02, each get a Protocol error and a close — not a hang.
+    let ping = encode_request(&Request::Ping { token: 1 });
+    let mut corrupt = ping.clone();
+    corrupt[0] ^= 0xFF; // destroy the magic
+    let mut retired = ping;
+    retired[6] = 0x02;
+    let body = retired.len() - 4;
+    let crc = protocol::crc32(&retired[..body]);
+    retired[body..].copy_from_slice(&crc.to_le_bytes());
+    for frame in [corrupt, retired] {
+        match raw_exchange(handle.addr(), &frame).as_slice() {
+            [Response::Error { code, .. }] => assert_eq!(*code, ErrorCode::Protocol),
+            other => panic!("expected one protocol error frame, got {other:?}"),
         }
-        other => panic!("expected protocol error frame, got {other:?}"),
     }
 
     handle.shutdown();
