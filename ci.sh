@@ -21,10 +21,12 @@
 #   determinism -- cross-profile anchor: the `determinism` integration
 #                  test runs in debug AND release against one shared
 #                  ADC_DETERMINISM_HASH_FILE (campaign digest) and
-#                  ADC_DETERMINISM_LANES_HASH_FILE (lane-parallel SoA
-#                  kernel digest), so "debug and release produce
-#                  bit-identical campaign AND laned-conversion results"
-#                  is asserted, not assumed
+#                  ADC_DETERMINISM_LANES_HASH_FILE (digest of the
+#                  `LaneBatch` records at 1/4/8 lanes, jitter on and
+#                  off, all through the systolic record kernel), so
+#                  "debug and release produce bit-identical campaign
+#                  AND laned-conversion results" is asserted, not
+#                  assumed
 #   service     -- loopback gate: the `service` suite (real TCP server,
 #                  concurrent clients, pipelined out-of-order
 #                  completions, admission-control shedding under
@@ -46,15 +48,12 @@
 #                  BENCH_interleave.json, and BENCH_cluster.json in a
 #                  scratch dir and diffs them against the baselines
 #                  committed at HEAD with `bench_compare` (±30% on
-#                  samples/sec, p99 latency, DSP-kernel us/call,
-#                  ganged-array us/epoch, cluster jobs/sec, and — via
-#                  --lanes — the DSP lane-axis rows: laned samples/sec
-#                  and speedup vs scalar per lane count; exempt across
-#                  differing host_cpus; the DSP, interleave, and
-#                  cluster comparisons are skipped when HEAD predates
-#                  their reports, and the lane axis is advisory while
-#                  the baseline predates the lanes field). Advisory by
-#                  default; fatal under --deny-perf.
+#                  samples/sec, p99 latency, DSP lane samples/sec and
+#                  speedup vs scalar, DSP-kernel and paper-kernel
+#                  us/call, ganged-array us/epoch, cluster jobs/sec;
+#                  exempt across differing host_cpus). Every baseline
+#                  must exist at HEAD. Advisory by default; fatal under
+#                  --deny-perf.
 #
 # Every run writes target/ci_summary.json (stage wall-clock + status +
 # exit status) for artifact upload, and appends the same table — with
@@ -201,31 +200,17 @@ stage_perf() {
   baseline="$SCRATCH/baseline"
   fresh="$SCRATCH/fresh"
   mkdir -p "$baseline" "$fresh"
-  if ! git show HEAD:BENCH_runtime.json > "$baseline/BENCH_runtime.json" 2>/dev/null ||
-     ! git show HEAD:BENCH_service.json > "$baseline/BENCH_service.json" 2>/dev/null; then
-    echo "no committed BENCH baselines at HEAD; skipping perf gate"
-    return 0
-  fi
-  # BENCH_dsp.json, BENCH_interleave.json, and BENCH_cluster.json are
-  # newer than the other baselines; bench_compare skips their
-  # comparisons gracefully when HEAD predates them.
-  git show HEAD:BENCH_dsp.json > "$baseline/BENCH_dsp.json" 2>/dev/null ||
-    rm -f "$baseline/BENCH_dsp.json"
-  git show HEAD:BENCH_interleave.json > "$baseline/BENCH_interleave.json" 2>/dev/null ||
-    rm -f "$baseline/BENCH_interleave.json"
-  git show HEAD:BENCH_cluster.json > "$baseline/BENCH_cluster.json" 2>/dev/null ||
-    rm -f "$baseline/BENCH_cluster.json"
+  for report in runtime service dsp interleave cluster; do
+    git show "HEAD:BENCH_$report.json" > "$baseline/BENCH_$report.json"
+  done
   cargo build --release -q -p adc-bench --bins
   bin_dir="$PWD/target/release"
   (cd "$fresh" && "$bin_dir/bench_runtime" && "$bin_dir/bench_service" &&
     "$bin_dir/bench_dsp" && "$bin_dir/bench_interleave" && "$bin_dir/bench_cluster")
   deny_flag=()
   [ "$DENY_PERF" = 1 ] && deny_flag=(--deny-perf)
-  # --lanes adds the DSP lane-axis rows (laned samples/sec and speedup
-  # vs scalar per lane count); advisory automatically while the HEAD
-  # baseline predates the lanes field.
   "$bin_dir/bench_compare" --baseline-dir "$baseline" --fresh-dir "$fresh" \
-    --lanes "${deny_flag[@]}"
+    "${deny_flag[@]}"
 }
 
 for stage in "${SELECTED[@]}"; do

@@ -9,9 +9,8 @@
 //! warm caches never short-circuit the compute being timed (each window
 //! asserts `remote_computed == jobs`).
 //!
-//! Each figure is the best window out of many covering at least
-//! [`MIN_WALL_S`] of wall time (minimum-time estimator, same rationale
-//! as `bench_dsp`). The 2-host/1-host speedup is printed as an advisory
+//! Each figure is the best window of the shared minimum-time timer
+//! ([`adc_bench::timing`]). The 2-host/1-host speedup is printed as an advisory
 //! figure: on a single-core runner both hosts share one CPU and the
 //! ratio stays near 1.0, which is exactly the case `bench_compare`'s
 //! `host_cpus` provenance exemption covers.
@@ -19,17 +18,15 @@
 //! Workload knobs: `ADC_CLUSTER_JOBS` (jobs per window, default 8),
 //! `ADC_CLUSTER_RECORD` (record length per die, default 512).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use adc_bench::cli::env_usize;
+use adc_bench::timing::best_window;
 use adc_cluster::{
     preset_index, standard_registry, ClusterCampaign, ClusterExecutor, ClusterOptions,
 };
 use adc_runtime::{canonical_key, CacheCodec};
 use adc_server::{Preset, Server, ServerConfig, ServerHandle};
-
-/// Minimum total wall time per measurement, seconds.
-const MIN_WALL_S: f64 = 0.3;
 
 /// One host-count measurement.
 struct ClusterFigure {
@@ -109,18 +106,7 @@ fn bench_hosts(
     // Warm up connections, code paths, and the servers' worker pools.
     run_window(next_seed);
 
-    let mut windows = 0usize;
-    let mut best_window_s = f64::INFINITY;
-    let start = Instant::now();
-    loop {
-        let window = Instant::now();
-        run_window(next_seed);
-        best_window_s = best_window_s.min(window.elapsed().as_secs_f64());
-        windows += 1;
-        if start.elapsed().as_secs_f64() >= MIN_WALL_S && windows >= 4 {
-            break;
-        }
-    }
+    let best = best_window(next_seed, |_| {}, run_window);
 
     for (handle, join) in hosts {
         handle.shutdown();
@@ -129,8 +115,8 @@ fn bench_hosts(
     ClusterFigure {
         name: format!("hosts{host_count}"),
         hosts: host_count,
-        jobs_per_sec: jobs as f64 / best_window_s.max(1e-12),
-        windows,
+        jobs_per_sec: jobs as f64 / best.best_s,
+        windows: best.windows,
     }
 }
 

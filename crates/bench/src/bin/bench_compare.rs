@@ -4,31 +4,23 @@
 //!
 //! ```text
 //! bench_compare [--baseline-dir DIR] [--fresh-dir DIR]
-//!               [--tolerance PCT] [--deny-perf] [--lanes]
+//!               [--tolerance PCT] [--deny-perf]
 //! ```
 //!
-//! For every campaign in the runtime report the parallel `samples_per_sec`
-//! is compared, and for the service report `samples_per_sec` plus the
-//! client p99 latency. The DSP report compares single-thread conversion
-//! `samples_per_sec` per configuration row and `fft_real` `us_per_call`
-//! per record length; the interleave report compares ganged-array
-//! conversion `samples_per_sec` and background-calibration
-//! `us_per_epoch` per array row; the cluster report compares
-//! distributed campaign `jobs_per_sec` per host-count row. These
-//! reports are *optional* — when either side
-//! lacks the file (a baseline predating the report) the comparison is
-//! skipped rather than failed. `--lanes` adds the DSP report's
-//! lane-parallel axis: laned conversion samples/sec *and* the
-//! scalar-relative speedup per lane count, advisory (printed, not
-//! diffed) when the baseline predates the `lanes` field. A figure regresses when it is worse than the baseline by
-//! more than the tolerance (default 30%): throughput lower, latency
-//! higher. Improvements always pass.
+//! Every gated figure is one entry of the [`GATES`] table: a report
+//! file, the row array holding the figure (or the report's top level),
+//! the field that matches a baseline row to its fresh counterpart, the
+//! figure's path within the row, which way is worse, and a tolerance
+//! multiplier. A figure regresses when it is worse than the baseline by
+//! more than the tolerance (default 30%) times that multiplier:
+//! throughput lower, latency higher. Improvements always pass. A
+//! baseline row with no fresh counterpart (a renamed row) is skipped.
 //!
-//! Benchmarks are only comparable between like machines, so when the
-//! `provenance.host_cpus` stamps differ the comparison is *exempt*: the
-//! diff is still printed but regressions cannot fail the gate. Baselines
-//! predating the provenance stamp fall back to the top-level
-//! `host_cpus` field, else count as unknown (treated as a host mismatch).
+//! Every report is required: one that is missing or unparsable on
+//! either side is an error. Benchmarks are only comparable between like
+//! machines, so when the `provenance.host_cpus` stamps differ (or one
+//! is missing) the comparison is *exempt*: the diff is still printed
+//! but regressions cannot fail the gate.
 //!
 //! Exit status: `0` when clean, exempt, or regressions found without
 //! `--deny-perf`; `1` on regressions under `--deny-perf`; `2` on
@@ -48,12 +40,11 @@ struct Options {
     fresh_dir: String,
     tolerance_pct: f64,
     deny_perf: bool,
-    lanes: bool,
 }
 
 fn usage() -> String {
     "usage: bench_compare [--baseline-dir DIR] [--fresh-dir DIR] \
-     [--tolerance PCT] [--deny-perf] [--lanes]"
+     [--tolerance PCT] [--deny-perf]"
         .to_string()
 }
 
@@ -63,7 +54,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         fresh_dir: ".".to_string(),
         tolerance_pct: DEFAULT_TOLERANCE_PCT,
         deny_perf: false,
-        lanes: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -86,7 +76,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     })?;
             }
             "--deny-perf" => opts.deny_perf = true,
-            "--lanes" => opts.lanes = true,
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown argument {other}\n{}", usage())),
         }
@@ -103,20 +92,80 @@ fn lookup_f64(doc: &Json, path: &str) -> Option<f64> {
     lookup(doc, path).and_then(Json::as_f64)
 }
 
-/// The `host_cpus` stamp of a report: the provenance object when
-/// present, else the legacy top-level field of pre-provenance baselines.
-fn host_cpus(doc: &Json) -> Option<f64> {
-    lookup_f64(doc, "provenance.host_cpus").or_else(|| lookup_f64(doc, "host_cpus"))
-}
-
 /// Which way "worse" points for a figure.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Direction {
     /// Bigger is better (throughput): a drop is a regression.
-    HigherIsBetter,
-    /// Smaller is better (latency): a rise is a regression.
-    LowerIsBetter,
+    Higher,
+    /// Smaller is better (latency, time per call): a rise is a
+    /// regression.
+    Lower,
 }
+
+use Direction::{Higher, Lower};
+
+/// One gated figure family.
+struct Gate {
+    /// Report file name.
+    file: &'static str,
+    /// `(row array, key field)` holding the figure, or `None` for one
+    /// figure at the report's top level.
+    rows: Option<(&'static str, &'static str)>,
+    /// `.`-separated path to the figure within a row (or the report).
+    value: &'static str,
+    dir: Direction,
+    /// Multiplier on the tolerance; 2.0 gates at twice the tolerance.
+    tol_mult: f64,
+}
+
+const fn gate(
+    file: &'static str,
+    rows: Option<(&'static str, &'static str)>,
+    value: &'static str,
+    dir: Direction,
+    tol_mult: f64,
+) -> Gate {
+    Gate {
+        file,
+        rows,
+        value,
+        dir,
+        tol_mult,
+    }
+}
+
+const RUNTIME: &str = "BENCH_runtime.json";
+const SERVICE: &str = "BENCH_service.json";
+const DSP: &str = "BENCH_dsp.json";
+const INTERLEAVE: &str = "BENCH_interleave.json";
+const CLUSTER: &str = "BENCH_cluster.json";
+
+/// Every gated figure, grouped by report in the order reports are read.
+#[rustfmt::skip]
+const GATES: &[Gate] = &[
+    gate(RUNTIME, Some(("campaigns", "name")), "parallel.samples_per_sec", Higher, 1.0),
+    gate(SERVICE, None, "samples_per_sec", Higher, 1.0),
+    gate(SERVICE, None, "requests_per_sec", Higher, 1.0),
+    gate(SERVICE, None, "saturation_rps", Higher, 1.0),
+    // Client-observed open-loop tail latency counts generator-side
+    // scheduling noise on a shared host (multi-ms ambient stalls land
+    // right at the p99 rank), so it swings ~2x between otherwise
+    // identical runs: double tolerance. The server-side default-load
+    // p99 is the stable tail gate.
+    gate(SERVICE, None, "client_latency_us.p99", Lower, 2.0),
+    gate(SERVICE, None, "default_load.server_latency_us.p99", Lower, 1.0),
+    gate(DSP, Some(("conversion", "name")), "samples_per_sec", Higher, 1.0),
+    gate(DSP, Some(("lanes", "lanes")), "samples_per_sec", Higher, 1.0),
+    // Diffing the scalar-relative speedup as well as the raw throughput
+    // catches the laned path degrading toward scalar while both rows
+    // drift within tolerance on an otherwise slower run.
+    gate(DSP, Some(("lanes", "lanes")), "speedup_vs_scalar", Higher, 1.0),
+    gate(DSP, Some(("fft", "n")), "us_per_call", Lower, 1.0),
+    gate(DSP, Some(("kernels", "name")), "us_per_call", Lower, 1.0),
+    gate(INTERLEAVE, Some(("convert", "name")), "samples_per_sec", Higher, 1.0),
+    gate(INTERLEAVE, Some(("calib", "name")), "us_per_epoch", Lower, 1.0),
+    gate(CLUSTER, Some(("cluster", "name")), "jobs_per_sec", Higher, 1.0),
+];
 
 struct Comparison {
     label: String,
@@ -126,26 +175,25 @@ struct Comparison {
     regressed: bool,
 }
 
-/// Compares one figure; `None` when either side lacks it (e.g. a
-/// campaign renamed between baseline and fresh runs).
+/// Compares one figure; `None` when the baseline is not positive (no
+/// relative change exists).
 fn compare(
-    label: &str,
-    baseline: Option<f64>,
-    fresh: Option<f64>,
+    label: String,
+    baseline: f64,
+    fresh: f64,
     dir: Direction,
     tolerance_pct: f64,
 ) -> Option<Comparison> {
-    let (baseline, fresh) = (baseline?, fresh?);
     if baseline <= 0.0 {
         return None;
     }
     let delta_pct = (fresh - baseline) / baseline * 100.0;
     let worse_pct = match dir {
-        Direction::HigherIsBetter => -delta_pct,
-        Direction::LowerIsBetter => delta_pct,
+        Higher => -delta_pct,
+        Lower => delta_pct,
     };
     Some(Comparison {
-        label: label.to_string(),
+        label,
         baseline,
         fresh,
         delta_pct,
@@ -153,274 +201,60 @@ fn compare(
     })
 }
 
-/// Collects the runtime-report comparisons: parallel samples/sec per
-/// campaign, matched by campaign name.
-fn compare_runtime(baseline: &Json, fresh: &Json, tolerance_pct: f64) -> Vec<Comparison> {
-    let campaigns = |doc: &Json| -> Vec<(String, f64)> {
-        lookup(doc, "campaigns")
+impl Gate {
+    /// The gate's figures in one report as `(row id, value)`; the row
+    /// id is the key field's value (`""` at top level).
+    fn figures(&self, doc: &Json) -> Vec<(String, f64)> {
+        let Some((array, key)) = self.rows else {
+            return lookup_f64(doc, self.value)
+                .map(|v| (String::new(), v))
+                .into_iter()
+                .collect();
+        };
+        let id = |row: &Json| {
+            let field = row.get(key)?;
+            field
+                .as_str()
+                .map(str::to_string)
+                .or_else(|| field.as_f64().map(|n| n.to_string()))
+        };
+        lookup(doc, array)
             .and_then(Json::as_arr)
-            .map(|arr| {
-                arr.iter()
-                    .filter_map(|c| {
-                        let name = c.get("name")?.as_str()?.to_string();
-                        let sps = lookup_f64(c, "parallel.samples_per_sec")?;
-                        Some((name, sps))
-                    })
-                    .collect()
-            })
             .unwrap_or_default()
-    };
-    let base = campaigns(baseline);
-    let new = campaigns(fresh);
-    base.iter()
-        .filter_map(|(name, b)| {
-            let f = new.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-            compare(
-                &format!("runtime {name} samples/sec"),
-                Some(*b),
-                f,
-                Direction::HigherIsBetter,
-                tolerance_pct,
-            )
-        })
-        .collect()
-}
+            .iter()
+            .filter_map(|row| Some((id(row)?, lookup_f64(row, self.value)?)))
+            .collect()
+    }
 
-/// Collects the service-report comparisons: end-to-end throughput and
-/// latency figures. The saturation / default-load rows only exist in
-/// open-loop-generator reports; [`compare`] skips any row the baseline
-/// predates, so the two schemas compare cleanly across the cutover.
-fn compare_service(baseline: &Json, fresh: &Json, tolerance_pct: f64) -> Vec<Comparison> {
-    [
-        (
-            "service samples/sec",
-            "samples_per_sec",
-            Direction::HigherIsBetter,
-            1.0,
-        ),
-        (
-            "service requests/sec",
-            "requests_per_sec",
-            Direction::HigherIsBetter,
-            1.0,
-        ),
-        (
-            "service saturation req/s",
-            "saturation_rps",
-            Direction::HigherIsBetter,
-            1.0,
-        ),
-        // Client-observed open-loop tail latency counts generator-side
-        // scheduling noise on a shared 1-CPU host (multi-ms ambient
-        // stalls land right at the p99 rank), so it swings ~2x between
-        // otherwise identical runs — gate it at double tolerance. The
-        // server-side default-load p99 below is the stable tail gate.
-        (
-            "service client p99 latency (us)",
-            "client_latency_us.p99",
-            Direction::LowerIsBetter,
-            2.0,
-        ),
-        (
-            "service default-load server p99 (us)",
-            "default_load.server_latency_us.p99",
-            Direction::LowerIsBetter,
-            1.0,
-        ),
-    ]
-    .iter()
-    .filter_map(|(label, path, dir, tol_mult)| {
-        compare(
-            label,
-            lookup_f64(baseline, path),
-            lookup_f64(fresh, path),
-            *dir,
-            tolerance_pct * tol_mult,
-        )
-    })
-    .collect()
-}
+    /// A row's label, e.g. `dsp fft[8192] us_per_call`.
+    fn label(&self, id: &str) -> String {
+        let report = self
+            .file
+            .trim_start_matches("BENCH_")
+            .trim_end_matches(".json");
+        match self.rows {
+            Some((array, _)) => format!("{report} {array}[{id}] {}", self.value),
+            None => format!("{report} {}", self.value),
+        }
+    }
 
-/// Collects the DSP-kernel comparisons: single-thread conversion
-/// samples/sec per configuration row and `fft_real` microseconds per
-/// call per record length.
-fn compare_dsp(baseline: &Json, fresh: &Json, tolerance_pct: f64) -> Vec<Comparison> {
-    let conversions = |doc: &Json| -> Vec<(String, f64)> {
-        lookup(doc, "conversion")
-            .and_then(Json::as_arr)
-            .map(|arr| {
-                arr.iter()
-                    .filter_map(|c| {
-                        let name = c.get("name")?.as_str()?.to_string();
-                        let sps = lookup_f64(c, "samples_per_sec")?;
-                        Some((name, sps))
-                    })
-                    .collect()
+    /// Compares every baseline figure that has a fresh counterpart.
+    fn diff(&self, baseline: &Json, fresh: &Json, tolerance_pct: f64) -> Vec<Comparison> {
+        let fresh = self.figures(fresh);
+        self.figures(baseline)
+            .into_iter()
+            .filter_map(|(id, b)| {
+                let f = fresh.iter().find(|(fid, _)| *fid == id)?.1;
+                compare(
+                    self.label(&id),
+                    b,
+                    f,
+                    self.dir,
+                    tolerance_pct * self.tol_mult,
+                )
             })
-            .unwrap_or_default()
-    };
-    let ffts = |doc: &Json| -> Vec<(u64, f64)> {
-        lookup(doc, "fft")
-            .and_then(Json::as_arr)
-            .map(|arr| {
-                arr.iter()
-                    .filter_map(|f| {
-                        let n = lookup_f64(f, "n")? as u64;
-                        let us = lookup_f64(f, "us_per_call")?;
-                        Some((n, us))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let mut rows = Vec::new();
-    let new_conv = conversions(fresh);
-    for (name, b) in conversions(baseline) {
-        let f = new_conv.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
-        rows.extend(compare(
-            &format!("dsp conversion {name} samples/sec"),
-            Some(b),
-            f,
-            Direction::HigherIsBetter,
-            tolerance_pct,
-        ));
+            .collect()
     }
-    let new_fft = ffts(fresh);
-    for (n, b) in ffts(baseline) {
-        let f = new_fft.iter().find(|(m, _)| *m == n).map(|(_, v)| *v);
-        rows.extend(compare(
-            &format!("dsp fft_real n={n} us/call"),
-            Some(b),
-            f,
-            Direction::LowerIsBetter,
-            tolerance_pct,
-        ));
-    }
-    rows
-}
-
-/// The DSP report's lane-axis rows: `(lane count, samples/sec,
-/// speedup vs the scalar nominal row of the same run)`.
-fn lanes_rows(doc: &Json) -> Vec<(u64, f64, f64)> {
-    lookup(doc, "lanes")
-        .and_then(Json::as_arr)
-        .map(|arr| {
-            arr.iter()
-                .filter_map(|l| {
-                    let lanes = lookup_f64(l, "lanes")? as u64;
-                    let sps = lookup_f64(l, "samples_per_sec")?;
-                    let speedup = lookup_f64(l, "speedup_vs_scalar")?;
-                    Some((lanes, sps, speedup))
-                })
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-/// Collects the `--lanes` axis comparisons over the DSP report: laned
-/// conversion samples/sec *and* the scalar-relative speedup, per lane
-/// count. Diffing the speedup as well as the raw throughput catches the
-/// failure mode a throughput-only diff misses — the laned kernel
-/// quietly degrading toward the scalar path while both rows drift
-/// within tolerance on an otherwise-slower run.
-fn compare_dsp_lanes(baseline: &Json, fresh: &Json, tolerance_pct: f64) -> Vec<Comparison> {
-    let new = lanes_rows(fresh);
-    let mut rows = Vec::new();
-    for (lanes, b_sps, b_speedup) in lanes_rows(baseline) {
-        let fresh_row = new.iter().find(|(l, _, _)| *l == lanes);
-        rows.extend(compare(
-            &format!("dsp lanes={lanes} samples/sec"),
-            Some(b_sps),
-            fresh_row.map(|&(_, sps, _)| sps),
-            Direction::HigherIsBetter,
-            tolerance_pct,
-        ));
-        rows.extend(compare(
-            &format!("dsp lanes={lanes} speedup vs scalar"),
-            Some(b_speedup),
-            fresh_row.map(|&(_, _, s)| s),
-            Direction::HigherIsBetter,
-            tolerance_pct,
-        ));
-    }
-    rows
-}
-
-/// Collects the interleave-report comparisons: ganged-array conversion
-/// samples/sec and background-calibration microseconds per epoch, each
-/// matched by row name.
-fn compare_interleave(baseline: &Json, fresh: &Json, tolerance_pct: f64) -> Vec<Comparison> {
-    let named = |doc: &Json, key: &str, field: &str| -> Vec<(String, f64)> {
-        lookup(doc, key)
-            .and_then(Json::as_arr)
-            .map(|arr| {
-                arr.iter()
-                    .filter_map(|c| {
-                        let name = c.get("name")?.as_str()?.to_string();
-                        let value = lookup_f64(c, field)?;
-                        Some((name, value))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let mut rows = Vec::new();
-    let new_conv = named(fresh, "convert", "samples_per_sec");
-    for (name, b) in named(baseline, "convert", "samples_per_sec") {
-        let f = new_conv.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
-        rows.extend(compare(
-            &format!("interleave convert {name} samples/sec"),
-            Some(b),
-            f,
-            Direction::HigherIsBetter,
-            tolerance_pct,
-        ));
-    }
-    let new_calib = named(fresh, "calib", "us_per_epoch");
-    for (name, b) in named(baseline, "calib", "us_per_epoch") {
-        let f = new_calib.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
-        rows.extend(compare(
-            &format!("interleave calib {name} us/epoch"),
-            Some(b),
-            f,
-            Direction::LowerIsBetter,
-            tolerance_pct,
-        ));
-    }
-    rows
-}
-
-/// Collects the cluster-report comparisons: distributed campaign
-/// jobs/sec per host-count row, matched by row name.
-fn compare_cluster(baseline: &Json, fresh: &Json, tolerance_pct: f64) -> Vec<Comparison> {
-    let rows_of = |doc: &Json| -> Vec<(String, f64)> {
-        lookup(doc, "cluster")
-            .and_then(Json::as_arr)
-            .map(|arr| {
-                arr.iter()
-                    .filter_map(|c| {
-                        let name = c.get("name")?.as_str()?.to_string();
-                        let jps = lookup_f64(c, "jobs_per_sec")?;
-                        Some((name, jps))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let new = rows_of(fresh);
-    rows_of(baseline)
-        .into_iter()
-        .filter_map(|(name, b)| {
-            let f = new.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
-            compare(
-                &format!("cluster {name} jobs/sec"),
-                Some(b),
-                f,
-                Direction::HigherIsBetter,
-                tolerance_pct,
-            )
-        })
-        .collect()
 }
 
 fn load(dir: &str, file: &str) -> Result<Json, String> {
@@ -443,68 +277,27 @@ fn render(rows: &[Comparison]) -> String {
     out
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_options(&args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-
-    // `optional` reports skip the comparison gracefully when the
-    // baseline lacks the file (a report introduced after the committed
-    // baseline was generated); required ones are parse errors.
-    let pairs = [
-        (
-            "BENCH_runtime.json",
-            compare_runtime as fn(&Json, &Json, f64) -> Vec<Comparison>,
-            false,
-        ),
-        ("BENCH_service.json", compare_service, false),
-        ("BENCH_dsp.json", compare_dsp, true),
-        ("BENCH_interleave.json", compare_interleave, true),
-        ("BENCH_cluster.json", compare_cluster, true),
-    ];
+/// Diffs every report and returns the exit status (`Err` is a usage
+/// or load error, exit 2).
+fn run(opts: &Options) -> Result<u8, String> {
+    let mut files: Vec<&str> = GATES.iter().map(|g| g.file).collect();
+    files.dedup();
     let mut rows = Vec::new();
     let mut host_mismatch = false;
-    for (file, diff, optional) in pairs {
-        let (baseline, fresh) = match (load(&opts.baseline_dir, file), load(&opts.fresh_dir, file))
-        {
-            (Ok(b), Ok(f)) => (b, f),
-            (Err(e), _) | (_, Err(e)) if optional => {
-                println!("{file}: {e} -- skipping comparison (report is optional)");
-                continue;
-            }
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("bench_compare: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let (b_cpus, f_cpus) = (host_cpus(&baseline), host_cpus(&fresh));
+    for file in files {
+        let baseline = load(&opts.baseline_dir, file)?;
+        let fresh = load(&opts.fresh_dir, file)?;
+        let b_cpus = lookup_f64(&baseline, "provenance.host_cpus");
+        let f_cpus = lookup_f64(&fresh, "provenance.host_cpus");
         if b_cpus.is_none() || b_cpus != f_cpus {
             println!(
-                "{file}: host_cpus differ (baseline {:?}, fresh {:?}) -- figures \
-                 are not comparable, regressions exempt",
-                b_cpus, f_cpus
+                "{file}: host_cpus differ (baseline {b_cpus:?}, fresh {f_cpus:?}) -- figures \
+                 are not comparable, regressions exempt"
             );
             host_mismatch = true;
         }
-        rows.extend(diff(&baseline, &fresh, opts.tolerance_pct));
-        if opts.lanes && file == "BENCH_dsp.json" {
-            if lanes_rows(&baseline).is_empty() {
-                // Baseline predates the lanes axis: nothing to diff, so
-                // print the fresh figures and move on without a gate.
-                println!(
-                    "{file}: baseline predates the lanes axis -- advisory only; fresh figures:"
-                );
-                for (lanes, sps, speedup) in lanes_rows(&fresh) {
-                    println!("  dsp lanes={lanes}  {sps:.0} samples/sec  {speedup:.2}x vs scalar");
-                }
-            } else {
-                rows.extend(compare_dsp_lanes(&baseline, &fresh, opts.tolerance_pct));
-            }
+        for gate in GATES.iter().filter(|g| g.file == file) {
+            rows.extend(gate.diff(&baseline, &fresh, opts.tolerance_pct));
         }
     }
 
@@ -516,20 +309,34 @@ fn main() -> ExitCode {
     let regressions = rows.iter().filter(|r| r.regressed).count();
     if regressions == 0 {
         println!("no perf regressions");
-        return ExitCode::SUCCESS;
+        return Ok(0);
     }
     if host_mismatch {
         println!("{regressions} regression(s) IGNORED: baseline from a different host");
-        return ExitCode::SUCCESS;
+        return Ok(0);
     }
     if opts.deny_perf {
         println!("{regressions} perf regression(s) beyond tolerance (--deny-perf)");
-        return ExitCode::FAILURE;
+        return Ok(1);
     }
     println!(
         "{regressions} perf regression(s) beyond tolerance (advisory; pass --deny-perf to fail)"
     );
-    ExitCode::SUCCESS
+    Ok(0)
+}
+
+fn exit_status(args: &[String]) -> u8 {
+    parse_options(args)
+        .and_then(|opts| run(&opts))
+        .unwrap_or_else(|msg| {
+            eprintln!("bench_compare: {msg}");
+            2
+        })
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    ExitCode::from(exit_status(&args))
 }
 
 #[cfg(test)]
@@ -542,135 +349,197 @@ mod tests {
 
     #[test]
     fn throughput_drop_beyond_tolerance_regresses() {
-        let c = compare(
-            "t",
-            Some(1000.0),
-            Some(600.0),
-            Direction::HigherIsBetter,
-            30.0,
-        )
-        .expect("comparable");
-        assert!(c.regressed);
-        let c = compare(
-            "t",
-            Some(1000.0),
-            Some(800.0),
-            Direction::HigherIsBetter,
-            30.0,
-        )
-        .expect("comparable");
-        assert!(!c.regressed);
+        let c = |fresh| compare("t".into(), 1000.0, fresh, Higher, 30.0);
+        assert!(c(600.0).expect("comparable").regressed);
+        assert!(!c(800.0).expect("comparable").regressed);
     }
 
     #[test]
     fn latency_rise_beyond_tolerance_regresses() {
-        let c = compare(
-            "l",
-            Some(100.0),
-            Some(150.0),
-            Direction::LowerIsBetter,
-            30.0,
-        )
-        .expect("comparable");
-        assert!(c.regressed);
+        let c = |fresh| compare("l".into(), 100.0, fresh, Lower, 30.0);
+        assert!(c(150.0).expect("comparable").regressed);
         // A latency *improvement* of any size passes.
-        let c = compare("l", Some(100.0), Some(20.0), Direction::LowerIsBetter, 30.0)
-            .expect("comparable");
-        assert!(!c.regressed);
+        assert!(!c(20.0).expect("comparable").regressed);
+    }
+
+    /// `(report, baseline, fresh, expected (label, regressed) rows)`.
+    type Case = (
+        &'static str,
+        &'static str,
+        &'static str,
+        &'static [(&'static str, bool)],
+    );
+
+    /// One input per report: every gate of the report runs over the
+    /// pair, and the rows come out in table order, matched by key
+    /// (unmatched baseline rows skipped), each with its verdict.
+    #[test]
+    fn every_report_matches_rows_by_key_and_gates_in_both_directions() {
+        let cases: &[Case] = &[
+            (
+                RUNTIME,
+                r#"{"campaigns":[{"name":"a","parallel":{"samples_per_sec":1000}},
+                                 {"name":"gone","parallel":{"samples_per_sec":1}}]}"#,
+                r#"{"campaigns":[{"name":"a","parallel":{"samples_per_sec":500}}]}"#,
+                &[("runtime campaigns[a] parallel.samples_per_sec", true)],
+            ),
+            (
+                SERVICE,
+                r#"{"samples_per_sec":1000,"requests_per_sec":100,"saturation_rps":500,
+                    "client_latency_us":{"p99":1000},
+                    "default_load":{"server_latency_us":{"p99":100}}}"#,
+                r#"{"samples_per_sec":1100,"requests_per_sec":60,"saturation_rps":500,
+                    "client_latency_us":{"p99":1500},
+                    "default_load":{"server_latency_us":{"p99":150}}}"#,
+                &[
+                    ("service samples_per_sec", false),
+                    ("service requests_per_sec", true),
+                    ("service saturation_rps", false),
+                    // +50% is inside the client p99's doubled tolerance...
+                    ("service client_latency_us.p99", false),
+                    // ...but not the server p99's single one.
+                    ("service default_load.server_latency_us.p99", true),
+                ],
+            ),
+            (
+                DSP,
+                r#"{"conversion":[{"name":"nominal","samples_per_sec":1000000},
+                                  {"name":"gone","samples_per_sec":1}],
+                    "lanes":[{"lanes":1,"samples_per_sec":900000,"speedup_vs_scalar":1.0},
+                             {"lanes":8,"samples_per_sec":8000000,"speedup_vs_scalar":2.3}],
+                    "fft":[{"n":4096,"us_per_call":30.0},{"n":8192,"us_per_call":70.0}],
+                    "kernels":[{"name":"eq1_master_current","us_per_call":0.01},
+                               {"name":"fig4_power_sweep_26pt","us_per_call":900.0}]}"#,
+                r#"{"conversion":[{"name":"nominal","samples_per_sec":500000}],
+                    "lanes":[{"lanes":1,"samples_per_sec":880000,"speedup_vs_scalar":1.0},
+                             {"lanes":8,"samples_per_sec":7800000,"speedup_vs_scalar":1.2}],
+                    "fft":[{"n":4096,"us_per_call":29.0},{"n":8192,"us_per_call":200.0}],
+                    "kernels":[{"name":"eq1_master_current","us_per_call":0.011},
+                               {"name":"fig4_power_sweep_26pt","us_per_call":2000.0}]}"#,
+                &[
+                    ("dsp conversion[nominal] samples_per_sec", true),
+                    ("dsp lanes[1] samples_per_sec", false),
+                    ("dsp lanes[8] samples_per_sec", false),
+                    ("dsp lanes[1] speedup_vs_scalar", false),
+                    // Throughput held but the speedup collapsed toward
+                    // scalar: exactly what the speedup row catches.
+                    ("dsp lanes[8] speedup_vs_scalar", true),
+                    ("dsp fft[4096] us_per_call", false),
+                    ("dsp fft[8192] us_per_call", true),
+                    ("dsp kernels[eq1_master_current] us_per_call", false),
+                    ("dsp kernels[fig4_power_sweep_26pt] us_per_call", true),
+                ],
+            ),
+            (
+                INTERLEAVE,
+                r#"{"convert":[{"name":"m2_matched","samples_per_sec":2000000},
+                               {"name":"gone","samples_per_sec":1}],
+                    "calib":[{"name":"m2","us_per_epoch":900.0}]}"#,
+                r#"{"convert":[{"name":"m2_matched","samples_per_sec":1000000}],
+                    "calib":[{"name":"m2","us_per_epoch":2000.0}]}"#,
+                &[
+                    ("interleave convert[m2_matched] samples_per_sec", true),
+                    ("interleave calib[m2] us_per_epoch", true),
+                ],
+            ),
+            (
+                CLUSTER,
+                r#"{"cluster":[{"name":"hosts1","jobs_per_sec":1000.0},
+                               {"name":"hosts2","jobs_per_sec":1700.0},
+                               {"name":"gone","jobs_per_sec":1.0}]}"#,
+                r#"{"cluster":[{"name":"hosts1","jobs_per_sec":950.0},
+                               {"name":"hosts2","jobs_per_sec":400.0}]}"#,
+                &[
+                    ("cluster cluster[hosts1] jobs_per_sec", false),
+                    ("cluster cluster[hosts2] jobs_per_sec", true),
+                ],
+            ),
+        ];
+        for (file, baseline, fresh, want) in cases {
+            let (baseline, fresh) = (doc(baseline), doc(fresh));
+            let got: Vec<(String, bool)> = GATES
+                .iter()
+                .filter(|g| g.file == *file)
+                .flat_map(|g| g.diff(&baseline, &fresh, 30.0))
+                .map(|c| (c.label, c.regressed))
+                .collect();
+            let want: Vec<(String, bool)> = want.iter().map(|&(l, r)| (l.to_string(), r)).collect();
+            assert_eq!(got, want, "{file}");
+        }
+    }
+
+    /// A scratch baseline/fresh pair of directories holding all five
+    /// reports; every report carries one DSP `nominal` row, which only
+    /// the DSP gates read.
+    struct Dirs {
+        root: std::path::PathBuf,
+    }
+
+    impl Dirs {
+        fn new(tag: &str) -> Self {
+            let root =
+                std::env::temp_dir().join(format!("bench_compare_{}_{tag}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&root);
+            Self { root }
+        }
+
+        fn dir(&self, side: &str) -> String {
+            self.root.join(side).to_string_lossy().into_owned()
+        }
+
+        fn write(&self, side: &str, host_cpus: u32, nominal_sps: u32) {
+            let dir = self.root.join(side);
+            std::fs::create_dir_all(&dir).expect("scratch dir");
+            let text = format!(
+                r#"{{"provenance":{{"host_cpus":{host_cpus}}},
+                    "conversion":[{{"name":"nominal","samples_per_sec":{nominal_sps}}}]}}"#
+            );
+            for file in [RUNTIME, SERVICE, DSP, INTERLEAVE, CLUSTER] {
+                std::fs::write(dir.join(file), &text).expect("write report");
+            }
+        }
+
+        fn exit_status(&self, extra: &[&str]) -> u8 {
+            let mut args = vec![
+                "--baseline-dir".to_string(),
+                self.dir("baseline"),
+                "--fresh-dir".to_string(),
+                self.dir("fresh"),
+            ];
+            args.extend(extra.iter().map(|s| s.to_string()));
+            exit_status(&args)
+        }
+    }
+
+    impl Drop for Dirs {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.root);
+        }
     }
 
     #[test]
-    fn runtime_campaigns_match_by_name() {
-        let baseline = doc(r#"{"campaigns":[
-                {"name":"a","parallel":{"samples_per_sec":1000}},
-                {"name":"gone","parallel":{"samples_per_sec":1}}]}"#);
-        let fresh = doc(r#"{"campaigns":[{"name":"a","parallel":{"samples_per_sec":500}}]}"#);
-        let rows = compare_runtime(&baseline, &fresh, 30.0);
-        assert_eq!(rows.len(), 1, "unmatched campaign is skipped");
-        assert!(rows[0].regressed);
+    fn a_report_missing_on_either_side_is_an_error() {
+        let dirs = Dirs::new("missing");
+        dirs.write("baseline", 2, 1000);
+        dirs.write("fresh", 2, 1000);
+        assert_eq!(dirs.exit_status(&[]), 0);
+        for side in ["baseline", "fresh"] {
+            let path = dirs.root.join(side).join(INTERLEAVE);
+            std::fs::remove_file(&path).expect("remove report");
+            assert_eq!(dirs.exit_status(&[]), 2, "{INTERLEAVE} missing from {side}");
+            dirs.write(side, 2, 1000);
+        }
     }
 
     #[test]
-    fn dsp_rows_match_by_name_and_record_length() {
-        let baseline = doc(r#"{
-            "conversion":[{"name":"nominal","samples_per_sec":1000000},
-                          {"name":"gone","samples_per_sec":1}],
-            "fft":[{"n":4096,"us_per_call":30.0},{"n":8192,"us_per_call":70.0}]}"#);
-        let fresh = doc(r#"{
-            "conversion":[{"name":"nominal","samples_per_sec":500000}],
-            "fft":[{"n":4096,"us_per_call":29.0},{"n":8192,"us_per_call":200.0}]}"#);
-        let rows = compare_dsp(&baseline, &fresh, 30.0);
-        assert_eq!(rows.len(), 3, "unmatched conversion row is skipped");
-        let conv = &rows[0];
-        assert!(conv.label.contains("nominal") && conv.regressed);
-        let fft_ok = &rows[1];
-        assert!(fft_ok.label.contains("4096") && !fft_ok.regressed);
-        let fft_bad = &rows[2];
-        assert!(fft_bad.label.contains("8192") && fft_bad.regressed);
-    }
-
-    #[test]
-    fn interleave_rows_match_by_name_in_both_directions() {
-        let baseline = doc(r#"{
-            "convert":[{"name":"m2_matched","samples_per_sec":2000000},
-                       {"name":"gone","samples_per_sec":1}],
-            "calib":[{"name":"m2","us_per_epoch":900.0}]}"#);
-        let fresh = doc(r#"{
-            "convert":[{"name":"m2_matched","samples_per_sec":1000000}],
-            "calib":[{"name":"m2","us_per_epoch":2000.0}]}"#);
-        let rows = compare_interleave(&baseline, &fresh, 30.0);
-        assert_eq!(rows.len(), 2, "unmatched convert row is skipped");
-        assert!(rows[0].label.contains("m2_matched") && rows[0].regressed);
-        // Calibration epoch time is lower-is-better: the rise regresses.
-        assert!(rows[1].label.contains("us/epoch") && rows[1].regressed);
-    }
-
-    #[test]
-    fn cluster_rows_match_by_host_count_name() {
-        let baseline = doc(r#"{
-            "cluster":[{"name":"hosts1","jobs_per_sec":1000.0},
-                       {"name":"hosts2","jobs_per_sec":1700.0},
-                       {"name":"gone","jobs_per_sec":1.0}]}"#);
-        let fresh = doc(r#"{
-            "cluster":[{"name":"hosts1","jobs_per_sec":950.0},
-                       {"name":"hosts2","jobs_per_sec":400.0}]}"#);
-        let rows = compare_cluster(&baseline, &fresh, 30.0);
-        assert_eq!(rows.len(), 2, "unmatched cluster row is skipped");
-        assert!(rows[0].label.contains("hosts1") && !rows[0].regressed);
-        assert!(rows[1].label.contains("hosts2") && rows[1].regressed);
-    }
-
-    #[test]
-    fn lanes_axis_diffs_throughput_and_speedup_per_lane_count() {
-        let baseline = doc(r#"{
-            "lanes":[{"lanes":1,"samples_per_sec":900000,"speedup_vs_scalar":1.1},
-                     {"lanes":8,"samples_per_sec":14000000,"speedup_vs_scalar":2.3},
-                     {"lanes":16,"samples_per_sec":1,"speedup_vs_scalar":1.0}]}"#);
-        let fresh = doc(r#"{
-            "lanes":[{"lanes":1,"samples_per_sec":880000,"speedup_vs_scalar":1.05},
-                     {"lanes":8,"samples_per_sec":13500000,"speedup_vs_scalar":1.2}]}"#);
-        let rows = compare_dsp_lanes(&baseline, &fresh, 30.0);
-        assert_eq!(rows.len(), 4, "unmatched lane count is skipped");
-        assert!(rows.iter().all(|r| r.label.starts_with("dsp lanes=")));
-        // Raw throughput held on both matched lane counts...
-        assert!(!rows[0].regressed && !rows[2].regressed);
-        // ...but the 8-lane speedup collapsed toward scalar: that is
-        // exactly what the speedup row exists to catch.
-        assert!(rows[3].label.contains("speedup") && rows[3].regressed);
-    }
-
-    #[test]
-    fn lanes_axis_is_empty_when_baseline_predates_the_field() {
-        assert!(lanes_rows(&doc(r#"{"conversion":[]}"#)).is_empty());
-    }
-
-    #[test]
-    fn host_cpus_prefers_provenance_and_falls_back() {
-        let stamped = doc(r#"{"provenance":{"host_cpus":8},"host_cpus":2}"#);
-        assert_eq!(host_cpus(&stamped), Some(8.0));
-        let legacy = doc(r#"{"host_cpus":2}"#);
-        assert_eq!(host_cpus(&legacy), Some(2.0));
-        assert_eq!(host_cpus(&doc("{}")), None);
+    fn differing_host_cpus_exempt_the_run() {
+        let dirs = Dirs::new("hosts");
+        dirs.write("baseline", 2, 1000);
+        dirs.write("fresh", 2, 100);
+        assert_eq!(dirs.exit_status(&["--deny-perf"]), 1, "same host: gated");
+        assert_eq!(dirs.exit_status(&[]), 0, "advisory without --deny-perf");
+        dirs.write("fresh", 1, 100);
+        assert_eq!(dirs.exit_status(&["--deny-perf"]), 0, "other host: exempt");
     }
 
     #[test]
@@ -688,5 +557,6 @@ mod tests {
         assert!(opts.deny_perf);
         assert!(parse_options(&["--tolerance".into(), "-3".into()]).is_err());
         assert!(parse_options(&["--bogus".into()]).is_err());
+        assert!(parse_options(&["--lanes".into()]).is_err());
     }
 }

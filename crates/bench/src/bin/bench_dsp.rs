@@ -1,6 +1,6 @@
 //! DSP hot-path kernel benchmark, written to `BENCH_dsp.json`.
 //!
-//! Two figure families (DESIGN.md §12):
+//! Four figure families (DESIGN.md §12):
 //!
 //! * **conversion** — single-thread `convert_waveform_into` samples/sec
 //!   on the capture path (RF generator → band-pass filter → ADC) with
@@ -9,36 +9,43 @@
 //! * **lanes** — `LaneBatch` (N dies, each converting through the
 //!   systolic kernel in turn) at 1, 4, and 8 lanes on the same capture
 //!   path, total samples/sec across all lanes plus the speedup over the
-//!   scalar `nominal` row measured in the same run (the figure the CI
-//!   lanes gate holds; the 1-lane row is the scalar kernel itself);
+//!   scalar `nominal` row measured in the same run (the 1-lane row is
+//!   the scalar kernel itself);
 //! * **fft** — `fft_real_into` microseconds per call and per point at
-//!   the record lengths the testbench actually uses (1k..16k), the
-//!   figure the planned real-input FFT is accountable to.
+//!   the record lengths the testbench actually uses (1k..16k);
+//! * **kernels** — microseconds per call of the paper's remaining
+//!   kernels: die fabrication, the Table I / Fig. 5–6 metrology
+//!   (`analyze_tone`, `sine_histogram`), foreground calibration, the
+//!   digital correction logic (`DigitalBackend::clock`,
+//!   `correction_sum`), the Eq. 1 bias current and the Fig. 4 power
+//!   sweep.
 //!
 //! All loops are single-threaded and run through the allocation-free
-//! `_into` APIs (the capture hot path since the planned-kernel rework).
-//! Each figure is the **best window** out of many short measurement
-//! windows covering at least `MIN_WALL_S` of wall time: the minimum-time
-//! estimator reports the kernel's actual cost and discards scheduler
-//! preemption and noisy-neighbor stalls, which on shared hosts can
-//! inflate a single-window mean by 2-4x. The report carries the same
-//! provenance stamp as the other `BENCH_*.json` artifacts so
+//! `_into` APIs where one exists. Each figure is the best window of the
+//! shared minimum-time timer ([`adc_bench::timing`]). The report carries
+//! the same provenance stamp as the other `BENCH_*.json` artifacts so
 //! `bench_compare` can refuse cross-host comparisons.
 
-use std::time::Instant;
+use std::hint::black_box;
 
+use adc_analog::capacitor::Capacitor;
+use adc_bench::timing::best_window;
+use adc_bias::generator::{BiasGenerator, ScBiasGenerator};
+use adc_digital::adder::correction_sum;
+use adc_digital::backend::{CycleWords, DigitalBackend};
+use adc_pipeline::calibration::{calibrate_foreground, training_levels};
 use adc_pipeline::config::AdcConfig;
 use adc_pipeline::converter::PipelineAdc;
 use adc_pipeline::lanes::LaneBatch;
 use adc_spectral::fft::fft_real_into;
+use adc_spectral::linearity::sine_histogram;
+use adc_spectral::metrics::{analyze_tone, ToneAnalysisConfig};
 use adc_spectral::plan::SpectralScratch;
 use adc_spectral::window::coherent_frequency_clear;
 use adc_testbench::filter::BandpassFilter;
 use adc_testbench::signal::SineSource;
+use adc_testbench::sweep::SweepRunner;
 use adc_testbench::GOLDEN_SEED;
-
-/// Minimum total wall time per measurement, seconds.
-const MIN_WALL_S: f64 = 0.3;
 
 /// Record length for the conversion benchmark (the session default).
 const RECORD_LEN: usize = 8192;
@@ -56,9 +63,9 @@ struct ConversionFigure {
 /// One lane-batch measurement: N nominal dies (seeds `1..=N`)
 /// converting the shared capture waveform, one die after another
 /// through the systolic kernel. `samples_per_sec` counts every lane's
-/// samples;
-/// `speedup_vs_scalar` divides by the scalar `nominal` row measured in
-/// the same run, so the figure is host-relative by construction.
+/// samples; `speedup_vs_scalar` divides by the scalar `nominal` row
+/// measured in the same run, so the figure is host-relative by
+/// construction.
 struct LaneFigure {
     lanes: usize,
     samples_per_sec: f64,
@@ -66,13 +73,15 @@ struct LaneFigure {
     records: usize,
 }
 
-/// One FFT measurement.
-struct FftFigure {
-    n: usize,
+/// One per-call measurement (an `fft` or `kernels` row).
+struct CallFigure {
     us_per_call: f64,
-    us_per_point: f64,
     calls: usize,
 }
+
+/// A `kernels` row: its name, calls per timing window (enough that a
+/// window is well above timer resolution), and the call itself.
+type Kernel = (&'static str, usize, Box<dyn FnMut()>);
 
 /// The non-ideality toggles of the conversion benchmark: the default
 /// configuration first (the acceptance figure), then each specialized
@@ -119,24 +128,14 @@ fn bench_conversion(name: &'static str, config: AdcConfig) -> ConversionFigure {
     adc.convert_waveform_into(&filtered, 1024, &mut codes);
     assert_eq!(codes.len(), 1024);
 
-    let mut records = 0usize;
-    let mut best_record_s = f64::INFINITY;
-    let start = Instant::now();
-    loop {
-        adc.reset();
-        let window = Instant::now();
+    let best = best_window(&mut adc, PipelineAdc::reset, |adc| {
         adc.convert_waveform_into(&filtered, RECORD_LEN, &mut codes);
-        best_record_s = best_record_s.min(window.elapsed().as_secs_f64());
-        assert_eq!(codes.len(), RECORD_LEN);
-        records += 1;
-        if start.elapsed().as_secs_f64() >= MIN_WALL_S && records >= 4 {
-            break;
-        }
-    }
+    });
+    assert_eq!(codes.len(), RECORD_LEN);
     ConversionFigure {
         name,
-        samples_per_sec: RECORD_LEN as f64 / best_record_s.max(1e-12),
-        records,
+        samples_per_sec: RECORD_LEN as f64 / best.best_s,
+        records: best.windows,
     }
 }
 
@@ -161,32 +160,42 @@ fn bench_lanes(n_lanes: usize, scalar_samples_per_sec: f64) -> LaneFigure {
     batch.convert_waveform_into(&filtered, 1024, &mut outs);
     assert!(outs.iter().all(|o| o.len() == 1024));
 
-    let mut records = 0usize;
-    let mut best_record_s = f64::INFINITY;
-    let start = Instant::now();
-    loop {
-        batch.reset();
-        let window = Instant::now();
+    let best = best_window(&mut batch, LaneBatch::reset, |batch| {
         batch.convert_waveform_into(&filtered, RECORD_LEN, &mut outs);
-        best_record_s = best_record_s.min(window.elapsed().as_secs_f64());
-        records += 1;
-        if start.elapsed().as_secs_f64() >= MIN_WALL_S && records >= 4 {
-            break;
-        }
-    }
-    let samples_per_sec = (n_lanes * RECORD_LEN) as f64 / best_record_s.max(1e-12);
+    });
+    assert!(outs.iter().all(|o| o.len() == RECORD_LEN));
+    let samples_per_sec = (n_lanes * RECORD_LEN) as f64 / best.best_s;
     LaneFigure {
         lanes: n_lanes,
         samples_per_sec,
         speedup_vs_scalar: samples_per_sec / scalar_samples_per_sec.max(1e-12),
-        records,
+        records: best.windows,
+    }
+}
+
+/// Times `call` in windows of `calls_per_window` calls after one
+/// warm-up call; the fastest window is the figure.
+fn time_calls(calls_per_window: usize, mut call: impl FnMut()) -> CallFigure {
+    call();
+    let best = best_window(
+        &mut call,
+        |_| {},
+        |call| {
+            for _ in 0..calls_per_window {
+                call();
+            }
+        },
+    );
+    CallFigure {
+        us_per_call: best.best_s * 1e6 / calls_per_window as f64,
+        calls: best.windows * calls_per_window,
     }
 }
 
 /// Times `fft_real_into` at one record length on a deterministic
-/// signal, warm scratch. Windows of [`FFT_WINDOW_CALLS`] calls are
-/// timed as a unit; the fastest window is the figure.
-fn bench_fft(n: usize) -> FftFigure {
+/// signal, warm scratch (the warm-up call populates the plan cache and
+/// sizes the scratch).
+fn bench_fft(n: usize) -> CallFigure {
     // Deterministic broadband test signal (tone + LCG dither).
     let mut state = 0x2545_F491_4F6C_DD1Du64;
     let signal: Vec<f64> = (0..n)
@@ -198,42 +207,98 @@ fn bench_fft(n: usize) -> FftFigure {
             (2.0 * std::f64::consts::PI * 479.0 * i as f64 / n as f64).sin() + 1e-3 * dither
         })
         .collect();
-
-    // Warm-up call: populates the plan cache and sizes the scratch.
     let mut scratch = SpectralScratch::new();
     let mut spectrum = Vec::new();
-    fft_real_into(&signal, &mut scratch, &mut spectrum).expect("power-of-two length");
+    let figure = time_calls(FFT_WINDOW_CALLS, || {
+        fft_real_into(&signal, &mut scratch, &mut spectrum).expect("power-of-two length");
+        black_box(&spectrum);
+    });
     assert_eq!(spectrum.len(), n);
+    figure
+}
 
-    let mut calls = 0usize;
-    let mut sink = 0.0f64;
-    let mut best_window_s = f64::INFINITY;
-    let start = Instant::now();
-    loop {
-        let window = Instant::now();
-        for _ in 0..FFT_WINDOW_CALLS {
-            fft_real_into(&signal, &mut scratch, &mut spectrum).expect("power-of-two length");
-            sink += spectrum[1].re;
-        }
-        best_window_s = best_window_s.min(window.elapsed().as_secs_f64());
-        calls += FFT_WINDOW_CALLS;
-        if start.elapsed().as_secs_f64() >= MIN_WALL_S && calls >= 4 * FFT_WINDOW_CALLS {
-            break;
-        }
-    }
-    assert!(sink.is_finite());
-    let us_per_call = best_window_s * 1e6 / FFT_WINDOW_CALLS as f64;
-    FftFigure {
-        n,
-        us_per_call,
-        us_per_point: us_per_call / n as f64,
-        calls,
-    }
+/// The `kernels` rows, each on the input its paper figure uses.
+fn kernels() -> Vec<Kernel> {
+    let nominal = AdcConfig::nominal_110ms();
+
+    let mut seed = 0u64;
+    let fabricate_config = nominal.clone();
+    let fabricate = move || {
+        seed = seed.wrapping_add(1);
+        black_box(PipelineAdc::build(fabricate_config.clone(), seed).expect("config builds"));
+    };
+
+    // A coherent 8k tone with a -80 dB third harmonic.
+    let n = 8192;
+    let tone: Vec<f64> = (0..n)
+        .map(|i| {
+            let phase = 2.0 * std::f64::consts::PI * i as f64 / n as f64;
+            (745.0 * phase).sin() + 1e-4 * (2235.0 * phase).sin()
+        })
+        .collect();
+    let tone_config = ToneAnalysisConfig::coherent();
+    let analyze = move || {
+        black_box(analyze_tone(&tone, &tone_config).expect("valid record"));
+    };
+
+    // An overdriven 12-bit sine record for the code-density test.
+    let codes: Vec<u32> = (0..1u32 << 18)
+        .map(|i| {
+            let v = 1.02 * (0.317_233_091 * f64::from(i)).sin();
+            (((v + 1.0) / 2.0 * 4096.0).floor() as i64).clamp(0, 4095) as u32
+        })
+        .collect();
+    let histogram = move || {
+        black_box(sine_histogram(&codes, 4096).expect("overdriven record"));
+    };
+
+    let mut adc = PipelineAdc::build(nominal, 7).expect("config builds");
+    let levels = training_levels(256, 1.0);
+    let calibrate = move || {
+        black_box(calibrate_foreground(&mut adc, &levels, 1).expect("calibrates"));
+    };
+
+    let mut backend = DigitalBackend::new(10);
+    let words = CycleWords {
+        stage_words: vec![1, 2, 0, 1, 2, 1, 0, 2, 1, 1],
+        flash_word: 2,
+    };
+    let clock = move || {
+        black_box(backend.clock(black_box(&words)));
+    };
+    let stage_words = [1u8, 2, 0, 1, 2, 1, 0, 2, 1, 1];
+    let correct = move || {
+        black_box(correction_sum(black_box(&stage_words), 3));
+    };
+
+    let generator = ScBiasGenerator::new(Capacitor::ideal(1e-12), 0.9);
+    let mut f_cr = 1e6;
+    let eq1 = move || {
+        f_cr += 1.0;
+        black_box(generator.master_current_a(black_box(f_cr)));
+    };
+
+    let runner = SweepRunner::nominal();
+    let rates: Vec<f64> = (1..=26).map(|i| f64::from(i) * 5e6).collect();
+    let sweep = move || {
+        black_box(runner.power_sweep(&rates).expect("all rates build"));
+    };
+
+    vec![
+        ("fabricate_nominal_die", 16, Box::new(fabricate)),
+        ("analyze_tone_8192", 1, Box::new(analyze)),
+        ("sine_histogram_262144", 1, Box::new(histogram)),
+        ("calibrate_foreground_256", 1, Box::new(calibrate)),
+        ("backend_clock_10_stage", 256, Box::new(clock)),
+        ("correction_sum_10_stage", 256, Box::new(correct)),
+        ("eq1_master_current", 16384, Box::new(eq1)),
+        ("fig4_power_sweep_26pt", 1, Box::new(sweep)),
+    ]
 }
 
 fn main() {
     adc_bench::banner(
-        "DSP kernels -- conversion loop and real-input FFT hot paths",
+        "DSP kernels -- conversion loop, real-input FFT, and paper-kernel hot paths",
         "single-thread kernel throughput (BENCH_dsp.json)",
     );
 
@@ -264,14 +329,28 @@ fn main() {
         );
     }
 
-    let ffts: Vec<FftFigure> = [1024usize, 4096, 8192, 16384]
-        .iter()
-        .map(|&n| bench_fft(n))
+    let ffts: Vec<(usize, CallFigure)> = [1024usize, 4096, 8192, 16384]
+        .into_iter()
+        .map(|n| (n, bench_fft(n)))
         .collect();
-    for f in &ffts {
+    for (n, f) in &ffts {
         println!(
             "fft_real n={:<6} {:>9.1} us/call  {:>8.4} us/point  (best window of {} calls)",
-            f.n, f.us_per_call, f.us_per_point, f.calls
+            n,
+            f.us_per_call,
+            f.us_per_call / *n as f64,
+            f.calls
+        );
+    }
+
+    let kernel_figures: Vec<(&str, CallFigure)> = kernels()
+        .into_iter()
+        .map(|(name, per_window, call)| (name, time_calls(per_window, call)))
+        .collect();
+    for (name, k) in &kernel_figures {
+        println!(
+            "kernel     {:<26} {:>12.4} us/call  ({} calls)",
+            name, k.us_per_call, k.calls
         );
     }
 
@@ -295,20 +374,33 @@ fn main() {
         .collect();
     let fft_json: Vec<String> = ffts
         .iter()
-        .map(|f| {
+        .map(|(n, f)| {
             format!(
                 "    {{ \"n\": {}, \"us_per_call\": {:.3}, \"us_per_point\": {:.6}, \"calls\": {} }}",
-                f.n, f.us_per_call, f.us_per_point, f.calls
+                n,
+                f.us_per_call,
+                f.us_per_call / *n as f64,
+                f.calls
+            )
+        })
+        .collect();
+    let kernels_json: Vec<String> = kernel_figures
+        .iter()
+        .map(|(name, k)| {
+            format!(
+                "    {{ \"name\": \"{}\", \"us_per_call\": {:.6}, \"calls\": {} }}",
+                name, k.us_per_call, k.calls
             )
         })
         .collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"dsp hot-path kernels\",\n  {},\n  \"record_len\": {},\n  \"conversion\": [\n{}\n  ],\n  \"lanes\": [\n{}\n  ],\n  \"fft\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"dsp hot-path kernels\",\n  {},\n  \"record_len\": {},\n  \"conversion\": [\n{}\n  ],\n  \"lanes\": [\n{}\n  ],\n  \"fft\": [\n{}\n  ],\n  \"kernels\": [\n{}\n  ]\n}}\n",
         adc_bench::Provenance::capture().json_entry(),
         RECORD_LEN,
         conv_json.join(",\n"),
         lanes_json.join(",\n"),
         fft_json.join(",\n"),
+        kernels_json.join(",\n"),
     );
     std::fs::write("BENCH_dsp.json", &json).expect("write BENCH_dsp.json");
     println!("\nwrote BENCH_dsp.json");

@@ -12,22 +12,15 @@
 //!   (convert + observe + apply), the recurring cost a ganged service
 //!   pays while the loop is in Adapt.
 //!
-//! Each figure is the best window out of many short measurement windows
-//! covering at least [`MIN_WALL_S`] of wall time (minimum-time
-//! estimator, same rationale as `bench_dsp`). The report carries the
-//! standard provenance stamp so `bench_compare` refuses cross-host
-//! comparisons; the comparison is optional there, so baselines
-//! predating this report skip rather than fail.
+//! Each figure is the best window of the shared minimum-time timer
+//! ([`adc_bench::timing`]). The report carries the standard provenance
+//! stamp so `bench_compare` refuses cross-host comparisons.
 
-use std::time::Instant;
-
+use adc_bench::timing::best_window;
 use adc_calib::{BackgroundCalibrator, CalibConfig};
 use adc_pipeline::config::AdcConfig;
 use adc_pipeline::interleave::{InterleaveMismatch, InterleavedAdc};
 use adc_testbench::GOLDEN_SEED;
-
-/// Minimum total wall time per measurement, seconds.
-const MIN_WALL_S: f64 = 0.3;
 
 /// Record length per conversion window.
 const RECORD_LEN: usize = 4096;
@@ -69,24 +62,14 @@ fn bench_convert(name: &'static str, mut ilv: InterleavedAdc) -> ConvertFigure {
     let record = ilv.convert_waveform(&wave, RECORD_LEN);
     assert_eq!(record.len(), RECORD_LEN);
 
-    let mut records = 0usize;
-    let mut best_record_s = f64::INFINITY;
-    let start = Instant::now();
-    loop {
-        ilv.reset();
-        let window = Instant::now();
+    let best = best_window(&mut ilv, InterleavedAdc::reset, |ilv| {
         let record = ilv.convert_waveform(&wave, RECORD_LEN);
-        best_record_s = best_record_s.min(window.elapsed().as_secs_f64());
         assert_eq!(record.len(), RECORD_LEN);
-        records += 1;
-        if start.elapsed().as_secs_f64() >= MIN_WALL_S && records >= 4 {
-            break;
-        }
-    }
+    });
     ConvertFigure {
         name,
-        samples_per_sec: RECORD_LEN as f64 / best_record_s.max(1e-12),
-        records,
+        samples_per_sec: RECORD_LEN as f64 / best.best_s,
+        records: best.windows,
     }
 }
 
@@ -103,24 +86,19 @@ fn bench_calib(name: &'static str, m: usize) -> CalibFigure {
     cal.observe(&record).expect("epoch record is long enough");
     cal.apply_to(&mut ilv);
 
-    let mut epochs = 0usize;
-    let mut best_epoch_s = f64::INFINITY;
-    let start = Instant::now();
-    loop {
-        let window = Instant::now();
-        let record = ilv.convert_waveform(&wave, RECORD_LEN);
-        cal.observe(&record).expect("epoch record is long enough");
-        cal.apply_to(&mut ilv);
-        best_epoch_s = best_epoch_s.min(window.elapsed().as_secs_f64());
-        epochs += 1;
-        if start.elapsed().as_secs_f64() >= MIN_WALL_S && epochs >= 4 {
-            break;
-        }
-    }
+    let best = best_window(
+        &mut ilv,
+        |_| {},
+        |ilv| {
+            let record = ilv.convert_waveform(&wave, RECORD_LEN);
+            cal.observe(&record).expect("epoch record is long enough");
+            cal.apply_to(ilv);
+        },
+    );
     CalibFigure {
         name,
-        us_per_epoch: best_epoch_s * 1e6,
-        epochs,
+        us_per_epoch: best.best_s * 1e6,
+        epochs: best.windows,
     }
 }
 

@@ -195,9 +195,8 @@ fn main() {
 
     let body: Vec<String> = benches.iter().map(CampaignBench::to_json).collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"adc-runtime campaign engine\",\n  {},\n  \"host_cpus\": {},\n  \"threads_parallel\": {},\n  \"campaigns\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"adc-runtime campaign engine\",\n  {},\n  \"threads_parallel\": {},\n  \"campaigns\": [\n{}\n  ]\n}}\n",
         adc_bench::Provenance::capture().json_entry(),
-        default_threads(),
         threads,
         body.join(",\n"),
     );

@@ -1,8 +1,9 @@
 //! # adc-bench
 //!
 //! Benchmark harness of the reproduction: one binary per table/figure of
-//! the paper plus one per ablation, and Criterion benches for the
-//! simulator itself.
+//! the paper plus one per ablation, and the `bench_*` binaries that time
+//! the simulator itself into the committed `BENCH_*.json` reports, all
+//! through one best-window timer ([`timing::best_window`]).
 //!
 //! Regeneration targets (all print the paper's series next to the
 //! measured ones):
@@ -31,6 +32,7 @@
 
 pub mod cli;
 pub mod provenance;
+pub mod timing;
 
 use adc_testbench::RunPolicy;
 
