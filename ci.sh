@@ -22,10 +22,11 @@
 #                  test runs in debug AND release against one shared
 #                  ADC_DETERMINISM_HASH_FILE (campaign digest) and
 #                  ADC_DETERMINISM_LANES_HASH_FILE (digest of the
-#                  `LaneBatch` records at 1/4/8 lanes, jitter on and
-#                  off, all through the systolic record kernel), so
-#                  "debug and release produce bit-identical campaign
-#                  AND laned-conversion results" is asserted, not
+#                  `LaneBench` records of 1/4/8 dies on one shared
+#                  stimulus, jitter on and off, each equal to a lone
+#                  `MeasurementSession` capture), so "debug and
+#                  release produce bit-identical campaign AND
+#                  multi-die capture results" is asserted, not
 #                  assumed
 #   service     -- loopback gate: the `service` suite (real TCP server,
 #                  concurrent clients, pipelined out-of-order
@@ -48,11 +49,11 @@
 #                  BENCH_interleave.json, and BENCH_cluster.json in a
 #                  scratch dir and diffs them against the baselines
 #                  committed at HEAD with `bench_compare` (±30% on
-#                  samples/sec, p99 latency, DSP lane samples/sec and
-#                  speedup vs scalar, DSP-kernel and paper-kernel
-#                  us/call, ganged-array us/epoch, cluster jobs/sec;
-#                  exempt across differing host_cpus). Every baseline
-#                  must exist at HEAD. Advisory by default; fatal under
+#                  samples/sec, p99 latency, DSP conversion
+#                  samples/sec, DSP-kernel and paper-kernel us/call,
+#                  ganged-array us/epoch, cluster jobs/sec; exempt
+#                  across differing host_cpus). Every baseline must
+#                  exist at HEAD. Advisory by default; fatal under
 #                  --deny-perf.
 #
 # Every run writes target/ci_summary.json (stage wall-clock + status +
@@ -180,7 +181,7 @@ stage_determinism() {
     ADC_DETERMINISM_LANES_HASH_FILE=$lanes_hash_file \
     cargo test -q --release --test determinism
   echo "determinism digest: $(cat "$hash_file")"
-  echo "laned-kernel digest: $(cat "$lanes_hash_file")"
+  echo "multi-die digest: $(cat "$lanes_hash_file")"
 }
 
 stage_service() {

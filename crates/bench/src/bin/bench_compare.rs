@@ -155,11 +155,6 @@ const GATES: &[Gate] = &[
     gate(SERVICE, None, "client_latency_us.p99", Lower, 2.0),
     gate(SERVICE, None, "default_load.server_latency_us.p99", Lower, 1.0),
     gate(DSP, Some(("conversion", "name")), "samples_per_sec", Higher, 1.0),
-    gate(DSP, Some(("lanes", "lanes")), "samples_per_sec", Higher, 1.0),
-    // Diffing the scalar-relative speedup as well as the raw throughput
-    // catches the laned path degrading toward scalar while both rows
-    // drift within tolerance on an otherwise slower run.
-    gate(DSP, Some(("lanes", "lanes")), "speedup_vs_scalar", Higher, 1.0),
     gate(DSP, Some(("fft", "n")), "us_per_call", Lower, 1.0),
     gate(DSP, Some(("kernels", "name")), "us_per_call", Lower, 1.0),
     gate(INTERLEAVE, Some(("convert", "name")), "samples_per_sec", Higher, 1.0),
@@ -405,25 +400,15 @@ mod tests {
                 DSP,
                 r#"{"conversion":[{"name":"nominal","samples_per_sec":1000000},
                                   {"name":"gone","samples_per_sec":1}],
-                    "lanes":[{"lanes":1,"samples_per_sec":900000,"speedup_vs_scalar":1.0},
-                             {"lanes":8,"samples_per_sec":8000000,"speedup_vs_scalar":2.3}],
                     "fft":[{"n":4096,"us_per_call":30.0},{"n":8192,"us_per_call":70.0}],
                     "kernels":[{"name":"eq1_master_current","us_per_call":0.01},
                                {"name":"fig4_power_sweep_26pt","us_per_call":900.0}]}"#,
                 r#"{"conversion":[{"name":"nominal","samples_per_sec":500000}],
-                    "lanes":[{"lanes":1,"samples_per_sec":880000,"speedup_vs_scalar":1.0},
-                             {"lanes":8,"samples_per_sec":7800000,"speedup_vs_scalar":1.2}],
                     "fft":[{"n":4096,"us_per_call":29.0},{"n":8192,"us_per_call":200.0}],
                     "kernels":[{"name":"eq1_master_current","us_per_call":0.011},
                                {"name":"fig4_power_sweep_26pt","us_per_call":2000.0}]}"#,
                 &[
                     ("dsp conversion[nominal] samples_per_sec", true),
-                    ("dsp lanes[1] samples_per_sec", false),
-                    ("dsp lanes[8] samples_per_sec", false),
-                    ("dsp lanes[1] speedup_vs_scalar", false),
-                    // Throughput held but the speedup collapsed toward
-                    // scalar: exactly what the speedup row catches.
-                    ("dsp lanes[8] speedup_vs_scalar", true),
                     ("dsp fft[4096] us_per_call", false),
                     ("dsp fft[8192] us_per_call", true),
                     ("dsp kernels[eq1_master_current] us_per_call", false),

@@ -1,16 +1,11 @@
 //! DSP hot-path kernel benchmark, written to `BENCH_dsp.json`.
 //!
-//! Four figure families (DESIGN.md §12):
+//! Three figure families (DESIGN.md §12):
 //!
 //! * **conversion** — single-thread `convert_waveform_into` samples/sec
 //!   on the capture path (RF generator → band-pass filter → ADC) with
 //!   each non-ideality toggled, so a regression in any specialized path
 //!   (jitter-off, thermal-off, ripple-on) is visible on its own row;
-//! * **lanes** — `LaneBatch` (N dies, each converting through the
-//!   systolic kernel in turn) at 1, 4, and 8 lanes on the same capture
-//!   path, total samples/sec across all lanes plus the speedup over the
-//!   scalar `nominal` row measured in the same run (the 1-lane row is
-//!   the scalar kernel itself);
 //! * **fft** — `fft_real_into` microseconds per call and per point at
 //!   the record lengths the testbench actually uses (1k..16k);
 //! * **kernels** — microseconds per call of the paper's remaining
@@ -36,7 +31,6 @@ use adc_digital::backend::{CycleWords, DigitalBackend};
 use adc_pipeline::calibration::{calibrate_foreground, training_levels};
 use adc_pipeline::config::AdcConfig;
 use adc_pipeline::converter::PipelineAdc;
-use adc_pipeline::lanes::LaneBatch;
 use adc_spectral::fft::fft_real_into;
 use adc_spectral::linearity::sine_histogram;
 use adc_spectral::metrics::{analyze_tone, ToneAnalysisConfig};
@@ -57,19 +51,6 @@ const FFT_WINDOW_CALLS: usize = 16;
 struct ConversionFigure {
     name: &'static str,
     samples_per_sec: f64,
-    records: usize,
-}
-
-/// One lane-batch measurement: N nominal dies (seeds `1..=N`)
-/// converting the shared capture waveform, one die after another
-/// through the systolic kernel. `samples_per_sec` counts every lane's
-/// samples; `speedup_vs_scalar` divides by the scalar `nominal` row
-/// measured in the same run, so the figure is host-relative by
-/// construction.
-struct LaneFigure {
-    lanes: usize,
-    samples_per_sec: f64,
-    speedup_vs_scalar: f64,
     records: usize,
 }
 
@@ -135,40 +116,6 @@ fn bench_conversion(name: &'static str, config: AdcConfig) -> ConversionFigure {
     ConversionFigure {
         name,
         samples_per_sec: RECORD_LEN as f64 / best.best_s,
-        records: best.windows,
-    }
-}
-
-/// Times the lane-batched capture path at one lane count: the same RF
-/// generator → band-pass filter stimulus as [`bench_conversion`]'s
-/// nominal row, converted by `n_lanes` Monte-Carlo dies in one batch.
-/// One batch record (all lanes) is one timing window; the fastest
-/// window is the figure.
-fn bench_lanes(n_lanes: usize, scalar_samples_per_sec: f64) -> LaneFigure {
-    let config = AdcConfig::nominal_110ms();
-    let f_cr = config.f_cr_hz;
-    let seeds: Vec<u64> = (1..=n_lanes as u64).collect();
-    let mut batch = LaneBatch::build(&config, &seeds).expect("benchmark config builds");
-    let (f_in, _) = coherent_frequency_clear(f_cr, RECORD_LEN, 10e6, 8)
-        .expect("an 8k record always has a clear tone bin");
-    let generator = SineSource::rf_generator(0.995 * batch.lanes()[0].config().v_ref_v, f_in);
-    let filtered = BandpassFilter::passive_high_order(f_in).clean(&generator);
-
-    // Warm up settling/tracking memory, code paths, and buffers.
-    let mut outs = vec![Vec::new(); n_lanes];
-    batch.reset();
-    batch.convert_waveform_into(&filtered, 1024, &mut outs);
-    assert!(outs.iter().all(|o| o.len() == 1024));
-
-    let best = best_window(&mut batch, LaneBatch::reset, |batch| {
-        batch.convert_waveform_into(&filtered, RECORD_LEN, &mut outs);
-    });
-    assert!(outs.iter().all(|o| o.len() == RECORD_LEN));
-    let samples_per_sec = (n_lanes * RECORD_LEN) as f64 / best.best_s;
-    LaneFigure {
-        lanes: n_lanes,
-        samples_per_sec,
-        speedup_vs_scalar: samples_per_sec / scalar_samples_per_sec.max(1e-12),
         records: best.windows,
     }
 }
@@ -313,22 +260,6 @@ fn main() {
         );
     }
 
-    let scalar_nominal = conversions
-        .iter()
-        .find(|c| c.name == "nominal")
-        .map(|c| c.samples_per_sec)
-        .expect("nominal row is always measured");
-    let lane_figures: Vec<LaneFigure> = [1usize, 4, 8]
-        .iter()
-        .map(|&n| bench_lanes(n, scalar_nominal))
-        .collect();
-    for l in &lane_figures {
-        println!(
-            "lanes      {:<14} {:>10.0} samples/sec  {:>5.2}x vs scalar  (best of {} batch records)",
-            l.lanes, l.samples_per_sec, l.speedup_vs_scalar, l.records
-        );
-    }
-
     let ffts: Vec<(usize, CallFigure)> = [1024usize, 4096, 8192, 16384]
         .into_iter()
         .map(|n| (n, bench_fft(n)))
@@ -363,15 +294,6 @@ fn main() {
             )
         })
         .collect();
-    let lanes_json: Vec<String> = lane_figures
-        .iter()
-        .map(|l| {
-            format!(
-                "    {{ \"lanes\": {}, \"samples_per_sec\": {:.0}, \"speedup_vs_scalar\": {:.3}, \"records\": {} }}",
-                l.lanes, l.samples_per_sec, l.speedup_vs_scalar, l.records
-            )
-        })
-        .collect();
     let fft_json: Vec<String> = ffts
         .iter()
         .map(|(n, f)| {
@@ -394,11 +316,10 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"dsp hot-path kernels\",\n  {},\n  \"record_len\": {},\n  \"conversion\": [\n{}\n  ],\n  \"lanes\": [\n{}\n  ],\n  \"fft\": [\n{}\n  ],\n  \"kernels\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"dsp hot-path kernels\",\n  {},\n  \"record_len\": {},\n  \"conversion\": [\n{}\n  ],\n  \"fft\": [\n{}\n  ],\n  \"kernels\": [\n{}\n  ]\n}}\n",
         adc_bench::Provenance::capture().json_entry(),
         RECORD_LEN,
         conv_json.join(",\n"),
-        lanes_json.join(",\n"),
         fft_json.join(",\n"),
         kernels_json.join(",\n"),
     );

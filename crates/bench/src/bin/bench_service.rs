@@ -32,8 +32,8 @@
 //! Every response is verified by the client library (batch ordering,
 //! sample count, stream CRC), and one record is replayed in-process
 //! to prove the service boundary is bit-identical. All requests share
-//! one tone shape at distinct seeds — exactly the concurrent-arrival
-//! workload the reactor coalesces into shared jobs.
+//! one tone shape at distinct seeds: every request costs the same, so
+//! the load points differ only in arrival rate.
 
 use std::time::{Duration, Instant};
 
@@ -45,7 +45,7 @@ use adc_server::{
 use adc_testbench::MeasurementSession;
 
 /// One tone shape for the whole run: identical stimulus, distinct
-/// seeds, which is what makes concurrent arrivals coalescible.
+/// seeds, so every request is the same amount of work.
 const F_TARGET: f64 = 5e6;
 
 /// Pipelining depth per connection during the saturation probe.

@@ -42,7 +42,7 @@ pub const DETERMINISM_ROOTS: &[&str] = &[
 /// Individual files in determinism scope inside crates that are
 /// otherwise exempt. The server crate as a whole may time things —
 /// latency histograms *are* wall-clock — but the reactor decides
-/// dispatch order, request coalescing, and admission shedding, and
+/// dispatch order, admission shedding, and the accept back-off, and
 /// every one of those decisions must be a function of arrival order
 /// and config, never of wall-clock reads, thread identity, or hash
 /// iteration order.
@@ -184,8 +184,8 @@ mod tests {
         // its sources sit in determinism scope so no wall-clock or
         // hash-order dependence can creep into work distribution.
         assert!(in_determinism_scope("crates/cluster/src/executor.rs"));
-        // The reactor is file-scoped: its dispatch, coalescing, and
-        // shedding decisions must not depend on clocks or hash order,
+        // The reactor is file-scoped: its dispatch, shedding, and
+        // accept back-off decisions must not depend on clocks or hash order,
         // while the rest of the server crate stays exempt (latency
         // metrics are wall-clock by design).
         assert!(in_determinism_scope("crates/server/src/reactor.rs"));

@@ -18,7 +18,6 @@
 //!   waveform conversion, power introspection;
 //! * [`systolic`] — the record kernel: stages advance as a wavefront,
 //!   as in the silicon pipeline;
-//! * [`lanes`] — N dies converting one record each;
 //! * [`stage`], [`mdac`], [`subconverter`] — the per-stage blocks;
 //! * [`correction`] — redundancy-exploiting digital error correction;
 //! * [`clocking`] — local vs non-overlap clock timing budgets;
@@ -51,7 +50,6 @@ pub mod diagnostics;
 pub mod electrical;
 pub mod error;
 pub mod interleave;
-pub mod lanes;
 pub mod mdac;
 pub mod stage;
 pub mod subconverter;
@@ -65,7 +63,6 @@ pub use correction::{assemble_code, latency_samples, CorrectionPipeline};
 pub use diagnostics::Diagnostics;
 pub use error::BuildAdcError;
 pub use interleave::{InterleaveMismatch, InterleavedAdc};
-pub use lanes::{LaneBatch, LaneError};
 pub use mdac::Mdac;
 pub use stage::PipelineStage;
 pub use subconverter::{Adsc, FlashBackend, StageDecision};

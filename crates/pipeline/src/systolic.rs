@@ -22,9 +22,8 @@
 //!    residues go through [`AmpConstants::amplify_lanes`] with **stages
 //!    as lanes**, and the last-stage output feeds the flash.
 //!
-//! Every record runs here: [`PipelineAdc::convert_waveform_into`]
-//! directly, and a [`LaneBatch`](crate::lanes::LaneBatch) by converting
-//! its dies one after another.
+//! Every record runs here, through [`PipelineAdc::convert_waveform_into`].
+//! Dies share nothing, so N dies convert N records one after another.
 //!
 //! # Why the schedule is exact
 //!

@@ -163,133 +163,6 @@ impl<I> Campaign<I> {
         }
     }
 
-    /// Runs the campaign with jobs batched into groups of up to
-    /// `group_size`: consecutive jobs form one pool job whose worker
-    /// receives every member's [`JobCtx`] — each carrying its *member*
-    /// identity and the seed that identity derives — plus the member
-    /// inputs, and returns one value per member, in order.
-    ///
-    /// This is the execution shape lane-parallel kernels want: N
-    /// independent jobs advance through shared stage math in lock-step,
-    /// amortizing per-job setup, while the campaign surface (ids,
-    /// seeds, reports, result order) stays exactly [`Campaign::run`]'s.
-    /// Because each member's seed is a pure function of its own stable
-    /// [`JobId`], a grouped campaign is bit-identical to an ungrouped
-    /// one whenever the worker computes members independently — the
-    /// lane kernels' contract. Observers see one pool job per *group*;
-    /// per-member reports amortize the group's wall time and samples
-    /// evenly across its members.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `group_size == 0`, or when the worker returns a
-    /// value count different from its group's size.
-    pub fn run_grouped<T, F>(self, group_size: usize, worker: F) -> CampaignRun<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(&[JobCtx], &[&I]) -> Result<Vec<T>, JobError> + Sync,
-    {
-        assert!(group_size > 0, "group_size must be at least 1");
-        let total = self.inputs.len();
-        let indices: Vec<usize> = (0..total).collect();
-        let groups: Vec<Vec<(usize, &I)>> = indices
-            .chunks(group_size)
-            .map(|chunk| chunk.iter().map(|&i| (i, &self.inputs[i])).collect())
-            .collect();
-        run_groups(
-            &GroupSpec {
-                name: &self.name,
-                seed: self.seed,
-                threads: self.threads,
-                timeout: self.timeout,
-                retries: self.retries,
-                observers: &self.observers,
-            },
-            groups,
-            total,
-            &worker,
-        )
-    }
-
-    /// [`Campaign::run_grouped`] through a content-hash cache, in the
-    /// same per-member namespace as [`Campaign::run_cached`]: each
-    /// member's key hashes its *own* input, so a cache warmed by a
-    /// scalar run satisfies a grouped one (and vice versa) bit-for-bit.
-    /// Only the misses execute, regrouped into dense batches — legal
-    /// because member results depend only on their own `(seed, input)`,
-    /// never on their groupmates.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `group_size == 0`, or when the worker returns a
-    /// value count different from its group's size.
-    pub fn run_grouped_cached<T, F>(
-        self,
-        cache: &ResultCache,
-        group_size: usize,
-        worker: F,
-    ) -> CampaignRun<T>
-    where
-        I: Sync + std::fmt::Debug,
-        T: Send + CacheCodec,
-        F: Fn(&[JobCtx], &[&I]) -> Result<Vec<T>, JobError> + Sync,
-    {
-        assert!(group_size > 0, "group_size must be at least 1");
-        cache.preload(&self.name);
-        let keys: Vec<u64> = self
-            .inputs
-            .iter()
-            .map(|input| canonical_key(&self.name, input))
-            .collect();
-        let mut values: Vec<Option<T>> = keys.iter().map(|&k| cache.get::<T>(k)).collect();
-        let miss_indices: Vec<usize> = (0..values.len()).filter(|&i| values[i].is_none()).collect();
-        adc_trace::counter("cache_hits", (values.len() - miss_indices.len()) as u64);
-        adc_trace::counter("cache_misses", miss_indices.len() as u64);
-
-        let groups: Vec<Vec<(usize, &I)>> = miss_indices
-            .chunks(group_size)
-            .map(|chunk| chunk.iter().map(|&i| (i, &self.inputs[i])).collect())
-            .collect();
-        let miss_run = run_groups(
-            &GroupSpec {
-                name: &self.name,
-                seed: self.seed,
-                threads: self.threads,
-                timeout: self.timeout,
-                retries: self.retries,
-                observers: &self.observers,
-            },
-            groups,
-            values.len(),
-            &worker,
-        );
-
-        let mut miss_values = miss_run.values;
-        for &i in &miss_indices {
-            if let Some(v) = &miss_values[i] {
-                cache.put(keys[i], v);
-            }
-            values[i] = miss_values[i].take();
-        }
-        let _ = cache.persist(&self.name);
-
-        let summary = CampaignSummary {
-            name: self.name,
-            jobs: values.len(),
-            succeeded: values.iter().filter(|v| v.is_some()).count(),
-            threads: miss_run.summary.threads,
-            wall: miss_run.summary.wall,
-            busy: miss_run.summary.busy,
-            samples: miss_run.summary.samples,
-        };
-        CampaignRun {
-            values,
-            reports: miss_run.reports,
-            summary,
-        }
-    }
-
     /// Runs the campaign through a content-hash cache: jobs whose
     /// canonical input (`Debug` rendering, salted with the campaign
     /// name) is already cached return their stored value without
@@ -343,7 +216,6 @@ impl<I> Campaign<I> {
                 attempts: 0,
                 wall: Duration::ZERO,
                 samples: 0,
-                requests: 0,
                 error: None,
             })
             .collect();
@@ -376,116 +248,6 @@ impl<I> Campaign<I> {
             reports,
             summary,
         }
-    }
-}
-
-/// The campaign-level knobs [`run_groups`] re-applies to its inner
-/// group campaign.
-struct GroupSpec<'a> {
-    name: &'a str,
-    seed: u64,
-    threads: usize,
-    timeout: Option<Duration>,
-    retries: u32,
-    observers: &'a [Arc<dyn RunObserver>],
-}
-
-/// Dispatches `(original_index, input)` groups as pool jobs and
-/// scatters the per-member values and reports back into `total`
-/// id-ordered slots (slots no group covers stay `None` with a
-/// placeholder report — the cached path's hit slots).
-fn run_groups<I, T, F>(
-    spec: &GroupSpec<'_>,
-    groups: Vec<Vec<(usize, &I)>>,
-    total: usize,
-    worker: &F,
-) -> CampaignRun<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&[JobCtx], &[&I]) -> Result<Vec<T>, JobError> + Sync,
-{
-    let campaign_seed = spec.seed;
-    let members: Vec<Vec<usize>> = groups
-        .iter()
-        .map(|g| g.iter().map(|&(i, _)| i).collect())
-        .collect();
-    let mut campaign = Campaign::new(spec.name, spec.seed)
-        .jobs(groups)
-        .threads(spec.threads)
-        .retries(spec.retries);
-    if let Some(t) = spec.timeout {
-        campaign = campaign.timeout(t);
-    }
-    for obs in spec.observers {
-        campaign = campaign.observe(Arc::clone(obs));
-    }
-    let run = campaign.run(|ctx, group: &Vec<(usize, &I)>| {
-        // Each member executes under its original identity, so the
-        // grouping (and the cache-hit pattern that shaped it) cannot
-        // change any member's derived seed.
-        let ctxs: Vec<JobCtx> = group
-            .iter()
-            .map(|&(original, _)| ctx.reassign(campaign_seed, JobId(original as u64)))
-            .collect();
-        let inputs: Vec<&I> = group.iter().map(|&(_, input)| input).collect();
-        let out = worker(&ctxs, &inputs)?;
-        assert_eq!(
-            out.len(),
-            group.len(),
-            "group worker must return one value per member"
-        );
-        Ok(out)
-    });
-
-    let mut values: Vec<Option<T>> = (0..total).map(|_| None).collect();
-    let mut reports: Vec<JobReport> = (0..total)
-        .map(|i| JobReport {
-            id: JobId(i as u64),
-            attempts: 0,
-            wall: Duration::ZERO,
-            samples: 0,
-            requests: 0,
-            error: None,
-        })
-        .collect();
-    for (group, (value, report)) in members.iter().zip(run.values.into_iter().zip(run.reports)) {
-        let share = group.len().max(1);
-        let member_report = |original: usize, error: Option<JobError>| JobReport {
-            id: JobId(original as u64),
-            attempts: report.attempts,
-            wall: report.wall / share as u32,
-            samples: report.samples / share as u64,
-            requests: u64::from(error.is_none()),
-            error,
-        };
-        match value {
-            Some(vs) => {
-                for (&original, v) in group.iter().zip(vs) {
-                    values[original] = Some(v);
-                    reports[original] = member_report(original, None);
-                }
-            }
-            None => {
-                for &original in group {
-                    reports[original] = member_report(original, report.error.clone());
-                }
-            }
-        }
-    }
-    let summary = CampaignSummary {
-        name: spec.name.to_string(),
-        jobs: total,
-        succeeded: values.iter().filter(|v| v.is_some()).count(),
-        threads: run.summary.threads,
-        wall: run.summary.wall,
-        busy: run.summary.busy,
-        samples: run.summary.samples,
-    };
-    CampaignRun {
-        values,
-        reports,
-        summary,
     }
 }
 
@@ -666,144 +428,6 @@ mod tests {
         for (i, (&got, &want)) in values.iter().zip(reference.iter()).enumerate() {
             if i % 2 == 1 {
                 assert_eq!(got, want, "miss job {i} must keep its original seed");
-            }
-        }
-    }
-
-    #[test]
-    fn grouped_run_is_bit_identical_to_ungrouped() {
-        let ungrouped = Campaign::new("lanes", 77)
-            .jobs(0u64..13)
-            .threads(2)
-            .run(|ctx, &x| Ok::<_, JobError>((x, ctx.seed)))
-            .into_result()
-            .unwrap();
-        for group_size in [1, 4, 5, 16] {
-            let grouped = Campaign::new("lanes", 77)
-                .jobs(0u64..13)
-                .threads(2)
-                .run_grouped(group_size, |ctxs, inputs| {
-                    Ok::<_, JobError>(
-                        ctxs.iter()
-                            .zip(inputs)
-                            .map(|(ctx, &&x)| (x, ctx.seed))
-                            .collect(),
-                    )
-                })
-                .into_result()
-                .unwrap();
-            assert_eq!(grouped, ungrouped, "group_size {group_size}");
-        }
-    }
-
-    #[test]
-    fn grouped_failure_fails_every_member_of_that_group() {
-        let run = Campaign::new("lanes-fail", 0)
-            .jobs(0u64..8)
-            .threads(1)
-            .run_grouped(4, |_, inputs| {
-                if inputs.iter().any(|&&x| x == 5) {
-                    Err(JobError::Failed("bad lane".to_string()))
-                } else {
-                    Ok(inputs.iter().map(|&&x| x).collect())
-                }
-            });
-        assert_eq!(run.values().count(), 4, "first group survives");
-        let (id, _) = run.into_result().unwrap_err();
-        assert_eq!(id, JobId(4), "lowest member of the failed group");
-    }
-
-    #[test]
-    fn grouped_worker_must_cover_its_group() {
-        // The pool confines worker panics to the job, so a short return
-        // surfaces as every member of the group failing with the
-        // contract violation in the payload.
-        let run = Campaign::new("lanes-short", 0)
-            .jobs(0u64..4)
-            .threads(1)
-            .run_grouped(4, |_, _| Ok::<Vec<u64>, JobError>(vec![1]));
-        let (id, err) = run.into_result().unwrap_err();
-        assert_eq!(id, JobId(0));
-        assert!(
-            matches!(&err, JobError::Panicked(msg) if msg.contains("one value per member")),
-            "got {err:?}"
-        );
-    }
-
-    #[test]
-    fn grouped_cache_shares_the_scalar_namespace() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let cache = ResultCache::in_memory();
-        let scalar_calls = AtomicUsize::new(0);
-        let scalar = Campaign::new("lanes-cache", 9)
-            .jobs(0u64..10)
-            .threads(2)
-            .run_cached(&cache, |ctx, &x| {
-                scalar_calls.fetch_add(1, Ordering::Relaxed);
-                Ok::<_, JobError>((x as f64, ctx.seed as f64))
-            })
-            .into_result()
-            .unwrap();
-        assert_eq!(scalar_calls.load(Ordering::Relaxed), 10);
-
-        // A grouped run over the same inputs is all hits: the lane path
-        // never executes, and the values are the scalar run's.
-        let grouped_calls = AtomicUsize::new(0);
-        let grouped = Campaign::new("lanes-cache", 9)
-            .jobs(0u64..10)
-            .threads(2)
-            .run_grouped_cached(&cache, 4, |ctxs, inputs| {
-                grouped_calls.fetch_add(inputs.len(), Ordering::Relaxed);
-                Ok(ctxs
-                    .iter()
-                    .zip(inputs)
-                    .map(|(ctx, &&x)| (x as f64, ctx.seed as f64))
-                    .collect())
-            })
-            .into_result()
-            .unwrap();
-        assert_eq!(grouped_calls.load(Ordering::Relaxed), 0, "all hits");
-        assert_eq!(grouped, scalar);
-    }
-
-    #[test]
-    fn grouped_cache_executes_only_misses_with_original_seeds() {
-        let cache = ResultCache::in_memory();
-        // Warm only the even jobs.
-        let _ = Campaign::new("lanes-partial", 31)
-            .jobs((0u64..12).step_by(2))
-            .threads(1)
-            .run_cached(&cache, |ctx, &x| Ok::<_, JobError>((x, ctx.seed)));
-        let reference = Campaign::new("lanes-partial", 31)
-            .jobs(0u64..12)
-            .threads(1)
-            .run(|ctx, &x| Ok::<_, JobError>((x, ctx.seed)))
-            .into_result()
-            .unwrap();
-        let grouped = Campaign::new("lanes-partial", 31)
-            .jobs(0u64..12)
-            .threads(2)
-            .run_grouped_cached(&cache, 4, |ctxs, inputs| {
-                // The misses (odd jobs) arrive regrouped densely, but
-                // every ctx carries its original id and seed.
-                for (ctx, &&x) in ctxs.iter().zip(inputs) {
-                    assert_eq!(ctx.id, JobId(x), "member identity preserved");
-                }
-                Ok(ctxs
-                    .iter()
-                    .zip(inputs)
-                    .map(|(ctx, &&x)| (x, ctx.seed))
-                    .collect())
-            })
-            .into_result()
-            .unwrap();
-        // Hit slots return the warm-up run's stored values (whose seeds
-        // came from the warm-up's dense ids); the misses must match the
-        // uncached reference exactly.
-        for (i, (got, want)) in grouped.iter().zip(&reference).enumerate() {
-            assert_eq!(got.0, want.0, "input {i} round-trips");
-            if i % 2 == 1 {
-                assert_eq!(got, want, "miss {i} must keep its original seed");
             }
         }
     }

@@ -57,12 +57,6 @@ pub struct JobReport {
     /// Samples the worker recorded via [`JobCtx::record_samples`]
     /// (drives campaign throughput accounting).
     pub samples: u64,
-    /// Logical client requests the worker completed, recorded via
-    /// [`JobCtx::record_requests`]. Ordinary jobs record 1; a coalesced
-    /// serving batch records one per member it actually served; 0 means
-    /// the worker recorded none (rejected, failed, or a non-serving
-    /// job).
-    pub requests: u64,
     /// `None` on success, the terminal error otherwise.
     pub error: Option<JobError>,
 }
@@ -80,7 +74,6 @@ pub struct JobCtx {
     deadline: Option<Instant>,
     cancelled: Arc<AtomicBool>,
     samples: Arc<AtomicU64>,
-    requests: Arc<AtomicU64>,
 }
 
 impl JobCtx {
@@ -99,7 +92,6 @@ impl JobCtx {
             deadline: timeout.map(|t| Instant::now() + t),
             cancelled,
             samples: Arc::new(AtomicU64::new(0)),
-            requests: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -120,7 +112,6 @@ impl JobCtx {
             deadline: self.deadline,
             cancelled: Arc::clone(&self.cancelled),
             samples: Arc::clone(&self.samples),
-            requests: Arc::clone(&self.requests),
         }
     }
 
@@ -148,17 +139,6 @@ impl JobCtx {
 
     pub(crate) fn samples(&self) -> u64 {
         self.samples.load(Ordering::Relaxed)
-    }
-
-    /// Credits `n` logical client requests to this job. Serving-layer
-    /// jobs call this once per request they complete so a coalesced
-    /// batch is accounted as its member count, not as one job.
-    pub fn record_requests(&self, n: u64) {
-        self.requests.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
     }
 }
 

@@ -98,7 +98,6 @@ fn run_job<I, T>(
                     attempts: attempt,
                     wall,
                     samples: total_samples,
-                    requests: ctx.requests().max(1),
                     error: None,
                 };
                 return (Some(value), report);
@@ -112,7 +111,6 @@ fn run_job<I, T>(
                         attempts: attempt,
                         wall,
                         samples: total_samples,
-                        requests: ctx.requests(),
                         error: Some(err),
                     };
                     return (None, report);

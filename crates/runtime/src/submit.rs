@@ -188,7 +188,6 @@ impl JobPool {
                 attempts: 0,
                 wall: Duration::ZERO,
                 samples: 0,
-                requests: 0,
                 error: Some(err),
             };
             let _ = reject_tx.send((None, report));
@@ -235,7 +234,6 @@ impl JobPool {
                 attempts: 1,
                 wall,
                 samples: ctx.samples(),
-                requests: ctx.requests(),
                 error,
             };
             for obs in observers.iter() {

@@ -28,9 +28,9 @@
 //!   drain-then-shutdown. The socket side is a readiness-driven
 //!   reactor: one thread multiplexes every connection over `poll(2)`,
 //!   pipelines requests under client-chosen correlation ids (out-of-
-//!   order completion), coalesces identical tone requests into shared
-//!   pool jobs, and sheds overload from bounded admission queues with
-//!   typed [`ErrorCode::Overloaded`] frames.
+//!   order completion), runs each admitted request as one pool job,
+//!   and sheds overload from bounded admission queues with typed
+//!   [`ErrorCode::Overloaded`] frames.
 //! * [`metrics`] — lock-free request counters, an in-flight gauge, and
 //!   a log-linear latency histogram (~6% relative error) fed from the
 //!   pool's [`adc_runtime::RunObserver`] hooks; snapshots answer

@@ -8,9 +8,9 @@
 //! * the digitize job pool reports through the registry's
 //!   [`RunObserver`] implementation — `on_job_start` raises the
 //!   in-flight gauge, `on_job_finish` lowers it, records the job's wall
-//!   time into the histogram once per logical request the job served
-//!   (`JobReport::requests` — a coalesced job counts each
-//!   member), and accumulates its streamed-sample credit.
+//!   time into the histogram (one job serves one request), counts it
+//!   completed when it succeeded, and accumulates its streamed-sample
+//!   credit.
 //!
 //! [`MetricsRegistry::snapshot`] freezes everything into the wire-level
 //! [`MetricsSnapshot`] answered to a `Metrics` request, including
@@ -86,18 +86,9 @@ impl LatencyHistogram {
 
     /// Records one latency observation.
     pub fn record(&self, latency: Duration) {
-        self.record_n(latency, 1);
-    }
-
-    /// Records `n` observations of the same latency — how a coalesced
-    /// batch accounts each member request it served.
-    pub fn record_n(&self, latency: Duration, n: u64) {
-        if n == 0 {
-            return;
-        }
         let us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
-        self.counts[Self::bucket_for(us)].fetch_add(n, Ordering::Relaxed);
-        self.total.fetch_add(n, Ordering::Relaxed);
+        self.counts[Self::bucket_for(us)].fetch_add(1, Ordering::Relaxed);
+        self.total.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Observations recorded so far.
@@ -139,7 +130,6 @@ pub struct MetricsRegistry {
     job_batches: AtomicU64,
     cluster_cache_hits: AtomicU64,
     overloaded: AtomicU64,
-    coalesced: AtomicU64,
     latency: LatencyHistogram,
 }
 
@@ -180,12 +170,6 @@ impl MetricsRegistry {
         self.overloaded.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Credits `n` requests served inside a coalesced job of two
-    /// or more.
-    pub fn coalesced(&self, n: u64) {
-        self.coalesced.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Credits samples streamed to a client.
     pub fn samples(&self, n: u64) {
         self.samples_streamed.fetch_add(n, Ordering::Relaxed);
@@ -218,7 +202,7 @@ impl MetricsRegistry {
             p90_us: self.latency.quantile_us(0.90),
             p99_us: self.latency.quantile_us(0.99),
             overloaded: self.overloaded.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
+            coalesced: 0,
         }
     }
 }
@@ -234,16 +218,11 @@ impl RunObserver for MetricsRegistry {
             .in_flight
             .fetch_sub(1, Ordering::Relaxed)
             .saturating_sub(1);
-        // One histogram entry per logical request the job served (a
-        // coalesced batch ran its members together, so each member
-        // experienced the batch's wall time); failed jobs that served
-        // nothing still record one entry, as before.
-        self.latency.record_n(report.wall, report.requests.max(1));
+        self.latency.record(report.wall);
         self.samples_streamed
             .fetch_add(report.samples, Ordering::Relaxed);
-        // Server jobs credit requests only for members they actually
-        // completed, so the counter is exact under partial failure.
-        self.completed.fetch_add(report.requests, Ordering::Relaxed);
+        self.completed
+            .fetch_add(u64::from(report.error.is_none()), Ordering::Relaxed);
         // Mirror the gauge and the histogram's input into the trace
         // stream: the same wall time lands in both, so a trace profile
         // and a Metrics snapshot agree on request latency.
@@ -327,7 +306,6 @@ mod tests {
                 attempts: 1,
                 wall: Duration::from_micros(300),
                 samples: 4096,
-                requests: 1,
                 error: None,
             },
         );
@@ -345,32 +323,10 @@ mod tests {
                 attempts: 1,
                 wall: Duration::from_micros(10),
                 samples: 0,
-                requests: 0,
                 error: Some(JobError::TimedOut),
             },
         );
         assert_eq!(reg.snapshot().completed, 1, "failed job not completed");
-    }
-
-    #[test]
-    fn coalesced_jobs_complete_once_per_member_request() {
-        let reg = MetricsRegistry::new();
-        reg.on_job_start(JobId(0), 1);
-        reg.on_job_finish(
-            JobId(0),
-            &JobReport {
-                id: JobId(0),
-                attempts: 1,
-                wall: Duration::from_micros(5_000),
-                samples: 8 * 2048,
-                requests: 8,
-                error: None,
-            },
-        );
-        let snap = reg.snapshot();
-        assert_eq!(snap.completed, 8, "one completion per coalesced member");
-        assert_eq!(reg.latency.count(), 8, "one histogram entry per member");
-        assert_eq!(snap.in_flight, 0);
     }
 
     #[test]
@@ -383,7 +339,6 @@ mod tests {
         reg.metrics_request();
         reg.error();
         reg.overloaded();
-        reg.coalesced(3);
         let snap = reg.snapshot();
         assert_eq!(snap.connections, 1);
         assert_eq!(snap.pings, 2);
@@ -391,6 +346,6 @@ mod tests {
         assert_eq!(snap.metrics_requests, 1);
         assert_eq!(snap.errors, 1);
         assert_eq!(snap.overloaded, 1);
-        assert_eq!(snap.coalesced, 3);
+        assert_eq!(snap.coalesced, 0, "nothing coalesces");
     }
 }

@@ -293,7 +293,7 @@ pub enum Preset {
 }
 
 impl Preset {
-    pub(crate) fn to_u8(self) -> u8 {
+    fn to_u8(self) -> u8 {
         match self {
             Self::Nominal110 => 0,
             Self::Ideal => 1,
@@ -1103,8 +1103,9 @@ pub struct MetricsSnapshot {
     pub p99_us: u64,
     /// Requests shed by admission control (`Overloaded` frames sent).
     pub overloaded: u64,
-    /// Digitize requests served as members of a coalesced job of
-    /// two or more (a subset of `completed`).
+    /// Always 0: the server runs every request as its own job and
+    /// coalesces nothing. Kept so the version-2 `Metrics` frame layout
+    /// and the readers of this field stay unchanged.
     pub coalesced: u64,
 }
 

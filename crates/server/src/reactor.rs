@@ -15,11 +15,13 @@
 //! * [`Reactor::dispatch`] drains admission queues round-robin (one
 //!   request per connection per round, resuming after the last admitted
 //!   connection) into pool jobs, bounded by global and per-connection
-//!   in-flight caps. Identical tone requests that are admitted in the
-//!   same round **coalesce** into one job of up to `max_coalesce_lanes`
-//!   members; every job, coalesced or not, converts each member through
-//!   the exact in-process path and streams its record as soon as it is
-//!   converted.
+//!   in-flight caps. One admitted request is one pool job: it converts
+//!   through the exact in-process path, under its own deadline, and
+//!   streams its record as soon as it is converted.
+//! * A failed `accept(2)` is classified by [`accept_verdict`]: an
+//!   aborted handshake is skipped, resource exhaustion (`EMFILE`,
+//!   `ENFILE`, `ENOBUFS`, `ENOMEM`) pauses accepting for one poll
+//!   round, and only an unknown error stops the server.
 //! * Workers never touch sockets: they push encoded frames into the
 //!   connection's [`ConnOut`] (blocking on the bound, polling their
 //!   deadline) and signal completion through an event list plus a
@@ -35,10 +37,10 @@
 //! ## Determinism
 //!
 //! Scheduling here decides *when* a record is computed, never *what* it
-//! contains: jobs derive entirely from the request (preset, overrides,
-//! seed, waveform), and a coalesced member runs the same
-//! [`run_digitize`] call a lone request does. The module is in
-//! `adc-lint`'s determinism scope to keep it that way.
+//! contains: a job derives entirely from its request (preset,
+//! overrides, seed, waveform) and runs the same [`run_digitize`] call
+//! an in-process capture does. The module is in `adc-lint`'s
+//! determinism scope to keep it that way.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -52,7 +54,7 @@ use adc_runtime::{JobCtx, JobError};
 use crate::protocol::{
     encode_response, error_code_for_build, DigitizeDone, DigitizeRequest, ErrorCode,
     FrameAssembler, GangedDone, GangedRequest, Request, Response, SubmitBody, SubmitRequest,
-    WaveformSpec, WireError,
+    WireError,
 };
 use crate::server::{
     error_code_for_ganged, run_digitize, run_ganged, run_job_batch, stream_crc, validate,
@@ -159,25 +161,16 @@ pub(crate) fn waker_pair() -> io::Result<(Waker, WakerRx)> {
 }
 
 /// A completion notice a worker posts into [`Shared::events`] before
-/// waking the reactor.
+/// waking the reactor: one request finished (success or failure).
 #[derive(Debug)]
-pub(crate) enum Event {
-    /// One logical request finished (success or failure).
-    JobDone {
-        /// Connection the request belonged to.
-        conn: u64,
-        /// `true` when the request held a global in-flight slot (batch
-        /// jobs run on their own thread and don't).
-        global: bool,
-        /// `true` when the request failed (for the error counter).
-        failed: bool,
-    },
-    /// One pool job (which may have carried several coalesced requests)
-    /// finished, releasing its pool-depth slot. The reactor keeps at
-    /// most workers + 1 jobs at the pool so pending work coalesces at
-    /// the last moment: deep batches under backlog, shallow ones —
-    /// low latency — when the pool is keeping up.
-    PoolSlotFreed,
+pub(crate) struct JobDone {
+    /// Connection the request belonged to.
+    conn: u64,
+    /// `true` when the request held a global in-flight slot (batch jobs
+    /// run on their own thread and don't).
+    global: bool,
+    /// `true` when the request failed (for the error counter).
+    failed: bool,
 }
 
 /// Outbound frame state for one connection.
@@ -327,56 +320,8 @@ impl ConnSink {
     }
 }
 
-/// The coalescing identity of a tone digitization: two requests with
-/// equal keys (everything but the seed) can share one pool job. Floats
-/// key by bit pattern — the served computation is keyed on exact
-/// values, so coalescing must be too.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct LaneKey {
-    preset: u8,
-    f_cr: Option<u64>,
-    amp: Option<u64>,
-    noise: Option<bool>,
-    f_target: u64,
-    n_samples: u32,
-    batch_size: u32,
-}
-
-/// `Some` when the work is coalescible: a tone digitize with no
-/// deadline (a deadline is per-request; lane members must share fate).
-fn lane_key(work: &SubmitRequest) -> Option<LaneKey> {
-    let SubmitBody::Digitize(req) = &work.body else {
-        return None;
-    };
-    if req.deadline_ms != 0 {
-        return None;
-    }
-    let WaveformSpec::Tone { f_target_hz } = req.waveform else {
-        return None;
-    };
-    Some(LaneKey {
-        preset: req.preset.to_u8(),
-        f_cr: req.overrides.f_cr_hz.map(f64::to_bits),
-        amp: req.overrides.amplitude_v.map(f64::to_bits),
-        noise: req.overrides.thermal_noise,
-        f_target: f_target_hz.to_bits(),
-        n_samples: req.n_samples,
-        batch_size: req.batch_size,
-    })
-}
-
-/// Queues a reactor event and wakes the reactor to apply it.
-fn post(shared: &Shared, event: Event) {
-    shared
-        .events
-        .lock()
-        .expect("reactor event lock")
-        .push(event);
-    shared.waker.wake();
-}
-
 /// One dispatched request's completion obligation. Dropping it posts
-/// exactly one [`Event::JobDone`] — also when the job closure unwinds
+/// exactly one [`JobDone`] — also when the job closure unwinds
 /// or is dropped unrun, in which case the client first gets a typed
 /// `Internal` error — so in-flight accounting can never leak and drain
 /// can never hang.
@@ -417,24 +362,16 @@ impl Drop for Ticket {
             });
             true
         });
-        post(
-            &self.shared,
-            Event::JobDone {
+        self.shared
+            .events
+            .lock()
+            .expect("reactor event lock")
+            .push(JobDone {
                 conn: self.conn,
                 global: self.global,
                 failed,
-            },
-        );
-    }
-}
-
-/// A pool job's pool-depth slot, released when the job's closure ends
-/// or is dropped unrun.
-struct PoolSlot(Arc<Shared>);
-
-impl Drop for PoolSlot {
-    fn drop(&mut self) {
-        post(&self.0, Event::PoolSlotFreed);
+            });
+        self.shared.waker.wake();
     }
 }
 
@@ -468,15 +405,17 @@ struct Reactor {
     waker_rx: WakerRx,
     conns: BTreeMap<u64, Conn>,
     next_conn: u64,
-    /// Requests holding global in-flight slots.
+    /// Requests holding global in-flight slots: one pool job each.
     inflight: usize,
-    /// Jobs currently at the pool (queued or running).
-    pool_jobs: usize,
     /// Pool-depth ceiling: workers + 1 (one job running per worker,
-    /// one composed ahead so workers never idle waiting on the
-    /// reactor). Holding the rest back in `pending` lets dispatch
-    /// coalesce whatever has accumulated by the time a slot frees.
+    /// one queued ahead so workers never idle waiting on the reactor).
+    /// Holding the rest back in `pending` keeps the order of service
+    /// the round-robin dispatch picks, instead of the pool's FIFO.
     pool_cap: usize,
+    /// Set when `accept(2)` ran out of a resource: the next `wait`
+    /// leaves the listener out of its poll set, so the poll tick is
+    /// the back-off before accepting again.
+    accept_paused: bool,
     /// Fairness cursor: dispatch resumes after this connection id.
     cursor: u64,
     batch_threads: Vec<std::thread::JoinHandle<()>>,
@@ -496,8 +435,8 @@ pub(crate) fn run(listener: TcpListener, waker_rx: WakerRx, shared: Arc<Shared>)
         conns: BTreeMap::new(),
         next_conn: 1,
         inflight: 0,
-        pool_jobs: 0,
         pool_cap,
+        accept_paused: false,
         cursor: 0,
         batch_threads: Vec::new(),
         scratch: vec![0u8; READ_CHUNK],
@@ -540,13 +479,14 @@ impl Reactor {
         {
             use std::os::unix::io::AsRawFd;
             let draining = self.shared.draining.load(Ordering::SeqCst);
+            let paused = std::mem::take(&mut self.accept_paused);
             let mut fds = Vec::with_capacity(self.conns.len() + 2);
             fds.push(sys::PollFd {
                 fd: self.waker_rx.as_raw_fd(),
                 events: sys::POLLIN,
                 revents: 0,
             });
-            if !draining {
+            if !draining && !paused {
                 fds.push(sys::PollFd {
                     fd: self.listener.as_raw_fd(),
                     events: sys::POLLIN,
@@ -606,30 +546,21 @@ impl Reactor {
     /// iteration.
     fn process_events(&mut self) {
         let events = std::mem::take(&mut *self.shared.events.lock().expect("reactor event lock"));
-        for event in events {
-            match event {
-                Event::JobDone {
-                    conn,
-                    global,
-                    failed,
-                } => {
-                    if global {
-                        self.inflight = self.inflight.saturating_sub(1);
-                    }
-                    if failed {
-                        self.shared.metrics.error();
-                    }
-                    if let Some(c) = self.conns.get_mut(&conn) {
-                        c.inflight = c.inflight.saturating_sub(1);
-                    }
-                }
-                Event::PoolSlotFreed => {
-                    self.pool_jobs = self.pool_jobs.saturating_sub(1);
-                }
+        for done in events {
+            if done.global {
+                self.inflight = self.inflight.saturating_sub(1);
+            }
+            if done.failed {
+                self.shared.metrics.error();
+            }
+            if let Some(c) = self.conns.get_mut(&done.conn) {
+                c.inflight = c.inflight.saturating_sub(1);
             }
         }
     }
 
+    /// Accepts every pending connection, acting on each failure as
+    /// [`accept_verdict`] classifies it.
     fn accept(&mut self) -> io::Result<()> {
         if self.shared.draining.load(Ordering::SeqCst) {
             return Ok(());
@@ -663,9 +594,15 @@ impl Reactor {
                         },
                     );
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
+                Err(e) => match accept_verdict(&e) {
+                    AcceptVerdict::Retry => continue,
+                    AcceptVerdict::Drained => return Ok(()),
+                    AcceptVerdict::Exhausted => {
+                        self.accept_paused = true;
+                        return Ok(());
+                    }
+                    AcceptVerdict::Fatal => return Err(e),
+                },
             }
         }
     }
@@ -829,29 +766,16 @@ impl Reactor {
         }
     }
 
-    /// Moves admitted work onto the pool: fair round-robin across
-    /// connections, bounded by the global and per-connection in-flight
-    /// caps, coalescing identical tone requests admitted in the same
-    /// round.
+    /// Moves admitted work onto the pool, one job per request: fair
+    /// round-robin across connections, bounded by the global and
+    /// per-connection in-flight caps and the pool-depth ceiling.
     fn dispatch(&mut self) {
-        let max_inflight = self.shared.cfg.max_inflight.max(1);
+        let cap = self.shared.cfg.max_inflight.max(1).min(self.pool_cap);
         let per_conn = self.shared.cfg.max_inflight_per_conn.max(1);
-        let max_lanes = self.shared.cfg.max_coalesce_lanes.max(1);
-
-        // Keep at most `pool_cap` jobs at the pool and park the rest
-        // in per-connection pending queues: work grouped here the
-        // moment a slot frees coalesces everything that accumulated
-        // while the workers were busy, so batch depth tracks backlog
-        // instead of freezing at whatever the arrival pattern was.
-        if self.pool_jobs >= self.pool_cap {
+        if self.inflight >= cap {
             return;
         }
-        let max_admit = (self.pool_cap - self.pool_jobs).saturating_mul(max_lanes);
-
         let ids: Vec<u64> = self.conns.keys().copied().collect();
-        if ids.is_empty() {
-            return;
-        }
         // Resume after the last connection that got a slot so one
         // chatty connection cannot starve the rest.
         let pivot = ids.partition_point(|&id| id <= self.cursor);
@@ -860,13 +784,11 @@ impl Reactor {
             .chain(ids[..pivot].iter())
             .copied()
             .collect();
-
-        let mut admitted: Vec<(u64, SubmitRequest)> = Vec::new();
-        'admit: loop {
+        loop {
             let mut progressed = false;
             for &id in &order {
-                if self.inflight >= max_inflight || admitted.len() >= max_admit {
-                    break 'admit;
+                if self.inflight >= cap {
+                    return;
                 }
                 let Some(conn) = self.conns.get_mut(&id) else {
                     continue;
@@ -880,67 +802,27 @@ impl Reactor {
                 conn.inflight += 1;
                 self.inflight += 1;
                 self.cursor = id;
-                admitted.push((id, work));
+                let sink = ConnSink {
+                    out: Arc::clone(&conn.out),
+                    corr: work.corr_id,
+                };
+                let ticket = Ticket::new(&self.shared, id, sink, true);
+                let deadline_ms = match &work.body {
+                    SubmitBody::Digitize(req) => req.deadline_ms,
+                    SubmitBody::Ganged(req) => req.deadline_ms,
+                };
+                let deadline =
+                    (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
+                let cfg = self.shared.cfg.clone();
+                let _handle = self.shared.pool.submit(deadline, move |ctx| {
+                    serve_job(&cfg, ctx, ticket, &work.body)
+                });
                 progressed = true;
             }
             if !progressed {
-                break;
+                return;
             }
         }
-
-        // Coalescible tones group by key, preserving admission order
-        // within each group; everything else runs as a job of one.
-        let mut groups: BTreeMap<LaneKey, Vec<(u64, SubmitRequest)>> = BTreeMap::new();
-        for (id, work) in admitted {
-            match lane_key(&work) {
-                Some(key) => groups.entry(key).or_default().push((id, work)),
-                None => self.submit(vec![(id, work)]),
-            }
-        }
-        for (_, mut members) in groups {
-            while !members.is_empty() {
-                let take = members.len().min(max_lanes);
-                self.submit(members.drain(..take).collect());
-            }
-        }
-    }
-
-    /// Dispatches one pool job serving `members` in order: a lone
-    /// request of any kind, or a coalesced group of identical tones.
-    fn submit(&mut self, members: Vec<(u64, SubmitRequest)>) {
-        let mut tickets = Vec::with_capacity(members.len());
-        for (id, work) in members {
-            let Some(conn) = self.conns.get(&id) else {
-                // The connection vanished between admission and
-                // dispatch; settle the slot immediately.
-                self.inflight = self.inflight.saturating_sub(1);
-                continue;
-            };
-            let sink = ConnSink {
-                out: Arc::clone(&conn.out),
-                corr: work.corr_id,
-            };
-            tickets.push((Ticket::new(&self.shared, id, sink, true), work.body));
-        }
-        // Only a lone request carries a deadline: `lane_key` keeps
-        // deadlined requests out of groups, whose members share fate.
-        let deadline_ms = match tickets.as_slice() {
-            [] => return,
-            [(_, SubmitBody::Digitize(req))] => req.deadline_ms,
-            [(_, SubmitBody::Ganged(req))] => req.deadline_ms,
-            [_, ..] => {
-                self.shared.metrics.coalesced(tickets.len() as u64);
-                0
-            }
-        };
-        let deadline = (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
-        let cfg = self.shared.cfg.clone();
-        let slot = PoolSlot(Arc::clone(&self.shared));
-        self.pool_jobs += 1;
-        let _handle = self.shared.pool.submit(deadline, move |ctx| {
-            let _slot = slot;
-            serve_job(&cfg, ctx, tickets)
-        });
     }
 
     /// Flushes every connection with queued or partially-written
@@ -1009,6 +891,57 @@ fn enqueue(conn: &mut Conn, shared: &Arc<Shared>, work: SubmitRequest) {
     conn.pending.push_back(work);
 }
 
+/// What the accept loop does after `accept(2)` fails.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum AcceptVerdict {
+    /// Interrupted, or the peer gave up on the handshake before it was
+    /// accepted: skip that connection and keep accepting.
+    Retry,
+    /// No connection is pending: accepting is done for this round.
+    Drained,
+    /// The process or system ran out of descriptors, buffers or
+    /// memory: stop accepting and leave the listener out of the next
+    /// poll, so the poll tick is the back-off.
+    Exhausted,
+    /// Anything else: the listener is unusable and the server stops.
+    Fatal,
+}
+
+/// `errno` values of an `accept(2)` that ran out of a resource:
+/// `EMFILE`, `ENFILE`, `ENOMEM` and `ENOBUFS` (105 on Linux, 55 on the
+/// BSDs and macOS).
+#[cfg(unix)]
+const EXHAUSTED_ERRNOS: [i32; 4] = [
+    24,
+    23,
+    12,
+    if cfg!(any(target_os = "linux", target_os = "android")) {
+        105
+    } else {
+        55
+    },
+];
+#[cfg(not(unix))]
+const EXHAUSTED_ERRNOS: [i32; 0] = [];
+
+/// Classifies an `accept(2)` failure. Pure: the accept loop acts on
+/// the verdict, and the unit tests cover every class without a socket.
+fn accept_verdict(err: &io::Error) -> AcceptVerdict {
+    use io::ErrorKind::{ConnectionAborted, ConnectionReset, Interrupted, OutOfMemory, WouldBlock};
+    match err.kind() {
+        WouldBlock => AcceptVerdict::Drained,
+        Interrupted | ConnectionAborted | ConnectionReset => AcceptVerdict::Retry,
+        OutOfMemory => AcceptVerdict::Exhausted,
+        _ if err
+            .raw_os_error()
+            .is_some_and(|errno| EXHAUSTED_ERRNOS.contains(&errno)) =>
+        {
+            AcceptVerdict::Exhausted
+        }
+        _ => AcceptVerdict::Fatal,
+    }
+}
+
 /// Feeds raw socket bytes through the connection's assembler and
 /// decodes every complete frame. Pure buffer work — no locks, no I/O,
 /// no pool — and panic-free by construction (it is a symbol-level
@@ -1059,47 +992,28 @@ fn flush_conn(conn: &mut Conn) {
     }
 }
 
-/// Serves one pool job's members in order, each through its own
-/// kind's job, settling each member's ticket as soon as its stream
-/// ends. Runs on a pool worker.
+/// Serves one request through its kind's job, settling its ticket as
+/// soon as its stream ends. Runs on a pool worker.
 fn serve_job(
     cfg: &ServerConfig,
     ctx: &JobCtx,
-    members: Vec<(Ticket, SubmitBody)>,
+    ticket: Ticket,
+    body: &SubmitBody,
 ) -> Result<u64, JobError> {
-    let seed = match members.first() {
-        Some((_, SubmitBody::Digitize(req))) => req.seed,
-        Some((_, SubmitBody::Ganged(req))) => req.seed,
-        None => return Err(JobError::Failed("empty job".to_string())),
+    let seed = match body {
+        SubmitBody::Digitize(req) => req.seed,
+        SubmitBody::Ganged(req) => req.seed,
     };
     // Scope span ids to the request's fabrication seed — two server
     // runs serving the same request produce the same span identities.
-    // A coalesced job's span carries its member count.
     let _trace_task = adc_trace::task(seed);
-    let _trace_job = match members.len() {
-        1 => adc_trace::span_with("request", ctx.id.0),
-        n => adc_trace::span_with("coalesced", n as u64),
+    let _trace_job = adc_trace::span_with("request", ctx.id.0);
+    let result = match body {
+        SubmitBody::Digitize(req) => digitize_job(req, cfg, ctx, &ticket.sink),
+        SubmitBody::Ganged(req) => ganged_job(req, cfg, ctx, &ticket.sink),
     };
-    let (mut served, mut streamed, mut error) = (0u64, 0u64, None);
-    for (ticket, body) in members {
-        let result = match &body {
-            SubmitBody::Digitize(req) => digitize_job(req, cfg, ctx, &ticket.sink),
-            SubmitBody::Ganged(req) => ganged_job(req, cfg, ctx, &ticket.sink),
-        };
-        ticket.settle(result.is_err());
-        match result {
-            Ok(n) => {
-                served += 1;
-                streamed += n;
-            }
-            Err(e) => error = Some(e),
-        }
-    }
-    ctx.record_requests(served);
-    match error {
-        Some(e) if served == 0 => Err(e),
-        _ => Ok(streamed),
-    }
+    ticket.settle(result.is_err());
+    result
 }
 
 /// Sends a request's terminal error frame and returns the job error it
@@ -1248,57 +1162,36 @@ fn stream_record<T: Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{encode_request, ConfigOverrides, Preset};
+    use crate::protocol::encode_request;
     use adc_runtime::{JobCtx, JobId};
 
-    fn digitize(req: DigitizeRequest) -> SubmitRequest {
-        SubmitRequest {
-            corr_id: 1,
-            body: SubmitBody::Digitize(req),
-        }
-    }
-
-    fn tone(seed: u64) -> SubmitRequest {
-        digitize(DigitizeRequest::tone(seed, 10e6, 2048))
-    }
-
     #[test]
-    fn lane_key_groups_identical_tones_and_splits_everything_else() {
-        let a = lane_key(&tone(1)).unwrap();
-        let b = lane_key(&tone(2)).unwrap();
-        assert_eq!(a, b, "seed must not split a group");
-
-        let mut other = DigitizeRequest::tone(3, 10e6, 2048);
-        other.preset = Preset::Ideal;
-        let c = lane_key(&digitize(other)).unwrap();
-        assert_ne!(a, c, "preset splits the group");
-
-        let mut amp = DigitizeRequest::tone(4, 10e6, 2048);
-        amp.overrides = ConfigOverrides {
-            amplitude_v: Some(0.5),
-            ..ConfigOverrides::default()
-        };
-        let d = lane_key(&digitize(amp)).unwrap();
-        assert_ne!(a, d, "amplitude override splits the group");
-
-        let mut deadlined = DigitizeRequest::tone(5, 10e6, 2048);
-        deadlined.deadline_ms = 100;
-        assert!(
-            lane_key(&digitize(deadlined)).is_none(),
-            "deadlines opt out of coalescing"
-        );
-
-        let dc = DigitizeRequest {
-            waveform: WaveformSpec::Dc { level_v: 0.1 },
-            ..DigitizeRequest::tone(6, 10e6, 2048)
-        };
-        assert!(lane_key(&digitize(dc)).is_none(), "only tones coalesce");
-
-        let ganged = SubmitRequest {
-            corr_id: 1,
-            body: SubmitBody::Ganged(GangedRequest::tone(7, 2, 10e6, 2048)),
-        };
-        assert!(lane_key(&ganged).is_none(), "ganged never coalesces");
+    fn accept_errors_are_classified_by_what_the_loop_can_do() {
+        use io::ErrorKind;
+        let kind = |k: ErrorKind| accept_verdict(&io::Error::from(k));
+        assert_eq!(kind(ErrorKind::WouldBlock), AcceptVerdict::Drained);
+        for k in [
+            ErrorKind::Interrupted,
+            ErrorKind::ConnectionAborted,
+            ErrorKind::ConnectionReset,
+        ] {
+            assert_eq!(kind(k), AcceptVerdict::Retry, "{k:?}");
+        }
+        assert_eq!(kind(ErrorKind::OutOfMemory), AcceptVerdict::Exhausted);
+        for errno in EXHAUSTED_ERRNOS {
+            assert_eq!(
+                accept_verdict(&io::Error::from_raw_os_error(errno)),
+                AcceptVerdict::Exhausted,
+                "errno {errno}"
+            );
+        }
+        for k in [
+            ErrorKind::PermissionDenied,
+            ErrorKind::InvalidInput,
+            ErrorKind::Other,
+        ] {
+            assert_eq!(kind(k), AcceptVerdict::Fatal, "{k:?}");
+        }
     }
 
     #[test]

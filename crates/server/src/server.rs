@@ -15,8 +15,8 @@
 //!   stream response frames into a *bounded* per-connection queue the
 //!   reactor flushes; the bound is the backpressure mechanism.
 //! * Requests pipelined under nonzero correlation ids run concurrently
-//!   (up to the admission caps) and complete out of order; identical
-//!   tone requests arriving together coalesce into one pool job.
+//!   (up to the admission caps) and complete out of order; each
+//!   admitted request is one pool job.
 //!
 //! ## Deadlines
 //!
@@ -59,7 +59,7 @@ use crate::protocol::{
     self, error_code_for_build, DigitizeRequest, ErrorCode, GangedCal, GangedRequest,
     JobBatchRequest, JobOutcome, JobResultBatch, JobStatus, Preset, WaveformSpec,
 };
-use crate::reactor::{self, Event, Waker};
+use crate::reactor::{self, JobDone, Waker};
 
 /// Foreground alignment averaging the server uses for
 /// [`GangedCal::Foreground`] — fixed so a ganged request fully
@@ -97,8 +97,6 @@ pub struct ServerConfig {
     /// Per-connection admission-queue depth; requests beyond it are
     /// shed with [`ErrorCode::Overloaded`].
     pub max_pending_per_conn: usize,
-    /// Most identical tone requests coalesced into one pool job.
-    pub max_coalesce_lanes: usize,
     /// The host's campaign-job capability; `None` (the default) answers
     /// `JobBatch` requests with [`ErrorCode::Unsupported`].
     pub job_runner: Option<Arc<dyn JobRunner>>,
@@ -120,7 +118,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("max_inflight", &self.max_inflight)
             .field("max_inflight_per_conn", &self.max_inflight_per_conn)
             .field("max_pending_per_conn", &self.max_pending_per_conn)
-            .field("max_coalesce_lanes", &self.max_coalesce_lanes)
             .field("job_runner", &self.job_runner.as_ref().map(|_| "<runner>"))
             .field("cache_dir", &self.cache_dir)
             .finish()
@@ -140,7 +137,6 @@ impl Default for ServerConfig {
             max_inflight: 64,
             max_inflight_per_conn: 16,
             max_pending_per_conn: 256,
-            max_coalesce_lanes: 8,
             job_runner: None,
             cache_dir: None,
         }
@@ -158,7 +154,7 @@ pub(crate) struct Shared {
     /// handle requests shutdown.
     pub(crate) waker: Waker,
     /// Completion notices workers post before waking the reactor.
-    pub(crate) events: Mutex<Vec<Event>>,
+    pub(crate) events: Mutex<Vec<JobDone>>,
 }
 
 /// A bound, not-yet-serving server. [`Server::serve`] runs it to

@@ -45,8 +45,8 @@ pub use datasheet::{Datasheet, DatasheetError, PAPER_AREA_MM2};
 pub use filter::{BandpassFilter, Biquad};
 pub use floorplan::{Floorplan, FloorplanBlock};
 pub use montecarlo::{
-    measure_die, measure_dies_laned, monte_carlo_plan, run_monte_carlo, run_monte_carlo_with,
-    summarize_dies, DieResult, MetricStats, MonteCarloPlan, MonteCarloResult, YieldSpec,
+    measure_die, monte_carlo_plan, run_monte_carlo, run_monte_carlo_with, summarize_dies,
+    DieResult, MetricStats, MonteCarloPlan, MonteCarloResult, YieldSpec,
 };
 pub use policy::RunPolicy;
 pub use report::CampaignReporter;

@@ -10,7 +10,7 @@ use adc_pipeline::error::BuildAdcError;
 use adc_runtime::{canonical_key, derive_seed, CacheCodec};
 
 use crate::policy::{campaign_id, ErrorFunnel, RunPolicy};
-use crate::session::{LaneBench, MeasurementSession};
+use crate::session::MeasurementSession;
 
 /// One die's Monte-Carlo measurement.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -240,44 +240,6 @@ pub fn measure_die(
     })
 }
 
-/// Fabricates and measures a whole group of dies as one lane batch:
-/// one [`LaneBench`] carries every die
-/// through the shared stimulus. Per-lane bit-exactness (the kernel's
-/// contract, re-asserted by the `determinism` suite) makes this
-/// interchangeable with mapping [`measure_die`] over `die_seeds` — same
-/// `DieResult`s, same cache entries.
-///
-/// # Errors
-///
-/// The lowest-seed [`BuildAdcError`] when a die cannot fabricate.
-///
-/// # Panics
-///
-/// Panics when `die_seeds` is empty.
-pub fn measure_dies_laned(
-    config: &AdcConfig,
-    die_seeds: &[u64],
-    f_in_target_hz: f64,
-    record_len: usize,
-) -> Result<Vec<DieResult>, BuildAdcError> {
-    let mut bench = LaneBench::new(config.clone(), die_seeds)?;
-    bench.record_len = record_len;
-    let measurements = bench.measure_tone(f_in_target_hz);
-    Ok(die_seeds
-        .iter()
-        .zip(bench.lanes())
-        .zip(measurements)
-        .map(|((&seed, adc), m)| DieResult {
-            seed,
-            snr_db: m.analysis.snr_db,
-            sndr_db: m.analysis.sndr_db,
-            sfdr_db: m.analysis.sfdr_db,
-            enob: m.analysis.enob,
-            power_w: adc.power_w(),
-        })
-        .collect())
-}
-
 /// Folds per-die measurements (in seed order) into the campaign
 /// result. Pure assembly — no randomness, no reordering — so any
 /// executor that produces the same dies produces the same result.
@@ -337,32 +299,11 @@ pub fn run_monte_carlo_with(
 ) -> Result<MonteCarloResult, BuildAdcError> {
     let plan = monte_carlo_plan(config, die_count, f_in_target_hz, record_len);
     let funnel = ErrorFunnel::new();
-    let dies = if policy.lanes > 1 {
-        // Lane-batched: groups of dies go through one LaneBench. Same
-        // per-die cache keys, same results (per-lane bit-exactness).
-        let run = policy.run_campaign_grouped(
-            &plan.campaign,
-            plan.seed,
-            plan.die_seeds,
-            policy.lanes,
-            |ctxs, seeds| {
-                for ctx in ctxs {
-                    ctx.record_samples(record_len as u64);
-                }
-                let seeds: Vec<u64> = seeds.iter().map(|&&s| s).collect();
-                measure_dies_laned(config, &seeds, f_in_target_hz, record_len)
-                    .map_err(|e| funnel.capture(ctxs[0].id, e))
-            },
-        );
-        funnel.resolve(run)?
-    } else {
-        let run = policy.run_campaign(&plan.campaign, plan.seed, plan.die_seeds, |ctx, &seed| {
-            ctx.record_samples(record_len as u64);
-            measure_die(config, seed, f_in_target_hz, record_len)
-                .map_err(|e| funnel.capture(ctx.id, e))
-        });
-        funnel.resolve(run)?
-    };
+    let run = policy.run_campaign(&plan.campaign, plan.seed, plan.die_seeds, |ctx, &seed| {
+        ctx.record_samples(record_len as u64);
+        measure_die(config, seed, f_in_target_hz, record_len).map_err(|e| funnel.capture(ctx.id, e))
+    });
+    let dies = funnel.resolve(run)?;
     Ok(summarize_dies(dies))
 }
 
@@ -462,45 +403,5 @@ mod tests {
         let parallel =
             run_monte_carlo_with(&config, 6, 10e6, 1024, &RunPolicy::parallel(4)).expect("runs");
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn laned_campaign_is_bit_identical_to_serial() {
-        let config = AdcConfig::nominal_110ms();
-        let serial =
-            run_monte_carlo_with(&config, 6, 10e6, 1024, &RunPolicy::serial()).expect("runs");
-        // Both a full batch and a ragged tail (6 dies in lanes of 4).
-        for lanes in [4, 8] {
-            let laned =
-                run_monte_carlo_with(&config, 6, 10e6, 1024, &RunPolicy::serial().laned(lanes))
-                    .expect("runs");
-            assert_eq!(serial, laned, "{lanes}-lane campaign diverged");
-        }
-    }
-
-    #[test]
-    fn laned_and_scalar_campaigns_share_one_cache_namespace() {
-        use std::sync::Arc;
-        let config = AdcConfig::nominal_110ms();
-        let cache = Arc::new(adc_runtime::ResultCache::in_memory());
-        let scalar = run_monte_carlo_with(
-            &config,
-            4,
-            10e6,
-            1024,
-            &RunPolicy::serial().cached(Arc::clone(&cache)),
-        )
-        .expect("runs");
-        // The laned rerun is all cache hits: the dies come back from the
-        // scalar run's entries, bit-identically.
-        let laned = run_monte_carlo_with(
-            &config,
-            4,
-            10e6,
-            1024,
-            &RunPolicy::serial().cached(Arc::clone(&cache)).laned(4),
-        )
-        .expect("runs");
-        assert_eq!(scalar, laned);
     }
 }

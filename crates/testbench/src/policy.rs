@@ -25,13 +25,6 @@ pub struct RunPolicy {
     /// regenerating a figure after editing one sweep point recomputes
     /// only that point.
     pub cache: Option<Arc<ResultCache>>,
-    /// Lane-batch width for lane-compatible campaigns (Monte-Carlo die
-    /// measurement): groups of up to `lanes` jobs advance through the
-    /// record kernel together instead of one session each. `0` or `1`
-    /// (the default) runs scalar per-job sessions. Per-lane
-    /// bit-exactness means the results are identical either way — only
-    /// wall time changes.
-    pub lanes: usize,
 }
 
 impl std::fmt::Debug for RunPolicy {
@@ -40,7 +33,6 @@ impl std::fmt::Debug for RunPolicy {
             .field("threads", &self.threads)
             .field("observers", &self.observers.len())
             .field("cached", &self.cache.is_some())
-            .field("lanes", &self.lanes)
             .finish()
     }
 }
@@ -73,14 +65,6 @@ impl RunPolicy {
     #[must_use]
     pub fn cached(mut self, cache: Arc<ResultCache>) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Sets the lane-batch width for lane-compatible campaigns (builder
-    /// style); see [`RunPolicy::lanes`].
-    #[must_use]
-    pub fn laned(mut self, lanes: usize) -> Self {
-        self.lanes = lanes;
         self
     }
 
@@ -160,30 +144,6 @@ impl RunPolicy {
         match &self.cache {
             Some(cache) => campaign.run_cached(cache, worker),
             None => campaign.run(worker),
-        }
-    }
-
-    /// Runs a lane-grouped campaign (through the cache when one is
-    /// attached): jobs fan out in batches of up to `group_size`, each
-    /// batch's worker receiving every member's context and input. The
-    /// cache namespace is per-member, shared with [`Self::run_campaign`].
-    pub(crate) fn run_campaign_grouped<I, T, F>(
-        &self,
-        name: &str,
-        seed: u64,
-        inputs: Vec<I>,
-        group_size: usize,
-        worker: F,
-    ) -> CampaignRun<T>
-    where
-        I: Sync + std::fmt::Debug,
-        T: Send + CacheCodec,
-        F: Fn(&[adc_runtime::JobCtx], &[&I]) -> Result<Vec<T>, JobError> + Sync,
-    {
-        let campaign = self.campaign(name, seed, inputs);
-        match &self.cache {
-            Some(cache) => campaign.run_grouped_cached(cache, group_size, worker),
-            None => campaign.run_grouped(group_size, worker),
         }
     }
 }

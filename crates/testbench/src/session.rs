@@ -9,7 +9,6 @@
 use adc_pipeline::config::AdcConfig;
 use adc_pipeline::converter::PipelineAdc;
 use adc_pipeline::error::BuildAdcError;
-use adc_pipeline::lanes::LaneBatch;
 use adc_spectral::linearity::{sine_histogram, LinearityError, LinearityResult};
 use adc_spectral::metrics::{analyze_tone_with, SingleToneAnalysis, ToneAnalysisConfig};
 use adc_spectral::plan::SpectralScratch;
@@ -211,20 +210,18 @@ impl MeasurementSession {
     }
 }
 
-/// N dies on the bench at once, captured as one [`LaneBatch`] instead
-/// of one [`MeasurementSession`] each.
+/// N dies on the bench at once, sharing one stimulus.
 ///
 /// The bench semantics are [`MeasurementSession`]'s exactly — same
 /// coherent-frequency selection, same RF generator and band-pass
-/// filter, same default record length and near-full-scale amplitude —
-/// so each lane's captured record and tone analysis are bit-identical
-/// to a scalar session on that die at the same seed, while the bench
-/// shares one stimulus, one set of spectral scratch and one analysis
-/// setup across every die of a Monte-Carlo campaign or interleaved
-/// array.
+/// filter, same default record length and near-full-scale amplitude.
+/// The dies share no state: each converts its own record in turn, so
+/// each lane's captured record and tone analysis are bit-identical to a
+/// scalar session on that die at the same seed. What the bench shares
+/// is the stimulus, the spectral scratch and the analysis setup.
 #[derive(Debug, Clone)]
 pub struct LaneBench {
-    batch: LaneBatch,
+    dies: Vec<PipelineAdc>,
     /// FFT record length (power of two), shared by every lane.
     pub record_len: usize,
     /// Stimulus amplitude for dynamic tests, volts peak — defaults to
@@ -248,9 +245,13 @@ impl LaneBench {
     ///
     /// Panics when `seeds` is empty.
     pub fn new(config: AdcConfig, seeds: &[u64]) -> Result<Self, BuildAdcError> {
+        assert!(!seeds.is_empty(), "need at least one die seed");
         let amplitude_v = 0.995 * config.v_ref_v;
         Ok(Self {
-            batch: LaneBatch::build(&config, seeds)?,
+            dies: seeds
+                .iter()
+                .map(|&seed| PipelineAdc::build(config.clone(), seed))
+                .collect::<Result<_, _>>()?,
             record_len: 8192,
             amplitude_v,
             spectral: SpectralScratch::default(),
@@ -260,56 +261,57 @@ impl LaneBench {
 
     /// The dies under test, in lane order.
     pub fn lanes(&self) -> &[PipelineAdc] {
-        self.batch.lanes()
+        &self.dies
     }
 
-    /// Captures one coherent record near `f_target_hz` on every lane —
+    /// Captures one coherent record near `f_target_hz` on every die —
     /// one shared stimulus (RF generator → band-pass filter), N
     /// independent converters — into caller-owned buffers (cleared
-    /// first, one per lane). Returns the exact stimulus frequency.
+    /// first, one per die). Returns the exact stimulus frequency.
     ///
     /// # Panics
     ///
-    /// Panics when `outs.len()` differs from the lane count, or when
-    /// the lanes disagree on conversion rate (one coherent grid must
-    /// serve every lane).
+    /// Panics when `outs.len()` differs from the die count, or when
+    /// the dies disagree on conversion rate (one coherent grid must
+    /// serve every die).
     pub fn capture_tone_into(&mut self, f_target_hz: f64, outs: &mut [Vec<u16>]) -> f64 {
+        assert_eq!(outs.len(), self.dies.len(), "one output record per die");
         let _trace = adc_trace::span_with(
             "capture_tone_lanes",
-            (self.record_len * self.batch.len()) as u64,
+            (self.record_len * self.dies.len()) as u64,
         );
-        let f_cr = self.batch.lanes()[0].config().f_cr_hz;
+        let f_cr = self.dies[0].config().f_cr_hz;
         assert!(
-            self.batch
-                .lanes()
+            self.dies
                 .iter()
-                .all(|l| l.config().f_cr_hz.to_bits() == f_cr.to_bits()),
-            "lanes must share a conversion rate for one coherent capture grid"
+                .all(|d| d.config().f_cr_hz.to_bits() == f_cr.to_bits()),
+            "dies must share a conversion rate for one coherent capture grid"
         );
         let f_in = placed_tone_hz(f_cr, self.record_len, f_target_hz);
         let generator = SineSource::rf_generator(self.amplitude_v, f_in);
         let filtered = BandpassFilter::passive_high_order(f_in).clean(&generator);
-        self.batch.reset();
-        self.batch
-            .convert_waveform_into(&filtered, self.record_len, outs);
+        for (adc, out) in self.dies.iter_mut().zip(outs) {
+            adc.reset();
+            adc.convert_waveform_into(&filtered, self.record_len, out);
+        }
         f_in
     }
 
     /// Runs the full single-tone dynamic measurement at `f_target_hz`
-    /// on every lane, returning one [`ToneMeasurement`] per lane — each
+    /// on every die, returning one [`ToneMeasurement`] per die — each
     /// bit-identical to [`MeasurementSession::measure_tone`] on that
     /// die alone.
     pub fn measure_tone(&mut self, f_target_hz: f64) -> Vec<ToneMeasurement> {
         let _trace = adc_trace::span("measure_tone_lanes");
-        let mut codes = vec![Vec::new(); self.batch.len()];
+        let mut codes = vec![Vec::new(); self.dies.len()];
         let f_in = self.capture_tone_into(f_target_hz, &mut codes);
         codes
             .iter()
-            .zip(self.batch.lanes())
-            .map(|(lane_codes, adc)| {
+            .zip(&self.dies)
+            .map(|(die_codes, adc)| {
                 self.record.clear();
                 self.record
-                    .extend(lane_codes.iter().map(|&c| adc.reconstruct_v(c)));
+                    .extend(die_codes.iter().map(|&c| adc.reconstruct_v(c)));
                 let cfg = ToneAnalysisConfig::coherent().with_full_scale(adc.config().v_ref_v);
                 let analysis = analyze_tone_with(&self.record, &cfg, &mut self.spectral)
                     .expect("record length is a power of two by construction");

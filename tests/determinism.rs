@@ -5,12 +5,11 @@
 //! runs this test in both profiles against one
 //! `ADC_DETERMINISM_HASH_FILE`).
 
-use pipeline_adc::pipeline::lanes::LaneBatch;
-use pipeline_adc::pipeline::{AdcConfig, PipelineAdc};
+use pipeline_adc::pipeline::AdcConfig;
 use pipeline_adc::runtime::{canonical_key, CacheCodec, Campaign, JobError};
 use pipeline_adc::testbench::montecarlo::{run_monte_carlo_with, MonteCarloResult};
 use pipeline_adc::testbench::sweep::SweepRunner;
-use pipeline_adc::testbench::RunPolicy;
+use pipeline_adc::testbench::{LaneBench, MeasurementSession, RunPolicy};
 
 fn yield_campaign(threads: usize) -> MonteCarloResult {
     run_monte_carlo_with(
@@ -94,21 +93,22 @@ fn tracing_on_and_off_are_bit_identical() {
     assert_eq!(digest(&untraced), digest(&traced));
 }
 
-/// The lane batch's determinism contract: at 1, 4, and
-/// 8 lanes, with aperture jitter on and off, every lane's record is
-/// **bit-identical** to converting that lane's waveform alone through
-/// the scalar planned path at the same seed — and the whole laned
-/// corpus hashes to the same digest across compilation profiles via
-/// `ADC_DETERMINISM_LANES_HASH_FILE` (recorded on first run, compared
-/// on later runs; `ci.sh determinism` runs this test in debug and
-/// release against one file).
+/// The lane bench's determinism contract: at 1, 4, and 8 dies, with
+/// aperture jitter on and off, every die's record captured through a
+/// shared-stimulus [`LaneBench`] is **bit-identical** to a
+/// [`MeasurementSession`] capture on that die alone — and the whole
+/// laned corpus hashes to the same digest across compilation profiles
+/// via `ADC_DETERMINISM_LANES_HASH_FILE` (recorded on first run,
+/// compared on later runs; `ci.sh determinism` runs this test in debug
+/// and release against one file).
 #[test]
 fn laned_and_scalar_paths_are_bit_identical() {
+    const RECORD: usize = 512;
+    const F_TARGET: f64 = 9.7e6;
     let jitter_off = AdcConfig {
         jitter: pipeline_adc::analog::noise::ApertureJitter::none(),
         ..AdcConfig::nominal_110ms()
     };
-    let tone = |t: f64| 0.95 * (2.0 * std::f64::consts::PI * 9.7e6 * t).sin();
     let mut corpus: Vec<String> = Vec::new();
     for (name, config) in [
         ("jitter_on", AdcConfig::nominal_110ms()),
@@ -116,14 +116,18 @@ fn laned_and_scalar_paths_are_bit_identical() {
     ] {
         for lanes in [1usize, 4, 8] {
             let seeds: Vec<u64> = (1..=lanes as u64).map(|s| 100 * s + 7).collect();
-            let mut batch = LaneBatch::build(&config, &seeds).expect("batch builds");
-            let records = batch.convert_waveform(&tone, 512);
+            let mut bench = LaneBench::new(config.clone(), &seeds).expect("dies build");
+            bench.record_len = RECORD;
+            let mut records = vec![Vec::new(); lanes];
+            bench.capture_tone_into(F_TARGET, &mut records);
             for (lane, seed) in seeds.iter().enumerate() {
-                let mut scalar = PipelineAdc::build(config.clone(), *seed).expect("die builds");
-                let alone = scalar.convert_waveform(&tone, 512);
+                let mut session =
+                    MeasurementSession::new(config.clone(), *seed).expect("die builds");
+                session.record_len = RECORD;
+                let (alone, _) = session.capture_tone(F_TARGET);
                 assert_eq!(
                     records[lane], alone,
-                    "{name}: lane {lane}/{lanes} diverged from the scalar path at seed {seed}"
+                    "{name}: lane {lane}/{lanes} diverged from its session at seed {seed}"
                 );
                 let codes: Vec<u64> = alone.iter().map(|&c| u64::from(c)).collect();
                 corpus.push(format!(

@@ -147,48 +147,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Lane batches neither reorder nor cross-contaminate lanes at
-    /// *any* batch width: for an arbitrary lane count and seed base,
-    /// every lane of a batch fed lane-distinct waveforms reproduces,
-    /// bit for bit, the scalar path on that lane's own waveform and
-    /// seed. A lane permutation, an off-by-one in a stage-major stripe,
-    /// or one lane's noise draw leaking into a neighbor all fail here.
-    #[test]
-    fn lane_batches_never_reorder_or_cross_contaminate(
-        lanes in 1usize..12,
-        seed_base in 0u64..1000,
-    ) {
-        use pipeline_adc::pipeline::lanes::LaneBatch;
-
-        let config = AdcConfig::nominal_110ms();
-        let seeds: Vec<u64> = (0..lanes as u64).map(|l| seed_base * 31 + l).collect();
-        // Lane-distinct stimuli so a crossed lane cannot hide behind a
-        // shared waveform: each lane sees its own amplitude and phase.
-        let tones: Vec<_> = (0..lanes)
-            .map(|l| {
-                let amp = 0.5 + 0.04 * l as f64;
-                let phase = 0.3 * l as f64;
-                move |t: f64| amp * (2.0 * std::f64::consts::PI * 9.7e6 * t + phase).sin()
-            })
-            .collect();
-        let waveforms: Vec<&dyn pipeline_adc::pipeline::Waveform> =
-            tones.iter().map(|t| t as _).collect();
-
-        let mut batch = LaneBatch::build(&config, &seeds).unwrap();
-        let records = batch.convert_waveforms(&waveforms, 96);
-        for (lane, seed) in seeds.iter().enumerate() {
-            let mut scalar = PipelineAdc::build(config.clone(), *seed).unwrap();
-            let alone = scalar.convert_waveform(&tones[lane], 96);
-            prop_assert!(
-                records[lane] == alone,
-                "lane {}/{} diverged at seed {}",
-                lane,
-                lanes,
-                seed
-            );
-        }
-    }
-
     /// Any fabricated nominal-config die converts a mid-scale DC input to
     /// a mid-scale code (no die is wildly broken).
     #[test]

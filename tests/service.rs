@@ -118,11 +118,10 @@ fn concurrent_clients_get_bit_identical_records() {
 #[test]
 fn pipelined_clients_stream_bit_identical_records() {
     // Eight clients, each keeping three correlated requests in flight
-    // on one connection. Identical tone shapes with distinct seeds are
-    // exactly what the reactor coalesces into lane-parallel batches,
-    // so this drives the pipelined *and* the coalesced path — and
-    // every record must still match the in-process reference bit for
-    // bit, whatever order the server finished them in.
+    // on one connection. Identical tone shapes with distinct seeds
+    // arrive together, and each is served as its own pool job: every
+    // record must match the in-process reference bit for bit,
+    // whatever order the server finished them in.
     let (handle, join) = Server::spawn("127.0.0.1:0", ServerConfig::default()).expect("bind");
     let addr = handle.addr();
 
@@ -175,6 +174,7 @@ fn pipelined_clients_stream_bit_identical_records() {
     let metrics = handle.metrics().snapshot();
     assert_eq!(metrics.digitizes, CLIENTS * PER_CLIENT);
     assert_eq!(metrics.completed, CLIENTS * PER_CLIENT);
+    assert_eq!(metrics.coalesced, 0, "one request, one job");
     assert_eq!(metrics.errors, 0);
     assert_eq!(metrics.in_flight, 0);
     assert_eq!(
@@ -198,7 +198,6 @@ fn overload_sheds_typed_errors_while_admitted_requests_complete() {
         max_inflight: 1,
         max_inflight_per_conn: 1,
         max_pending_per_conn: 1,
-        max_coalesce_lanes: 1,
         ..ServerConfig::default()
     };
     let (handle, join) = Server::spawn("127.0.0.1:0", cfg).expect("bind");
