@@ -27,7 +27,10 @@
 #                  `MeasurementSession` capture), so "debug and
 #                  release produce bit-identical campaign AND
 #                  multi-die capture results" is asserted, not
-#                  assumed
+#                  assumed; then the record kernel's and noise
+#                  kernels' bit-identity unit tests (systolic, mdac,
+#                  stripe, comparator) re-run in release, where the
+#                  vectorized AVX2 clones they pin actually ship
 #   service     -- loopback gate: the `service` suite (real TCP server,
 #                  concurrent clients, pipelined out-of-order
 #                  completions, admission-control shedding under
@@ -180,6 +183,10 @@ stage_determinism() {
   ADC_DETERMINISM_HASH_FILE=$hash_file \
     ADC_DETERMINISM_LANES_HASH_FILE=$lanes_hash_file \
     cargo test -q --release --test determinism
+  # The vectorized kernel clones ship in release builds, so their
+  # bit-identity contracts run in release too.
+  cargo test -q --release -p adc-pipeline --lib -- systolic mdac
+  cargo test -q --release -p adc-analog --lib -- stripe comparator
   echo "determinism digest: $(cat "$hash_file")"
   echo "multi-die digest: $(cat "$lanes_hash_file")"
 }

@@ -21,6 +21,11 @@
 //! a converter may evaluate different comparators in any interleaving
 //! (stage by stage for one sample, or a wavefront of stages over
 //! several samples) and every decision stays bit-identical.
+//!
+//! [`ComparatorLanes`] is the same comparator gathered `W` to a bank,
+//! one per lane, for the record kernel's stage lanes: a branch-free
+//! pass decides every lane, and the rare marginal lane falls back to
+//! the body [`Comparator::decide`] runs, on its own stream.
 
 use crate::noise::NoiseSource;
 use crate::stripe::{splitmix64, standard_normal_step};
@@ -59,6 +64,12 @@ impl ComparatorSpec {
             hysteresis_v: 0.1e-3,
             metastable_window_v: 1e-9,
         }
+    }
+
+    /// The overdrive beyond which a noise draw cannot flip a decision:
+    /// `8σ` outside the metastability window (see [`Comparator::decide`]).
+    fn margin_v(&self) -> f64 {
+        8.0 * self.noise_rms_v + self.metastable_window_v
     }
 
     /// Fabricates one comparator instance, drawing its static offset.
@@ -127,28 +138,164 @@ impl Comparator {
             self.spec.hysteresis_v
         };
         let effective_threshold = self.threshold_v + self.offset_v + hysteresis;
-        let deterministic = input_v - effective_threshold;
-        // Hot-path draw skip: when the deterministic overdrive sits more
-        // than 8σ outside the metastability window, a noise draw cannot
-        // flip the outcome (P < 1e-15, far below the converter's noise
-        // floor), so the stream is left untouched. In a 1.5-bit pipeline
-        // the vast majority of decisions are overwhelming. The skip is
-        // safe for any evaluation order because the stream is private.
-        let sigma = self.spec.noise_rms_v;
-        let margin = 8.0 * sigma + self.spec.metastable_window_v;
-        let decision = if deterministic.abs() > margin {
-            deterministic > 0.0
-        } else {
-            let overdrive = deterministic + sigma * standard_normal_step(&mut self.stream);
-            if overdrive.abs() < self.spec.metastable_window_v {
-                // Inside the metastable window the latch resolves
-                // arbitrarily: one fair coin from the stream's top bit.
-                splitmix64(&mut self.stream) >> 63 == 1
-            } else {
-                overdrive > 0.0
-            }
-        };
+        let decision = resolve(
+            input_v - effective_threshold,
+            self.spec.margin_v(),
+            self.spec.noise_rms_v,
+            self.spec.metastable_window_v,
+            &mut self.stream,
+        );
         self.last_decision = decision;
+        decision
+    }
+}
+
+/// One decision from its deterministic overdrive: the body shared by
+/// [`Comparator::decide`] and the exact path of [`ComparatorLanes`].
+///
+/// Hot-path draw skip: when the deterministic overdrive sits more than
+/// `margin_v` (8σ outside the metastability window) from zero, a noise
+/// draw cannot flip the outcome (P < 1e-15, far below the converter's
+/// noise floor), so the stream is left untouched. In a 1.5-bit pipeline
+/// the vast majority of decisions are overwhelming. The skip is safe for
+/// any evaluation order because the stream is private.
+fn resolve(deterministic: f64, margin_v: f64, sigma: f64, window_v: f64, stream: &mut u64) -> bool {
+    if deterministic.abs() > margin_v {
+        deterministic > 0.0
+    } else {
+        let overdrive = deterministic + sigma * standard_normal_step(stream);
+        if overdrive.abs() < window_v {
+            // Inside the metastable window the latch resolves
+            // arbitrarily: one fair coin from the stream's top bit.
+            splitmix64(stream) >> 63 == 1
+        } else {
+            overdrive > 0.0
+        }
+    }
+}
+
+/// `W` comparators gathered field-major, one per lane: the record
+/// kernel's view of every stage's upper (or lower) ADSC comparator.
+///
+/// [`ComparatorLanes::decide`] is [`Comparator::decide`] for all lanes
+/// at once. The overwhelming case — overdrive beyond `8σ + window` — is
+/// a branch-free compare per lane. A lane inside that margin (rare)
+/// takes the exact path through the same body as `Comparator::decide`,
+/// drawing from its own stream, so every decision, stream word and
+/// hysteresis state is bit-identical to deciding the comparators one by
+/// one. Both hysteretic thresholds are gathered with `decide`'s
+/// association, `(threshold + offset) ± hysteresis`.
+///
+/// Lanes past the last gathered comparator repeat it; a caller never
+/// marks them active, so they neither draw nor change.
+#[derive(Debug, Clone, Copy)]
+pub struct ComparatorLanes<const W: usize> {
+    /// Effective threshold after a low decision: `(t + offset) + h`.
+    after_low_v: [f64; W],
+    /// Effective threshold after a high decision: `(t + offset) + (−h)`.
+    after_high_v: [f64; W],
+    /// Draw-skip margin, `8σ + window`.
+    margin_v: [f64; W],
+    /// Input-referred noise sigma.
+    sigma: [f64; W],
+    /// Metastability window half-width.
+    window_v: [f64; W],
+    /// Previous decision (the hysteresis state).
+    last: [bool; W],
+    /// Private decision-noise streams.
+    stream: [u64; W],
+}
+
+impl<const W: usize> ComparatorLanes<W> {
+    /// Gathers comparators into lanes, first comparator in lane 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are no comparators or more than `W`.
+    pub fn gather<'a>(comparators: impl IntoIterator<Item = &'a Comparator>) -> Self {
+        let mut lanes = Self {
+            after_low_v: [0.0; W],
+            after_high_v: [0.0; W],
+            margin_v: [0.0; W],
+            sigma: [0.0; W],
+            window_v: [0.0; W],
+            last: [false; W],
+            stream: [0; W],
+        };
+        let mut last = None;
+        let mut n = 0;
+        for c in comparators {
+            assert!(n < W, "more than {W} comparators for {W} lanes");
+            lanes.load(n, c);
+            last = Some(c);
+            n += 1;
+        }
+        let last = last.expect("at least one comparator");
+        for l in n..W {
+            lanes.load(l, last);
+        }
+        lanes
+    }
+
+    fn load(&mut self, l: usize, c: &Comparator) {
+        let base = c.threshold_v + c.offset_v;
+        self.after_low_v[l] = base + c.spec.hysteresis_v;
+        self.after_high_v[l] = base + -c.spec.hysteresis_v;
+        self.margin_v[l] = c.spec.margin_v();
+        self.sigma[l] = c.spec.noise_rms_v;
+        self.window_v[l] = c.spec.metastable_window_v;
+        self.last[l] = c.last_decision;
+        self.stream[l] = c.stream;
+    }
+
+    /// Writes lane `l`'s carried state — hysteresis and stream — back to
+    /// the comparator it was gathered from.
+    pub fn scatter_lane(&self, l: usize, comparator: &mut Comparator) {
+        comparator.last_decision = self.last[l];
+        comparator.stream = self.stream[l];
+    }
+
+    /// Decides every lane on `input_v`: lane `l` is
+    /// `Comparator::decide(input_v[l])` of its comparator. Lanes not
+    /// `active` keep their state and draw nothing; their result is
+    /// meaningless.
+    #[inline(always)]
+    pub fn decide(&mut self, active: &[bool; W], input_v: &[f64; W]) -> [bool; W] {
+        let mut deterministic = [0.0f64; W];
+        let mut decision = [false; W];
+        let mut marginal = [false; W];
+        let mut any_marginal = false;
+        for l in 0..W {
+            let threshold = if self.last[l] {
+                self.after_high_v[l]
+            } else {
+                self.after_low_v[l]
+            };
+            deterministic[l] = input_v[l] - threshold;
+            decision[l] = deterministic[l] > 0.0;
+            // NaN counts as marginal, as in `resolve`.
+            let certain = deterministic[l].abs() > self.margin_v[l];
+            marginal[l] = active[l] & !certain;
+            any_marginal |= marginal[l];
+        }
+        if any_marginal {
+            for l in 0..W {
+                if marginal[l] {
+                    decision[l] = resolve(
+                        deterministic[l],
+                        self.margin_v[l],
+                        self.sigma[l],
+                        self.window_v[l],
+                        &mut self.stream[l],
+                    );
+                }
+            }
+        }
+        for l in 0..W {
+            if active[l] {
+                self.last[l] = decision[l];
+            }
+        }
         decision
     }
 }
@@ -292,6 +439,85 @@ mod tests {
             c.stream, untouched.stream,
             "certain decisions must leave the stream untouched"
         );
+    }
+
+    /// Drives `n` comparators one by one and gathered `W` to a bank with
+    /// the same inputs and random activity masks; returns how many
+    /// reference decisions drew noise and how many flipped the coin.
+    fn lanes_track_comparators<const W: usize>(n: usize, seed: u64) -> (usize, usize) {
+        // Stress noise and a metastable window wider than σ, with inputs
+        // within a few margins of each threshold: the marginal and the
+        // coin-flip paths both fire often.
+        let spec = ComparatorSpec {
+            offset_sigma_v: 10e-3,
+            noise_rms_v: 2e-3,
+            hysteresis_v: 0.5e-3,
+            metastable_window_v: 3e-3,
+        };
+        let mut fab = NoiseSource::from_seed(seed);
+        let mut reference: Vec<Comparator> = (0..n)
+            .map(|i| {
+                let mut c = spec.fabricate(0.1 * i as f64 - 0.4, &mut fab);
+                c.seed_stream(seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                c
+            })
+            .collect();
+        let mut lanes = ComparatorLanes::<W>::gather(&reference);
+        let mut rng = seed;
+        let (mut drew, mut coins) = (0, 0);
+        for step in 0..4000 {
+            let active: [bool; W] =
+                std::array::from_fn(|l| l < n && !splitmix64(&mut rng).is_multiple_of(4));
+            let input: [f64; W] = std::array::from_fn(|l| {
+                let u = (splitmix64(&mut rng) >> 11) as f64 / (1u64 << 53) as f64;
+                0.1 * l.min(n - 1) as f64 - 0.4 + 0.06 * (u - 0.5)
+            });
+            let got = lanes.decide(&active, &input);
+            for l in (0..n).filter(|&l| active[l]) {
+                let before = reference[l].stream;
+                let want = reference[l].decide(input[l]);
+                assert_eq!(got[l], want, "W {W}, lane {l}, step {step}");
+                if reference[l].stream != before {
+                    drew += 1;
+                    let mut two = before;
+                    splitmix64(&mut two);
+                    splitmix64(&mut two);
+                    coins += usize::from(reference[l].stream != two);
+                }
+            }
+        }
+        // Scattered back, every hysteresis state and stream word matches.
+        let mut scattered: Vec<Comparator> = reference.clone();
+        for (l, c) in scattered.iter_mut().enumerate() {
+            c.last_decision = !c.last_decision;
+            c.stream ^= 1;
+            lanes.scatter_lane(l, c);
+        }
+        assert_eq!(scattered, reference, "W {W}: carried state");
+        (drew, coins)
+    }
+
+    #[test]
+    fn gathered_lanes_match_comparators_bit_for_bit() {
+        let (mut drew, mut coins) = (0, 0);
+        for (seed, n) in [(1u64, 1usize), (2, 3), (3, 4)] {
+            let (d, c) = lanes_track_comparators::<4>(n, seed);
+            (drew, coins) = (drew + d, coins + c);
+        }
+        for (seed, n) in [(4u64, 5usize), (5, 8)] {
+            let (d, c) = lanes_track_comparators::<8>(n, seed);
+            (drew, coins) = (drew + d, coins + c);
+        }
+        for (seed, n) in [(6u64, 10usize), (7, 12)] {
+            let (d, c) = lanes_track_comparators::<12>(n, seed);
+            (drew, coins) = (drew + d, coins + c);
+        }
+        for (seed, n) in [(8u64, 14usize), (9, 16)] {
+            let (d, c) = lanes_track_comparators::<16>(n, seed);
+            (drew, coins) = (drew + d, coins + c);
+        }
+        assert!(drew > 10_000, "only {drew} marginal decisions");
+        assert!(coins > 1_000, "only {coins} metastable coin flips");
     }
 
     #[test]

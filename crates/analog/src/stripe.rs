@@ -43,6 +43,24 @@ const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 /// 2⁻⁵³, the spacing of the 53-bit uniform grid.
 const U53: f64 = 1.0 / (1u64 << 53) as f64;
 
+/// 1.5·2⁵²: added to an integer-valued `f64` of magnitude below 2⁵¹,
+/// it leaves that integer, two's complement, in the low mantissa bits
+/// (and its own low 12 bits are zero). This is how the kernels below
+/// read integer bits out of a float without an `f64 → int` conversion,
+/// which AVX2 only has in a form that LLVM splits into scalar code.
+const MAGIC: f64 = 6_755_399_441_055_744.0;
+
+/// Converts a stream word's top bits, `m ≤ 2⁵³`, to `f64` exactly.
+///
+/// `m as f64` would do, but x86-64 has no packed `u64 → f64` below
+/// AVX-512, so it lowers the whole fill loop to per-lane scalar code.
+/// Both 32-bit halves convert exactly, `hi · 2³²` is exact, and their
+/// sum is `m`, which an `f64` holds exactly: the same bits as the cast.
+#[inline(always)]
+fn exact_f64(m: u64) -> f64 {
+    f64::from((m >> 32) as u32) * 4_294_967_296.0 + f64::from(m as u32)
+}
+
 /// Advances a SplitMix64 state and returns the next output word.
 ///
 /// This is the reference SplitMix64 finalizer (Steele, Lea & Flood,
@@ -108,11 +126,11 @@ fn ln_unit(x: f64) -> f64 {
 fn cos_turns(u: f64) -> f64 {
     const TWO_PI: f64 = std::f64::consts::TAU;
     // k ∈ {0,1,2,3,4}; k=4 aliases quadrant 0 with a negative φ. The
-    // argument is positive, so the truncating cast *is* floor — and
-    // unlike `f64::floor` (a libm call below SSE4.1) the f64↔i32 casts
-    // have packed forms on every x86-64, keeping the stripe vectorizable.
-    let k = (4.0 * u + 0.5) as i32;
-    let phi = TWO_PI * (u - 0.25 * f64::from(k));
+    // argument is positive, so truncation *is* floor. `trunc` stays in
+    // floating point (one packed round under AVX2), and the quadrant's
+    // bits come out of `k + MAGIC` rather than an `as i32` cast.
+    let k = (4.0 * u + 0.5).trunc();
+    let phi = TWO_PI * (u - 0.25 * k);
     // cos φ and sin φ on |φ| ≤ π/4: Taylor in φ², Estrin-summed so the
     // two chains are short and run concurrently.
     let p2 = phi * phi;
@@ -131,10 +149,10 @@ fn cos_turns(u: f64) -> f64 {
     // Quadrant combine, branchless (the quadrant is a random 2-bit
     // value — branches here mispredict half the time): odd quadrants
     // take ±sin φ, even take ±cos φ, and quadrants 1,2 negate.
-    let ki = k as u32;
-    let swap = u64::from(ki & 1).wrapping_neg();
+    let kb = (k + MAGIC).to_bits();
+    let swap = (kb & 1).wrapping_neg();
     let base = (sin_p.to_bits() & swap) | (cos_p.to_bits() & !swap);
-    let sign = u64::from((ki.wrapping_add(1) >> 1) & 1) << 63;
+    let sign = ((kb.wrapping_add(1) >> 1) & 1) << 63;
     f64::from_bits(base ^ sign)
 }
 
@@ -152,7 +170,7 @@ fn cos_turns(u: f64) -> f64 {
 /// and a libm call there is both a serial dependency chain and an
 /// autovectorization barrier in the record kernel's amplify loop. Like
 /// the `ln`/`cos` kernels, this one is pure arithmetic and packs.
-#[inline]
+#[inline(always)]
 pub fn exp_nonpos(x: f64) -> f64 {
     const LOG2_E: f64 = std::f64::consts::LOG2_E;
     const LN_2: f64 = std::f64::consts::LN_2;
@@ -160,9 +178,10 @@ pub fn exp_nonpos(x: f64) -> f64 {
     let y = x * LOG2_E;
     // Round to nearest integer below: y ≤ 0, so truncating y − ½ rounds
     // half away from zero — any consistent rounding with |r| ≤ 0.5 + ulp
-    // works, and the f64↔i32 casts have packed forms (unlike `round`).
-    let k = (y - 0.5) as i32;
-    let r = (y - f64::from(k)) * LN_2;
+    // works. `trunc` keeps k in floating point, so no `as i32` cast
+    // turns the packed loop into per-lane scalar code.
+    let k = (y - 0.5).trunc();
+    let r = (y - k) * LN_2;
     // exp(r) on |r| ≲ 0.35: Taylor through r¹³, Estrin-summed.
     let r2 = r * r;
     let r4 = r2 * r2;
@@ -178,8 +197,10 @@ pub fn exp_nonpos(x: f64) -> f64 {
     let hi = (e89 + r2 * e1011) + r4 * e1213;
     let p = lo + r8 * hi;
     // 2ᵏ: k ≥ −1022 after the clamp, so the biased exponent stays
-    // positive and the bit pattern is a normal number.
-    let scale = f64::from_bits(((1023 + k) as u64) << 52);
+    // positive and the bit pattern is a normal number. `k + MAGIC`
+    // holds k in its low bits; the shift keeps only the low 12 bits of
+    // the biased sum, where the magic constant has none.
+    let scale = f64::from_bits((k + MAGIC).to_bits().wrapping_add(1023) << 52);
     p * scale
 }
 
@@ -202,8 +223,8 @@ fn box_muller(u1: f64, u2: f64) -> f64 {
 /// by construction.
 #[inline]
 pub fn standard_normal_step(state: &mut u64) -> f64 {
-    let u1 = ((splitmix64(state) >> 11) + 1) as f64 * U53;
-    let u2 = (splitmix64(state) >> 11) as f64 * U53;
+    let u1 = exact_f64((splitmix64(state) >> 11) + 1) * U53;
+    let u2 = exact_f64(splitmix64(state) >> 11) * U53;
     box_muller(u1, u2)
 }
 
@@ -260,8 +281,8 @@ fn standard_normal_fill_impl(state: &mut u64, out: &mut [f64]) {
             // base + (2i+2)·γ, each finalized on its own.
             let mut s1 = base.wrapping_add((2 * i as u64).wrapping_mul(GAMMA));
             let mut s2 = s1.wrapping_add(GAMMA);
-            *a = ((splitmix64(&mut s1) >> 11) + 1) as f64 * U53;
-            *b = (splitmix64(&mut s2) >> 11) as f64 * U53;
+            *a = exact_f64((splitmix64(&mut s1) >> 11) + 1) * U53;
+            *b = exact_f64(splitmix64(&mut s2) >> 11) * U53;
         }
         for ((z, &a), &b) in block.iter_mut().zip(&u1).zip(&u2) {
             *z = box_muller(a, b);
@@ -420,6 +441,149 @@ mod tests {
         let mut b = SampleNoise::from_seed(0);
         b.set_state(a.state());
         assert_eq!(a.standard_normal().to_bits(), b.standard_normal().to_bits());
+    }
+
+    /// The kernels' conversions as they were written before they went
+    /// exact: `as i32` for the integer parts and `u64 as f64` for the
+    /// uniforms, the arithmetic otherwise unchanged. References for
+    /// `exact_conversions_match_the_cast_forms_bit_for_bit`.
+    fn exp_nonpos_cast(x: f64) -> f64 {
+        let x = x.max(-708.0);
+        let y = x * std::f64::consts::LOG2_E;
+        let k = (y - 0.5) as i32;
+        let r = (y - f64::from(k)) * std::f64::consts::LN_2;
+        let r2 = r * r;
+        let r4 = r2 * r2;
+        let r8 = r4 * r4;
+        let e01 = 1.0 + r;
+        let e23 = 1.0 / 2.0 + r * (1.0 / 6.0);
+        let e45 = 1.0 / 24.0 + r * (1.0 / 120.0);
+        let e67 = 1.0 / 720.0 + r * (1.0 / 5_040.0);
+        let e89 = 1.0 / 40_320.0 + r * (1.0 / 362_880.0);
+        let e1011 = 1.0 / 3_628_800.0 + r * (1.0 / 39_916_800.0);
+        let e1213 = 1.0 / 479_001_600.0 + r * (1.0 / 6_227_020_800.0);
+        let lo = (e01 + r2 * e23) + r4 * (e45 + r2 * e67);
+        let hi = (e89 + r2 * e1011) + r4 * e1213;
+        let p = lo + r8 * hi;
+        p * f64::from_bits(((1023 + k) as u64) << 52)
+    }
+
+    fn cos_turns_cast(u: f64) -> f64 {
+        let k = (4.0 * u + 0.5) as i32;
+        let phi = std::f64::consts::TAU * (u - 0.25 * f64::from(k));
+        let p2 = phi * phi;
+        let p4 = p2 * p2;
+        let p8 = p4 * p4;
+        let c01 = 1.0 + p2 * (-1.0 / 2.0);
+        let c23 = 1.0 / 24.0 + p2 * (-1.0 / 720.0);
+        let c45 = 1.0 / 40_320.0 + p2 * (-1.0 / 3_628_800.0);
+        let c67 = 1.0 / 479_001_600.0 + p2 * (-1.0 / 87_178_291_200.0);
+        let cos_p = (c01 + p4 * c23) + p8 * (c45 + p4 * c67);
+        let s01 = 1.0 + p2 * (-1.0 / 6.0);
+        let s23 = 1.0 / 120.0 + p2 * (-1.0 / 5_040.0);
+        let s45 = 1.0 / 362_880.0 + p2 * (-1.0 / 39_916_800.0);
+        let s67 = 1.0 / 6_227_020_800.0;
+        let sin_p = phi * ((s01 + p4 * s23) + p8 * (s45 + p4 * s67));
+        let ki = k as u32;
+        let swap = u64::from(ki & 1).wrapping_neg();
+        let base = (sin_p.to_bits() & swap) | (cos_p.to_bits() & !swap);
+        let sign = u64::from((ki.wrapping_add(1) >> 1) & 1) << 63;
+        f64::from_bits(base ^ sign)
+    }
+
+    #[test]
+    fn exact_conversions_match_the_cast_forms_bit_for_bit() {
+        let mut s = 0x5EED_u64;
+        let mut unit = || (splitmix64(&mut s) >> 11) as f64 * U53;
+
+        // exp: the settle path's magnitudes, the clamp and beyond it,
+        // signed zeros, subnormal arguments.
+        let mut xs = vec![0.0, -0.0, -5e-324, -1e-300, -708.0, -708.5, -1e9, f64::MIN];
+        xs.push(f64::NEG_INFINITY);
+        for _ in 0..100_000 {
+            let u = unit();
+            xs.extend([-60.0 * u, -750.0 * u, -u]);
+        }
+        // Arguments whose `y − 0.5` is an exact integer: the rounding
+        // edge of `k`. Scan a few ulps around each `x = (k + ½)·ln 2`.
+        let mut edges = 0;
+        for k in -1022..0 {
+            let x0 = (f64::from(k) + 0.5) / std::f64::consts::LOG2_E;
+            for d in -4i64..=4 {
+                let x = f64::from_bits((x0.to_bits() as i64 + d) as u64);
+                let y = x * std::f64::consts::LOG2_E - 0.5;
+                if y.trunc() == y {
+                    edges += 1;
+                    xs.push(x);
+                }
+            }
+        }
+        assert!(edges > 100, "only {edges} exact-integer edges found");
+        for x in xs {
+            assert_eq!(
+                exp_nonpos(x).to_bits(),
+                exp_nonpos_cast(x).to_bits(),
+                "exp_nonpos({x:e})"
+            );
+        }
+
+        // cos: every octant boundary u = k/8 and its neighbours, plus
+        // the uniform grid the draws use.
+        let mut us: Vec<f64> = (0..8)
+            .flat_map(|k| {
+                let u = f64::from(k) / 8.0;
+                [
+                    u,
+                    f64::from_bits(u.to_bits() + 1),
+                    f64::from_bits(u.to_bits().max(1) - 1),
+                ]
+            })
+            .collect();
+        us.push(1.0 - U53);
+        us.extend((0..100_000).map(|_| unit()));
+        for u in us {
+            assert_eq!(
+                cos_turns(u).to_bits(),
+                cos_turns_cast(u).to_bits(),
+                "cos_turns({u:e})"
+            );
+        }
+
+        // Uniform words: both ends, the 32-bit seam, and 2⁵³ itself
+        // (the `+ 1` of the log argument's top word).
+        let mut ms = vec![
+            0u64,
+            1,
+            (1 << 32) - 1,
+            1 << 32,
+            (1 << 32) + 1,
+            (1 << 53) - 1,
+            1 << 53,
+        ];
+        ms.extend((0..100_000).map(|i| (splitmix64(&mut s) >> 11) + (i & 1)));
+        for m in ms {
+            assert_eq!(exact_f64(m).to_bits(), (m as f64).to_bits(), "m = {m}");
+        }
+    }
+
+    #[test]
+    fn portable_fill_matches_the_dispatched_fill() {
+        // On an AVX2 host the dispatched fill never runs the portable
+        // (SSE2) instantiation; call its body directly. 3072 draws are
+        // one 256-sample chunk at ten stages.
+        for count in [0usize, 1, 63, 64, 65, 3072] {
+            let (mut a, mut b) = (
+                0x00DD_BA11_u64 ^ count as u64,
+                0x00DD_BA11_u64 ^ count as u64,
+            );
+            let (mut za, mut zb) = (vec![0.0; count], vec![0.0; count]);
+            standard_normal_fill(&mut a, &mut za);
+            standard_normal_fill_impl(&mut b, &mut zb);
+            assert_eq!(a, b, "state after {count} draws");
+            for (i, (x, y)) in za.iter().zip(&zb).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "draw {i} of {count}");
+            }
+        }
     }
 
     #[test]

@@ -402,16 +402,20 @@ mod tests {
                                   {"name":"gone","samples_per_sec":1}],
                     "fft":[{"n":4096,"us_per_call":30.0},{"n":8192,"us_per_call":70.0}],
                     "kernels":[{"name":"eq1_master_current","us_per_call":0.01},
+                               {"name":"sample_fill_3072","us_per_call":20.0},
                                {"name":"fig4_power_sweep_26pt","us_per_call":900.0}]}"#,
                 r#"{"conversion":[{"name":"nominal","samples_per_sec":500000}],
                     "fft":[{"n":4096,"us_per_call":29.0},{"n":8192,"us_per_call":200.0}],
                     "kernels":[{"name":"eq1_master_current","us_per_call":0.011},
+                               {"name":"sample_fill_3072","us_per_call":30.0},
                                {"name":"fig4_power_sweep_26pt","us_per_call":2000.0}]}"#,
                 &[
                     ("dsp conversion[nominal] samples_per_sec", true),
                     ("dsp fft[4096] us_per_call", false),
                     ("dsp fft[8192] us_per_call", true),
                     ("dsp kernels[eq1_master_current] us_per_call", false),
+                    // The record kernel's per-chunk pre-draw: +50%.
+                    ("dsp kernels[sample_fill_3072] us_per_call", true),
                     ("dsp kernels[fig4_power_sweep_26pt] us_per_call", true),
                 ],
             ),

@@ -9,7 +9,8 @@
 //! * **fft** — `fft_real_into` microseconds per call and per point at
 //!   the record lengths the testbench actually uses (1k..16k);
 //! * **kernels** — microseconds per call of the paper's remaining
-//!   kernels: die fabrication, the Table I / Fig. 5–6 metrology
+//!   kernels: die fabrication, one record chunk's sample-noise pre-draw
+//!   (`standard_normal_fill`), the Table I / Fig. 5–6 metrology
 //!   (`analyze_tone`, `sine_histogram`), foreground calibration, the
 //!   digital correction logic (`DigitalBackend::clock`,
 //!   `correction_sum`), the Eq. 1 bias current and the Fig. 4 power
@@ -24,6 +25,7 @@
 use std::hint::black_box;
 
 use adc_analog::capacitor::Capacitor;
+use adc_analog::stripe::standard_normal_fill;
 use adc_bench::timing::best_window;
 use adc_bias::generator::{BiasGenerator, ScBiasGenerator};
 use adc_digital::adder::correction_sum;
@@ -175,6 +177,15 @@ fn kernels() -> Vec<Kernel> {
         black_box(PipelineAdc::build(fabricate_config.clone(), seed).expect("config builds"));
     };
 
+    // One 256-sample chunk's pre-draw at ten stages: 2 + 10 deviates a
+    // sample, the record kernel's per-chunk call.
+    let mut state = GOLDEN_SEED;
+    let mut deviates = vec![0.0f64; 256 * 12];
+    let fill = move || {
+        standard_normal_fill(&mut state, &mut deviates);
+        black_box(&deviates);
+    };
+
     // A coherent 8k tone with a -80 dB third harmonic.
     let n = 8192;
     let tone: Vec<f64> = (0..n)
@@ -233,6 +244,7 @@ fn kernels() -> Vec<Kernel> {
 
     vec![
         ("fabricate_nominal_die", 16, Box::new(fabricate)),
+        ("sample_fill_3072", 16, Box::new(fill)),
         ("analyze_tone_8192", 1, Box::new(analyze)),
         ("sine_histogram_262144", 1, Box::new(histogram)),
         ("calibrate_foreground_256", 1, Box::new(calibrate)),

@@ -30,11 +30,21 @@ use crate::subconverter::StageDecision;
 ///
 /// Panics if `decisions` is empty or `flash_code > 3`.
 pub fn assemble_code(decisions: &[StageDecision], flash_code: u8) -> u32 {
-    assert!(!decisions.is_empty(), "need at least one stage decision");
-    assert!(flash_code <= 3, "flash code must be 2 bits");
+    assemble_code_from(decisions.iter().copied(), flash_code)
+}
+
+/// [`assemble_code`] over decisions read in stage order from any
+/// layout — the record kernel reads them off a diagonal of its
+/// tick-major buffer.
+pub(crate) fn assemble_code_from(
+    decisions: impl ExactSizeIterator<Item = StageDecision>,
+    flash_code: u8,
+) -> u32 {
     let n = decisions.len();
+    assert!(n > 0, "need at least one stage decision");
+    assert!(flash_code <= 3, "flash code must be 2 bits");
     let mut code: i64 = i64::from(flash_code);
-    for (i, d) in decisions.iter().enumerate() {
+    for (i, d) in decisions.enumerate() {
         code += i64::from(d.bits()) << (n - i);
     }
     let max = (1i64 << (n + 2)) - 1;

@@ -88,66 +88,52 @@ impl MdacPlan {
     }
 }
 
-/// Stage-major structure-of-arrays gather of the [`MdacPlan`] (and
-/// embedded [`SettlePlan`]) scalar fields, one flat array per field,
-/// plus the branch-free lane kernel that consumes them.
+/// A die's [`MdacPlan`]s gathered field-major at a fixed lane width
+/// `W`, stage 1 in lane 0, with the branch-free amplify the record
+/// kernel runs for every stage of a tick in one pass.
 ///
-/// [`MdacPlan::amplify`] reads ~20 plan constants behind one `&self`;
-/// across the record kernel's stage lanes that would make the amplify
-/// loop stride 160-byte array-of-structs records and branch per lane on plan-dependent
-/// conditions, and the autovectorizer gives up. Gathered field-major,
-/// the identical arithmetic becomes independent flat streams the
-/// compiler packs. Two conditions are *pre-resolved* into the gathered
-/// values so the scalar path's branches vanish without changing a bit
-/// (see [`AmpConstants::push`]); the remaining per-lane `if`s select
-/// between already-computed values, which is exactly the shape LLVM
+/// [`MdacPlan::amplify`] reads ~20 plan constants behind one `&self` and
+/// branches on plan-dependent conditions. Gathered into one `[f64; W]`
+/// per field, the identical arithmetic becomes `W/4` independent AVX2
+/// vectors per operation. [`MdacLanes::amplify`] is written one
+/// operation at a time across all lanes, so those vectors' dependency
+/// chains interleave instead of running one block after another. Two
+/// conditions are *pre-resolved* into the gathered values so the scalar
+/// path's branches vanish without changing a bit (see
+/// [`MdacLanes::gather`]); the remaining `if`s select between
+/// already-computed values, which is exactly the shape LLVM
 /// if-converts.
-#[derive(Debug, Clone, Default)]
-pub struct AmpConstants {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MdacLanes<const W: usize> {
     /// Interstage gain.
-    gain: Vec<f64>,
+    gain: [f64; W],
     /// Input-referred opamp offset, volts.
-    off: Vec<f64>,
+    off: [f64; W],
     /// DAC step.
-    dacg: Vec<f64>,
+    dacg: [f64; W],
     /// Compression knee, volts — `+∞` when compression is disabled.
-    knee: Vec<f64>,
+    knee: [f64; W],
     /// Loop-gain product `A0·β` — `+∞` for an ideal (infinite-gain) amp.
-    dcb: Vec<f64>,
+    dcb: [f64; W],
     /// DSB residual factor (0 disables).
-    dsb: Vec<f64>,
+    dsb: [f64; W],
     /// Settling phase duration, seconds.
-    ts: Vec<f64>,
+    ts: [f64; W],
     /// Settling time constant, seconds.
-    tau: Vec<f64>,
+    tau: [f64; W],
     /// Slew rate, volts/second.
-    slew: Vec<f64>,
+    slew: [f64; W],
     /// Slew/linear boundary, volts.
-    vlin: Vec<f64>,
+    vlin: [f64; W],
     /// Linear-settling residual factor.
-    decay: Vec<f64>,
+    decay: [f64; W],
     /// Output clamp, volts.
-    swing: Vec<f64>,
+    swing: [f64; W],
 }
 
-impl AmpConstants {
-    /// Empties the gather for a fresh batch.
-    pub fn clear(&mut self) {
-        self.gain.clear();
-        self.off.clear();
-        self.dacg.clear();
-        self.knee.clear();
-        self.dcb.clear();
-        self.dsb.clear();
-        self.ts.clear();
-        self.tau.clear();
-        self.slew.clear();
-        self.vlin.clear();
-        self.decay.clear();
-        self.swing.clear();
-    }
-
-    /// Appends one plan's constants.
+impl<const W: usize> MdacLanes<W> {
+    /// Gathers one plan per lane, the first in lane 0. Lanes past the
+    /// last plan repeat it; the record kernel never marks them active.
     ///
     /// The two plan-dependent branches of the scalar path are resolved
     /// here into values that make the branch-free expressions exact:
@@ -156,150 +142,122 @@ impl AmpConstants {
     ///   `knee = +∞`, and `1 + (ideal/∞)² = 1.0` exactly;
     /// * an ideal amp (`dc_gain = +∞`) gathers `dcb = +∞`, and
     ///   `1/(1 + compression/∞) = 1.0` exactly.
-    pub fn push(&mut self, p: &MdacPlan) {
-        self.gain.push(p.gain);
-        self.off.push(p.input_offset_v);
-        self.dacg.push(p.dac_gain);
-        let knee = p.gain_knee_v;
-        self.knee.push(if knee.is_finite() && knee > 0.0 {
-            knee
-        } else {
-            f64::INFINITY
-        });
-        self.dcb.push(p.dc_gain * p.beta);
-        self.dsb.push(p.dsb_decay);
-        self.ts.push(p.settle.settle_time_s);
-        self.tau.push(p.settle.tau_s);
-        self.slew.push(p.settle.slew_rate_v_per_s);
-        self.vlin.push(p.settle.v_lin);
-        self.decay.push(p.settle.decay);
-        self.swing.push(p.settle.output_swing_v);
-    }
-
-    /// Amplifies one lane stripe in place: for each lane `l`,
-    /// `x[l] ← amplify(x[l])` using the constants gathered at
-    /// `base + l`, with `prev[l]` the settling memory (updated like
-    /// `Mdac::prev_output_v`). `dac` carries the decisions as exact
-    /// small-integer floats (`f64::from(dac_level)`).
-    ///
-    /// Bit-identical per lane to [`MdacPlan::amplify`] on the plan the
-    /// constants were gathered from — asserted over randomized plans,
-    /// including the branch corners, by this module's tests.
     ///
     /// # Panics
     ///
-    /// Panics when the slice lengths disagree or `base + x.len()`
-    /// overruns the gathered constants.
-    pub fn amplify_lanes(
-        &self,
-        base: usize,
-        x: &mut [f64],
-        dac: &[f64],
-        vref: &[f64],
-        noise_v: &[f64],
-        prev: &mut [f64],
-    ) {
-        // The default x86-64 target caps the autovectorizer at SSE2
-        // (2-wide f64). Re-instantiating the same loop under AVX2
-        // widens it to 4 without changing a bit: every operation in
-        // the kernel (add/mul/div/abs/max/min and the exp polynomial)
-        // is IEEE-exact, and Rust never enables FMA contraction, so
-        // wider registers produce identical results faster.
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: guarded by runtime feature detection.
-            unsafe { self.amplify_lanes_avx2(base, x, dac, vref, noise_v, prev) };
-            return;
+    /// Panics if there are no plans or more than `W`.
+    pub fn gather<'a>(plans: impl IntoIterator<Item = &'a MdacPlan>) -> Self {
+        let mut lanes = Self {
+            gain: [0.0; W],
+            off: [0.0; W],
+            dacg: [0.0; W],
+            knee: [0.0; W],
+            dcb: [0.0; W],
+            dsb: [0.0; W],
+            ts: [0.0; W],
+            tau: [0.0; W],
+            slew: [0.0; W],
+            vlin: [0.0; W],
+            decay: [0.0; W],
+            swing: [0.0; W],
+        };
+        let mut last = None;
+        let mut n = 0;
+        for p in plans {
+            assert!(n < W, "more than {W} plans for {W} lanes");
+            lanes.load(n, p);
+            last = Some(p);
+            n += 1;
         }
-        self.amplify_lanes_impl(base, x, dac, vref, noise_v, prev);
+        let last = last.expect("at least one plan");
+        for l in n..W {
+            lanes.load(l, last);
+        }
+        lanes
     }
 
-    /// AVX2 re-instantiation of [`Self::amplify_lanes_impl`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn amplify_lanes_avx2(
-        &self,
-        base: usize,
-        x: &mut [f64],
-        dac: &[f64],
-        vref: &[f64],
-        noise_v: &[f64],
-        prev: &mut [f64],
-    ) {
-        self.amplify_lanes_impl(base, x, dac, vref, noise_v, prev);
+    fn load(&mut self, l: usize, p: &MdacPlan) {
+        self.gain[l] = p.gain;
+        self.off[l] = p.input_offset_v;
+        self.dacg[l] = p.dac_gain;
+        let knee = p.gain_knee_v;
+        self.knee[l] = if knee.is_finite() && knee > 0.0 {
+            knee
+        } else {
+            f64::INFINITY
+        };
+        self.dcb[l] = p.dc_gain * p.beta;
+        self.dsb[l] = p.dsb_decay;
+        self.ts[l] = p.settle.settle_time_s;
+        self.tau[l] = p.settle.tau_s;
+        self.slew[l] = p.settle.slew_rate_v_per_s;
+        self.vlin[l] = p.settle.v_lin;
+        self.decay[l] = p.settle.decay;
+        self.swing[l] = p.settle.output_swing_v;
     }
 
-    /// Portable body of [`Self::amplify_lanes`]; `inline(always)` so
-    /// the feature-gated wrappers re-instantiate it under their own
-    /// target features.
+    /// Amplifies every active lane in place: `x[l] ← amplify(x[l])` on
+    /// lane `l`'s plan, with `prev[l]` its settling memory (updated like
+    /// `Mdac::prev_output_v`). `dac` carries the decisions as exact
+    /// small-integer floats (`f64::from(dac_level)`). Lanes not `active`
+    /// keep both `x` and `prev`.
+    ///
+    /// Bit-identical per active lane to [`MdacPlan::amplify`] on the
+    /// plan the lane was gathered from — asserted over randomized plans,
+    /// including the branch corners, by this module's tests.
     #[inline(always)]
-    fn amplify_lanes_impl(
+    pub fn amplify(
         &self,
-        base: usize,
-        x: &mut [f64],
-        dac: &[f64],
-        vref: &[f64],
-        noise_v: &[f64],
-        prev: &mut [f64],
+        active: &[bool; W],
+        x: &mut [f64; W],
+        dac: &[f64; W],
+        vref: &[f64; W],
+        noise_v: &[f64; W],
+        prev: &mut [f64; W],
     ) {
-        let n = x.len();
-        let dac = &dac[..n];
-        let vref = &vref[..n];
-        let noise_v = &noise_v[..n];
-        let prev = &mut prev[..n];
-        let gain = &self.gain[base..][..n];
-        let off = &self.off[base..][..n];
-        let dacg = &self.dacg[base..][..n];
-        let knee = &self.knee[base..][..n];
-        let dcb = &self.dcb[base..][..n];
-        let dsb = &self.dsb[base..][..n];
-        let ts = &self.ts[base..][..n];
-        let tau = &self.tau[base..][..n];
-        let slew = &self.slew[base..][..n];
-        let vlin = &self.vlin[base..][..n];
-        let decay = &self.decay[base..][..n];
-        let swing = &self.swing[base..][..n];
-        for l in 0..n {
-            let ideal = gain[l] * (x[l] + off[l]) - dac[l] * dacg[l] * vref[l];
-            let compression = 1.0 + (ideal / knee[l]).powi(2);
-            let factor = 1.0 / (1.0 + compression / dcb[l]);
-            let target = ideal * factor;
-            let initial = prev[l];
-            // SettlePlan::settle, inlined over the flat fields. The
-            // clamps are spelled max/min because `f64::clamp` carries a
-            // `min <= max` assertion whose per-element panic edge
-            // blocks if-conversion (and so vectorization) of the whole
-            // loop; for the non-NaN values this kernel sees the two
-            // forms are bit-identical.
-            let sw = swing[l];
-            let tc = target.max(-sw).min(sw);
-            let dv = tc - initial;
-            let dv_abs = dv.abs();
-            let sign = dv.signum();
-            let t_slew = (dv_abs - vlin[l]) / slew[l];
-            let remaining = (ts[l] - t_slew).max(0.0).min(ts[l]);
-            let tail = adc_analog::stripe::exp_nonpos(-remaining / tau[l]);
-            let lin = tc - dv * decay[l];
-            let rail = initial + sign * slew[l] * ts[l];
-            let slew_v = tc - sign * vlin[l] * tail;
-            let seg = if dv_abs <= vlin[l] {
-                lin
-            } else if t_slew >= ts[l] {
-                rail
+        use std::array::from_fn;
+        let ideal: [f64; W] =
+            from_fn(|l| self.gain[l] * (x[l] + self.off[l]) - dac[l] * self.dacg[l] * vref[l]);
+        let compression: [f64; W] = from_fn(|l| 1.0 + (ideal[l] / self.knee[l]).powi(2));
+        let factor: [f64; W] = from_fn(|l| 1.0 / (1.0 + compression[l] / self.dcb[l]));
+        let target: [f64; W] = from_fn(|l| ideal[l] * factor[l]);
+        // SettlePlan::settle, over the flat fields. The clamps are
+        // spelled max/min because `f64::clamp` carries a `min <= max`
+        // assertion whose panic edge blocks if-conversion; for the
+        // non-NaN values this kernel sees the two forms are
+        // bit-identical.
+        let tc: [f64; W] = from_fn(|l| target[l].max(-self.swing[l]).min(self.swing[l]));
+        let dv: [f64; W] = from_fn(|l| tc[l] - prev[l]);
+        let dv_abs: [f64; W] = from_fn(|l| dv[l].abs());
+        let sign: [f64; W] = from_fn(|l| dv[l].signum());
+        let t_slew: [f64; W] = from_fn(|l| (dv_abs[l] - self.vlin[l]) / self.slew[l]);
+        let remaining: [f64; W] = from_fn(|l| (self.ts[l] - t_slew[l]).max(0.0).min(self.ts[l]));
+        let tail: [f64; W] =
+            from_fn(|l| adc_analog::stripe::exp_nonpos(-remaining[l] / self.tau[l]));
+        let lin: [f64; W] = from_fn(|l| tc[l] - dv[l] * self.decay[l]);
+        let rail: [f64; W] = from_fn(|l| prev[l] + sign[l] * self.slew[l] * self.ts[l]);
+        let slew_v: [f64; W] = from_fn(|l| tc[l] - sign[l] * self.vlin[l] * tail[l]);
+        let seg: [f64; W] = from_fn(|l| {
+            if dv_abs[l] <= self.vlin[l] {
+                lin[l]
+            } else if t_slew[l] >= self.ts[l] {
+                rail[l]
             } else {
-                slew_v
-            };
-            let settled = if ts[l] > 0.0 { seg } else { initial };
-            let settled = settled.max(-sw).min(sw);
-            let dsb_error = if dsb[l] > 0.0 {
-                (target - initial) * dsb[l]
+                slew_v[l]
+            }
+        });
+        let settled: [f64; W] = from_fn(|l| if self.ts[l] > 0.0 { seg[l] } else { prev[l] });
+        let settled: [f64; W] = from_fn(|l| settled[l].max(-self.swing[l]).min(self.swing[l]));
+        let dsb_error: [f64; W] = from_fn(|l| {
+            if self.dsb[l] > 0.0 {
+                (target[l] - prev[l]) * self.dsb[l]
             } else {
                 0.0
-            };
-            let out = settled - dsb_error + noise_v[l];
-            prev[l] = out;
-            x[l] = out;
-        }
+            }
+        });
+        let out: [f64; W] = from_fn(|l| settled[l] - dsb_error[l] + noise_v[l]);
+        *prev = from_fn(|l| if active[l] { out[l] } else { prev[l] });
+        *x = from_fn(|l| if active[l] { out[l] } else { x[l] });
     }
 }
 
@@ -574,83 +532,117 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn soa_kernel_matches_planned_amplify_bit_for_bit() {
-        // Randomized plans spanning every branch of the scalar path:
-        // finite/infinite dc gain, finite/non-finite/non-positive knee,
-        // DSB on/off, zero-duration settling, and inputs landing in the
-        // linear, slewing, railed, and clipped segments.
+    /// Randomized plans spanning every branch of the scalar path:
+    /// finite/infinite dc gain, finite/non-finite/non-positive knee, DSB
+    /// on/off, zero-duration settling.
+    fn random_plans(rng: &mut NoiseSource, count: usize) -> Vec<MdacPlan> {
         use adc_analog::opamp::SettlePlan;
-        let mut rng = NoiseSource::from_seed(9);
         let mut uni = |lo: f64, hi: f64| rng.uniform(lo, hi);
-        let mut plans = Vec::new();
-        let mut soa = AmpConstants::default();
-        for i in 0..256usize {
-            let tau = uni(0.2e-9, 1.5e-9);
-            let slew = uni(2e8, 4e9);
-            let ts = if i % 7 == 3 { 0.0 } else { uni(1e-9, 6e-9) };
-            let plan = MdacPlan {
-                gain: uni(1.8, 2.2),
-                dac_gain: uni(0.9, 1.1),
-                input_offset_v: uni(-5e-3, 5e-3),
-                dc_gain: match i % 3 {
-                    0 => f64::INFINITY,
-                    _ => uni(200.0, 5e4),
-                },
-                beta: uni(0.4, 0.6),
-                gain_knee_v: match i % 5 {
-                    0 => f64::INFINITY,
-                    1 => -1.0,
-                    2 => 0.0,
-                    _ => uni(0.4, 1.5),
-                },
-                settle: SettlePlan {
-                    settle_time_s: ts,
-                    tau_s: tau,
-                    slew_rate_v_per_s: slew,
-                    v_lin: slew * tau,
-                    decay: if ts > 0.0 { (-ts / tau).exp() } else { 0.0 },
-                    output_swing_v: uni(0.9, 1.3),
-                },
-                dsb_decay: if i % 2 == 0 { 0.0 } else { uni(1e-4, 0.2) },
-                noise_rms_v: 0.0,
-            };
-            soa.push(&plan);
-            plans.push(plan);
-        }
+        (0..count)
+            .map(|i| {
+                let tau = uni(0.2e-9, 1.5e-9);
+                let slew = uni(2e8, 4e9);
+                let ts = if i % 7 == 3 { 0.0 } else { uni(1e-9, 6e-9) };
+                MdacPlan {
+                    gain: uni(1.8, 2.2),
+                    dac_gain: uni(0.9, 1.1),
+                    input_offset_v: uni(-5e-3, 5e-3),
+                    dc_gain: match i % 3 {
+                        0 => f64::INFINITY,
+                        _ => uni(200.0, 5e4),
+                    },
+                    beta: uni(0.4, 0.6),
+                    gain_knee_v: match i % 5 {
+                        0 => f64::INFINITY,
+                        1 => -1.0,
+                        2 => 0.0,
+                        _ => uni(0.4, 1.5),
+                    },
+                    settle: SettlePlan {
+                        settle_time_s: ts,
+                        tau_s: tau,
+                        slew_rate_v_per_s: slew,
+                        v_lin: slew * tau,
+                        decay: if ts > 0.0 { (-ts / tau).exp() } else { 0.0 },
+                        output_swing_v: uni(0.9, 1.3),
+                    },
+                    dsb_decay: if i % 2 == 0 { 0.0 } else { uni(1e-4, 0.2) },
+                    noise_rms_v: 0.0,
+                }
+            })
+            .collect()
+    }
+
+    /// Runs `plans` (at most `W`) through the fixed-width kernel and
+    /// through [`MdacPlan::amplify`] lane by lane, with inputs landing in
+    /// the linear, slewing, railed and clipped segments, under the masks
+    /// the record kernel uses: fill (lanes `0..=t` active), steady, and
+    /// drain (lanes `lo..` active), plus lanes past the last plan.
+    fn lanes_match_scalar<const W: usize>(plans: &[MdacPlan], rng: &mut NoiseSource) {
         let n = plans.len();
-        let mut prev_scalar = vec![0.0f64; n];
-        let mut prev_soa = vec![0.0f64; n];
-        let mut x = vec![0.0f64; n];
-        let mut dac = vec![0.0f64; n];
-        let mut dac_i = vec![0i8; n];
-        let mut vref = vec![0.0f64; n];
-        let mut noise_v = vec![0.0f64; n];
+        let lanes = MdacLanes::<W>::gather(plans);
+        let mut prev_scalar = [0.0f64; W];
+        let mut prev_lanes = [0.0f64; W];
         for round in 0..64usize {
-            for l in 0..n {
-                x[l] = uni(-2.5, 2.5);
-                let d = [-1i8, 0, 1][(l + round) % 3];
-                dac_i[l] = d;
-                dac[l] = f64::from(d);
-                vref[l] = uni(0.95, 1.0);
-                noise_v[l] = uni(-2e-4, 2e-4);
+            let (lo, hi) = match round % 4 {
+                0 => (0, round % n),
+                1 => (round % n, n - 1),
+                _ => (0, n - 1),
+            };
+            let active: [bool; W] = std::array::from_fn(|l| (lo..=hi).contains(&l));
+            let mut x = [0.0f64; W];
+            let mut dac = [0.0f64; W];
+            let mut dac_i = [0i8; W];
+            let mut vref = [0.0f64; W];
+            let mut noise_v = [0.0f64; W];
+            for l in 0..W {
+                x[l] = rng.uniform(-2.5, 2.5);
+                dac_i[l] = [-1i8, 0, 1][(l + round) % 3];
+                dac[l] = f64::from(dac_i[l]);
+                vref[l] = rng.uniform(0.95, 1.0);
+                noise_v[l] = rng.uniform(-2e-4, 2e-4);
             }
-            let mut want = x.clone();
-            for l in 0..n {
+            let mut want = x;
+            for l in lo..=hi {
                 want[l] =
                     plans[l].amplify(x[l], dac_i[l], vref[l], noise_v[l], &mut prev_scalar[l]);
             }
-            soa.amplify_lanes(0, &mut x, &dac, &vref, &noise_v, &mut prev_soa);
-            for l in 0..n {
-                assert_eq!(
-                    x[l].to_bits(),
-                    want[l].to_bits(),
-                    "lane {l} round {round} diverged: soa {} vs scalar {}",
-                    x[l],
-                    want[l]
-                );
-                assert_eq!(prev_soa[l].to_bits(), prev_scalar[l].to_bits());
+            let prev_before = prev_lanes;
+            lanes.amplify(&active, &mut x, &dac, &vref, &noise_v, &mut prev_lanes);
+            for l in 0..W {
+                if active[l] {
+                    assert_eq!(
+                        x[l].to_bits(),
+                        want[l].to_bits(),
+                        "W {W}, lane {l}, round {round}: lanes {} vs scalar {}",
+                        x[l],
+                        want[l]
+                    );
+                    assert_eq!(prev_lanes[l].to_bits(), prev_scalar[l].to_bits());
+                } else {
+                    // Masked lanes keep their state bit for bit.
+                    assert_eq!(x[l].to_bits(), want[l].to_bits(), "W {W}, masked lane {l}");
+                    assert_eq!(prev_lanes[l].to_bits(), prev_before[l].to_bits());
+                }
             }
+        }
+    }
+
+    #[test]
+    fn soa_kernel_matches_planned_amplify_bit_for_bit() {
+        let mut rng = NoiseSource::from_seed(9);
+        let plans = random_plans(&mut rng, 256);
+        // Every width, full and partly filled (padding lanes repeat the
+        // last plan and stay masked).
+        for group in plans.chunks(16) {
+            lanes_match_scalar::<16>(group, &mut rng);
+            lanes_match_scalar::<16>(&group[..14], &mut rng);
+            lanes_match_scalar::<12>(&group[..12], &mut rng);
+            lanes_match_scalar::<12>(&group[..9], &mut rng);
+            lanes_match_scalar::<8>(&group[..8], &mut rng);
+            lanes_match_scalar::<8>(&group[..5], &mut rng);
+            lanes_match_scalar::<4>(&group[..4], &mut rng);
+            lanes_match_scalar::<4>(&group[..1], &mut rng);
         }
     }
 }

@@ -10,7 +10,7 @@
 //! The chain ends in a 2-bit flash (three comparators at −V_REF/2, 0,
 //! +V_REF/2) that resolves the final residue.
 
-use adc_analog::comparator::{Comparator, ComparatorSpec};
+use adc_analog::comparator::{Comparator, ComparatorLanes, ComparatorSpec};
 use adc_analog::noise::NoiseSource;
 
 /// A 1.5-bit stage decision.
@@ -79,6 +79,57 @@ impl Adsc {
     /// Injects a static offset on the lower comparator (fault injection).
     pub fn set_low_offset_v(&mut self, offset_v: f64) {
         self.low.set_offset_v(offset_v);
+    }
+}
+
+/// The ADSCs of up to `W` stages gathered into lanes, stage 1 in lane
+/// 0: the record kernel decides every stage of a tick in one pass.
+///
+/// Each lane's decision equals [`Adsc::decide`] on that stage bit for
+/// bit, comparator streams and hysteresis included (see
+/// [`ComparatorLanes`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AdscLanes<const W: usize> {
+    high: ComparatorLanes<W>,
+    low: ComparatorLanes<W>,
+}
+
+impl<const W: usize> AdscLanes<W> {
+    /// Gathers the ADSCs into lanes, first in lane 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are no ADSCs or more than `W`.
+    pub fn gather<'a>(adscs: impl Iterator<Item = &'a Adsc> + Clone) -> Self {
+        Self {
+            high: ComparatorLanes::gather(adscs.clone().map(|a| &a.high)),
+            low: ComparatorLanes::gather(adscs.map(|a| &a.low)),
+        }
+    }
+
+    /// Writes the comparators' carried state back, in gather order.
+    pub fn scatter<'a>(&self, adscs: impl IntoIterator<Item = &'a mut Adsc>) {
+        for (l, adsc) in adscs.into_iter().enumerate() {
+            self.high.scatter_lane(l, &mut adsc.high);
+            self.low.scatter_lane(l, &mut adsc.low);
+        }
+    }
+
+    /// The DAC level d ∈ {−1, 0, +1} of every active lane (inactive
+    /// lanes keep their state; their level is meaningless).
+    #[inline(always)]
+    pub fn decide(&mut self, active: &[bool; W], v_in: &[f64; W]) -> [i8; W] {
+        let above = self.high.decide(active, v_in);
+        let not_below = self.low.decide(active, v_in);
+        std::array::from_fn(|l| {
+            if above[l] {
+                1
+            } else if not_below[l] {
+                0
+            } else {
+                -1
+            }
+        })
     }
 }
 

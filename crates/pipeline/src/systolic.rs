@@ -17,10 +17,13 @@
 //! 2. runs the front end serially over the chunk (sampling
 //!    instant, waveform, input-switch tracking, front noise, ripple);
 //! 3. advances the stages as a wavefront: tick *t* evaluates stage *s*
-//!    on sample *t − s* for every active stage at once. Droop, decision
-//!    and reference/sigma select run in one stage loop, then the
-//!    residues go through [`AmpConstants::amplify_lanes`] with **stages
-//!    as lanes**, and the last-stage output feeds the flash.
+//!    on sample *t − s* for every active stage at once, in one pass
+//!    over a fixed lane width `W` (the stage count rounded up to a
+//!    multiple of 4), **stages as lanes**: droop, both ADSC comparators
+//!    ([`AdscLanes`]), the DSB reference/sigma select, the amplify
+//!    ([`MdacLanes`]) and a masked write-back that leaves fill, drain
+//!    and padding lanes untouched; the last stage's output feeds the
+//!    flash.
 //!
 //! Every record runs here, through [`PipelineAdc::convert_waveform_into`].
 //! Dies share nothing, so N dies convert N records one after another.
@@ -45,8 +48,8 @@ use adc_analog::stripe::standard_normal_fill;
 
 use crate::converter::{PipelineAdc, Waveform, WARMUP_SAMPLES};
 use crate::correction;
-use crate::mdac::AmpConstants;
-use crate::subconverter::StageDecision;
+use crate::mdac::MdacLanes;
+use crate::subconverter::{AdscLanes, FlashBackend, StageDecision};
 
 /// Samples per chunk: the unit of pre-drawn deviates and of exact-grid
 /// waveform evaluation, so sources with a recurrence override of
@@ -62,82 +65,103 @@ pub(crate) const CHUNK: usize = 256;
 /// by time, keeps the trace deterministic and small.
 pub(crate) const TRACE_EVERY: usize = 512;
 
+/// Widest lane set: `build` accepts at most 14 stages.
+const MAX_LANES: usize = 16;
+
+/// The instantiation of the tick that runs a record, chosen once per
+/// record.
+#[derive(Debug, Clone, Copy)]
+enum Isa {
+    /// The portable body (SSE2 on x86-64).
+    Portable,
+    /// The same body re-instantiated under AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Isa {
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
+        }
+        Isa::Portable
+    }
+}
+
 /// Reusable chunk buffers of the record kernel.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Systolic {
-    /// The chunk's deviates: `z[j·(2 + stages) + slot]`.
+    /// The chunk's deviates, `W` samples of zero padding on either side
+    /// so every lane of every tick reads in bounds:
+    /// `z[(W + j)·(2 + stages) + slot]`.
     z: Vec<f64>,
     /// Exact-grid waveform values and slopes of the chunk.
     values: Vec<f64>,
     slopes: Vec<f64>,
-    /// Held stage-1 input of each chunk sample, after the front end.
+    /// Held stage-1 input of each chunk sample, after the front end
+    /// (`W` samples past the chunk for drain ticks).
     front: Vec<f64>,
-    /// Stage-1 ADSC aperture-skew error of each chunk sample.
+    /// Stage-1 ADSC aperture-skew error of each chunk sample (padded
+    /// like `front`).
     adsc_err: Vec<f64>,
-    /// Stage decisions: `[j·stages + s]`.
+    /// Stage decisions, tick-major: `[t·W + s]` is stage `s` on sample
+    /// `t − s`.
     decisions: Vec<StageDecision>,
     /// Flash code of each chunk sample.
     flash: Vec<u8>,
-    /// The value in flight at each stage's input (output after amplify).
-    pipe: Vec<f64>,
-    /// DAC level of the current tick, as an exact `f64`.
-    dac: Vec<f64>,
-    /// Effective reference of the current tick.
-    vref: Vec<f64>,
-    /// Merged noise draw of the current tick.
-    noise_v: Vec<f64>,
-    /// MDAC settling memory, gathered for the record.
-    prev: Vec<f64>,
-    /// The die's amplify constants, gathered for the record.
-    amp: AmpConstants,
 }
 
 impl Systolic {
     /// Converts `n_samples` (plus the warm-up) of `waveform` on `die`,
     /// appending the post-warm-up codes to `out` (see the module docs).
-    pub(crate) fn convert<W: Waveform + ?Sized>(
+    pub(crate) fn convert<Wf: Waveform + ?Sized>(
         &mut self,
         die: &mut PipelineAdc,
-        waveform: &W,
+        waveform: &Wf,
+        n_samples: usize,
+        out: &mut Vec<u16>,
+    ) {
+        self.convert_on(Isa::detect(), die, waveform, n_samples, out);
+    }
+
+    /// [`Self::convert`] on a given instantiation of the tick.
+    fn convert_on<Wf: Waveform + ?Sized>(
+        &mut self,
+        isa: Isa,
+        die: &mut PipelineAdc,
+        waveform: &Wf,
         n_samples: usize,
         out: &mut Vec<u16>,
     ) {
         die.ensure_plans();
+        let mut lanes = gather(die);
+        let width = lanes.width();
         let stages = die.stages.len();
+        let draws = 2 + stages;
         self.values.resize(CHUNK, 0.0);
         self.slopes.resize(CHUNK, 0.0);
-        self.front.resize(CHUNK, 0.0);
-        self.adsc_err.resize(CHUNK, 0.0);
         self.flash.resize(CHUNK, 0);
-        self.z.resize(CHUNK * (2 + stages), 0.0);
+        self.front.resize(CHUNK + width, 0.0);
+        self.adsc_err.resize(CHUNK + width, 0.0);
+        self.z.resize((CHUNK + 2 * width) * draws, 0.0);
         self.decisions
-            .resize(CHUNK * stages, StageDecision { dac_level: 0 });
-        for buf in [
-            &mut self.pipe,
-            &mut self.dac,
-            &mut self.vref,
-            &mut self.noise_v,
-        ] {
-            buf.resize(stages, 0.0);
-        }
-        self.prev.clear();
-        self.amp.clear();
-        for (stage, plan) in die.stages.iter().zip(&die.plans) {
-            self.prev.push(stage.mdac.prev_output_v());
-            self.amp.push(&plan.mdac);
-        }
+            .resize((CHUNK + width) * width, StageDecision { dac_level: 0 });
 
         let total = n_samples + WARMUP_SAMPLES;
         let mut first = 0;
         let mut tick = 0;
         while first < total {
             let len = CHUNK.min(total - first);
-            self.front_end(die, waveform, first, len);
-            tick = self.wavefront(die, len, tick);
+            self.front_end(die, waveform, first, len, width * draws);
+            tick = lanes.ticks(isa, self, &mut die.flash, stages, len, tick);
             for j in 0..len {
                 if first + j >= WARMUP_SAMPLES {
-                    let code = correction::assemble_code(
-                        &self.decisions[j * stages..(j + 1) * stages],
+                    // Sample j's decisions lie on a diagonal of the
+                    // tick-major buffer: stage s at tick j + s.
+                    let diagonal = self.decisions[j * width..].iter().step_by(width + 1);
+                    let code = correction::assemble_code_from(
+                        diagonal.take(stages).copied(),
                         self.flash[j],
                     );
                     out.push(code as u16);
@@ -146,24 +170,23 @@ impl Systolic {
             die.last_flash_code = self.flash[len - 1];
             first += len;
         }
-
-        for (stage, &v) in die.stages.iter_mut().zip(&self.prev) {
-            stage.mdac.set_prev_output_v(v);
-        }
+        lanes.scatter(die);
     }
 
     /// Steps (1) and (2): the chunk's deviates, then the front end over
-    /// record samples `first..first + len`.
-    fn front_end<W: Waveform + ?Sized>(
+    /// record samples `first..first + len`. The deviates land `pad`
+    /// slots into `z`.
+    fn front_end<Wf: Waveform + ?Sized>(
         &mut self,
         die: &mut PipelineAdc,
-        waveform: &W,
+        waveform: &Wf,
         first: usize,
         len: usize,
+        pad: usize,
     ) {
         let draws = 2 + die.stages.len();
         let period = die.timing.period_s;
-        let z = &mut self.z[..len * draws];
+        let z = &mut self.z[pad..][..len * draws];
         let mut state = die.sample_noise.state();
         standard_normal_fill(&mut state, z);
         die.sample_noise.set_state(state);
@@ -199,62 +222,195 @@ impl Systolic {
             self.adsc_err[j] = die.adsc_skew_s * dvdt;
         }
     }
+}
 
-    /// Step (3): tick `t` runs stage `s` on sample `t − s`. `tick` is the
-    /// record's running tick count before this chunk; returns it after.
-    fn wavefront(&mut self, die: &mut PipelineAdc, len: usize, tick: usize) -> usize {
+/// The stage lanes of one record at their lane width, behind a vtable.
+///
+/// A record is generic over its waveform. Called through this trait,
+/// the tick stays out of that monomorphization: it compiles once per
+/// width, in this crate, instead of once per waveform type and calling
+/// crate — which grew a serving binary's code by ~0.6 MB and its peak
+/// RSS with it.
+trait StageTicks {
+    /// The lane width `W`.
+    fn width(&self) -> usize;
+    /// Runs one chunk's ticks (step 3) on the record's instantiation.
+    fn ticks(
+        &mut self,
+        isa: Isa,
+        bufs: &mut Systolic,
+        flash: &mut FlashBackend,
+        stages: usize,
+        len: usize,
+        tick: usize,
+    ) -> usize;
+    /// Writes the carried state back to the die.
+    fn scatter(&self, die: &mut PipelineAdc);
+}
+
+/// Gathers `die`'s stages at the narrowest width that holds them:
+/// the stage count rounded up to a multiple of 4.
+fn gather(die: &PipelineAdc) -> Box<dyn StageTicks> {
+    match die.stages.len().div_ceil(4) {
+        1 => Box::new(StageLanes::<4>::gather(die)),
+        2 => Box::new(StageLanes::<8>::gather(die)),
+        3 => Box::new(StageLanes::<12>::gather(die)),
+        _ => Box::new(StageLanes::<MAX_LANES>::gather(die)),
+    }
+}
+
+/// A die's stages gathered into `W` lanes for one record, stage 1 in
+/// lane 0: every per-stage constant and carried state word the tick
+/// reads. Lanes past the last stage repeat it and are never active.
+struct StageLanes<const W: usize> {
+    /// Hold-phase droop factor (`StagePlan::droop_k`).
+    droop_k: [f64; W],
+    /// DSB reference and merged noise sigma for d = 0 and |d| = 1.
+    vref_d0: [f64; W],
+    vref_d1: [f64; W],
+    sigma_d0: [f64; W],
+    sigma_d1: [f64; W],
+    /// Both ADSC comparators of every stage.
+    adsc: AdscLanes<W>,
+    /// The amplify constants.
+    mdac: MdacLanes<W>,
+    /// MDAC settling memories.
+    prev: [f64; W],
+}
+
+impl<const W: usize> StageLanes<W> {
+    fn gather(die: &PipelineAdc) -> Self {
         let stages = die.stages.len();
+        let plan = |l: usize| &die.plans[l.min(stages - 1)];
+        let stage = |l: usize| &die.stages[l.min(stages - 1)];
+        Self {
+            droop_k: std::array::from_fn(|l| plan(l).droop_k),
+            vref_d0: std::array::from_fn(|l| plan(l).vref_d0),
+            vref_d1: std::array::from_fn(|l| plan(l).vref_d1),
+            sigma_d0: std::array::from_fn(|l| plan(l).sigma_d0),
+            sigma_d1: std::array::from_fn(|l| plan(l).sigma_d1),
+            adsc: AdscLanes::gather(die.stages.iter().map(|s| &s.adsc)),
+            mdac: MdacLanes::gather(die.plans.iter().map(|p| &p.mdac)),
+            prev: std::array::from_fn(|l| stage(l).mdac.prev_output_v()),
+        }
+    }
+
+    /// AVX2 re-instantiation of [`Self::wavefront`]. Every operation of
+    /// the tick is IEEE-exact and Rust never contracts to FMA, so it is
+    /// bit-identical to the portable (SSE2) instantiation.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn wavefront_avx2(
+        &mut self,
+        bufs: &mut Systolic,
+        flash: &mut FlashBackend,
+        stages: usize,
+        len: usize,
+        tick: usize,
+    ) -> usize {
+        self.wavefront(bufs, flash, stages, len, tick)
+    }
+
+    /// Step (3): tick `t` runs stage `s` on sample `t − s`, every lane
+    /// in one pass. `tick` is the record's running tick count before
+    /// this chunk; returns it after. `inline(always)` so the
+    /// feature-gated wrapper re-instantiates it.
+    #[inline(always)]
+    fn wavefront(
+        &mut self,
+        bufs: &mut Systolic,
+        flash: &mut FlashBackend,
+        stages: usize,
+        len: usize,
+        tick: usize,
+    ) -> usize {
         let draws = 2 + stages;
+        // Lane l's merged draw at tick t sits at `t·draws + noise_at[l]`
+        // (sample t − l, slot 2 + l, behind `W` samples of padding).
+        let noise_at: [usize; W] = std::array::from_fn(|l| W * draws + 2 + l - l * draws);
         let tracing = adc_trace::enabled();
         let ticks = len + stages - 1;
+        let mut x = [0.0f64; W];
         for t in 0..ticks {
             let lo = t.saturating_sub(len - 1);
             let hi = t.min(stages - 1);
-            if t < len {
-                self.pipe[0] = self.front[t];
-            }
             let traced = tracing && (tick + t).is_multiple_of(TRACE_EVERY);
             {
                 let _tick =
                     traced.then(|| adc_trace::span_with("pipeline-tick", (hi + 1 - lo) as u64));
-                for s in lo..=hi {
-                    let j = t - s;
-                    let plan = &die.plans[s];
-                    // Hold-phase leakage droop, then the ADSC decision
-                    // (stage 1 samples through the skewed ADSC path).
-                    let mut x = self.pipe[s];
-                    x -= plan.droop_k * x * x * x;
-                    let adsc_error = if s == 0 { self.adsc_err[j] } else { 0.0 };
-                    let decision = die.stages[s].adsc.decide(x + adsc_error);
-                    self.pipe[s] = x;
-                    self.dac[s] = f64::from(decision.dac_level);
-                    self.decisions[j * stages + s] = decision;
-                    let (v_ref_eff, sigma) = if decision.dac_level == 0 {
-                        (plan.vref_d0, plan.sigma_d0)
+                let active: [bool; W] = std::array::from_fn(|l| lo <= l && l <= hi);
+                x[0] = bufs.front[t];
+                // Hold-phase leakage droop, then the ADSC decision
+                // (stage 1 samples through the skewed ADSC path).
+                x = std::array::from_fn(|l| x[l] - self.droop_k[l] * x[l] * x[l] * x[l]);
+                let err = bufs.adsc_err[t];
+                let v_in: [f64; W] = std::array::from_fn(|l| x[l] + if l == 0 { err } else { 0.0 });
+                let level = self.adsc.decide(&active, &v_in);
+                // The DSB selects the reference and the merged sigma.
+                let dac: [f64; W] = std::array::from_fn(|l| f64::from(level[l]));
+                let vref: [f64; W] = std::array::from_fn(|l| {
+                    if level[l] == 0 {
+                        self.vref_d0[l]
                     } else {
-                        (plan.vref_d1, plan.sigma_d1)
-                    };
-                    self.vref[s] = v_ref_eff;
-                    self.noise_v[s] = 0.0 + sigma * self.z[j * draws + 2 + s];
+                        self.vref_d1[l]
+                    }
+                });
+                let sigma: [f64; W] = std::array::from_fn(|l| {
+                    if level[l] == 0 {
+                        self.sigma_d0[l]
+                    } else {
+                        self.sigma_d1[l]
+                    }
+                });
+                let z = &bufs.z[t * draws..];
+                let noise_v: [f64; W] = std::array::from_fn(|l| 0.0 + sigma[l] * z[noise_at[l]]);
+                self.mdac
+                    .amplify(&active, &mut x, &dac, &vref, &noise_v, &mut self.prev);
+                let decisions = &mut bufs.decisions[t * W..][..W];
+                for (d, &dac_level) in decisions.iter_mut().zip(&level) {
+                    d.dac_level = dac_level;
                 }
-                let active = lo..hi + 1;
-                self.amp.amplify_lanes(
-                    lo,
-                    &mut self.pipe[active.clone()],
-                    &self.dac[active.clone()],
-                    &self.vref[active.clone()],
-                    &self.noise_v[active.clone()],
-                    &mut self.prev[active],
-                );
             }
             if hi == stages - 1 {
                 let _flash = traced.then(|| adc_trace::span("flash"));
-                self.flash[t + 1 - stages] = die.flash.decide(self.pipe[hi]);
+                bufs.flash[t + 1 - stages] = flash.decide(x[hi]);
             }
             // Each residue moves on to the next stage's input.
-            self.pipe.copy_within(0..stages - 1, 1);
+            x = std::array::from_fn(|l| if l == 0 { 0.0 } else { x[l - 1] });
         }
         tick + ticks
+    }
+}
+
+impl<const W: usize> StageTicks for StageLanes<W> {
+    fn width(&self) -> usize {
+        W
+    }
+
+    fn ticks(
+        &mut self,
+        isa: Isa,
+        bufs: &mut Systolic,
+        flash: &mut FlashBackend,
+        stages: usize,
+        len: usize,
+        tick: usize,
+    ) -> usize {
+        match isa {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Isa::Avx2` is only constructed by `Isa::detect`
+            // after runtime detection of AVX2.
+            Isa::Avx2 => unsafe { self.wavefront_avx2(bufs, flash, stages, len, tick) },
+            Isa::Portable => self.wavefront(bufs, flash, stages, len, tick),
+        }
+    }
+
+    fn scatter(&self, die: &mut PipelineAdc) {
+        self.adsc
+            .scatter(die.stages.iter_mut().map(|s| &mut s.adsc));
+        for (stage, &v) in die.stages.iter_mut().zip(&self.prev) {
+            stage.mdac.set_prev_output_v(v);
+        }
     }
 }
 
@@ -345,6 +501,30 @@ mod tests {
                 prop_assert!(systolic.front_end == reference.front_end, "front end, record {}", round);
                 prop_assert_eq!(systolic.sample_noise, reference.sample_noise);
                 prop_assert_eq!(systolic.sample_count, reference.sample_count);
+            }
+        }
+    }
+
+    #[test]
+    fn portable_tick_matches_the_dispatched_tick() {
+        // On an AVX2 host no record runs the portable (SSE2)
+        // instantiation of the tick; drive its body directly on the same
+        // die and record, under stress noise, at every stage count.
+        for stage_count in 1..=14 {
+            let (jitter, ripple) = (stage_count % 2 == 1, stage_count % 3 == 0);
+            let cfg = stressed(jitter, ripple, stage_count, 3e-3);
+            let mut dispatched = PipelineAdc::build(cfg, 40 + stage_count as u64).unwrap();
+            let mut portable = dispatched.clone();
+            let mut systolic = Systolic::default();
+            let n = CHUNK + 37;
+            for round in 0..2 {
+                let want = dispatched.convert_waveform(&tone, n);
+                let mut got = Vec::new();
+                systolic.convert_on(Isa::Portable, &mut portable, &tone, n, &mut got);
+                assert!(got == want, "{stage_count} stages, record {round}");
+                assert!(portable.stages() == dispatched.stages(), "stage state");
+                assert!(portable.flash == dispatched.flash, "flash state");
+                assert_eq!(portable.sample_noise, dispatched.sample_noise);
             }
         }
     }

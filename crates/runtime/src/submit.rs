@@ -179,29 +179,48 @@ impl JobPool {
         T: Send + 'static,
         F: FnOnce(&JobCtx) -> Result<T, JobError> + Send + 'static,
     {
-        let id = JobId(self.next_id.fetch_add(1, Ordering::SeqCst));
         let (tx, rx) = mpsc::channel();
-        let reject_tx = tx.clone();
-        let rejected = move |err: JobError| {
-            let report = JobReport {
-                id,
-                attempts: 0,
-                wall: Duration::ZERO,
-                samples: 0,
-                error: Some(err),
-            };
-            let _ = reject_tx.send((None, report));
-        };
-        if self.state.draining.load(Ordering::SeqCst) {
-            rejected(JobError::Failed("pool is draining".to_string()));
-            return JobHandle { id, rx };
-        }
+        let id = self.submit_then(timeout, work, move |value, report| {
+            let _ = tx.send((value, report));
+        });
+        JobHandle { id, rx }
+    }
+
+    /// [`JobPool::submit`], handing the job's value (`None` on failure)
+    /// and report to `then` instead of a [`JobHandle`].
+    ///
+    /// `then` runs on the worker after every observer has seen the
+    /// job's `on_job_finish`, so it is the place to publish the job's
+    /// outcome: whoever sees what `then` publishes also sees the job
+    /// accounted. A submission rejected by a draining pool calls `then`
+    /// at once with the rejection.
+    pub fn submit_then<T, F, C>(&self, timeout: Option<Duration>, work: F, then: C) -> JobId
+    where
+        F: FnOnce(&JobCtx) -> Result<T, JobError> + Send + 'static,
+        C: FnOnce(Option<T>, JobReport) + Send + 'static,
+    {
+        let id = JobId(self.next_id.fetch_add(1, Ordering::SeqCst));
         let ctx = JobCtx::new(self.seed, id, 1, timeout, Arc::clone(&self.cancelled));
         let observers = Arc::clone(&self.observers);
         // Armed only while tracing so the disabled path stays free of
         // clock reads; the elapsed value feeds the trace stream only.
         // adc-lint: allow(no-wallclock) reason="queue-wait trace counter, armed only while tracing; never feeds job results"
         let queued_at = adc_trace::enabled().then(Instant::now);
+        let mut queue = self.state.queue.lock().expect("pool queue lock");
+        // Checked under the lock so a concurrent shutdown cannot strand
+        // a task behind departing workers.
+        if self.state.draining.load(Ordering::SeqCst) {
+            drop(queue);
+            let report = JobReport {
+                id,
+                attempts: 0,
+                wall: Duration::ZERO,
+                samples: 0,
+                error: Some(JobError::Failed("pool is draining".to_string())),
+            };
+            then(None, report);
+            return id;
+        }
         let task: Task = Box::new(move || {
             for obs in observers.iter() {
                 obs.on_job_start(id, 1);
@@ -239,22 +258,13 @@ impl JobPool {
             for obs in observers.iter() {
                 obs.on_job_finish(id, &report);
             }
-            let _ = tx.send((value, report));
+            then(value, report);
         });
-        {
-            let mut queue = self.state.queue.lock().expect("pool queue lock");
-            // Re-check under the lock so a concurrent shutdown cannot
-            // strand a task behind departing workers.
-            if self.state.draining.load(Ordering::SeqCst) {
-                drop(queue);
-                rejected(JobError::Failed("pool is draining".to_string()));
-                return JobHandle { id, rx };
-            }
-            self.state.pending.fetch_add(1, Ordering::SeqCst);
-            queue.push_back(task);
-        }
+        self.state.pending.fetch_add(1, Ordering::SeqCst);
+        queue.push_back(task);
+        drop(queue);
         self.state.task_ready.notify_one();
-        JobHandle { id, rx }
+        id
     }
 
     /// Graceful drain: stops accepting submissions, runs every already
@@ -426,6 +436,49 @@ mod tests {
             done_rx.recv_timeout(Duration::from_secs(60)).is_ok(),
             "a pool shutdown hung: a worker missed the drain wake-up"
         );
+    }
+
+    #[test]
+    fn then_runs_after_every_observer_has_the_report() {
+        // What `then` publishes must find the job already accounted:
+        // each call sees its own report among the observer's.
+        let obs = Arc::new(CollectingObserver::default());
+        let pool = JobPool::with_observers("then", 0, 2, vec![obs.clone()]);
+        let (tx, rx) = mpsc::channel();
+        for x in 0..16u64 {
+            let (obs, tx) = (Arc::clone(&obs), tx.clone());
+            pool.submit_then(
+                None,
+                move |_| Ok::<_, JobError>(x),
+                move |value, report| {
+                    let seen = obs
+                        .reports
+                        .lock()
+                        .unwrap()
+                        .iter()
+                        .any(|r| r.id == report.id);
+                    tx.send((value, seen)).unwrap();
+                },
+            );
+        }
+        let mut values: Vec<u64> = (0..16)
+            .map(|_| {
+                let (value, seen) = rx.recv().unwrap();
+                assert!(seen, "then ran before the observers");
+                value.unwrap()
+            })
+            .collect();
+        values.sort_unstable();
+        assert_eq!(values, (0..16).collect::<Vec<_>>());
+        // A draining pool rejects at once, through `then`.
+        pool.shutdown();
+        let tx2 = tx.clone();
+        pool.submit_then(
+            None,
+            |_| Ok::<_, JobError>(0u64),
+            move |value, report| tx2.send((value, report.attempts == 0)).unwrap(),
+        );
+        assert_eq!(rx.recv().unwrap(), (None, true));
     }
 
     #[test]

@@ -351,6 +351,12 @@ impl Ticket {
     fn settle(mut self, failed: bool) {
         self.failed = Some(failed);
     }
+
+    /// Queues a served request's summary frame, then releases it.
+    fn finish(self, done: Response) {
+        let _ = self.sink.send_now(done);
+        self.settle(false);
+    }
 }
 
 impl Drop for Ticket {
@@ -814,9 +820,18 @@ impl Reactor {
                 let deadline =
                     (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
                 let cfg = self.shared.cfg.clone();
-                let _handle = self.shared.pool.submit(deadline, move |ctx| {
-                    serve_job(&cfg, ctx, ticket, &work.body)
-                });
+                // The summary frame goes out from `then`, once the pool
+                // has accounted the job: a client holding its whole
+                // record never reads metrics still counting the job.
+                self.shared.pool.submit_then(
+                    deadline,
+                    move |ctx| serve_job(&cfg, ctx, ticket, &work.body),
+                    |served, _report| {
+                        if let Some((ticket, done)) = served {
+                            ticket.finish(done);
+                        }
+                    },
+                );
                 progressed = true;
             }
             if !progressed {
@@ -999,7 +1014,7 @@ fn serve_job(
     ctx: &JobCtx,
     ticket: Ticket,
     body: &SubmitBody,
-) -> Result<u64, JobError> {
+) -> Result<(Ticket, Response), JobError> {
     let seed = match body {
         SubmitBody::Digitize(req) => req.seed,
         SubmitBody::Ganged(req) => req.seed,
@@ -1012,13 +1027,18 @@ fn serve_job(
         SubmitBody::Digitize(req) => digitize_job(req, cfg, ctx, &ticket.sink),
         SubmitBody::Ganged(req) => ganged_job(req, cfg, ctx, &ticket.sink),
     };
-    ticket.settle(result.is_err());
-    result
+    match result {
+        Ok(done) => Ok((ticket, done)),
+        Err(err) => {
+            ticket.settle(true);
+            Err(err)
+        }
+    }
 }
 
 /// Sends a request's terminal error frame and returns the job error it
 /// stands for.
-fn fail(sink: &ConnSink, code: ErrorCode, detail: String) -> Result<u64, JobError> {
+fn fail(sink: &ConnSink, code: ErrorCode, detail: String) -> Result<Response, JobError> {
     let _ = sink.send_now(Response::Error {
         code,
         detail: detail.clone(),
@@ -1038,13 +1058,13 @@ fn batch_len(cfg: &ServerConfig, requested: u32) -> usize {
 }
 
 /// Converts one digitize request through [`run_digitize`] and streams
-/// its record.
+/// its record; returns the summary frame, still to be sent.
 fn digitize_job(
     req: &DigitizeRequest,
     cfg: &ServerConfig,
     ctx: &JobCtx,
     sink: &ConnSink,
-) -> Result<u64, JobError> {
+) -> Result<Response, JobError> {
     if ctx.timed_out() {
         let detail = "deadline expired before simulation started".to_string();
         return fail(sink, ErrorCode::TimedOut, detail);
@@ -1080,13 +1100,13 @@ fn digitize_job(
 }
 
 /// Captures one ganged request through [`run_ganged`] and streams its
-/// record.
+/// record; returns the summary frame, still to be sent.
 fn ganged_job(
     req: &GangedRequest,
     cfg: &ServerConfig,
     ctx: &JobCtx,
     sink: &ConnSink,
-) -> Result<u64, JobError> {
+) -> Result<Response, JobError> {
     if ctx.timed_out() {
         let detail = "deadline expired before simulation started".to_string();
         return fail(sink, ErrorCode::TimedOut, detail);
@@ -1123,9 +1143,10 @@ fn ganged_job(
     )
 }
 
-/// Streams one converted record into its sink: `batch`-sized frames
-/// built by `frame`, then the summary `done` builds from the batch
-/// count. The deadline is polled between frames, also while blocked on
+/// Streams one converted record into its sink as `batch`-sized frames
+/// built by `frame`, and returns the summary `done` builds from the
+/// batch count (the caller sends it once the job is accounted). The
+/// deadline is polled between frames, also while blocked on
 /// backpressure.
 fn stream_record<T: Copy>(
     sink: &ConnSink,
@@ -1134,7 +1155,7 @@ fn stream_record<T: Copy>(
     batch: usize,
     frame: fn(u32, Vec<T>) -> Response,
     done: impl FnOnce(u32) -> Response,
-) -> Result<u64, JobError> {
+) -> Result<Response, JobError> {
     let _trace_stream = adc_trace::span("stream");
     let mut batches = 0u32;
     for chunk in items.chunks(batch) {
@@ -1153,10 +1174,7 @@ fn stream_record<T: Copy>(
         batches += 1;
         ctx.record_samples(chunk.len() as u64);
     }
-    if !sink.send(ctx, done(batches)) {
-        return Err(JobError::Failed("client went away at done".to_string()));
-    }
-    Ok(items.len() as u64)
+    Ok(done(batches))
 }
 
 #[cfg(test)]
