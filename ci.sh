@@ -34,9 +34,12 @@
 #   service     -- loopback gate: the `service` suite (real TCP server,
 #                  concurrent clients, pipelined out-of-order
 #                  completions, admission-control shedding under
-#                  overload, bit-identity vs in-process records)
-#                  re-runs in release under a hard wall-clock guard —
-#                  a hung drain fails CI instead of wedging it
+#                  overload, a peer that never reads, bit-identity vs
+#                  in-process records) re-runs in release under a hard
+#                  wall-clock guard — a hung drain fails CI instead of
+#                  wedging it; then adc-server's own tests (the
+#                  reactor's socket-free outbound tests, protocol_props)
+#                  run in release under the same guard
 #   cluster     -- distribution gate: the `cluster` suite spins up two
 #                  loopback servers and diffs the distributed campaign
 #                  digest against the in-process one, in release under
@@ -193,6 +196,7 @@ stage_determinism() {
 
 stage_service() {
   timeout 300 cargo test -q --release --test service
+  timeout 300 cargo test -q --release -p adc-server
 }
 
 stage_cluster() {

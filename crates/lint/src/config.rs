@@ -103,6 +103,12 @@ pub const PANIC_ROOTS: &[PanicRoot] = &[
         path: "crates/server/src/reactor.rs",
         symbol: Some("ingest"),
     },
+    // The reactor frames every answer into bytes as the socket drains;
+    // like ingest, a panic here would take down every connection.
+    PanicRoot {
+        path: "crates/server/src/reactor.rs",
+        symbol: Some("stage_frames"),
+    },
     // Request validation is the one gate every decoded digitize request
     // crosses on the reactor thread before admission; like ingest, a
     // panic here would take down every connection, not just the sender.

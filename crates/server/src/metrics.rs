@@ -9,8 +9,8 @@
 //!   [`RunObserver`] implementation — `on_job_start` raises the
 //!   in-flight gauge, `on_job_finish` lowers it, records the job's wall
 //!   time into the histogram (one job serves one request), counts it
-//!   completed when it succeeded, and accumulates its streamed-sample
-//!   credit.
+//!   completed when it succeeded, and accumulates the samples of the
+//!   record it converted.
 //!
 //! [`MetricsRegistry::snapshot`] freezes everything into the wire-level
 //! [`MetricsSnapshot`] answered to a `Metrics` request, including
@@ -168,11 +168,6 @@ impl MetricsRegistry {
     /// frame sent).
     pub fn overloaded(&self) {
         self.overloaded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Credits samples streamed to a client.
-    pub fn samples(&self, n: u64) {
-        self.samples_streamed.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Counts an accepted cluster job batch.

@@ -450,7 +450,8 @@ pub struct DigitizeRequest {
     /// Samples per streamed batch frame; `0` selects the server default.
     pub batch_size: u32,
     /// Per-request deadline in milliseconds; `0` means no deadline. The
-    /// server enforces it cooperatively between batches.
+    /// server enforces it cooperatively from dispatch through
+    /// conversion; delivering the converted record is not under it.
     pub deadline_ms: u32,
 }
 

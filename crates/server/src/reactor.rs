@@ -5,9 +5,9 @@
 //! ## Shape
 //!
 //! * The reactor owns the listener and every [`Conn`]: nonblocking
-//!   sockets, an incremental [`FrameAssembler`] per connection, and a
-//!   bounded outbound frame queue ([`ConnOut`]) flushed opportunistically
-//!   whenever the socket is writable.
+//!   sockets, an incremental [`FrameAssembler`] per connection, and an
+//!   [`Outbound`] stage that frames finished [`Answer`]s into bytes
+//!   only as the socket drains, one [`WRITE_CHUNK`] at a time.
 //! * Decoded requests either complete inline (`Ping`, `Metrics`, cache
 //!   traffic) or park in a bounded per-connection **admission queue**.
 //!   A full queue sheds the newest request with a typed
@@ -17,15 +17,18 @@
 //!   connection) into pool jobs, bounded by global and per-connection
 //!   in-flight caps. One admitted request is one pool job: it converts
 //!   through the exact in-process path, under its own deadline, and
-//!   streams its record as soon as it is converted.
+//!   ends with its answer ready. The request keeps its per-connection
+//!   slot until the answer's last byte is written, so the slot cap is
+//!   the backpressure: a peer that never reads gets no more work
+//!   dispatched and holds no pool worker.
 //! * A failed `accept(2)` is classified by [`accept_verdict`]: an
 //!   aborted handshake is skipped, resource exhaustion (`EMFILE`,
 //!   `ENFILE`, `ENOBUFS`, `ENOMEM`) pauses accepting for one poll
 //!   round, and only an unknown error stops the server.
-//! * Workers never touch sockets: they push encoded frames into the
-//!   connection's [`ConnOut`] (blocking on the bound, polling their
-//!   deadline) and signal completion through an event list plus a
-//!   [`Waker`] byte that interrupts `poll`.
+//! * Workers compute, the reactor writes: no pool worker or batch
+//!   thread touches connection state. A finished job's [`Ticket`]
+//!   posts its answer through an event list plus a [`Waker`] byte that
+//!   interrupts `poll`, and only the reactor turns answers into bytes.
 //!
 //! ## Correlation
 //!
@@ -46,9 +49,10 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+use adc_calib::GangedCapture;
 use adc_runtime::{JobCtx, JobError};
 
 use crate::protocol::{
@@ -119,7 +123,7 @@ mod sys {
 
 /// Wakes the reactor out of `poll` by writing one byte into a
 /// socketpair the reactor watches. Cloneable; shared with every worker
-/// through every [`Ticket`] and [`ConnOut`].
+/// through [`Shared`], which every [`Ticket`] holds.
 #[derive(Clone, Debug)]
 pub(crate) struct Waker {
     #[cfg(unix)]
@@ -161,7 +165,7 @@ pub(crate) fn waker_pair() -> io::Result<(Waker, WakerRx)> {
 }
 
 /// A completion notice a worker posts into [`Shared::events`] before
-/// waking the reactor: one request finished (success or failure).
+/// waking the reactor: one request finished, and its answer is ready.
 #[derive(Debug)]
 pub(crate) struct JobDone {
     /// Connection the request belonged to.
@@ -169,112 +173,7 @@ pub(crate) struct JobDone {
     /// `true` when the request held a global in-flight slot (batch jobs
     /// run on their own thread and don't).
     global: bool,
-    /// `true` when the request failed (for the error counter).
-    failed: bool,
-}
-
-/// Outbound frame state for one connection.
-struct OutState {
-    frames: VecDeque<Vec<u8>>,
-    closed: bool,
-}
-
-/// The bounded outbound frame queue of one connection — the
-/// backpressure mechanism. Workers push (blocking on the bound while
-/// polling their deadline); the reactor pops while flushing.
-pub(crate) struct ConnOut {
-    state: Mutex<OutState>,
-    space: Condvar,
-    capacity: usize,
-    waker: Waker,
-}
-
-impl std::fmt::Debug for ConnOut {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ConnOut")
-            .field("capacity", &self.capacity)
-            .finish()
-    }
-}
-
-impl ConnOut {
-    fn new(capacity: usize, waker: Waker) -> Arc<Self> {
-        Arc::new(Self {
-            state: Mutex::new(OutState {
-                frames: VecDeque::new(),
-                closed: false,
-            }),
-            space: Condvar::new(),
-            capacity: capacity.max(1),
-            waker,
-        })
-    }
-
-    /// Queues a frame, blocking while the queue is at capacity. Returns
-    /// `false` once the connection closed or the job's deadline fired —
-    /// the streaming worker must stop.
-    fn push_wait(&self, ctx: &JobCtx, frame: Vec<u8>) -> bool {
-        let mut state = self.state.lock().expect("conn out lock");
-        loop {
-            if state.closed {
-                return false;
-            }
-            if state.frames.len() < self.capacity {
-                state.frames.push_back(frame);
-                drop(state);
-                self.waker.wake();
-                return true;
-            }
-            if ctx.timed_out() || ctx.cancelled() {
-                return false;
-            }
-            let (next, _) = self
-                .space
-                .wait_timeout(state, Duration::from_millis(1))
-                .expect("conn out lock");
-            state = next;
-        }
-    }
-
-    /// Queues a frame without blocking or respecting the bound — for
-    /// reactor-inline responses and terminal error frames, which must
-    /// never stall the reactor thread.
-    fn push_now(&self, frame: Vec<u8>) -> bool {
-        let mut state = self.state.lock().expect("conn out lock");
-        if state.closed {
-            return false;
-        }
-        state.frames.push_back(frame);
-        drop(state);
-        self.waker.wake();
-        true
-    }
-
-    /// Takes the oldest queued frame, releasing one unit of
-    /// backpressure.
-    fn pop(&self) -> Option<Vec<u8>> {
-        let mut state = self.state.lock().expect("conn out lock");
-        let frame = state.frames.pop_front();
-        if frame.is_some() {
-            drop(state);
-            self.space.notify_all();
-        }
-        frame
-    }
-
-    fn is_empty(&self) -> bool {
-        self.state.lock().expect("conn out lock").frames.is_empty()
-    }
-
-    /// Marks the connection gone: queued frames are dropped and every
-    /// blocked pusher unblocks with `false`.
-    fn close(&self) {
-        let mut state = self.state.lock().expect("conn out lock");
-        state.closed = true;
-        state.frames.clear();
-        drop(state);
-        self.space.notify_all();
-    }
+    answer: Answer,
 }
 
 /// Encodes a response, wrapped in [`Response::Tagged`] for a
@@ -291,83 +190,237 @@ fn wrap(corr: u64, response: Response) -> Vec<u8> {
     }
 }
 
-/// A worker's handle for streaming responses to one request: the
-/// connection's queue plus the request's correlation id (applied to
-/// every frame).
-pub(crate) struct ConnSink {
-    out: Arc<ConnOut>,
+/// The items of a converted record.
+#[derive(Debug)]
+enum Record {
+    None,
+    Codes(Vec<u16>),
+    Values(Vec<f64>),
+}
+
+/// A request's finished answer: an optional record, framed lazily as
+/// `batch`-sized `Batch`/`GangedBatch` frames, then one last frame (the
+/// record's summary, an error, or a control reply). Every frame is
+/// wrapped for `corr` by [`wrap`].
+#[derive(Debug)]
+pub(crate) struct Answer {
     corr: u64,
+    record: Record,
+    batch: usize,
+    /// Items framed so far.
+    framed: usize,
+    /// Sequence number of the next batch frame.
+    seq: u32,
+    /// The last frame, until it has been taken.
+    last: Option<Response>,
+    /// `true` when the answer holds its connection's in-flight slot
+    /// until its last byte is written.
+    slot: bool,
 }
 
-impl std::fmt::Debug for ConnSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ConnSink")
-            .field("corr", &self.corr)
-            .finish()
-    }
-}
-
-impl ConnSink {
-    /// Queues a response, blocking on backpressure until the deadline
-    /// fires or the peer leaves.
-    fn send(&self, ctx: &JobCtx, response: Response) -> bool {
-        self.out.push_wait(ctx, wrap(self.corr, response))
-    }
-
-    /// Queues a response unconditionally (terminal frames).
-    fn send_now(&self, response: Response) -> bool {
-        self.out.push_now(wrap(self.corr, response))
-    }
-}
-
-/// One dispatched request's completion obligation. Dropping it posts
-/// exactly one [`JobDone`] — also when the job closure unwinds
-/// or is dropped unrun, in which case the client first gets a typed
-/// `Internal` error — so in-flight accounting can never leak and drain
-/// can never hang.
-struct Ticket {
-    shared: Arc<Shared>,
-    conn: u64,
-    sink: ConnSink,
-    /// `true` when the request holds a global in-flight slot (batch
-    /// jobs run on their own thread and don't).
-    global: bool,
-    /// `Some(failed)` once the job has settled the request.
-    failed: Option<bool>,
-}
-
-impl Ticket {
-    fn new(shared: &Arc<Shared>, conn: u64, sink: ConnSink, global: bool) -> Self {
+impl Answer {
+    /// An answer of one frame.
+    fn reply(corr: u64, response: Response) -> Self {
         Self {
-            shared: Arc::clone(shared),
-            conn,
-            sink,
-            global,
-            failed: None,
+            corr,
+            record: Record::None,
+            batch: 0,
+            framed: 0,
+            seq: 0,
+            last: Some(response),
+            slot: false,
         }
     }
 
-    /// Records the request's outcome and releases its slots.
-    fn settle(mut self, failed: bool) {
-        self.failed = Some(failed);
+    /// A converted digitize record and its summary.
+    fn digitize(corr: u64, codes: Vec<u16>, f_in_hz: f64, batch: usize) -> Self {
+        let done = Response::Done(DigitizeDone {
+            total_samples: codes.len() as u32,
+            batches: codes.len().div_ceil(batch) as u32,
+            f_in_hz,
+            stream_crc32: stream_crc(&codes),
+        });
+        Self {
+            record: Record::Codes(codes),
+            batch,
+            ..Self::reply(corr, done)
+        }
     }
 
-    /// Queues a served request's summary frame, then releases it.
-    fn finish(self, done: Response) {
-        let _ = self.sink.send_now(done);
-        self.settle(false);
+    /// A ganged capture's value record and its summary.
+    fn ganged(corr: u64, capture: GangedCapture, batch: usize) -> Self {
+        let done = Response::GangedDone(GangedDone {
+            total_samples: capture.values.len() as u32,
+            batches: capture.values.len().div_ceil(batch) as u32,
+            f_in_hz: capture.f_in_hz,
+            epochs_run: capture.epochs_run,
+            converged: capture.converged,
+            stream_crc32: value_stream_crc(&capture.values),
+        });
+        Self {
+            record: Record::Values(capture.values),
+            batch,
+            ..Self::reply(corr, done)
+        }
+    }
+
+    /// Encodes the answer's next frame: the next batch of the record,
+    /// then the last frame, then `None`.
+    fn take_frame(&mut self) -> Option<Vec<u8>> {
+        let (seq, from) = (self.seq, self.framed);
+        let to = from.saturating_add(self.batch);
+        let batch = match &self.record {
+            Record::None => None,
+            Record::Codes(codes) => window(codes, from, to).map(|samples| Response::Batch {
+                seq,
+                samples: samples.to_vec(),
+            }),
+            Record::Values(values) => {
+                window(values, from, to).map(|values| Response::GangedBatch {
+                    seq,
+                    values: values.to_vec(),
+                })
+            }
+        };
+        let response = match batch {
+            Some(batch) => {
+                self.framed = to;
+                self.seq += 1;
+                batch
+            }
+            None => self.last.take()?,
+        };
+        Some(wrap(self.corr, response))
+    }
+
+    /// `true` for an error answer (the request failed).
+    fn is_error(&self) -> bool {
+        matches!(self.last, Some(Response::Error { .. }))
+    }
+}
+
+/// `items[from..to]` clipped to the record; `None` once it is empty.
+fn window<T>(items: &[T], from: usize, to: usize) -> Option<&[T]> {
+    items
+        .get(from..to.min(items.len()))
+        .filter(|window| !window.is_empty())
+}
+
+/// One connection's outbound side: finished answers in completion
+/// order, framed into a byte stage only as the socket drains. The stage
+/// holds at most [`WRITE_CHUNK`] bytes plus one frame, so a connection
+/// costs its unwritten answers and one stage, never a record's worth of
+/// encoded frames.
+#[derive(Debug, Default)]
+struct Outbound {
+    answers: VecDeque<Answer>,
+    stage: Vec<u8>,
+    /// Bytes of `stage` already written.
+    written: usize,
+    /// Slot-holding answers not yet fully written.
+    held: u32,
+    /// Slot-holding answers whose last frame is in `stage`.
+    staged_last: u32,
+}
+
+impl Outbound {
+    fn push(&mut self, answer: Answer) {
+        self.held += u32::from(answer.slot);
+        self.answers.push_back(answer);
+    }
+
+    /// `true` while bytes remain to be written.
+    fn has_bytes(&self) -> bool {
+        self.written < self.stage.len() || !self.answers.is_empty()
+    }
+
+    /// Releases the slots of the answers the written stage finished,
+    /// then restages frames from the head answers until the stage holds
+    /// [`WRITE_CHUNK`] bytes or nothing is left. Runs on the reactor
+    /// thread and is panic-free by construction (a symbol-level panic
+    /// root in `adc-lint`).
+    fn stage_frames(&mut self) {
+        self.held = self.held.saturating_sub(self.staged_last);
+        self.staged_last = 0;
+        self.stage.clear();
+        self.written = 0;
+        while self.stage.len() < WRITE_CHUNK {
+            // Typed, so adc-lint's panic pass follows `take_frame`.
+            let Some(answer): Option<&mut Answer> = self.answers.front_mut() else {
+                break;
+            };
+            if let Some(frame) = answer.take_frame() {
+                self.stage.extend_from_slice(&frame);
+            }
+            if answer.last.is_none() {
+                self.staged_last += u32::from(answer.slot);
+                self.answers.pop_front();
+            }
+        }
+    }
+
+    /// Writes to `sink` until it would block or nothing is left.
+    fn flush(&mut self, sink: &mut impl Write) -> io::Result<()> {
+        loop {
+            if self.written >= self.stage.len() {
+                self.stage_frames();
+                if self.stage.is_empty() {
+                    return Ok(());
+                }
+            }
+            match sink.write(&self.stage[self.written..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => self.written += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// One dispatched request's completion obligation. It posts exactly one
+/// [`JobDone`] carrying the request's answer — a typed `Internal` error
+/// when it is dropped unposted (the job unwound, or was dropped unrun) —
+/// so in-flight accounting can never leak and drain can never hang.
+struct Ticket {
+    shared: Arc<Shared>,
+    conn: u64,
+    corr: u64,
+    /// `true` when the request holds a global in-flight slot (batch
+    /// jobs run on their own thread and don't).
+    global: bool,
+    /// The answer, once posted.
+    answer: Option<Answer>,
+}
+
+impl Ticket {
+    fn new(shared: &Arc<Shared>, conn: u64, corr: u64, global: bool) -> Self {
+        Self {
+            shared: Arc::clone(shared),
+            conn,
+            corr,
+            global,
+            answer: None,
+        }
+    }
+
+    /// Posts the request's answer.
+    fn post(mut self, answer: Answer) {
+        self.answer = Some(answer);
     }
 }
 
 impl Drop for Ticket {
     fn drop(&mut self) {
-        let failed = *self.failed.get_or_insert_with(|| {
-            let _ = self.sink.send_now(Response::Error {
+        let mut answer = self.answer.take().unwrap_or_else(|| {
+            let lost = Response::Error {
                 code: ErrorCode::Internal,
                 detail: "request lost: the serving job unwound".to_string(),
-            });
-            true
+            };
+            Answer::reply(self.corr, lost)
         });
+        answer.slot = true;
         self.shared
             .events
             .lock()
@@ -375,31 +428,42 @@ impl Drop for Ticket {
             .push(JobDone {
                 conn: self.conn,
                 global: self.global,
-                failed,
+                answer,
             });
         self.shared.waker.wake();
     }
 }
 
-/// Per-connection reactor state.
+/// Per-connection reactor state. Only the reactor thread touches it.
 struct Conn {
     stream: TcpStream,
     assembler: FrameAssembler,
-    out: Arc<ConnOut>,
-    /// Partially-written outbound bytes (staged from `out`).
-    wbuf: Vec<u8>,
-    wpos: usize,
+    out: Outbound,
     /// Admitted requests waiting for an in-flight slot.
     pending: VecDeque<SubmitRequest>,
-    /// Requests currently running on the pool (or a batch thread).
-    inflight: u32,
+    /// Requests running on the pool (or a batch thread).
+    running: u32,
     read_closed: bool,
     dead: bool,
 }
 
 impl Conn {
-    fn has_write_intent(&self) -> bool {
-        self.wpos < self.wbuf.len() || !self.out.is_empty()
+    /// Requests holding this connection's in-flight slots: running, or
+    /// answered with bytes still unwritten.
+    fn slots(&self) -> u32 {
+        self.running + self.out.held
+    }
+
+    /// Queues a one-frame answer that holds no slot.
+    fn reply(&mut self, corr: u64, response: Response) {
+        self.out.push(Answer::reply(corr, response));
+    }
+
+    /// Marks the peer gone: its unwritten answers are dropped, and
+    /// their slots with them.
+    fn kill(&mut self) {
+        self.dead = true;
+        self.out = Outbound::default();
     }
 }
 
@@ -451,9 +515,6 @@ pub(crate) fn run(listener: TcpListener, waker_rx: WakerRx, shared: Arc<Shared>)
     for join in reactor.batch_threads.drain(..) {
         let _ = join.join();
     }
-    for conn in reactor.conns.values() {
-        conn.out.close();
-    }
     result
 }
 
@@ -464,8 +525,9 @@ impl Reactor {
             self.process_events();
             self.accept()?;
             self.read_phase();
-            self.dispatch();
+            // Flush first: a slot the flush frees is dispatched this round.
             self.write_phase();
+            self.dispatch();
             self.reap();
             if self.shared.draining.load(Ordering::SeqCst)
                 && self.conns.is_empty()
@@ -507,7 +569,7 @@ impl Reactor {
                 if !draining && !conn.read_closed {
                     events |= sys::POLLIN;
                 }
-                if conn.has_write_intent() {
+                if conn.out.has_bytes() {
                     events |= sys::POLLOUT;
                 }
                 if events == 0 {
@@ -549,18 +611,22 @@ impl Reactor {
     }
 
     /// Applies completion events posted by workers since the last
-    /// iteration.
+    /// iteration: each answer joins its connection's outbound stage,
+    /// still holding the request's per-connection slot.
     fn process_events(&mut self) {
         let events = std::mem::take(&mut *self.shared.events.lock().expect("reactor event lock"));
         for done in events {
             if done.global {
                 self.inflight = self.inflight.saturating_sub(1);
             }
-            if done.failed {
+            if done.answer.is_error() {
                 self.shared.metrics.error();
             }
             if let Some(c) = self.conns.get_mut(&done.conn) {
-                c.inflight = c.inflight.saturating_sub(1);
+                c.running = c.running.saturating_sub(1);
+                if !c.dead {
+                    c.out.push(done.answer);
+                }
             }
         }
     }
@@ -581,20 +647,14 @@ impl Reactor {
                     self.shared.metrics.connection_opened();
                     let id = self.next_conn;
                     self.next_conn += 1;
-                    let out = ConnOut::new(
-                        self.shared.cfg.write_queue_frames,
-                        self.shared.waker.clone(),
-                    );
                     self.conns.insert(
                         id,
                         Conn {
                             stream,
                             assembler: FrameAssembler::new(),
-                            out,
-                            wbuf: Vec::new(),
-                            wpos: 0,
+                            out: Outbound::default(),
                             pending: VecDeque::new(),
-                            inflight: 0,
+                            running: 0,
                             read_closed: false,
                             dead: false,
                         },
@@ -647,13 +707,13 @@ impl Reactor {
                                     // reading (resync is impossible on a
                                     // corrupt length-prefixed stream).
                                     self.shared.metrics.error();
-                                    let _ = conn.out.push_now(wrap(
+                                    conn.reply(
                                         0,
                                         Response::Error {
                                             code: ErrorCode::Protocol,
                                             detail: w.to_string(),
                                         },
-                                    ));
+                                    );
                                     conn.read_closed = true;
                                     break;
                                 }
@@ -662,8 +722,7 @@ impl Reactor {
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                         Err(_) => {
-                            conn.dead = true;
-                            conn.out.close();
+                            conn.kill();
                             break;
                         }
                     }
@@ -685,18 +744,18 @@ impl Reactor {
         match request {
             Request::Ping { token } => {
                 shared.metrics.ping();
-                let _ = conn.out.push_now(wrap(0, Response::Pong { token }));
+                conn.reply(0, Response::Pong { token });
             }
             Request::Metrics => {
                 shared.metrics.metrics_request();
                 let snapshot = shared.metrics.snapshot();
-                let _ = conn.out.push_now(wrap(0, Response::Metrics(snapshot)));
+                conn.reply(0, Response::Metrics(snapshot));
             }
             Request::Shutdown => {
                 // Begin the drain *before* acking: once the client has
                 // the ack in hand, `is_draining()` must already be true.
                 shared.draining.store(true, Ordering::SeqCst);
-                let _ = conn.out.push_now(wrap(0, Response::ShutdownAck));
+                conn.reply(0, Response::ShutdownAck);
                 conn.read_closed = true;
             }
             Request::Submit(submit) => {
@@ -707,13 +766,13 @@ impl Reactor {
                 };
                 if let Err(detail) = verdict {
                     shared.metrics.error();
-                    let _ = conn.out.push_now(wrap(
+                    conn.reply(
                         submit.corr_id,
                         Response::Error {
                             code: ErrorCode::InvalidRequest,
                             detail,
                         },
-                    ));
+                    );
                     return;
                 }
                 enqueue(conn, &shared, submit);
@@ -722,28 +781,23 @@ impl Reactor {
                 shared.metrics.job_batch();
                 let Some(runner) = shared.cfg.job_runner.clone() else {
                     shared.metrics.error();
-                    let _ = conn.out.push_now(wrap(
+                    conn.reply(
                         0,
                         Response::Error {
                             code: ErrorCode::Unsupported,
                             detail: "this host has no job runner registered".to_string(),
                         },
-                    ));
+                    );
                     return;
                 };
-                conn.inflight += 1;
-                let sink = ConnSink {
-                    out: Arc::clone(&conn.out),
-                    corr: 0,
-                };
-                let ticket = Ticket::new(&shared, id, sink, false);
+                conn.running += 1;
+                let ticket = Ticket::new(&shared, id, 0, false);
                 // Batch jobs orchestrate their own pool fan-out and
                 // block on cache I/O, so they get a plain thread instead
                 // of occupying a pool worker.
                 self.batch_threads.push(std::thread::spawn(move || {
                     let result = run_job_batch(&req, &runner, &shared);
-                    let delivered = ticket.sink.send_now(Response::JobResult(result));
-                    ticket.settle(!delivered);
+                    ticket.post(Answer::reply(0, Response::JobResult(result)));
                 }));
             }
             Request::CacheQuery(q) => {
@@ -753,7 +807,7 @@ impl Reactor {
                     .iter()
                     .filter_map(|&key| cache.get_line(key).map(|line| (key, line)))
                     .collect();
-                let _ = conn.out.push_now(wrap(0, Response::CacheHits { entries }));
+                conn.reply(0, Response::CacheHits { entries });
             }
             Request::CacheFill(c) => {
                 let cache = shared.caches.for_campaign(&c.campaign);
@@ -765,16 +819,16 @@ impl Reactor {
                     }
                 }
                 let _ = cache.persist(&c.campaign);
-                let _ = conn
-                    .out
-                    .push_now(wrap(0, Response::CacheFillAck { accepted }));
+                conn.reply(0, Response::CacheFillAck { accepted });
             }
         }
     }
 
     /// Moves admitted work onto the pool, one job per request: fair
     /// round-robin across connections, bounded by the global and
-    /// per-connection in-flight caps and the pool-depth ceiling.
+    /// per-connection in-flight caps and the pool-depth ceiling. A
+    /// connection's cap counts its unwritten answers too, so a peer
+    /// that stops reading stops getting work dispatched.
     fn dispatch(&mut self) {
         let cap = self.shared.cfg.max_inflight.max(1).min(self.pool_cap);
         let per_conn = self.shared.cfg.max_inflight_per_conn.max(1);
@@ -799,20 +853,17 @@ impl Reactor {
                 let Some(conn) = self.conns.get_mut(&id) else {
                     continue;
                 };
-                if conn.dead || conn.inflight as usize >= per_conn {
+                if conn.dead || conn.slots() as usize >= per_conn {
                     continue;
                 }
                 let Some(work) = conn.pending.pop_front() else {
                     continue;
                 };
-                conn.inflight += 1;
+                conn.running += 1;
                 self.inflight += 1;
                 self.cursor = id;
-                let sink = ConnSink {
-                    out: Arc::clone(&conn.out),
-                    corr: work.corr_id,
-                };
-                let ticket = Ticket::new(&self.shared, id, sink, true);
+                let corr = work.corr_id;
+                let ticket = Ticket::new(&self.shared, id, corr, true);
                 let deadline_ms = match &work.body {
                     SubmitBody::Digitize(req) => req.deadline_ms,
                     SubmitBody::Ganged(req) => req.deadline_ms,
@@ -820,16 +871,22 @@ impl Reactor {
                 let deadline =
                     (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
                 let cfg = self.shared.cfg.clone();
-                // The summary frame goes out from `then`, once the pool
-                // has accounted the job: a client holding its whole
-                // record never reads metrics still counting the job.
+                // The pool reports a failed job as a bare `JobError`, so
+                // the job leaves its error frame here for `then`.
+                let failure = Arc::new(OnceLock::new());
+                let cause = Arc::clone(&failure);
+                // The answer is posted from `then`, once the pool has
+                // accounted the job: a client holding its whole record
+                // never reads metrics still counting the job.
                 self.shared.pool.submit_then(
                     deadline,
-                    move |ctx| serve_job(&cfg, ctx, ticket, &work.body),
-                    |served, _report| {
-                        if let Some((ticket, done)) = served {
-                            ticket.finish(done);
-                        }
+                    move |ctx| serve_job(&cfg, ctx, corr, &work.body, &cause),
+                    move |answer, _report| match (answer, failure.get()) {
+                        (Some(answer), _) => ticket.post(answer),
+                        (None, Some(error)) => ticket.post(Answer::reply(corr, error.clone())),
+                        // Unwound or never run: the ticket's drop
+                        // posts the `Internal` error.
+                        (None, None) => {}
                     },
                 );
                 progressed = true;
@@ -840,16 +897,12 @@ impl Reactor {
         }
     }
 
-    /// Flushes every connection with queued or partially-written
-    /// outbound bytes.
+    /// Flushes every connection with unwritten answers, freeing the
+    /// slots of the answers whose last byte went out.
     fn write_phase(&mut self) {
         for conn in self.conns.values_mut() {
-            if conn.dead {
-                continue;
-            }
-            flush_conn(conn);
-            if conn.dead {
-                conn.out.close();
+            if !conn.dead && conn.out.flush(&mut conn.stream).is_err() {
+                conn.kill();
             }
         }
     }
@@ -861,23 +914,18 @@ impl Reactor {
             .conns
             .iter()
             .filter(|(_, c)| {
-                if c.inflight > 0 {
+                if c.running > 0 {
                     return false;
                 }
                 if c.dead {
                     return true;
                 }
-                c.pending.is_empty()
-                    && c.wpos >= c.wbuf.len()
-                    && c.out.is_empty()
-                    && (c.read_closed || draining)
+                c.pending.is_empty() && !c.out.has_bytes() && (c.read_closed || draining)
             })
             .map(|(&id, _)| id)
             .collect();
         for id in done {
-            if let Some(conn) = self.conns.remove(&id) {
-                conn.out.close();
-            }
+            self.conns.remove(&id);
         }
         self.batch_threads.retain(|h| !h.is_finished());
     }
@@ -891,16 +939,17 @@ fn enqueue(conn: &mut Conn, shared: &Arc<Shared>, work: SubmitRequest) {
     if conn.pending.len() >= cap {
         shared.metrics.overloaded();
         shared.metrics.error();
-        let _ = conn.out.push_now(wrap(
+        let detail = format!(
+            "admission queue full: {} requests parked on this connection",
+            conn.pending.len()
+        );
+        conn.reply(
             work.corr_id,
             Response::Error {
                 code: ErrorCode::Overloaded,
-                detail: format!(
-                    "admission queue full: {} requests parked on this connection",
-                    conn.pending.len()
-                ),
+                detail,
             },
-        ));
+        );
         return;
     }
     conn.pending.push_back(work);
@@ -974,47 +1023,19 @@ pub(crate) fn ingest(
     Ok(requests)
 }
 
-/// Writes staged bytes to the socket until it would block, refilling
-/// the stage from the frame queue in [`WRITE_CHUNK`] pieces.
-fn flush_conn(conn: &mut Conn) {
-    loop {
-        if conn.wpos >= conn.wbuf.len() {
-            conn.wbuf.clear();
-            conn.wpos = 0;
-            while conn.wbuf.len() < WRITE_CHUNK {
-                match conn.out.pop() {
-                    Some(frame) => conn.wbuf.extend_from_slice(&frame),
-                    None => break,
-                }
-            }
-            if conn.wbuf.is_empty() {
-                return;
-            }
-        }
-        match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-            Ok(0) => {
-                conn.dead = true;
-                return;
-            }
-            Ok(n) => conn.wpos += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.dead = true;
-                return;
-            }
-        }
-    }
-}
+/// A job's failure: the error frame's code and detail.
+type Failure = (ErrorCode, String);
 
-/// Serves one request through its kind's job, settling its ticket as
-/// soon as its stream ends. Runs on a pool worker.
+/// Serves one request through its kind's job on a pool worker and
+/// returns its answer. A failure's error frame is left in `failure`
+/// for the completion callback to post.
 fn serve_job(
     cfg: &ServerConfig,
     ctx: &JobCtx,
-    ticket: Ticket,
+    corr: u64,
     body: &SubmitBody,
-) -> Result<(Ticket, Response), JobError> {
+    failure: &OnceLock<Response>,
+) -> Result<Answer, JobError> {
     let seed = match body {
         SubmitBody::Digitize(req) => req.seed,
         SubmitBody::Ganged(req) => req.seed,
@@ -1024,29 +1045,22 @@ fn serve_job(
     let _trace_task = adc_trace::task(seed);
     let _trace_job = adc_trace::span_with("request", ctx.id.0);
     let result = match body {
-        SubmitBody::Digitize(req) => digitize_job(req, cfg, ctx, &ticket.sink),
-        SubmitBody::Ganged(req) => ganged_job(req, cfg, ctx, &ticket.sink),
+        SubmitBody::Digitize(req) => digitize_job(req, cfg, ctx, corr),
+        SubmitBody::Ganged(req) => ganged_job(req, cfg, ctx, corr),
     };
-    match result {
-        Ok(done) => Ok((ticket, done)),
-        Err(err) => {
-            ticket.settle(true);
-            Err(err)
-        }
-    }
+    result.map_err(|(code, detail)| {
+        let err = match code {
+            ErrorCode::TimedOut => JobError::TimedOut,
+            _ => JobError::Failed(detail.clone()),
+        };
+        let _ = failure.set(Response::Error { code, detail });
+        err
+    })
 }
 
-/// Sends a request's terminal error frame and returns the job error it
-/// stands for.
-fn fail(sink: &ConnSink, code: ErrorCode, detail: String) -> Result<Response, JobError> {
-    let _ = sink.send_now(Response::Error {
-        code,
-        detail: detail.clone(),
-    });
-    Err(match code {
-        ErrorCode::TimedOut => JobError::TimedOut,
-        _ => JobError::Failed(detail),
-    })
+/// The failure of a job whose deadline fired `when`.
+fn expired(when: &str) -> Failure {
+    (ErrorCode::TimedOut, format!("deadline expired {when}"))
 }
 
 /// Samples (or values) per streamed batch frame for a request.
@@ -1057,131 +1071,58 @@ fn batch_len(cfg: &ServerConfig, requested: u32) -> usize {
     }
 }
 
-/// Converts one digitize request through [`run_digitize`] and streams
-/// its record; returns the summary frame, still to be sent.
+/// Converts one digitize request through [`run_digitize`] into its
+/// answer.
 fn digitize_job(
     req: &DigitizeRequest,
     cfg: &ServerConfig,
     ctx: &JobCtx,
-    sink: &ConnSink,
-) -> Result<Response, JobError> {
+    corr: u64,
+) -> Result<Answer, Failure> {
     if ctx.timed_out() {
-        let detail = "deadline expired before simulation started".to_string();
-        return fail(sink, ErrorCode::TimedOut, detail);
+        return Err(expired("before simulation started"));
     }
     let converted = {
         let _trace_digitize = adc_trace::span("digitize");
         run_digitize(req)
     };
-    let (codes, f_in_hz) = match converted {
-        Ok(result) => result,
-        Err(build) => return fail(sink, error_code_for_build(&build), build.to_string()),
-    };
+    let (codes, f_in_hz) =
+        converted.map_err(|build| (error_code_for_build(&build), build.to_string()))?;
     if ctx.timed_out() {
-        let detail = "deadline expired during conversion".to_string();
-        return fail(sink, ErrorCode::TimedOut, detail);
+        return Err(expired("during conversion"));
     }
+    ctx.record_samples(codes.len() as u64);
     let batch = batch_len(cfg, req.batch_size);
-    stream_record(
-        sink,
-        ctx,
-        &codes,
-        batch,
-        |seq, samples| Response::Batch { seq, samples },
-        |batches| {
-            Response::Done(DigitizeDone {
-                total_samples: codes.len() as u32,
-                batches,
-                f_in_hz,
-                stream_crc32: stream_crc(&codes),
-            })
-        },
-    )
+    Ok(Answer::digitize(corr, codes, f_in_hz, batch))
 }
 
-/// Captures one ganged request through [`run_ganged`] and streams its
-/// record; returns the summary frame, still to be sent.
+/// Captures one ganged request through [`run_ganged`] into its answer.
 fn ganged_job(
     req: &GangedRequest,
     cfg: &ServerConfig,
     ctx: &JobCtx,
-    sink: &ConnSink,
-) -> Result<Response, JobError> {
+    corr: u64,
+) -> Result<Answer, Failure> {
     if ctx.timed_out() {
-        let detail = "deadline expired before simulation started".to_string();
-        return fail(sink, ErrorCode::TimedOut, detail);
+        return Err(expired("before simulation started"));
     }
     let capture = {
         let _trace_ganged = adc_trace::span("ganged");
         run_ganged(req)
     };
-    let capture = match capture {
-        Ok(capture) => capture,
-        Err(err) => return fail(sink, error_code_for_ganged(&err), err.to_string()),
-    };
+    let capture = capture.map_err(|err| (error_code_for_ganged(&err), err.to_string()))?;
     if ctx.timed_out() {
-        let detail = "deadline expired during conversion".to_string();
-        return fail(sink, ErrorCode::TimedOut, detail);
+        return Err(expired("during conversion"));
     }
+    ctx.record_samples(capture.values.len() as u64);
     let batch = batch_len(cfg, req.batch_size);
-    stream_record(
-        sink,
-        ctx,
-        &capture.values,
-        batch,
-        |seq, values| Response::GangedBatch { seq, values },
-        |batches| {
-            Response::GangedDone(GangedDone {
-                total_samples: capture.values.len() as u32,
-                batches,
-                f_in_hz: capture.f_in_hz,
-                epochs_run: capture.epochs_run,
-                converged: capture.converged,
-                stream_crc32: value_stream_crc(&capture.values),
-            })
-        },
-    )
-}
-
-/// Streams one converted record into its sink as `batch`-sized frames
-/// built by `frame`, and returns the summary `done` builds from the
-/// batch count (the caller sends it once the job is accounted). The
-/// deadline is polled between frames, also while blocked on
-/// backpressure.
-fn stream_record<T: Copy>(
-    sink: &ConnSink,
-    ctx: &JobCtx,
-    items: &[T],
-    batch: usize,
-    frame: fn(u32, Vec<T>) -> Response,
-    done: impl FnOnce(u32) -> Response,
-) -> Result<Response, JobError> {
-    let _trace_stream = adc_trace::span("stream");
-    let mut batches = 0u32;
-    for chunk in items.chunks(batch) {
-        if !sink.send(ctx, frame(batches, chunk.to_vec())) {
-            let timed_out = ctx.timed_out();
-            let _ = sink.send_now(Response::Error {
-                code: ErrorCode::TimedOut,
-                detail: format!("deadline expired after {batches} batches"),
-            });
-            return Err(if timed_out {
-                JobError::TimedOut
-            } else {
-                JobError::Failed("client went away mid-stream".to_string())
-            });
-        }
-        batches += 1;
-        ctx.record_samples(chunk.len() as u64);
-    }
-    Ok(done(batches))
+    Ok(Answer::ganged(corr, capture, batch))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::encode_request;
-    use adc_runtime::{JobCtx, JobId};
 
     #[test]
     fn accept_errors_are_classified_by_what_the_loop_can_do() {
@@ -1212,56 +1153,229 @@ mod tests {
         }
     }
 
-    #[test]
-    fn conn_out_delivers_in_order_and_closes_cleanly() {
-        let (waker, _rx) = waker_pair().unwrap();
-        let out = ConnOut::new(4, waker);
-        assert!(out.push_now(vec![1]));
-        assert!(out.push_now(vec![2]));
-        assert_eq!(out.pop(), Some(vec![1]));
-        assert_eq!(out.pop(), Some(vec![2]));
-        assert_eq!(out.pop(), None);
-        out.close();
-        assert!(!out.push_now(vec![3]), "closed queues reject frames");
-        assert!(out.is_empty());
+    /// A socket stand-in that takes at most `max` bytes per write and
+    /// would block on every other call.
+    struct Trickle {
+        bytes: Vec<u8>,
+        max: usize,
+        block: bool,
     }
 
-    #[test]
-    fn push_wait_applies_backpressure_until_a_pop_frees_space() {
-        let (waker, _rx) = waker_pair().unwrap();
-        let out = ConnOut::new(1, waker);
-        assert!(out.push_now(vec![0])); // fill the single slot
-        let ctx = JobCtx::standalone(7, JobId(0));
-        let pusher = {
-            let out = Arc::clone(&out);
-            std::thread::spawn(move || out.push_wait(&ctx, vec![9]))
-        };
-        // The pusher is blocked on the bound; free a slot and it lands.
-        std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(out.pop(), Some(vec![0]));
-        assert!(pusher.join().unwrap());
-        assert_eq!(out.pop(), Some(vec![9]));
-    }
-
-    #[test]
-    fn push_wait_gives_up_when_the_deadline_fires() {
-        let (waker, _rx) = waker_pair().unwrap();
-        let out = ConnOut::new(1, waker);
-        assert!(out.push_now(vec![0])); // fill the single slot, never pop
-        let pool = adc_runtime::JobPool::new("reactor-test", 7, 1);
-        let blocked = Arc::clone(&out);
-        let handle = pool.submit(Some(Duration::ZERO), move |ctx| {
-            std::thread::sleep(Duration::from_millis(2));
-            if blocked.push_wait(ctx, vec![1]) {
-                Ok(1u64)
-            } else {
-                Err(JobError::TimedOut)
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.block = !self.block;
+            if self.block {
+                return Err(io::ErrorKind::WouldBlock.into());
             }
-        });
-        let (value, report) = handle.wait();
-        assert!(value.is_none());
-        assert_eq!(report.error, Some(JobError::TimedOut));
-        pool.shutdown();
+            let n = buf.len().min(self.max);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A peer that never reads: every write would block.
+    struct Stalled;
+
+    impl Write for Stalled {
+        fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::WouldBlock.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn tagged(corr: u64, response: Response) -> Vec<u8> {
+        encode_response(&Response::Tagged {
+            corr_id: corr,
+            inner: Box::new(response),
+        })
+    }
+
+    /// The frames a worker used to stream for a record: one tagged
+    /// batch frame per `batch` items, then the tagged summary built from
+    /// the batch count.
+    fn streamed_frames<T: Copy>(
+        corr: u64,
+        items: &[T],
+        batch: usize,
+        frame: fn(u32, Vec<T>) -> Response,
+        done: impl FnOnce(u32) -> Response,
+    ) -> Vec<Vec<u8>> {
+        let mut frames: Vec<Vec<u8>> = items
+            .chunks(batch)
+            .zip(0u32..)
+            .map(|(chunk, seq)| tagged(corr, frame(seq, chunk.to_vec())))
+            .collect();
+        let batches = frames.len() as u32;
+        frames.push(tagged(corr, done(batches)));
+        frames
+    }
+
+    /// Pushes `answer` as a slot-holding job answer and drains it
+    /// through `max`-byte writes, checking the stage bound and that the
+    /// slot is held until the last byte is written.
+    fn drain(mut answer: Answer, max: usize, largest_frame: usize) -> Vec<u8> {
+        answer.slot = true;
+        let mut out = Outbound::default();
+        out.push(answer);
+        let mut sink = Trickle {
+            bytes: Vec::new(),
+            max,
+            block: false,
+        };
+        loop {
+            out.flush(&mut sink).unwrap();
+            assert!(out.stage.len() <= WRITE_CHUNK + largest_frame);
+            if !out.has_bytes() {
+                break;
+            }
+            assert_eq!(out.held, 1, "the slot is held until the last byte");
+        }
+        assert_eq!(out.held, 0, "the written answer frees its slot");
+        sink.bytes
+    }
+
+    const RECORD_LEN: usize = 3000;
+    const BATCHES: [usize; 4] = [1, 7, 1024, 4096];
+    const WRITES: [usize; 4] = [1, 3, 4096, usize::MAX];
+
+    #[test]
+    fn digitize_answers_drain_into_the_streamed_frame_bytes() {
+        let codes: Vec<u16> = (0..RECORD_LEN).map(|i| (i * 37 % 4096) as u16).collect();
+        let f_in_hz = 10.017e6;
+        for batch in BATCHES {
+            let frames = streamed_frames(
+                9,
+                &codes,
+                batch,
+                |seq, samples| Response::Batch { seq, samples },
+                |batches| {
+                    Response::Done(DigitizeDone {
+                        total_samples: codes.len() as u32,
+                        batches,
+                        f_in_hz,
+                        stream_crc32: stream_crc(&codes),
+                    })
+                },
+            );
+            let largest = frames.iter().map(Vec::len).max().unwrap();
+            let expected = frames.concat();
+            for max in WRITES {
+                let answer = Answer::digitize(9, codes.clone(), f_in_hz, batch);
+                let bytes = drain(answer, max, largest);
+                assert!(bytes == expected, "batch {batch}, {max}-byte writes");
+            }
+        }
+    }
+
+    #[test]
+    fn ganged_answers_drain_into_the_streamed_frame_bytes() {
+        let values: Vec<f64> = (0..RECORD_LEN).map(|i| (i as f64 * 0.37).sin()).collect();
+        let capture = || GangedCapture {
+            values: values.clone(),
+            f_in_hz: 10.017e6,
+            epochs_run: 5,
+            converged: true,
+        };
+        for batch in BATCHES {
+            let frames = streamed_frames(
+                11,
+                &values,
+                batch,
+                |seq, values| Response::GangedBatch { seq, values },
+                |batches| {
+                    Response::GangedDone(GangedDone {
+                        total_samples: values.len() as u32,
+                        batches,
+                        f_in_hz: 10.017e6,
+                        epochs_run: 5,
+                        converged: true,
+                        stream_crc32: value_stream_crc(&values),
+                    })
+                },
+            );
+            let largest = frames.iter().map(Vec::len).max().unwrap();
+            let expected = frames.concat();
+            for max in WRITES {
+                let bytes = drain(Answer::ganged(11, capture(), batch), max, largest);
+                assert!(bytes == expected, "batch {batch}, {max}-byte writes");
+            }
+        }
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_holds_one_stage_not_the_record() {
+        let n = 1 << 20;
+        let mut answer = Answer::digitize(3, vec![0x0ABC; n], 10e6, 1);
+        answer.slot = true;
+        let frame = tagged(
+            3,
+            Response::Batch {
+                seq: 0,
+                samples: vec![0x0ABC],
+            },
+        )
+        .len();
+        assert_eq!(frame, 34, "a tagged batch-of-1 frame");
+        let mut out = Outbound::default();
+        out.push(answer);
+        for _ in 0..3 {
+            out.flush(&mut Stalled).unwrap();
+            assert!(
+                out.stage.len() <= WRITE_CHUNK + frame,
+                "staged {} bytes",
+                out.stage.len()
+            );
+            assert_eq!(out.written, 0);
+        }
+        assert!(out.has_bytes());
+        assert_eq!(out.held, 1, "the unread answer keeps its slot");
+        assert_eq!(out.answers.len(), 1, "the record stays unframed");
+    }
+
+    #[test]
+    fn answers_leave_in_completion_order_and_free_their_slots_as_written() {
+        let answers = || {
+            [
+                (Answer::digitize(1, vec![1, 2, 3], 1e6, 2), true),
+                (Answer::reply(0, Response::Pong { token: 5 }), false),
+                (Answer::digitize(2, vec![4; 40_000], 1e6, 1), true),
+            ]
+        };
+        let mut expected = Vec::new();
+        for (mut answer, _) in answers() {
+            while let Some(frame) = answer.take_frame() {
+                expected.extend(frame);
+            }
+        }
+        let mut out = Outbound::default();
+        for (mut answer, slot) in answers() {
+            answer.slot = slot;
+            out.push(answer);
+        }
+        assert_eq!(out.held, 2, "control replies hold no slot");
+        let mut sink = Trickle {
+            bytes: Vec::new(),
+            max: 4096,
+            block: false,
+        };
+        let mut held = Vec::new();
+        while out.has_bytes() {
+            out.flush(&mut sink).unwrap();
+            held.push(out.held);
+        }
+        assert!(sink.bytes == expected);
+        assert!(
+            held.contains(&1),
+            "the first answer frees its slot while the second is still being written"
+        );
+        assert_eq!(out.held, 0);
     }
 
     #[test]

@@ -11,9 +11,16 @@
 //! * Simulation runs on the [`JobPool`] — the runtime's long-lived
 //!   work pool — so server-side conversions use exactly the same
 //!   session code path as an in-process `adc-testbench` run, and
-//!   results are bit-identical for the same config and seed. Workers
-//!   stream response frames into a *bounded* per-connection queue the
-//!   reactor flushes; the bound is the backpressure mechanism.
+//!   results are bit-identical for the same config and seed. A job's
+//!   work ends when its answer is ready: it hands the finished record
+//!   back to the reactor, which alone frames it into bytes as the
+//!   socket drains. Workers never touch connection state or wait on a
+//!   peer.
+//! * Backpressure acts at dispatch: a request keeps its per-connection
+//!   slot until its answer's last byte is written, so
+//!   [`ServerConfig::max_inflight_per_conn`] bounds a connection's
+//!   unwritten answers, and a peer that never reads holds no pool
+//!   worker.
 //! * Requests pipelined under nonzero correlation ids run concurrently
 //!   (up to the admission caps) and complete out of order; each
 //!   admitted request is one pool job.
@@ -22,14 +29,14 @@
 //!
 //! A request's `deadline_ms` becomes the job's cooperative timeout
 //! ([`adc_runtime::JobCtx::timed_out`]), counted from dispatch onto
-//! the pool. The
-//! worker polls it before fabricating the die, before converting, and
-//! between streamed batches — including while blocked on a full write
-//! queue — and reports [`ErrorCode::TimedOut`] when it fires. The
+//! the pool. It covers dispatch through conversion: the worker polls
+//! it before fabricating the die and again once the record is
+//! converted, and reports [`ErrorCode::TimedOut`] when it fires. The
 //! conversion of one record is the indivisible unit (the converter's
-//! warmup semantics make a record a single pure computation), so
-//! deadlines resolve to batch granularity, exactly like the campaign
-//! engine's per-die polling.
+//! warmup semantics make a record a single pure computation), exactly
+//! like the campaign engine's per-die polling. Delivery is not under
+//! the deadline: it is bounded by the connection's slot, which the
+//! answer holds until its last byte is written.
 //!
 //! ## Shutdown
 //!
@@ -78,9 +85,6 @@ pub struct ServerConfig {
     /// Seed anchoring the pool's derived per-job seeds (requests carry
     /// their own fabrication seeds; this only names the pool stream).
     pub seed: u64,
-    /// Bounded frames per connection write queue (the backpressure
-    /// window).
-    pub write_queue_frames: usize,
     /// Maximum accepted request payload, bytes.
     pub max_payload: u32,
     /// Maximum samples per digitize request.
@@ -92,7 +96,10 @@ pub struct ServerConfig {
     pub read_poll: Duration,
     /// Global cap on digitizations in flight on the pool at once.
     pub max_inflight: usize,
-    /// Per-connection cap on digitizations in flight at once.
+    /// Per-connection cap on digitizations in flight at once. A
+    /// request holds its slot until the last byte of its answer is
+    /// written, so the cap also bounds a connection's unwritten answers
+    /// (the backpressure window).
     pub max_inflight_per_conn: usize,
     /// Per-connection admission-queue depth; requests beyond it are
     /// shed with [`ErrorCode::Overloaded`].
@@ -110,7 +117,6 @@ impl std::fmt::Debug for ServerConfig {
         f.debug_struct("ServerConfig")
             .field("threads", &self.threads)
             .field("seed", &self.seed)
-            .field("write_queue_frames", &self.write_queue_frames)
             .field("max_payload", &self.max_payload)
             .field("max_samples", &self.max_samples)
             .field("default_batch", &self.default_batch)
@@ -129,7 +135,6 @@ impl Default for ServerConfig {
         Self {
             threads: 0,
             seed: 0x5EC7_0A0D,
-            write_queue_frames: 32,
             max_payload: 1 << 20,
             max_samples: 1 << 20,
             default_batch: 1024,

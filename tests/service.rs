@@ -484,6 +484,48 @@ fn invalid_requests_come_back_as_typed_errors() {
 }
 
 #[test]
+fn a_peer_that_never_reads_does_not_stall_other_connections() {
+    // One worker. Connection A asks for a 2^20-sample record in batches
+    // of one sample — 34 bytes per tagged frame, ~36 MB in all, far more
+    // than the loopback socket buffers hold — with no deadline, and
+    // never reads. Connection B must still be served; its read timeout
+    // turns a stalled server into a test failure instead of a hang.
+    let cfg = ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    };
+    let (handle, join) = Server::spawn("127.0.0.1:0", cfg).expect("bind");
+    let mut a = PipelinedClient::connect(handle.addr()).expect("connect A");
+    a.submit(&DigitizeRequest {
+        batch_size: 1,
+        deadline_ms: 0,
+        ..DigitizeRequest::tone(21, F_TARGET, 1 << 20)
+    })
+    .expect("submit A");
+    // B's request must queue behind A's on the one worker.
+    let started = std::time::Instant::now();
+    while handle.metrics().snapshot().in_flight == 0 {
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "A's request never started"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let mut b = Client::connect(handle.addr()).expect("connect B");
+    b.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let served = b
+        .digitize(&DigitizeRequest::tone(22, F_TARGET, RECORD))
+        .expect("B is served while A never reads");
+    assert_eq!(served.samples, direct_record(22).0);
+
+    drop(a);
+    handle.shutdown();
+    join.join().expect("server thread").expect("serve returns");
+}
+
+#[test]
 fn deadlines_surface_as_timed_out() {
     let (handle, join) = Server::spawn("127.0.0.1:0", ServerConfig::default()).expect("bind");
     let mut client = Client::connect(handle.addr()).expect("connect");
