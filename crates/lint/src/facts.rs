@@ -543,9 +543,9 @@ mod tests {
 
     #[test]
     fn guard_consumed_by_a_chain_is_a_temporary() {
-        // Mirrors the work-stealing idiom in runtime::pool: the let
-        // binds the popped element, not the guard, so the guard must
-        // not be treated as held for the rest of the block.
+        // A queue pop through a temporary guard: the let binds the
+        // popped element, not the guard, so the guard must not be
+        // treated as held for the rest of the block.
         let src = "pub struct S { m: Mutex<Vec<u32>> }\n\
              impl S {\n\
              pub fn chained(&self) {\n    let own = self.m.lock().expect(\"q\").pop();\n    work();\n}\n\

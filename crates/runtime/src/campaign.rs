@@ -1,5 +1,7 @@
-//! The campaign builder: fan a job set out over the pool, bit-identically
-//! to serial execution.
+//! The campaign builder: fan a closed job set out over scoped worker
+//! threads, bit-identically to serial execution. Every job, cached
+//! campaign misses included, runs under its own [`JobId`] through the
+//! crate's one job runner.
 //!
 //! ```
 //! use adc_runtime::{Campaign, JobError};
@@ -13,28 +15,26 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::cache::{canonical_key, CacheCodec, ResultCache};
 use crate::job::{JobCtx, JobError, JobId, JobReport};
 use crate::observer::{CampaignSummary, RunObserver};
-use crate::pool::{self, PoolConfig};
+use crate::pool;
 
 /// A declarative, deterministic parallel campaign over a set of job
 /// inputs.
 ///
 /// Determinism contract: each job's result depends only on its input and
 /// its `(campaign_seed, JobId)`-derived seed; results come back indexed
-/// by [`JobId`]. Thread count, stealing order, and retry scheduling are
-/// therefore invisible in the output — `threads(1)` and `threads(64)`
-/// produce bit-identical campaigns.
+/// by [`JobId`]. Thread count and scheduling order are therefore
+/// invisible in the output — `threads(1)` and `threads(64)` produce
+/// bit-identical campaigns.
 pub struct Campaign<I> {
     name: String,
     seed: u64,
     inputs: Vec<I>,
     threads: usize,
-    timeout: Option<Duration>,
-    retries: u32,
     observers: Vec<Arc<dyn RunObserver>>,
 }
 
@@ -45,8 +45,6 @@ impl<I> std::fmt::Debug for Campaign<I> {
             .field("seed", &self.seed)
             .field("jobs", &self.inputs.len())
             .field("threads", &self.threads)
-            .field("timeout", &self.timeout)
-            .field("retries", &self.retries)
             .field("observers", &self.observers.len())
             .finish()
     }
@@ -61,16 +59,8 @@ impl<I> Campaign<I> {
             seed,
             inputs: Vec::new(),
             threads: 0,
-            timeout: None,
-            retries: 0,
             observers: Vec::new(),
         }
-    }
-
-    /// Appends one job input.
-    pub fn job(mut self, input: I) -> Self {
-        self.inputs.push(input);
-        self
     }
 
     /// Appends a batch of job inputs; ids number them in order.
@@ -83,19 +73,6 @@ impl<I> Campaign<I> {
     /// available hardware parallelism.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets a per-job cooperative deadline (workers poll
-    /// [`JobCtx::timed_out`]).
-    pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = Some(timeout);
-        self
-    }
-
-    /// Allows up to `retries` re-attempts after a failure or panic.
-    pub fn retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
         self
     }
 
@@ -115,14 +92,6 @@ impl<I> Campaign<I> {
         self.inputs.is_empty()
     }
 
-    fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            pool::default_threads()
-        } else {
-            self.threads
-        }
-    }
-
     /// Runs the campaign, returning per-job outcomes in id order.
     pub fn run<T, F>(self, worker: F) -> CampaignRun<T>
     where
@@ -130,32 +99,14 @@ impl<I> Campaign<I> {
         T: Send,
         F: Fn(&JobCtx, &I) -> Result<T, JobError> + Sync,
     {
-        let threads = self.resolved_threads();
-        for obs in &self.observers {
-            obs.on_campaign_start(&self.name, self.inputs.len(), threads);
-        }
-        let cfg = PoolConfig {
-            campaign_seed: self.seed,
-            threads,
-            timeout: self.timeout,
-            retries: self.retries,
-            observers: &self.observers,
-        };
-        let start = Instant::now(); // adc-lint: allow(no-wallclock) reason="campaign wall-time for the summary line; never feeds results"
-        let (values, reports) = pool::execute(&cfg, &self.inputs, &worker);
-        let wall = start.elapsed();
-        let summary = CampaignSummary {
-            name: self.name,
-            jobs: reports.len(),
-            succeeded: values.iter().filter(|v| v.is_some()).count(),
-            threads,
-            wall,
-            busy: reports.iter().map(|r| r.wall).sum(),
-            samples: reports.iter().map(|r| r.samples).sum(),
-        };
-        for obs in &self.observers {
-            obs.on_campaign_finish(&summary);
-        }
+        let jobs: Vec<(JobId, &I)> = self
+            .inputs
+            .iter()
+            .enumerate()
+            .map(|(i, input)| (JobId(i as u64), input))
+            .collect();
+        let (outcomes, summary) = self.execute(&jobs, &worker);
+        let (values, reports) = outcomes.into_iter().unzip();
         CampaignRun {
             values,
             reports,
@@ -170,8 +121,10 @@ impl<I> Campaign<I> {
     /// persisted.
     ///
     /// Only the misses are dispatched, but each miss keeps its original
-    /// [`JobId`] (and hence its derived seed), so a partially cached
-    /// campaign returns results bit-identical to an uncached one.
+    /// [`JobId`] (and hence its derived seed, trace span and observer
+    /// reports), so a partially cached campaign returns results
+    /// bit-identical to an uncached one. Observers see the misses
+    /// only: a hit runs no job.
     pub fn run_cached<T, F>(self, cache: &ResultCache, worker: F) -> CampaignRun<T>
     where
         I: Sync + std::fmt::Debug,
@@ -185,69 +138,78 @@ impl<I> Campaign<I> {
             .map(|input| canonical_key(&self.name, input))
             .collect();
         let mut values: Vec<Option<T>> = keys.iter().map(|&k| cache.get::<T>(k)).collect();
-        let miss_indices: Vec<usize> = (0..values.len()).filter(|&i| values[i].is_none()).collect();
-        let hits = values.len() - miss_indices.len();
-        adc_trace::counter("cache_hits", hits as u64);
-        adc_trace::counter("cache_misses", miss_indices.len() as u64);
-
-        let name = self.name.clone();
-        let campaign_seed = self.seed;
-        let misses: Vec<(usize, &I)> = miss_indices.iter().map(|&i| (i, &self.inputs[i])).collect();
-        let miss_campaign = Campaign {
-            name: self.name.clone(),
-            seed: self.seed,
-            inputs: misses,
-            threads: self.threads,
-            timeout: self.timeout,
-            retries: self.retries,
-            observers: self.observers.clone(),
-        };
-        let miss_run = miss_campaign.run(|ctx, &(original, input)| {
-            // The pool numbered the misses densely; restore the job's
-            // original identity so the cache-hit pattern cannot change a
-            // miss's derived seed (and hence its result).
-            let ctx = ctx.reassign(campaign_seed, JobId(original as u64));
-            worker(&ctx, input)
-        });
-
-        let mut reports: Vec<JobReport> = (0..values.len())
-            .map(|i| JobReport {
-                id: JobId(i as u64),
-                attempts: 0,
-                wall: Duration::ZERO,
-                samples: 0,
-                error: None,
-            })
-            .collect();
-        for (&original, (value, report)) in miss_indices
+        let misses: Vec<(JobId, &I)> = self
+            .inputs
             .iter()
-            .zip(miss_run.values.into_iter().zip(miss_run.reports))
-        {
+            .enumerate()
+            .filter(|&(i, _)| values[i].is_none())
+            .map(|(i, input)| (JobId(i as u64), input))
+            .collect();
+        adc_trace::counter("cache_hits", (values.len() - misses.len()) as u64);
+        adc_trace::counter("cache_misses", misses.len() as u64);
+
+        let (outcomes, ran) = self.execute(&misses, &worker);
+        let mut reports: Vec<JobReport> = (0..values.len())
+            .map(|i| JobReport::not_run(JobId(i as u64), None))
+            .collect();
+        for (&(id, _), (value, report)) in misses.iter().zip(outcomes) {
+            let i = id.0 as usize;
             if let Some(v) = &value {
-                cache.put(keys[original], v);
+                cache.put(keys[i], v);
             }
-            values[original] = value;
-            reports[original] = JobReport {
-                id: JobId(original as u64),
-                ..report
-            };
+            values[i] = value;
+            reports[i] = report;
         }
-        let _ = cache.persist(&name);
+        let _ = cache.persist(&self.name);
 
         let summary = CampaignSummary {
-            name,
             jobs: values.len(),
             succeeded: values.iter().filter(|v| v.is_some()).count(),
-            threads: miss_run.summary.threads,
-            wall: miss_run.summary.wall,
-            busy: miss_run.summary.busy,
-            samples: miss_run.summary.samples,
+            ..ran
         };
         CampaignRun {
             values,
             reports,
             summary,
         }
+    }
+
+    /// Runs `jobs` between the campaign-level observer hooks, returning
+    /// their outcomes in `jobs` order and the summary of what ran.
+    fn execute<T, F>(
+        &self,
+        jobs: &[(JobId, &I)],
+        worker: &F,
+    ) -> (Vec<(Option<T>, JobReport)>, CampaignSummary)
+    where
+        I: Sync,
+        T: Send,
+        F: Fn(&JobCtx, &I) -> Result<T, JobError> + Sync,
+    {
+        let threads = if self.threads == 0 {
+            pool::default_threads()
+        } else {
+            self.threads
+        };
+        for obs in &self.observers {
+            obs.on_campaign_start(&self.name, jobs.len(), threads);
+        }
+        let start = Instant::now(); // adc-lint: allow(no-wallclock) reason="campaign wall-time for the summary line; never feeds results"
+        let outcomes = pool::execute(self.seed, threads, &self.observers, jobs, worker);
+        let wall = start.elapsed();
+        let summary = CampaignSummary {
+            name: self.name.clone(),
+            jobs: outcomes.len(),
+            succeeded: outcomes.iter().filter(|(v, _)| v.is_some()).count(),
+            threads,
+            wall,
+            busy: outcomes.iter().map(|(_, r)| r.wall).sum(),
+            samples: outcomes.iter().map(|(_, r)| r.samples).sum(),
+        };
+        for obs in &self.observers {
+            obs.on_campaign_finish(&summary);
+        }
+        (outcomes, summary)
     }
 }
 
@@ -430,6 +392,31 @@ mod tests {
                 assert_eq!(got, want, "miss job {i} must keep its original seed");
             }
         }
+    }
+
+    #[test]
+    fn cached_misses_report_their_own_ids() {
+        // Observers see each miss under the id its worker sees, not a
+        // dense renumbering of the misses.
+        let cache = ResultCache::in_memory();
+        let worker = |ctx: &JobCtx, _: &u64| Ok::<_, JobError>(ctx.id.0);
+        Campaign::new("sparse", 3)
+            .jobs((0u64..8).step_by(2))
+            .threads(2)
+            .run_cached(&cache, worker);
+        let obs = Arc::new(CollectingObserver::default());
+        let run = Campaign::new("sparse", 3)
+            .jobs(0u64..8)
+            .threads(2)
+            .observe(obs.clone())
+            .run_cached(&cache, worker);
+        let mut ids: Vec<u64> = obs.reports.lock().unwrap().iter().map(|r| r.id.0).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![1, 3, 5, 7]);
+        for id in [1, 3, 5, 7] {
+            assert_eq!(run.values[id], Some(id as u64), "worker saw job {id}");
+        }
+        assert_eq!(obs.summaries.lock().unwrap()[0].jobs, 4, "only misses ran");
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Job identity, outcomes, and per-job execution context.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::seed::derive_seed;
@@ -31,6 +30,9 @@ pub enum JobError {
     /// The job observed its deadline (cooperatively, via
     /// [`JobCtx::timed_out`]) and gave up.
     TimedOut,
+    /// A draining [`JobPool`](crate::JobPool) rejected the submission;
+    /// the job never ran.
+    Draining,
 }
 
 impl std::fmt::Display for JobError {
@@ -39,6 +41,7 @@ impl std::fmt::Display for JobError {
             Self::Failed(msg) => write!(f, "failed: {msg}"),
             Self::Panicked(msg) => write!(f, "panicked: {msg}"),
             Self::TimedOut => write!(f, "timed out"),
+            Self::Draining => write!(f, "pool is draining"),
         }
     }
 }
@@ -50,18 +53,29 @@ impl std::error::Error for JobError {}
 pub struct JobReport {
     /// The job's stable id.
     pub id: JobId,
-    /// Attempts consumed (1 = first try succeeded).
-    pub attempts: u32,
-    /// Wall time of the final attempt.
+    /// Wall time of the job's run.
     pub wall: Duration,
     /// Samples the worker recorded via [`JobCtx::record_samples`]
     /// (drives campaign throughput accounting).
     pub samples: u64,
-    /// `None` on success, the terminal error otherwise.
+    /// `None` on success, the job's error otherwise.
     pub error: Option<JobError>,
 }
 
-/// Execution context handed to the worker closure for each attempt.
+impl JobReport {
+    /// The report of a job that did not run: a cache hit (`error` is
+    /// `None`) or a submission a draining pool rejected.
+    pub(crate) fn not_run(id: JobId, error: Option<JobError>) -> Self {
+        Self {
+            id,
+            wall: Duration::ZERO,
+            samples: 0,
+            error,
+        }
+    }
+}
+
+/// Execution context handed to the worker closure.
 #[derive(Debug)]
 pub struct JobCtx {
     /// The job's stable id.
@@ -69,50 +83,23 @@ pub struct JobCtx {
     /// Seed derived from `(campaign_seed, id)` with SplitMix64 mixing —
     /// identical whatever thread or order runs the job.
     pub seed: u64,
-    /// The attempt number, starting at 1.
-    pub attempt: u32,
     deadline: Option<Instant>,
-    cancelled: Arc<AtomicBool>,
-    samples: Arc<AtomicU64>,
+    samples: AtomicU64,
 }
 
 impl JobCtx {
-    pub(crate) fn new(
-        campaign_seed: u64,
-        id: JobId,
-        attempt: u32,
-        timeout: Option<Duration>,
-        cancelled: Arc<AtomicBool>,
-    ) -> Self {
+    pub(crate) fn new(campaign_seed: u64, id: JobId, deadline: Option<Instant>) -> Self {
         Self {
             id,
             seed: derive_seed(campaign_seed, id.0),
-            attempt,
-            // adc-lint: allow(no-wallclock) reason="deadline arming; a timeout aborts a job, it never alters a completed result"
-            deadline: timeout.map(|t| Instant::now() + t),
-            cancelled,
-            samples: Arc::new(AtomicU64::new(0)),
+            deadline,
+            samples: AtomicU64::new(0),
         }
     }
 
     /// A standalone context (tests, serial fallbacks).
     pub fn standalone(campaign_seed: u64, id: JobId) -> Self {
-        Self::new(campaign_seed, id, 1, None, Arc::new(AtomicBool::new(false)))
-    }
-
-    /// A context with the same deadline, cancel flag, and sample counter
-    /// as `self` but a different identity — used when a cached campaign
-    /// dispatches only its misses and must hand each worker the seed its
-    /// *original* id derives, not the dense miss index.
-    pub(crate) fn reassign(&self, campaign_seed: u64, id: JobId) -> Self {
-        Self {
-            id,
-            seed: derive_seed(campaign_seed, id.0),
-            attempt: self.attempt,
-            deadline: self.deadline,
-            cancelled: Arc::clone(&self.cancelled),
-            samples: Arc::clone(&self.samples),
-        }
+        Self::new(campaign_seed, id, None)
     }
 
     /// `true` once the job's deadline has passed. Long-running workers
@@ -122,11 +109,6 @@ impl JobCtx {
     pub fn timed_out(&self) -> bool {
         // adc-lint: allow(no-wallclock) reason="deadline polling; a timeout aborts a job, it never alters a completed result"
         self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// `true` once the campaign has been cancelled as a whole.
-    pub fn cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
     }
 
     /// Credits `n` simulation samples to this job (throughput metric).
@@ -159,18 +141,11 @@ mod tests {
     fn no_deadline_never_times_out() {
         let ctx = JobCtx::standalone(1, JobId(0));
         assert!(!ctx.timed_out());
-        assert!(!ctx.cancelled());
     }
 
     #[test]
     fn expired_deadline_times_out() {
-        let ctx = JobCtx::new(
-            1,
-            JobId(0),
-            1,
-            Some(Duration::ZERO),
-            Arc::new(AtomicBool::new(false)),
-        );
+        let ctx = JobCtx::new(1, JobId(0), Some(Instant::now()));
         std::thread::sleep(Duration::from_millis(1));
         assert!(ctx.timed_out());
     }

@@ -4,9 +4,12 @@
 //! sweeps, Monte-Carlo yield runs, figure regeneration — are
 //! embarrassingly parallel: many independent jobs, each a pure function
 //! of its configuration and a seed. This crate executes such *campaigns*
-//! on a work-stealing thread pool while guaranteeing results that are
+//! on scoped worker threads while guaranteeing results that are
 //! **bit-identical to serial execution**, whatever the thread count or
-//! scheduling order.
+//! scheduling order. Serving workloads submit jobs one at a time to a
+//! long-lived [`JobPool`]; both schedulers run each job through one job
+//! runner, so seeding, panic confinement, observer hooks and the `job`
+//! trace span are the same on either path.
 //!
 //! The determinism contract rests on three rules:
 //!
@@ -37,7 +40,7 @@
 //! ## Modules
 //!
 //! - [`campaign`] — the [`Campaign`] builder and [`CampaignRun`] result.
-//! - [`pool`] — the work-stealing execution core.
+//! - [`pool`] — the one job runner and the campaign scheduler.
 //! - [`job`] — [`JobId`], [`JobCtx`], [`JobError`], [`JobReport`].
 //! - [`seed`] — SplitMix64 mixing and seed derivation.
 //! - [`cache`] — content-hash result cache ([`ResultCache`]).

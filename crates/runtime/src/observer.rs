@@ -1,10 +1,11 @@
 //! Run observability: hooks for job lifecycle, progress, and campaign
 //! summaries.
 //!
-//! The engine calls observers from worker threads; implementations must
-//! be `Send + Sync` and should stay cheap — a slow observer serializes
-//! the pool. `adc-testbench::report` provides a text reporter built on
-//! this trait; [`CollectingObserver`] here supports tests.
+//! The runtime calls observers from worker threads; implementations
+//! must be `Send + Sync` and should stay cheap — a slow observer
+//! serializes the workers. `adc-testbench::report` provides a text
+//! reporter built on this trait; [`CollectingObserver`] here supports
+//! tests.
 
 use std::sync::Mutex;
 use std::time::Duration;
@@ -49,27 +50,33 @@ impl CampaignSummary {
     }
 }
 
-/// Lifecycle hooks for a campaign run. All methods default to no-ops so
-/// implementations override only what they need.
+/// Lifecycle hooks for campaign runs and pool jobs. All methods
+/// default to no-ops so implementations override only what they need.
+///
+/// The job hooks fire from the crate's one job runner, for every job
+/// that runs — campaign jobs and [`JobPool`](crate::JobPool)
+/// submissions alike — under the job's own [`JobId`]. A cache hit or a
+/// submission rejected by a draining pool runs no job and fires no job
+/// hook. The campaign hooks fire for campaigns only and count the jobs
+/// that ran.
 pub trait RunObserver: Send + Sync {
-    /// The campaign is about to dispatch `jobs` jobs on `threads`
-    /// workers.
+    /// The campaign is about to run `jobs` jobs on `threads` workers.
     fn on_campaign_start(&self, name: &str, jobs: usize, threads: usize) {
         let _ = (name, jobs, threads);
     }
 
-    /// Attempt `attempt` of job `id` is starting.
-    fn on_job_start(&self, id: JobId, attempt: u32) {
-        let _ = (id, attempt);
+    /// Job `id` is starting.
+    fn on_job_start(&self, id: JobId) {
+        let _ = id;
     }
 
-    /// Job `id` finished (successfully or not); `report` has the
-    /// attempt count, wall time, and sample credit.
+    /// Job `id` finished (successfully or not); `report` has its wall
+    /// time, sample credit and error.
     fn on_job_finish(&self, id: JobId, report: &JobReport) {
         let _ = (id, report);
     }
 
-    /// `done` of `total` jobs have completed.
+    /// `done` of the campaign's `total` running jobs have completed.
     fn on_progress(&self, done: usize, total: usize) {
         let _ = (done, total);
     }

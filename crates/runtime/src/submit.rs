@@ -3,14 +3,15 @@
 //! [`Campaign`](crate::Campaign) executes a *closed* job set and tears
 //! its workers down when the set completes — the right shape for figure
 //! regeneration, but not for a server that receives requests one at a
-//! time over an open-ended lifetime. [`JobPool`] keeps the same
-//! determinism machinery ([`JobCtx`] with a stable per-job seed,
-//! cooperative deadlines, panic confinement, [`RunObserver`] hooks)
-//! behind a submission handle: callers [`JobPool::submit`] individual
-//! closures and receive a [`JobHandle`] to wait on.
+//! time over an open-ended lifetime. [`JobPool`] runs each job through
+//! the same job runner as a campaign ([`JobCtx`] with a stable per-job
+//! seed, panic confinement, [`RunObserver`] hooks, the `job` trace
+//! span) from a FIFO queue of long-lived workers: callers
+//! [`JobPool::submit`] individual closures and receive a [`JobHandle`]
+//! to wait on.
 //!
-//! Two differences from the campaign engine follow from the open-ended
-//! lifetime:
+//! Three differences from the campaign engine follow from the
+//! open-ended lifetime:
 //!
 //! * **Ids number submissions, not a fixed set.** Each submission gets
 //!   the next [`JobId`] in order, so a job's derived seed is still a
@@ -18,19 +19,21 @@
 //!   serving workloads usually pass their *own* seed in the request and
 //!   ignore the derived one, because request arrival order is not
 //!   deterministic across server runs.
+//! * **Jobs carry deadlines.** A submission's cooperative deadline is
+//!   armed when it is submitted, so time spent queued counts against
+//!   it.
 //! * **Shutdown is a drain.** [`JobPool::shutdown`] stops accepting new
 //!   work, lets queued and in-flight jobs finish, and joins the workers
 //!   — the graceful-drain building block `adc-server` uses.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::job::{JobCtx, JobError, JobId, JobReport};
 use crate::observer::RunObserver;
-use crate::pool::default_threads;
+use crate::pool::{default_threads, run_job};
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
@@ -58,7 +61,6 @@ pub struct JobPool {
     seed: u64,
     next_id: AtomicU64,
     state: Arc<PoolState>,
-    cancelled: Arc<AtomicBool>,
     observers: Arc<Vec<Arc<dyn RunObserver>>>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
@@ -140,7 +142,6 @@ impl JobPool {
             seed,
             next_id: AtomicU64::new(0),
             state,
-            cancelled: Arc::new(AtomicBool::new(false)),
             observers: Arc::new(observers),
             workers: Mutex::new(workers),
         }
@@ -172,8 +173,8 @@ impl JobPool {
     /// to the job ([`JobError::Panicked`]).
     ///
     /// After [`JobPool::shutdown`] begins, submissions are rejected: the
-    /// returned handle resolves immediately to
-    /// [`JobError::Failed`]`("pool is draining")` without executing.
+    /// returned handle resolves immediately to [`JobError::Draining`]
+    /// without executing.
     pub fn submit<T, F>(&self, timeout: Option<Duration>, work: F) -> JobHandle<T>
     where
         T: Send + 'static,
@@ -200,7 +201,10 @@ impl JobPool {
         C: FnOnce(Option<T>, JobReport) + Send + 'static,
     {
         let id = JobId(self.next_id.fetch_add(1, Ordering::SeqCst));
-        let ctx = JobCtx::new(self.seed, id, 1, timeout, Arc::clone(&self.cancelled));
+        let seed = self.seed;
+        // Armed at submission, so time spent queued counts against it.
+        // adc-lint: allow(no-wallclock) reason="deadline arming; a timeout aborts a job, it never alters a completed result"
+        let deadline = timeout.map(|t| Instant::now() + t);
         let observers = Arc::clone(&self.observers);
         // Armed only while tracing so the disabled path stays free of
         // clock reads; the elapsed value feeds the trace stream only.
@@ -211,53 +215,15 @@ impl JobPool {
         // a task behind departing workers.
         if self.state.draining.load(Ordering::SeqCst) {
             drop(queue);
-            let report = JobReport {
-                id,
-                attempts: 0,
-                wall: Duration::ZERO,
-                samples: 0,
-                error: Some(JobError::Failed("pool is draining".to_string())),
-            };
-            then(None, report);
+            then(None, JobReport::not_run(id, Some(JobError::Draining)));
             return id;
         }
         let task: Task = Box::new(move || {
-            for obs in observers.iter() {
-                obs.on_job_start(id, 1);
-            }
-            let _trace_task = adc_trace::task(ctx.seed);
             if let Some(queued_at) = queued_at {
                 let waited = u64::try_from(queued_at.elapsed().as_micros()).unwrap_or(u64::MAX);
                 adc_trace::counter("queue_wait_us", waited);
             }
-            let _trace_span = adc_trace::span_with("pool-job", id.0);
-            let start = Instant::now(); // adc-lint: allow(no-wallclock) reason="wall-time metric for observer reports; never feeds job results"
-            let outcome = catch_unwind(AssertUnwindSafe(|| work(&ctx)));
-            let wall = start.elapsed();
-            let (value, error) = match outcome {
-                Ok(Ok(value)) => (Some(value), None),
-                Ok(Err(err)) => (None, Some(err)),
-                Err(payload) => {
-                    let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                        (*s).to_string()
-                    } else if let Some(s) = payload.downcast_ref::<String>() {
-                        s.clone()
-                    } else {
-                        "non-string panic payload".to_string()
-                    };
-                    (None, Some(JobError::Panicked(msg)))
-                }
-            };
-            let report = JobReport {
-                id,
-                attempts: 1,
-                wall,
-                samples: ctx.samples(),
-                error,
-            };
-            for obs in observers.iter() {
-                obs.on_job_finish(id, &report);
-            }
+            let (value, report) = run_job(seed, id, deadline, &observers, work);
             then(value, report);
         });
         self.state.pending.fetch_add(1, Ordering::SeqCst);
@@ -408,10 +374,7 @@ mod tests {
             assert_eq!(h.into_result().unwrap(), i as u64, "queued job drained");
         }
         let late = pool.submit(None, |_| Ok::<_, JobError>(0u64));
-        assert_eq!(
-            late.into_result(),
-            Err(JobError::Failed("pool is draining".to_string()))
-        );
+        assert_eq!(late.into_result(), Err(JobError::Draining));
         assert_eq!(pool.pending(), 0);
     }
 
@@ -476,7 +439,10 @@ mod tests {
         pool.submit_then(
             None,
             |_| Ok::<_, JobError>(0u64),
-            move |value, report| tx2.send((value, report.attempts == 0)).unwrap(),
+            move |value, report| {
+                tx2.send((value, report.error == Some(JobError::Draining)))
+                    .unwrap()
+            },
         );
         assert_eq!(rx.recv().unwrap(), (None, true));
     }

@@ -7,7 +7,7 @@
 
 use std::sync::Mutex;
 
-use adc_runtime::{Campaign, JobError};
+use adc_runtime::{Campaign, JobCtx, JobError, ResultCache};
 use adc_trace::{Collector, EventKind, Trace};
 
 static COLLECTOR_LOCK: Mutex<()> = Mutex::new(());
@@ -129,6 +129,36 @@ fn span_identity_is_reproducible_across_runs_and_schedules() {
         v
     };
     assert_eq!(ids(&traced_campaign()), ids(&traced_campaign()));
+}
+
+#[test]
+fn cached_misses_open_job_spans_under_their_own_ids() {
+    let _guard = lock();
+    let cache = ResultCache::in_memory();
+    let worker = |_: &JobCtx, &job: &u64| Ok::<_, JobError>(job);
+    // Pre-cache the even jobs, then trace a run of all of them.
+    Campaign::new("trace-sparse", 0xADC)
+        .jobs((0..JOBS).step_by(2))
+        .threads(2)
+        .run_cached(&cache, worker);
+    let session = Collector::install().expect("no collector active");
+    let values = Campaign::new("trace-sparse", 0xADC)
+        .jobs(0..JOBS)
+        .threads(2)
+        .run_cached(&cache, worker)
+        .into_result()
+        .expect("campaign runs");
+    let trace = session.finish();
+    assert_eq!(values, (0..JOBS).collect::<Vec<_>>());
+
+    let mut job_ids: Vec<u64> = trace
+        .merged()
+        .iter()
+        .filter(|(_, e)| e.kind == EventKind::Begin && e.name == "job")
+        .map(|(_, e)| e.value)
+        .collect();
+    job_ids.sort_unstable();
+    assert_eq!(job_ids, vec![1, 3, 5, 7]);
 }
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {

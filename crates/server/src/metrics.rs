@@ -203,7 +203,7 @@ impl MetricsRegistry {
 }
 
 impl RunObserver for MetricsRegistry {
-    fn on_job_start(&self, _id: JobId, _attempt: u32) {
+    fn on_job_start(&self, _id: JobId) {
         let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
         adc_trace::counter("in_flight", now);
     }
@@ -292,13 +292,12 @@ mod tests {
     fn observer_hooks_drive_gauge_histogram_and_counters() {
         use adc_runtime::JobError;
         let reg = MetricsRegistry::new();
-        reg.on_job_start(JobId(0), 1);
+        reg.on_job_start(JobId(0));
         assert_eq!(reg.snapshot().in_flight, 1);
         reg.on_job_finish(
             JobId(0),
             &JobReport {
                 id: JobId(0),
-                attempts: 1,
                 wall: Duration::from_micros(300),
                 samples: 4096,
                 error: None,
@@ -310,12 +309,11 @@ mod tests {
         assert_eq!(snap.samples_streamed, 4096);
         assert!(snap.p50_us >= 300);
 
-        reg.on_job_start(JobId(1), 1);
+        reg.on_job_start(JobId(1));
         reg.on_job_finish(
             JobId(1),
             &JobReport {
                 id: JobId(1),
-                attempts: 1,
                 wall: Duration::from_micros(10),
                 samples: 0,
                 error: Some(JobError::TimedOut),

@@ -575,10 +575,8 @@ pub(crate) fn run_job_batch(
                 // deterministic → Failed; everything the *pool* can do
                 // to a job (drain, deadline, worker panic) is
                 // scheduling, not computation → Rejected.
-                Some(JobError::Failed(detail)) if detail != "pool is draining" => {
-                    (JobStatus::Failed, detail)
-                }
-                Some(JobError::Failed(detail)) => (JobStatus::Rejected, detail),
+                Some(JobError::Failed(detail)) => (JobStatus::Failed, detail),
+                Some(err @ JobError::Draining) => (JobStatus::Rejected, err.to_string()),
                 Some(JobError::TimedOut) => (JobStatus::Rejected, "deadline expired".to_string()),
                 Some(JobError::Panicked(msg)) => {
                     (JobStatus::Rejected, format!("worker panicked: {msg}"))

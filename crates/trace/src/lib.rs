@@ -82,7 +82,7 @@ pub fn span_with(name: &'static str, value: u64) -> SpanGuard {
     }
 }
 
-/// Records a point-in-time marker (e.g. a work-steal).
+/// Records a point-in-time marker (e.g. a checkpoint).
 #[inline]
 pub fn instant(name: &'static str) {
     if enabled() {
