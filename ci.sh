@@ -29,8 +29,10 @@
 #                  multi-die capture results" is asserted, not
 #                  assumed; then the record kernel's and noise
 #                  kernels' bit-identity unit tests (systolic, mdac,
-#                  stripe, comparator) re-run in release, where the
-#                  vectorized AVX2 clones they pin actually ship; last,
+#                  stripe, comparator, and the testbench's signal
+#                  sources, whose tone fill has its own clone) re-run
+#                  in release, where the vectorized AVX2 clones they
+#                  pin actually ship; last,
 #                  adc-runtime's whole suite re-runs in release, so its
 #                  scheduler tests (results invisible to thread count,
 #                  cached misses under their own ids) and the
@@ -194,6 +196,7 @@ stage_determinism() {
   # bit-identity contracts run in release too.
   cargo test -q --release -p adc-pipeline --lib -- systolic mdac
   cargo test -q --release -p adc-analog --lib -- stripe comparator
+  cargo test -q --release -p adc-testbench --lib -- signal
   cargo test -q --release -p adc-runtime
   echo "determinism digest: $(cat "$hash_file")"
   echo "multi-die digest: $(cat "$lanes_hash_file")"

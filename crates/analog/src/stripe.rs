@@ -17,21 +17,28 @@
 //!   per u64, trivially inlined, with the whole generator state a single
 //!   `u64` that a converter can pre-draw from in one flat block per
 //!   chunk of samples;
-//! * a **single-sided Box–Muller** transform, `z = √(−2 ln u₁) ·
-//!   cos(2π u₂)`, evaluated with branch-free polynomial `ln`/`cos`
-//!   kernels (no libm calls, nothing opaque to the autovectorizer). The
-//!   sine half of the classical pair is simply not formed: each draw
-//!   consumes a fresh uniform pair, which keeps the stream's
-//!   draws-per-sample count data-independent.
+//! * the **paired Box–Muller** transform: words `2k` and `2k+1` give
+//!   `u₁, u₂`, and with `r = √(−2 ln u₁)` the pair yields the two
+//!   independent deviates `r·cos(2π u₂)` and `r·sin(2π u₂)`, evaluated
+//!   with branch-free polynomial `ln`/`sin`/`cos` kernels (no libm
+//!   calls, nothing opaque to the autovectorizer). One `ln` and one
+//!   `sqrt` serve two deviates, and the sine costs only a quadrant
+//!   select, since the cosine kernel already forms both half-angle
+//!   polynomials. Consumers ask for whole pairs only
+//!   ([`standard_normal_fill`] over an even count), so no half-pair is
+//!   ever held between calls and a stream position stays one `u64`.
 //!
 //! The same generator backs each comparator's private decision-noise
-//! stream ([`crate::comparator::Comparator`]).
+//! stream ([`crate::comparator::Comparator`]), which steps one pair at a
+//! time and keeps its cosine half ([`standard_normal_step`]).
 //!
 //! The polynomial kernels are accurate to ≲1e-9 relative (`ln`) and
-//! ≲1e-13 absolute (`cos`) — error some 60 dB below the −110 dBFS
-//! simulation noise floors they feed — and the moments of the resulting
-//! deviates match a standard normal to Monte-Carlo precision (see the
-//! tests). Realizations differ from the old libm path, which is a
+//! ≲1e-13 absolute (`sin`, `cos`) — error some 60 dB below the
+//! −110 dBFS simulation noise floors they feed — and the moments and
+//! correlations of the resulting deviates match independent standard
+//! normals to Monte-Carlo precision (see the tests). Realizations differ
+//! from the old libm path and from the single-sided transform before the
+//! pairing, which is a
 //! [`NUMERICS_EPOCH`](../../adc_runtime/cache/constant.NUMERICS_EPOCH.html)
 //! bump, not a behavioural change; dies themselves are fabricated from
 //! the untouched [`NoiseSource`](crate::noise::NoiseSource) stream and
@@ -114,21 +121,29 @@ fn ln_unit(x: f64) -> f64 {
     f64::from(e) * LN2 + 2.0 * r * series
 }
 
-/// `cos(2π·u)` for `u ∈ [0, 1)`, branch-free polynomial kernel.
+/// `(cos 2πu, sin 2πu)` for `u ∈ [0, 1]`, branch-free polynomial
+/// kernel.
 ///
 /// Quadrant-reduces in *turns* (no 2π range-reduction rounding): with
 /// `k = round(4u)` the residual angle `φ = 2π(u − k/4)` lies in
 /// `[−π/4, π/4]`, where the cosine and sine Taylor polynomials through
-/// φ¹⁴/φ¹³ are accurate to ≲1e-13 absolute; the quadrant then selects
-/// and signs the right half-pair via arithmetic masks rather than
-/// branches.
-#[inline]
-fn cos_turns(u: f64) -> f64 {
+/// φ¹⁴/φ¹³ are accurate to ≲1e-13 absolute. Quadrant `k` rotates the
+/// pair by `k·π/2`: odd quadrants swap the two polynomials, and the
+/// quadrant's bits pick each half's sign. The select is integer masks
+/// on the bit patterns, so it is exact and branch-free, and every
+/// instantiation (SSE2, AVX2) returns the same bits.
+///
+/// Public for the other per-sample kernels that evaluate sines in
+/// turns (the testbench's tone fill); `inline(always)` so each of their
+/// feature-gated clones instantiates it under its own target features.
+#[inline(always)]
+pub fn sincos_turns(u: f64) -> (f64, f64) {
     const TWO_PI: f64 = std::f64::consts::TAU;
     // k ∈ {0,1,2,3,4}; k=4 aliases quadrant 0 with a negative φ. The
-    // argument is positive, so truncation *is* floor. `trunc` stays in
-    // floating point (one packed round under AVX2), and the quadrant's
-    // bits come out of `k + MAGIC` rather than an `as i32` cast.
+    // argument is non-negative, so truncation *is* floor. `trunc` stays
+    // in floating point (one packed round under AVX2), and the
+    // quadrant's bits come out of `k + MAGIC` rather than an `as i32`
+    // cast.
     let k = (4.0 * u + 0.5).trunc();
     let phi = TWO_PI * (u - 0.25 * k);
     // cos φ and sin φ on |φ| ≤ π/4: Taylor in φ², Estrin-summed so the
@@ -146,14 +161,35 @@ fn cos_turns(u: f64) -> f64 {
     let s45 = 1.0 / 362_880.0 + p2 * (-1.0 / 39_916_800.0);
     let s67 = 1.0 / 6_227_020_800.0;
     let sin_p = phi * ((s01 + p4 * s23) + p8 * (s45 + p4 * s67));
-    // Quadrant combine, branchless (the quadrant is a random 2-bit
-    // value — branches here mispredict half the time): odd quadrants
-    // take ±sin φ, even take ±cos φ, and quadrants 1,2 negate.
+    // Quadrant combine, branchless (on random phases the quadrant is a
+    // coin flip, so branches would mispredict half the time):
+    //   k:        0      1      2      3
+    //   cos:    cos φ  −sin φ −cos φ   sin φ
+    //   sin:    sin φ   cos φ −sin φ  −cos φ
     let kb = (k + MAGIC).to_bits();
     let swap = (kb & 1).wrapping_neg();
-    let base = (sin_p.to_bits() & swap) | (cos_p.to_bits() & !swap);
-    let sign = ((kb.wrapping_add(1) >> 1) & 1) << 63;
-    f64::from_bits(base ^ sign)
+    let (cb, sb) = (cos_p.to_bits(), sin_p.to_bits());
+    let cos_sign = ((kb.wrapping_add(1) >> 1) & 1) << 63;
+    let sin_sign = ((kb >> 1) & 1) << 63;
+    (
+        f64::from_bits(((sb & swap) | (cb & !swap)) ^ cos_sign),
+        f64::from_bits(((cb & swap) | (sb & !swap)) ^ sin_sign),
+    )
+}
+
+/// `x − ⌊x⌋` for `|x| < 2⁵¹`: the fractional part of a phase in turns,
+/// in `[0, 1]`, branch-free and exact up to the final subtraction's
+/// rounding (which can only carry a tiny negative `x` up to `1.0`, a
+/// whole turn that [`sincos_turns`] accepts).
+///
+/// `⌊x⌋` comes from rounding through `1.5·2⁵²` and stepping down where
+/// that rounded up: two IEEE-exact adds and a compare-select that pack
+/// on every x86-64, where `f64::floor` is a libm call below SSE4.1.
+#[inline(always)]
+pub fn frac_turns(x: f64) -> f64 {
+    let nearest = (x + MAGIC) - MAGIC;
+    let floor = nearest - if nearest > x { 1.0 } else { 0.0 };
+    x - floor
 }
 
 /// `exp(x)` for `x ≤ 0`, branch-free polynomial kernel.
@@ -204,44 +240,62 @@ pub fn exp_nonpos(x: f64) -> f64 {
     p * scale
 }
 
-/// The single-sided Box–Muller transform shared by every draw shape
-/// (scalar step and stream fill), so their deviates are
+/// The paired Box–Muller transform shared by every draw shape (the
+/// comparators' pair step and the stream fill), so their deviates are
 /// bit-identical by construction.
-#[inline]
-fn box_muller(u1: f64, u2: f64) -> f64 {
-    (-2.0 * ln_unit(u1)).sqrt() * cos_turns(u2)
+#[inline(always)]
+fn box_muller_pair(u1: f64, u2: f64) -> (f64, f64) {
+    let r = (-2.0 * ln_unit(u1)).sqrt();
+    let (c, s) = sincos_turns(u2);
+    (r * c, r * s)
 }
 
-/// Advances `state` by one standard-normal draw (two SplitMix64 words).
+/// The uniforms of one pair of stream words: `u₁ ∈ (0, 1]` (offset by
+/// one grid step so the log argument is never zero) and `u₂ ∈ [0, 1)`.
+#[inline(always)]
+fn uniforms(w1: u64, w2: u64) -> (f64, f64) {
+    (exact_f64((w1 >> 11) + 1) * U53, exact_f64(w2 >> 11) * U53)
+}
+
+/// Advances `state` by one pair of standard-normal draws (two SplitMix64
+/// words): `(r·cos 2πu₂, r·sin 2πu₂)` with `r = √(−2 ln u₁)`.
+#[inline]
+fn standard_normal_pair(state: &mut u64) -> (f64, f64) {
+    let w1 = splitmix64(state);
+    let w2 = splitmix64(state);
+    let (u1, u2) = uniforms(w1, w2);
+    box_muller_pair(u1, u2)
+}
+
+/// Advances `state` by one pair of words and returns the pair's cosine
+/// half, `√(−2 ln u₁)·cos(2π u₂)`.
 ///
-/// The single-sided Box–Muller transform: `u₁ ∈ (0, 1]` (offset by one
-/// grid step so the log argument is never zero), `u₂ ∈ [0, 1)`, deviate
-/// `√(−2 ln u₁)·cos(2π u₂)`. A free function over a bare state word for
-/// the same reason as [`splitmix64`]: comparators advance their own
-/// bare state words with it, and [`SampleNoise::standard_normal`]
-/// delegates to it, which is what makes every draw shape bit-identical
-/// by construction.
+/// A free function over a bare state word for the same reason as
+/// [`splitmix64`]: each comparator advances its own bare state word
+/// with it, one decision at a time, and never needs the sine half. The
+/// cosine half is exactly the deviate of the single-sided transform the
+/// comparators used before the pairing, so their decisions did not
+/// change with it.
 #[inline]
 pub fn standard_normal_step(state: &mut u64) -> f64 {
-    let u1 = exact_f64((splitmix64(state) >> 11) + 1) * U53;
-    let u2 = exact_f64(splitmix64(state) >> 11) * U53;
-    box_muller(u1, u2)
+    standard_normal_pair(state).0
 }
 
-/// Uniform pairs generated per pass of [`standard_normal_fill`]: small
-/// enough to live on the stack and in L1, large enough to amortize the
-/// transform loop's constant loads.
+/// Pairs of words transformed per pass of [`standard_normal_fill`]:
+/// small enough to live on the stack and in L1, large enough to
+/// amortize the transform loop's constant loads.
 const FILL_BLOCK: usize = 64;
 
-/// Fills `out` with standard normals from one stream: `out[i]` is
-/// exactly the `i`-th [`standard_normal_step`] from `state`, which
-/// advances by `2·out.len()` words — the record kernel's per-chunk
-/// pre-draw.
+/// Fills `out` with standard normals from one stream: `out[2k]` and
+/// `out[2k + 1]` are the cosine and sine halves of the `k`-th
+/// Box–Muller pair from `state`, which advances by `out.len()` words
+/// (rounded up to even: an odd count drops the last sine half) — the
+/// record kernel's per-chunk pre-draw.
 ///
-/// Only the scheduling differs from a loop of steps. SplitMix64 is a
+/// Only the scheduling differs from a loop of pairs. SplitMix64 is a
 /// Weyl sequence, so word `w` of the stream is the finalizer applied to
 /// `state + (w+1)·γ`: every word is computed from its index with no
-/// chain through the previous one. Each block of `FILL_BLOCK` draws
+/// chain through the previous one. Each block of `FILL_BLOCK` pairs
 /// generates its uniforms in one pass of independent integer work, then
 /// transforms them in one flat branch-free loop with no intervening code
 /// to spill its polynomial constants.
@@ -271,21 +325,26 @@ fn standard_normal_fill_avx2(state: &mut u64, out: &mut [f64]) {
 /// features.
 #[inline(always)]
 fn standard_normal_fill_impl(state: &mut u64, out: &mut [f64]) {
-    let mut u1 = [0.0f64; FILL_BLOCK];
-    let mut u2 = [0.0f64; FILL_BLOCK];
-    for block in out.chunks_mut(FILL_BLOCK) {
-        let n = block.len();
+    // Uniforms in, deviates out: after the transform `a` holds the
+    // cosine halves and `b` the sine halves.
+    let mut a = [0.0f64; FILL_BLOCK];
+    let mut b = [0.0f64; FILL_BLOCK];
+    for block in out.chunks_mut(2 * FILL_BLOCK) {
+        let n = block.len().div_ceil(2);
         let base = *state;
-        for (i, (a, b)) in u1[..n].iter_mut().zip(&mut u2[..n]).enumerate() {
-            // Draw i eats words 2i and 2i+1: states base + (2i+1)·γ and
+        for (i, (u1, u2)) in a[..n].iter_mut().zip(&mut b[..n]).enumerate() {
+            // Pair i eats words 2i and 2i+1: states base + (2i+1)·γ and
             // base + (2i+2)·γ, each finalized on its own.
             let mut s1 = base.wrapping_add((2 * i as u64).wrapping_mul(GAMMA));
             let mut s2 = s1.wrapping_add(GAMMA);
-            *a = exact_f64((splitmix64(&mut s1) >> 11) + 1) * U53;
-            *b = exact_f64(splitmix64(&mut s2) >> 11) * U53;
+            (*u1, *u2) = uniforms(splitmix64(&mut s1), splitmix64(&mut s2));
         }
-        for ((z, &a), &b) in block.iter_mut().zip(&u1).zip(&u2) {
-            *z = box_muller(a, b);
+        let mut pairs = block.chunks_exact_mut(2);
+        for (pair, (&u1, &u2)) in (&mut pairs).zip(a.iter().zip(&b)) {
+            (pair[0], pair[1]) = box_muller_pair(u1, u2);
+        }
+        if let [last] = pairs.into_remainder() {
+            *last = box_muller_pair(a[n - 1], b[n - 1]).0;
         }
         *state = base.wrapping_add((2 * n as u64).wrapping_mul(GAMMA));
     }
@@ -296,16 +355,19 @@ fn standard_normal_fill_impl(state: &mut u64, out: &mut [f64]) {
 /// stays on the die's [`NoiseSource`](crate::noise::NoiseSource);
 /// comparators draw from their own streams).
 ///
-/// The entire generator state is one `u64`, exposed via
-/// [`SampleNoise::state`]/[`SampleNoise::set_state`] so the record
-/// kernel can pre-draw a whole chunk with [`standard_normal_fill`]
-/// and resume the stream exactly where the block left off.
+/// The entire generator state is one `u64`, and the only way to draw is
+/// a block fill ([`SampleNoise::fill`]), so the record kernel pre-draws
+/// a whole chunk in one flat pass and a held conversion draws its own
+/// block the same way.
 ///
 /// ```
 /// use adc_analog::stripe::SampleNoise;
-/// let mut a = SampleNoise::from_seed(7);
-/// let mut b = SampleNoise::from_seed(7);
-/// assert_eq!(a.standard_normal().to_bits(), b.standard_normal().to_bits());
+/// let (mut a, mut b) = (SampleNoise::from_seed(7), SampleNoise::from_seed(7));
+/// let (mut za, mut zb) = ([0.0; 12], [0.0; 12]);
+/// a.fill(&mut za);
+/// b.fill(&mut zb[..6]);
+/// b.fill(&mut zb[6..]);
+/// assert_eq!(za, zb);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SampleNoise {
@@ -321,21 +383,12 @@ impl SampleNoise {
         Self { state: seed }
     }
 
-    /// The raw SplitMix64 state, for block pre-draws.
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// Restores a state captured by [`SampleNoise::state`]. The stream
-    /// continues exactly where the captured one left off.
-    pub fn set_state(&mut self, state: u64) {
-        self.state = state;
-    }
-
-    /// Draws one standard-normal deviate (consumes two stream words).
-    #[inline]
-    pub fn standard_normal(&mut self) -> f64 {
-        standard_normal_step(&mut self.state)
+    /// Draws `out.len()` standard normals through
+    /// [`standard_normal_fill`]. Fills of even length compose: two
+    /// consecutive fills draw exactly what one fill of their combined
+    /// length would.
+    pub fn fill(&mut self, out: &mut [f64]) {
+        standard_normal_fill(&mut self.state, out);
     }
 }
 
@@ -378,17 +431,39 @@ mod tests {
     }
 
     #[test]
-    fn cos_kernel_tracks_libm_to_1e13_absolute() {
+    fn sincos_kernel_tracks_libm_to_1e12_absolute() {
         let mut s = 777u64;
         for _ in 0..200_000 {
             let u = (splitmix64(&mut s) >> 11) as f64 * U53;
-            let got = cos_turns(u);
-            let want = (std::f64::consts::TAU * u).cos();
-            assert!((got - want).abs() < 1e-12, "cos(2π·{u}): {got} vs {want}");
+            let (c, si) = sincos_turns(u);
+            let (want_s, want_c) = (std::f64::consts::TAU * u).sin_cos();
+            assert!((c - want_c).abs() < 1e-12, "cos(2π·{u}): {c} vs {want_c}");
+            assert!((si - want_s).abs() < 1e-12, "sin(2π·{u}): {si} vs {want_s}");
         }
-        // Quadrant boundaries.
-        for (u, want) in [(0.0, 1.0), (0.25, 0.0), (0.5, -1.0), (0.75, 0.0)] {
-            assert!((cos_turns(u) - want).abs() < 1e-12, "u = {u}");
+        // Octant boundaries, and u = 1 (a phase reduced to [0, 1]).
+        for k in 0..=8 {
+            let u = f64::from(k) / 8.0;
+            let (c, si) = sincos_turns(u);
+            let (want_s, want_c) = (std::f64::consts::TAU * u).sin_cos();
+            assert!((c - want_c).abs() < 1e-12, "cos at u = {u}");
+            assert!((si - want_s).abs() < 1e-12, "sin at u = {u}");
+        }
+    }
+
+    #[test]
+    fn frac_turns_is_x_minus_floor() {
+        let mut s = 99u64;
+        let mut xs = vec![0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.5, -2.5, 1e-300, -1e-20];
+        for _ in 0..100_000 {
+            let u = (splitmix64(&mut s) >> 11) as f64 * U53;
+            xs.extend([u, -u, 1e6 * (u - 0.5), 4e14 * (u - 0.5)]);
+        }
+        for x in xs {
+            let f = frac_turns(x);
+            // `==`, not bits: −0.0 maps to −0.0 here and to +0.0 via
+            // libm, the same angle.
+            assert!(f == x - x.floor(), "frac({x:e}) = {f}");
+            assert!((0.0..=1.0).contains(&f), "frac({x:e}) = {f}");
         }
     }
 
@@ -415,32 +490,92 @@ mod tests {
         assert!(exp_nonpos(-1e9) > 0.0);
     }
 
-    #[test]
-    fn deviates_have_standard_normal_moments() {
-        let mut n = SampleNoise::from_seed(42);
-        let count = 1_000_000;
-        let (mut m1, mut m2, mut m3, mut m4) = (0.0, 0.0, 0.0, 0.0);
-        for _ in 0..count {
-            let z = n.standard_normal();
-            m1 += z;
-            m2 += z * z;
-            m3 += z * z * z;
-            m4 += z * z * z * z;
+    /// Mean, variance, skew and kurtosis of `z`.
+    fn moments(z: impl Iterator<Item = f64>) -> [f64; 4] {
+        let (mut m, mut k) = ([0.0; 4], 0.0);
+        for x in z {
+            m[0] += x;
+            m[1] += x * x;
+            m[2] += x * x * x;
+            m[3] += x * x * x * x;
+            k += 1.0;
         }
-        let k = count as f64;
-        assert!((m1 / k).abs() < 5e-3, "mean {}", m1 / k);
-        assert!((m2 / k - 1.0).abs() < 5e-3, "variance {}", m2 / k);
-        assert!((m3 / k).abs() < 2e-2, "skew {}", m3 / k);
-        assert!((m4 / k - 3.0).abs() < 5e-2, "kurtosis {}", m4 / k);
+        m.map(|v| v / k)
     }
 
     #[test]
-    fn state_roundtrip_resumes_the_stream() {
-        let mut a = SampleNoise::from_seed(1234);
-        let _ = a.standard_normal();
-        let mut b = SampleNoise::from_seed(0);
-        b.set_state(a.state());
-        assert_eq!(a.standard_normal().to_bits(), b.standard_normal().to_bits());
+    fn each_half_of_the_pair_has_standard_normal_moments() {
+        let mut z = vec![0.0; 2_000_000];
+        SampleNoise::from_seed(42).fill(&mut z);
+        for (half, name) in [(0, "cos"), (1, "sin")] {
+            let [m1, m2, m3, m4] = moments(z.iter().skip(half).step_by(2).copied());
+            // 10⁶ draws: standard errors 1e-3 (mean), 1.4e-3
+            // (variance), 2.4e-3 (skew), 9.8e-3 (kurtosis).
+            assert!(m1.abs() < 5e-3, "{name} mean {m1}");
+            assert!((m2 - 1.0).abs() < 5e-3, "{name} variance {m2}");
+            assert!(m3.abs() < 2e-2, "{name} skew {m3}");
+            assert!((m4 - 3.0).abs() < 5e-2, "{name} kurtosis {m4}");
+        }
+    }
+
+    #[test]
+    fn paired_deviates_are_uncorrelated() {
+        // For independent standard normals a product has mean 0 and
+        // variance 1, so each correlation below is 0 ± 1/√N; the bound
+        // is 5/√N. Within a pair the halves share `r`, so this is the
+        // check that sharing it correlates nothing.
+        let mut z = vec![0.0; 2_000_000];
+        SampleNoise::from_seed(4242).fill(&mut z);
+        let corr = |pairs: &mut dyn Iterator<Item = (f64, f64)>| {
+            let (mut sum, mut n) = (0.0, 0.0);
+            for (a, b) in pairs {
+                sum += a * b;
+                n += 1.0;
+            }
+            (sum / n, 5.0 / f64::sqrt(n))
+        };
+        let cases: [(&str, &mut dyn Iterator<Item = (f64, f64)>); 3] = [
+            (
+                "within a pair",
+                &mut z.chunks_exact(2).map(|p| (p[0], p[1])),
+            ),
+            ("lag 1", &mut z.windows(2).map(|w| (w[0], w[1]))),
+            (
+                "across pairs",
+                &mut z[1..].chunks_exact(2).map(|p| (p[0], p[1])),
+            ),
+        ];
+        for (name, pairs) in cases {
+            let (r, bound) = corr(pairs);
+            assert!(r.abs() < bound, "{name}: correlation {r} (bound {bound})");
+        }
+        // The squares of a pair are uncorrelated too (r² = −2 ln u₁
+        // is shared, so a dependence would show here first): for
+        // independent normals cov(z₀², z₁²) = 0 with standard error
+        // √2·√2/√N = 2/√N.
+        let n = (z.len() / 2) as f64;
+        let cov = z
+            .chunks_exact(2)
+            .map(|p| (p[0] * p[0] - 1.0) * (p[1] * p[1] - 1.0))
+            .sum::<f64>()
+            / n;
+        assert!(cov.abs() < 10.0 / n.sqrt(), "cov of squares {cov}");
+    }
+
+    #[test]
+    fn fills_of_even_length_compose() {
+        let mut whole = SampleNoise::from_seed(1234);
+        let mut parts = whole;
+        let mut a = vec![0.0; 300];
+        let mut b = vec![0.0; 300];
+        whole.fill(&mut a);
+        for piece in b.chunks_mut(12) {
+            parts.fill(piece);
+        }
+        assert_eq!(whole, parts, "stream position");
+        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "draw {i}");
+        }
     }
 
     /// The kernels' conversions as they were written before they went
@@ -468,7 +603,7 @@ mod tests {
         p * f64::from_bits(((1023 + k) as u64) << 52)
     }
 
-    fn cos_turns_cast(u: f64) -> f64 {
+    fn sincos_turns_cast(u: f64) -> (f64, f64) {
         let k = (4.0 * u + 0.5) as i32;
         let phi = std::f64::consts::TAU * (u - 0.25 * f64::from(k));
         let p2 = phi * phi;
@@ -484,11 +619,14 @@ mod tests {
         let s45 = 1.0 / 362_880.0 + p2 * (-1.0 / 39_916_800.0);
         let s67 = 1.0 / 6_227_020_800.0;
         let sin_p = phi * ((s01 + p4 * s23) + p8 * (s45 + p4 * s67));
-        let ki = k as u32;
-        let swap = u64::from(ki & 1).wrapping_neg();
-        let base = (sin_p.to_bits() & swap) | (cos_p.to_bits() & !swap);
-        let sign = u64::from((ki.wrapping_add(1) >> 1) & 1) << 63;
-        f64::from_bits(base ^ sign)
+        // The rotation by k quarter turns, as a match on the cast
+        // quadrant.
+        match k & 3 {
+            0 => (cos_p, sin_p),
+            1 => (-sin_p, cos_p),
+            2 => (-cos_p, -sin_p),
+            _ => (sin_p, -cos_p),
+        }
     }
 
     #[test]
@@ -527,9 +665,9 @@ mod tests {
             );
         }
 
-        // cos: every octant boundary u = k/8 and its neighbours, plus
-        // the uniform grid the draws use.
-        let mut us: Vec<f64> = (0..8)
+        // sin and cos: every octant boundary u = k/8 (u = 1 included)
+        // and its neighbours, plus the uniform grid the draws use.
+        let mut us: Vec<f64> = (0..=8)
             .flat_map(|k| {
                 let u = f64::from(k) / 8.0;
                 [
@@ -542,11 +680,10 @@ mod tests {
         us.push(1.0 - U53);
         us.extend((0..100_000).map(|_| unit()));
         for u in us {
-            assert_eq!(
-                cos_turns(u).to_bits(),
-                cos_turns_cast(u).to_bits(),
-                "cos_turns({u:e})"
-            );
+            let (c, si) = sincos_turns(u);
+            let (want_c, want_s) = sincos_turns_cast(u);
+            assert_eq!(c.to_bits(), want_c.to_bits(), "cos half at {u:e}");
+            assert_eq!(si.to_bits(), want_s.to_bits(), "sin half at {u:e}");
         }
 
         // Uniform words: both ends, the 32-bit seam, and 2⁵³ itself
@@ -570,8 +707,9 @@ mod tests {
     fn portable_fill_matches_the_dispatched_fill() {
         // On an AVX2 host the dispatched fill never runs the portable
         // (SSE2) instantiation; call its body directly. 3072 draws are
-        // one 256-sample chunk at ten stages.
-        for count in [0usize, 1, 63, 64, 65, 3072] {
+        // one 256-sample chunk at ten stages; odd counts end in a half
+        // pair.
+        for count in [0usize, 1, 2, 63, 127, 128, 129, 130, 3072, 3329] {
             let (mut a, mut b) = (
                 0x00DD_BA11_u64 ^ count as u64,
                 0x00DD_BA11_u64 ^ count as u64,
@@ -587,20 +725,23 @@ mod tests {
     }
 
     #[test]
-    fn stream_fill_matches_scalar_steps_bit_for_bit() {
-        for count in [0usize, 1, 2, 7, 12, 300, 3072] {
+    fn stream_fill_matches_pair_steps_bit_for_bit() {
+        for count in [0usize, 1, 2, 7, 12, 127, 128, 129, 300, 3072] {
             let mut filled = 0xDEAD_BEEF_u64 ^ count as u64;
             let mut scalar = filled;
             let mut z = vec![0.0; count];
             for round in 0..3 {
                 standard_normal_fill(&mut filled, &mut z);
-                for (i, zi) in z.iter().enumerate() {
-                    let want = standard_normal_step(&mut scalar);
-                    assert_eq!(
-                        zi.to_bits(),
-                        want.to_bits(),
-                        "draw {i} of {count}, round {round}"
-                    );
+                for (k, pair) in z.chunks(2).enumerate() {
+                    let (c, s) = standard_normal_pair(&mut scalar);
+                    let want = [c, s];
+                    for (half, (got, want)) in pair.iter().zip(want).enumerate() {
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "pair {k} half {half} of {count}, round {round}"
+                        );
+                    }
                 }
                 assert_eq!(filled, scalar, "state diverged ({count} draws)");
             }
@@ -608,16 +749,25 @@ mod tests {
     }
 
     #[test]
-    fn struct_and_free_function_draws_are_identical() {
-        // Comparators step bare state words; the converter calls the
-        // struct. Same bits.
-        let mut owned = SampleNoise::from_seed(55);
-        let mut state = 55u64;
-        for _ in 0..64 {
-            assert_eq!(
-                owned.standard_normal().to_bits(),
-                standard_normal_step(&mut state).to_bits()
-            );
+    fn the_comparator_step_is_unchanged_by_the_pairing() {
+        // `standard_normal_step` is the cosine half of the pair, which
+        // is the single-sided deviate the comparators drew before the
+        // pairing: these are its first six draws from one seed, recorded
+        // from the single-sided kernel.
+        const SINGLE_SIDED: [u64; 6] = [
+            0x3fe3_8b58_66a0_43d0,
+            0xbfe5_c95d_0dcf_373f,
+            0x3fe2_61f9_b81e_a953,
+            0x3ffd_1e5e_f548_fc5e,
+            0xbff6_3e97_2ea9_353a,
+            0xbfe1_55c6_4093_c967,
+        ];
+        let (mut step, mut pair) = (0x00C0_FFEE_u64, 0x00C0_FFEE_u64);
+        for want in SINGLE_SIDED {
+            let z = standard_normal_step(&mut step);
+            assert_eq!(z.to_bits(), want);
+            assert_eq!(z.to_bits(), standard_normal_pair(&mut pair).0.to_bits());
         }
+        assert_eq!(step, pair);
     }
 }

@@ -10,7 +10,8 @@
 //!   the record lengths the testbench actually uses (1k..16k);
 //! * **kernels** — microseconds per call of the paper's remaining
 //!   kernels: die fabrication, one record chunk's sample-noise pre-draw
-//!   (`standard_normal_fill`), the Table I / Fig. 5–6 metrology
+//!   (`standard_normal_fill`) and stimulus evaluation
+//!   (`SineSource::fill_at`), the Table I / Fig. 5–6 metrology
 //!   (`analyze_tone`, `sine_histogram`), foreground calibration, the
 //!   digital correction logic (`DigitalBackend::clock`,
 //!   `correction_sum`), the Eq. 1 bias current and the Fig. 4 power
@@ -25,14 +26,14 @@
 use std::hint::black_box;
 
 use adc_analog::capacitor::Capacitor;
-use adc_analog::stripe::standard_normal_fill;
+use adc_analog::stripe::{standard_normal_fill, SampleNoise};
 use adc_bench::timing::best_window;
 use adc_bias::generator::{BiasGenerator, ScBiasGenerator};
 use adc_digital::adder::correction_sum;
 use adc_digital::backend::{CycleWords, DigitalBackend};
 use adc_pipeline::calibration::{calibrate_foreground, training_levels};
 use adc_pipeline::config::AdcConfig;
-use adc_pipeline::converter::PipelineAdc;
+use adc_pipeline::converter::{PipelineAdc, Waveform};
 use adc_spectral::fft::fft_real_into;
 use adc_spectral::linearity::sine_histogram;
 use adc_spectral::metrics::{analyze_tone, ToneAnalysisConfig};
@@ -178,12 +179,30 @@ fn kernels() -> Vec<Kernel> {
     };
 
     // One 256-sample chunk's pre-draw at ten stages: 2 + 10 deviates a
-    // sample, the record kernel's per-chunk call.
+    // sample (six Box–Muller pairs), the record kernel's per-chunk call.
     let mut state = GOLDEN_SEED;
     let mut deviates = vec![0.0f64; 256 * 12];
     let fill = move || {
         standard_normal_fill(&mut state, &mut deviates);
         black_box(&deviates);
+    };
+
+    // One 256-sample chunk of the capture stimulus (the band-pass
+    // filtered RF generator, wobble and residual harmonics included) at
+    // instants jittered by the paper's 0.45 ps: the record kernel's
+    // per-chunk waveform call.
+    let f_in = 10.3e6;
+    let stimulus =
+        BandpassFilter::passive_high_order(f_in).clean(&SineSource::rf_generator(0.995, f_in));
+    let mut jitter = vec![0.0f64; 256];
+    SampleNoise::from_seed(GOLDEN_SEED).fill(&mut jitter);
+    let times: Vec<f64> = (0..256)
+        .map(|k| (4096 + k) as f64 / 110e6 + 0.45e-12 * jitter[k])
+        .collect();
+    let (mut values, mut slopes) = (vec![0.0f64; 256], vec![0.0f64; 256]);
+    let tone_fill = move || {
+        stimulus.fill_at(black_box(&times), &mut values, &mut slopes);
+        black_box((&values, &slopes));
     };
 
     // A coherent 8k tone with a -80 dB third harmonic.
@@ -245,6 +264,7 @@ fn kernels() -> Vec<Kernel> {
     vec![
         ("fabricate_nominal_die", 16, Box::new(fabricate)),
         ("sample_fill_3072", 16, Box::new(fill)),
+        ("tone_fill_256", 64, Box::new(tone_fill)),
         ("analyze_tone_8192", 1, Box::new(analyze)),
         ("sine_histogram_262144", 1, Box::new(histogram)),
         ("calibrate_foreground_256", 1, Box::new(calibrate)),

@@ -4,6 +4,7 @@
 //! thermal noise floor.
 
 use adc_spectral::fft::power_spectrum_one_sided;
+use adc_spectral::metrics::{analyze_tone, ToneAnalysisConfig};
 use adc_testbench::report::render_spectrum_ascii;
 use adc_testbench::MeasurementSession;
 
@@ -25,5 +26,8 @@ fn main() {
     println!("{}", render_spectrum_ascii(&ps, 96, 16, -110.0));
     println!("visible: the fundamental near 10/55 of Nyquist, harmonic spurs");
     println!("(worst ≈ −69 dBc, the paper's SFDR), and the ≈ −105 dBFS/bin");
-    println!("noise floor that integrates to the 67.9 dB SNR.");
+    let snr_db = analyze_tone(&record, &ToneAnalysisConfig::coherent())
+        .expect("coherent record")
+        .snr_db;
+    println!("noise floor that integrates to the {snr_db:.1} dB SNR.");
 }

@@ -43,6 +43,21 @@ const FLASH_INPUT_CAP_F: f64 = 0.2e-12;
 /// memory reach steady state.
 pub(crate) const WARMUP_SAMPLES: usize = 16;
 
+/// Most stages [`PipelineAdc::build`] accepts.
+const MAX_STAGES: usize = 14;
+
+/// Widest per-conversion deviate block: [`draw_slots`] at
+/// [`MAX_STAGES`].
+const MAX_SLOTS: usize = 2 + MAX_STAGES;
+
+/// Deviates one conversion consumes from the die's sample stream:
+/// jitter, front end, one merged draw per stage, rounded up to even so
+/// every conversion's block is whole Box–Muller pairs (the pad slot of
+/// an odd stage count is drawn and never read).
+pub(crate) fn draw_slots(stages: usize) -> usize {
+    (2 + stages).next_multiple_of(2)
+}
+
 /// A continuous-time input signal the converter can sample.
 ///
 /// Implemented by the source models in `adc-testbench`; any `Fn(f64) ->
@@ -73,26 +88,30 @@ pub trait Waveform {
         (self.value(t_s), self.slope(t_s))
     }
 
-    /// Evaluates the waveform on the uniform grid `t = (first + k)·dt_s`,
-    /// writing `values[k]` and `slopes[k]` for `k < values.len()`. The
-    /// converter fills its exact (jitter-free) sampling grid this way one
-    /// chunk at a time, so grid instant `k` is always `k·dt_s` exactly.
-    /// Batch-friendly sources (e.g. a pure sine via a phase recurrence)
-    /// may override with a faster scheme; deviations from
-    /// [`Waveform::sample_at`] at the same instants must stay negligible
-    /// against the simulation's noise floors (≲1e-12 relative). Sources
-    /// relied on for bit-exact replay should not override.
+    /// Evaluates the waveform at the instants `times`, writing
+    /// `values[k]` and `slopes[k]` for `times[k]`. The record kernel
+    /// samples each chunk this way: the instants are the chunk's grid
+    /// points plus their aperture-jitter offsets (exactly the grid when
+    /// jitter is off).
+    ///
+    /// The default is a loop of [`Waveform::sample_at`], so a source
+    /// that does not override it samples records bit for bit as its
+    /// `sample_at` does. Sources with a batch-friendly form (a sine's
+    /// phase in turns, through polynomial kernels) may override with a
+    /// faster scheme; deviations from `sample_at` at the same instants
+    /// must stay negligible against the simulation's noise floors
+    /// (≲1e-11 absolute on the value), and the override must return the
+    /// same bits in every build (debug or release, any instruction-set
+    /// clone), since served, traced and in-process records are compared
+    /// bit for bit.
     ///
     /// # Panics
     ///
-    /// Panics if `values` and `slopes` differ in length.
-    fn fill_with_slope(&self, first: usize, dt_s: f64, values: &mut [f64], slopes: &mut [f64]) {
-        assert_eq!(values.len(), slopes.len());
-        for (k, (v, s)) in values.iter_mut().zip(slopes.iter_mut()).enumerate() {
-            let t = (first + k) as f64 * dt_s;
-            let (value, slope) = self.sample_at(t);
-            *v = value;
-            *s = slope;
+    /// Panics if `times`, `values` and `slopes` differ in length.
+    fn fill_at(&self, times: &[f64], values: &mut [f64], slopes: &mut [f64]) {
+        assert!(times.len() == values.len() && times.len() == slopes.len());
+        for ((&t, v), s) in times.iter().zip(values.iter_mut()).zip(slopes.iter_mut()) {
+            (*v, *s) = self.sample_at(t);
         }
     }
 }
@@ -191,7 +210,7 @@ impl PipelineAdc {
     /// no stages, non-positive rate or reference, or a clocking scheme
     /// that leaves no settling time at the requested rate.
     pub fn build(config: AdcConfig, seed: u64) -> Result<Self, BuildAdcError> {
-        if config.stage_count == 0 || config.stage_count > 14 {
+        if config.stage_count == 0 || config.stage_count > MAX_STAGES {
             return Err(BuildAdcError::NoStages);
         }
         if config.f_cr_hz.is_nan() || config.f_cr_hz <= 0.0 {
@@ -495,12 +514,12 @@ impl PipelineAdc {
     ///
     /// The record runs through the systolic kernel ([`crate::systolic`]):
     /// per chunk of samples, one flat pre-draw of the chunk's deviates,
-    /// a serial front-end pass, then the stages as a wavefront. Codes are
-    /// bit-identical to converting the samples one at a time. With jitter
-    /// disabled the sampling instants form the exact grid `k·period`, and
-    /// the waveform is evaluated one chunk at a time through
-    /// [`Waveform::fill_with_slope`]; sources that override it with a
-    /// recurrence may contribute ulp-scale waveform deviations (see the
+    /// one [`Waveform::fill_at`] call at the chunk's jittered instants
+    /// (the exact grid `k·period` when jitter is off), a serial
+    /// front-end pass, then the stages as a wavefront. Codes are
+    /// bit-identical to converting the samples one at a time through
+    /// `sample_at`; sources that override `fill_at` with polynomial
+    /// kernels may contribute ulp-scale waveform deviations (see the
     /// trait docs).
     pub fn convert_waveform_into<W: Waveform + ?Sized>(
         &mut self,
@@ -594,20 +613,27 @@ impl PipelineAdc {
     /// This is the planned per-sample path the held conversions use:
     /// settling exponentials, effective references, droop factors, and
     /// merged noise sigmas all come from [`StagePlan`]s. Its draw
-    /// schedule is fixed: one front-end draw, then one draw per stage,
-    /// each consumed whatever its sigma (a zero sigma contributes an exact
-    /// `0.0`, so the ideal converter stays exact). The record kernel
-    /// consumes the same slots, after one jitter draw per sample, which
-    /// is what makes its codes equal a loop of these calls.
+    /// schedule is fixed: one block of [`draw_slots`] deviates per
+    /// conversion — jitter, front end, one per stage, and a pad slot
+    /// when the stage count is odd — drawn through one
+    /// [`SampleNoise::fill`], each slot consumed whatever its sigma (a
+    /// zero sigma contributes an exact `0.0`, so the ideal converter
+    /// stays exact). A held conversion has no sampling instant, so it
+    /// consumes and ignores the jitter slot. The record kernel consumes
+    /// the same blocks, a chunk at a time, which is what makes its codes
+    /// equal a loop of these calls.
     pub(crate) fn convert_one(&mut self, v: f64, dvdt: f64) -> u16 {
         if self.plans_dirty {
             self.rebuild_plans();
         }
+        let mut block = [0.0f64; MAX_SLOTS];
+        let z = &mut block[..draw_slots(self.stages.len())];
+        self.sample_noise.fill(z);
         let period = self.timing.period_s;
         // Front end: deterministic tracking, then front kT/C and the
         // auxiliary/flicker noise merged into one draw.
         let tracked = self.front_end.track(v, dvdt, period);
-        let mut x = tracked + (0.0 + self.front_noise_rms_v * self.sample_noise.standard_normal());
+        let mut x = tracked + (0.0 + self.front_noise_rms_v * z[1]);
         self.front_end.commit_held_v(x);
         // Finite PSRR couples supply ripple into the signal path.
         // adc-lint: allow(float-eq) reason="feature gate: ripple injection is configured exactly 0.0 when disabled"
@@ -622,6 +648,7 @@ impl PipelineAdc {
         // path, skewed from the main sampling instant.
         let stage1_adsc_error = self.adsc_skew_s * dvdt;
         self.scratch_decisions.clear();
+        let stage_z = &z[2..];
         for (s, (stage, plan)) in self.stages.iter_mut().zip(&self.plans).enumerate() {
             let adsc_error = if s == 0 { stage1_adsc_error } else { 0.0 };
             // Hold-phase leakage droop (cubic => distortion at low rates).
@@ -635,7 +662,7 @@ impl PipelineAdc {
             } else {
                 (plan.vref_d1, plan.sigma_d1)
             };
-            let noise_v = 0.0 + sigma * self.sample_noise.standard_normal();
+            let noise_v = 0.0 + sigma * stage_z[s];
             x = stage
                 .mdac
                 .amplify_planned(&plan.mdac, x, decision.dac_level, v_ref_eff, noise_v);

@@ -10,12 +10,14 @@
 //! schedule. For each chunk of `CHUNK` samples it:
 //!
 //! 1. pre-draws the chunk's deviates in one flat pass from the die's
-//!    [`SampleNoise`](adc_analog::stripe::SampleNoise) stream
-//!    ([`standard_normal_fill`]), `2 + stages` per sample in the
-//!    order the per-sample path consumes them: jitter, front end, then
-//!    one merged draw per stage;
-//! 2. runs the front end serially over the chunk (sampling
-//!    instant, waveform, input-switch tracking, front noise, ripple);
+//!    [`SampleNoise`](adc_analog::stripe::SampleNoise) stream, one block of
+//!    `draw_slots` (`2 + stages`, rounded up to even) per sample in the
+//!    order the per-sample path consumes them: jitter, front end, one
+//!    merged draw per stage, then the pad slot of an odd stage count;
+//! 2. forms the chunk's sampling instants (grid point plus aperture
+//!    jitter), evaluates the waveform at all of them in one
+//!    [`Waveform::fill_at`] call, then runs the front end serially over
+//!    the chunk (input-switch tracking, front noise, ripple);
 //! 3. advances the stages as a wavefront: tick *t* evaluates stage *s*
 //!    on sample *t − s* for every active stage at once, in one pass
 //!    over a fixed lane width `W` (the stage count rounded up to a
@@ -44,16 +46,13 @@
 //! below pins this). Scratch memory is O(`CHUNK` × stages), independent
 //! of the record length.
 
-use adc_analog::stripe::standard_normal_fill;
-
-use crate::converter::{PipelineAdc, Waveform, WARMUP_SAMPLES};
+use crate::converter::{draw_slots, PipelineAdc, Waveform, WARMUP_SAMPLES};
 use crate::correction;
 use crate::mdac::MdacLanes;
 use crate::subconverter::{AdscLanes, FlashBackend, StageDecision};
 
-/// Samples per chunk: the unit of pre-drawn deviates and of exact-grid
-/// waveform evaluation, so sources with a recurrence override of
-/// [`Waveform::fill_with_slope`] re-anchor at chunk starts.
+/// Samples per chunk: the unit of pre-drawn deviates and of batched
+/// waveform evaluation ([`Waveform::fill_at`]).
 pub(crate) const CHUNK: usize = 256;
 
 /// Every `TRACE_EVERY`-th wavefront tick of a record emits a
@@ -94,9 +93,11 @@ impl Isa {
 pub(crate) struct Systolic {
     /// The chunk's deviates, `W` samples of zero padding on either side
     /// so every lane of every tick reads in bounds:
-    /// `z[(W + j)·(2 + stages) + slot]`.
+    /// `z[(W + j)·slots + slot]`, `slots` being [`draw_slots`].
     z: Vec<f64>,
-    /// Exact-grid waveform values and slopes of the chunk.
+    /// Sampling instants of the chunk, and the waveform's values and
+    /// slopes there.
+    times: Vec<f64>,
     values: Vec<f64>,
     slopes: Vec<f64>,
     /// Held stage-1 input of each chunk sample, after the front end
@@ -138,13 +139,14 @@ impl Systolic {
         let mut lanes = gather(die);
         let width = lanes.width();
         let stages = die.stages.len();
-        let draws = 2 + stages;
+        let slots = draw_slots(stages);
+        self.times.resize(CHUNK, 0.0);
         self.values.resize(CHUNK, 0.0);
         self.slopes.resize(CHUNK, 0.0);
         self.flash.resize(CHUNK, 0);
         self.front.resize(CHUNK + width, 0.0);
         self.adsc_err.resize(CHUNK + width, 0.0);
-        self.z.resize((CHUNK + 2 * width) * draws, 0.0);
+        self.z.resize((CHUNK + 2 * width) * slots, 0.0);
         self.decisions
             .resize((CHUNK + width) * width, StageDecision { dac_level: 0 });
 
@@ -153,7 +155,7 @@ impl Systolic {
         let mut tick = 0;
         while first < total {
             let len = CHUNK.min(total - first);
-            self.front_end(die, waveform, first, len, width * draws);
+            self.front_end(die, waveform, first, len, width * slots);
             tick = lanes.ticks(isa, self, &mut die.flash, stages, len, tick);
             for j in 0..len {
                 if first + j >= WARMUP_SAMPLES {
@@ -184,32 +186,24 @@ impl Systolic {
         len: usize,
         pad: usize,
     ) {
-        let draws = 2 + die.stages.len();
+        let slots = draw_slots(die.stages.len());
         let period = die.timing.period_s;
-        let z = &mut self.z[pad..][..len * draws];
-        let mut state = die.sample_noise.state();
-        standard_normal_fill(&mut state, z);
-        die.sample_noise.set_state(state);
+        let z = &mut self.z[pad..][..len * slots];
+        die.sample_noise.fill(z);
 
-        // Without jitter the sampling instants form the exact grid
-        // `k·period`, evaluated chunk-wise through the source's fill.
+        // Grid point plus aperture jitter; with jitter off the offset
+        // is an exact `0.0` and the instants are the exact grid.
         let jitter_sigma = die.config.jitter.sigma_s;
-        let jittered = jitter_sigma > 0.0;
+        let times = &mut self.times[..len];
+        for (j, t) in times.iter_mut().enumerate() {
+            *t = (first + j) as f64 * period + (0.0 + jitter_sigma * z[j * slots]);
+        }
         let values = &mut self.values[..len];
         let slopes = &mut self.slopes[..len];
-        if !jittered {
-            waveform.fill_with_slope(first, period, values, slopes);
-        }
-        for j in 0..len {
-            let zj = &z[j * draws..][..2];
-            let (v, dvdt) = if jittered {
-                let t = (first + j) as f64 * period + (0.0 + jitter_sigma * zj[0]);
-                waveform.sample_at(t)
-            } else {
-                (values[j], slopes[j])
-            };
+        waveform.fill_at(times, values, slopes);
+        for (j, (&v, &dvdt)) in values.iter().zip(slopes.iter()).enumerate() {
             let tracked = die.front_end.track(v, dvdt, period);
-            let mut x = tracked + (0.0 + die.front_noise_rms_v * zj[1]);
+            let mut x = tracked + (0.0 + die.front_noise_rms_v * z[j * slots + 1]);
             die.front_end.commit_held_v(x);
             // adc-lint: allow(float-eq) reason="feature gate: ripple injection is configured exactly 0.0 when disabled"
             if die.ripple_referred_v != 0.0 {
@@ -324,10 +318,10 @@ impl<const W: usize> StageLanes<W> {
         len: usize,
         tick: usize,
     ) -> usize {
-        let draws = 2 + stages;
-        // Lane l's merged draw at tick t sits at `t·draws + noise_at[l]`
+        let slots = draw_slots(stages);
+        // Lane l's merged draw at tick t sits at `t·slots + noise_at[l]`
         // (sample t − l, slot 2 + l, behind `W` samples of padding).
-        let noise_at: [usize; W] = std::array::from_fn(|l| W * draws + 2 + l - l * draws);
+        let noise_at: [usize; W] = std::array::from_fn(|l| W * slots + 2 + l - l * slots);
         let tracing = adc_trace::enabled();
         let ticks = len + stages - 1;
         let mut x = [0.0f64; W];
@@ -362,7 +356,7 @@ impl<const W: usize> StageLanes<W> {
                         self.sigma_d1[l]
                     }
                 });
-                let z = &bufs.z[t * draws..];
+                let z = &bufs.z[t * slots..];
                 let noise_v: [f64; W] = std::array::from_fn(|l| 0.0 + sigma[l] * z[noise_at[l]]);
                 self.mdac
                     .amplify(&active, &mut x, &dac, &vref, &noise_v, &mut self.prev);
@@ -421,13 +415,18 @@ mod tests {
     use proptest::prelude::*;
 
     /// The reference schedule: every sample through every stage before
-    /// the next, via the per-sample path, drawing the jitter slot first.
+    /// the next, via the per-sample path. The sampling instant needs the
+    /// jitter slot of the block `convert_one` is about to draw, so it
+    /// peeks that block on a copy of the stream.
     fn per_sample_record(adc: &mut PipelineAdc, wave: &dyn Waveform, n: usize) -> Vec<u16> {
         let period = adc.timing().period_s;
-        let sigma = adc.config().jitter.sigma_s.max(0.0);
+        let sigma = adc.config().jitter.sigma_s;
+        let mut block = vec![0.0; draw_slots(adc.stages().len())];
         (0..n + WARMUP_SAMPLES)
             .map(|k| {
-                let t = k as f64 * period + (0.0 + sigma * adc.sample_noise.standard_normal());
+                let mut peek = adc.sample_noise;
+                peek.fill(&mut block);
+                let t = k as f64 * period + (0.0 + sigma * block[0]);
                 let (v, dvdt) = wave.sample_at(t);
                 adc.convert_one(v, dvdt)
             })

@@ -47,9 +47,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// from the die seed, select-form settling tail); 4 = systolic record
 /// kernel (per-comparator SplitMix64 decision-noise streams, every
 /// per-sample draw slot consumed unconditionally, jitter-free grids
-/// evaluated per chunk) — same documented noise model, different
-/// realizations.
-pub const NUMERICS_EPOCH: u32 = 4;
+/// evaluated per chunk); 5 = paired Box–Muller deviates (each pair of
+/// stream words yields a cosine and a sine deviate, one even-sized
+/// block of draws per conversion) and one batched polynomial stimulus
+/// evaluation per chunk of jittered instants (`Waveform::fill_at`) —
+/// same documented noise model, different realizations.
+pub const NUMERICS_EPOCH: u32 = 5;
 
 /// Hashes a job configuration's canonical serialization.
 ///

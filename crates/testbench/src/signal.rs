@@ -9,8 +9,11 @@
 //!
 //! All sources implement [`adc_pipeline::Waveform`] with analytic slopes,
 //! so tracking-distortion and jitter models in the converter see exact
-//! derivatives.
+//! derivatives. [`SineSource`] also overrides [`Waveform::fill_at`], the
+//! record kernel's one call per chunk of sampling instants, with a
+//! polynomial pass; the other sources sample through `sample_at`.
 
+use adc_analog::stripe::{frac_turns, sincos_turns};
 use adc_pipeline::Waveform;
 use std::f64::consts::TAU;
 
@@ -97,10 +100,89 @@ impl SineSource {
     }
 }
 
-/// Samples between exact re-anchorings of the phase recurrence in
-/// [`SineSource::fill_with_slope`]: rounding drift over one block stays
-/// below ~1e-13 relative, far under every modelled noise floor.
-const RECURRENCE_BLOCK: usize = 1024;
+/// Veltkamp's split of `x` into two halves of 26 significant bits
+/// each, `hi + lo == x` exactly, so that products of halves are exact
+/// (Dekker's error-free product, without relying on FMA).
+#[inline(always)]
+fn split(x: f64) -> (f64, f64) {
+    let c = 134_217_729.0 * x; // 2²⁷ + 1
+    let hi = c - (c - x);
+    (hi, x - hi)
+}
+
+/// Instants per block of [`SineSource::fill_at`]: the block's reduced
+/// phases and phase rates live on the stack between the fundamental's
+/// pass and each harmonic's.
+const FILL_BLOCK: usize = 64;
+
+impl SineSource {
+    /// AVX2 re-instantiation of [`Self::fill_at_impl`]. Every operation
+    /// is IEEE-exact and Rust never contracts to FMA, so it returns the
+    /// portable (SSE2) instantiation's bits.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn fill_at_avx2(&self, times: &[f64], values: &mut [f64], slopes: &mut [f64]) {
+        self.fill_at_impl(times, values, slopes);
+    }
+
+    /// Body of [`Waveform::fill_at`]: the phase in turns, reduced
+    /// branch-free to `[0, 1]` and fed to the `stripe` polynomials.
+    /// `inline(always)` so the feature-gated wrapper re-instantiates it.
+    #[inline(always)]
+    fn fill_at_impl(&self, times: &[f64], values: &mut [f64], slopes: &mut [f64]) {
+        assert!(times.len() == values.len() && times.len() == slopes.len());
+        let amplitude = self.amplitude_v;
+        let omega = TAU * self.frequency_hz;
+        let phase_turns = self.phase_rad / TAU;
+        // As in `theta`: only a positive depth wobbles the phase.
+        let wobble_turns = if self.phase_wobble_rad > 0.0 {
+            self.phase_wobble_rad / TAU
+        } else {
+            0.0
+        };
+        let wobble_rate = self.phase_wobble_rad * TAU * self.phase_wobble_hz;
+        let (f_hi, f_lo) = split(self.frequency_hz);
+        let mut turns = [0.0f64; FILL_BLOCK];
+        let mut rate = [0.0f64; FILL_BLOCK];
+        let blocks = times
+            .chunks(FILL_BLOCK)
+            .zip(values.chunks_mut(FILL_BLOCK))
+            .zip(slopes.chunks_mut(FILL_BLOCK));
+        for ((times, values), slopes) in blocks {
+            let n = times.len();
+            let state = turns[..n].iter_mut().zip(&mut rate[..n]);
+            let out = values.iter_mut().zip(slopes.iter_mut());
+            for ((&t, (u, dtheta)), (v, d)) in times.iter().zip(state).zip(out) {
+                // θ/2π = f·t + φ₀/2π + (w/2π)·sin(2π f_w t). The cycle
+                // count f·t is formed exactly, as a rounded product and
+                // its rounding error, and reduced before anything is
+                // added to it, so the phase keeps its precision however
+                // many cycles into the record the instant lies.
+                let (wobble_cos, wobble_sin) = sincos_turns(frac_turns(self.phase_wobble_hz * t));
+                let cycles = self.frequency_hz * t;
+                let (t_hi, t_lo) = split(t);
+                let cycles_err = ((f_hi * t_hi - cycles) + f_hi * t_lo + f_lo * t_hi) + f_lo * t_lo;
+                *u = frac_turns(
+                    frac_turns(cycles) + (cycles_err + (phase_turns + wobble_turns * wobble_sin)),
+                );
+                *dtheta = omega + wobble_rate * wobble_cos;
+                let (cos, sin) = sincos_turns(*u);
+                *v = self.dc_v + amplitude * sin;
+                *d = amplitude * cos * *dtheta;
+            }
+            for h in &self.harmonics {
+                let order = f64::from(h.order);
+                let gain = amplitude * h.relative_amplitude;
+                let state = turns[..n].iter().zip(&rate[..n]);
+                for ((&u, &dtheta), (v, d)) in state.zip(values.iter_mut().zip(slopes.iter_mut())) {
+                    let (cos, sin) = sincos_turns(frac_turns(order * u));
+                    *v += gain * sin;
+                    *d += gain * order * dtheta * cos;
+                }
+            }
+        }
+    }
+}
 
 impl Waveform for SineSource {
     fn value(&self, t_s: f64) -> f64 {
@@ -155,44 +237,24 @@ impl Waveform for SineSource {
         (v, d)
     }
 
-    /// Grid evaluation with a phase-recurrence fast path.
-    ///
-    /// A clean tone (no wobble, no harmonics) advances `sin θ / cos θ`
-    /// by one complex rotation per sample instead of evaluating `sin`
-    /// and `cos` at every instant, re-anchoring exactly (via
-    /// [`Waveform::sample_at`]'s phase expression) every
-    /// [`RECURRENCE_BLOCK`] samples so rounding drift stays ≲1e-13
-    /// relative — negligible against every modelled noise source. Wobbly
-    /// or harmonic-bearing sources fall back to per-sample evaluation.
-    fn fill_with_slope(&self, first: usize, dt_s: f64, values: &mut [f64], slopes: &mut [f64]) {
-        assert_eq!(values.len(), slopes.len());
-        if self.phase_wobble_rad > 0.0 || !self.harmonics.is_empty() {
-            for (k, (v, s)) in values.iter_mut().zip(slopes.iter_mut()).enumerate() {
-                let t = (first + k) as f64 * dt_s;
-                let (value, slope) = self.sample_at(t);
-                *v = value;
-                *s = slope;
-            }
+    /// One flat, branch-free pass over the instants: the phase in
+    /// turns, reduced by [`frac_turns`], through the `stripe` sine and
+    /// cosine polynomials ([`sincos_turns`]) — wobble, fundamental, and
+    /// one pass per harmonic — in place of four libm calls per instant.
+    /// The cycle count is formed exactly and reduced before the
+    /// polynomials see it, so the pass's own phase error stays at the
+    /// polynomials' ≲1e-13 however deep into a record the instant lies.
+    /// [`Waveform::sample_at`] stays on libm as the reference; it rounds
+    /// its phase argument `θ` in radians, so the two agree to about
+    /// `3ε·|θ|` (≲1e-12 relative over 4,096 samples of a 10 MHz tone).
+    fn fill_at(&self, times: &[f64], values: &mut [f64], slopes: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: guarded by runtime feature detection.
+            unsafe { self.fill_at_avx2(times, values, slopes) };
             return;
         }
-        let omega = TAU * self.frequency_hz;
-        let (rot_sin, rot_cos) = (omega * dt_s).sin_cos();
-        let slope_gain = self.amplitude_v * omega;
-        let n = values.len();
-        let mut k = 0usize;
-        while k < n {
-            let (mut sin_theta, mut cos_theta) = self.theta((first + k) as f64 * dt_s).sin_cos();
-            let block = (n - k).min(RECURRENCE_BLOCK);
-            for i in k..k + block {
-                values[i] = self.dc_v + self.amplitude_v * sin_theta;
-                slopes[i] = slope_gain * cos_theta;
-                let advanced_sin = sin_theta * rot_cos + cos_theta * rot_sin;
-                let advanced_cos = cos_theta * rot_cos - sin_theta * rot_sin;
-                sin_theta = advanced_sin;
-                cos_theta = advanced_cos;
-            }
-            k += block;
-        }
+        self.fill_at_impl(times, values, slopes);
     }
 }
 
@@ -335,48 +397,99 @@ mod tests {
         }
     }
 
-    #[test]
-    fn recurrence_fill_tracks_direct_evaluation() {
-        // Clean tone => the phase-recurrence path runs; drift between
-        // re-anchors must stay far below any modelled noise floor.
-        let s = SineSource::clean(0.9, 10.3e6).with_phase(0.7);
-        let n = 4096;
+    /// `first..first + n` grid instants at 110 MS/s, each offset by
+    /// `jitter_s` times a deviate.
+    fn instants(first: usize, n: usize, jitter_s: f64) -> Vec<f64> {
         let dt = 1.0 / 110e6;
-        let mut values = vec![0.0; n];
-        let mut slopes = vec![0.0; n];
-        s.fill_with_slope(0, dt, &mut values, &mut slopes);
-        for k in 0..n {
-            let (v, d) = s.sample_at(k as f64 * dt);
-            assert!(
-                (values[k] - v).abs() < 1e-11,
-                "value drift {} at k={k}",
-                (values[k] - v).abs()
-            );
-            // Drift scales with the full-scale slope A·ω (the recurrence
-            // error lives in the phasor), not the local slope.
-            assert!(
-                (slopes[k] - d).abs() < 1e-12 * (0.9 * TAU * 10.3e6),
-                "slope drift {} at k={k}",
-                (slopes[k] - d).abs()
-            );
+        let mut z = vec![0.0; n];
+        adc_analog::SampleNoise::from_seed(first as u64).fill(&mut z);
+        (0..n)
+            .map(|k| (first + k) as f64 * dt + (0.0 + jitter_s * z[k]))
+            .collect()
+    }
+
+    #[test]
+    fn fill_at_tracks_sample_at() {
+        let mut harmonic_rich = SineSource::rf_generator(0.9, 10.3e6).with_phase(-2.3);
+        harmonic_rich.dc_v = 0.01;
+        harmonic_rich.harmonics.push(Harmonic {
+            order: 5,
+            relative_amplitude: 0.01,
+        });
+        let sources = [
+            SineSource::clean(0.9, 10.3e6).with_phase(0.7),
+            SineSource::rf_generator(0.9, 10.3e6),
+            SineSource::rf_generator(0.9, 49.7e6).with_phase(-0.4),
+            harmonic_rich,
+        ];
+        // Grid and jittered instants (0.45 ps is the paper's aperture
+        // jitter, 1 ns lands anywhere between grid points), from the
+        // record start — where jitter makes the first instant negative
+        // — and from mid-record.
+        for source in &sources {
+            for first in [0, 300] {
+                for jitter_s in [0.0, 0.45e-12, 1e-9] {
+                    let times = instants(first, 4096, jitter_s);
+                    let mut values = vec![0.0; times.len()];
+                    let mut slopes = vec![0.0; times.len()];
+                    source.fill_at(&times, &mut values, &mut slopes);
+                    // Both sides round the phase at about an ulp of the
+                    // cycle count, so past the 10.3 MHz tone these
+                    // bounds were set for they scale with frequency.
+                    let span = (source.frequency_hz / 10.3e6).max(1.0);
+                    let full_scale_slope = 0.9 * TAU * source.frequency_hz;
+                    for (k, &t) in times.iter().enumerate() {
+                        let (v, d) = source.sample_at(t);
+                        assert!(
+                            (values[k] - v).abs() < 1e-11 * span,
+                            "value error {:e} at k={k}, {source:?}",
+                            values[k] - v
+                        );
+                        assert!(
+                            (slopes[k] - d).abs() < 1e-12 * full_scale_slope * span,
+                            "slope error {:e} at k={k}, {source:?}",
+                            slopes[k] - d
+                        );
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn wobbly_source_fill_is_bit_identical_to_sample_at() {
-        // Wobble/harmonics => the fallback runs and must be exact.
-        let s = SineSource::rf_generator(1.0, 10e6);
-        let n = 257;
-        let dt = 1.0 / 110e6;
-        let mut values = vec![0.0; n];
-        let mut slopes = vec![0.0; n];
-        // A grid that starts mid-record: instant k is (first + k)·dt.
-        let first = 300;
-        s.fill_with_slope(first, dt, &mut values, &mut slopes);
-        for k in 0..n {
-            let (v, d) = s.sample_at((first + k) as f64 * dt);
-            assert_eq!(values[k].to_bits(), v.to_bits());
-            assert_eq!(slopes[k].to_bits(), d.to_bits());
+    fn portable_fill_at_matches_the_dispatched_fill_at() {
+        // On an AVX2 host no record runs the portable (SSE2)
+        // instantiation; call its body directly. Lengths cover a
+        // partial block, whole blocks and one chunk.
+        let source = SineSource::rf_generator(0.98, 31.1e6).with_phase(-1.1);
+        for n in [0, 1, 63, 64, 65, 256] {
+            let times = instants(17, n, 0.45e-12);
+            let (mut va, mut sa) = (vec![0.0; n], vec![0.0; n]);
+            let (mut vb, mut sb) = (vec![0.0; n], vec![0.0; n]);
+            source.fill_at(&times, &mut va, &mut sa);
+            source.fill_at_impl(&times, &mut vb, &mut sb);
+            for k in 0..n {
+                assert_eq!(va[k].to_bits(), vb[k].to_bits(), "value {k} of {n}");
+                assert_eq!(sa[k].to_bits(), sb[k].to_bits(), "slope {k} of {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn default_fill_at_is_bit_identical_to_sample_at() {
+        let two_tone = MultiTone::two_tone(0.45, 9e6, 10e6);
+        let ramp = RampSource::new(-1.0, 1.0, 1e-6);
+        let sources: [&dyn Waveform; 2] = [&two_tone, &ramp];
+        let times = instants(300, 257, 1e-9);
+        for source in sources {
+            let mut values = vec![0.0; times.len()];
+            let mut slopes = vec![0.0; times.len()];
+            source.fill_at(&times, &mut values, &mut slopes);
+            for (k, &t) in times.iter().enumerate() {
+                let (v, d) = source.sample_at(t);
+                assert_eq!(values[k].to_bits(), v.to_bits());
+                assert_eq!(slopes[k].to_bits(), d.to_bits());
+            }
         }
     }
 
