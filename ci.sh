@@ -16,6 +16,9 @@
 #                  report and DOT/JSON call+lock graphs under
 #                  target/lint/ (uploaded as a CI artifact) and is
 #                  bounded by a hard 30s wall-clock guard
+#   doc         -- rustdoc over the whole workspace with warnings as
+#                  errors, so a broken or private intra-doc link fails
+#                  CI
 #   build       -- release build of the whole workspace
 #   test        -- full test suite (unit + integration + property)
 #   determinism -- cross-profile anchor: the `determinism` integration
@@ -49,7 +52,10 @@
 #   cluster     -- distribution gate: the `cluster` suite spins up two
 #                  loopback servers and diffs the distributed campaign
 #                  digest against the in-process one, in release under
-#                  the same hard wall-clock guard as `service`
+#                  the same hard wall-clock guard as `service`; then
+#                  adc-cluster's own tests (bit-identity and job
+#                  accounting at 1/2/3 hosts, under a host kill, across
+#                  a warm-disk restart) run in release under that guard
 #   perfbench   -- benchmark build gate: perfbench/ (the repo's
 #                  benchmark, its own cargo workspace with path deps on
 #                  the crates) builds in release and passes its tests,
@@ -74,7 +80,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(fmt clippy lint build test determinism service cluster perfbench perf)
+ALL_STAGES=(fmt clippy lint doc build test determinism service cluster perfbench perf)
 DENY_PERF=0
 SELECTED=()
 for arg in "$@"; do
@@ -173,6 +179,10 @@ stage_lint() {
     --json target/lint/report.json --graph-out target/lint/graphs
 }
 
+stage_doc() {
+  RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+}
+
 stage_build() {
   cargo build --release --workspace
 }
@@ -209,6 +219,7 @@ stage_service() {
 
 stage_cluster() {
   timeout 300 cargo test -q --release --test cluster
+  timeout 300 cargo test -q --release -p adc-cluster
 }
 
 stage_perfbench() {

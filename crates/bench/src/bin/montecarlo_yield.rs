@@ -35,10 +35,11 @@ fn main() {
         }
         let report = executor.execute(&campaign).expect("distributed campaign");
         eprintln!(
-            "cluster: {} remote, {} remote-cached, {} prefetched, {} local, {} host(s) lost",
+            "cluster: {} remote_computed, {} remote_cached, {} local_cache_hits, \
+             {} local_computed, {} host(s) lost",
             report.stats.remote_computed,
             report.stats.remote_cached,
-            report.stats.prefetch_hits + report.stats.local_cache_hits,
+            report.stats.local_cache_hits,
             report.stats.local_computed,
             report.stats.hosts_lost,
         );

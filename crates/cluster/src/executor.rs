@@ -4,18 +4,20 @@
 //! [`adc_runtime::Campaign::run`]: it fans a [`ClusterCampaign`]'s jobs
 //! out — here across remote `adc-server` hosts instead of local pool
 //! threads — and assembles per-job result lines in id order. The
-//! determinism contract is the same: scheduling, stealing, retries,
-//! hedging, and host loss are invisible in the output.
+//! determinism contract is the same: scheduling, retries, and host
+//! loss are invisible in the output.
 //!
 //! ## Scheduling
 //!
 //! Each host gets [`ClusterOptions::window`] worker connections; each
 //! worker keeps at most one batch in flight (the per-host outstanding
-//! window is therefore `window` batches). Idle workers first drain the
-//! shared pending queue, then **steal**: an unacked batch outstanding
-//! on another host is hedged — resubmitted under a fresh batch id —
+//! window is therefore `window` batches). Workers pull batches from one
+//! shared pending queue, and a job resolves one way: through its batch.
+//! A host answers jobs its warm cache already holds inside that batch
+//! ([`JobStatus::Cached`]). A batch whose fate is unknown is requeued,
 //! so a stalled or dying host delays the campaign by at most one I/O
-//! timeout. Duplicated results are harmless: completion slots are
+//! timeout.
+//! Running a job twice is harmless: completion slots are
 //! first-writer-wins keyed by job id, and every execution of a job is
 //! bit-identical by construction.
 //!
@@ -37,14 +39,19 @@
 //!
 //! ## Cache merging
 //!
-//! Before computing, worker 0 of each host probes the host's warm
-//! cache for every still-undone key (*query-before-compute*); after a
-//! successful campaign it pushes the computed lines back
-//! (*fill-after-compute*), so caches converge across the cluster
-//! through the shared canonical-key namespace. An attached local
-//! [`ResultCache`] participates the same way.
+//! An attached local [`ResultCache`] answers what it holds before any
+//! dispatch. After a successful campaign, worker 0 of each host pushes
+//! every result line to its host (*fill-after-compute*), so caches
+//! converge across the cluster through the shared canonical-key
+//! namespace.
+//!
+//! ## Accounting
+//!
+//! Every job lands in exactly one of [`ClusterStats::remote_computed`],
+//! [`ClusterStats::remote_cached`], [`ClusterStats::local_cache_hits`]
+//! and [`ClusterStats::local_computed`].
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -136,16 +143,12 @@ pub struct ClusterStats {
     pub remote_computed: u64,
     /// Jobs answered from a remote host's warm cache inside a batch.
     pub remote_cached: u64,
-    /// Jobs satisfied by the pre-compute `CacheQuery` sweep.
-    pub prefetch_hits: u64,
     /// Jobs satisfied by the attached local cache before any dispatch.
     pub local_cache_hits: u64,
     /// Jobs computed locally (no peers, lost hosts, or rejection cap).
     pub local_computed: u64,
     /// Batches resubmitted after transport failure or rejection.
     pub resubmitted: u64,
-    /// Batches hedged by stealing another host's unacked work.
-    pub stolen: u64,
     /// Hosts declared lost mid-campaign.
     pub hosts_lost: u64,
 }
@@ -160,14 +163,6 @@ pub struct ClusterReport {
     pub stats: ClusterStats,
 }
 
-/// One batch in flight on some host's worker.
-#[derive(Debug, Clone)]
-struct Flight {
-    host: usize,
-    jobs: Vec<usize>,
-    hedged: bool,
-}
-
 /// The shared scheduler state. Everything that decides *what runs
 /// where* lives behind this one lock; everything that decides *what the
 /// results are* lives in the jobs themselves — which is why the lock
@@ -175,7 +170,6 @@ struct Flight {
 #[derive(Debug)]
 struct Sched {
     pending: VecDeque<Vec<usize>>,
-    outstanding: BTreeMap<u64, Flight>,
     done: Vec<Option<String>>,
     attempts: Vec<u32>,
     remaining: usize,
@@ -267,7 +261,7 @@ impl ClusterExecutor {
     /// # Errors
     ///
     /// [`ClusterError::JobFailed`] when any job fails deterministically
-    /// (transient host trouble is retried, hedged, or absorbed by local
+    /// (transient host trouble is retried or absorbed by local
     /// execution instead).
     pub fn execute(&self, campaign: &ClusterCampaign) -> Result<ClusterReport, ClusterError> {
         let _task = adc_trace::task(campaign.seed);
@@ -275,7 +269,6 @@ impl ClusterExecutor {
         let n = campaign.len();
         let mut sched = Sched {
             pending: VecDeque::new(),
-            outstanding: BTreeMap::new(),
             done: (0..n).map(|_| None).collect(),
             attempts: vec![0; n],
             remaining: n,
@@ -439,9 +432,9 @@ fn connect(addr: &str, options: &ClusterOptions) -> Option<Client> {
     None
 }
 
-/// Picks this worker's next action: drain pending, else steal an
-/// unacked batch from another host, else wait for state to change.
-fn take_work(shared: &Shared, options: &ClusterOptions, host: usize) -> Work {
+/// Picks this worker's next action: drain pending, else wait for
+/// state to change.
+fn take_work(shared: &Shared, options: &ClusterOptions) -> Work {
     let mut sched = shared.lock();
     loop {
         if sched.failed.is_some() || sched.remaining == 0 {
@@ -457,48 +450,6 @@ fn take_work(shared: &Shared, options: &ClusterOptions, host: usize) -> Work {
             }
             let batch_id = sched.next_batch_id;
             sched.next_batch_id += 1;
-            sched.outstanding.insert(
-                batch_id,
-                Flight {
-                    host,
-                    jobs: jobs.clone(),
-                    hedged: false,
-                },
-            );
-            return Work::Batch(batch_id, jobs);
-        }
-        // Steal: hedge the oldest unacked batch sitting on another
-        // host. The victim flight is marked so each batch is hedged at
-        // most once at a time; if both executions die, requeueing
-        // clears the mark and the cycle restarts.
-        let victim = sched
-            .outstanding
-            .iter()
-            .filter(|(_, f)| !f.hedged && f.host != host)
-            .map(|(&id, f)| (id, f.jobs.clone()))
-            .next();
-        if let Some((victim_id, jobs)) = victim {
-            let jobs: Vec<usize> = jobs
-                .into_iter()
-                .filter(|&i| sched.done[i].is_none())
-                .collect();
-            if let Some(f) = sched.outstanding.get_mut(&victim_id) {
-                f.hedged = true;
-            }
-            if jobs.is_empty() {
-                continue;
-            }
-            let batch_id = sched.next_batch_id;
-            sched.next_batch_id += 1;
-            sched.outstanding.insert(
-                batch_id,
-                Flight {
-                    host,
-                    jobs: jobs.clone(),
-                    hedged: true,
-                },
-            );
-            sched.stats.stolen += 1;
             return Work::Batch(batch_id, jobs);
         }
         let (guard, _timeout) = shared
@@ -509,20 +460,19 @@ fn take_work(shared: &Shared, options: &ClusterOptions, host: usize) -> Work {
     }
 }
 
-/// Removes a flight and requeues its undone jobs for any worker.
-fn requeue_flight(shared: &Shared, batch_id: u64) {
+/// Requeues a failed batch's undone jobs for any worker.
+fn requeue_flight(shared: &Shared, ids: &[usize]) {
     let mut sched = shared.lock();
-    if let Some(flight) = sched.outstanding.remove(&batch_id) {
-        let jobs: Vec<usize> = flight
-            .jobs
-            .into_iter()
-            .filter(|&i| sched.done[i].is_none())
-            .collect();
-        if !jobs.is_empty() {
-            sched.pending.push_back(jobs);
-            sched.stats.resubmitted += 1;
-        }
+    let jobs: Vec<usize> = ids
+        .iter()
+        .copied()
+        .filter(|&i| sched.done[i].is_none())
+        .collect();
+    if !jobs.is_empty() {
+        sched.pending.push_back(jobs);
+        sched.stats.resubmitted += 1;
     }
+    drop(sched);
     shared.cv.notify_all();
 }
 
@@ -531,11 +481,9 @@ fn requeue_flight(shared: &Shared, batch_id: u64) {
 fn apply_batch(
     shared: &Shared,
     options: &ClusterOptions,
-    batch_id: u64,
     outcomes: &[adc_server::JobOutcome],
 ) -> Vec<Settle> {
     let mut sched = shared.lock();
-    sched.outstanding.remove(&batch_id);
     let mut settled = Vec::with_capacity(outcomes.len());
     let mut requeue = Vec::new();
     for outcome in outcomes {
@@ -606,40 +554,6 @@ fn host_lost(shared: &Shared, host: usize) {
     shared.cv.notify_all();
 }
 
-/// Pre-compute cache sweep: asks the host for every still-undone key
-/// and applies the hits (query-before-compute).
-fn prefetch(shared: &Shared, campaign: &ClusterCampaign, client: &mut Client) {
-    let wanted: Vec<(usize, u64)> = {
-        let sched = shared.lock();
-        campaign
-            .jobs()
-            .iter()
-            .enumerate()
-            .filter(|&(id, _)| sched.done[id].is_none())
-            .map(|(id, job)| (id, job.key))
-            .collect()
-    };
-    let by_key: BTreeMap<u64, usize> = wanted.iter().map(|&(id, key)| (key, id)).collect();
-    for chunk in wanted.chunks(MAX_CACHE_ENTRIES as usize) {
-        let keys: Vec<u64> = chunk.iter().map(|&(_, key)| key).collect();
-        let Ok(hits) = client.cache_query(&campaign.name, &keys) else {
-            return; // best-effort: a failed sweep just means computing
-        };
-        let mut sched = shared.lock();
-        for (key, line) in hits {
-            if let Some(&id) = by_key.get(&key) {
-                if sched.done[id].is_none() {
-                    sched.done[id] = Some(line);
-                    sched.remaining -= 1;
-                    sched.stats.prefetch_hits += 1;
-                }
-            }
-        }
-        drop(sched);
-        shared.cv.notify_all();
-    }
-}
-
 /// Post-campaign cache merge: pushes every computed line to the host
 /// (fill-after-compute). Best-effort; the host dedups.
 fn backfill(shared: &Shared, campaign: &ClusterCampaign, client: &mut Client) {
@@ -662,9 +576,10 @@ fn backfill(shared: &Shared, campaign: &ClusterCampaign, client: &mut Client) {
     }
 }
 
-/// One worker connection's life: connect, prefetch (slot 0), then pull
-/// batches until the campaign settles; on transport trouble requeue,
-/// reconnect, and eventually declare the host lost.
+/// One worker connection's life: connect, then pull batches until the
+/// campaign settles; on transport trouble requeue, reconnect, and
+/// eventually declare the host lost. Slot 0 backfills the host's cache
+/// at the end.
 fn host_worker(
     shared: &Shared,
     campaign: &ClusterCampaign,
@@ -678,11 +593,8 @@ fn host_worker(
         host_lost(shared, host);
         return;
     };
-    if slot == 0 {
-        prefetch(shared, campaign, &mut client);
-    }
     loop {
-        let (batch_id, ids) = match take_work(shared, options, host) {
+        let (batch_id, ids) = match take_work(shared, options) {
             Work::Finished => break,
             Work::Batch(batch_id, ids) => (batch_id, ids),
         };
@@ -695,7 +607,7 @@ fn host_worker(
         };
         match client.job_batch(&request) {
             Ok(result) => {
-                for settle in apply_batch(shared, options, batch_id, &result.outcomes) {
+                for settle in apply_batch(shared, options, &result.outcomes) {
                     if let Settle::RunLocally(id) = settle {
                         run_local_job(shared, campaign, registry, id);
                     }
@@ -705,7 +617,7 @@ fn host_worker(
                 // Typed refusal (no runner, draining, ...): this host
                 // cannot serve this campaign — route its work
                 // elsewhere and retire the connection.
-                requeue_flight(shared, batch_id);
+                requeue_flight(shared, &ids);
                 host_lost(shared, host);
                 return;
             }
@@ -714,7 +626,7 @@ fn host_worker(
                 // is unknown — requeueing is safe because completion
                 // slots are first-writer-wins and job results are
                 // bit-identical wherever they run.
-                requeue_flight(shared, batch_id);
+                requeue_flight(shared, &ids);
                 match connect(addr, options) {
                     Some(fresh) => client = fresh,
                     None => {

@@ -25,7 +25,7 @@
 //!    [`adc_runtime::canonical_key`] keys — the exact bytes
 //!    `adc-runtime` writes to disk — so a remote fill, a peer's warm
 //!    cache, and a local computation are interchangeable bit-for-bit,
-//!    and applying a result twice (hedged resubmission) is idempotent.
+//!    and applying a result twice (a requeued batch) is idempotent.
 //!
 //! ## Layers
 //!
@@ -34,9 +34,9 @@
 //! * [`campaign`] — the declarative job list ([`ClusterCampaign`]) and
 //!   the Monte-Carlo bridge into `adc-testbench`'s campaign namespace.
 //! * [`executor`] — [`ClusterExecutor`]: per-host outstanding-window
-//!   scheduling, cross-host work stealing of unacked batches, typed
-//!   retry/timeout/backoff with hedged resubmission on host loss, and
-//!   graceful degradation to local execution when no peer is reachable.
+//!   scheduling from one shared queue, typed retry/timeout/backoff that
+//!   requeues a batch on transport error or timeout, and graceful
+//!   degradation to local execution when no peer is reachable.
 //!
 //! ## Quick start
 //!

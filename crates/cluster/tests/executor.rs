@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use adc_cluster::{
     assemble_monte_carlo, monte_carlo_campaign, probe_mix_config, standard_registry,
-    ClusterCampaign, ClusterExecutor, ClusterOptions,
+    ClusterCampaign, ClusterExecutor, ClusterOptions, ClusterStats,
 };
 use adc_pipeline::config::AdcConfig;
 use adc_runtime::{canonical_key, ResultCache};
@@ -42,6 +42,16 @@ fn tight_options() -> ClusterOptions {
     }
 }
 
+/// Every job resolves exactly one way: computed or cached on a host,
+/// or answered or computed locally.
+fn assert_every_job_counted_once(s: &ClusterStats, what: &str) {
+    assert_eq!(
+        s.remote_computed + s.remote_cached + s.local_cache_hits + s.local_computed,
+        s.jobs,
+        "every job accounted for once in the {what}: {s:?}"
+    );
+}
+
 fn probe_campaign(jobs: u64) -> ClusterCampaign {
     let mut campaign = ClusterCampaign::new("probe-e2e", "probe-mix", 4242);
     for a in 0..jobs {
@@ -68,19 +78,8 @@ fn distributed_results_are_bit_identical_at_1_2_3_hosts() {
             report.lines, reference.lines,
             "{host_count}-host schedule changed the bits"
         );
-        // A job lands in exactly one of the five resolution counters:
-        // a host that computed it first can answer a later batch from
-        // its warm cache or the prefetch sweep.
-        let s = &report.stats;
-        assert_eq!(
-            s.remote_computed
-                + s.remote_cached
-                + s.prefetch_hits
-                + s.local_cache_hits
-                + s.local_computed,
-            25,
-            "every job accounted for at {host_count} hosts"
-        );
+        assert_eq!(report.stats.jobs, 25);
+        assert_every_job_counted_once(&report.stats, &format!("{host_count}-host run"));
         for (handle, join) in hosts {
             drain(handle, join);
         }
@@ -113,16 +112,14 @@ fn monte_carlo_over_two_hosts_matches_in_process_and_merges_caches() {
     assert_eq!(warm, reference, "cache-satisfied rerun diverged");
 
     // And the hosts' warm caches answer a fresh executor without any
-    // recompute: every job resolves via the prefetch sweep or an
-    // in-batch cached hit.
+    // recompute: every job resolves as an in-batch cached hit.
     let rerun = ClusterExecutor::new(peers, standard_registry())
         .options(tight_options())
         .execute(&campaign)
         .expect("rerun");
     assert_eq!(rerun.lines, report.lines);
     assert_eq!(
-        rerun.stats.prefetch_hits + rerun.stats.remote_cached,
-        6,
+        rerun.stats.remote_cached, 6,
         "rerun should be all warm-cache hits, got {:?}",
         rerun.stats
     );
@@ -173,6 +170,7 @@ fn killing_a_host_mid_campaign_keeps_results_bit_identical() {
         distributed, reference,
         "host loss mid-campaign changed the bits"
     );
+    assert_every_job_counted_once(&report.stats, "host-kill run");
 
     join_a.join().expect("host A thread").expect("serve A");
     drain(handle_b, join_b);
@@ -191,6 +189,7 @@ fn pre_warmed_disk_cache_survives_a_host_restart() {
         .execute(&campaign)
         .expect("first generation");
     assert_eq!(first.stats.remote_computed, 8);
+    assert_every_job_counted_once(&first.stats, "first generation");
     drain(handle, join);
 
     // Second generation restarts over the same directory: the campaign
@@ -202,6 +201,8 @@ fn pre_warmed_disk_cache_survives_a_host_restart() {
         .expect("second generation");
     assert_eq!(second.lines, first.lines);
     assert_eq!(second.stats.remote_computed, 0, "{:?}", second.stats);
+    assert_eq!(second.stats.remote_cached, 8, "{:?}", second.stats);
+    assert_every_job_counted_once(&second.stats, "second generation");
     drain(handle, join);
     let _ = std::fs::remove_dir_all(&dir);
 }

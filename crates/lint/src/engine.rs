@@ -7,12 +7,11 @@
 //! then runs both layers over the whole file set at once:
 //!
 //! 1. **Per-file token rules** ([`crate::rules`]) — exactly as before.
-//! 2. **Interprocedural passes** — the item parser ([`crate::items`])
-//!    and call graph ([`crate::graph`]) feed panic-reachability
-//!    ([`crate::reach`]), determinism taint ([`crate::taint`]), and
-//!    lock-order analysis ([`crate::locks`]), plus the `config-drift`
-//!    meta-check that every scope entry in [`crate::config`] still
-//!    names something real.
+//! 2. **Interprocedural passes** — the item parser (`items`) and call
+//!    graph (`graph`) feed panic-reachability (`reach`), determinism
+//!    taint (`taint`), and lock-order analysis (`locks`), plus the
+//!    `config-drift` meta-check that every scope entry in
+//!    [`crate::config`] still names something real.
 //!
 //! Suppression is central: every diagnostic — textual or
 //! interprocedural — is matched against the file's allow pragmas by

@@ -19,7 +19,7 @@
 //!
 //! The first eight are per-file token rules (this module); the last
 //! five are interprocedural, computed over the workspace call graph
-//! (see [`crate::graph`] and the pass modules). They share the allow
+//! (see the crate's `graph` and pass modules). They share the allow
 //! pragma mechanism and this catalogue.
 //!
 //! Rules are lexical: they match token subsequences, not syntax trees.

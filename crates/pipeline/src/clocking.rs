@@ -2,7 +2,7 @@
 //!
 //! A conventional pipeline uses two-phase *non-overlapping* clocks so S2
 //! can never close before S1 opens; the non-overlap margin is dead time
-//! stolen from settling. The paper removes it: "the non-overlap clocking
+//! taken from settling. The paper removes it: "the non-overlap clocking
 //! is removed and the sequential operation of the switches is ensured by
 //! generating these clocks locally in each stage" (§3, Fig. 3 context).
 //! Longer settling time ⇒ the opamp gain-bandwidth (and therefore bias

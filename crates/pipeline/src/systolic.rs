@@ -22,10 +22,10 @@
 //!    on sample *t − s* for every active stage at once, in one pass
 //!    over a fixed lane width `W` (the stage count rounded up to a
 //!    multiple of 4), **stages as lanes**: droop, both ADSC comparators
-//!    ([`AdscLanes`]), the DSB reference/sigma select, the amplify
-//!    ([`MdacLanes`]) and a masked write-back that leaves fill, drain
-//!    and padding lanes untouched; the last stage's output feeds the
-//!    flash.
+//!    (`subconverter::AdscLanes`), the DSB reference/sigma select, the
+//!    amplify (`mdac::MdacLanes`) and a masked write-back that leaves
+//!    fill, drain and padding lanes untouched; the last stage's output
+//!    feeds the flash.
 //!
 //! Every record runs here, through [`PipelineAdc::convert_waveform_into`].
 //! Dies share nothing, so N dies convert N records one after another.

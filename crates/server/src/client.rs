@@ -20,9 +20,9 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::protocol::{
-    self, encode_request, CacheFillRequest, CacheQueryRequest, DigitizeDone, DigitizeRequest,
-    ErrorCode, FrameAssembler, GangedDone, GangedRequest, JobBatchRequest, JobResultBatch,
-    MetricsSnapshot, Request, Response, SubmitBody, SubmitRequest, WireError,
+    self, encode_request, CacheFillRequest, DigitizeDone, DigitizeRequest, ErrorCode,
+    FrameAssembler, GangedDone, GangedRequest, JobBatchRequest, JobResultBatch, MetricsSnapshot,
+    Request, Response, SubmitBody, SubmitRequest, WireError,
 };
 use crate::server::{stream_crc, value_stream_crc};
 
@@ -221,27 +221,6 @@ impl Client {
                 Ok(result)
             }
             _ => Err(ClientError::UnexpectedResponse("expected job result")),
-        }
-    }
-
-    /// Probes the host's warm cache for `keys` in `campaign`'s
-    /// namespace, returning the `(key, encoded line)` hits.
-    ///
-    /// # Errors
-    ///
-    /// Transport, wire, or server errors; see [`ClientError`].
-    pub fn cache_query(
-        &mut self,
-        campaign: &str,
-        keys: &[u64],
-    ) -> Result<Vec<(u64, String)>, ClientError> {
-        let request = Request::CacheQuery(CacheQueryRequest {
-            campaign: campaign.to_string(),
-            keys: keys.to_vec(),
-        });
-        match self.inner.round_trip(&request)? {
-            Response::CacheHits { entries } => Ok(entries),
-            _ => Err(ClientError::UnexpectedResponse("expected cache hits")),
         }
     }
 

@@ -51,9 +51,8 @@
 //! A host can additionally opt into **cluster duty** by installing a
 //! [`JobRunner`] (and optionally a cache directory) in its
 //! [`ServerConfig`]: it then executes [`JobBatch`](Request::JobBatch)
-//! campaign work on its job pool, answers
-//! [`CacheQuery`](Request::CacheQuery) probes from per-campaign warm
-//! caches ([`jobs::CampaignCaches`]), and merges
+//! campaign work on its job pool, answering jobs it already holds from
+//! per-campaign warm caches ([`jobs::CampaignCaches`]), and merges
 //! [`CacheFill`](Request::CacheFill) entries from peers. Results travel
 //! as `CacheCodec`-encoded lines under `adc-runtime` canonical keys, so
 //! remote and local results are interchangeable bit-for-bit; the
@@ -85,10 +84,10 @@ pub use client::{
 pub use jobs::{CampaignCaches, JobRunError, JobRunner};
 pub use metrics::{LatencyHistogram, MetricsRegistry};
 pub use protocol::{
-    CacheFillRequest, CacheQueryRequest, ConfigOverrides, DigitizeDone, DigitizeRequest, ErrorCode,
-    GangedCal, GangedDone, GangedRequest, JobBatchRequest, JobOutcome, JobResultBatch, JobSpec,
-    JobStatus, MetricsSnapshot, Preset, Request, Response, SubmitBody, SubmitRequest, WaveformSpec,
-    WireError, MAX_BATCH_JOBS, MAX_CACHE_ENTRIES,
+    CacheFillRequest, ConfigOverrides, DigitizeDone, DigitizeRequest, ErrorCode, GangedCal,
+    GangedDone, GangedRequest, JobBatchRequest, JobOutcome, JobResultBatch, JobSpec, JobStatus,
+    MetricsSnapshot, Preset, Request, Response, SubmitBody, SubmitRequest, WaveformSpec, WireError,
+    MAX_BATCH_JOBS, MAX_CACHE_ENTRIES,
 };
 pub use server::{
     ganged_scenario, preset_config, Server, ServerConfig, ServerHandle, GANGED_BACKGROUND_EPOCHS,

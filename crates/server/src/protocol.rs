@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic       0x41444353 ("ADCS"), little endian
-//!      4     2  version     protocol version, currently 2
+//!      4     2  version     protocol version, currently 3
 //!      6     1  kind        frame type (request 0x01..=0x0F, response 0x81..=0x8F)
 //!      7     4  payload_len bytes of payload that follow (bounded)
 //!     11     n  payload     kind-specific body, little-endian scalars
@@ -34,9 +34,10 @@
 pub const MAGIC: u32 = 0x5343_4441;
 /// Protocol version this build speaks. Version 2 dropped the bare
 /// digitize and ganged frames (kinds 0x02 and 0x05) in favour of
-/// [`Request::Submit`], so a version-1 peer gets
+/// [`Request::Submit`]; version 3 dropped the cache probe and its
+/// answer (kinds 0x07 and 0x8A). An older peer gets
 /// [`WireError::BadVersion`] rather than an unknown kind.
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 /// Fixed frame-header size (magic + version + kind + payload_len).
 pub const HEADER_LEN: usize = 11;
 /// Hard ceiling on payload size a peer may declare (16 MiB) — guards
@@ -288,7 +289,7 @@ pub enum Preset {
     Nominal110,
     /// `AdcConfig::ideal(f_cr)` — a noiseless ideal quantizer.
     Ideal,
-    /// `AdcConfig::sibling_220ms_10b()` — the ref. [1] sibling part.
+    /// `AdcConfig::sibling_220ms_10b()` — the ref. \[1\] sibling part.
     Sibling220,
 }
 
@@ -563,9 +564,8 @@ impl GangedRequest {
 /// allocation a declared count can force before the payload is walked.
 pub const MAX_BATCH_JOBS: u32 = 4096;
 
-/// Most keys/entries one cache frame may carry ([`CacheQueryRequest`],
-/// [`CacheFillRequest`], [`Response::CacheHits`]); same decode-time
-/// rejection rationale as [`MAX_BATCH_JOBS`].
+/// Most entries one [`CacheFillRequest`] frame may carry; same
+/// decode-time rejection rationale as [`MAX_BATCH_JOBS`].
 pub const MAX_CACHE_ENTRIES: u32 = 65_536;
 
 /// One campaign job as it travels the wire: the rendered canonical
@@ -667,18 +667,7 @@ pub struct JobResultBatch {
     pub outcomes: Vec<JobOutcome>,
 }
 
-/// Bulk lookup against a host's warm cache (query-before-compute half
-/// of the cache-merge protocol).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheQueryRequest {
-    /// Campaign whose namespace the keys live in.
-    pub campaign: String,
-    /// Keys to probe; at most [`MAX_CACHE_ENTRIES`].
-    pub keys: Vec<u64>,
-}
-
-/// Bulk insert into a host's warm cache (fill-after-compute half).
-/// Inserts are first-writer-wins: under the canonical-key contract any
+/// Bulk insert into a host's warm cache (fill-after-compute). Inserts are first-writer-wins: under the canonical-key contract any
 /// two writers for a key hold bit-identical lines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheFillRequest {
@@ -727,8 +716,6 @@ pub enum Request {
     Shutdown,
     /// Execute a batch of campaign jobs through the host's job runner.
     JobBatch(JobBatchRequest),
-    /// Probe the host's warm cache for a set of canonical keys.
-    CacheQuery(CacheQueryRequest),
     /// Merge computed entries into the host's warm cache.
     CacheFill(CacheFillRequest),
     /// A digitization (single die or ganged array) under a
@@ -737,12 +724,12 @@ pub enum Request {
 }
 
 // Kinds 0x02 and 0x05 carried the version-1 bare digitize and ganged
-// frames; they stay unassigned.
+// frames, and kinds 0x07 and 0x8A the version-2 cache probe and its
+// hits; they stay unassigned.
 const KIND_PING: u8 = 0x01;
 const KIND_METRICS: u8 = 0x03;
 const KIND_SHUTDOWN: u8 = 0x04;
 const KIND_JOB_BATCH: u8 = 0x06;
-const KIND_CACHE_QUERY: u8 = 0x07;
 const KIND_CACHE_FILL: u8 = 0x08;
 const KIND_SUBMIT: u8 = 0x09;
 const KIND_PONG: u8 = 0x81;
@@ -754,7 +741,6 @@ const KIND_SHUTDOWN_ACK: u8 = 0x86;
 const KIND_GANGED_BATCH: u8 = 0x87;
 const KIND_GANGED_DONE: u8 = 0x88;
 const KIND_JOB_RESULT: u8 = 0x89;
-const KIND_CACHE_HITS: u8 = 0x8A;
 const KIND_CACHE_FILL_ACK: u8 = 0x8B;
 const KIND_TAGGED: u8 = 0x8C;
 
@@ -829,7 +815,6 @@ impl Request {
             Self::Metrics => KIND_METRICS,
             Self::Shutdown => KIND_SHUTDOWN,
             Self::JobBatch(_) => KIND_JOB_BATCH,
-            Self::CacheQuery(_) => KIND_CACHE_QUERY,
             Self::CacheFill(_) => KIND_CACHE_FILL,
             Self::Submit(_) => KIND_SUBMIT,
         }
@@ -863,13 +848,6 @@ impl Request {
                     w.u64(job.key);
                     w.u64(job.seed);
                     w.str(&job.config);
-                }
-            }
-            Self::CacheQuery(q) => {
-                w.str(&q.campaign);
-                w.u32(q.keys.len() as u32);
-                for &key in &q.keys {
-                    w.u64(key);
                 }
             }
             Self::CacheFill(c) => {
@@ -928,18 +906,6 @@ impl Request {
                     deadline_ms,
                     jobs,
                 })
-            }
-            KIND_CACHE_QUERY => {
-                let campaign = r.str()?;
-                let count = r.u32()?;
-                if count > MAX_CACHE_ENTRIES {
-                    return Err(WireError::Malformed("cache key count"));
-                }
-                let mut keys = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    keys.push(r.u64()?);
-                }
-                Self::CacheQuery(CacheQueryRequest { campaign, keys })
             }
             KIND_CACHE_FILL => {
                 let campaign = r.str()?;
@@ -1194,12 +1160,6 @@ pub enum Response {
     GangedDone(GangedDone),
     /// Completion of a [`Request::JobBatch`]: one outcome per job.
     JobResult(JobResultBatch),
-    /// Answer to a [`Request::CacheQuery`]: the subset of probed keys
-    /// the host held, with their encoded lines.
-    CacheHits {
-        /// `(key, encoded line)` for each hit, in probe order.
-        entries: Vec<(u64, String)>,
-    },
     /// Acknowledges a [`Request::CacheFill`].
     CacheFillAck {
         /// Entries newly inserted (existing keys are kept, not
@@ -1231,7 +1191,6 @@ impl Response {
             Self::GangedBatch { .. } => KIND_GANGED_BATCH,
             Self::GangedDone(_) => KIND_GANGED_DONE,
             Self::JobResult(_) => KIND_JOB_RESULT,
-            Self::CacheHits { .. } => KIND_CACHE_HITS,
             Self::CacheFillAck { .. } => KIND_CACHE_FILL_ACK,
             Self::Tagged { .. } => KIND_TAGGED,
         }
@@ -1277,13 +1236,6 @@ impl Response {
                     w.u64(outcome.key);
                     w.u8(outcome.status.to_u8());
                     w.str(&outcome.value);
-                }
-            }
-            Self::CacheHits { entries } => {
-                w.u32(entries.len() as u32);
-                for (key, line) in entries {
-                    w.u64(*key);
-                    w.str(line);
                 }
             }
             Self::CacheFillAck { accepted } => w.u32(*accepted),
@@ -1348,19 +1300,6 @@ impl Response {
                     });
                 }
                 Self::JobResult(JobResultBatch { batch_id, outcomes })
-            }
-            KIND_CACHE_HITS => {
-                let count = r.u32()?;
-                if count > MAX_CACHE_ENTRIES {
-                    return Err(WireError::Malformed("cache hit count"));
-                }
-                let mut entries = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    let key = r.u64()?;
-                    let line = r.str()?;
-                    entries.push((key, line));
-                }
-                Self::CacheHits { entries }
             }
             KIND_CACHE_FILL_ACK => Self::CacheFillAck { accepted: r.u32()? },
             KIND_TAGGED => {
@@ -1635,10 +1574,6 @@ mod tests {
                 deadline_ms: 0,
                 jobs: Vec::new(),
             }),
-            Request::CacheQuery(CacheQueryRequest {
-                campaign: "mc".to_string(),
-                keys: vec![1, u64::MAX, 0],
-            }),
             Request::CacheFill(CacheFillRequest {
                 campaign: "mc".to_string(),
                 entries: vec![
@@ -1716,12 +1651,6 @@ mod tests {
                     },
                 ],
             }),
-            Response::CacheHits {
-                entries: vec![(1, "abc".to_string()), (2, String::new())],
-            },
-            Response::CacheHits {
-                entries: Vec::new(),
-            },
             Response::CacheFillAck { accepted: 17 },
             Response::Error {
                 code: ErrorCode::Overloaded,
@@ -1905,15 +1834,6 @@ mod tests {
         let mut w = PayloadWriter::new();
         w.str("c");
         w.u32(MAX_CACHE_ENTRIES + 1);
-        let frame = encode_frame(KIND_CACHE_QUERY, &w.into_bytes());
-        assert_eq!(
-            decode_request(&frame),
-            Err(WireError::Malformed("cache key count"))
-        );
-
-        let mut w = PayloadWriter::new();
-        w.str("c");
-        w.u32(MAX_CACHE_ENTRIES + 1);
         let frame = encode_frame(KIND_CACHE_FILL, &w.into_bytes());
         assert_eq!(
             decode_request(&frame),
@@ -1927,14 +1847,6 @@ mod tests {
         assert_eq!(
             decode_response(&frame),
             Err(WireError::Malformed("outcome count"))
-        );
-
-        let mut w = PayloadWriter::new();
-        w.u32(MAX_CACHE_ENTRIES + 1);
-        let frame = encode_frame(KIND_CACHE_HITS, &w.into_bytes());
-        assert_eq!(
-            decode_response(&frame),
-            Err(WireError::Malformed("cache hit count"))
         );
     }
 

@@ -800,15 +800,6 @@ impl Reactor {
                     ticket.post(Answer::reply(0, Response::JobResult(result)));
                 }));
             }
-            Request::CacheQuery(q) => {
-                let cache = shared.caches.for_campaign(&q.campaign);
-                let entries: Vec<(u64, String)> = q
-                    .keys
-                    .iter()
-                    .filter_map(|&key| cache.get_line(key).map(|line| (key, line)))
-                    .collect();
-                conn.reply(0, Response::CacheHits { entries });
-            }
             Request::CacheFill(c) => {
                 let cache = shared.caches.for_campaign(&c.campaign);
                 let mut accepted = 0u32;

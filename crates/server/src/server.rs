@@ -1,5 +1,5 @@
 //! The TCP service: configuration, lifecycle, and the served
-//! computations (the reactor in [`crate::reactor`] owns the sockets).
+//! computations (the private `reactor` module owns the sockets).
 //!
 //! ## Threading model
 //!

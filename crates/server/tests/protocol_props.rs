@@ -8,10 +8,10 @@ use proptest::prelude::*;
 
 use adc_server::protocol::{
     decode_request, decode_response, encode_request, encode_response, CacheFillRequest,
-    CacheQueryRequest, ConfigOverrides, DigitizeDone, DigitizeRequest, ErrorCode, FrameAssembler,
-    GangedCal, GangedDone, GangedRequest, JobBatchRequest, JobOutcome, JobResultBatch, JobSpec,
-    JobStatus, MetricsSnapshot, Preset, Request, Response, SubmitBody, SubmitRequest, WaveformSpec,
-    WireError, MAX_GANGED_CHANNELS,
+    ConfigOverrides, DigitizeDone, DigitizeRequest, ErrorCode, FrameAssembler, GangedCal,
+    GangedDone, GangedRequest, JobBatchRequest, JobOutcome, JobResultBatch, JobSpec, JobStatus,
+    MetricsSnapshot, Preset, Request, Response, SubmitBody, SubmitRequest, WaveformSpec, WireError,
+    MAX_GANGED_CHANNELS,
 };
 
 fn preset(tag: u8) -> Preset {
@@ -154,11 +154,11 @@ proptest! {
     /// Every request kind round-trips bit-exactly through the codec,
     /// and the same frame is rejected with a typed error when forged
     /// into a retired kind (the version-1 bare digitize 0x02 and
-    /// ganged 0x05), a version-1 header, or a `Submit` under
-    /// correlation id 0.
+    /// ganged 0x05, the version-2 cache probe 0x07), a version-1 or
+    /// version-2 header, or a `Submit` under correlation id 0.
     #[test]
     fn requests_round_trip(
-        kind in 0u8..9,
+        kind in 0u8..8,
         token in 0u64..u64::MAX,
         corr_id in 1u64..u64::MAX,
         preset_tag in 0u8..3,
@@ -185,11 +185,7 @@ proptest! {
             5 => Request::JobBatch(job_batch(
                 token, seed, n_samples as usize % 20, batch_size as usize % 48,
             )),
-            6 => Request::CacheQuery(CacheQueryRequest {
-                campaign: "q".repeat(deadline_ms as usize % 16),
-                keys: (0..n_samples as u64 % 32).map(|i| seed ^ i).collect(),
-            }),
-            7 => Request::CacheFill(CacheFillRequest {
+            6 => Request::CacheFill(CacheFillRequest {
                 campaign: format!("fill-{}", token & 0xF),
                 entries: cache_entries(seed, n_samples as usize % 16, batch_size as usize),
             }),
@@ -210,16 +206,18 @@ proptest! {
         let decoded = decode_request(&frame);
         prop_assert_eq!(decoded.as_ref(), Ok(&request));
 
-        for retired in [0x02u8, 0x05] {
+        for retired in [0x02u8, 0x05, 0x07] {
             prop_assert_eq!(
                 decode_request(&with_kind(&frame, retired)),
                 Err(WireError::UnknownKind(retired))
             );
         }
-        prop_assert_eq!(
-            decode_request(&with_version(&frame, 1)),
-            Err(WireError::BadVersion(1))
-        );
+        for old in [1u16, 2] {
+            prop_assert_eq!(
+                decode_request(&with_version(&frame, old)),
+                Err(WireError::BadVersion(old))
+            );
+        }
         if let Request::Submit(SubmitRequest { body, .. }) = request {
             prop_assert_eq!(
                 decode_request(&encode_request(&submit(0, body))),
@@ -278,7 +276,7 @@ proptest! {
     /// error — variable-length job lists never panic the decoder.
     #[test]
     fn truncated_job_frames_are_rejected(
-        which in 0u8..3,
+        which in 0u8..2,
         batch_id in 0u64..u64::MAX,
         seed in 0u64..u64::MAX,
         jobs in 0usize..12,
@@ -287,10 +285,6 @@ proptest! {
     ) {
         let frame = encode_request(&match which {
             0 => Request::JobBatch(job_batch(batch_id, seed, jobs, cfg_len)),
-            1 => Request::CacheQuery(CacheQueryRequest {
-                campaign: "mc".to_string(),
-                keys: (0..jobs as u64).map(|i| seed ^ i).collect(),
-            }),
             _ => Request::CacheFill(CacheFillRequest {
                 campaign: "mc".to_string(),
                 entries: cache_entries(seed, jobs, cfg_len),
@@ -338,10 +332,12 @@ proptest! {
     }
 
     /// Every response kind round-trips bit-exactly through the codec,
-    /// including non-finite floats (f64s travel as IEEE-754 bits).
+    /// including non-finite floats (f64s travel as IEEE-754 bits), and
+    /// the same frame forged into the retired cache-hits kind 0x8A is
+    /// rejected as unknown.
     #[test]
     fn responses_round_trip(
-        kind in 0u8..12,
+        kind in 0u8..11,
         token in 0u64..u64::MAX,
         seq in 0u32..u32::MAX,
         len in 0usize..512,
@@ -444,10 +440,7 @@ proptest! {
                     })
                     .collect(),
             }),
-            9 => Response::CacheHits {
-                entries: cache_entries(token, len % 24, detail_len),
-            },
-            10 => Response::CacheFillAck { accepted: seq },
+            9 => Response::CacheFillAck { accepted: seq },
             // Tagged (pipelined) responses: any streamable inner frame
             // under any correlation id.
             _ => Response::Tagged {
@@ -478,7 +471,12 @@ proptest! {
                 }),
             },
         };
-        let decoded = decode_response(&encode_response(&response)).unwrap();
+        let frame = encode_response(&response);
+        prop_assert_eq!(
+            decode_response(&with_kind(&frame, 0x8A)),
+            Err(WireError::UnknownKind(0x8A))
+        );
+        let decoded = decode_response(&frame).unwrap();
         // NaN != NaN under PartialEq; compare f64s by bit pattern.
         match (&decoded, &response) {
             (Response::Done(a), Response::Done(b)) => {

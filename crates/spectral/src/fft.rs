@@ -3,7 +3,7 @@
 //! Written from scratch (no DSP crates in the offline dependency set).
 //! Decimation-in-time with a bit-reversal permutation followed by
 //! `log2(n)` butterfly passes. All transforms execute through the
-//! precomputed plans of [`crate::plan`] (direct-evaluated twiddle
+//! precomputed plans of [`crate::plan`](mod@crate::plan) (direct-evaluated twiddle
 //! tables, cached per length), which keeps the accuracy comfortably
 //! below the −120 dBc floor needed to measure a 12-bit converter.
 //! Real-input transforms pack `n` reals into an `n/2` complex transform

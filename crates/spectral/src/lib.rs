@@ -5,7 +5,7 @@
 //! DATE 2004 "97 mW 110 MS/s 12b Pipeline ADC".
 //!
 //! * [`fft`] — iterative radix-2 FFT/IFFT and one-sided power spectra;
-//! * [`plan`] — cached FFT execution plans (precomputed bit-reversal
+//! * [`plan`](mod@plan) — cached FFT execution plans (precomputed bit-reversal
 //!   and twiddle tables) and the [`SpectralScratch`] buffer set behind
 //!   the allocation-free `_into` APIs;
 //! * [`window`] — rectangular/Hann/Blackman/Blackman–Harris windows and

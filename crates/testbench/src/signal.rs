@@ -98,6 +98,20 @@ impl SineSource {
         };
         TAU * self.frequency_hz * t_s + self.phase_rad + wobble
     }
+
+    /// The phase argument's rate `dθ/dt` at time `t`; the wobble term
+    /// enters under the same condition as in [`Self::theta`].
+    fn dtheta(&self, t_s: f64) -> f64 {
+        let wobble = if self.phase_wobble_rad > 0.0 {
+            self.phase_wobble_rad
+                * TAU
+                * self.phase_wobble_hz
+                * (TAU * self.phase_wobble_hz * t_s).cos()
+        } else {
+            0.0
+        };
+        TAU * self.frequency_hz + wobble
+    }
 }
 
 /// Veltkamp's split of `x` into two halves of 26 significant bits
@@ -134,13 +148,16 @@ impl SineSource {
         let amplitude = self.amplitude_v;
         let omega = TAU * self.frequency_hz;
         let phase_turns = self.phase_rad / TAU;
-        // As in `theta`: only a positive depth wobbles the phase.
-        let wobble_turns = if self.phase_wobble_rad > 0.0 {
-            self.phase_wobble_rad / TAU
+        // As in `theta` and `dtheta`: only a positive depth wobbles
+        // the phase.
+        let (wobble_turns, wobble_rate) = if self.phase_wobble_rad > 0.0 {
+            (
+                self.phase_wobble_rad / TAU,
+                self.phase_wobble_rad * TAU * self.phase_wobble_hz,
+            )
         } else {
-            0.0
+            (0.0, 0.0)
         };
-        let wobble_rate = self.phase_wobble_rad * TAU * self.phase_wobble_hz;
         let (f_hi, f_lo) = split(self.frequency_hz);
         let mut turns = [0.0f64; FILL_BLOCK];
         let mut rate = [0.0f64; FILL_BLOCK];
@@ -196,11 +213,7 @@ impl Waveform for SineSource {
 
     fn slope(&self, t_s: f64) -> f64 {
         let theta = self.theta(t_s);
-        let dtheta = TAU * self.frequency_hz
-            + self.phase_wobble_rad
-                * TAU
-                * self.phase_wobble_hz
-                * (TAU * self.phase_wobble_hz * t_s).cos();
+        let dtheta = self.dtheta(t_s);
         let mut d = self.amplitude_v * theta.cos() * dtheta;
         for h in &self.harmonics {
             d += self.amplitude_v
@@ -218,11 +231,7 @@ impl Waveform for SineSource {
     /// the transcendental cost.
     fn sample_at(&self, t_s: f64) -> (f64, f64) {
         let theta = self.theta(t_s);
-        let dtheta = TAU * self.frequency_hz
-            + self.phase_wobble_rad
-                * TAU
-                * self.phase_wobble_hz
-                * (TAU * self.phase_wobble_hz * t_s).cos();
+        let dtheta = self.dtheta(t_s);
         let mut v = self.dc_v + self.amplitude_v * theta.sin();
         let mut d = self.amplitude_v * theta.cos() * dtheta;
         for h in &self.harmonics {
@@ -394,6 +403,37 @@ mod tests {
             let (v, d) = s.sample_at(t);
             assert_eq!(v.to_bits(), s.value(t).to_bits(), "value at t={t}");
             assert_eq!(d.to_bits(), s.slope(t).to_bits(), "slope at t={t}");
+        }
+    }
+
+    #[test]
+    fn negative_wobble_depth_is_a_clean_tone() {
+        // A wobble rate and harmonics, but zero depth.
+        let clean = SineSource {
+            phase_wobble_rad: 0.0,
+            ..SineSource::rf_generator(0.9, 10.3e6).with_phase(0.4)
+        };
+        let negative = SineSource {
+            phase_wobble_rad: -1e-4,
+            ..clean.clone()
+        };
+        let times = instants(300, 257, 1e-9);
+        let fill = |s: &SineSource| {
+            let (mut values, mut slopes) = (vec![0.0; times.len()], vec![0.0; times.len()]);
+            s.fill_at(&times, &mut values, &mut slopes);
+            (values, slopes)
+        };
+        let (clean_values, clean_slopes) = fill(&clean);
+        let (values, slopes) = fill(&negative);
+        for (k, &t) in times.iter().enumerate() {
+            assert_eq!(negative.value(t).to_bits(), clean.value(t).to_bits());
+            assert_eq!(
+                negative.slope(t).to_bits(),
+                clean.slope(t).to_bits(),
+                "t={t}"
+            );
+            assert_eq!(values[k].to_bits(), clean_values[k].to_bits(), "k={k}");
+            assert_eq!(slopes[k].to_bits(), clean_slopes[k].to_bits(), "k={k}");
         }
     }
 

@@ -23,7 +23,7 @@
 //!   behind a length-prefixed TCP protocol, bit-identical to direct
 //!   library calls at the same seed;
 //! * [`cluster`] — distributed campaign execution: job batches farmed
-//!   to remote `adc-server` hosts with work stealing and shared
+//!   to remote `adc-server` hosts from one shared queue, with shared
 //!   content-addressed caches, assembled bit-identically to an
 //!   in-process run;
 //! * [`trace`] — deterministic tracing & profiling: span guards and
