@@ -35,11 +35,14 @@
 #                  stripe, comparator, and the testbench's signal
 #                  sources, whose tone fill has its own clone) re-run
 #                  in release, where the vectorized AVX2 clones they
-#                  pin actually ship; last,
+#                  pin actually ship; then
 #                  adc-runtime's whole suite re-runs in release, so its
 #                  scheduler tests (results invisible to thread count,
 #                  cached misses under their own ids) and the
-#                  2,000-cycle pool-shutdown race run at release speed
+#                  2,000-cycle pool-shutdown race run at release speed;
+#                  finally EXPERIMENTS.md's marked tables are
+#                  regenerated in release and must equal the
+#                  `experiments` binary's output at printed precision
 #   service     -- loopback gate: the `service` suite (real TCP server,
 #                  concurrent clients, pipelined out-of-order
 #                  completions, admission-control shedding under
@@ -208,6 +211,7 @@ stage_determinism() {
   cargo test -q --release -p adc-analog --lib -- stripe comparator
   cargo test -q --release -p adc-testbench --lib -- signal
   cargo test -q --release -p adc-runtime
+  cargo test -q --release --test end_to_end experiments_md_matches_the_published_output
   echo "determinism digest: $(cat "$hash_file")"
   echo "multi-die digest: $(cat "$lanes_hash_file")"
 }

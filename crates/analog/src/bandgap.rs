@@ -64,11 +64,6 @@ impl Bandgap {
             + self.curvature_v_per_k2 * dt * dt
             + self.supply_sensitivity * (vdd_v - Self::VDD_NOMINAL_V)
     }
-
-    /// Output at nominal conditions (27 °C, 1.8 V).
-    pub fn output_nominal_v(&self) -> f64 {
-        self.output_v(Self::T_REF_C, Self::VDD_NOMINAL_V)
-    }
 }
 
 /// Buffered reference voltage distribution to the pipeline stages.

@@ -1,26 +1,23 @@
 //! # adc-bench
 //!
-//! Benchmark harness of the reproduction: one binary per table/figure of
-//! the paper plus one per ablation, and the `bench_*` binaries that time
-//! the simulator itself into the committed `BENCH_*.json` reports, all
-//! through one best-window timer ([`timing::best_window`]).
+//! Benchmark harness of the reproduction: the `experiments` binary that
+//! regenerates every published result, the extension and Fig. 7
+//! binaries, and the `bench_*` binaries that time the simulator itself
+//! into the committed `BENCH_*.json` reports, all through one
+//! best-window timer ([`timing::best_window`]).
 //!
-//! Regeneration targets (all print the paper's series next to the
-//! measured ones):
+//! Regeneration targets:
 //!
 //! | target | reproduces |
 //! |---|---|
-//! | `table1_datasheet` | Table I |
-//! | `fig4_power` | Fig. 4 (power vs conversion rate) |
-//! | `fig5_rate_sweep` | Fig. 5 (SNR/SNDR/SFDR vs conversion rate) |
-//! | `fig6_dynamic_vs_fin` | Fig. 6 (SNR/SNDR/SFDR vs input frequency) |
-//! | `fig8_fom_survey` | Fig. 8 (Eq. 2 FoM vs 1/area survey) |
-//! | `ablation_bias` | §3 claim: SC bias vs conventional fixed bias |
-//! | `ablation_clocking` | §3 claim: local clocks vs non-overlap |
-//! | `ablation_scaling` | §2 claim: stage scaling vs unscaled |
-//! | `ablation_switches` | §4 discussion: switch topology vs SFDR(f_in) |
+//! | `experiments` | Table I, Figs. 4, 5, 6 and 8, and the §2–§4 ablations (SC bias, clocking, stage scaling, switch topology, SHA-less front end), as the marked blocks of EXPERIMENTS.md |
+//! | `fig7_floorplan` | Fig. 7 substitution: the area budget |
+//! | `export_csv` | the Fig. 4, 5, 6 and 8 series as CSV |
 //!
 //! Run one with `cargo run -p adc-bench --release --bin <target>`.
+//! Each published result is defined once, in
+//! `adc_testbench::experiments`: no published sweep or claim arithmetic
+//! lives in this crate.
 //!
 //! The campaign binaries execute through the `adc-runtime` engine and
 //! share one command line (see [`cli::CampaignArgs`]): `--threads N` /

@@ -81,9 +81,10 @@ pub const PANIC_ROOTS: &[PanicRoot] = &[
     },
     // The analyzer meets its own bar: the surfaces documented as total
     // over arbitrary input (lexing any byte soup, parsing any JSON
-    // report) are panic-free transitively. The pass internals run only
-    // on workspace source that compiles, so they are not rooted — a
-    // panic there is a CI failure, not a prod decode crash.
+    // report, which reaches `adc_trace::json::parse`) are panic-free
+    // transitively. The pass internals run only on workspace source
+    // that compiles, so they are not rooted — a panic there is a CI
+    // failure, not a prod decode crash.
     PanicRoot {
         path: "crates/lint/src/lexer.rs",
         symbol: Some("lex"),

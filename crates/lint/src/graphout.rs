@@ -1,6 +1,8 @@
 //! `--graph-out` renderers: the call graph and the lock-order graph,
-//! each as Graphviz DOT and as JSON (hand-rolled, std-only, matching
-//! the report module's escaping rules).
+//! each as Graphviz DOT and as JSON (hand-rolled, std-only, escaped by
+//! the workspace's one JSON codec, `adc_trace::json`).
+
+use adc_trace::json::escape;
 
 use crate::graph::{FileData, Graph};
 use crate::locks::LockGraph;
@@ -16,22 +18,6 @@ pub struct GraphExports {
     pub lockgraph_dot: String,
     /// Lock-order graph, JSON (all witnesses).
     pub lockgraph_json: String,
-}
-
-fn esc_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn esc_dot(s: &str) -> String {
@@ -59,8 +45,8 @@ pub(crate) fn render(graph: &Graph, files: &[FileData<'_>], locks: &LockGraph) -
         let file = files.get(sym.file).map(|f| f.rel_path).unwrap_or_default();
         cg_json.push_str(&format!(
             "    {{\"id\": {i}, \"name\": \"{}\", \"file\": \"{}\", \"line\": {}}}{}\n",
-            esc_json(&sym.qname),
-            esc_json(file),
+            escape(&sym.qname),
+            escape(file),
             sym.item.line,
             if i + 1 < graph.syms.len() { "," } else { "" }
         ));
@@ -98,7 +84,7 @@ pub(crate) fn render(graph: &Graph, files: &[FileData<'_>], locks: &LockGraph) -
     for (k, u) in st.unresolved.iter().enumerate() {
         cg_json.push_str(&format!(
             "    \"{}\"{}\n",
-            esc_json(u),
+            escape(u),
             if k + 1 < st.unresolved.len() { "," } else { "" }
         ));
     }
@@ -135,15 +121,15 @@ pub(crate) fn render(graph: &Graph, files: &[FileData<'_>], locks: &LockGraph) -
     for (k, ((a, b), ws)) in locks.edges.iter().enumerate() {
         lg_json.push_str(&format!(
             "    {{\"held\": \"{}\", \"acquires\": \"{}\", \"witnesses\": [",
-            esc_json(a),
-            esc_json(b)
+            escape(a),
+            escape(b)
         ));
         for (j, (f, l, q)) in ws.iter().enumerate() {
             lg_json.push_str(&format!(
                 "{}{{\"file\": \"{}\", \"line\": {l}, \"fn\": \"{}\"}}",
                 if j > 0 { ", " } else { "" },
-                esc_json(f),
-                esc_json(q)
+                escape(f),
+                escape(q)
             ));
         }
         lg_json.push_str(&format!("]}}{}\n", if k + 1 < total { "," } else { "" }));

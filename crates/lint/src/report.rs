@@ -6,9 +6,12 @@
 //! JSON document for tooling. The JSON codec is symmetric —
 //! [`Report::to_json`] / [`Report::from_json`] round-trip exactly,
 //! which the fixture tests assert — so CI artifacts can be parsed back
-//! without an external JSON dependency.
+//! without an external JSON dependency. Both directions go through the
+//! workspace's one JSON codec, `adc_trace::json`.
 
 use std::fmt::Write as _;
+
+use adc_trace::json::{escape, parse, Json};
 
 /// One rule violation (or pragma problem) at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,11 +81,11 @@ impl Report {
             }
             let _ = write!(
                 out,
-                "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
-                json_string(&d.rule),
-                json_string(&d.file),
+                "\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
+                escape(&d.rule),
+                escape(&d.file),
                 d.line,
-                json_string(&d.message)
+                escape(&d.message)
             );
         }
         if self.diagnostics.is_empty() {
@@ -98,29 +101,27 @@ impl Report {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural problem. The
-    /// parser accepts the subset of JSON the emitter produces (objects,
-    /// arrays, strings, integers, booleans) in any key order.
+    /// Returns a description of the first structural problem: any JSON
+    /// syntax error, or a document that is not a version-1 report (keys
+    /// may come in any order).
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-        .parse_document()?;
-        let JsonValue::Object(fields) = value else {
+        let value = parse(text).map_err(|e| e.to_string())?;
+        let Json::Obj(fields) = value else {
             return Err("top level is not an object".into());
         };
         let mut report = Report::default();
         let mut clean: Option<bool> = None;
         for (key, value) in fields {
             match (key.as_str(), value) {
-                ("version", JsonValue::Number(1)) => {}
-                ("version", JsonValue::Number(v)) => {
+                ("version", Json::Num(v)) if count(v) == Some(1) => {}
+                ("version", Json::Num(v)) => {
                     return Err(format!("unsupported report version {v}"));
                 }
-                ("files_scanned", JsonValue::Number(n)) => report.files_scanned = n as usize,
-                ("clean", JsonValue::Bool(b)) => clean = Some(b),
-                ("diagnostics", JsonValue::Array(items)) => {
+                ("files_scanned", Json::Num(n)) => {
+                    report.files_scanned = count(n).ok_or("bad files_scanned")? as usize;
+                }
+                ("clean", Json::Bool(b)) => clean = Some(b),
+                ("diagnostics", Json::Arr(items)) => {
                     for item in items {
                         report.diagnostics.push(diagnostic_from(item)?);
                     }
@@ -135,8 +136,14 @@ impl Report {
     }
 }
 
-fn diagnostic_from(value: JsonValue) -> Result<Diagnostic, String> {
-    let JsonValue::Object(fields) = value else {
+/// A JSON number as a count: a non-negative integer that fits a `u32`.
+fn count(n: f64) -> Option<u32> {
+    let c = n as u32;
+    (f64::from(c) == n).then_some(c)
+}
+
+fn diagnostic_from(value: Json) -> Result<Diagnostic, String> {
+    let Json::Obj(fields) = value else {
         return Err("diagnostic is not an object".into());
     };
     let mut d = Diagnostic {
@@ -147,10 +154,10 @@ fn diagnostic_from(value: JsonValue) -> Result<Diagnostic, String> {
     };
     for (key, value) in fields {
         match (key.as_str(), value) {
-            ("rule", JsonValue::Str(s)) => d.rule = s,
-            ("file", JsonValue::Str(s)) => d.file = s,
-            ("line", JsonValue::Number(n)) => d.line = n as u32,
-            ("message", JsonValue::Str(s)) => d.message = s,
+            ("rule", Json::Str(s)) => d.rule = s,
+            ("file", Json::Str(s)) => d.file = s,
+            ("line", Json::Num(n)) => d.line = count(n).ok_or("bad line number")?,
+            ("message", Json::Str(s)) => d.message = s,
             (other, _) => return Err(format!("unexpected diagnostic key {other:?}")),
         }
     }
@@ -158,207 +165,6 @@ fn diagnostic_from(value: JsonValue) -> Result<Diagnostic, String> {
         return Err("diagnostic missing rule or file".into());
     }
     Ok(d)
-}
-
-/// Escapes and quotes a string for JSON output.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON parser (the emitter's subset: no floats, no null)
-// ---------------------------------------------------------------------------
-
-enum JsonValue {
-    Object(Vec<(String, JsonValue)>),
-    Array(Vec<JsonValue>),
-    Str(String),
-    Number(u64),
-    Bool(bool),
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn parse_document(mut self) -> Result<JsonValue, String> {
-        let value = self.parse_value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", self.pos));
-        }
-        Ok(value)
-    }
-
-    fn peek(&self) -> u8 {
-        self.bytes.get(self.pos).copied().unwrap_or(0)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), b' ' | b'\t' | b'\r' | b'\n') {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.peek() == c {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at offset {}", c as char, self.pos))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        match self.peek() {
-            b'{' => self.parse_object(),
-            b'[' => self.parse_array(),
-            b'"' => Ok(JsonValue::Str(self.parse_string()?)),
-            b't' | b'f' => self.parse_bool(),
-            c if c.is_ascii_digit() => self.parse_number(),
-            c => Err(format!("unexpected byte {c:?} at offset {}", self.pos)),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == b'}' {
-            self.pos += 1;
-            return Ok(JsonValue::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
-                }
-                c => return Err(format!("unexpected byte {c:?} in object")),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == b']' {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                c => return Err(format!("unexpected byte {c:?} in array")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                0 => return Err("unterminated string".into()),
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek();
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or("bad \\u escape")?;
-                            out.push(hex);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(self.bytes.get(self.pos..).unwrap_or(&[]))
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        while self.peek().is_ascii_digit() {
-            self.pos += 1;
-        }
-        std::str::from_utf8(self.bytes.get(start..self.pos).unwrap_or(&[]))
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(JsonValue::Number)
-            .ok_or_else(|| "bad number".into())
-    }
-
-    fn parse_bool(&mut self) -> Result<JsonValue, String> {
-        let rest = self.bytes.get(self.pos..).unwrap_or(&[]);
-        if rest.starts_with(b"true") {
-            self.pos += 4;
-            Ok(JsonValue::Bool(true))
-        } else if rest.starts_with(b"false") {
-            self.pos += 5;
-            Ok(JsonValue::Bool(false))
-        } else {
-            Err("bad literal".into())
-        }
-    }
 }
 
 #[cfg(test)]

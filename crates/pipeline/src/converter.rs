@@ -486,13 +486,6 @@ impl PipelineAdc {
         out.flash_code = self.last_flash_code;
     }
 
-    /// Converts a pre-sampled record. Tracking distortion and jitter do
-    /// not apply (there is no continuous-time information); settling,
-    /// noise, mismatch, and correction do.
-    pub fn convert_voltages(&mut self, voltages: &[f64]) -> Vec<u16> {
-        voltages.iter().map(|&v| self.convert_one(v, 0.0)).collect()
-    }
-
     /// Samples and converts `n_samples` points of a continuous waveform
     /// at the configured conversion rate, starting at `t = 0`.
     ///

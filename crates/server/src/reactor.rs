@@ -8,8 +8,10 @@
 //!   sockets, an incremental [`FrameAssembler`] per connection, and an
 //!   [`Outbound`] stage that frames finished [`Answer`]s into bytes
 //!   only as the socket drains, one [`WRITE_CHUNK`] at a time.
-//! * Decoded requests either complete inline (`Ping`, `Metrics`, cache
-//!   traffic) or park in a bounded per-connection **admission queue**.
+//! * Decoded requests either complete inline (`Ping`, `Metrics`,
+//!   `Shutdown`), run on a thread of their own because they block on
+//!   disk (`JobBatch`, `CacheFill`), or park in a bounded
+//!   per-connection **admission queue**.
 //!   A full queue sheds the newest request with a typed
 //!   [`ErrorCode::Overloaded`] frame instead of buffering unboundedly.
 //! * [`Reactor::dispatch`] drains admission queues round-robin (one
@@ -25,7 +27,7 @@
 //!   aborted handshake is skipped, resource exhaustion (`EMFILE`,
 //!   `ENFILE`, `ENOBUFS`, `ENOMEM`) pauses accepting for one poll
 //!   round, and only an unknown error stops the server.
-//! * Workers compute, the reactor writes: no pool worker or batch
+//! * Workers compute, the reactor writes: no pool worker or blocking
 //!   thread touches connection state. A finished job's [`Ticket`]
 //!   posts its answer through an event list plus a [`Waker`] byte that
 //!   interrupts `poll`, and only the reactor turns answers into bytes.
@@ -35,7 +37,7 @@
 //! Every digitization arrives as a [`SubmitRequest`] under a nonzero
 //! client-chosen correlation id, may complete out of order, and has
 //! every frame of its answer wrapped in [`Response::Tagged`]. Control
-//! requests are answered inline with one untagged frame.
+//! requests are answered with one untagged frame.
 //!
 //! ## Determinism
 //!
@@ -441,7 +443,7 @@ struct Conn {
     out: Outbound,
     /// Admitted requests waiting for an in-flight slot.
     pending: VecDeque<SubmitRequest>,
-    /// Requests running on the pool (or a batch thread).
+    /// Requests running on the pool (or a thread of their own).
     running: u32,
     read_closed: bool,
     dead: bool,
@@ -488,7 +490,7 @@ struct Reactor {
     accept_paused: bool,
     /// Fairness cursor: dispatch resumes after this connection id.
     cursor: u64,
-    batch_threads: Vec<std::thread::JoinHandle<()>>,
+    blocking_threads: Vec<std::thread::JoinHandle<()>>,
     scratch: Vec<u8>,
 }
 
@@ -508,11 +510,11 @@ pub(crate) fn run(listener: TcpListener, waker_rx: WakerRx, shared: Arc<Shared>)
         pool_cap,
         accept_paused: false,
         cursor: 0,
-        batch_threads: Vec::new(),
+        blocking_threads: Vec::new(),
         scratch: vec![0u8; READ_CHUNK],
     };
     let result = reactor.event_loop();
-    for join in reactor.batch_threads.drain(..) {
+    for join in reactor.blocking_threads.drain(..) {
         let _ = join.join();
     }
     result
@@ -734,8 +736,9 @@ impl Reactor {
         }
     }
 
-    /// Serves one decoded request: inline for control traffic, admission
-    /// queue for digitization.
+    /// Serves one decoded request: inline for ping, metrics and
+    /// shutdown, its own thread for a job batch or a cache fill (they
+    /// block on disk), the admission queue for digitization.
     fn handle_request(&mut self, id: u64, request: Request) {
         let shared = Arc::clone(&self.shared);
         let Some(conn) = self.conns.get_mut(&id) else {
@@ -790,27 +793,39 @@ impl Reactor {
                     );
                     return;
                 };
-                conn.running += 1;
-                let ticket = Ticket::new(&shared, id, 0, false);
                 // Batch jobs orchestrate their own pool fan-out and
                 // block on cache I/O, so they get a plain thread instead
                 // of occupying a pool worker.
-                self.batch_threads.push(std::thread::spawn(move || {
-                    let result = run_job_batch(&req, &runner, &shared);
-                    ticket.post(Answer::reply(0, Response::JobResult(result)));
-                }));
+                spawn_blocking(
+                    &mut self.blocking_threads,
+                    conn,
+                    &shared,
+                    id,
+                    move |shared| Response::JobResult(run_job_batch(&req, &runner, shared)),
+                );
             }
             Request::CacheFill(c) => {
-                let cache = shared.caches.for_campaign(&c.campaign);
-                let mut accepted = 0u32;
-                for (key, line) in &c.entries {
-                    if cache.get_line(*key).is_none() {
-                        cache.put_line(*key, line);
-                        accepted += 1;
-                    }
-                }
-                let _ = cache.persist(&c.campaign);
-                conn.reply(0, Response::CacheFillAck { accepted });
+                // Opening a campaign cache can create its directory and
+                // load its file, and `persist` rewrites the file whole:
+                // disk I/O that must not stall every connection.
+                spawn_blocking(
+                    &mut self.blocking_threads,
+                    conn,
+                    &shared,
+                    id,
+                    move |shared| {
+                        let cache = shared.caches.for_campaign(&c.campaign);
+                        let mut accepted = 0u32;
+                        for (key, line) in &c.entries {
+                            if cache.get_line(*key).is_none() {
+                                cache.put_line(*key, line);
+                                accepted += 1;
+                            }
+                        }
+                        let _ = cache.persist(&c.campaign);
+                        Response::CacheFillAck { accepted }
+                    },
+                );
             }
         }
     }
@@ -898,7 +913,7 @@ impl Reactor {
         }
     }
 
-    /// Removes finished connections and reaps finished batch threads.
+    /// Removes finished connections and reaps finished blocking threads.
     fn reap(&mut self) {
         let draining = self.shared.draining.load(Ordering::SeqCst);
         let done: Vec<u64> = self
@@ -918,8 +933,27 @@ impl Reactor {
         for id in done {
             self.conns.remove(&id);
         }
-        self.batch_threads.retain(|h| !h.is_finished());
+        self.blocking_threads.retain(|h| !h.is_finished());
     }
+}
+
+/// Runs a control request that blocks on disk (a job batch, a cache
+/// fill) on its own thread, off the reactor and off the pool: the reply
+/// holds the connection's slot until written, but no global in-flight
+/// slot, and no pool job is counted in the metrics.
+fn spawn_blocking(
+    threads: &mut Vec<std::thread::JoinHandle<()>>,
+    conn: &mut Conn,
+    shared: &Arc<Shared>,
+    id: u64,
+    work: impl FnOnce(&Arc<Shared>) -> Response + Send + 'static,
+) {
+    conn.running += 1;
+    let ticket = Ticket::new(shared, id, 0, false);
+    let shared = Arc::clone(shared);
+    threads.push(std::thread::spawn(move || {
+        ticket.post(Answer::reply(0, work(&shared)));
+    }));
 }
 
 /// Parks a request in the connection's admission queue, shedding the

@@ -39,6 +39,8 @@ pub struct Datasheet {
     pub dnl_lsb: (f64, f64),
     /// INL extremes, LSB.
     pub inl_lsb: (f64, f64),
+    /// Codes the linearity histogram never hit.
+    pub missing_codes: usize,
     /// Offset error, LSB (mean code error at a grounded input).
     pub offset_error_lsb: f64,
     /// Gain error, percent (transfer slope deviation over ±0.9 FS).
@@ -130,6 +132,7 @@ impl Datasheet {
             gain_error_percent,
             dnl_lsb: (lin.dnl_min, lin.dnl_max),
             inl_lsb: (lin.inl_min, lin.inl_max),
+            missing_codes: lin.missing_codes.len(),
             snr_db: tone.analysis.snr_db,
             sndr_db: tone.analysis.sndr_db,
             sfdr_db: tone.analysis.sfdr_db,
@@ -146,59 +149,6 @@ impl Datasheet {
             self.area_mm2,
             self.power_w * 1e3,
         )
-    }
-}
-
-impl fmt::Display for Datasheet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Technology                {}", self.technology)?;
-        writeln!(f, "Nominal supply voltage    {:.1} V", self.supply_v)?;
-        writeln!(f, "Resolution                {} bit", self.resolution_bits)?;
-        writeln!(
-            f,
-            "Full Scale analog input   {:.0} Vp-p",
-            self.full_scale_vpp
-        )?;
-        writeln!(f, "Area                      {:.2} mm^2", self.area_mm2)?;
-        writeln!(
-            f,
-            "Conversion rate           {:.0} MS/s",
-            self.f_cr_hz / 1e6
-        )?;
-        writeln!(f, "Analog Power Consumption  {:.0} mW", self.power_w * 1e3)?;
-        writeln!(
-            f,
-            "Offset error              {:+.1} LSB",
-            self.offset_error_lsb
-        )?;
-        writeln!(
-            f,
-            "Gain error                {:+.2} %",
-            self.gain_error_percent
-        )?;
-        writeln!(
-            f,
-            "DNL                       {:+.1}/{:+.1} LSB",
-            self.dnl_lsb.0, self.dnl_lsb.1
-        )?;
-        writeln!(
-            f,
-            "INL                       {:+.1}/{:+.1} LSB",
-            self.inl_lsb.0, self.inl_lsb.1
-        )?;
-        let fin_mhz = self.f_in_hz / 1e6;
-        writeln!(f, "SNR  (fin={fin_mhz:.0}MHz)        {:.1} dB", self.snr_db)?;
-        writeln!(
-            f,
-            "SNDR (fin={fin_mhz:.0}MHz)        {:.1} dB",
-            self.sndr_db
-        )?;
-        writeln!(
-            f,
-            "SFDR (fin={fin_mhz:.0}MHz)        {:.1} dB",
-            self.sfdr_db
-        )?;
-        write!(f, "ENOB (fin={fin_mhz:.0}MHz)        {:.1} bit", self.enob)
     }
 }
 
@@ -245,6 +195,7 @@ mod tests {
             gain_error_percent: 0.0,
             dnl_lsb: (-1.2, 1.2),
             inl_lsb: (-1.5, 1.0),
+            missing_codes: 0,
             snr_db: 67.1,
             sndr_db: 64.2,
             sfdr_db: 69.4,
@@ -256,40 +207,5 @@ mod tests {
             "fm {}",
             d.figure_of_merit()
         );
-    }
-
-    #[test]
-    fn display_contains_all_table1_rows() {
-        let d = Datasheet {
-            technology: PAPER_TECHNOLOGY.into(),
-            supply_v: 1.8,
-            resolution_bits: 12,
-            full_scale_vpp: 2.0,
-            area_mm2: 0.86,
-            f_cr_hz: 110e6,
-            f_in_hz: 10e6,
-            power_w: 97e-3,
-            offset_error_lsb: 0.0,
-            gain_error_percent: 0.0,
-            dnl_lsb: (-1.2, 1.2),
-            inl_lsb: (-1.5, 1.0),
-            snr_db: 67.1,
-            sndr_db: 64.2,
-            sfdr_db: 69.4,
-            enob: 10.4,
-        };
-        let text = d.to_string();
-        for needle in [
-            "Technology",
-            "SNR",
-            "SNDR",
-            "SFDR",
-            "ENOB",
-            "DNL",
-            "INL",
-            "Power",
-        ] {
-            assert!(text.contains(needle), "missing {needle} in:\n{text}");
-        }
     }
 }

@@ -11,6 +11,9 @@
 //!   dynamic metrics, histogram linearity ([`session::GOLDEN_SEED`] is
 //!   the reproduction's "measured die");
 //! * [`sweep`] — the campaigns behind Figs. 4, 5 and 6;
+//! * [`experiments`] — every published result (Table I, Figs. 4, 5, 6
+//!   and 8, the five ablations): one run function and one
+//!   claim-checking, self-rendering result type each;
 //! * [`policy`] — execution policy (thread count, observers) routing
 //!   every campaign through the `adc-runtime` engine;
 //! * [`datasheet`] — Table I as a measurement procedure;

@@ -1,15 +1,18 @@
 //! A minimal JSON value model, parser, and emitter.
 //!
-//! The workspace is std-only (no `serde_json`), yet two features need
-//! to *read* JSON: the Chrome-trace round-trip test (parse what we
-//! emit) and the `bench_compare` perf gate (parse `BENCH_*.json`).
+//! The workspace is std-only (no `serde_json`), yet three features
+//! need to *read* JSON: the Chrome-trace round-trip test (parse what we
+//! emit), the `bench_compare` perf gate (parse `BENCH_*.json`) and
+//! `adc-lint`'s report round-trip.
 //! This module covers exactly the JSON subset those producers emit:
 //! objects, arrays, strings with `\uXXXX`/standard escapes, f64
 //! numbers, booleans, and null.
 //!
 //! Objects preserve insertion order via `Vec<(String, Json)>` — no
 //! hash maps, so emission is deterministic and the determinism lint's
-//! `no-hash-collections` rule holds here too.
+//! `no-hash-collections` rule holds here too. [`parse`] is total: any
+//! input yields a value or a [`JsonError`], never a panic, because
+//! `adc-lint` parses reports from disk through it.
 
 use std::fmt;
 
@@ -199,7 +202,8 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        if rest.starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -314,7 +318,7 @@ impl Parser<'_> {
                 Some(_) => {
                     // Consume one UTF-8 scalar (input is &str, so
                     // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
+                    let rest = self.bytes.get(self.pos..).unwrap_or_default();
                     let s = std::str::from_utf8(rest).map_err(|_| self.err("bad utf-8"))?;
                     let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
                     out.push(c);
@@ -335,7 +339,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+        let text = std::str::from_utf8(self.bytes.get(start..self.pos).unwrap_or_default())
             .map_err(|_| self.err("bad number"))?;
         text.parse::<f64>()
             .map(Json::Num)
