@@ -12,7 +12,8 @@ use std::sync::OnceLock;
 
 use pipeline_adc::pipeline::AdcConfig;
 use pipeline_adc::testbench::experiments::{
-    publish, run_fig5, run_fig5_with, run_fig6, run_fig6_with, Section, RECORD_LEN,
+    publish, run_fig5, run_fig5_with, run_fig6, run_fig6_with, run_table1, Section, Table1Result,
+    RECORD_LEN,
 };
 use pipeline_adc::testbench::{DynamicPoint, MeasurementSession, RunPolicy, GOLDEN_SEED};
 
@@ -31,9 +32,31 @@ fn assert_claims(key: &str) {
     assert!(s.claims_hold, "{}", s.text);
 }
 
+/// Table I as published, computed once; `run_table1` is what `publish`
+/// renders into the `table1` section.
+fn table1() -> &'static Table1Result {
+    static TABLE1: OnceLock<Table1Result> = OnceLock::new();
+    TABLE1.get_or_init(|| run_table1().expect("Table I runs"))
+}
+
 #[test]
 fn table1_lands_in_the_paper_bands() {
     assert_claims("table1");
+}
+
+#[test]
+fn table1_dynamic_metrics_regress() {
+    assert!(table1().dynamics_hold(), "{}", table1().render());
+}
+
+#[test]
+fn table1_power_regresses() {
+    assert!(table1().power_holds(), "{}", table1().render());
+}
+
+#[test]
+fn linearity_regresses_to_table1_band() {
+    assert!(table1().linearity_holds(), "{}", table1().render());
 }
 
 #[test]
