@@ -64,7 +64,10 @@
 #                  the crates) builds in release and passes its tests,
 #                  so a change to adc-server's public API that the
 #                  benchmark compiles against fails CI, not the
-#                  benchmark run
+#                  benchmark run; both calls pass --locked, so a crate
+#                  manifest change that would rewrite
+#                  perfbench/Cargo.lock fails here instead of dirtying
+#                  the tree
 #   perf        -- regression gate: regenerates BENCH_runtime.json,
 #                  BENCH_service.json, BENCH_dsp.json,
 #                  BENCH_interleave.json, and BENCH_cluster.json in a
@@ -227,8 +230,8 @@ stage_cluster() {
 }
 
 stage_perfbench() {
-  cargo build --release --offline --manifest-path perfbench/Cargo.toml
-  cargo test --offline --manifest-path perfbench/Cargo.toml
+  cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+  cargo test --offline --locked --manifest-path perfbench/Cargo.toml
 }
 
 stage_perf() {

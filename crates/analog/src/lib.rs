@@ -46,13 +46,10 @@
 
 pub mod bandgap;
 pub mod capacitor;
-pub mod clockgen;
 pub mod comparator;
-pub mod mos;
 pub mod noise;
 pub mod opamp;
 pub mod process;
-pub mod sc;
 pub mod stripe;
 pub mod switch;
 pub mod twopole;
@@ -60,13 +57,10 @@ pub mod units;
 
 pub use bandgap::{Bandgap, ReferenceBuffer};
 pub use capacitor::{Capacitor, CapacitorSpec};
-pub use clockgen::{ClockReceiver, LocalPhaseGenerator, PhaseEdges};
 pub use comparator::{Comparator, ComparatorSpec};
-pub use mos::{MosDevice, MosPolarity, TransmissionGate};
 pub use noise::{ApertureJitter, NoiseSource};
 pub use opamp::{OpAmp, OpAmpSpec};
 pub use process::{OperatingConditions, ProcessCorner};
-pub use sc::{equivalent_resistance, ScBiasLoop, SwitchedCapBranch};
 pub use stripe::{standard_normal_fill, SampleNoise};
 pub use switch::{SamplingNetwork, SwitchModel, SwitchTopology};
 pub use twopole::TwoPoleAmp;

@@ -71,6 +71,9 @@ use crate::server::{
 const READ_CHUNK: usize = 64 * 1024;
 /// Outbound bytes staged per `write(2)` call.
 const WRITE_CHUNK: usize = 64 * 1024;
+/// Poll tick: the latency bound on drain checks when no socket or
+/// completion event wakes the loop sooner.
+const POLL_TICK: Duration = Duration::from_millis(50);
 
 /// Minimal `poll(2)` binding — the only system interface the reactor
 /// needs beyond std. Kept to one symbol so the surface is auditable.
@@ -544,7 +547,6 @@ impl Reactor {
     /// the poll tick elapses (the tick bounds drain latency and is the
     /// whole loop on non-unix hosts).
     fn wait(&mut self) -> io::Result<()> {
-        let timeout = self.shared.cfg.read_poll;
         #[cfg(unix)]
         {
             use std::os::unix::io::AsRawFd;
@@ -583,7 +585,7 @@ impl Reactor {
                     revents: 0,
                 });
             }
-            let timeout_ms = i32::try_from(timeout.as_millis())
+            let timeout_ms = i32::try_from(POLL_TICK.as_millis())
                 .unwrap_or(i32::MAX)
                 .max(1);
             sys::poll_wait(&mut fds, timeout_ms)?;
@@ -604,7 +606,7 @@ impl Reactor {
         #[cfg(not(unix))]
         {
             std::thread::sleep(
-                timeout
+                POLL_TICK
                     .min(Duration::from_millis(1))
                     .max(Duration::from_micros(100)),
             );

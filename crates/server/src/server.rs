@@ -77,23 +77,21 @@ pub const GANGED_BACKGROUND_EPOCHS: u32 = 12;
 /// Samples converted per background-calibration epoch.
 pub const GANGED_BACKGROUND_EPOCH_LEN: u32 = 2048;
 
+/// Seed anchoring the pool's derived per-job seeds. Requests carry
+/// their own fabrication seeds; this only names the pool's seed stream.
+const POOL_SEED: u64 = 0x5EC7_0A0D;
+
 /// Tunables for one server instance.
 #[derive(Clone)]
 pub struct ServerConfig {
     /// Digitize worker threads (`0` = all hardware parallelism).
     pub threads: usize,
-    /// Seed anchoring the pool's derived per-job seeds (requests carry
-    /// their own fabrication seeds; this only names the pool stream).
-    pub seed: u64,
     /// Maximum accepted request payload, bytes.
     pub max_payload: u32,
     /// Maximum samples per digitize request.
     pub max_samples: u32,
     /// Batch size used when a request passes `batch_size == 0`.
     pub default_batch: u32,
-    /// Reactor poll tick — the latency bound on drain checks when no
-    /// socket or completion event wakes the loop sooner.
-    pub read_poll: Duration,
     /// Global cap on digitizations in flight on the pool at once.
     pub max_inflight: usize,
     /// Per-connection cap on digitizations in flight at once. A
@@ -116,11 +114,9 @@ impl std::fmt::Debug for ServerConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerConfig")
             .field("threads", &self.threads)
-            .field("seed", &self.seed)
             .field("max_payload", &self.max_payload)
             .field("max_samples", &self.max_samples)
             .field("default_batch", &self.default_batch)
-            .field("read_poll", &self.read_poll)
             .field("max_inflight", &self.max_inflight)
             .field("max_inflight_per_conn", &self.max_inflight_per_conn)
             .field("max_pending_per_conn", &self.max_pending_per_conn)
@@ -134,11 +130,9 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             threads: 0,
-            seed: 0x5EC7_0A0D,
             max_payload: 1 << 20,
             max_samples: 1 << 20,
             default_batch: 1024,
-            read_poll: Duration::from_millis(50),
             max_inflight: 64,
             max_inflight_per_conn: 16,
             max_pending_per_conn: 256,
@@ -235,7 +229,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let metrics = Arc::new(MetricsRegistry::new());
         let observers: Vec<Arc<dyn RunObserver>> = vec![Arc::clone(&metrics) as _];
-        let pool = JobPool::with_observers("adc-server", cfg.seed, cfg.threads, observers);
+        let pool = JobPool::with_observers("adc-server", POOL_SEED, cfg.threads, observers);
         let caches = CampaignCaches::new(cfg.cache_dir.clone());
         let (waker, waker_rx) = reactor::waker_pair()?;
         Ok(Self {

@@ -1,10 +1,10 @@
 //! Goertzel single-bin DFT.
 //!
-//! When only a handful of bins matter — a production tester checking the
-//! fundamental and the first few harmonics, or a built-in self-test
-//! engine on chip — the Goertzel recursion computes one DFT bin in O(n)
-//! multiply-adds with O(1) state, no FFT buffer. Results are identical
-//! (to rounding) to the corresponding [`crate::fft`] bin.
+//! The Goertzel recursion computes one DFT bin in O(n) multiply-adds
+//! with O(1) state and no FFT buffer, for any record length. It is an
+//! independent computation of the same number, so the test suites use
+//! it to cross-check [`crate::fft`] bin by bin; results are identical
+//! (to rounding) to the corresponding FFT bin.
 
 use crate::complex::Complex64;
 
@@ -34,49 +34,6 @@ pub fn goertzel_bin(signal: &[f64], k: usize) -> Complex64 {
     let real = s1 * w.cos() - s2;
     let imag = s1 * w.sin();
     Complex64::new(real, imag)
-}
-
-/// Power of bin `k`, normalised like
-/// [`crate::fft::power_spectrum_one_sided`] (a full-scale sine of
-/// amplitude A reads A²/2 in its bin).
-///
-/// # Panics
-///
-/// Same conditions as [`goertzel_bin`].
-pub fn goertzel_power(signal: &[f64], k: usize) -> f64 {
-    let n = signal.len() as f64;
-    let z = goertzel_bin(signal, k);
-    let fold = if k == 0 || 2 * k == signal.len() {
-        1.0
-    } else {
-        2.0
-    };
-    fold * z.norm_sqr() / (n * n)
-}
-
-/// Quick tone-power screen: the fundamental at `k` and harmonics
-/// `2k..=h_max·k` (folded), returned as `(fundamental_power,
-/// harmonic_powers)`.
-///
-/// # Panics
-///
-/// Panics for `k == 0` or an empty signal.
-pub fn tone_screen(signal: &[f64], k: usize, h_max: usize) -> (f64, Vec<f64>) {
-    assert!(k > 0, "fundamental cannot be DC");
-    let n = signal.len();
-    let fold = |raw: usize| {
-        let m = raw % n;
-        if m > n / 2 {
-            n - m
-        } else {
-            m
-        }
-    };
-    let fundamental = goertzel_power(signal, k);
-    let harmonics = (2..=h_max.max(1))
-        .map(|h| goertzel_power(signal, fold(h * k)))
-        .collect();
-    (fundamental, harmonics)
 }
 
 #[cfg(test)]
@@ -112,35 +69,9 @@ mod tests {
     fn works_for_non_power_of_two_lengths() {
         let n = 1000; // FFT would reject this
         let sig = tone(n, 37, 0.8, 0.3);
-        let p = goertzel_power(&sig, 37);
+        // One-sided power of a sine of amplitude A: 2·|X_k|²/n² = A²/2.
+        let p = 2.0 * goertzel_bin(&sig, 37).norm_sqr() / (n * n) as f64;
         assert!((p - 0.8 * 0.8 / 2.0).abs() < 1e-9, "p {p}");
-    }
-
-    #[test]
-    fn power_normalisation_matches_power_spectrum() {
-        let n = 512;
-        let sig = tone(n, 41, 0.5, 1.1);
-        let ps = crate::fft::power_spectrum_one_sided(&sig).unwrap();
-        assert!((goertzel_power(&sig, 41) - ps[41]).abs() < 1e-12);
-        // DC and Nyquist fold factors.
-        let dc: Vec<f64> = vec![0.25; n];
-        assert!((goertzel_power(&dc, 0) - 0.0625).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tone_screen_reads_injected_harmonics() {
-        let n = 4096;
-        let mut sig = tone(n, 401, 1.0, 0.0);
-        let h3 = tone(n, 3 * 401, 0.001, 0.0);
-        for (s, h) in sig.iter_mut().zip(&h3) {
-            *s += h;
-        }
-        let (fund, harm) = tone_screen(&sig, 401, 5);
-        assert!((fund - 0.5).abs() < 1e-6);
-        // harm[0] = HD2 (clean), harm[1] = HD3 (injected at -60 dBc).
-        assert!(harm[0] < 1e-12);
-        let hd3_dbc = 10.0 * (harm[1] / fund).log10();
-        assert!((hd3_dbc + 60.0).abs() < 0.1, "hd3 {hd3_dbc}");
     }
 
     #[test]

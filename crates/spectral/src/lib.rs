@@ -14,7 +14,7 @@
 //! * [`interleave`] — time-interleaving spur forensics: predicted
 //!   offset/image bin families and measured attribution;
 //! * [`linearity`] — sine-wave code-density INL/DNL extraction;
-//! * [`sinefit`] — IEEE-1057 three/four-parameter sine fits;
+//! * [`sinefit`] — IEEE-1057 three-parameter sine fits;
 //! * [`complex`] — the minimal complex type underpinning the FFT.
 //!
 //! ```
@@ -43,7 +43,6 @@ pub mod linearity;
 pub mod metrics;
 pub mod plan;
 pub mod sinefit;
-pub mod spectrum;
 pub mod twotone;
 pub mod window;
 
@@ -52,7 +51,7 @@ pub use fft::{
     fft_in_place, fft_real, fft_real_into, ifft_in_place, power_spectrum_one_sided,
     power_spectrum_one_sided_into, FftError,
 };
-pub use goertzel::{goertzel_bin, goertzel_power, tone_screen};
+pub use goertzel::goertzel_bin;
 pub use interleave::{
     attribute_record, attribute_spurs, spur_families, InterleaveForensicsError,
     InterleaveSpurReport, SpurFamilies,
@@ -62,7 +61,6 @@ pub use linearity::{
 };
 pub use metrics::{analyze_tone, HarmonicReading, SingleToneAnalysis, ToneAnalysisConfig};
 pub use plan::{plan, FftPlan, SpectralScratch};
-pub use sinefit::{fit_known_frequency, fit_refine_frequency, SineFit, SineFitError};
-pub use spectrum::AveragedSpectrum;
+pub use sinefit::{fit_known_frequency, SineFit, SineFitError};
 pub use twotone::{analyze_two_tone, ImdProduct, TwoToneAnalysis};
 pub use window::{alias_bin, coherent_frequency, coherent_frequency_clear, Window};

@@ -1,11 +1,9 @@
-//! Least-squares sine fitting (IEEE Std 1057 three- and four-parameter
-//! fits).
+//! Least-squares sine fitting (the IEEE Std 1057 three-parameter fit).
 //!
 //! The FFT path in [`crate::metrics`] needs coherent sampling; the sine-fit
 //! path works on any record. Fitting `A·cos(ωt) + B·sin(ωt) + C` and
-//! examining the residual gives an independent SINAD estimate, used by the
-//! test-suite to cross-check the FFT metrics and by the testbench when a
-//! sweep point cannot be made coherent.
+//! examining the residual gives an independent SINAD estimate, which the
+//! test suites use to cross-check the FFT metrics.
 
 /// Result of a sine fit.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -16,8 +14,6 @@ pub struct SineFit {
     pub phase_rad: f64,
     /// Fitted DC offset.
     pub offset: f64,
-    /// Fitted frequency, cycles per sample.
-    pub freq_cycles_per_sample: f64,
     /// RMS of the fit residual.
     pub residual_rms: f64,
     /// Signal-to-noise-and-distortion implied by the residual, dB.
@@ -117,46 +113,9 @@ pub fn fit_known_frequency(
         amplitude,
         phase_rad: a.atan2(b),
         offset: c,
-        freq_cycles_per_sample,
         residual_rms,
         sinad_db,
     })
-}
-
-/// Four-parameter fit: refines the frequency by Gauss–Newton iteration
-/// around `freq_guess_cycles_per_sample`.
-///
-/// # Errors
-///
-/// Propagates [`fit_known_frequency`] errors.
-pub fn fit_refine_frequency(
-    samples: &[f64],
-    freq_guess_cycles_per_sample: f64,
-    iterations: usize,
-) -> Result<SineFit, SineFitError> {
-    let mut f = freq_guess_cycles_per_sample;
-    let mut best = fit_known_frequency(samples, f)?;
-    // Golden-section-style local refinement on residual RMS: robust and
-    // simple, needs no analytic Jacobian.
-    let mut step = freq_guess_cycles_per_sample * 1e-3 + 1e-9;
-    for _ in 0..iterations {
-        let mut improved = false;
-        for cand in [f - step, f + step] {
-            if cand <= 0.0 || cand >= 0.5 {
-                continue;
-            }
-            let fit = fit_known_frequency(samples, cand)?;
-            if fit.residual_rms < best.residual_rms {
-                best = fit;
-                f = cand;
-                improved = true;
-            }
-        }
-        if !improved {
-            step *= 0.5;
-        }
-    }
-    Ok(best)
 }
 
 #[cfg(test)]
@@ -197,20 +156,6 @@ mod tests {
         assert!((fit.residual_rms - sigma).abs() / sigma < 0.05);
         let expected_sinad = 20.0 * ((1.0 / 2f64.sqrt()) / sigma).log10();
         assert!((fit.sinad_db - expected_sinad).abs() < 0.5);
-    }
-
-    #[test]
-    fn frequency_refinement_converges() {
-        let true_f = 0.04321;
-        let s = make(4096, true_f, 1.0, 0.7, 0.0);
-        // Start 0.5% off.
-        let fit = fit_refine_frequency(&s, true_f * 1.005, 60).unwrap();
-        assert!(
-            (fit.freq_cycles_per_sample - true_f).abs() < 2e-6,
-            "f {}",
-            fit.freq_cycles_per_sample
-        );
-        assert!(fit.sinad_db > 60.0, "sinad {}", fit.sinad_db);
     }
 
     #[test]
