@@ -77,8 +77,10 @@
 #                  samples/sec, DSP-kernel and paper-kernel us/call,
 #                  ganged-array us/epoch, cluster jobs/sec; exempt
 #                  across differing host_cpus). Every baseline must
-#                  exist at HEAD. Advisory by default; fatal under
-#                  --deny-perf.
+#                  exist at HEAD, and the stage fails when any of the
+#                  five fresh reports was not written (bench_compare
+#                  itself compares whichever reports are present).
+#                  Advisory by default; fatal under --deny-perf.
 #
 # Every run writes target/ci_summary.json (stage wall-clock + status +
 # exit status) for artifact upload, and appends the same table — with
@@ -245,6 +247,12 @@ stage_perf() {
   bin_dir="$PWD/target/release"
   (cd "$fresh" && "$bin_dir/bench_runtime" && "$bin_dir/bench_service" &&
     "$bin_dir/bench_dsp" && "$bin_dir/bench_interleave" && "$bin_dir/bench_cluster")
+  for report in runtime service dsp interleave cluster; do
+    if [ ! -f "$fresh/BENCH_$report.json" ]; then
+      echo "perf: BENCH_$report.json was not written" >&2
+      return 1
+    fi
+  done
   deny_flag=()
   [ "$DENY_PERF" = 1 ] && deny_flag=(--deny-perf)
   "$bin_dir/bench_compare" --baseline-dir "$baseline" --fresh-dir "$fresh" \

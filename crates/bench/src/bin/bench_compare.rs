@@ -16,18 +16,23 @@
 //! throughput lower, latency higher. Improvements always pass. A
 //! baseline row with no fresh counterpart (a renamed row) is skipped.
 //!
-//! Every report is required: one that is missing or unparsable on
-//! either side is an error. Benchmarks are only comparable between like
-//! machines, so when the `provenance.host_cpus` stamps differ (or one
-//! is missing) the comparison is *exempt*: the diff is still printed
-//! but regressions cannot fail the gate.
+//! The reports compared are the ones present in the fresh directory,
+//! so one refreshed report can be checked on its own; the comparison
+//! prints which. A fresh directory with no report, a fresh report with
+//! no baseline, and an unparsable report are errors. Benchmarks are
+//! only comparable between like machines, so when the
+//! `provenance.host_cpus` stamps differ (or one is missing) the
+//! comparison is *exempt*: the diff is still printed but regressions
+//! cannot fail the gate.
 //!
 //! Exit status: `0` when clean, exempt, or regressions found without
 //! `--deny-perf`; `1` on regressions under `--deny-perf`; `2` on
-//! usage/parse errors. CI runs the gate non-fatally by default
-//! (`./ci.sh perf`) and hardens it with `./ci.sh --deny-perf perf`.
+//! usage, load, and parse errors. CI runs the gate non-fatally by
+//! default (`./ci.sh perf`, which first requires all five fresh
+//! reports) and hardens it with `./ci.sh --deny-perf perf`.
 
 use std::fmt::Write as _;
+use std::path::Path;
 use std::process::ExitCode;
 
 use adc_trace::json::{self, Json};
@@ -277,6 +282,11 @@ fn render(rows: &[Comparison]) -> String {
 fn run(opts: &Options) -> Result<u8, String> {
     let mut files: Vec<&str> = GATES.iter().map(|g| g.file).collect();
     files.dedup();
+    files.retain(|file| Path::new(&opts.fresh_dir).join(file).exists());
+    if files.is_empty() {
+        return Err(format!("no BENCH_*.json report in {}", opts.fresh_dir));
+    }
+    println!("comparing {}", files.join(", "));
     let mut rows = Vec::new();
     let mut host_mismatch = false;
     for file in files {
@@ -507,17 +517,40 @@ mod tests {
     }
 
     #[test]
-    fn a_report_missing_on_either_side_is_an_error() {
+    fn a_fresh_report_without_its_baseline_is_an_error() {
         let dirs = Dirs::new("missing");
         dirs.write("baseline", 2, 1000);
         dirs.write("fresh", 2, 1000);
         assert_eq!(dirs.exit_status(&[]), 0);
-        for side in ["baseline", "fresh"] {
-            let path = dirs.root.join(side).join(INTERLEAVE);
-            std::fs::remove_file(&path).expect("remove report");
-            assert_eq!(dirs.exit_status(&[]), 2, "{INTERLEAVE} missing from {side}");
-            dirs.write(side, 2, 1000);
+        let path = dirs.root.join("baseline").join(INTERLEAVE);
+        std::fs::remove_file(&path).expect("remove report");
+        assert_eq!(dirs.exit_status(&[]), 2, "{INTERLEAVE} has no baseline");
+    }
+
+    #[test]
+    fn only_the_fresh_reports_present_are_compared() {
+        let dirs = Dirs::new("partial");
+        dirs.write("baseline", 2, 1000);
+        std::fs::create_dir_all(dirs.root.join("fresh")).expect("scratch dir");
+        assert_eq!(dirs.exit_status(&[]), 2, "no fresh report");
+        // A lone fresh cluster report is compared alone: its gate
+        // passes, and the DSP regression the other reports would show
+        // (a 10x drop in the nominal row) is not read.
+        dirs.write("fresh", 2, 100);
+        for file in [RUNTIME, SERVICE, DSP, INTERLEAVE] {
+            std::fs::remove_file(dirs.root.join("fresh").join(file)).expect("remove report");
         }
+        assert_eq!(dirs.exit_status(&["--deny-perf"]), 0);
+        std::fs::copy(
+            dirs.root.join("fresh").join(CLUSTER),
+            dirs.root.join("fresh").join(DSP),
+        )
+        .expect("copy report");
+        assert_eq!(
+            dirs.exit_status(&["--deny-perf"]),
+            1,
+            "fresh DSP report gated"
+        );
     }
 
     #[test]

@@ -80,22 +80,25 @@ pub const PANIC_ROOTS: &[PanicRoot] = &[
         symbol: None,
     },
     // The analyzer meets its own bar: the surfaces documented as total
-    // over arbitrary input (lexing any byte soup, parsing any JSON
-    // report, which reaches `adc_trace::json::parse`) are panic-free
-    // transitively. The pass internals run only on workspace source
-    // that compiles, so they are not rooted — a panic there is a CI
-    // failure, not a prod decode crash.
+    // over arbitrary input (lexing any byte soup, parsing any pragma)
+    // are panic-free transitively. The pass internals run only on
+    // workspace source that compiles, so they are not rooted — a panic
+    // there is a CI failure, not a prod decode crash.
     PanicRoot {
         path: "crates/lint/src/lexer.rs",
         symbol: Some("lex"),
     },
     PanicRoot {
-        path: "crates/lint/src/report.rs",
-        symbol: Some("from_json"),
-    },
-    PanicRoot {
         path: "crates/lint/src/pragma.rs",
         symbol: Some("parse_allows"),
+    },
+    // The workspace JSON parser reads BENCH_*.json files from disk in
+    // `bench_compare`, so any document must parse or err. A symbol
+    // root: as a whole-file root the per-file rule would take
+    // `Parser::expect`, a workspace method, for `Option::expect`.
+    PanicRoot {
+        path: "crates/trace/src/json.rs",
+        symbol: Some("parse"),
     },
     // The reactor's frame-ingest path runs on untrusted wire bytes
     // before any request is admitted; a panic here takes down every

@@ -15,9 +15,9 @@
 //!
 //! Suppression is central: every diagnostic — textual or
 //! interprocedural — is matched against the file's allow pragmas by
-//! (rule, target line); facts discharged at their source consume
-//! pragmas the same way, and any pragma that suppressed nothing is an
-//! `unused-allow` error. Discovery sorts paths and every pass iterates
+//! (rule, target line) in one allow table; facts discharged at their
+//! source take from the same table, and any pragma that suppressed
+//! nothing is an `unused-allow` error. Discovery sorts paths and every pass iterates
 //! in stable order, so a report is byte-identical across runs and
 //! machines — the engine holds itself to the determinism bar it
 //! enforces.
@@ -35,10 +35,10 @@ use crate::graphout::{self, GraphExports};
 use crate::items::{parse_file, token_maps};
 use crate::lexer::lex;
 use crate::locks;
-use crate::pragma::parse_allows;
+use crate::pragma::AllowTable;
 use crate::reach;
 use crate::report::{Diagnostic, Report};
-use crate::rules::{check_file, test_spans, FileCtx};
+use crate::rules::{check_file, FileCtx};
 use crate::taint;
 
 /// Everything a full workspace analysis produces.
@@ -72,13 +72,11 @@ pub fn analyze_files(files: &[(&str, &str)], check_config: bool) -> AnalyzedWork
     // Layer 0: lex + per-file structures.
     let lexed: Vec<_> = files.iter().map(|(_, src)| lex(src)).collect();
     let maps: Vec<_> = lexed.iter().map(|l| token_maps(&l.tokens)).collect();
-    let spans: Vec<Vec<(u32, u32)>> = lexed.iter().map(|l| test_spans(&l.tokens)).collect();
     let items: Vec<_> = files
         .iter()
         .zip(&lexed)
         .zip(&maps)
-        .zip(&spans)
-        .map(|((((path, _), l), m), sp)| parse_file(path, &l.tokens, m, sp))
+        .map(|(((path, _), l), m)| parse_file(path, &l.tokens, m))
         .collect();
     let data: Vec<FileData<'_>> = files
         .iter()
@@ -93,40 +91,22 @@ pub fn analyze_files(files: &[(&str, &str)], check_config: bool) -> AnalyzedWork
         })
         .collect();
 
-    // Pragmas, resolved to target lines, with shared used-flags.
+    // Pragmas, then layer 1: per-file token rules.
     let mut raw: Vec<Diagnostic> = Vec::new();
-    let mut all_allows: Vec<(usize, String, Option<u32>, u32, String)> = Vec::new();
-    let mut fact_allows: Vec<facts::FileAllows> = Vec::with_capacity(files.len());
-    for (fidx, ((path, _), l)) in files.iter().zip(&lexed).enumerate() {
-        let (allows, bad) = parse_allows(path, &l.comments);
-        raw.extend(bad);
-        let mut code_lines: Vec<u32> = l.tokens.iter().map(|t| t.line).collect();
-        code_lines.dedup();
-        let mut fa: facts::FileAllows = Vec::new();
-        for a in &allows {
-            let target = a.target_line(&code_lines);
-            if let Some(t) = target {
-                fa.push((a.rule.clone(), t));
-            }
-            all_allows.push((fidx, a.rule.clone(), target, a.line, a.reason.clone()));
-        }
-        fact_allows.push(fa);
-    }
-
-    // Layer 1: per-file token rules.
-    for ((path, _), (l, sp)) in files.iter().zip(lexed.iter().zip(&spans)) {
-        let ctx = FileCtx {
+    let mut allows = AllowTable::default();
+    for (((path, _), l), m) in files.iter().zip(&lexed).zip(&maps) {
+        raw.extend(allows.add_file(path, l));
+        raw.extend(check_file(&FileCtx {
             rel_path: path,
             tokens: &l.tokens,
             comments: &l.comments,
-            test_spans: sp,
-        };
-        raw.extend(check_file(&ctx));
+            maps: m,
+        }));
     }
 
     // Layer 2: call graph + interprocedural passes.
     let g = graph::build(&data);
-    let (fx, consumed) = facts::collect(&g, &data, &fact_allows);
+    let fx = facts::collect(&g, &data, &mut allows);
     raw.extend(reach::run(&g, &data, &fx));
     raw.extend(taint::run(&g, &data, &fx));
     let (lock_diags, lock_graph) = locks::run(&g, &data, &fx);
@@ -136,49 +116,13 @@ pub fn analyze_files(files: &[(&str, &str)], check_config: bool) -> AnalyzedWork
     }
     let exports = graphout::render(&g, &data, &lock_graph);
 
-    // Central suppression.
-    let mut used = vec![false; all_allows.len()];
-    // Source-discharged facts consumed their pragma even though no
-    // diagnostic was ever emitted.
-    for (fidx, target, rule) in &consumed {
-        for (k, (afidx, arule, atarget, _, _)) in all_allows.iter().enumerate() {
-            if afidx == fidx && arule == rule && *atarget == Some(*target) {
-                used[k] = true;
-            }
-        }
-    }
-    let mut out: Vec<Diagnostic> = Vec::new();
-    for diag in raw {
-        let mut suppressed = false;
-        for (k, (afidx, arule, atarget, _, _)) in all_allows.iter().enumerate() {
-            let same_file = files.get(*afidx).is_some_and(|(p, _)| *p == diag.file);
-            if same_file && *arule == diag.rule && *atarget == Some(diag.line) {
-                if let Some(u) = used.get_mut(k) {
-                    *u = true;
-                }
-                suppressed = true;
-            }
-        }
-        if !suppressed {
-            out.push(diag);
-        }
-    }
-    for (k, (afidx, arule, _, line, reason)) in all_allows.iter().enumerate() {
-        if !used.get(k).copied().unwrap_or(true) {
-            out.push(Diagnostic {
-                rule: "unused-allow".to_string(),
-                file: files
-                    .get(*afidx)
-                    .map(|(p, _)| (*p).to_string())
-                    .unwrap_or_default(),
-                line: *line,
-                message: format!(
-                    "allow({arule}) suppresses nothing; delete the stale pragma (reason \
-                     was: \"{reason}\")"
-                ),
-            });
-        }
-    }
+    // Central suppression: a diagnostic survives unless a pragma takes
+    // it; then every pragma nothing took is stale.
+    let mut out: Vec<Diagnostic> = raw
+        .into_iter()
+        .filter(|d| !allows.take(&d.file, d.line, &[d.rule.as_str()]))
+        .collect();
+    out.extend(allows.unused());
 
     out.sort_by(|a, b| {
         a.file

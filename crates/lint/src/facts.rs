@@ -2,17 +2,20 @@
 //! constructs, nondeterminism sources, blocking channel operations,
 //! dynamic-call sites, and lock-guard acquisition spans.
 //!
-//! Facts are collected once per function (same textual heuristics as
-//! the per-file rules, so the two layers never disagree on what counts
-//! as a panic or a wall-clock read) and *discharged at the source* by
-//! allow pragmas: a fact whose line carries a matching
-//! `adc-lint: allow(..)` never enters propagation, and the consumed
-//! allow is reported back so the engine can mark it used.
+//! Facts are collected once per function. Panicking constructs and
+//! nondeterminism sources come from [`crate::rules::construct_at`],
+//! the table the per-file rules report from, so the two layers never
+//! disagree on what counts as a panic or a wall-clock read: it holds
+//! by construction. Facts are *discharged at the source* by allow
+//! pragmas: a fact whose line carries a matching `adc-lint: allow(..)`
+//! never enters propagation, and taking it from the
+//! [`AllowTable`] marks the pragma used.
 
 use crate::config;
 use crate::graph::{FileData, Graph, RecvClass, Res};
 use crate::lexer::TokenKind;
-use crate::rules::NON_INDEX_KEYWORDS;
+use crate::pragma::AllowTable;
+use crate::rules::construct_at;
 
 /// Identity of a lock as seen from inside one function.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -63,53 +66,21 @@ pub(crate) struct FnFacts {
     pub acqs: Vec<Acq>,
 }
 
-/// An allow pragma's `(rule, target line)` per file, as the engine
-/// resolved it.
-pub(crate) type FileAllows = Vec<(String, u32)>;
-
-/// A consumed allow: `(file index, target line, rule)`.
-pub(crate) type Consumed = (usize, u32, String);
-
-const PANIC_MACROS: &[&str] = &[
-    "panic",
-    "unreachable",
-    "todo",
-    "unimplemented",
-    "assert",
-    "assert_eq",
-    "assert_ne",
-    "debug_assert",
-    "debug_assert_eq",
-    "debug_assert_ne",
-];
-
-/// Collects facts for every symbol in the graph. `allows[file]` holds
-/// that file's pragma targets; discharged facts consume them.
+/// Collects facts for every symbol in the graph. A fact whose line
+/// carries a matching allow pragma is discharged: `allows` marks the
+/// pragma used, and the fact never enters propagation.
 pub(crate) fn collect(
     graph: &Graph,
     files: &[FileData<'_>],
-    allows: &[FileAllows],
-) -> (Vec<FnFacts>, Vec<Consumed>) {
+    allows: &mut AllowTable<'_>,
+) -> Vec<FnFacts> {
     let mut out = Vec::with_capacity(graph.syms.len());
-    let mut consumed: Vec<Consumed> = Vec::new();
     for (k, sym) in graph.syms.iter().enumerate() {
         let mut facts = FnFacts::default();
         let Some(fd) = files.get(sym.file) else {
             out.push(facts);
             continue;
         };
-        let file_allows = allows.get(sym.file).map(Vec::as_slice).unwrap_or(&[]);
-        let discharge = |line: u32, rules: &[&str], consumed: &mut Vec<Consumed>| -> bool {
-            let mut hit = false;
-            for (rule, target) in file_allows {
-                if *target == line && rules.contains(&rule.as_str()) {
-                    consumed.push((sym.file, *target, rule.clone()));
-                    hit = true;
-                }
-            }
-            hit
-        };
-
         let Some((open, close)) = sym.item.body else {
             out.push(facts);
             continue;
@@ -129,97 +100,41 @@ pub(crate) fn collect(
         let skip = |i: usize| nested.iter().any(|&(a, b)| i >= a && i <= b) || fd.maps.in_attr(i);
 
         let toks = fd.tokens;
+        // Whole-file panic roots are owned by the per-file `no-panic`
+        // rule; recording their panics here would double-report.
         let whole_file_root = config::in_panic_free_scope(fd.rel_path);
         let env_exempt = config::is_env_exempt(fd.rel_path);
+        // A `.expect(..)` that resolved to a *workspace* method is not
+        // `Option::expect` — the callee's own body carries its facts;
+        // flagging the call would be a false positive on any method
+        // that shares the name.
+        let resolved_method = |i: usize| {
+            i.checked_sub(1)
+                .and_then(|p| toks.get(p))
+                .is_some_and(|p| p.text == ".")
+                && graph.sites.get(k).is_some_and(|sites| {
+                    sites
+                        .iter()
+                        .any(|s| s.tok == i + 1 && !s.callees.is_empty())
+                })
+        };
         for i in open + 1..close {
             if skip(i) {
                 continue;
             }
-            let Some(tok) = toks.get(i) else { break };
-            let prev = i.checked_sub(1).and_then(|p| toks.get(p));
-            let next = toks.get(i + 1);
-
-            // Panicking constructs — same shapes as the textual
-            // `no-panic` rule. Whole-file panic roots are owned by the
-            // textual rule; recording them here would double-report.
-            if !whole_file_root {
-                // A `.expect(..)` that resolved to a *workspace* method
-                // is not `Option::expect` — the callee's own body
-                // carries its facts; flagging the call would be a
-                // false positive on any method that shares the name.
-                let resolved_here = |paren: usize| {
-                    graph.sites.get(k).is_some_and(|sites| {
-                        sites
-                            .iter()
-                            .any(|s| s.tok == paren && !s.callees.is_empty())
-                    })
-                };
-                let what: Option<String> = if tok.kind == TokenKind::Ident
-                    && matches!(tok.text, "unwrap" | "expect" | "unwrap_err" | "expect_err")
-                    && prev.is_some_and(|p| p.text == ".")
-                    && next.is_some_and(|n| n.text == "(")
-                    && !resolved_here(i + 1)
-                {
-                    Some(format!("`.{}()`", tok.text))
-                } else if tok.kind == TokenKind::Ident
-                    && PANIC_MACROS.contains(&tok.text)
-                    && next.is_some_and(|n| n.text == "!")
-                {
-                    Some(format!("`{}!`", tok.text))
-                } else if tok.text == "[" {
-                    let indexes = match prev {
-                        Some(p) if p.kind == TokenKind::Ident => {
-                            !NON_INDEX_KEYWORDS.contains(&p.text)
-                        }
-                        Some(p) => matches!(p.text, ")" | "]" | "?"),
-                        None => false,
-                    };
-                    indexes.then(|| "slice indexing".to_string())
-                } else {
-                    None
-                };
-                if let Some(what) = what {
-                    if !discharge(tok.line, &["panic-reach"], &mut consumed) {
-                        facts.panic_sites.push((tok.line, what));
-                    }
-                }
-            }
-
-            // Nondeterminism sources — same shapes as the per-file
-            // determinism rules.
-            let taint: Option<(&str, String)> = if tok.kind == TokenKind::Ident
-                && matches!(tok.text, "Instant" | "SystemTime")
-                && next.is_some_and(|n| n.text == "::")
-                && toks.get(i + 2).is_some_and(|n| n.text == "now")
-            {
-                Some(("no-wallclock", format!("`{}::now()`", tok.text)))
-            } else if tok.text == "thread"
-                && next.is_some_and(|n| n.text == "::")
-                && toks.get(i + 2).is_some_and(|n| n.text == "current")
-            {
-                Some(("no-thread-id", "`thread::current()`".to_string()))
-            } else if tok.kind == TokenKind::Ident
-                && matches!(tok.text, "HashMap" | "HashSet" | "RandomState")
-            {
-                Some(("no-hash-collections", format!("`{}`", tok.text)))
-            } else if !env_exempt
-                && tok.text == "env"
-                && next.is_some_and(|n| n.text == "::")
-                && toks
-                    .get(i + 2)
-                    .is_some_and(|n| matches!(n.text, "var" | "var_os" | "vars" | "vars_os"))
-            {
-                Some((
-                    "no-env-read",
-                    format!("`env::{}`", toks.get(i + 2).map_or("var", |t| t.text)),
-                ))
-            } else {
-                None
+            let Some(c) = construct_at(toks, i, env_exempt) else {
+                continue;
             };
-            if let Some((base, desc)) = taint {
-                if !discharge(tok.line, &[base, "determinism-taint"], &mut consumed) {
-                    facts.taint_sites.push((tok.line, desc));
+            let line = toks.get(i).map_or(0, |t| t.line);
+            if c.rule != "no-panic" {
+                if !allows.take(fd.rel_path, line, &[c.rule, "determinism-taint"]) {
+                    facts.taint_sites.push((line, c.what));
                 }
+            } else if !whole_file_root
+                && !resolved_method(i)
+                && !allows.take(fd.rel_path, line, &["panic-reach"])
+            {
+                facts.panic_sites.push((line, c.what));
             }
         }
 
@@ -239,7 +154,7 @@ pub(crate) fn collect(
             // receiver keeps both interpretations (conservative).
             if matches!(site.name.as_str(), "send" | "recv" | "recv_timeout")
                 && (site.res == Res::External || site.recv == RecvClass::Unknown)
-                && !discharge(site.line, &["lock-across-send"], &mut consumed)
+                && !allows.take(fd.rel_path, site.line, &["lock-across-send"])
             {
                 facts
                     .chan_ops
@@ -286,7 +201,7 @@ pub(crate) fn collect(
         }
         out.push(facts);
     }
-    (out, consumed)
+    out
 }
 
 /// Where the guard produced by the acquisition at `tok` drops.
@@ -460,13 +375,11 @@ mod tests {
     use crate::graph::{build, FileData};
     use crate::items::{parse_file, token_maps};
     use crate::lexer::lex;
-    use crate::rules::test_spans;
 
     fn facts_for(src: &str, path: &str, fn_name: &str) -> FnFacts {
         let lexed = lex(src);
         let maps = token_maps(&lexed.tokens);
-        let spans = test_spans(&lexed.tokens);
-        let items = parse_file(path, &lexed.tokens, &maps, &spans);
+        let items = parse_file(path, &lexed.tokens, &maps);
         let fd = FileData {
             rel_path: path,
             tokens: &lexed.tokens,
@@ -475,7 +388,7 @@ mod tests {
         };
         let files = [fd];
         let graph = build(&files);
-        let (facts, _) = collect(&graph, &files, &[Vec::new()]);
+        let facts = collect(&graph, &files, &mut AllowTable::default());
         let idx = graph
             .syms
             .iter()

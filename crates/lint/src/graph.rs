@@ -1777,7 +1777,6 @@ mod tests {
     use super::*;
     use crate::items::{parse_file, token_maps};
     use crate::lexer::lex;
-    use crate::rules::test_spans;
 
     struct Built {
         graph: Graph,
@@ -1787,13 +1786,11 @@ mod tests {
     fn build_from(sources: &[(&str, &str)]) -> Built {
         let lexed: Vec<_> = sources.iter().map(|(_, s)| lex(s)).collect();
         let maps: Vec<_> = lexed.iter().map(|l| token_maps(&l.tokens)).collect();
-        let spans: Vec<_> = lexed.iter().map(|l| test_spans(&l.tokens)).collect();
         let items: Vec<_> = sources
             .iter()
             .zip(&lexed)
             .zip(&maps)
-            .zip(&spans)
-            .map(|((((p, _), l), m), sp)| parse_file(p, &l.tokens, m, sp))
+            .map(|(((p, _), l), m)| parse_file(p, &l.tokens, m))
             .collect();
         let data: Vec<FileData<'_>> = sources
             .iter()

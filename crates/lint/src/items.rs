@@ -16,7 +16,8 @@ use crate::lexer::{Token, TokenKind};
 /// Sentinel for "no matching bracket".
 pub(crate) const NONE: usize = usize::MAX;
 
-/// Bracket-matching maps over one file's tokens, plus attribute spans.
+/// Bracket-matching maps over one file's tokens, plus attribute and
+/// `#[cfg(test)]` spans.
 #[derive(Debug, Default)]
 pub(crate) struct TokenMaps {
     /// `paren[i]` = index of the `)` matching the `(` at `i`.
@@ -29,12 +30,21 @@ pub(crate) struct TokenMaps {
     /// their contents look like calls (`#[derive(Clone)]`) and must be
     /// invisible to call-site extraction.
     pub attrs: Vec<(usize, usize)>,
+    /// Inclusive line ranges covered by `#[cfg(test)]` items — tests
+    /// may panic, probe env vars, and hash freely, so every rule and
+    /// the item parser skip them.
+    pub tests: Vec<(u32, u32)>,
 }
 
 impl TokenMaps {
     /// `true` when token index `i` falls inside an attribute.
     pub fn in_attr(&self, i: usize) -> bool {
         self.attrs.iter().any(|&(a, b)| i >= a && i <= b)
+    }
+
+    /// `true` when `line` falls inside a `#[cfg(test)]` item.
+    pub fn in_test(&self, line: u32) -> bool {
+        self.tests.iter().any(|&(a, b)| line >= a && line <= b)
     }
 }
 
@@ -45,7 +55,7 @@ pub(crate) fn token_maps(tokens: &[Token<'_>]) -> TokenMaps {
         paren: vec![NONE; n],
         brace: vec![NONE; n],
         bracket: vec![NONE; n],
-        attrs: Vec::new(),
+        ..TokenMaps::default()
     };
     let (mut ps, mut bs, mut ks) = (Vec::new(), Vec::new(), Vec::new());
     for (i, t) in tokens.iter().enumerate() {
@@ -91,7 +101,45 @@ pub(crate) fn token_maps(tokens: &[Token<'_>]) -> TokenMaps {
         }
         i += 1;
     }
+    maps.tests = cfg_test_spans(tokens, &maps);
     maps
+}
+
+/// The line spans of `#[cfg(test)]` items: an attribute whose `cfg`
+/// mentions `test` starts a span that runs past any further attributes
+/// to the item's end — the `}` matching its first `{` (the file's end
+/// when unmatched), or a `;` before any `{`. A `cfg` containing `not`
+/// (`#[cfg(not(test))]`) is treated as non-test: skipping
+/// production-only code would hide real violations, while scanning a
+/// few extra test lines only costs an explicit pragma.
+fn cfg_test_spans(tokens: &[Token<'_>], maps: &TokenMaps) -> Vec<(u32, u32)> {
+    let mut spans = Vec::new();
+    for (k, &(open, close)) in maps.attrs.iter().enumerate() {
+        let body = tokens.get(open + 2..close).unwrap_or(&[]);
+        let texts = || body.iter().map(|t| t.text);
+        if texts().next() != Some("cfg")
+            || !texts().any(|t| t == "test")
+            || texts().any(|t| t == "not")
+        {
+            continue;
+        }
+        let mut item = close + 1;
+        for &(a, b) in maps.attrs.get(k + 1..).unwrap_or(&[]) {
+            if a == item {
+                item = b + 1;
+            }
+        }
+        let end = (item..tokens.len()).find_map(|j| match tokens.get(j).map(|t| t.text) {
+            Some(";") => Some(j),
+            Some("{") => maps.brace.get(j).copied(),
+            _ => None,
+        });
+        let end_line = end.and_then(|j| tokens.get(j)).or(tokens.last());
+        if let Some(start) = tokens.get(open) {
+            spans.push((start.line, end_line.map_or(0, |t| t.line)));
+        }
+    }
+    spans
 }
 
 /// Index just past the `>` matching the `<` at `open` (handles `<<`
@@ -317,12 +365,7 @@ impl Frame {
 }
 
 /// Parses the items of one file.
-pub(crate) fn parse_file(
-    rel_path: &str,
-    tokens: &[Token<'_>],
-    maps: &TokenMaps,
-    test_spans: &[(u32, u32)],
-) -> FileItems {
+pub(crate) fn parse_file(rel_path: &str, tokens: &[Token<'_>], maps: &TokenMaps) -> FileItems {
     let base = module_path_of(rel_path);
     let mut out = FileItems {
         module: base.clone(),
@@ -356,7 +399,6 @@ pub(crate) fn parse_file(
         k += 1;
     }
 
-    let in_test = |line: u32| test_spans.iter().any(|&(a, b)| line >= a && line <= b);
     let mut frames: Vec<Frame> = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
@@ -417,7 +459,7 @@ pub(crate) fn parse_file(
                 let module = module_with_frames(&base, &frames);
                 let self_ty = current_self_ty(&frames);
                 if let Some((item, resume)) = parse_fn(tokens, maps, i, module, self_ty, tok.line) {
-                    let skip_item = in_test(tok.line);
+                    let skip_item = maps.in_test(tok.line);
                     let resume_at = resume;
                     if let Some((open, close)) = item.body {
                         if !skip_item {
@@ -442,7 +484,7 @@ pub(crate) fn parse_file(
             "use" => {
                 let is_pub = prev_is_pub(tokens, i);
                 let (items, resume) = parse_use(tokens, i + 1);
-                if !in_test(tok.line) {
+                if !maps.in_test(tok.line) {
                     out.uses
                         .extend(items.into_iter().map(|(path, name, glob)| UseItem {
                             is_pub,
@@ -470,7 +512,7 @@ pub(crate) fn parse_file(
                 {
                     j += 1;
                 }
-                if tokens.get(j).is_some_and(|t| t.text == "{") && !in_test(tok.line) {
+                if tokens.get(j).is_some_and(|t| t.text == "{") && !maps.in_test(tok.line) {
                     let close = maps.brace.get(j).copied().unwrap_or(NONE);
                     if close != NONE {
                         parse_fields(tokens, j, close, &name, &out.lock_aliases, &mut out.fields);
@@ -494,7 +536,7 @@ pub(crate) fn parse_file(
                 {
                     j += 1;
                 }
-                if tokens.get(j).is_some_and(|t| t.text == "{") && !in_test(tok.line) {
+                if tokens.get(j).is_some_and(|t| t.text == "{") && !maps.in_test(tok.line) {
                     let close = maps.brace.get(j).copied().unwrap_or(NONE);
                     if close != NONE {
                         parse_variants(
@@ -527,7 +569,7 @@ pub(crate) fn parse_file(
                             })
                             .unwrap_or(tokens.len());
                         let ty_toks = tokens.get(j + 2..eq).unwrap_or(&[]);
-                        if !in_test(tok.line) {
+                        if !maps.in_test(tok.line) {
                             out.statics.push(StaticInfo {
                                 name: name.text.to_string(),
                                 ty: principal_ty(ty_toks),
@@ -1086,13 +1128,10 @@ fn parse_variants(
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::rules::test_spans;
 
     fn parse(path: &str, src: &str) -> FileItems {
         let lexed = lex(src);
-        let maps = token_maps(&lexed.tokens);
-        let spans = test_spans(&lexed.tokens);
-        parse_file(path, &lexed.tokens, &maps, &spans)
+        parse_file(path, &lexed.tokens, &token_maps(&lexed.tokens))
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! The engine is std-only and from scratch, matching the workspace's
 //! zero-external-deps ethos: a hand-written lexer ([`lexer`]) feeds
 //! token-subsequence rules ([`rules`]) scoped by path ([`config`]),
-//! with audited suppressions ([`pragma`]) and a JSON-round-trippable
-//! report ([`report`]). On top of the token layer sits a symbol
+//! with audited suppressions ([`pragma`]) and a human or JSON report
+//! ([`report`]). On top of the token layer sits a symbol
 //! layer: a lightweight item parser extracts functions, impls, and
 //! imports; a workspace call graph resolves call sites across crates;
 //! and three interprocedural passes — transitive panic-reachability,

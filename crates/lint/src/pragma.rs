@@ -16,8 +16,12 @@
 //! unknown rule, or omits the reason yields `bad-pragma`; a
 //! well-formed pragma that suppresses nothing yields `unused-allow`
 //! (so stale suppressions die with the violation they excused).
+//!
+//! One `AllowTable` holds a scan's pragmas: call-graph facts
+//! discharged at their source and diagnostics suppressed centrally
+//! both `take` from it, and what nothing took is `unused-allow`.
 
-use crate::lexer::Comment;
+use crate::lexer::{Comment, Lexed};
 use crate::report::Diagnostic;
 use crate::rules::is_known_rule;
 
@@ -78,6 +82,58 @@ pub fn parse_allows(rel_path: &str, comments: &[Comment<'_>]) -> (Vec<Allow>, Ve
         }
     }
     (allows, bad)
+}
+
+/// Every allow pragma of a scan as (file, target line, allow, used).
+#[derive(Debug, Default)]
+pub(crate) struct AllowTable<'a> {
+    entries: Vec<(&'a str, Option<u32>, Allow, bool)>,
+}
+
+impl<'a> AllowTable<'a> {
+    /// Adds `rel_path`'s pragmas, each resolved to its target line;
+    /// returns a `bad-pragma` diagnostic for each malformed one.
+    pub(crate) fn add_file(&mut self, rel_path: &'a str, lexed: &Lexed<'_>) -> Vec<Diagnostic> {
+        let (allows, bad) = parse_allows(rel_path, &lexed.comments);
+        let mut code_lines: Vec<u32> = lexed.tokens.iter().map(|t| t.line).collect();
+        code_lines.dedup();
+        for allow in allows {
+            let target = allow.target_line(&code_lines);
+            self.entries.push((rel_path, target, allow, false));
+        }
+        bad
+    }
+
+    /// Marks used every pragma of `file` that targets `line` and
+    /// allows one of `rules`; `true` when there was one.
+    pub(crate) fn take(&mut self, file: &str, line: u32, rules: &[&str]) -> bool {
+        let mut hit = false;
+        for (f, target, allow, used) in &mut self.entries {
+            if *f == file && *target == Some(line) && rules.contains(&allow.rule.as_str()) {
+                *used = true;
+                hit = true;
+            }
+        }
+        hit
+    }
+
+    /// An `unused-allow` diagnostic for each pragma nothing took.
+    pub(crate) fn unused(&self) -> Vec<Diagnostic> {
+        self.entries
+            .iter()
+            .filter(|(.., used)| !used)
+            .map(|(file, _, allow, _)| Diagnostic {
+                rule: "unused-allow".to_string(),
+                file: (*file).to_string(),
+                line: allow.line,
+                message: format!(
+                    "allow({}) suppresses nothing; delete the stale pragma (reason \
+                     was: \"{}\")",
+                    allow.rule, allow.reason
+                ),
+            })
+            .collect()
+    }
 }
 
 fn parse_one(text: &str) -> Result<(String, String), String> {

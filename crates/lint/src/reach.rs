@@ -124,18 +124,16 @@ mod tests {
     use crate::graph::{build, FileData};
     use crate::items::{parse_file, token_maps};
     use crate::lexer::lex;
-    use crate::rules::test_spans;
+    use crate::pragma::AllowTable;
 
     fn run_on(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
         let lexed: Vec<_> = sources.iter().map(|(_, s)| lex(s)).collect();
         let maps: Vec<_> = lexed.iter().map(|l| token_maps(&l.tokens)).collect();
-        let spans: Vec<_> = lexed.iter().map(|l| test_spans(&l.tokens)).collect();
         let items: Vec<_> = sources
             .iter()
             .zip(&lexed)
             .zip(&maps)
-            .zip(&spans)
-            .map(|((((p, _), l), m), sp)| parse_file(p, &l.tokens, m, sp))
+            .map(|(((p, _), l), m)| parse_file(p, &l.tokens, m))
             .collect();
         let data: Vec<FileData<'_>> = sources
             .iter()
@@ -150,8 +148,7 @@ mod tests {
             })
             .collect();
         let graph = build(&data);
-        let allows = vec![Vec::new(); data.len()];
-        let (fx, _) = facts::collect(&graph, &data, &allows);
+        let fx = facts::collect(&graph, &data, &mut AllowTable::default());
         run(&graph, &data, &fx)
     }
 

@@ -20,7 +20,8 @@
 //! The first eight are per-file token rules (this module); the last
 //! five are interprocedural, computed over the workspace call graph
 //! (see the crate's `graph` and pass modules). They share the allow
-//! pragma mechanism and this catalogue.
+//! pragma mechanism, this catalogue, and the one table of panicking
+//! constructs and nondeterminism sources, `construct_at`.
 //!
 //! Rules are lexical: they match token subsequences, not syntax trees.
 //! That makes them conservative in a specific, documented direction —
@@ -34,6 +35,7 @@
 //! env vars, and hash freely — the invariants protect shipped code.
 
 use crate::config;
+use crate::items::{TokenMaps, NONE};
 use crate::lexer::{Comment, Token, TokenKind};
 use crate::report::Diagnostic;
 
@@ -109,22 +111,18 @@ pub fn is_known_rule(id: &str) -> bool {
 
 /// Everything a rule can see about one file.
 #[derive(Debug)]
-pub struct FileCtx<'a> {
+pub(crate) struct FileCtx<'a> {
     /// Workspace-relative path, `/`-separated.
     pub rel_path: &'a str,
     /// Code tokens.
     pub tokens: &'a [Token<'a>],
     /// Comment side channel.
     pub comments: &'a [Comment<'a>],
-    /// Line ranges (inclusive) covered by `#[cfg(test)]` items.
-    pub test_spans: &'a [(u32, u32)],
+    /// Bracket maps and `#[cfg(test)]` spans of `tokens`.
+    pub maps: &'a TokenMaps,
 }
 
 impl FileCtx<'_> {
-    fn in_test(&self, line: u32) -> bool {
-        self.test_spans.iter().any(|&(a, b)| line >= a && line <= b)
-    }
-
     fn diag(&self, rule: &str, line: u32, message: String) -> Diagnostic {
         Diagnostic {
             rule: rule.to_string(),
@@ -135,104 +133,90 @@ impl FileCtx<'_> {
     }
 }
 
-/// Computes the `#[cfg(test)]` item spans of a token stream: the lines
-/// covered by any item whose attribute list contains `cfg` with a
-/// `test` token inside its parentheses (covers `#[cfg(test)]` and
-/// `#[cfg(all(test, ...))]`).
-pub fn test_spans(tokens: &[Token<'_>]) -> Vec<(u32, u32)> {
-    let mut spans = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if tokens[i].text == "#" && matches(tokens, i + 1, &["["]) {
-            let (is_test_cfg, after_attr) = parse_attr(tokens, i + 2);
-            if is_test_cfg {
-                // Skip any further attributes, then find the item's end:
-                // the matching `}` of its first block, or a `;`.
-                let mut j = after_attr;
-                while j < tokens.len() && tokens[j].text == "#" {
-                    let (_, next) = parse_attr(tokens, j + 2);
-                    j = next;
-                }
-                let start_line = tokens[i].line;
-                let end_line = item_end_line(tokens, j);
-                spans.push((start_line, end_line));
-            }
-            i = after_attr;
-        } else {
-            i += 1;
-        }
-    }
-    spans
-}
-
-/// Parses one attribute starting just after `#[`; returns whether it is
-/// a test `cfg` and the index just past the closing `]`. A `cfg`
-/// containing `not` anywhere (`#[cfg(not(test))]`) is conservatively
-/// treated as non-test: skipping production-only code would hide real
-/// violations, while scanning a few extra test lines only costs an
-/// explicit pragma.
-fn parse_attr(tokens: &[Token<'_>], start: usize) -> (bool, usize) {
-    let is_cfg = tokens.get(start).is_some_and(|t| t.text == "cfg");
-    let mut depth = 1usize; // the `[` already consumed
-    let mut has_test = false;
-    let mut has_not = false;
-    let mut i = start;
-    while i < tokens.len() && depth > 0 {
-        match tokens[i].text {
-            "[" => depth += 1,
-            "]" => depth -= 1,
-            "test" => has_test = true,
-            "not" => has_not = true,
-            _ => {}
-        }
-        i += 1;
-    }
-    (is_cfg && has_test && !has_not, i)
-}
-
-/// Finds the last line of the item starting at `start`: skips to the
-/// first `{` (tracking none-yet), then to its matching `}`; a `;`
-/// before any `{` ends the item immediately.
-fn item_end_line(tokens: &[Token<'_>], start: usize) -> u32 {
-    let mut i = start;
-    let mut brace_depth = 0usize;
-    let mut entered = false;
-    while i < tokens.len() {
-        match tokens[i].text {
-            ";" if !entered => return tokens[i].line,
-            "{" => {
-                brace_depth += 1;
-                entered = true;
-            }
-            "}" => {
-                brace_depth = brace_depth.saturating_sub(1);
-                if entered && brace_depth == 0 {
-                    return tokens[i].line;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    tokens.last().map_or(0, |t| t.line)
-}
-
-fn matches(tokens: &[Token<'_>], at: usize, texts: &[&str]) -> bool {
-    texts
-        .iter()
-        .enumerate()
-        .all(|(k, want)| tokens.get(at + k).is_some_and(|t| t.text == *want))
-}
-
 /// Keywords that can legally precede a `[` that is *not* an index
 /// expression (`let [a, b] = ...`, `if let [x] = ...`, `in [1, 2]`).
-pub(crate) const NON_INDEX_KEYWORDS: &[&str] = &[
+const NON_INDEX_KEYWORDS: &[&str] = &[
     "let", "mut", "ref", "in", "if", "while", "match", "return", "else", "move", "box", "dyn",
     "as", "const", "static", "type", "where", "use", "impl", "for",
 ];
 
+/// A panicking construct or nondeterminism source at one token.
+#[derive(Debug)]
+pub(crate) struct Construct {
+    /// The per-file rule that owns it: `no-panic` or a determinism rule.
+    pub rule: &'static str,
+    /// The construct as diagnostics quote it (`` `.unwrap()` ``,
+    /// `` `Instant::now()` ``, `slice indexing`).
+    pub what: String,
+    /// The rest of the per-file message: why it is denied, and the fix.
+    pub why: &'static str,
+}
+
+/// The one table of panicking constructs and nondeterminism sources:
+/// the construct starting at token `i`, if any. The per-file rules
+/// report it inside their scope, and the call-graph facts record it
+/// for the interprocedural passes, so the two layers cannot disagree
+/// on what counts. `env_exempt` files have no env-read source.
+pub(crate) fn construct_at(tokens: &[Token<'_>], i: usize, env_exempt: bool) -> Option<Construct> {
+    let text = |k: usize| tokens.get(k).map_or("", |t| t.text);
+    let prev = i.checked_sub(1).and_then(|p| tokens.get(p));
+    let (next, next2) = (text(i + 1), text(i + 2));
+    let tok = tokens.get(i)?.text;
+    let (rule, what, why) = match tok {
+        "unwrap" | "expect" | "unwrap_err" | "expect_err"
+            if prev.is_some_and(|p| p.text == ".") && next == "(" =>
+        {
+            let why = "in a panic-free file; return a typed error instead";
+            ("no-panic", format!("`.{tok}()`"), why)
+        }
+        "panic" | "unreachable" | "todo" | "unimplemented" | "assert" | "assert_eq"
+        | "assert_ne" | "debug_assert" | "debug_assert_eq" | "debug_assert_ne"
+            if next == "!" =>
+        {
+            let why = "in a panic-free file; decode paths must be total";
+            ("no-panic", format!("`{tok}!`"), why)
+        }
+        // Slice/array indexing: `expr[...]` — a `[` directly after an
+        // identifier (non-keyword), `)`, `]`, or `?`.
+        "[" if prev.is_some_and(|p| match p.kind {
+            TokenKind::Ident => !NON_INDEX_KEYWORDS.contains(&p.text),
+            _ => matches!(p.text, ")" | "]" | "?"),
+        }) =>
+        {
+            let why = "in a panic-free file; use `.get(..)` and map the miss to a typed error";
+            ("no-panic", "slice indexing".to_string(), why)
+        }
+        "Instant" | "SystemTime" if next == "::" && next2 == "now" => {
+            let why = "is a wall-clock read; campaign results must be a pure function of \
+                       config and seed";
+            ("no-wallclock", format!("`{tok}::now()`"), why)
+        }
+        "thread" if next == "::" && next2 == "current" => {
+            let why = "exposes scheduler-dependent identity; derive per-job state from the \
+                       campaign seed instead";
+            ("no-thread-id", "`thread::current()`".to_string(), why)
+        }
+        "HashMap" | "HashSet" | "RandomState" => {
+            let why = "has randomized iteration order; use BTreeMap/BTreeSet or a sorted Vec \
+                       so results cannot depend on hash seeding";
+            ("no-hash-collections", format!("`{tok}`"), why)
+        }
+        "env"
+            if !env_exempt
+                && next == "::"
+                && matches!(next2, "var" | "var_os" | "vars" | "vars_os") =>
+        {
+            let why = "read outside crates/bench/src/cli.rs; route configuration through \
+                       CampaignArgs so env handling stays in one tested place";
+            ("no-env-read", format!("`env::{next2}`"), why)
+        }
+        _ => return None,
+    };
+    Some(Construct { rule, what, why })
+}
+
 /// Runs every applicable rule over one file.
-pub fn check_file(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
+pub(crate) fn check_file(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let determinism = config::in_determinism_scope(ctx.rel_path);
     let panic_free = config::in_panic_free_scope(ctx.rel_path);
@@ -240,135 +224,21 @@ pub fn check_file(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     let toks = ctx.tokens;
 
     for (i, tok) in toks.iter().enumerate() {
-        if ctx.in_test(tok.line) {
+        if ctx.maps.in_test(tok.line) {
             continue;
         }
         let prev = i.checked_sub(1).and_then(|p| toks.get(p));
-        let prev2 = i.checked_sub(2).and_then(|p| toks.get(p));
 
-        if determinism && tok.kind == TokenKind::Ident {
-            // no-wallclock: `Instant::now` / `SystemTime::now`.
-            if tok.text == "now"
-                && prev.is_some_and(|p| p.text == "::")
-                && prev2.is_some_and(|p| p.text == "Instant" || p.text == "SystemTime")
-            {
-                let source = prev2.map_or("", |p| p.text);
-                out.push(ctx.diag(
-                    "no-wallclock",
-                    tok.line,
-                    format!(
-                        "`{source}::now()` is a wall-clock read; campaign results must be \
-                         a pure function of config and seed"
-                    ),
-                ));
-            }
-            // no-thread-id: `thread::current`.
-            if tok.text == "current"
-                && prev.is_some_and(|p| p.text == "::")
-                && prev2.is_some_and(|p| p.text == "thread")
-            {
-                out.push(
-                    ctx.diag(
-                        "no-thread-id",
-                        tok.line,
-                        "`thread::current()` exposes scheduler-dependent identity; derive \
-                     per-job state from the campaign seed instead"
-                            .to_string(),
-                    ),
-                );
-            }
-            // no-hash-collections.
-            if matches!(tok.text, "HashMap" | "HashSet" | "RandomState") {
-                out.push(ctx.diag(
-                    "no-hash-collections",
-                    tok.line,
-                    format!(
-                        "`{}` has randomized iteration order; use BTreeMap/BTreeSet or a \
-                         sorted Vec so results cannot depend on hash seeding",
-                        tok.text
-                    ),
-                ));
-            }
-        }
-
-        // no-env-read: `env::var` family, workspace-wide except cli.rs.
-        if !env_exempt
-            && tok.kind == TokenKind::Ident
-            && matches!(tok.text, "var" | "var_os" | "vars" | "vars_os")
-            && prev.is_some_and(|p| p.text == "::")
-            && prev2.is_some_and(|p| p.text == "env")
-        {
-            out.push(ctx.diag(
-                "no-env-read",
-                tok.line,
-                format!(
-                    "`env::{}` read outside crates/bench/src/cli.rs; route configuration \
-                     through CampaignArgs so env handling stays in one tested place",
-                    tok.text
-                ),
-            ));
-        }
-
-        if panic_free {
-            // `.unwrap()` / `.expect(`.
-            if tok.kind == TokenKind::Ident
-                && matches!(tok.text, "unwrap" | "expect")
-                && prev.is_some_and(|p| p.text == ".")
-            {
-                out.push(ctx.diag(
-                    "no-panic",
-                    tok.line,
-                    format!(
-                        "`.{}()` in a panic-free file; return a typed error instead",
-                        tok.text
-                    ),
-                ));
-            }
-            // Panicking macros.
-            if tok.kind == TokenKind::Ident
-                && matches!(
-                    tok.text,
-                    "panic"
-                        | "unreachable"
-                        | "todo"
-                        | "unimplemented"
-                        | "assert"
-                        | "assert_eq"
-                        | "assert_ne"
-                        | "debug_assert"
-                        | "debug_assert_eq"
-                        | "debug_assert_ne"
-                )
-                && toks.get(i + 1).is_some_and(|n| n.text == "!")
-            {
-                out.push(ctx.diag(
-                    "no-panic",
-                    tok.line,
-                    format!(
-                        "`{}!` in a panic-free file; decode paths must be total",
-                        tok.text
-                    ),
-                ));
-            }
-            // Slice/array indexing: `expr[...]` — a `[` directly after
-            // an identifier (non-keyword), `)`, `]`, or `?`.
-            if tok.text == "[" {
-                let indexes = match prev {
-                    Some(p) if p.kind == TokenKind::Ident => !NON_INDEX_KEYWORDS.contains(&p.text),
-                    Some(p) => matches!(p.text, ")" | "]" | "?"),
-                    None => false,
-                };
-                if indexes {
-                    out.push(
-                        ctx.diag(
-                            "no-panic",
-                            tok.line,
-                            "slice indexing in a panic-free file; use `.get(..)` and map the \
-                         miss to a typed error"
-                                .to_string(),
-                        ),
-                    );
-                }
+        // The construct rules: `no-panic` binds panic-free files,
+        // `no-env-read` the whole workspace, the rest determinism crates.
+        if let Some(c) = construct_at(toks, i, env_exempt) {
+            let in_scope = match c.rule {
+                "no-panic" => panic_free,
+                "no-env-read" => true,
+                _ => determinism,
+            };
+            if in_scope {
+                out.push(ctx.diag(c.rule, tok.line, format!("{} {}", c.what, c.why)));
             }
         }
 
@@ -400,26 +270,23 @@ pub fn check_file(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
         }
 
         // nan-ord: `partial_cmp( ... ).unwrap()` / `.expect(`.
-        if tok.kind == TokenKind::Ident
-            && tok.text == "partial_cmp"
-            && toks.get(i + 1).is_some_and(|n| n.text == "(")
-        {
-            if let Some(close) = matching_paren(toks, i + 1) {
-                if matches(toks, close + 1, &["."])
+        if tok.text == "partial_cmp" && toks.get(i + 1).is_some_and(|n| n.text == "(") {
+            let close = ctx.maps.paren.get(i + 1).copied().filter(|&c| c != NONE);
+            if close.is_some_and(|c| {
+                toks.get(c + 1).is_some_and(|t| t.text == ".")
                     && toks
-                        .get(close + 2)
+                        .get(c + 2)
                         .is_some_and(|t| t.text == "unwrap" || t.text == "expect")
-                {
-                    out.push(
-                        ctx.diag(
-                            "nan-ord",
-                            tok.line,
-                            "`partial_cmp(..).unwrap()` panics on NaN; use `f64::total_cmp` \
+            }) {
+                out.push(
+                    ctx.diag(
+                        "nan-ord",
+                        tok.line,
+                        "`partial_cmp(..).unwrap()` panics on NaN; use `f64::total_cmp` \
                          for a total, panic-free ordering"
-                                .to_string(),
-                        ),
-                    );
-                }
+                            .to_string(),
+                    ),
+                );
             }
         }
 
@@ -446,37 +313,19 @@ pub fn check_file(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     out
 }
 
-/// Index of the `)` matching the `(` at `open`, if balanced.
-fn matching_paren(tokens: &[Token<'_>], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (k, tok) in tokens.iter().enumerate().skip(open) {
-        match tok.text {
-            "(" => depth += 1,
-            ")" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(k);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::items::token_maps;
     use crate::lexer::lex;
 
     fn check(path: &str, src: &str) -> Vec<Diagnostic> {
         let lexed = lex(src);
-        let spans = test_spans(&lexed.tokens);
         check_file(&FileCtx {
             rel_path: path,
             tokens: &lexed.tokens,
             comments: &lexed.comments,
-            test_spans: &spans,
+            maps: &token_maps(&lexed.tokens),
         })
     }
 

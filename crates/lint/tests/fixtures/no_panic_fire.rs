@@ -7,3 +7,9 @@ pub fn decode(bytes: &[u8]) -> u16 {
     }
     u16::from_le_bytes([first, second])
 }
+
+pub fn decode_error(r: Result<u8, u8>, s: Result<u8, u8>) -> (u8, u8) {
+    let a = r.unwrap_err();
+    let b = s.expect_err("tag must be rejected");
+    (a, b)
+}

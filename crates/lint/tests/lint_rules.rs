@@ -1,6 +1,8 @@
 //! Fixture tests: every rule has a firing fixture and a
-//! pragma-suppressed fixture, misuse of the pragma machinery is
-//! itself diagnosed, and the JSON report round-trips.
+//! pragma-suppressed fixture, every panicking construct and
+//! nondeterminism source fires in both layers, misuse of the pragma
+//! machinery is itself diagnosed, and the JSON report carries every
+//! diagnostic field.
 //!
 //! Fixtures live in `tests/fixtures/` and are analyzed under *virtual*
 //! workspace paths, so scoped rules (determinism crates, panic-free
@@ -13,6 +15,7 @@
 use std::path::PathBuf;
 
 use adc_lint::{analyze_files, analyze_source, Diagnostic, Report, RULES};
+use adc_trace::json::{self, Json};
 
 /// A virtual path inside a determinism-scoped crate.
 const DET: &str = "crates/runtime/src/fixture.rs";
@@ -288,6 +291,160 @@ fn fixture_reports_round_trip_through_json() {
         diagnostics,
     };
     assert!(!report.is_clean());
-    let parsed = Report::from_json(&report.to_json()).expect("emitted JSON must parse");
-    assert_eq!(parsed, report, "JSON round-trip must be lossless");
+    let doc = json::parse(&report.to_json()).expect("emitted JSON must parse");
+    assert_eq!(doc.get("version").and_then(Json::as_f64), Some(1.0));
+    assert_eq!(doc.get("clean"), Some(&Json::Bool(false)));
+    assert_eq!(
+        doc.get("files_scanned").and_then(Json::as_f64),
+        Some(MATRIX.len() as f64)
+    );
+    let items = doc.get("diagnostics").and_then(Json::as_arr).unwrap();
+    assert_eq!(items.len(), report.diagnostics.len());
+    for (item, d) in items.iter().zip(&report.diagnostics) {
+        let text = |key: &str| item.get(key).and_then(Json::as_str);
+        assert_eq!(text("rule"), Some(d.rule.as_str()));
+        assert_eq!(text("file"), Some(d.file.as_str()));
+        assert_eq!(
+            item.get("line").and_then(Json::as_f64),
+            Some(f64::from(d.line))
+        );
+        assert_eq!(text("message"), Some(d.message.as_str()));
+    }
+}
+
+#[test]
+fn unwrap_err_and_expect_err_fire_in_a_whole_file_root() {
+    let diags = analyze_source(PANIC_FREE, &fixture("no_panic_fire.rs"));
+    for what in ["`.unwrap_err()`", "`.expect_err()`"] {
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.rule == "no-panic" && d.message.starts_with(what)),
+            "{what} must fire as no-panic: {diags:?}"
+        );
+    }
+}
+
+const UNWRAP: &str = "in a panic-free file; return a typed error instead";
+const MACRO: &str = "in a panic-free file; decode paths must be total";
+const INDEX: &str = "in a panic-free file; use `.get(..)` and map the miss to a typed error";
+const CLOCK: &str =
+    "is a wall-clock read; campaign results must be a pure function of config and seed";
+const THREAD: &str = "exposes scheduler-dependent identity; derive per-job state from the \
+                      campaign seed instead";
+const HASH: &str = "has randomized iteration order; use BTreeMap/BTreeSet or a sorted Vec so \
+                    results cannot depend on hash seeding";
+const ENV: &str = "read outside crates/bench/src/cli.rs; route configuration through \
+                   CampaignArgs so env handling stays in one tested place";
+
+/// Every panicking construct and nondeterminism source:
+/// (statement, per-file rule, quoted construct, rest of the message).
+#[rustfmt::skip]
+const CONSTRUCTS: &[(&str, &str, &str, &str)] = &[
+    ("o.unwrap()", "no-panic", "`.unwrap()`", UNWRAP),
+    ("o.expect(\"x\")", "no-panic", "`.expect()`", UNWRAP),
+    ("r.unwrap_err()", "no-panic", "`.unwrap_err()`", UNWRAP),
+    ("r.expect_err(\"x\")", "no-panic", "`.expect_err()`", UNWRAP),
+    ("panic!(\"x\")", "no-panic", "`panic!`", MACRO),
+    ("unreachable!()", "no-panic", "`unreachable!`", MACRO),
+    ("todo!()", "no-panic", "`todo!`", MACRO),
+    ("unimplemented!()", "no-panic", "`unimplemented!`", MACRO),
+    ("assert!(b)", "no-panic", "`assert!`", MACRO),
+    ("assert_eq!(b, true)", "no-panic", "`assert_eq!`", MACRO),
+    ("assert_ne!(b, false)", "no-panic", "`assert_ne!`", MACRO),
+    ("debug_assert!(b)", "no-panic", "`debug_assert!`", MACRO),
+    ("debug_assert_eq!(b, true)", "no-panic", "`debug_assert_eq!`", MACRO),
+    ("debug_assert_ne!(b, false)", "no-panic", "`debug_assert_ne!`", MACRO),
+    ("v[0]", "no-panic", "slice indexing", INDEX),
+    ("Instant::now()", "no-wallclock", "`Instant::now()`", CLOCK),
+    ("SystemTime::now()", "no-wallclock", "`SystemTime::now()`", CLOCK),
+    ("thread::current()", "no-thread-id", "`thread::current()`", THREAD),
+    ("HashMap::<u8, u8>::new()", "no-hash-collections", "`HashMap`", HASH),
+    ("HashSet::<u8>::new()", "no-hash-collections", "`HashSet`", HASH),
+    ("RandomState::new()", "no-hash-collections", "`RandomState`", HASH),
+    ("env::var(\"X\")", "no-env-read", "`env::var`", ENV),
+    ("env::var_os(\"X\")", "no-env-read", "`env::var_os`", ENV),
+    ("env::vars()", "no-env-read", "`env::vars`", ENV),
+    ("env::vars_os()", "no-env-read", "`env::vars_os`", ENV),
+];
+
+/// A helper whose body is the one statement `stmt`, on line 2.
+fn helper(stmt: &str) -> String {
+    format!(
+        "pub fn helper(v: &[u8], o: Option<u8>, r: Result<u8, u8>, b: bool) -> u8 {{\n    \
+         let _ = {stmt};\n    0\n}}\n"
+    )
+}
+
+#[test]
+fn every_construct_fires_per_file_and_through_a_helper() {
+    for &(stmt, rule, what, why) in CONSTRUCTS {
+        // The per-file rule, inside its scope, with its message.
+        let scope = match rule {
+            "no-panic" => PANIC_FREE,
+            "no-env-read" => PLAIN,
+            _ => DET,
+        };
+        let diags = analyze_source(scope, &helper(stmt));
+        let want = Diagnostic {
+            rule: rule.to_string(),
+            file: scope.to_string(),
+            line: 2,
+            message: format!("{what} {why}"),
+        };
+        assert_eq!(diags, vec![want], "{stmt} in {scope}");
+
+        // The interprocedural rule, through a helper in another file.
+        let (caller, helper_path, via) = if rule == "no-panic" {
+            let lex = "use crate::helper::helper;\n\
+                       pub fn lex(s: &str) -> u8 { helper(&[], None, Ok(0), true) }\n";
+            (lex, "crates/lint/src/helper.rs", "panic-reach")
+        } else {
+            let run = "use adc_server::helper::helper;\n\
+                       pub fn run() -> u8 { helper(&[], None, Ok(0), true) }\n";
+            (run, "crates/server/src/helper.rs", "determinism-taint")
+        };
+        let root = if via == "panic-reach" { SYM_ROOT } else { DET };
+        let body = helper(stmt);
+        let diags = analyze_files(&[(root, caller), (helper_path, &body)], false)
+            .report
+            .diagnostics;
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.rule == via && d.message.contains(what)),
+            "{stmt}: {via} through {helper_path} expected, got {diags:?}"
+        );
+    }
+}
+
+#[test]
+fn cfg_test_spans_cover_exactly_the_test_items() {
+    let hash = |src: &str| {
+        let diags = analyze_source(DET, src);
+        diags
+            .iter()
+            .map(|d| (d.line, d.rule.clone()))
+            .collect::<Vec<_>>()
+    };
+    let fired = |line: u32| vec![(line, "no-hash-collections".to_string())];
+    // `not(test)` is production code and is scanned.
+    assert_eq!(
+        hash("#[cfg(not(test))]\nfn f() { let m = HashMap::new(); }\n"),
+        fired(2)
+    );
+    // `all(test, ..)` is test-only.
+    assert!(
+        hash("#[cfg(all(test, unix))]\nmod t {\n    fn f() { HashMap::new(); }\n}\n").is_empty()
+    );
+    // Stacked attributes: the whole item after them is skipped.
+    assert!(hash(
+        "#[cfg(test)]\n#[allow(dead_code)]\nmod t {\n    fn f() { HashMap::new(); }\n}\n"
+    )
+    .is_empty());
+    // A `;`-terminated item ends the span at its `;`.
+    assert_eq!(
+        hash("#[cfg(test)]\nuse std::collections::HashMap;\nfn g() { HashSet::new(); }\n"),
+        fired(3)
+    );
 }

@@ -3,7 +3,7 @@
 //! The workspace is std-only (no `serde_json`), yet three features
 //! need to *read* JSON: the Chrome-trace round-trip test (parse what we
 //! emit), the `bench_compare` perf gate (parse `BENCH_*.json`) and
-//! `adc-lint`'s report round-trip.
+//! `adc-lint`'s report tests.
 //! This module covers exactly the JSON subset those producers emit:
 //! objects, arrays, strings with `\uXXXX`/standard escapes, f64
 //! numbers, booleans, and null.
@@ -12,7 +12,8 @@
 //! hash maps, so emission is deterministic and the determinism lint's
 //! `no-hash-collections` rule holds here too. [`parse`] is total: any
 //! input yields a value or a [`JsonError`], never a panic, because
-//! `adc-lint` parses reports from disk through it.
+//! `bench_compare` parses files from disk through it; `adc-lint` roots
+//! its panic-reachability pass at [`parse`].
 
 use std::fmt;
 
