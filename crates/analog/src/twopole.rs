@@ -1,13 +1,10 @@
-//! Small-signal AC analysis of the two-stage Miller opamp.
-//!
-//! The behavioral [`crate::opamp::OpAmp`] settles with a single closed-loop
-//! pole; this module carries the designer-level two-pole model that
-//! justifies it: pole locations from the Miller compensation, unity-gain
-//! bandwidth, phase margin, and the closed-loop step response including
-//! the ringing that appears when the non-dominant pole comes too close.
-//! The `adc-bench` `design_margins` experiment uses it to show the
-//! nominal design keeps adequate phase margin across the paper's whole
-//! 20–140 MS/s operating band (because gm and the load both track).
+//! Small-signal AC analysis of the two-stage Miller opamp: the
+//! designer-level two-pole model behind the behavioral single-pole
+//! settling of [`crate::opamp::OpAmp`] — pole locations, unity-gain
+//! bandwidth, phase margin, and the closed-loop step response with the
+//! ringing a too-close non-dominant pole brings. The `design_margins`
+//! section of `adc-testbench::experiments` checks with it that Eq. 1
+//! keeps the phase margin the same across the 20–140 MS/s band.
 
 /// Two-stage Miller amplifier small-signal parameters.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -47,11 +44,6 @@ impl TwoPoleAmp {
     /// Unity-gain (gain-bandwidth) frequency, hertz: `gm1/(2π·Cc)`.
     pub fn unity_gain_hz(&self) -> f64 {
         self.gm1_s / (2.0 * std::f64::consts::PI * self.cc_f)
-    }
-
-    /// Dominant pole, hertz (from GBW and DC gain).
-    pub fn dominant_pole_hz(&self) -> f64 {
-        self.unity_gain_hz() / self.dc_gain
     }
 
     /// Non-dominant (output) pole, hertz: `gm2/(2π·CL)`.
@@ -132,7 +124,6 @@ mod tests {
     #[test]
     fn pole_ordering_is_sane() {
         let a = stage1_amp();
-        assert!(a.dominant_pole_hz() < a.unity_gain_hz());
         assert!(a.nondominant_pole_hz() > a.unity_gain_hz());
     }
 

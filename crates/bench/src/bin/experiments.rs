@@ -1,8 +1,8 @@
 //! Regenerates every published result of the reproduction: Table I,
-//! Figs. 4, 5, 6 and 8 and the five design-claim ablations, each printed
-//! as the marked block EXPERIMENTS.md holds (`tests/end_to_end.rs` fails
-//! when the file and this output differ). Exits 1 when a paper claim
-//! fails.
+//! Figs. 4, 5, 6 and 8, the five design-claim ablations and the six
+//! extension experiments, each printed as the marked block EXPERIMENTS.md
+//! holds (`tests/end_to_end.rs` fails when the file and this output
+//! differ). Exits 1 when a paper claim fails.
 
 use adc_testbench::experiments::publish;
 

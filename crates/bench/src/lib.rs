@@ -1,18 +1,19 @@
 //! # adc-bench
 //!
 //! Benchmark harness of the reproduction: the `experiments` binary that
-//! regenerates every published result, the extension and Fig. 7
-//! binaries, and the `bench_*` binaries that time the simulator itself
-//! into the committed `BENCH_*.json` reports, all through one
-//! best-window timer ([`timing::best_window`]).
+//! regenerates every published result, the `bench_*` binaries that time
+//! the simulator itself into the committed `BENCH_*.json` reports, all
+//! through one best-window timer ([`timing::best_window`]), and the
+//! operational tools.
 //!
 //! Regeneration targets:
 //!
 //! | target | reproduces |
 //! |---|---|
-//! | `experiments` | Table I, Figs. 4, 5, 6 and 8, and the §2–§4 ablations (SC bias, clocking, stage scaling, switch topology, SHA-less front end), as the marked blocks of EXPERIMENTS.md |
-//! | `fig7_floorplan` | Fig. 7 substitution: the area budget |
+//! | `experiments` | Table I, Figs. 4, 5, 6 and 8, the §2–§4 ablations (SC bias, clocking, stage scaling, switch topology, SHA-less front end) and the six extension experiments, as the marked blocks of EXPERIMENTS.md |
+//! | `montecarlo_yield` | the Monte-Carlo yield block, in-process or over `--peers` |
 //! | `export_csv` | the Fig. 4, 5, 6 and 8 series as CSV |
+//! | `ab` | same-path A/B runs of the benchmark in `BENCHMARK.json` |
 //!
 //! Run one with `cargo run -p adc-bench --release --bin <target>`.
 //! Each published result is defined once, in

@@ -129,8 +129,14 @@ pub fn monte_carlo_campaign(preset: Preset, plan: &MonteCarloPlan) -> ClusterCam
 /// # Errors
 ///
 /// [`ClusterError::BadResult`] when a line does not decode as a
-/// [`DieResult`].
+/// [`DieResult`], or when there is no line at all (job 0 is missing).
 pub fn assemble_monte_carlo(lines: &[String]) -> Result<MonteCarloResult, ClusterError> {
+    if lines.is_empty() {
+        return Err(ClusterError::BadResult {
+            id: 0,
+            detail: "no die lines to assemble".to_string(),
+        });
+    }
     let dies = lines
         .iter()
         .enumerate()
@@ -196,6 +202,14 @@ mod tests {
         assert_eq!(assembled.dies, dies);
         assert!(matches!(
             assemble_monte_carlo(&["junk".to_string()]),
+            Err(ClusterError::BadResult { id: 0, .. })
+        ));
+    }
+
+    #[test]
+    fn assembling_no_dies_is_an_error_not_a_panic() {
+        assert!(matches!(
+            assemble_monte_carlo(&[]),
             Err(ClusterError::BadResult { id: 0, .. })
         ));
     }

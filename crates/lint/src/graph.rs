@@ -2058,4 +2058,25 @@ mod tests {
         );
         assert_eq!(b.graph.stats.ambiguous, 0, "{:?}", b.graph.stats.unresolved);
     }
+
+    #[test]
+    fn question_mark_and_option_bindings_type_through_the_wrapper() {
+        let b = build_from(&[(
+            "crates/runtime/src/q.rs",
+            "pub struct Cache;\nimpl Cache {\n    pub fn put(&self) {}\n}\n\
+             pub struct Decoy;\nimpl Decoy {\n    pub fn put(&self) {}\n}\n\
+             pub fn open() -> Result<Cache, String> { Ok(Cache) }\n\
+             pub fn fill() -> Result<(), String> {\n    \
+             let c = open()?;\n    c.put();\n    Ok(())\n}\n\
+             pub struct Exec { pub cache: Option<Arc<Cache>> }\n\
+             impl Exec {\n    pub fn flush(&self) {\n        \
+             if let Some(c) = &self.cache {\n            c.put();\n        }\n    }\n}\n",
+        )]);
+        assert_eq!(
+            edges_of(&b, "runtime::q::fill"),
+            vec!["runtime::q::open", "runtime::q::Cache::put"]
+        );
+        assert_eq!(edges_of(&b, "Exec::flush"), vec!["runtime::q::Cache::put"]);
+        assert_eq!(b.graph.stats.ambiguous, 0, "{:?}", b.graph.stats.unresolved);
+    }
 }

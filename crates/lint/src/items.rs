@@ -311,11 +311,13 @@ pub(crate) fn module_path_of(rel_path: &str) -> Vec<String> {
 const TY_NOISE: &[&str] = &["mut", "dyn", "impl", "ref", "const"];
 
 /// Wrapper types seen through for receiver-chain typing (`Arc<T>`
-/// derefs to `T`, so `self.shared.sched` types through the `Arc`).
-const TY_WRAPPERS: &[&str] = &["Arc", "Rc", "Box"];
+/// derefs to `T`, so `self.shared.sched` types through the `Arc`;
+/// `f()?` and `if let Some(x)` unwrap to the `T` of `Result<T, _>` and
+/// `Option<T>`).
+const TY_WRAPPERS: &[&str] = &["Arc", "Rc", "Box", "Result", "Option"];
 
 /// First meaningful type ident of a type token slice, seeing through
-/// references, slices, and `Arc`/`Rc`/`Box` wrappers.
+/// references, slices, and the [`TY_WRAPPERS`].
 pub(crate) fn principal_ty(toks: &[Token<'_>]) -> String {
     let mut skip_path_tail = false;
     for t in toks {

@@ -43,7 +43,6 @@ pub mod linearity;
 pub mod metrics;
 pub mod plan;
 pub mod sinefit;
-pub mod twotone;
 pub mod window;
 
 pub use complex::Complex64;
@@ -62,5 +61,4 @@ pub use linearity::{
 pub use metrics::{analyze_tone, HarmonicReading, SingleToneAnalysis, ToneAnalysisConfig};
 pub use plan::{plan, FftPlan, SpectralScratch};
 pub use sinefit::{fit_known_frequency, SineFit, SineFitError};
-pub use twotone::{analyze_two_tone, ImdProduct, TwoToneAnalysis};
 pub use window::{alias_bin, coherent_frequency, coherent_frequency_clear, Window};

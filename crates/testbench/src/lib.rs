@@ -4,7 +4,7 @@
 //! everything the paper's §4 bench did, in software.
 //!
 //! * [`signal`] — RF generator models (tone + residual harmonics + phase
-//!   wobble), multitone, ramps;
+//!   wobble), ramps, DC;
 //! * [`filter`] — the high-order passive band-pass filters the authors
 //!   used to clean their sources, plus discrete-time biquads;
 //! * [`session`] — a die on the bench: coherent captures, single-tone
@@ -12,8 +12,8 @@
 //!   the reproduction's "measured die");
 //! * [`sweep`] — the campaigns behind Figs. 4, 5 and 6;
 //! * [`experiments`] — every published result (Table I, Figs. 4, 5, 6
-//!   and 8, the five ablations): one run function and one
-//!   claim-checking, self-rendering result type each;
+//!   and 8, the five ablations, the six extension experiments): one run
+//!   function and one claim-checking, self-rendering result type each;
 //! * [`policy`] — execution policy (thread count, observers) routing
 //!   every campaign through the `adc-runtime` engine;
 //! * [`datasheet`] — Table I as a measurement procedure;
@@ -35,7 +35,6 @@
 pub mod datasheet;
 pub mod experiments;
 pub mod filter;
-pub mod floorplan;
 pub mod montecarlo;
 pub mod policy;
 pub mod report;
@@ -46,15 +45,14 @@ pub mod sweep;
 
 pub use datasheet::{Datasheet, DatasheetError, PAPER_AREA_MM2};
 pub use filter::{BandpassFilter, Biquad};
-pub use floorplan::{Floorplan, FloorplanBlock};
 pub use montecarlo::{
-    measure_die, monte_carlo_plan, run_monte_carlo, run_monte_carlo_with, summarize_dies,
-    DieResult, MetricStats, MonteCarloPlan, MonteCarloResult, YieldSpec,
+    measure_die, monte_carlo_plan, run_monte_carlo_with, summarize_dies, DieResult, MetricStats,
+    MonteCarloPlan, MonteCarloResult, YieldSpec,
 };
 pub use policy::RunPolicy;
 pub use report::CampaignReporter;
 pub use session::{clear_tone_hz, LaneBench, MeasurementSession, ToneMeasurement, GOLDEN_SEED};
-pub use signal::{DcSource, Harmonic, MultiTone, RampSource, SineSource};
+pub use signal::{DcSource, Harmonic, RampSource, SineSource};
 pub use survey::{
     fig8_survey, schreier_fom_db, walden_adjusted_fm, walden_pj_per_step, SurveyEntry,
 };

@@ -258,29 +258,9 @@ pub fn summarize_dies(dies: Vec<DieResult>) -> MonteCarloResult {
     }
 }
 
-/// Runs the campaign with the default [`RunPolicy`] (all hardware
-/// threads): fabricates dies with seeds `1..=die_count`, measures each
-/// at `f_in_target_hz` with `record_len`-point records.
-///
-/// # Errors
-///
-/// Propagates the first build error (the config itself is invalid).
-pub fn run_monte_carlo(
-    config: &AdcConfig,
-    die_count: usize,
-    f_in_target_hz: f64,
-    record_len: usize,
-) -> Result<MonteCarloResult, BuildAdcError> {
-    run_monte_carlo_with(
-        config,
-        die_count,
-        f_in_target_hz,
-        record_len,
-        &RunPolicy::default(),
-    )
-}
-
-/// [`run_monte_carlo`] with an explicit execution policy.
+/// Runs the campaign under `policy`: fabricates dies with seeds
+/// `1..=die_count` and measures each at `f_in_target_hz` with
+/// `record_len`-point records.
 ///
 /// Dies are independent jobs — die `k` is fabricated from seed `k` and
 /// measured on its own session — so the result is bit-identical whatever
@@ -290,6 +270,10 @@ pub fn run_monte_carlo(
 /// # Errors
 ///
 /// Propagates the lowest-seed build error.
+///
+/// # Panics
+///
+/// Panics when `die_count == 0`.
 pub fn run_monte_carlo_with(
     config: &AdcConfig,
     die_count: usize,
@@ -312,7 +296,9 @@ mod tests {
     use super::*;
 
     fn small_campaign() -> MonteCarloResult {
-        run_monte_carlo(&AdcConfig::nominal_110ms(), 8, 10e6, 2048).expect("campaign runs")
+        let policy = RunPolicy::default();
+        run_monte_carlo_with(&AdcConfig::nominal_110ms(), 8, 10e6, 2048, &policy)
+            .expect("campaign runs")
     }
 
     #[test]

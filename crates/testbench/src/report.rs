@@ -174,60 +174,6 @@ impl TextTable {
     }
 }
 
-/// Renders a one-sided power spectrum as an ASCII plot, the way a bench
-/// spectrum analyzer displays it: x = frequency bins (binned down to
-/// `width` columns, peak-holding within each column), y = dB relative to
-/// the spectrum's peak, clipped at `floor_db` (negative).
-///
-/// # Panics
-///
-/// Panics for an empty spectrum, non-positive dimensions, or a
-/// non-negative floor.
-pub fn render_spectrum_ascii(power: &[f64], width: usize, height: usize, floor_db: f64) -> String {
-    assert!(!power.is_empty(), "empty spectrum");
-    assert!(width > 0 && height > 1, "degenerate plot dimensions");
-    assert!(floor_db < 0.0, "floor must be below the 0 dB peak");
-    let peak = power.iter().copied().fold(0.0_f64, f64::max);
-    let peak = if peak > 0.0 { peak } else { 1.0 };
-    // Column levels: max power in each bin group, in dB relative to peak.
-    let cols: Vec<f64> = (0..width)
-        .map(|c| {
-            let lo = c * power.len() / width;
-            let hi = (((c + 1) * power.len()) / width)
-                .max(lo + 1)
-                .min(power.len());
-            let p = power[lo..hi].iter().copied().fold(0.0_f64, f64::max);
-            if p > 0.0 {
-                (10.0 * (p / peak).log10()).max(floor_db)
-            } else {
-                floor_db
-            }
-        })
-        .collect();
-    let mut out = String::new();
-    for row in 0..height {
-        let level = -(row as f64) * floor_db.abs() / (height - 1) as f64;
-        let label = if row == 0 || row == height - 1 || row == (height - 1) / 2 {
-            format!("{level:6.0} |")
-        } else {
-            "       |".to_string()
-        };
-        out.push_str(&label);
-        for &c in &cols {
-            out.push(if c >= level { '#' } else { ' ' });
-        }
-        out.push('\n');
-    }
-    out.push_str("  dB    +");
-    out.push_str(&"-".repeat(width));
-    out.push('\n');
-    out.push_str("        0");
-    let pad = width.saturating_sub(9);
-    out.push_str(&" ".repeat(pad));
-    out.push_str("fs/2\n");
-    out
-}
-
 /// Formats a decibel value for a table cell.
 pub fn db_cell(value_db: f64) -> String {
     if value_db.is_finite() {
@@ -327,33 +273,6 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = TextTable::new(["a", "b"]);
         t.push_row(["only one"]);
-    }
-
-    #[test]
-    fn spectrum_plot_marks_the_tone_column() {
-        // A spectrum with one dominant bin: the corresponding column
-        // must reach the top row; quiet columns must not.
-        let mut ps = vec![1e-10; 256];
-        ps[64] = 1.0;
-        let txt = render_spectrum_ascii(&ps, 64, 10, -100.0);
-        let top_row = txt.lines().next().unwrap();
-        // Column of bin 64 out of 256 -> column 16 of 64 (+8 for label).
-        let cells: Vec<char> = top_row.chars().collect();
-        assert_eq!(cells[8 + 16], '#', "row: {top_row}");
-        assert_eq!(cells[8 + 40], ' ');
-    }
-
-    #[test]
-    fn spectrum_plot_has_requested_dimensions() {
-        let ps = vec![1.0; 128];
-        let txt = render_spectrum_ascii(&ps, 40, 8, -80.0);
-        assert_eq!(txt.lines().count(), 8 + 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "floor")]
-    fn spectrum_plot_rejects_positive_floor() {
-        let _ = render_spectrum_ascii(&[1.0], 10, 5, 10.0);
     }
 
     #[test]

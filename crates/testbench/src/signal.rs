@@ -267,35 +267,6 @@ impl Waveform for SineSource {
     }
 }
 
-/// A sum of independent tones (for intermodulation tests).
-#[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
-pub struct MultiTone {
-    /// The component tones.
-    pub tones: Vec<SineSource>,
-}
-
-impl MultiTone {
-    /// A symmetric two-tone stimulus.
-    pub fn two_tone(amplitude_each_v: f64, f1_hz: f64, f2_hz: f64) -> Self {
-        Self {
-            tones: vec![
-                SineSource::clean(amplitude_each_v, f1_hz),
-                SineSource::clean(amplitude_each_v, f2_hz),
-            ],
-        }
-    }
-}
-
-impl Waveform for MultiTone {
-    fn value(&self, t_s: f64) -> f64 {
-        self.tones.iter().map(|s| s.value(t_s)).sum()
-    }
-
-    fn slope(&self, t_s: f64) -> f64 {
-        self.tones.iter().map(|s| s.slope(t_s)).sum()
-    }
-}
-
 /// A slow linear ramp between two voltages (static/linearity testing).
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RampSource {
@@ -517,28 +488,16 @@ mod tests {
 
     #[test]
     fn default_fill_at_is_bit_identical_to_sample_at() {
-        let two_tone = MultiTone::two_tone(0.45, 9e6, 10e6);
-        let ramp = RampSource::new(-1.0, 1.0, 1e-6);
-        let sources: [&dyn Waveform; 2] = [&two_tone, &ramp];
+        let source = RampSource::new(-1.0, 1.0, 1e-6);
         let times = instants(300, 257, 1e-9);
-        for source in sources {
-            let mut values = vec![0.0; times.len()];
-            let mut slopes = vec![0.0; times.len()];
-            source.fill_at(&times, &mut values, &mut slopes);
-            for (k, &t) in times.iter().enumerate() {
-                let (v, d) = source.sample_at(t);
-                assert_eq!(values[k].to_bits(), v.to_bits());
-                assert_eq!(slopes[k].to_bits(), d.to_bits());
-            }
+        let mut values = vec![0.0; times.len()];
+        let mut slopes = vec![0.0; times.len()];
+        source.fill_at(&times, &mut values, &mut slopes);
+        for (k, &t) in times.iter().enumerate() {
+            let (v, d) = source.sample_at(t);
+            assert_eq!(values[k].to_bits(), v.to_bits());
+            assert_eq!(slopes[k].to_bits(), d.to_bits());
         }
-    }
-
-    #[test]
-    fn two_tone_sums_components() {
-        let m = MultiTone::two_tone(0.45, 9e6, 10e6);
-        let t = 1e-7;
-        let expected = 0.45 * (TAU * 9e6 * t).sin() + 0.45 * (TAU * 10e6 * t).sin();
-        assert!((m.value(t) - expected).abs() < 1e-12);
     }
 
     #[test]

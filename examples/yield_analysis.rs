@@ -6,11 +6,13 @@
 //! Run with: `cargo run --release --example yield_analysis`
 
 use pipeline_adc::pipeline::AdcConfig;
-use pipeline_adc::testbench::montecarlo::{run_monte_carlo, YieldSpec};
+use pipeline_adc::testbench::montecarlo::{run_monte_carlo_with, YieldSpec};
+use pipeline_adc::testbench::RunPolicy;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("fabricating and measuring 24 dies at 110 MS/s, fin = 10 MHz...\n");
-    let mc = run_monte_carlo(&AdcConfig::nominal_110ms(), 24, 10e6, 4096)?;
+    let policy = RunPolicy::default();
+    let mc = run_monte_carlo_with(&AdcConfig::nominal_110ms(), 24, 10e6, 4096, &policy)?;
 
     println!("          min     mean    max     sigma");
     println!(

@@ -1,8 +1,9 @@
 //! End-to-end regression: the full reproduction pipeline (fabricate →
 //! stimulate → capture → analyze) against the paper's published numbers.
 //!
-//! Every published result — Table I, Figs. 4, 5, 6 and 8 and the five
-//! design-claim ablations — is computed once, by the same
+//! Every published result — Table I, Figs. 4, 5, 6 and 8, the five
+//! design-claim ablations and the six extension experiments — is
+//! computed once, by the same
 //! `experiments::publish` the `experiments` binary prints. Each
 //! claim test asserts one result's `claims_hold` on that computation, and
 //! `experiments_md_matches_the_published_output` checks EXPERIMENTS.md's
@@ -102,6 +103,36 @@ fn bootstrapped_beats_bulk_switched_beats_conventional_tg() {
 #[test]
 fn sha_less_front_end_matches_a_dedicated_sha() {
     assert_claims("ablation_sha");
+}
+
+#[test]
+fn phase_margin_does_not_depend_on_the_conversion_rate() {
+    assert_claims("design_margins");
+}
+
+#[test]
+fn jitter_noise_adds_to_the_jitter_free_floor() {
+    assert_claims("jitter_budget");
+}
+
+#[test]
+fn bandgap_referred_bias_holds_power_over_temperature() {
+    assert_claims("sweep_temperature");
+}
+
+#[test]
+fn supply_ripple_spur_tracks_ripple_minus_psrr() {
+    assert_claims("psrr_spur");
+}
+
+#[test]
+fn noise_budget_predicts_the_measured_snr() {
+    assert_claims("stage_report");
+}
+
+#[test]
+fn monte_carlo_yield_holds_the_published_die_in_family() {
+    assert_claims("montecarlo_yield");
 }
 
 #[test]
