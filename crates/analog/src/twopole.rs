@@ -3,8 +3,9 @@
 //! settling of [`crate::opamp::OpAmp`] — pole locations, unity-gain
 //! bandwidth, phase margin, and the closed-loop step response with the
 //! ringing a too-close non-dominant pole brings. The `design_margins`
-//! section of `adc-testbench::experiments` checks with it that Eq. 1
-//! keeps the phase margin the same across the 20–140 MS/s band.
+//! section of `adc-testbench::experiments` scales both gm by the
+//! converter's stage-1 bias across the 20–140 MS/s band and checks with
+//! it that Eq. 1 keeps settling a fixed fraction of the clock period.
 
 /// Two-stage Miller amplifier small-signal parameters.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -44,6 +45,11 @@ impl TwoPoleAmp {
     /// Unity-gain (gain-bandwidth) frequency, hertz: `gm1/(2π·Cc)`.
     pub fn unity_gain_hz(&self) -> f64 {
         self.gm1_s / (2.0 * std::f64::consts::PI * self.cc_f)
+    }
+
+    /// Dominant pole, hertz (from GBW and DC gain).
+    pub fn dominant_pole_hz(&self) -> f64 {
+        self.unity_gain_hz() / self.dc_gain
     }
 
     /// Non-dominant (output) pole, hertz: `gm2/(2π·CL)`.
@@ -124,6 +130,7 @@ mod tests {
     #[test]
     fn pole_ordering_is_sane() {
         let a = stage1_amp();
+        assert!(a.dominant_pole_hz() < a.unity_gain_hz());
         assert!(a.nondominant_pole_hz() > a.unity_gain_hz());
     }
 

@@ -127,7 +127,7 @@ fn main_inner(args: &[String]) -> Result<(), String> {
     let run_dir = ab.join("run");
     std::fs::create_dir_all(&run_dir).map_err(|e| e.to_string())?;
     let seconds = spec.get("run_seconds").and_then(Json::as_f64);
-    let seconds = seconds.unwrap_or(30.0);
+    let seconds = seconds.ok_or("BENCHMARK.json: no numeric run_seconds")?;
     let list = |key: &str| spec.get(key).and_then(Json::as_arr).unwrap_or_default();
     let mut metrics: Vec<(&str, bool)> = list("end_to_end")
         .iter()
@@ -149,9 +149,13 @@ fn main_inner(args: &[String]) -> Result<(), String> {
                     .current_dir(&run_dir)
                     .output()
                     .map_err(|e| e.to_string())?;
-                let out = String::from_utf8_lossy(&out.stdout);
-                let line = json::parse(out.lines().last().unwrap_or_default());
-                runs[side].push(line.map_err(|e| format!("{workload} seed {seed}: {e:?}"))?);
+                let stdout = String::from_utf8_lossy(&out.stdout);
+                let line = json::parse(stdout.lines().last().unwrap_or_default()).map_err(|e| {
+                    let stderr = String::from_utf8_lossy(&out.stderr);
+                    let why = format!("no result line ({e:?}); perfbench {}", out.status);
+                    format!("{workload} seed {seed}: {why}:\n{}", stderr.trim_end())
+                })?;
+                runs[side].push(line);
             }
         }
         let header = "metric,base median,change median,change better,base min-max,change min-max";

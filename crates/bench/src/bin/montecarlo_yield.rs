@@ -5,20 +5,17 @@
 //! per-die seeds, same `--cache-dir` cache namespace).
 
 use adc_cluster::{assemble_monte_carlo, monte_carlo_campaign, standard_registry, ClusterExecutor};
-use adc_pipeline::config::AdcConfig;
 use adc_server::Preset;
-use adc_testbench::experiments::{run_monte_carlo_yield, Section, YieldResult, YIELD_RUN};
-use adc_testbench::montecarlo::monte_carlo_plan;
+use adc_testbench::experiments::{run_monte_carlo_yield, yield_plan, Section, YieldResult};
 
 fn main() {
     let (args, policy, _trace) = adc_bench::campaign_setup();
     let result: YieldResult = if args.peers.is_empty() {
         run_monte_carlo_yield(&policy).expect("campaign runs")
     } else {
-        let (dies, f_in_hz, record_len) = YIELD_RUN;
-        let peers = args.peers.join(", ");
+        let plan = yield_plan();
+        let (dies, peers) = (plan.die_seeds.len(), args.peers.join(", "));
         eprintln!("distributing {dies} dies to peers: {peers}");
-        let plan = monte_carlo_plan(&AdcConfig::nominal_110ms(), dies, f_in_hz, record_len);
         let campaign = monte_carlo_campaign(Preset::Nominal110, &plan);
         let mut executor = ClusterExecutor::new(args.peers.clone(), standard_registry());
         if let Some(cache) = &policy.cache {

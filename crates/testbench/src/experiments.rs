@@ -15,8 +15,8 @@
 //!
 //! Every run function takes the campaign [`RunPolicy`] except those of
 //! Table I, the stage report and the supply-ripple spur (one die on the
-//! bench, no campaign), Fig. 8 (survey data) and the design margins (an
-//! analytic model). Each ablation's and extension's thresholds are
+//! bench, no campaign), Fig. 8 (survey data) and the design margins (a
+//! model on the golden die's bias). Each ablation's and extension's thresholds are
 //! stated on its `claims_hold`, with where they come from: the paper's
 //! wording or numbers, an exact consequence of Eq. 1, or the numbers
 //! printed when the claim was first checked.
@@ -37,7 +37,9 @@ use adc_spectral::fft::power_spectrum_one_sided;
 use adc_spectral::window::coherent_frequency;
 
 use crate::datasheet::{Datasheet, DatasheetError};
-use crate::montecarlo::{run_monte_carlo_with, MonteCarloResult, YieldSpec};
+use crate::montecarlo::{
+    monte_carlo_plan, run_monte_carlo_with, MonteCarloPlan, MonteCarloResult, YieldSpec,
+};
 use crate::policy::RunPolicy;
 use crate::report::{db_cell, mhz_cell, mw_cell, TextTable};
 use crate::session::{MeasurementSession, GOLDEN_SEED};
@@ -875,7 +877,8 @@ const STAGE1_BETA: f64 = 0.435;
 
 /// Eq. 1 in the residue amplifier (§3): the two-pole Miller model of the
 /// stage-1 opamp (gm1 = 40 mS, gm2 = 80 mS, Cc = 3 pF, CL = 4 pF, 80 dB
-/// at 110 MS/s), both gm scaled with the rate as the SC bias scales them.
+/// at 110 MS/s), both gm scaled by the converter's stage-1 bias current
+/// at each rate relative to 110 MS/s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesignMargins {
     /// Per rate (20, 60, 110 and 140 MS/s): the rate in hertz, the
@@ -884,11 +887,13 @@ pub struct DesignMargins {
 }
 
 impl DesignMargins {
-    /// Eq. 1 scales gm1 and gm2 with f_CR against fixed Cc and CL, so the
-    /// phase margin (73.8°) and overshoot (0.04 %) are equal at every
-    /// rate and settling takes the same fraction of the clock period.
-    /// Exact consequences of Eq. 1: the 1e-9 tolerances (degrees,
-    /// percent, relative) only absorb rounding.
+    /// Eq. 1 scales gm1 and gm2 with f_CR against fixed Cc and CL, so
+    /// settling takes the same fraction of the clock period at every
+    /// rate; a bias that does not track f_CR breaks this. Phase margin
+    /// (73.8°) and overshoot (0.04 %) depend only on gm2/gm1, which one
+    /// bias keeps fixed, so they are equal at every rate too. Exact
+    /// consequences of Eq. 1: the 1e-9 tolerances (degrees, percent,
+    /// relative) only absorb rounding.
     pub fn claims_hold(&self) -> bool {
         let rows = || self.rows.iter();
         let periods = rows().map(|(f_cr, _, t)| t * f_cr);
@@ -905,19 +910,15 @@ impl DesignMargins {
                       settle to 0.01% (ns)";
         let mut table = TextTable::new(header.split(','));
         for (f_cr, amp, settle_s) in &self.rows {
-            table.push_row([
-                format!("{:.0}", f_cr / 1e6),
-                format!("{:.0}", amp.unity_gain_hz() / 1e6),
-                format!("{:.0}", amp.nondominant_pole_hz() / 1e6),
-                format!("{:.1}", amp.phase_margin_deg(STAGE1_BETA)),
-                format!("{:.2}", amp.overshoot(STAGE1_BETA) * 100.0),
-                format!("{:.2}", settle_s * 1e9),
-            ]);
+            let hz = [*f_cr, amp.unity_gain_hz(), amp.nondominant_pole_hz()];
+            let [rate, gbw, p2] = hz.map(|f| format!("{:.0}", f / 1e6));
+            let pm = format!("{:.1}", amp.phase_margin_deg(STAGE1_BETA));
+            let two_places = [amp.overshoot(STAGE1_BETA) * 100.0, settle_s * 1e9];
+            let [overshoot, settle_ns] = two_places.map(|v| format!("{v:.2}"));
+            table.push_row([rate, gbw, p2, pm, overshoot, settle_ns]);
         }
-        let periods = self
-            .rows
-            .iter()
-            .map(|(f_cr, _, t)| format!("{:.4}", t * f_cr));
+        let periods = self.rows.iter().map(|(f_cr, _, t)| t * f_cr);
+        let periods = periods.map(|p| format!("{p:.4}"));
         format!(
             "Extension -- residue amplifier AC margins vs conversion rate; two-pole Miller \
              model, gm1 and gm2 scaled by Eq. 1, beta = {STAGE1_BETA}\n\n{}\n\
@@ -928,20 +929,34 @@ impl DesignMargins {
     }
 }
 
-/// Runs the two-pole analysis at 20, 60, 110 and 140 MS/s; the settle
-/// time is searched in tenths of the closed-loop time constant.
-pub fn run_design_margins() -> DesignMargins {
-    let rows = Vec::from(EQ1_RATES_MSPS.map(|rate_msps| {
-        let scale = rate_msps / 110.0;
+/// Runs the two-pole analysis at 20, 60, 110 and 140 MS/s, scaling
+/// both gm by the golden die's stage-1 bias current at each rate over
+/// its value at 110 MS/s; the settle time is searched in tenths of the
+/// closed-loop time constant.
+///
+/// # Errors
+///
+/// Propagates build errors.
+pub fn run_design_margins() -> Result<DesignMargins, BuildAdcError> {
+    let stage1_bias_a = |f_cr_hz: f64| -> Result<f64, BuildAdcError> {
+        let mut config = AdcConfig::nominal_110ms();
+        config.f_cr_hz = f_cr_hz;
+        let stages = Diagnostics::of(&PipelineAdc::build(config, GOLDEN_SEED)?).stages;
+        Ok(stages.first().map_or(f64::NAN, |s| s.bias_current_a))
+    };
+    let nominal_a = stage1_bias_a(110e6)?;
+    let mut rows = Vec::new();
+    for f_cr_hz in hz(&EQ1_RATES_MSPS) {
+        let scale = stage1_bias_a(f_cr_hz)? / nominal_a;
         let amp = TwoPoleAmp::new(40e-3 * scale, 80e-3 * scale, 3e-12, 4e-12, 10_000.0);
         let tau = 1.0 / (2.0 * std::f64::consts::PI * STAGE1_BETA * amp.unity_gain_hz());
         let settle_s = (1..10_000)
             .map(|k| k as f64 * tau / 10.0)
             .find(|&t| (amp.step_response(STAGE1_BETA, t) - 1.0).abs() < 1e-4)
             .unwrap_or(f64::NAN);
-        (rate_msps * 1e6, amp, settle_s)
-    }));
-    DesignMargins { rows }
+        rows.push((f_cr_hz, amp, settle_s));
+    }
+    Ok(DesignMargins { rows })
 }
 
 /// The clock jitter budgets of [`run_jitter_budget`], seconds rms: none,
@@ -1084,10 +1099,10 @@ pub fn run_temperature_sweep(policy: &RunPolicy) -> Result<TemperatureSweep, Bui
         },
     )?;
     let rows = temps.iter().zip(points);
-    let rows = rows
-        .map(|(&t, (a, b, c, d, e))| (t, a, b, c, d, e))
-        .collect();
-    Ok(TemperatureSweep { rows })
+    let rows = rows.map(|(&t, (a, b, c, d, e))| (t, a, b, c, d, e));
+    Ok(TemperatureSweep {
+        rows: rows.collect(),
+    })
 }
 
 /// The supply ripple of [`run_psrr_spur`] sits on FFT bin 373 of 8192.
@@ -1115,14 +1130,14 @@ impl PsrrSpur {
     /// claim) reads within 1 dB of ripple − PSRR. Threshold from the
     /// printed numbers (gaps 0.3, 0.0 and 0.0 dB).
     pub fn claims_hold(&self) -> bool {
-        let predicted = self
+        let gaps = self
             .rows
             .iter()
-            .map(|r| (r.2, predicted_spur_dbfs(r.0, r.1)));
-        let gaps: Vec<f64> = predicted
-            .filter(|p| p.1 >= -90.0)
-            .map(|p| (p.0 - p.1).abs())
-            .collect();
+            .filter_map(|&(ripple_v, psrr_db, measured)| {
+                let predicted = predicted_spur_dbfs(ripple_v, psrr_db);
+                (predicted >= -90.0).then_some((measured - predicted).abs())
+            });
+        let gaps: Vec<f64> = gaps.collect();
         !gaps.is_empty() && gaps.iter().all(|&gap| gap <= 1.0)
     }
 
@@ -1221,11 +1236,19 @@ pub fn run_stage_report() -> Result<StageReport, BuildAdcError> {
     })
 }
 
-/// The Monte-Carlo yield run: dies, test tone (Hz) and record length.
-pub const YIELD_RUN: (usize, f64, usize) = (32, 10e6, 4096);
+/// Dies in the Monte-Carlo yield run.
+const YIELD_DIES: usize = 32;
 
-/// Process spread: [`YIELD_RUN`]'s dies of the nominal design, against
-/// the [`YieldSpec::paper_with_margin`] screen.
+/// The Monte-Carlo yield population: dies 1..=32 of the nominal design,
+/// each measured at 10 MHz with 4096-point records. The in-process run
+/// and the cluster run of `montecarlo_yield --peers` both lay it out
+/// from here, so they measure the same dies.
+pub fn yield_plan() -> MonteCarloPlan {
+    monte_carlo_plan(&AdcConfig::nominal_110ms(), YIELD_DIES, 10e6, 4096)
+}
+
+/// Process spread: the [`yield_plan`] dies of the nominal design,
+/// against the [`YieldSpec::paper_with_margin`] screen.
 #[derive(Debug, Clone, PartialEq)]
 pub struct YieldResult {
     /// The per-die measurements and their statistics.
@@ -1239,7 +1262,7 @@ impl YieldResult {
     /// binomial σ of 7 points, rounded down).
     pub fn claims_hold(&self) -> bool {
         let (sndr, power) = (&self.mc.sndr, &self.mc.power);
-        self.mc.dies.len() == YIELD_RUN.0
+        self.mc.dies.len() == YIELD_DIES
             && (sndr.min..=sndr.max).contains(&64.2)
             && (power.min..=power.max).contains(&97e-3)
             && self.mc.yield_against(&YieldSpec::paper_with_margin()) >= 0.65
@@ -1283,15 +1306,16 @@ impl YieldResult {
     }
 }
 
-/// Runs the [`YIELD_RUN`] Monte-Carlo campaign on the nominal design.
+/// Runs the [`yield_plan`] Monte-Carlo campaign in process.
 ///
 /// # Errors
 ///
 /// Propagates the lowest-seed build error.
 pub fn run_monte_carlo_yield(policy: &RunPolicy) -> Result<YieldResult, BuildAdcError> {
-    let (dies, f_in_hz, record_len) = YIELD_RUN;
+    let plan = yield_plan();
+    let (dies, f_in_hz) = (plan.die_seeds.len(), plan.f_in_target_hz);
     let config = AdcConfig::nominal_110ms();
-    let mc = run_monte_carlo_with(&config, dies, f_in_hz, record_len, policy)?;
+    let mc = run_monte_carlo_with(&config, dies, f_in_hz, plan.record_len, policy)?;
     Ok(YieldResult { mc })
 }
 
@@ -1343,7 +1367,7 @@ pub fn publish(policy: &RunPolicy) -> Result<Vec<Section>, DatasheetError> {
     let scaling = run_scaling_ablation(policy)?;
     let switch = run_switch_ablation(policy)?;
     let sha = run_sha_ablation(policy)?;
-    let margins = run_design_margins();
+    let margins = run_design_margins()?;
     let jitter = run_jitter_budget(policy)?;
     let temps = run_temperature_sweep(policy)?;
     let psrr = run_psrr_spur()?;
@@ -1398,6 +1422,22 @@ mod tests {
         };
         let mc = crate::montecarlo::summarize_dies(vec![one_die]);
         assert!(!YieldResult { mc }.claims_hold());
+    }
+
+    #[test]
+    fn a_bias_that_does_not_track_the_rate_fails_the_margin_claim() {
+        let tracking = run_design_margins().expect("nominal builds");
+        assert!(tracking.claims_hold());
+        // The 110 MS/s amplifier at every rate: the phase margin stays
+        // flat, but settling takes a different share of each period.
+        let nominal = tracking.rows[2];
+        let fixed = DesignMargins {
+            rows: hz(&EQ1_RATES_MSPS)
+                .into_iter()
+                .map(|f_cr_hz| (f_cr_hz, nominal.1, nominal.2))
+                .collect(),
+        };
+        assert!(!fixed.claims_hold());
     }
 
     #[test]
