@@ -93,11 +93,6 @@ impl Capacitor {
         }
     }
 
-    /// Relative error of this instance versus nominal.
-    pub fn relative_error(&self) -> f64 {
-        self.value_f / self.nominal_f - 1.0
-    }
-
     /// RMS kT/C noise frozen on this capacitor at each sampling event, volts.
     pub fn ktc_rms_v(&self) -> f64 {
         ktc_noise_rms(self.value_f)
@@ -116,7 +111,7 @@ mod tests {
     #[test]
     fn ideal_cap_has_no_error() {
         let c = Capacitor::ideal(1e-12);
-        assert_eq!(c.relative_error(), 0.0);
+        assert_eq!(c.value_f, c.nominal_f);
     }
 
     #[test]
@@ -150,7 +145,10 @@ mod tests {
         let mut n = NoiseSource::from_seed(5);
         let count = 50_000;
         let var: f64 = (0..count)
-            .map(|_| spec.fabricate(1.0, &mut n).relative_error().powi(2))
+            .map(|_| {
+                let c = spec.fabricate(1.0, &mut n);
+                (c.value_f / c.nominal_f - 1.0).powi(2)
+            })
             .sum::<f64>()
             / count as f64;
         assert!((var.sqrt() - 0.001).abs() < 5e-5, "sigma {}", var.sqrt());

@@ -143,13 +143,6 @@ impl OpAmp {
         self.load_cap_f / (beta * self.gm_s())
     }
 
-    /// Static closed-loop gain error factor `1/(1 + 1/(A0·β))`.
-    ///
-    /// Multiply the ideal closed-loop output by this.
-    pub fn gain_error_factor(&self, beta: f64) -> f64 {
-        1.0 / (1.0 + 1.0 / (self.spec.dc_gain * beta))
-    }
-
     /// Output-level-dependent gain error factor: the open-loop gain
     /// compresses as `A0 / (1 + (v_out/knee)²)`, so large residues settle
     /// slightly shorter than small ones — the static odd-order distortion
@@ -387,9 +380,10 @@ mod tests {
 
     #[test]
     fn gain_error_factor_matches_formula() {
+        // At zero output the gain is uncompressed: `1/(1 + 1/(A0·β))`.
         let a = amp(1e-3);
         let beta = 0.5;
-        let e = a.gain_error_factor(beta);
+        let e = a.gain_error_factor_at(beta, 0.0);
         assert!((e - 1.0 / (1.0 + 1.0 / (10_000.0 * 0.5))).abs() < 1e-15);
         // ~0.02% low for 80 dB gain at beta = 0.5.
         assert!(e < 1.0 && e > 0.9997);

@@ -18,8 +18,6 @@ pub struct TwoPoleAmp {
     pub cc_f: f64,
     /// Load capacitance at the output, farads.
     pub cl_f: f64,
-    /// DC gain, V/V.
-    pub dc_gain: f64,
 }
 
 impl TwoPoleAmp {
@@ -28,28 +26,22 @@ impl TwoPoleAmp {
     /// # Panics
     ///
     /// Panics unless every parameter is positive.
-    pub fn new(gm1_s: f64, gm2_s: f64, cc_f: f64, cl_f: f64, dc_gain: f64) -> Self {
+    pub fn new(gm1_s: f64, gm2_s: f64, cc_f: f64, cl_f: f64) -> Self {
         assert!(
-            gm1_s > 0.0 && gm2_s > 0.0 && cc_f > 0.0 && cl_f > 0.0 && dc_gain > 1.0,
-            "parameters must be positive (gain > 1)"
+            gm1_s > 0.0 && gm2_s > 0.0 && cc_f > 0.0 && cl_f > 0.0,
+            "parameters must be positive"
         );
         Self {
             gm1_s,
             gm2_s,
             cc_f,
             cl_f,
-            dc_gain,
         }
     }
 
     /// Unity-gain (gain-bandwidth) frequency, hertz: `gm1/(2π·Cc)`.
     pub fn unity_gain_hz(&self) -> f64 {
         self.gm1_s / (2.0 * std::f64::consts::PI * self.cc_f)
-    }
-
-    /// Dominant pole, hertz (from GBW and DC gain).
-    pub fn dominant_pole_hz(&self) -> f64 {
-        self.unity_gain_hz() / self.dc_gain
     }
 
     /// Non-dominant (output) pole, hertz: `gm2/(2π·CL)`.
@@ -122,15 +114,14 @@ mod tests {
     use super::*;
 
     /// A stage-1-like design point: gm1 = 40 mS, gm2 = 80 mS, Cc = 3 pF,
-    /// CL = 4 pF, 80 dB.
+    /// CL = 4 pF.
     fn stage1_amp() -> TwoPoleAmp {
-        TwoPoleAmp::new(40e-3, 80e-3, 3e-12, 4e-12, 10_000.0)
+        TwoPoleAmp::new(40e-3, 80e-3, 3e-12, 4e-12)
     }
 
     #[test]
     fn pole_ordering_is_sane() {
         let a = stage1_amp();
-        assert!(a.dominant_pole_hz() < a.unity_gain_hz());
         assert!(a.nondominant_pole_hz() > a.unity_gain_hz());
     }
 
@@ -156,7 +147,7 @@ mod tests {
     #[test]
     fn low_nondominant_pole_rings() {
         // Strangle the output stage: gm2 down 20x.
-        let weak = TwoPoleAmp::new(40e-3, 4e-3, 3e-12, 4e-12, 10_000.0);
+        let weak = TwoPoleAmp::new(40e-3, 4e-3, 3e-12, 4e-12);
         assert!(weak.phase_margin_deg(0.45) < 45.0);
         assert!(weak.overshoot(0.45) > 0.05);
         // The healthy design barely overshoots.
@@ -174,7 +165,7 @@ mod tests {
 
     #[test]
     fn step_response_is_monotone_when_overdamped() {
-        let heavy = TwoPoleAmp::new(5e-3, 200e-3, 6e-12, 1e-12, 10_000.0);
+        let heavy = TwoPoleAmp::new(5e-3, 200e-3, 6e-12, 1e-12);
         assert!(heavy.damping(0.45) > 1.0);
         let tau = 1.0 / (2.0 * std::f64::consts::PI * 0.45 * heavy.unity_gain_hz());
         let mut last = 0.0;
@@ -192,8 +183,7 @@ mod tests {
         // moves but the p2/crossover ratio — and hence the phase margin —
         // is constant.
         let at_rate = |scale: f64| {
-            TwoPoleAmp::new(40e-3 * scale, 80e-3 * scale, 3e-12, 4e-12, 10_000.0)
-                .phase_margin_deg(0.45)
+            TwoPoleAmp::new(40e-3 * scale, 80e-3 * scale, 3e-12, 4e-12).phase_margin_deg(0.45)
         };
         let pm_20 = at_rate(20.0 / 110.0);
         let pm_140 = at_rate(140.0 / 110.0);

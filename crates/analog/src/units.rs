@@ -40,21 +40,6 @@ pub fn db(power_ratio: f64) -> f64 {
     }
 }
 
-/// Converts an *amplitude* ratio to decibels (`20·log10`).
-///
-/// ```
-/// use adc_analog::units::db_amplitude;
-/// assert!((db_amplitude(10.0) - 20.0).abs() < 1e-12);
-/// ```
-#[inline]
-pub fn db_amplitude(amplitude_ratio: f64) -> f64 {
-    if amplitude_ratio <= 0.0 {
-        f64::NEG_INFINITY
-    } else {
-        20.0 * amplitude_ratio.log10()
-    }
-}
-
 /// Inverse of [`db`]: converts decibels back to a power ratio.
 ///
 /// ```
@@ -65,12 +50,6 @@ pub fn db_amplitude(amplitude_ratio: f64) -> f64 {
 #[inline]
 pub fn undb(decibels: f64) -> f64 {
     10f64.powf(decibels / 10.0)
-}
-
-/// Inverse of [`db_amplitude`].
-#[inline]
-pub fn undb_amplitude(decibels: f64) -> f64 {
-    10f64.powf(decibels / 20.0)
 }
 
 /// Root-mean-square kT/C noise voltage for a sampling capacitor, in volts.
@@ -96,28 +75,6 @@ pub fn ktc_noise_rms(c_f: f64) -> f64 {
     (KT_NOMINAL / c_f).sqrt()
 }
 
-/// Effective number of bits implied by an SINAD/SNDR reading in decibels.
-///
-/// `ENOB = (SNDR − 1.76) / 6.02`, the standard sine-wave relation.
-///
-/// ```
-/// use adc_analog::units::enob_from_sndr;
-/// // An ideal 12-bit quantizer has SNDR = 74.0 dB.
-/// assert!((enob_from_sndr(74.0) - 12.0).abs() < 0.01);
-/// ```
-#[inline]
-pub fn enob_from_sndr(sndr_db: f64) -> f64 {
-    (sndr_db - 1.76) / 6.02
-}
-
-/// SNDR in decibels implied by an effective number of bits.
-///
-/// Inverse of [`enob_from_sndr`].
-#[inline]
-pub fn sndr_from_enob(enob_bits: f64) -> f64 {
-    enob_bits * 6.02 + 1.76
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,19 +83,12 @@ mod tests {
     fn db_round_trips() {
         for &x in &[1e-6, 0.5, 1.0, 2.0, 1e9] {
             assert!((undb(db(x)) - x).abs() / x < 1e-12);
-            assert!((undb_amplitude(db_amplitude(x)) - x).abs() / x < 1e-12);
         }
     }
 
     #[test]
     fn db_of_unity_is_zero() {
         assert_eq!(db(1.0), 0.0);
-        assert_eq!(db_amplitude(1.0), 0.0);
-    }
-
-    #[test]
-    fn db_amplitude_is_twice_db() {
-        assert!((db_amplitude(3.7) - 2.0 * db(3.7)).abs() < 1e-12);
     }
 
     #[test]
@@ -152,18 +102,5 @@ mod tests {
     #[should_panic(expected = "capacitance must be positive")]
     fn ktc_rejects_zero_cap() {
         let _ = ktc_noise_rms(0.0);
-    }
-
-    #[test]
-    fn enob_round_trips() {
-        for &b in &[6.0, 10.0, 10.4, 12.0, 14.0] {
-            assert!((enob_from_sndr(sndr_from_enob(b)) - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn twelve_bit_ideal_sndr() {
-        // 6.02*12 + 1.76 = 74.0 dB
-        assert!((sndr_from_enob(12.0) - 74.0).abs() < 0.01);
     }
 }

@@ -14,7 +14,9 @@
 //! multiplier. A figure regresses when it is worse than the baseline by
 //! more than the tolerance (default 30%) times that multiplier:
 //! throughput lower, latency higher. Improvements always pass. A
-//! baseline row with no fresh counterpart (a renamed row) is skipped.
+//! baseline row with no fresh counterpart (a deleted or renamed row) is
+//! printed as vanished and counts as a regression, so a change that
+//! drops a row refreshes the baseline with it.
 //!
 //! The reports compared are the ones present in the fresh directory,
 //! so one refreshed report can be checked on its own; the comparison
@@ -170,8 +172,9 @@ const GATES: &[Gate] = &[
 struct Comparison {
     label: String,
     baseline: f64,
-    fresh: f64,
-    delta_pct: f64,
+    /// The fresh figure and its change in percent; `None` when the
+    /// fresh report has no counterpart row (the row vanished).
+    fresh: Option<(f64, f64)>,
     regressed: bool,
 }
 
@@ -195,8 +198,7 @@ fn compare(
     Some(Comparison {
         label,
         baseline,
-        fresh,
-        delta_pct,
+        fresh: Some((fresh, delta_pct)),
         regressed: worse_pct > tolerance_pct,
     })
 }
@@ -238,20 +240,23 @@ impl Gate {
         }
     }
 
-    /// Compares every baseline figure that has a fresh counterpart.
+    /// Compares every baseline figure with its fresh counterpart; one
+    /// without a counterpart vanished and regresses.
     fn diff(&self, baseline: &Json, fresh: &Json, tolerance_pct: f64) -> Vec<Comparison> {
         let fresh = self.figures(fresh);
         self.figures(baseline)
             .into_iter()
             .filter_map(|(id, b)| {
-                let f = fresh.iter().find(|(fid, _)| *fid == id)?.1;
-                compare(
-                    self.label(&id),
-                    b,
-                    f,
-                    self.dir,
-                    tolerance_pct * self.tol_mult,
-                )
+                let label = self.label(&id);
+                match fresh.iter().find(|(fid, _)| *fid == id) {
+                    Some(&(_, f)) => compare(label, b, f, self.dir, tolerance_pct * self.tol_mult),
+                    None => Some(Comparison {
+                        label,
+                        baseline: b,
+                        fresh: None,
+                        regressed: true,
+                    }),
+                }
             })
             .collect()
     }
@@ -267,11 +272,18 @@ fn render(rows: &[Comparison]) -> String {
     let mut out = String::new();
     let width = rows.iter().map(|r| r.label.len()).max().unwrap_or(0);
     for r in rows {
-        let verdict = if r.regressed { "REGRESSED" } else { "ok" };
+        let (fresh, delta, verdict) = match r.fresh {
+            Some((fresh, delta_pct)) => (
+                format!("{fresh:.1}"),
+                format!("{delta_pct:+.1}%"),
+                if r.regressed { "REGRESSED" } else { "ok" },
+            ),
+            None => ("-".to_string(), String::new(), "VANISHED"),
+        };
         let _ = writeln!(
             out,
-            "  {:<width$}  baseline {:>12.1}  fresh {:>12.1}  {:>+7.1}%  {verdict}",
-            r.label, r.baseline, r.fresh, r.delta_pct,
+            "  {:<width$}  baseline {:>12.1}  fresh {fresh:>12}  {delta:>8}  {verdict}",
+            r.label, r.baseline,
         );
     }
     out
@@ -312,6 +324,12 @@ fn run(opts: &Options) -> Result<u8, String> {
         render(&rows)
     );
     let regressions = rows.iter().filter(|r| r.regressed).count();
+    let vanished = rows.iter().filter(|r| r.fresh.is_none()).count();
+    if vanished > 0 {
+        println!(
+            "{vanished} baseline row(s) VANISHED from the fresh reports, counted as regressions"
+        );
+    }
     if regressions == 0 {
         println!("no perf regressions");
         return Ok(0);
@@ -376,8 +394,9 @@ mod tests {
     );
 
     /// One input per report: every gate of the report runs over the
-    /// pair, and the rows come out in table order, matched by key
-    /// (unmatched baseline rows skipped), each with its verdict.
+    /// pair, and the rows come out in table order, matched by key (a
+    /// baseline row with no fresh counterpart regresses), each with
+    /// its verdict.
     #[test]
     fn every_report_matches_rows_by_key_and_gates_in_both_directions() {
         let cases: &[Case] = &[
@@ -386,7 +405,10 @@ mod tests {
                 r#"{"campaigns":[{"name":"a","parallel":{"samples_per_sec":1000}},
                                  {"name":"gone","parallel":{"samples_per_sec":1}}]}"#,
                 r#"{"campaigns":[{"name":"a","parallel":{"samples_per_sec":500}}]}"#,
-                &[("runtime campaigns[a] parallel.samples_per_sec", true)],
+                &[
+                    ("runtime campaigns[a] parallel.samples_per_sec", true),
+                    ("runtime campaigns[gone] parallel.samples_per_sec", true),
+                ],
             ),
             (
                 SERVICE,
@@ -421,6 +443,7 @@ mod tests {
                                {"name":"fig4_power_sweep_26pt","us_per_call":2000.0}]}"#,
                 &[
                     ("dsp conversion[nominal] samples_per_sec", true),
+                    ("dsp conversion[gone] samples_per_sec", true),
                     ("dsp fft[4096] us_per_call", false),
                     ("dsp fft[8192] us_per_call", true),
                     ("dsp kernels[eq1_master_current] us_per_call", false),
@@ -438,6 +461,7 @@ mod tests {
                     "calib":[{"name":"m2","us_per_epoch":2000.0}]}"#,
                 &[
                     ("interleave convert[m2_matched] samples_per_sec", true),
+                    ("interleave convert[gone] samples_per_sec", true),
                     ("interleave calib[m2] us_per_epoch", true),
                 ],
             ),
@@ -451,6 +475,7 @@ mod tests {
                 &[
                     ("cluster cluster[hosts1] jobs_per_sec", false),
                     ("cluster cluster[hosts2] jobs_per_sec", true),
+                    ("cluster cluster[gone] jobs_per_sec", true),
                 ],
             ),
         ];
@@ -551,6 +576,33 @@ mod tests {
             1,
             "fresh DSP report gated"
         );
+    }
+
+    #[test]
+    fn a_vanished_baseline_row_is_printed_and_fails_only_under_deny_perf() {
+        let vanished = Comparison {
+            label: "dsp conversion[gone] samples_per_sec".to_string(),
+            baseline: 1000.0,
+            fresh: None,
+            regressed: true,
+        };
+        let printed = render(&[vanished]);
+        assert!(printed.contains("conversion[gone]"), "{printed}");
+        assert!(printed.trim_end().ends_with("VANISHED"), "{printed}");
+
+        let dirs = Dirs::new("vanished");
+        dirs.write("baseline", 2, 1000);
+        dirs.write("fresh", 2, 1000);
+        let dsp =
+            |rows: &str| format!(r#"{{"provenance":{{"host_cpus":2}},"conversion":[{rows}]}}"#);
+        let nominal = r#"{"name":"nominal","samples_per_sec":1000}"#;
+        let gone = r#"{"name":"gone","samples_per_sec":1000}"#;
+        let baseline_dsp = dirs.root.join("baseline").join(DSP);
+        std::fs::write(&baseline_dsp, dsp(&format!("{nominal},{gone}"))).expect("write report");
+        assert_eq!(dirs.exit_status(&[]), 0, "advisory without --deny-perf");
+        assert_eq!(dirs.exit_status(&["--deny-perf"]), 1, "vanished row gated");
+        std::fs::write(&baseline_dsp, dsp(nominal)).expect("write report");
+        assert_eq!(dirs.exit_status(&["--deny-perf"]), 0, "refreshed baseline");
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //!   (`standard_normal_fill`) and stimulus evaluation
 //!   (`SineSource::fill_at`), the Table I / Fig. 5–6 metrology
 //!   (`analyze_tone`, `sine_histogram`), foreground calibration, the
-//!   digital correction logic (`DigitalBackend::clock`,
-//!   `correction_sum`), the Eq. 1 bias current and the Fig. 4 power
-//!   sweep.
+//!   Eq. 1 bias current and the Fig. 4 power sweep.
 //!
 //! All loops are single-threaded and run through the allocation-free
 //! `_into` APIs where one exists. Each figure is the best window of the
@@ -29,8 +27,6 @@ use adc_analog::capacitor::Capacitor;
 use adc_analog::stripe::{standard_normal_fill, SampleNoise};
 use adc_bench::timing::best_window;
 use adc_bias::generator::{BiasGenerator, ScBiasGenerator};
-use adc_digital::adder::correction_sum;
-use adc_digital::backend::{CycleWords, DigitalBackend};
 use adc_pipeline::calibration::{calibrate_foreground, training_levels};
 use adc_pipeline::config::AdcConfig;
 use adc_pipeline::converter::{PipelineAdc, Waveform};
@@ -235,19 +231,6 @@ fn kernels() -> Vec<Kernel> {
         black_box(calibrate_foreground(&mut adc, &levels, 1).expect("calibrates"));
     };
 
-    let mut backend = DigitalBackend::new(10);
-    let words = CycleWords {
-        stage_words: vec![1, 2, 0, 1, 2, 1, 0, 2, 1, 1],
-        flash_word: 2,
-    };
-    let clock = move || {
-        black_box(backend.clock(black_box(&words)));
-    };
-    let stage_words = [1u8, 2, 0, 1, 2, 1, 0, 2, 1, 1];
-    let correct = move || {
-        black_box(correction_sum(black_box(&stage_words), 3));
-    };
-
     let generator = ScBiasGenerator::new(Capacitor::ideal(1e-12), 0.9);
     let mut f_cr = 1e6;
     let eq1 = move || {
@@ -268,8 +251,6 @@ fn kernels() -> Vec<Kernel> {
         ("analyze_tone_8192", 1, Box::new(analyze)),
         ("sine_histogram_262144", 1, Box::new(histogram)),
         ("calibrate_foreground_256", 1, Box::new(calibrate)),
-        ("backend_clock_10_stage", 256, Box::new(clock)),
-        ("correction_sum_10_stage", 256, Box::new(correct)),
         ("eq1_master_current", 16384, Box::new(eq1)),
         ("fig4_power_sweep_26pt", 1, Box::new(sweep)),
     ]

@@ -21,7 +21,6 @@ pub const DETERMINISM_ROOTS: &[&str] = &[
     "crates/testbench/src",
     "crates/bias/src",
     "crates/analog/src",
-    "crates/digital/src",
     // Background calibration feeds corrections back into conversion:
     // any nondeterminism here (wall-clock adaptation, hash-order state)
     // would silently fork served ganged records from in-process runs.

@@ -28,7 +28,7 @@ use adc_bias::power::{PowerModel, PowerReading};
 
 use crate::clocking::TimingBudget;
 use crate::config::{AdcConfig, BiasKind, FrontEndKind, ReferenceQuality};
-use crate::correction::{self, CorrectionPipeline};
+use crate::correction;
 use crate::electrical;
 use crate::error::BuildAdcError;
 use crate::mdac::Mdac;
@@ -160,7 +160,6 @@ pub struct PipelineAdc {
     pub(crate) flash: FlashBackend,
     reference: ReferenceBuffer,
     power: PowerModel,
-    correction: CorrectionPipeline,
     /// The hot-path noise stream: jitter, front-end, and merged
     /// per-stage draws during conversion (see [`adc_analog::stripe`]).
     /// Comparators draw from their own streams.
@@ -387,7 +386,6 @@ impl PipelineAdc {
             (config.aux_noise_rms_v.powi(2) + flicker.powi(2) + sha_noise_v * sha_noise_v).sqrt();
 
         let ripple_referred_v = config.supply_ripple_v * 10f64.powf(-config.psrr_db / 20.0);
-        let correction = CorrectionPipeline::new(config.stage_count);
         Ok(Self {
             config,
             timing,
@@ -396,7 +394,6 @@ impl PipelineAdc {
             flash,
             reference,
             power,
-            correction,
             sample_noise,
             aux_noise_rms_v,
             adsc_skew_s,
@@ -421,11 +418,6 @@ impl PipelineAdc {
         self.timing
     }
 
-    /// Pipeline latency from sampling to D_OUT, in conversion cycles.
-    pub fn latency_samples(&self) -> usize {
-        correction::latency_samples(self.config.stage_count)
-    }
-
     /// Power decomposition at the operating rate (the Fig. 4 quantity).
     pub fn power_reading(&self) -> PowerReading {
         self.power.reading(self.config.f_cr_hz)
@@ -447,15 +439,14 @@ impl PipelineAdc {
         (f64::from(code) + 0.5) * self.config.lsb_v() - self.config.v_ref_v
     }
 
-    /// Clears all inter-sample state (settling/tracking memory, latency
-    /// pipeline). Records taken after a reset are statistically
-    /// independent but still seed-deterministic.
+    /// Clears all inter-sample state (settling and tracking memory).
+    /// Records taken after a reset are statistically independent but
+    /// still seed-deterministic.
     pub fn reset(&mut self) {
         self.front_end.reset();
         for s in &mut self.stages {
             s.reset();
         }
-        self.correction.reset();
         self.sample_count = 0;
     }
 
@@ -793,12 +784,6 @@ mod tests {
     fn closure_waveform_slope_is_numeric() {
         let w = |t: f64| 3.0 * t;
         assert!((Waveform::slope(&w, 1.0) - 3.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn latency_is_reported() {
-        let adc = PipelineAdc::build(AdcConfig::nominal_110ms(), 1).unwrap();
-        assert_eq!(adc.latency_samples(), 7);
     }
 
     #[test]

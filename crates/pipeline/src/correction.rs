@@ -1,5 +1,6 @@
-//! Delay alignment and digital error correction (the paper's "Delay and
-//! Correction Logic" block).
+//! Digital error correction (the paper's "Delay and Correction Logic"
+//! block). The converter hands each sample's decisions over already
+//! aligned, so the block's delay registers carry no state here.
 //!
 //! Each 1.5-bit stage emits b_i = d_i + 1 ∈ {0, 1, 2}; the flash emits
 //! 2 bits. The correction adds the stage words with a one-bit overlap:
@@ -12,11 +13,6 @@
 //! − 1.5)`, i.e. a perfect midtread (n+2)-bit quantizer — and, crucially,
 //! the redundancy means any ADSC decision error up to ±V_REF/4 cancels
 //! between a stage's word and the residue seen by its successors.
-//!
-//! [`CorrectionPipeline`] adds the real block's pipeline latency: codes
-//! emerge `latency_samples` conversions after their input was sampled.
-
-use std::collections::VecDeque;
 
 use crate::subconverter::StageDecision;
 
@@ -49,53 +45,6 @@ pub(crate) fn assemble_code_from(
     }
     let max = (1i64 << (n + 2)) - 1;
     code.clamp(0, max) as u32
-}
-
-/// The number of conversion cycles between sampling an input and its code
-/// appearing at D_OUT: the flash resolves at half-clock `2k + n + 2`
-/// (cycle `⌊(n+2)/2⌋` after the sample) and one output register follows.
-/// Matches the cycle-accurate `adc-digital` back-end exactly.
-pub fn latency_samples(stage_count: usize) -> usize {
-    (stage_count + 2) / 2 + 1
-}
-
-/// Stateful wrapper adding the correction block's pipeline latency.
-#[derive(Debug, Clone, Default)]
-pub struct CorrectionPipeline {
-    queue: VecDeque<u32>,
-    latency: usize,
-}
-
-impl CorrectionPipeline {
-    /// Creates the block for an `n`-stage pipeline.
-    pub fn new(stage_count: usize) -> Self {
-        Self {
-            queue: VecDeque::new(),
-            latency: latency_samples(stage_count),
-        }
-    }
-
-    /// The block's latency in conversion cycles.
-    pub fn latency(&self) -> usize {
-        self.latency
-    }
-
-    /// Pushes one conversion's decisions; returns the aligned output code
-    /// once the pipeline has filled (`None` during the first
-    /// [`Self::latency`] cycles).
-    pub fn push(&mut self, decisions: &[StageDecision], flash_code: u8) -> Option<u32> {
-        self.queue.push_back(assemble_code(decisions, flash_code));
-        if self.queue.len() > self.latency {
-            self.queue.pop_front()
-        } else {
-            None
-        }
-    }
-
-    /// Clears the pipeline (between measurement records).
-    pub fn reset(&mut self) {
-        self.queue.clear();
-    }
 }
 
 #[cfg(test)]
@@ -216,29 +165,6 @@ mod tests {
         assert_eq!(assemble_code(&d, 3), 4095);
         let d = dec(&[-1; 10]);
         assert_eq!(assemble_code(&d, 0), 0);
-    }
-
-    #[test]
-    fn latency_matches_architecture() {
-        // 10 stages: flash resolves 6 cycles after the sample, plus the
-        // output register.
-        assert_eq!(latency_samples(10), 7);
-        assert_eq!(latency_samples(5), 4);
-        assert_eq!(latency_samples(1), 2);
-    }
-
-    #[test]
-    fn correction_pipeline_delays_codes() {
-        let mut p = CorrectionPipeline::new(10);
-        let (d, f) = ideal_chain(0.5, 10);
-        let expected = assemble_code(&d, f);
-        let mut outputs = Vec::new();
-        for _ in 0..10 {
-            outputs.push(p.push(&d, f));
-        }
-        // First `latency` pushes yield nothing.
-        assert!(outputs[..p.latency()].iter().all(Option::is_none));
-        assert!(outputs[p.latency()..].iter().all(|o| *o == Some(expected)));
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use calibration::{calibrate_foreground, CalibrateError, CalibrationWeights};
 pub use clocking::{ClockScheme, TimingBudget};
 pub use config::{AdcConfig, BiasKind, FrontEndKind, ReferenceQuality, ScalingProfile};
 pub use converter::{PipelineAdc, RawConversion, Waveform};
-pub use correction::{assemble_code, latency_samples, CorrectionPipeline};
+pub use correction::assemble_code;
 pub use diagnostics::Diagnostics;
 pub use error::BuildAdcError;
 pub use interleave::{InterleaveMismatch, InterleavedAdc};

@@ -33,8 +33,6 @@ pub struct ToneAnalysisConfig {
     pub window: Window,
     /// Number of harmonics (2nd..=this order) classified as distortion.
     pub harmonic_count: usize,
-    /// Force the fundamental to a known bin instead of peak-searching.
-    pub fundamental_bin: Option<usize>,
     /// Full-scale amplitude for dBFS reporting (peak volts of a full-scale
     /// sine). When `None`, `signal_dbfs` is reported as 0.
     pub full_scale_peak: Option<f64>,
@@ -46,7 +44,6 @@ impl ToneAnalysisConfig {
         Self {
             window: Window::Rectangular,
             harmonic_count: 10,
-            fundamental_bin: None,
             full_scale_peak: None,
         }
     }
@@ -54,12 +51,6 @@ impl ToneAnalysisConfig {
     /// Sets the full-scale reference for dBFS reporting.
     pub fn with_full_scale(mut self, peak_v: f64) -> Self {
         self.full_scale_peak = Some(peak_v);
-        self
-    }
-
-    /// Sets a known fundamental bin (skips peak search).
-    pub fn with_fundamental_bin(mut self, bin: usize) -> Self {
-        self.fundamental_bin = Some(bin);
         self
     }
 }
@@ -133,10 +124,6 @@ fn fold_bin(raw: usize, n: usize) -> usize {
 /// Returns [`FftError`] if the record length is not a nonzero power of
 /// two.
 ///
-/// # Panics
-///
-/// Panics if a forced `fundamental_bin` is DC/out of range.
-///
 /// ```
 /// use adc_spectral::metrics::{analyze_tone, ToneAnalysisConfig};
 /// # fn main() -> Result<(), adc_spectral::fft::FftError> {
@@ -170,10 +157,6 @@ pub fn analyze_tone(
 ///
 /// Returns [`FftError`] if the record length is not a nonzero power of
 /// two.
-///
-/// # Panics
-///
-/// Panics if a forced `fundamental_bin` is DC/out of range.
 pub fn analyze_tone_with(
     signal: &[f64],
     cfg: &ToneAnalysisConfig,
@@ -204,24 +187,13 @@ pub fn analyze_tone_with(
     // DC region: bin 0 plus the window's leakage skirt.
     let dc_end = half; // bins 0..=dc_end are DC territory
 
-    let fundamental_bin = match cfg.fundamental_bin {
-        Some(b) => {
-            assert!(
-                b > dc_end && b <= nyquist,
-                "forced fundamental bin {b} out of range ({dc_end}, {nyquist}]"
-            );
-            b
+    // The fundamental is the strongest bin above the DC skirt.
+    let mut fundamental_bin = dc_end + 1;
+    for i in (dc_end + 1)..=nyquist {
+        if ps[i] > ps[fundamental_bin] {
+            fundamental_bin = i;
         }
-        None => {
-            let mut best = dc_end + 1;
-            for i in (dc_end + 1)..=nyquist {
-                if ps[i] > ps[best] {
-                    best = i;
-                }
-            }
-            best
-        }
-    };
+    }
 
     // Ownership map: which bins belong to DC / fundamental / harmonics.
     let mut owner = std::mem::take(&mut scratch.owner);
@@ -484,21 +456,6 @@ mod tests {
             "dbfs {}",
             a.signal_dbfs
         );
-    }
-
-    #[test]
-    fn forced_fundamental_bin_is_respected() {
-        let n = 4096;
-        // Two tones; force analysis onto the smaller one.
-        let mut sig = sine(n, 401, 1.0);
-        let t2 = sine(n, 901, 0.5);
-        for (s, h) in sig.iter_mut().zip(&t2) {
-            *s += h;
-        }
-        let cfg = ToneAnalysisConfig::coherent().with_fundamental_bin(901);
-        let a = analyze_tone(&sig, &cfg).unwrap();
-        assert_eq!(a.fundamental_bin, 901);
-        assert!((a.signal_power - 0.125).abs() < 1e-6);
     }
 
     #[test]

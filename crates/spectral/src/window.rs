@@ -4,9 +4,8 @@
 //! as is universal in ADC characterisation — coherent sampling, so the
 //! workhorse window is [`Window::Rectangular`]. The tapered windows are
 //! provided for non-coherent records (e.g. analysing a signal whose
-//! frequency is not an exact bin), together with the two constants needed
-//! to keep the metrics calibrated: the coherent (amplitude) gain and the
-//! equivalent noise bandwidth in bins.
+//! frequency is not an exact bin), each with the main-lobe half-width
+//! that decides which bins belong to a tone.
 
 /// Supported window shapes.
 #[derive(
@@ -50,26 +49,6 @@ impl Window {
                 0.358_75 - 0.488_29 * x.cos() + 0.141_28 * (2.0 * x).cos()
                     - 0.011_68 * (3.0 * x).cos()
             }
-        }
-    }
-
-    /// Coherent (amplitude) gain: the mean of the coefficients.
-    pub fn coherent_gain(&self) -> f64 {
-        match self {
-            Window::Rectangular => 1.0,
-            Window::Hann => 0.5,
-            Window::Blackman => 0.42,
-            Window::BlackmanHarris4 => 0.358_75,
-        }
-    }
-
-    /// Equivalent noise bandwidth in bins.
-    pub fn enbw_bins(&self) -> f64 {
-        match self {
-            Window::Rectangular => 1.0,
-            Window::Hann => 1.5,
-            Window::Blackman => 1.726_763,
-            Window::BlackmanHarris4 => 2.004_353,
         }
     }
 
@@ -224,46 +203,6 @@ mod tests {
             .coefficients(32)
             .iter()
             .all(|&w| w == 1.0));
-    }
-
-    #[test]
-    fn coherent_gain_matches_mean() {
-        for w in [
-            Window::Rectangular,
-            Window::Hann,
-            Window::Blackman,
-            Window::BlackmanHarris4,
-        ] {
-            let n = 65536;
-            let mean: f64 = w.coefficients(n).iter().sum::<f64>() / n as f64;
-            assert!(
-                (mean - w.coherent_gain()).abs() < 1e-4,
-                "{w:?}: mean {mean} vs {}",
-                w.coherent_gain()
-            );
-        }
-    }
-
-    #[test]
-    fn enbw_matches_definition() {
-        // ENBW = n · Σw² / (Σw)²
-        for w in [
-            Window::Rectangular,
-            Window::Hann,
-            Window::Blackman,
-            Window::BlackmanHarris4,
-        ] {
-            let n = 65536;
-            let c = w.coefficients(n);
-            let sum: f64 = c.iter().sum();
-            let sum2: f64 = c.iter().map(|x| x * x).sum();
-            let enbw = n as f64 * sum2 / (sum * sum);
-            assert!(
-                (enbw - w.enbw_bins()).abs() < 1e-3,
-                "{w:?}: {enbw} vs {}",
-                w.enbw_bins()
-            );
-        }
     }
 
     #[test]

@@ -948,7 +948,7 @@ pub fn run_design_margins() -> Result<DesignMargins, BuildAdcError> {
     let mut rows = Vec::new();
     for f_cr_hz in hz(&EQ1_RATES_MSPS) {
         let scale = stage1_bias_a(f_cr_hz)? / nominal_a;
-        let amp = TwoPoleAmp::new(40e-3 * scale, 80e-3 * scale, 3e-12, 4e-12, 10_000.0);
+        let amp = TwoPoleAmp::new(40e-3 * scale, 80e-3 * scale, 3e-12, 4e-12);
         let tau = 1.0 / (2.0 * std::f64::consts::PI * STAGE1_BETA * amp.unity_gain_hz());
         let settle_s = (1..10_000)
             .map(|k| k as f64 * tau / 10.0)

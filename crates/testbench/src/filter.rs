@@ -1,17 +1,12 @@
-//! Band-pass filter models: the paper's measurement-hygiene step.
+//! The band-pass filter model: the paper's measurement-hygiene step.
 //!
 //! "Both [the input signal and the clock] were filtered using high order
 //! passive band-pass filters around the applied frequency to remove
 //! harmonics and white noise produced by the sources" (§4).
 //!
-//! Two layers are provided:
-//!
-//! * [`BandpassFilter::clean`] — acts on a [`SineSource`] *specification*:
-//!   each residual harmonic is attenuated by the filter's skirt at its
-//!   frequency. This is how the bench wires a generator to the ADC.
-//! * [`Biquad`] — a discrete-time RBJ band-pass section (cascadable) for
-//!   filtering already-sampled data, used by tests and available to
-//!   downstream users post-processing records.
+//! [`BandpassFilter::clean`] acts on a [`SineSource`] *specification*:
+//! each residual harmonic is attenuated by the filter's skirt at its
+//! frequency. This is how the bench wires a generator to the ADC.
 
 use crate::signal::{Harmonic, SineSource};
 
@@ -75,64 +70,6 @@ impl BandpassFilter {
     }
 }
 
-/// One RBJ-cookbook biquad section for sampled data.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Biquad {
-    b0: f64,
-    b1: f64,
-    b2: f64,
-    a1: f64,
-    a2: f64,
-    z1: f64,
-    z2: f64,
-}
-
-impl Biquad {
-    /// Designs a constant-peak-gain band-pass section.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < center_hz < fs_hz/2` and `q > 0`.
-    pub fn bandpass(fs_hz: f64, center_hz: f64, q: f64) -> Self {
-        assert!(
-            center_hz > 0.0 && center_hz < fs_hz / 2.0,
-            "centre must be in (0, Nyquist)"
-        );
-        assert!(q > 0.0, "Q must be positive");
-        let w0 = 2.0 * std::f64::consts::PI * center_hz / fs_hz;
-        let alpha = w0.sin() / (2.0 * q);
-        let a0 = 1.0 + alpha;
-        Self {
-            b0: alpha / a0,
-            b1: 0.0,
-            b2: -alpha / a0,
-            a1: -2.0 * w0.cos() / a0,
-            a2: (1.0 - alpha) / a0,
-            z1: 0.0,
-            z2: 0.0,
-        }
-    }
-
-    /// Processes one sample (transposed direct form II).
-    pub fn process(&mut self, x: f64) -> f64 {
-        let y = self.b0 * x + self.z1;
-        self.z1 = self.b1 * x - self.a1 * y + self.z2;
-        self.z2 = self.b2 * x - self.a2 * y;
-        y
-    }
-
-    /// Filters a whole record.
-    pub fn process_record(&mut self, xs: &[f64]) -> Vec<f64> {
-        xs.iter().map(|&x| self.process(x)).collect()
-    }
-
-    /// Resets the state.
-    pub fn reset(&mut self) {
-        self.z1 = 0.0;
-        self.z2 = 0.0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,33 +99,5 @@ mod tests {
         let above = f.magnitude_at(20e6);
         let below = f.magnitude_at(5e6);
         assert!((above / below - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn biquad_passes_center_and_rejects_far_tones() {
-        let fs = 110e6;
-        let mut bq = Biquad::bandpass(fs, 10e6, 10.0);
-        let n = 8192;
-        let run_gain = |bq: &mut Biquad, f: f64| {
-            bq.reset();
-            let xs: Vec<f64> = (0..n)
-                .map(|i| (2.0 * std::f64::consts::PI * f / fs * i as f64).sin())
-                .collect();
-            let ys = bq.process_record(&xs);
-            // RMS gain over the settled tail.
-            let tail = &ys[n / 2..];
-            let rms_out = (tail.iter().map(|y| y * y).sum::<f64>() / tail.len() as f64).sqrt();
-            rms_out / (1.0 / 2f64.sqrt())
-        };
-        let center = run_gain(&mut bq, 10e6);
-        let far = run_gain(&mut bq, 40e6);
-        assert!((center - 1.0).abs() < 0.05, "centre gain {center}");
-        assert!(far < 0.1, "far gain {far}");
-    }
-
-    #[test]
-    fn biquad_rejects_invalid_design() {
-        let r = std::panic::catch_unwind(|| Biquad::bandpass(100e6, 60e6, 5.0));
-        assert!(r.is_err());
     }
 }

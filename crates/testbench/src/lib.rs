@@ -6,7 +6,7 @@
 //! * [`signal`] — RF generator models (tone + residual harmonics + phase
 //!   wobble), ramps, DC;
 //! * [`filter`] — the high-order passive band-pass filters the authors
-//!   used to clean their sources, plus discrete-time biquads;
+//!   used to clean their sources;
 //! * [`session`] — a die on the bench: coherent captures, single-tone
 //!   dynamic metrics, histogram linearity ([`session::GOLDEN_SEED`] is
 //!   the reproduction's "measured die");
@@ -44,7 +44,7 @@ pub mod survey;
 pub mod sweep;
 
 pub use datasheet::{Datasheet, DatasheetError, PAPER_AREA_MM2};
-pub use filter::{BandpassFilter, Biquad};
+pub use filter::BandpassFilter;
 pub use montecarlo::{
     measure_die, monte_carlo_plan, run_monte_carlo_with, summarize_dies, DieResult, MetricStats,
     MonteCarloPlan, MonteCarloResult, YieldSpec,

@@ -51,7 +51,6 @@ pub use adc_analog as analog;
 pub use adc_bias as bias;
 pub use adc_calib as calib;
 pub use adc_cluster as cluster;
-pub use adc_digital as digital;
 pub use adc_pipeline as pipeline;
 pub use adc_runtime as runtime;
 pub use adc_server as server;

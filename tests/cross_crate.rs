@@ -167,37 +167,3 @@ fn static_inl_predicts_the_dynamic_distortion_floor() {
         measured.analysis.thd_db
     );
 }
-
-#[test]
-fn decimation_recovers_snr_on_the_real_converter() {
-    // Oversample + decimate: running the nominal die at 110 MS/s on a
-    // ~2.8 MHz tone and decimating by 4 with a CIC must buy several dB
-    // of SNDR — the processing-gain use-case of a rate-scalable IP
-    // block.
-    use pipeline_adc::digital::CicDecimator;
-    use pipeline_adc::spectral::metrics::{analyze_tone, ToneAnalysisConfig};
-    let mut bench = MeasurementSession::nominal().expect("builds");
-
-    // Direct measurement at the input rate.
-    bench.record_len = 8192;
-    let direct = bench.measure_tone(2.8e6).analysis.sndr_db;
-
-    // Longer capture, decimated by 4. A tone coherent over 32768 input
-    // samples has an integer cycle count over any contiguous 8192-sample
-    // window at the decimated rate, so the analysis slice stays coherent.
-    bench.record_len = 1 << 15;
-    let (codes, _f_in) = bench.capture_tone(2.8e6);
-    let record = bench.reconstruct(&codes);
-    let mut cic = CicDecimator::new(3, 4);
-    // Warm the filter on one pass (a coherent record wraps seamlessly),
-    // then analyze the second pass: fully settled, fully coherent.
-    let _ = cic.process_record(&record);
-    let decimated = cic.process_record(&record);
-    assert_eq!(decimated.len(), 8192);
-    let dec = analyze_tone(&decimated, &ToneAnalysisConfig::coherent()).expect("analyzes");
-    assert!(
-        dec.sndr_db > direct + 3.0,
-        "decimated {} vs direct {direct}",
-        dec.sndr_db
-    );
-}

@@ -162,22 +162,33 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The RTL ripple correction adder is bit-equivalent to the
-    /// behavioral correction for arbitrary decision vectors.
+    /// The correction adder's weights are exact for any stage count n:
+    /// raising stage i's level by one (i from 0) adds exactly 2^(n−i),
+    /// and raising the flash code by one adds 1, so valid decisions
+    /// never reach the clamp.
     #[test]
-    fn rtl_adder_equals_behavioral_correction(
-        levels in prop::collection::vec(-1i8..=1, 10),
+    fn correction_weights_are_exact_powers_of_two(
+        all_levels in prop::collection::vec(-1i8..=1, 12),
+        n in 1usize..=12,
         flash in 0u8..=3,
     ) {
-        let decisions: Vec<StageDecision> = levels
-            .iter()
-            .map(|&dac_level| StageDecision { dac_level })
-            .collect();
-        let words: Vec<u8> = levels.iter().map(|&d| (d + 1) as u8).collect();
-        prop_assert_eq!(
-            u32::from(pipeline_adc::digital::correction_sum(&words, flash)),
-            assemble_code(&decisions, flash)
-        );
+        let levels = &all_levels[..n];
+        let decisions: Vec<StageDecision> =
+            levels.iter().map(|&dac_level| StageDecision { dac_level }).collect();
+        let code = i64::from(assemble_code(&decisions, flash));
+        for i in 0..n {
+            if levels[i] < 1 {
+                let mut bumped = decisions.clone();
+                bumped[i].dac_level += 1;
+                prop_assert_eq!(
+                    i64::from(assemble_code(&bumped, flash)) - code,
+                    1i64 << (n - i)
+                );
+            }
+        }
+        if flash < 3 {
+            prop_assert_eq!(i64::from(assemble_code(&decisions, flash + 1)) - code, 1);
+        }
     }
 
     /// Goertzel matches the FFT on random bins of random signals.
