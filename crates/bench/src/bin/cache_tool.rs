@@ -3,7 +3,7 @@
 //! campaign binaries use).
 //!
 //! ```text
-//! cache_tool [--cache-dir DIR] [--gc] [--gc-legacy]
+//! cache_tool [--cache-dir DIR] [--gc]
 //! ```
 //!
 //! The report lists every `<campaign>.cache` file with its entry count,
@@ -11,9 +11,9 @@
 //! epoch histogram of the directory. Files written under an older
 //! epoch are dead weight — their keys are epoch-salted, so the current
 //! code can never hit them — and `--gc` deletes them. Files with no
-//! header at all predate the epoch stamp; they are reported as
-//! `legacy` and only deleted under the separate `--gc-legacy` flag,
-//! since their vintage cannot be proven from the file alone.
+//! header at all are reported as `legacy`; the header came in at epoch
+//! 2, so they hold only keys salted with epoch 2 or earlier, just as
+//! dead, and `--gc` deletes them too.
 //!
 //! Exit status: `0` on success (including an absent directory, which
 //! just means there is nothing cached yet), `2` on usage errors.
@@ -36,12 +36,10 @@ struct CacheFile {
 }
 
 impl CacheFile {
+    /// Written under another epoch, or headerless (epoch 2 or
+    /// earlier): no entry can hit.
     fn stale(&self) -> bool {
-        self.epoch.is_some_and(|e| e != NUMERICS_EPOCH)
-    }
-
-    fn legacy(&self) -> bool {
-        self.epoch.is_none()
+        self.epoch != Some(NUMERICS_EPOCH)
     }
 }
 
@@ -93,18 +91,16 @@ fn epoch_histogram(files: &[CacheFile]) -> BTreeMap<String, (usize, usize)> {
 struct Options {
     cache_dir: String,
     gc: bool,
-    gc_legacy: bool,
 }
 
 fn usage() -> String {
-    "usage: cache_tool [--cache-dir DIR] [--gc] [--gc-legacy]".to_string()
+    "usage: cache_tool [--cache-dir DIR] [--gc]".to_string()
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         cache_dir: default_cache_dir(),
         gc: false,
-        gc_legacy: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -116,7 +112,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .ok_or_else(|| format!("--cache-dir needs a value\n{}", usage()))?;
             }
             "--gc" => opts.gc = true,
-            "--gc-legacy" => opts.gc_legacy = true,
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown argument {other}\n{}", usage())),
         }
@@ -183,8 +178,7 @@ fn main() -> ExitCode {
 
     let mut removed = 0usize;
     for f in &files {
-        let doomed = (opts.gc && f.stale()) || (opts.gc_legacy && f.legacy());
-        if doomed {
+        if opts.gc && f.stale() {
             match std::fs::remove_file(&f.path) {
                 Ok(()) => {
                     println!("gc: removed {}", f.path.display());
@@ -194,16 +188,12 @@ fn main() -> ExitCode {
             }
         }
     }
-    if opts.gc || opts.gc_legacy {
+    if opts.gc {
         println!("gc: {removed} file(s) removed");
     } else {
         let dead = files.iter().filter(|f| f.stale()).count();
-        let legacy = files.iter().filter(|f| f.legacy()).count();
-        if dead + legacy > 0 {
-            println!(
-                "{dead} stale and {legacy} legacy file(s) present; \
-                 pass --gc / --gc-legacy to remove"
-            );
+        if dead > 0 {
+            println!("{dead} stale or legacy file(s) present; pass --gc to remove");
         }
     }
     ExitCode::SUCCESS
@@ -246,11 +236,11 @@ mod tests {
         };
         let current = by_name("current.cache");
         assert_eq!((current.entries, current.epoch), (2, Some(NUMERICS_EPOCH)));
-        assert!(!current.stale() && !current.legacy());
+        assert!(!current.stale());
         let old = by_name("old.cache");
         assert!(old.stale() && old.epoch == Some(NUMERICS_EPOCH - 1));
         let legacy = by_name("legacy.cache");
-        assert!(legacy.legacy() && legacy.entries == 1);
+        assert!(legacy.stale() && legacy.epoch.is_none() && legacy.entries == 1);
 
         let hist = epoch_histogram(&files);
         assert_eq!(hist[&format!("epoch {NUMERICS_EPOCH}")], (1, 2));
@@ -260,25 +250,12 @@ mod tests {
     }
 
     #[test]
-    fn gc_flags_select_stale_and_legacy_independently() {
+    fn gc_removes_stale_and_legacy_files_alike() {
         let dir = fixture_dir("gc");
-        // Mimic main's gc loop: --gc removes stale only.
+        // Mimic main's gc loop.
         for f in scan(&dir).expect("scan") {
             if f.stale() {
-                std::fs::remove_file(&f.path).expect("gc stale");
-            }
-        }
-        let after_gc = scan(&dir).expect("rescan");
-        assert_eq!(after_gc.len(), 2);
-        assert!(after_gc.iter().all(|f| !f.stale()), "stale file gone");
-        assert!(
-            after_gc.iter().any(|f| f.legacy()),
-            "--gc leaves legacy files alone"
-        );
-        // --gc-legacy removes the headerless remainder.
-        for f in after_gc {
-            if f.legacy() {
-                std::fs::remove_file(&f.path).expect("gc legacy");
+                std::fs::remove_file(&f.path).expect("gc");
             }
         }
         let survivors = scan(&dir).expect("rescan");
@@ -289,16 +266,12 @@ mod tests {
 
     #[test]
     fn options_parse_and_reject_unknown_flags() {
-        let opts = parse_options(&[
-            "--cache-dir".into(),
-            "/tmp/x".into(),
-            "--gc".into(),
-            "--gc-legacy".into(),
-        ])
-        .expect("parses");
+        let opts =
+            parse_options(&["--cache-dir".into(), "/tmp/x".into(), "--gc".into()]).expect("parses");
         assert_eq!(opts.cache_dir, "/tmp/x");
-        assert!(opts.gc && opts.gc_legacy);
+        assert!(opts.gc);
         assert!(parse_options(&["--bogus".into()]).is_err());
+        assert!(parse_options(&["--gc-legacy".into()]).is_err());
         assert!(parse_options(&["--cache-dir".into()]).is_err());
     }
 }

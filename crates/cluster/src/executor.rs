@@ -284,9 +284,8 @@ impl ClusterExecutor {
 
         // Local cache first: anything already known never leaves home.
         if let Some(cache) = &self.cache {
-            cache.preload(&campaign.name);
             for (id, job) in campaign.jobs().iter().enumerate() {
-                if let Some(line) = cache.get_line(job.key) {
+                if let Some(line) = cache.get_line(&campaign.name, job.key) {
                     sched.done[id] = Some(line);
                     sched.remaining -= 1;
                     sched.stats.local_cache_hits += 1;
@@ -347,7 +346,7 @@ impl ClusterExecutor {
         // Fill-after-compute for the attached local cache.
         if let Some(cache) = &self.cache {
             for (job, line) in campaign.jobs().iter().zip(&lines) {
-                cache.put_line(job.key, line);
+                cache.put_line(&campaign.name, job.key, line);
             }
             let _ = cache.persist(&campaign.name);
         }

@@ -3,7 +3,9 @@
 //!
 //! Resolution is deliberately conservative in a documented direction:
 //! a call that cannot be pinned to one function gets edges to **every**
-//! candidate (sound for reachability-style passes), and a call through
+//! candidate (sound for reachability-style passes). A candidate is a fn
+//! the caller could call at all: a private inherent method or private
+//! free fn of another crate never is. A call through
 //! a function-typed value gets no edges at all but is recorded as a
 //! *dynamic* site so the panic-reachability pass can degrade to a
 //! `callgraph-opaque` diagnostic instead of silently missing paths.
@@ -1548,17 +1550,42 @@ fn call_result_ty(
     }
 }
 
-fn resolve_method(ctx: &ResolveCtx<'_, '_>, name: &str, recv: &RecvClass) -> (Vec<usize>, Res) {
-    let cands: Vec<usize> = ctx
-        .by_name
+/// The workspace fns named `name` that the caller can call at all: any
+/// fn of its own crate, a trait method anywhere (callable wherever the
+/// trait is), and otherwise only a plain `pub` fn. A private inherent
+/// method or private free fn of another crate is never a candidate.
+fn callable_named(ctx: &ResolveCtx<'_, '_>, name: &str) -> Vec<usize> {
+    let caller_crate = crate_of(&ctx.caller.item.module);
+    ctx.by_name
         .get(name)
         .map(|v| {
             v.iter()
                 .copied()
-                .filter(|&c| ctx.graph.syms.get(c).is_some_and(|s| s.item.has_self))
+                .filter(|&c| {
+                    ctx.graph.syms.get(c).is_some_and(|s| {
+                        s.item.is_pub || s.item.in_trait || crate_of(&s.item.module) == caller_crate
+                    })
+                })
                 .collect()
         })
-        .unwrap_or_default();
+        .unwrap_or_default()
+}
+
+/// The crate a module path belongs to: its crate key, or for a binary
+/// under `src/bin/` the crate key, `bin` and the binary's name (each
+/// binary is a crate of its own).
+fn crate_of(module: &[String]) -> &[String] {
+    let len = if module.get(1).is_some_and(|s| s == "bin") {
+        3
+    } else {
+        1
+    };
+    module.get(..len).unwrap_or(module)
+}
+
+fn resolve_method(ctx: &ResolveCtx<'_, '_>, name: &str, recv: &RecvClass) -> (Vec<usize>, Res) {
+    let mut cands = callable_named(ctx, name);
+    cands.retain(|&c| ctx.graph.syms.get(c).is_some_and(|s| s.item.has_self));
     if cands.is_empty() {
         return (Vec::new(), Res::External);
     }
@@ -1602,7 +1629,7 @@ fn resolve_method(ctx: &ResolveCtx<'_, '_>, name: &str, recv: &RecvClass) -> (Ve
 }
 
 fn resolve_free(ctx: &ResolveCtx<'_, '_>, name: &str) -> (Vec<usize>, Res) {
-    let all: Vec<usize> = ctx.by_name.get(name).cloned().unwrap_or_default();
+    let all = callable_named(ctx, name);
     // 1. Same-module free fn (includes nested fns in this file).
     let same_module: Vec<usize> = all
         .iter()
@@ -1734,6 +1761,8 @@ fn resolve_qualified(ctx: &ResolveCtx<'_, '_>, quals: &[String], name: &str) -> 
                 module: amod.clone(),
                 self_ty: None,
                 has_self: false,
+                is_pub: true,
+                in_trait: false,
                 params: Vec::new(),
                 returns_guard: false,
                 ret_ty: String::new(),
@@ -2078,5 +2107,69 @@ mod tests {
         );
         assert_eq!(edges_of(&b, "Exec::flush"), vec!["runtime::q::Cache::put"]);
         assert_eq!(b.graph.stats.ambiguous, 0, "{:?}", b.graph.stats.unresolved);
+    }
+
+    #[test]
+    fn private_fns_of_another_crate_are_never_candidates() {
+        // An untyped `.expect(..)` and a bare `helper()` in `analog` must
+        // not land on `trace`'s private method and free fn, but a trait
+        // method stays callable wherever the trait is, and a fn of the
+        // caller's own crate stays a candidate whatever its visibility.
+        let b = build_from(&[
+            (
+                "crates/trace/src/json.rs",
+                "pub struct Parser;\nimpl Parser {\n    \
+                 fn expect(&mut self, b: u8) -> bool { b == 0 }\n    \
+                 pub(crate) fn peek(&self) -> u8 { 0 }\n}\n\
+                 fn helper() -> u32 { 1 }\n\
+                 pub trait Render {\n    fn render(&self) -> u32;\n}\n\
+                 impl Render for Parser {\n    fn render(&self) -> u32 { 2 }\n}\n\
+                 pub fn in_crate(p: &mut Parser) -> u8 { let _ = helper(); p.peek() }\n",
+            ),
+            (
+                "crates/analog/src/comparator.rs",
+                "pub fn gather(v: &[u32]) -> u32 {\n    \
+                 let mut last = None;\n    for c in v {\n        last = Some(c);\n    }\n    \
+                 let mut p = None;\n    let _ = last.expect(\"one\");\n    \
+                 let _ = p.peek();\n    helper() + p.render()\n}\n",
+            ),
+            // Each binary is a crate of its own.
+            ("crates/bench/src/bin/ab.rs", "fn value() -> u32 { 1 }\n"),
+            (
+                "crates/bench/src/bin/compare.rs",
+                "fn parse() -> u32 { value() }\nfn value() -> u32 { 2 }\n\
+                 fn main() { let _ = parse(); }\n",
+            ),
+            (
+                "crates/bench/src/bin/other.rs",
+                "fn main() { let _ = value(); }\n",
+            ),
+        ]);
+        assert_eq!(
+            edges_of(&b, "bench::bin::compare::parse"),
+            vec!["bench::bin::compare::value"]
+        );
+        assert!(edges_of(&b, "bench::bin::other::main").is_empty());
+        assert_eq!(
+            edges_of(&b, "analog::comparator::gather"),
+            vec!["trace::json::Render::render", "trace::json::Parser::render"]
+        );
+        assert_eq!(
+            edges_of(&b, "trace::json::in_crate"),
+            vec!["trace::json::helper", "trace::json::Parser::peek"]
+        );
+        let flags = |q: &str| {
+            b.graph
+                .syms
+                .iter()
+                .find(|s| s.qname.ends_with(q))
+                .map(|s| (s.item.is_pub, s.item.in_trait))
+        };
+        assert_eq!(flags("Parser::expect"), Some((false, false)));
+        assert_eq!(flags("Parser::peek"), Some((false, false)));
+        assert_eq!(flags("Parser::render"), Some((false, true)));
+        assert_eq!(flags("Render::render"), Some((false, true)));
+        assert_eq!(flags("json::in_crate"), Some((true, false)));
+        assert_eq!(b.graph.stats.ambiguous, 1, "only the untyped `r.render()`");
     }
 }

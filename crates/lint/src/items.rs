@@ -190,6 +190,12 @@ pub(crate) struct FnItem {
     pub self_ty: Option<String>,
     /// Has a `self` receiver (method vs. free fn).
     pub has_self: bool,
+    /// Declared plain `pub` (`pub(crate)` and narrower count as
+    /// private): only such a fn can be named from another crate.
+    pub is_pub: bool,
+    /// Sits in a trait impl or trait declaration, so it is callable
+    /// wherever the trait is, whatever its own visibility.
+    pub in_trait: bool,
     /// Parameters in order (excluding the receiver).
     pub params: Vec<Param>,
     /// Return type mentions a guard type — callers treat a call as a
@@ -353,9 +359,18 @@ const GUARD_TYPES: &[&str] = &["MutexGuard", "RwLockReadGuard", "RwLockWriteGuar
 
 #[derive(Debug)]
 enum Frame {
-    Mod { name: String, end: usize },
-    Impl { ty: Option<String>, end: usize },
-    Fn { end: usize },
+    Mod {
+        name: String,
+        end: usize,
+    },
+    Impl {
+        ty: Option<String>,
+        is_trait: bool,
+        end: usize,
+    },
+    Fn {
+        end: usize,
+    },
 }
 
 impl Frame {
@@ -447,7 +462,18 @@ pub(crate) fn parse_file(rel_path: &str, tokens: &[Token<'_>], maps: &TokenMaps)
                 if let Some(open) = body_open {
                     let end = maps.brace.get(open).copied().unwrap_or(NONE);
                     if end != NONE {
-                        frames.push(Frame::Impl { ty: self_ty, end });
+                        let is_trait = tok.text == "trait"
+                            || tokens
+                                .get(i..open)
+                                .unwrap_or(&[])
+                                .iter()
+                                .take_while(|t| t.text != "where")
+                                .any(|t| t.text == "for");
+                        frames.push(Frame::Impl {
+                            ty: self_ty,
+                            is_trait,
+                            end,
+                        });
                     }
                     i = open + 1;
                 } else {
@@ -459,8 +485,11 @@ pub(crate) fn parse_file(rel_path: &str, tokens: &[Token<'_>], maps: &TokenMaps)
                 .is_some_and(|t| t.kind == TokenKind::Ident) =>
             {
                 let module = module_with_frames(&base, &frames);
-                let self_ty = current_self_ty(&frames);
-                if let Some((item, resume)) = parse_fn(tokens, maps, i, module, self_ty, tok.line) {
+                let (self_ty, in_trait) = enclosing_impl(&frames);
+                if let Some((mut item, resume)) =
+                    parse_fn(tokens, maps, i, module, self_ty, tok.line)
+                {
+                    item.in_trait = in_trait;
                     let skip_item = maps.in_test(tok.line);
                     let resume_at = resume;
                     if let Some((open, close)) = item.body {
@@ -600,17 +629,35 @@ fn module_with_frames(base: &[String], frames: &[Frame]) -> Vec<String> {
     m
 }
 
-fn current_self_ty(frames: &[Frame]) -> Option<String> {
+/// The enclosing `impl`/`trait` self type, and whether it is a trait
+/// impl or declaration.
+fn enclosing_impl(frames: &[Frame]) -> (Option<String>, bool) {
     // Innermost frame wins: a nested fn inside a method body loses the
     // impl's self type (it has no `self`).
     for f in frames.iter().rev() {
         match f {
-            Frame::Impl { ty, .. } => return ty.clone(),
-            Frame::Fn { .. } => return None,
+            Frame::Impl { ty, is_trait, .. } => return (ty.clone(), *is_trait),
+            Frame::Fn { .. } => return (None, false),
             Frame::Mod { .. } => {}
         }
     }
-    None
+    (None, false)
+}
+
+/// `true` when the `fn` keyword at `at` follows a plain `pub`, past any
+/// `const`/`async`/`unsafe`/`extern "abi"` qualifiers.
+fn fn_is_pub(tokens: &[Token<'_>], at: usize) -> bool {
+    let mut j = at;
+    while let Some(prev) = j.checked_sub(1).and_then(|p| tokens.get(p)) {
+        if matches!(prev.text, "const" | "async" | "unsafe" | "extern")
+            || prev.kind == TokenKind::Str
+        {
+            j -= 1;
+        } else {
+            return prev.text == "pub";
+        }
+    }
+    false
 }
 
 fn prev_is_pub(tokens: &[Token<'_>], i: usize) -> bool {
@@ -767,6 +814,8 @@ fn parse_fn(
             module,
             self_ty,
             has_self,
+            is_pub: fn_is_pub(tokens, at),
+            in_trait: false,
             params,
             returns_guard,
             ret_ty,
@@ -1168,11 +1217,24 @@ mod tests {
         assert_eq!(items.fns[1].self_ty.as_deref(), Some("Pool"));
         assert!(items.fns[1].has_self);
         assert_eq!(items.fns[2].self_ty.as_deref(), Some("Pool"));
+        let vis: Vec<(bool, bool)> = items.fns.iter().map(|f| (f.is_pub, f.in_trait)).collect();
+        assert_eq!(vis, vec![(true, false), (false, false), (false, true)]);
         assert!(items
             .fields
             .iter()
             .any(|f| f.owner == "Pool" && f.name == "queue" && f.is_lock));
         assert!(items.fields.iter().any(|f| f.name == "size" && !f.is_lock));
+    }
+
+    #[test]
+    fn fn_visibility_sees_past_qualifiers_and_restrictions() {
+        let items = parse(
+            "crates/runtime/src/v.rs",
+            "pub const unsafe fn a() {}\npub extern \"C\" fn b() {}\n\
+             pub(crate) fn c() {}\nconst fn d() {}\n",
+        );
+        let vis: Vec<bool> = items.fns.iter().map(|f| f.is_pub).collect();
+        assert_eq!(vis, vec![true, true, false, false]);
     }
 
     #[test]

@@ -9,12 +9,19 @@
 //! declaration order); values round-trip through the line-oriented
 //! [`CacheCodec`], which encodes floats as IEEE-754 bit patterns so a
 //! cache hit is *bit-identical* to the computation it replaced.
+//!
+//! [`ResultCache`] keeps its entries per campaign. On disk each campaign
+//! owns one `<campaign>.cache` file, read the first time the campaign is
+//! looked up or filled; [`ResultCache::persist`] rewrites that file with
+//! the campaign's own entries, and only when the campaign gained one
+//! since the file was read or last written.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// FNV-1a over a byte slice.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -68,20 +75,6 @@ pub fn canonical_key<C: Debug>(campaign: &str, config: &C) -> u64 {
     fnv1a(canon.as_bytes())
 }
 
-/// [`canonical_key`] over a *pre-rendered* canonical form.
-///
-/// Remote hosts receive job configurations as strings (the wire cannot
-/// carry arbitrary `Debug` types), so they need to key the shared cache
-/// from the rendered form alone. This hashes exactly the bytes
-/// `canonical_key` would hash when `config_debug ==
-/// format!("{config:?}")` — the invariant that lets a cluster peer, a
-/// local on-disk cache, and an in-process run all address one
-/// namespace.
-pub fn canonical_key_str(campaign: &str, config_debug: &str) -> u64 {
-    let canon = format!("epoch{NUMERICS_EPOCH}\u{1f}{campaign}\u{1f}{config_debug}");
-    fnv1a(canon.as_bytes())
-}
-
 /// The header comment stamped at the top of every persisted cache file,
 /// recording which [`NUMERICS_EPOCH`] wrote it. Keys are epoch-salted,
 /// so stale-epoch entries can never *hit* — the header exists so cache
@@ -93,8 +86,9 @@ pub fn epoch_header() -> String {
 
 /// Parses the epoch out of a cache-file header line, if `line` is one.
 ///
-/// Returns `None` for data lines and for files predating the header
-/// (whose entries may still be current — their keys carry the salt).
+/// Returns `None` for data lines and for headerless files. The header
+/// came in at epoch 2, so a headerless file holds only keys salted with
+/// epoch 2 or earlier, none of which can hit today.
 pub fn parse_epoch_header(line: &str) -> Option<u32> {
     line.strip_prefix("# adc-cache epoch ")
         .and_then(|rest| rest.trim().parse().ok())
@@ -165,36 +159,38 @@ impl<T: CacheCodec> CacheCodec for Vec<T> {
     }
 }
 
-/// A content-addressed result store: in-memory, optionally mirrored to
-/// a directory of `<campaign>.cache` files (`key<TAB>value` lines).
-/// Backed by a `BTreeMap`, so persistence iterates in key order with
-/// no hash-seed dependence — a written cache file is byte-stable.
+/// One campaign's entries, and whether it gained any since its file was
+/// last written.
+#[derive(Debug, Default)]
+struct Entries {
+    lines: BTreeMap<u64, String>,
+    dirty: bool,
+}
+
+/// A content-addressed result store, kept per campaign: in-memory,
+/// optionally mirrored to a directory of `<campaign>.cache` files (an
+/// epoch header, then `key<TAB>value` lines).
+///
+/// A campaign's file is read the first time the campaign is looked up
+/// or filled, and [`persist`](Self::persist) writes back that
+/// campaign's entries alone, and only when it gained one since the file
+/// was read or last written, so campaigns sharing a directory never copy
+/// each other's entries and an all-hit rerun writes nothing. Backed by
+/// `BTreeMap`s, so persistence iterates in key order with no hash-seed
+/// dependence: a written cache file is byte-stable.
 #[derive(Debug, Default)]
 pub struct ResultCache {
     dir: Option<PathBuf>,
-    mem: Mutex<BTreeMap<u64, String>>,
+    campaigns: Mutex<BTreeMap<String, Entries>>,
 }
 
 impl ResultCache {
-    /// Acquires the store, recovering from poisoning: a poisoned lock
-    /// only means another thread panicked mid-operation, and every
-    /// operation here leaves the map itself valid (single `insert` /
-    /// `get` calls), so the data is safe to keep using. This keeps the
-    /// cache panic-free by construction — a worker panic can never
-    /// cascade into a cache panic.
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<u64, String>> {
-        self.mem
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// A process-local cache with no persistence.
     pub fn in_memory() -> Self {
         Self::default()
     }
 
-    /// A cache mirrored to `dir` (created if absent). Each campaign
-    /// persists to its own file, loaded lazily on first use.
+    /// A cache mirrored to `dir` (created if absent).
     ///
     /// # Errors
     ///
@@ -203,12 +199,14 @@ impl ResultCache {
         std::fs::create_dir_all(&dir)?;
         Ok(Self {
             dir: Some(dir.as_ref().to_path_buf()),
-            mem: Mutex::new(BTreeMap::new()),
+            campaigns: Mutex::new(BTreeMap::new()),
         })
     }
 
-    fn campaign_file(&self, campaign: &str) -> Option<PathBuf> {
-        let safe: String = campaign
+    /// The campaign's file stem, which also names its entry set: two
+    /// campaign names that map to one file share one set.
+    fn stem(campaign: &str) -> String {
+        campaign
             .chars()
             .map(|c| {
                 if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
@@ -217,65 +215,104 @@ impl ResultCache {
                     '_'
                 }
             })
-            .collect();
-        self.dir.as_ref().map(|d| d.join(format!("{safe}.cache")))
+            .collect()
     }
 
-    /// Loads a campaign's persisted entries into memory (idempotent).
-    pub fn preload(&self, campaign: &str) {
-        let Some(path) = self.campaign_file(campaign) else {
-            return;
+    fn file(&self, stem: &str) -> Option<PathBuf> {
+        self.dir.as_ref().map(|d| d.join(format!("{stem}.cache")))
+    }
+
+    /// Reads a campaign's persisted entries; a missing or unreadable
+    /// file, header and comment lines, and malformed rows read as
+    /// nothing.
+    fn load(&self, stem: &str) -> Entries {
+        let mut entries = Entries::default();
+        let Some(text) = self
+            .file(stem)
+            .and_then(|p| std::fs::read_to_string(p).ok())
+        else {
+            return entries;
         };
-        let Ok(text) = std::fs::read_to_string(path) else {
-            return;
-        };
-        let mut mem = self.lock();
-        for line in text.lines() {
-            if line.starts_with('#') {
-                continue;
-            }
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
             if let Some((key, value)) = line.split_once('\t') {
                 if let Ok(key) = key.parse::<u64>() {
-                    mem.entry(key).or_insert_with(|| value.to_string());
+                    entries
+                        .lines
+                        .entry(key)
+                        .or_insert_with(|| value.to_string());
                 }
             }
         }
+        entries
     }
 
-    /// Looks up a previously stored value.
-    pub fn get<T: CacheCodec>(&self, key: u64) -> Option<T> {
-        let mem = self.lock();
-        mem.get(&key).and_then(|line| T::decode(line))
+    /// Acquires the store, recovering from poisoning: a poisoned lock
+    /// only means another thread panicked mid-operation, and every
+    /// operation here leaves the maps valid, so the data is safe to keep
+    /// using. This keeps the cache panic-free by construction.
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, Entries>> {
+        self.campaigns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Stores a value under `key`.
-    pub fn put<T: CacheCodec>(&self, key: u64, value: &T) {
-        let mut mem = self.lock();
-        mem.insert(key, value.encode());
+    /// The campaign's entries in `campaigns`, read from its file if this
+    /// is the campaign's first use.
+    fn entries<'m>(
+        &self,
+        campaigns: &'m mut BTreeMap<String, Entries>,
+        campaign: &str,
+    ) -> &'m mut Entries {
+        campaigns
+            .entry(Self::stem(campaign))
+            .or_insert_with_key(|stem| self.load(stem))
     }
 
-    /// Looks up the raw encoded line under `key`, without decoding.
+    /// Looks up and decodes the campaign's value under `key`. A line
+    /// that does not decode is dropped, so the recomputed value can
+    /// take its place.
+    pub fn get<T: CacheCodec>(&self, campaign: &str, key: u64) -> Option<T> {
+        let mut campaigns = self.lock();
+        let entries = self.entries(&mut campaigns, campaign);
+        let value = T::decode(entries.lines.get(&key)?);
+        if value.is_none() {
+            entries.lines.remove(&key);
+        }
+        value
+    }
+
+    /// Looks up the campaign's raw encoded line under `key`.
     ///
     /// The cluster layer moves values between hosts in their encoded
     /// form (the same bytes the codec persists), so cache merges are
-    /// bit-exact by construction — no decode/re-encode round trip.
-    pub fn get_line(&self, key: u64) -> Option<String> {
-        let mem = self.lock();
-        mem.get(&key).cloned()
+    /// bit-exact by construction, with no decode/re-encode round trip.
+    pub fn get_line(&self, campaign: &str, key: u64) -> Option<String> {
+        let mut campaigns = self.lock();
+        self.entries(&mut campaigns, campaign)
+            .lines
+            .get(&key)
+            .cloned()
     }
 
-    /// Stores an already-encoded line under `key`, keeping any existing
-    /// entry: under the canonical-key contract two writers for one key
-    /// hold bit-identical values, so first-writer-wins is a free
-    /// at-most-once-apply guarantee.
-    pub fn put_line(&self, key: u64, line: &str) {
-        let mut mem = self.lock();
-        mem.entry(key).or_insert_with(|| line.to_string());
+    /// Stores an encoded line under `key` unless the campaign already
+    /// holds one, and returns whether it was stored. Under the
+    /// canonical-key contract two writers for one key hold bit-identical
+    /// values, so first-writer-wins is a free at-most-once-apply
+    /// guarantee.
+    pub fn put_line(&self, campaign: &str, key: u64, line: &str) -> bool {
+        let mut campaigns = self.lock();
+        let entries = self.entries(&mut campaigns, campaign);
+        let Entry::Vacant(slot) = entries.lines.entry(key) else {
+            return false;
+        };
+        slot.insert(line.to_string());
+        entries.dirty = true;
+        true
     }
 
-    /// Number of entries currently held in memory.
+    /// Number of entries held in memory, over every campaign.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.lock().values().map(|e| e.lines.len()).sum()
     }
 
     /// `true` when no entries are held.
@@ -283,22 +320,29 @@ impl ResultCache {
         self.len() == 0
     }
 
-    /// Writes a campaign's in-memory entries back to its file.
+    /// Writes the campaign's entries to its file if it gained one since
+    /// the file was read or last written.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; a no-op for in-memory caches.
     pub fn persist(&self, campaign: &str) -> io::Result<()> {
-        let Some(path) = self.campaign_file(campaign) else {
+        let stem = Self::stem(campaign);
+        let Some(path) = self.file(&stem) else {
             return Ok(());
         };
-        let mem = self.lock();
+        let mut campaigns = self.lock();
+        let Some(entries) = campaigns.get_mut(&stem).filter(|e| e.dirty) else {
+            return Ok(());
+        };
         let mut out = epoch_header();
         out.push('\n');
-        for (key, value) in mem.iter() {
+        for (key, value) in &entries.lines {
             out.push_str(&format!("{key}\t{value}\n"));
         }
-        std::fs::write(path, out)
+        std::fs::write(path, out)?;
+        entries.dirty = false;
+        Ok(())
     }
 }
 
@@ -331,30 +375,23 @@ mod tests {
     }
 
     #[test]
-    fn string_keyed_hash_matches_typed_hash() {
-        // u64 Debug renders as plain digits, so a remote host holding
-        // only the rendered config computes the same key.
-        assert_eq!(canonical_key("mc", &7u64), canonical_key_str("mc", "7"));
-        assert_eq!(
-            canonical_key("mc", &(1u64, 2.5f64)),
-            canonical_key_str("mc", "(1, 2.5)")
-        );
-        assert_ne!(
-            canonical_key_str("mc", "7"),
-            canonical_key_str("other", "7")
-        );
+    fn raw_line_access_is_bit_exact_and_first_writer_wins() {
+        let cache = ResultCache::in_memory();
+        assert!(cache.put_line("c", 9, &64.25f64.encode()));
+        let line = cache.get_line("c", 9).unwrap();
+        assert_eq!(f64::decode(&line), Some(64.25));
+        assert!(!cache.put_line("c", 9, "ffffffffffffffff"));
+        assert_eq!(cache.get::<f64>("c", 9), Some(64.25), "existing entry kept");
+        assert_eq!(cache.get_line("other", 9), None, "campaigns are apart");
     }
 
     #[test]
-    fn raw_line_access_is_bit_exact_and_first_writer_wins() {
+    fn an_undecodable_line_is_dropped_so_a_recomputed_value_lands() {
         let cache = ResultCache::in_memory();
-        cache.put(9, &64.25f64);
-        let line = cache.get_line(9).unwrap();
-        assert_eq!(f64::decode(&line), Some(64.25));
-        cache.put_line(9, "ffffffffffffffff");
-        assert_eq!(cache.get::<f64>(9), Some(64.25), "existing entry kept");
-        cache.put_line(10, &1.5f64.encode());
-        assert_eq!(cache.get::<f64>(10), Some(1.5));
+        cache.put_line("c", 3, "not-hex");
+        assert_eq!(cache.get::<f64>("c", 3), None);
+        assert!(cache.put_line("c", 3, &2.5f64.encode()));
+        assert_eq!(cache.get::<f64>("c", 3), Some(2.5));
     }
 
     #[test]
@@ -362,7 +399,7 @@ mod tests {
         let dir = std::env::temp_dir().join("adc_runtime_cache_epoch_test");
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ResultCache::on_disk(&dir).unwrap();
-        cache.put(1, &2.0f64);
+        cache.put_line("hdr_test", 1, &2.0f64.encode());
         cache.persist("hdr_test").unwrap();
         let text = std::fs::read_to_string(dir.join("hdr_test.cache")).unwrap();
         let first = text.lines().next().unwrap();
@@ -370,8 +407,7 @@ mod tests {
         assert_eq!(parse_epoch_header("1\tdeadbeef"), None);
         // Reload skips the header and sees the entry.
         let reload = ResultCache::on_disk(&dir).unwrap();
-        reload.preload("hdr_test");
-        assert_eq!(reload.get::<f64>(1), Some(2.0));
+        assert_eq!(reload.get::<f64>("hdr_test", 1), Some(2.0));
         assert_eq!(reload.len(), 1, "header line is not an entry");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -410,10 +446,11 @@ mod tests {
     fn memory_cache_stores_and_misses() {
         let cache = ResultCache::in_memory();
         assert!(cache.is_empty());
-        assert_eq!(cache.get::<f64>(1), None);
-        cache.put(1, &64.25f64);
-        assert_eq!(cache.get::<f64>(1), Some(64.25));
+        assert_eq!(cache.get::<f64>("c", 1), None);
+        cache.put_line("c", 1, &64.25f64.encode());
+        assert_eq!(cache.get::<f64>("c", 1), Some(64.25));
         assert_eq!(cache.len(), 1);
+        assert!(cache.persist("c").is_ok(), "persist is a no-op in memory");
     }
 
     #[test]
@@ -422,14 +459,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let cache = ResultCache::on_disk(&dir).unwrap();
-            cache.put(42, &(1.5f64, 2.5f64));
+            cache.put_line("fig_test", 42, &(1.5f64, 2.5f64).encode());
             cache.persist("fig_test").unwrap();
         }
         {
             let cache = ResultCache::on_disk(&dir).unwrap();
-            assert_eq!(cache.get::<(f64, f64)>(42), None, "not loaded yet");
-            cache.preload("fig_test");
-            assert_eq!(cache.get::<(f64, f64)>(42), Some((1.5, 2.5)));
+            assert!(cache.is_empty(), "nothing read before first use");
+            assert_eq!(cache.get::<(f64, f64)>("fig_test", 42), Some((1.5, 2.5)));
+            assert_eq!(cache.get::<(f64, f64)>("other", 42), None);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

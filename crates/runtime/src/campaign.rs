@@ -117,8 +117,9 @@ impl<I> Campaign<I> {
     /// Runs the campaign through a content-hash cache: jobs whose
     /// canonical input (`Debug` rendering, salted with the campaign
     /// name) is already cached return their stored value without
-    /// executing; fresh results are stored and, for disk-backed caches,
-    /// persisted.
+    /// executing; fresh results are stored under the campaign's name
+    /// and, for disk-backed caches, persisted to its file. An all-hit
+    /// run writes nothing.
     ///
     /// Only the misses are dispatched, but each miss keeps its original
     /// [`JobId`] (and hence its derived seed, trace span and observer
@@ -131,13 +132,12 @@ impl<I> Campaign<I> {
         T: Send + CacheCodec,
         F: Fn(&JobCtx, &I) -> Result<T, JobError> + Sync,
     {
-        cache.preload(&self.name);
         let keys: Vec<u64> = self
             .inputs
             .iter()
             .map(|input| canonical_key(&self.name, input))
             .collect();
-        let mut values: Vec<Option<T>> = keys.iter().map(|&k| cache.get::<T>(k)).collect();
+        let mut values: Vec<Option<T>> = keys.iter().map(|&k| cache.get(&self.name, k)).collect();
         let misses: Vec<(JobId, &I)> = self
             .inputs
             .iter()
@@ -155,7 +155,7 @@ impl<I> Campaign<I> {
         for (&(id, _), (value, report)) in misses.iter().zip(outcomes) {
             let i = id.0 as usize;
             if let Some(v) = &value {
-                cache.put(keys[i], v);
+                cache.put_line(&self.name, keys[i], &v.encode());
             }
             values[i] = value;
             reports[i] = report;
@@ -417,6 +417,48 @@ mod tests {
             assert_eq!(run.values[id], Some(id as u64), "worker saw job {id}");
         }
         assert_eq!(obs.summaries.lock().unwrap()[0].jobs, 4, "only misses ran");
+    }
+
+    #[test]
+    fn campaigns_sharing_a_disk_cache_keep_their_own_files() {
+        let dir = std::env::temp_dir().join("adc_runtime_campaign_files_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let file = |name: &str| dir.join(format!("{name}.cache"));
+        let entries = |name: &str| {
+            let text = std::fs::read_to_string(file(name)).unwrap();
+            text.lines().filter(|l| !l.starts_with('#')).count()
+        };
+        let run = |cache: &ResultCache, name: &str, jobs: u64| {
+            Campaign::new(name, 4)
+                .jobs(0..jobs)
+                .threads(2)
+                .run_cached(cache, |_, &x| Ok::<_, JobError>(x as f64))
+                .into_result()
+                .unwrap()
+        };
+        let cache = ResultCache::on_disk(&dir).unwrap();
+        run(&cache, "alpha", 5);
+        run(&cache, "beta", 3);
+        assert_eq!((entries("alpha"), entries("beta")), (5, 3));
+
+        // A comment line survives only if nothing rewrites the file.
+        for name in ["alpha", "beta"] {
+            let mut text = std::fs::read_to_string(file(name)).unwrap();
+            text.push_str("# untouched\n");
+            std::fs::write(file(name), text).unwrap();
+        }
+        run(&cache, "alpha", 5);
+        run(&cache, "beta", 3);
+        let restarted = ResultCache::on_disk(&dir).unwrap();
+        assert_eq!(run(&restarted, "beta", 3), vec![0.0, 1.0, 2.0]);
+        for name in ["alpha", "beta"] {
+            let text = std::fs::read_to_string(file(name)).unwrap();
+            assert!(
+                text.ends_with("# untouched\n"),
+                "all-hit rerun wrote {name}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

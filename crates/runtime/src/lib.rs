@@ -58,8 +58,7 @@ pub mod seed;
 pub mod submit;
 
 pub use cache::{
-    canonical_key, canonical_key_str, epoch_header, parse_epoch_header, CacheCodec, ResultCache,
-    NUMERICS_EPOCH,
+    canonical_key, epoch_header, parse_epoch_header, CacheCodec, ResultCache, NUMERICS_EPOCH,
 };
 pub use campaign::{Campaign, CampaignRun};
 pub use job::{JobCtx, JobError, JobId, JobReport};

@@ -15,7 +15,18 @@
 //! so in the commit — every cached artifact in every deployment is
 //! invalidated at that moment.
 
-use adc_runtime::{canonical_key, canonical_key_str, NUMERICS_EPOCH};
+use adc_runtime::{canonical_key, NUMERICS_EPOCH};
+
+/// A config that `Debug`-renders as exactly the given text, so a golden
+/// row's rendered form is hashed byte for byte as `canonical_key` hashes
+/// it.
+struct Rendered<'a>(&'a str);
+
+impl std::fmt::Debug for Rendered<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.0)
+    }
+}
 
 /// A stand-in for the workspace's plain-data sweep configs; its `Debug`
 /// rendering shape (`Cfg { field: value, .. }`) is part of what the
@@ -56,17 +67,15 @@ fn golden_keys_are_pinned() {
     );
     for &(campaign, rendered, key) in GOLDEN {
         assert_eq!(
-            canonical_key_str(campaign, rendered),
+            canonical_key(campaign, &Rendered(rendered)),
             key,
             "key drift for campaign {campaign:?} config {rendered:?}"
         );
     }
 }
 
-/// The typed path must agree with the string path on the same logical
-/// config — this is the invariant that lets remote hosts (which only
-/// ever see rendered configs) share a cache namespace with in-process
-/// runs (which hash typed values).
+/// Each typed config must key exactly as its golden rendered form: the
+/// table pins the `Debug` renderings as well as the hash.
 #[test]
 fn typed_and_string_keys_match_goldens() {
     assert_eq!(canonical_key("monte_carlo", &1u64), GOLDEN[0].2);

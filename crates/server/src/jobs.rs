@@ -1,5 +1,4 @@
-//! Remote campaign-job execution: the [`JobRunner`] capability and the
-//! per-campaign warm caches a serving host keeps.
+//! Remote campaign-job execution: the [`JobRunner`] capability.
 //!
 //! A cluster peer ships jobs as *rendered* canonical configs (the wire
 //! cannot carry arbitrary `Debug` types), so a host needs a way to turn
@@ -16,12 +15,6 @@
 //! cache are interchangeable bit-for-bit.
 //!
 //! [`CacheCodec`]: adc_runtime::CacheCodec
-
-use std::collections::BTreeMap;
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
-
-use adc_runtime::ResultCache;
 
 /// Why a job runner could not produce a result.
 ///
@@ -68,92 +61,4 @@ pub trait JobRunner: Send + Sync {
     /// A deterministic failure (unknown kind, malformed config, or a
     /// computation error); see [`JobRunError`].
     fn run(&self, kind: &str, config: &str, seed: u64) -> Result<String, JobRunError>;
-}
-
-/// Per-campaign warm caches, created lazily and preloaded from disk on
-/// first touch.
-///
-/// Each campaign gets its own [`ResultCache`] so one host can serve
-/// many campaigns without cross-pollinating their persisted files.
-/// Keys are campaign-salted, so even a shared map would be *correct* —
-/// the segregation is hygiene (per-file stats, targeted GC).
-pub struct CampaignCaches {
-    dir: Option<PathBuf>,
-    map: Mutex<BTreeMap<String, Arc<ResultCache>>>,
-}
-
-impl std::fmt::Debug for CampaignCaches {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CampaignCaches")
-            .field("dir", &self.dir)
-            .finish_non_exhaustive()
-    }
-}
-
-impl CampaignCaches {
-    /// A cache set mirrored to `dir`, or memory-only when `None`.
-    pub fn new(dir: Option<PathBuf>) -> Self {
-        Self {
-            dir,
-            map: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// The cache for `campaign`, created (and preloaded from disk, when
-    /// disk-backed) on first use.
-    pub fn for_campaign(&self, campaign: &str) -> Arc<ResultCache> {
-        let mut map = self
-            .map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(cache) = map.get(campaign) {
-            return Arc::clone(cache);
-        }
-        let cache = match &self.dir {
-            // Fall back to memory-only if the directory is unusable —
-            // serving must not die on cache I/O.
-            Some(dir) => ResultCache::on_disk(dir).unwrap_or_else(|_| ResultCache::in_memory()),
-            None => ResultCache::in_memory(),
-        };
-        cache.preload(campaign);
-        let cache = Arc::new(cache);
-        map.insert(campaign.to_string(), Arc::clone(&cache));
-        cache
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use adc_runtime::CacheCodec;
-
-    #[test]
-    fn caches_are_per_campaign_and_persistent() {
-        let dir = std::env::temp_dir().join("adc_server_campaign_caches_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let caches = CampaignCaches::new(Some(dir.clone()));
-            let a = caches.for_campaign("camp_a");
-            let b = caches.for_campaign("camp_b");
-            a.put_line(1, &2.5f64.encode());
-            assert_eq!(b.get_line(1), None, "campaign caches are segregated");
-            a.persist("camp_a").unwrap();
-            assert!(Arc::ptr_eq(&a, &caches.for_campaign("camp_a")));
-        }
-        {
-            let caches = CampaignCaches::new(Some(dir.clone()));
-            let a = caches.for_campaign("camp_a");
-            assert_eq!(a.get::<f64>(1), Some(2.5), "preloaded from disk");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn memory_only_caches_work_without_a_dir() {
-        let caches = CampaignCaches::new(None);
-        let c = caches.for_campaign("x");
-        c.put_line(7, "abc");
-        assert_eq!(c.get_line(7), Some("abc".to_string()));
-        assert!(c.persist("x").is_ok(), "persist is a no-op in memory");
-    }
 }

@@ -52,8 +52,10 @@
 //! [`JobRunner`] (and optionally a cache directory) in its
 //! [`ServerConfig`]: it then executes [`JobBatch`](Request::JobBatch)
 //! campaign work on its job pool, answering jobs it already holds from
-//! per-campaign warm caches ([`jobs::CampaignCaches`]), and merges
-//! [`CacheFill`](Request::CacheFill) entries from peers. Results travel
+//! one warm `adc-runtime` [`ResultCache`](adc_runtime::ResultCache),
+//! which keeps each campaign's entries apart and mirrors them to
+//! `<campaign>.cache` files under the cache directory, and merges
+//! [`CacheFill`](Request::CacheFill) entries from peers into it. Results travel
 //! as `CacheCodec`-encoded lines under `adc-runtime` canonical keys, so
 //! remote and local results are interchangeable bit-for-bit; the
 //! scheduling side lives in the `adc-cluster` crate.
@@ -81,7 +83,7 @@ pub mod server;
 pub use client::{
     Client, ClientError, DigitizeResult, GangedResult, PipelinedClient, PipelinedOutcome,
 };
-pub use jobs::{CampaignCaches, JobRunError, JobRunner};
+pub use jobs::{JobRunError, JobRunner};
 pub use metrics::{LatencyHistogram, MetricsRegistry};
 pub use protocol::{
     CacheFillRequest, ConfigOverrides, DigitizeDone, DigitizeRequest, ErrorCode, GangedCal,

@@ -807,24 +807,22 @@ impl Reactor {
                 );
             }
             Request::CacheFill(c) => {
-                // Opening a campaign cache can create its directory and
-                // load its file, and `persist` rewrites the file whole:
-                // disk I/O that must not stall every connection.
+                // A campaign's first use reads its file, and `persist`
+                // rewrites the file whole: disk I/O that must not stall
+                // every connection.
                 spawn_blocking(
                     &mut self.blocking_threads,
                     conn,
                     &shared,
                     id,
                     move |shared| {
-                        let cache = shared.caches.for_campaign(&c.campaign);
                         let mut accepted = 0u32;
                         for (key, line) in &c.entries {
-                            if cache.get_line(*key).is_none() {
-                                cache.put_line(*key, line);
+                            if shared.cache.put_line(&c.campaign, *key, line) {
                                 accepted += 1;
                             }
                         }
-                        let _ = cache.persist(&c.campaign);
+                        let _ = shared.cache.persist(&c.campaign);
                         Response::CacheFillAck { accepted }
                     },
                 );

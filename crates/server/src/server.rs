@@ -54,13 +54,13 @@ use std::time::Duration;
 
 use adc_pipeline::config::AdcConfig;
 use adc_pipeline::error::BuildAdcError;
-use adc_runtime::{JobError, JobPool, RunObserver};
+use adc_runtime::{JobError, JobPool, ResultCache, RunObserver};
 use adc_testbench::{clear_tone_hz, MeasurementSession, RampSource};
 
 use adc_calib::{Alignment, GangedCapture, GangedError, GangedScenario};
 use adc_pipeline::interleave::InterleaveMismatch;
 
-use crate::jobs::{CampaignCaches, JobRunner};
+use crate::jobs::JobRunner;
 use crate::metrics::MetricsRegistry;
 use crate::protocol::{
     self, error_code_for_build, DigitizeRequest, ErrorCode, GangedCal, GangedRequest,
@@ -105,8 +105,9 @@ pub struct ServerConfig {
     /// The host's campaign-job capability; `None` (the default) answers
     /// `JobBatch` requests with [`ErrorCode::Unsupported`].
     pub job_runner: Option<Arc<dyn JobRunner>>,
-    /// Directory for per-campaign warm-cache files; `None` keeps the
-    /// warm caches memory-only.
+    /// Directory for per-campaign warm-cache files; `None`, or a
+    /// directory that cannot be created, keeps the warm cache
+    /// memory-only.
     pub cache_dir: Option<std::path::PathBuf>,
 }
 
@@ -148,7 +149,8 @@ pub(crate) struct Shared {
     pub(crate) metrics: Arc<MetricsRegistry>,
     pub(crate) draining: AtomicBool,
     pub(crate) cfg: ServerConfig,
-    pub(crate) caches: CampaignCaches,
+    /// The warm cache `JobBatch` and `CacheFill` requests share.
+    pub(crate) cache: ResultCache,
     /// Interrupts the reactor's `poll` when a worker finishes or a
     /// handle requests shutdown.
     pub(crate) waker: Waker,
@@ -230,7 +232,13 @@ impl Server {
         let metrics = Arc::new(MetricsRegistry::new());
         let observers: Vec<Arc<dyn RunObserver>> = vec![Arc::clone(&metrics) as _];
         let pool = JobPool::with_observers("adc-server", POOL_SEED, cfg.threads, observers);
-        let caches = CampaignCaches::new(cfg.cache_dir.clone());
+        // Serving must not die on cache I/O: an unusable directory
+        // leaves the warm cache memory-only.
+        let cache = cfg
+            .cache_dir
+            .as_ref()
+            .and_then(|dir| ResultCache::on_disk(dir).ok())
+            .unwrap_or_default();
         let (waker, waker_rx) = reactor::waker_pair()?;
         Ok(Self {
             listener,
@@ -240,7 +248,7 @@ impl Server {
                 metrics,
                 draining: AtomicBool::new(false),
                 cfg,
-                caches,
+                cache,
                 waker,
                 events: Mutex::new(Vec::new()),
             }),
@@ -516,12 +524,11 @@ pub(crate) fn run_job_batch(
     runner: &Arc<dyn JobRunner>,
     shared: &Arc<Shared>,
 ) -> JobResultBatch {
-    let cache = shared.caches.for_campaign(&req.campaign);
     let deadline = (req.deadline_ms > 0).then(|| Duration::from_millis(u64::from(req.deadline_ms)));
     let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(req.jobs.len());
     let mut pending = Vec::new();
     for job in &req.jobs {
-        if let Some(line) = cache.get_line(job.key) {
+        if let Some(line) = shared.cache.get_line(&req.campaign, job.key) {
             shared.metrics.cluster_cache_hit();
             outcomes.push(JobOutcome {
                 id: job.id,
@@ -561,7 +568,9 @@ pub(crate) fn run_job_batch(
         let (value, report) = handle.wait();
         let (status, value) = match value {
             Some(line) => {
-                cache.put_line(outcomes[slot].key, &line);
+                shared
+                    .cache
+                    .put_line(&req.campaign, outcomes[slot].key, &line);
                 (JobStatus::Computed, line)
             }
             None => match report.error {
@@ -583,7 +592,7 @@ pub(crate) fn run_job_batch(
     }
     // Mirror computed results to the campaign file so a restarted host
     // comes back warm. Cache I/O failures must not fail the batch.
-    let _ = cache.persist(&req.campaign);
+    let _ = shared.cache.persist(&req.campaign);
     JobResultBatch {
         batch_id: req.batch_id,
         outcomes,
@@ -593,7 +602,8 @@ pub(crate) fn run_job_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ConfigOverrides;
+    use crate::jobs::JobRunError;
+    use crate::protocol::{ConfigOverrides, JobSpec};
 
     #[test]
     fn validation_rejects_out_of_bounds_requests() {
@@ -689,6 +699,92 @@ mod tests {
         };
         let err = run_digitize(&req).unwrap_err();
         assert_eq!(error_code_for_build(&err), ErrorCode::InvalidRate);
+    }
+
+    /// Answers every job with its config, counting the calls.
+    #[derive(Default)]
+    struct EchoRunner(std::sync::atomic::AtomicUsize);
+
+    impl JobRunner for EchoRunner {
+        fn run(&self, _kind: &str, config: &str, _seed: u64) -> Result<String, JobRunError> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Ok(config.to_string())
+        }
+    }
+
+    /// Runs a two-job batch of `campaign` on a host over `cache_dir` and
+    /// returns each job's status and value.
+    fn batch_on(
+        cache_dir: Option<std::path::PathBuf>,
+        runner: &Arc<EchoRunner>,
+        campaign: &str,
+    ) -> Vec<(JobStatus, String)> {
+        let cfg = ServerConfig {
+            threads: 1,
+            cache_dir,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind("127.0.0.1:0", cfg).unwrap();
+        let req = JobBatchRequest {
+            batch_id: 1,
+            campaign: campaign.to_string(),
+            kind: "echo".to_string(),
+            deadline_ms: 0,
+            jobs: (0..2)
+                .map(|id| JobSpec {
+                    id,
+                    key: 100 + id,
+                    seed: id,
+                    config: format!("value-{id}"),
+                })
+                .collect(),
+        };
+        let runner: Arc<dyn JobRunner> = Arc::clone(runner) as _;
+        let first = run_job_batch(&req, &runner, &server.shared);
+        let second = run_job_batch(&req, &runner, &server.shared);
+        assert_eq!(first.outcomes.len(), 2);
+        for (a, b) in first.outcomes.iter().zip(&second.outcomes) {
+            assert_eq!(b.status, JobStatus::Cached, "a second batch hits in memory");
+            assert_eq!(a.value, b.value);
+        }
+        first
+            .outcomes
+            .into_iter()
+            .map(|o| (o.status, o.value))
+            .collect()
+    }
+
+    #[test]
+    fn job_batches_answer_cached_after_a_restart_on_the_same_cache_dir() {
+        let dir = std::env::temp_dir().join("adc_server_job_batch_cache_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let runner = Arc::new(EchoRunner::default());
+        let cold = batch_on(Some(dir.clone()), &runner, "camp_a");
+        assert!(cold.iter().all(|(s, _)| *s == JobStatus::Computed));
+        assert_eq!(runner.0.load(Ordering::SeqCst), 2);
+
+        let warm = batch_on(Some(dir.clone()), &runner, "camp_a");
+        assert!(warm.iter().all(|(s, _)| *s == JobStatus::Cached));
+        assert_eq!(runner.0.load(Ordering::SeqCst), 2, "restart ran nothing");
+        assert_eq!(cold[1].1, warm[1].1);
+
+        let other = batch_on(Some(dir.clone()), &runner, "camp_b");
+        assert!(other.iter().all(|(s, _)| *s == JobStatus::Computed));
+        assert!(dir.join("camp_a.cache").is_file() && dir.join("camp_b.cache").is_file());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_host_without_a_usable_cache_dir_still_answers_from_memory() {
+        let file = std::env::temp_dir().join("adc_server_cache_dir_is_a_file");
+        std::fs::write(&file, "not a directory").unwrap();
+        let runner = Arc::new(EchoRunner::default());
+        for dir in [None, Some(file.clone())] {
+            let cold = batch_on(dir, &runner, "x");
+            assert!(cold.iter().all(|(s, _)| *s == JobStatus::Computed));
+        }
+        assert_eq!(runner.0.load(Ordering::SeqCst), 4, "nothing persisted");
+        let _ = std::fs::remove_file(&file);
     }
 
     #[test]

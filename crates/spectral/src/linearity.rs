@@ -87,6 +87,36 @@ impl std::error::Error for LinearityError {}
 /// # }
 /// ```
 pub fn sine_histogram(codes: &[u32], code_count: u32) -> Result<LinearityResult, LinearityError> {
+    // The arcsine CDF inverted: a sine spends fraction F of its time
+    // below level −cos(π·F).
+    code_density(codes, code_count, |f| -(std::f64::consts::PI * f).cos())
+}
+
+/// Runs the *ramp* (uniform-PDF) histogram test over a code record.
+///
+/// With a slow linear ramp that slightly overdrives both rails, every
+/// code should be hit in proportion to its width, so the transition
+/// levels are simply the cumulative histogram — no arcsine inversion.
+/// Used to cross-check the sine test (their DNL estimates must agree)
+/// and preferred when a precision ramp generator is available.
+///
+/// # Errors
+///
+/// Same conditions as [`sine_histogram`].
+pub fn ramp_histogram(codes: &[u32], code_count: u32) -> Result<LinearityResult, LinearityError> {
+    // Uniform PDF: transition level ∝ cumulative count.
+    code_density(codes, code_count, |f| f)
+}
+
+/// The code-density test shared by [`sine_histogram`] and
+/// [`ramp_histogram`]: `level` maps the cumulative fraction of samples
+/// below a transition to that transition's level under the stimulus
+/// PDF.
+fn code_density(
+    codes: &[u32],
+    code_count: u32,
+    level: fn(f64) -> f64,
+) -> Result<LinearityResult, LinearityError> {
     if code_count < 2 {
         return Err(LinearityError::TooFewCodes(code_count));
     }
@@ -96,22 +126,19 @@ pub fn sine_histogram(codes: &[u32], code_count: u32) -> Result<LinearityResult,
     let nc = code_count as usize;
     let mut hist = vec![0u64; nc];
     for &c in codes {
-        let idx = (c as usize).min(nc - 1);
-        hist[idx] += 1;
+        hist[(c as usize).min(nc - 1)] += 1;
     }
     if hist[0] == 0 || hist[nc - 1] == 0 {
         return Err(LinearityError::InsufficientOverdrive);
     }
 
     let total = codes.len() as f64;
-    // Transition levels from the inverse arcsine CDF.
     // transition[c] = level between code c and c+1, c in 0..nc-1.
     let mut cum = 0u64;
     let mut transitions = Vec::with_capacity(nc - 1);
     for &h in hist.iter().take(nc - 1) {
         cum += h;
-        let f = cum as f64 / total;
-        transitions.push(-(std::f64::consts::PI * f).cos());
+        transitions.push(level(cum as f64 / total));
     }
 
     // Average LSB over interior transitions.
@@ -142,75 +169,6 @@ pub fn sine_histogram(codes: &[u32], code_count: u32) -> Result<LinearityResult,
         .map(|(i, _)| (i + 1) as u32)
         .collect();
 
-    let fold = |v: &Vec<f64>, f: fn(f64, f64) -> f64, init: f64| -> f64 {
-        v.iter().copied().fold(init, f)
-    };
-    Ok(LinearityResult {
-        dnl_max: fold(&dnl, f64::max, f64::NEG_INFINITY),
-        dnl_min: fold(&dnl, f64::min, f64::INFINITY),
-        inl_max: fold(&inl, f64::max, f64::NEG_INFINITY),
-        inl_min: fold(&inl, f64::min, f64::INFINITY),
-        dnl_lsb: dnl,
-        inl_lsb: inl,
-        missing_codes,
-    })
-}
-
-/// Runs the *ramp* (uniform-PDF) histogram test over a code record.
-///
-/// With a slow linear ramp that slightly overdrives both rails, every
-/// code should be hit in proportion to its width, so the transition
-/// levels are simply the cumulative histogram — no arcsine inversion.
-/// Used to cross-check the sine test (their DNL estimates must agree)
-/// and preferred when a precision ramp generator is available.
-///
-/// # Errors
-///
-/// Same conditions as [`sine_histogram`].
-pub fn ramp_histogram(codes: &[u32], code_count: u32) -> Result<LinearityResult, LinearityError> {
-    if code_count < 2 {
-        return Err(LinearityError::TooFewCodes(code_count));
-    }
-    if codes.is_empty() {
-        return Err(LinearityError::EmptyRecord);
-    }
-    let nc = code_count as usize;
-    let mut hist = vec![0u64; nc];
-    for &c in codes {
-        hist[(c as usize).min(nc - 1)] += 1;
-    }
-    if hist[0] == 0 || hist[nc - 1] == 0 {
-        return Err(LinearityError::InsufficientOverdrive);
-    }
-    let total = codes.len() as f64;
-    // Uniform PDF: transition level ∝ cumulative count.
-    let mut cum = 0u64;
-    let mut transitions = Vec::with_capacity(nc - 1);
-    for &h in hist.iter().take(nc - 1) {
-        cum += h;
-        transitions.push(cum as f64 / total);
-    }
-    let span = transitions[nc - 2] - transitions[0];
-    let lsb = span / (nc - 2) as f64;
-    if lsb.is_nan() || lsb <= 0.0 {
-        return Err(LinearityError::InsufficientOverdrive);
-    }
-    let mut dnl = Vec::with_capacity(nc - 2);
-    for c in 1..nc - 1 {
-        dnl.push((transitions[c] - transitions[c - 1]) / lsb - 1.0);
-    }
-    let mut inl = Vec::with_capacity(nc - 2);
-    let mut acc = 0.0;
-    for &d in &dnl {
-        acc += d;
-        inl.push(acc);
-    }
-    let missing_codes = hist[1..nc - 1]
-        .iter()
-        .enumerate()
-        .filter(|(_, &h)| h == 0)
-        .map(|(i, _)| (i + 1) as u32)
-        .collect();
     let fold = |v: &Vec<f64>, f: fn(f64, f64) -> f64, init: f64| -> f64 {
         v.iter().copied().fold(init, f)
     };

@@ -373,7 +373,9 @@ mod tests {
         // the cached run computed is visible under plan.cache_key.
         for die in &reference.dies {
             assert_eq!(
-                cache.get::<DieResult>(plan.cache_key(die.seed)).as_ref(),
+                cache
+                    .get::<DieResult>(&plan.campaign, plan.cache_key(die.seed))
+                    .as_ref(),
                 Some(die),
                 "die {} missing from the shared namespace",
                 die.seed
