@@ -79,11 +79,8 @@ fn bench_hosts(
     let hosts: Vec<_> = (0..host_count).map(|_| spawn_host()).collect();
     let peers: Vec<String> = hosts.iter().map(|(h, _)| h.addr().to_string()).collect();
     let executor = ClusterExecutor::new(peers, standard_registry()).options(ClusterOptions {
-        window: 2,
         batch_jobs: 2,
         backoff: Duration::from_millis(5),
-        io_timeout: Duration::from_secs(30),
-        ..ClusterOptions::default()
     });
 
     let run_window = |next_seed: &mut u64| {

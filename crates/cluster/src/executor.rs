@@ -9,14 +9,21 @@
 //!
 //! ## Scheduling
 //!
-//! Each host gets [`ClusterOptions::window`] worker connections; each
-//! worker keeps at most one batch in flight (the per-host outstanding
-//! window is therefore `window` batches). Workers pull batches from one
-//! shared pending queue, and a job resolves one way: through its batch.
-//! A host answers jobs its warm cache already holds inside that batch
+//! Each host gets two worker connections; each worker keeps at most one
+//! batch in flight (the per-host outstanding window is therefore two
+//! batches). Workers pull batches from one shared pending queue and
+//! only schedule: a host worker never runs a job. A host answers jobs
+//! its warm cache already holds inside that batch
 //! ([`JobStatus::Cached`]). A batch whose fate is unknown is requeued,
 //! so a stalled or dying host delays the campaign by at most one I/O
-//! timeout.
+//! timeout (30 s). Workers stop when the campaign has failed or when no
+//! batch is pending or in flight.
+//!
+//! Every job the remote phase leaves undone then runs in one local
+//! pass: one [`adc_runtime::Campaign`] over the [`JobRegistry`] the
+//! hosts run, so a local job gets the runtime's one job runner (panic
+//! isolation included).
+//!
 //! Running a job twice is harmless: completion slots are
 //! first-writer-wins keyed by job id, and every execution of a job is
 //! bit-identical by construction.
@@ -25,25 +32,26 @@
 //!
 //! * Transport / wire / timeout errors: the worker's in-flight batch is
 //!   requeued for any worker, the connection is rebuilt with bounded
-//!   backoff, and the host is declared lost after
-//!   [`ClusterOptions::connect_retries`] failures.
-//! * [`JobStatus::Rejected`] (transient: pool draining, deadline,
-//!   worker panic): the job is resubmitted up to
-//!   [`ClusterOptions::job_attempts`] times, then executed locally.
-//! * [`JobStatus::Failed`] (deterministic): the campaign fails with a
-//!   typed [`ClusterError::JobFailed`] — retrying elsewhere would fail
-//!   identically.
-//! * No peer reachable (at start or mid-run): remaining jobs degrade
-//!   gracefully to local execution through the same [`JobRegistry`]
-//!   the hosts run.
+//!   backoff, and the host is declared lost after two failed
+//!   reconnects.
+//! * [`JobStatus::Rejected`] (transient: pool draining, deadline, job
+//!   lost): the job is resubmitted until it has been rejected three
+//!   times, then left for the local pass.
+//! * [`JobStatus::Failed`] (deterministic, runner panics included): the
+//!   campaign fails with a typed [`ClusterError::JobFailed`] — retrying
+//!   elsewhere would fail identically.
+//! * No peer reachable (at start or mid-run): the remaining jobs run in
+//!   the local pass.
+//! * A job that fails or panics in the local pass fails the campaign
+//!   with [`ClusterError::JobFailed`] for the lowest failing id.
 //!
 //! ## Cache merging
 //!
 //! An attached local [`ResultCache`] answers what it holds before any
-//! dispatch. After a successful campaign, worker 0 of each host pushes
-//! every result line to its host (*fill-after-compute*), so caches
-//! converge across the cluster through the shared canonical-key
-//! namespace.
+//! dispatch. After a remote phase that finished every job, worker 0 of
+//! each host pushes every result line to its host
+//! (*fill-after-compute*), so caches converge across the cluster
+//! through the shared canonical-key namespace.
 //!
 //! ## Accounting
 //!
@@ -52,50 +60,42 @@
 //! and [`ClusterStats::local_computed`].
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
-use adc_runtime::ResultCache;
+use adc_runtime::{Campaign, JobError, ResultCache};
 use adc_server::protocol::{JobBatchRequest, JobStatus, MAX_CACHE_ENTRIES};
 use adc_server::{Client, ClientError, JobRunner};
 
 use crate::campaign::ClusterCampaign;
 use crate::registry::JobRegistry;
 
+/// Worker connections (= outstanding batch window) per host.
+const WINDOW: usize = 2;
+/// Rejections a job may draw before it is left for the local pass.
+const JOB_ATTEMPTS: u32 = 3;
+/// Connection rebuilds per worker before the host is declared lost.
+const CONNECT_RETRIES: u32 = 2;
+/// Socket read timeout; bounds how long a dead host can sit on an
+/// unacked batch before the worker requeues it.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
+/// Threads for the local pass; `0` uses all hardware parallelism.
+const LOCAL_THREADS: usize = 0;
+
 /// Tunables for one executor.
 #[derive(Debug, Clone)]
 pub struct ClusterOptions {
-    /// Worker connections (= outstanding batch window) per host.
-    pub window: usize,
     /// Jobs per batch frame.
     pub batch_jobs: usize,
-    /// Transient rejections tolerated per job before the executor runs
-    /// it locally.
-    pub job_attempts: u32,
-    /// Connection (re)build attempts per worker before the host is
-    /// declared lost.
-    pub connect_retries: u32,
     /// Sleep between connection attempts (scaled by attempt number).
     pub backoff: Duration,
-    /// Socket read timeout; bounds how long a dead host can sit on an
-    /// unacked batch before the worker requeues it.
-    pub io_timeout: Duration,
-    /// Threads for local (fallback) execution; `0` uses all hardware
-    /// parallelism.
-    pub local_threads: usize,
 }
 
 impl Default for ClusterOptions {
     fn default() -> Self {
         Self {
-            window: 2,
             batch_jobs: 8,
-            job_attempts: 3,
-            connect_retries: 2,
             backoff: Duration::from_millis(50),
-            io_timeout: Duration::from_secs(30),
-            local_threads: 0,
         }
     }
 }
@@ -145,7 +145,8 @@ pub struct ClusterStats {
     pub remote_cached: u64,
     /// Jobs satisfied by the attached local cache before any dispatch.
     pub local_cache_hits: u64,
-    /// Jobs computed locally (no peers, lost hosts, or rejection cap).
+    /// Jobs computed in the local pass (no peers, lost hosts, or
+    /// rejection cap).
     pub local_computed: u64,
     /// Batches resubmitted after transport failure or rejection.
     pub resubmitted: u64,
@@ -170,13 +171,34 @@ pub struct ClusterReport {
 #[derive(Debug)]
 struct Sched {
     pending: VecDeque<Vec<usize>>,
+    /// Batches handed to a worker and not yet applied or requeued.
+    in_flight: usize,
     done: Vec<Option<String>>,
     attempts: Vec<u32>,
-    remaining: usize,
     failed: Option<ClusterError>,
     next_batch_id: u64,
     host_down: Vec<bool>,
     stats: ClusterStats,
+}
+
+impl Sched {
+    /// Nothing done, nothing queued, for `jobs` jobs over `hosts` peers.
+    fn new(jobs: usize, hosts: usize) -> Self {
+        Self {
+            pending: VecDeque::new(),
+            in_flight: 0,
+            done: vec![None; jobs],
+            attempts: vec![0; jobs],
+            failed: None,
+            next_batch_id: 0,
+            host_down: vec![false; hosts],
+            stats: ClusterStats {
+                jobs: jobs as u64,
+                hosts: hosts as u64,
+                ..ClusterStats::default()
+            },
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -187,22 +209,15 @@ struct Shared {
 
 impl Shared {
     fn lock(&self) -> std::sync::MutexGuard<'_, Sched> {
-        self.sched
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.sched.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 /// What a worker should do next.
+#[derive(Debug, PartialEq, Eq)]
 enum Work {
     Batch(u64, Vec<usize>),
     Finished,
-}
-
-/// How one remote job outcome was settled.
-enum Settle {
-    Applied,
-    RunLocally(usize),
 }
 
 /// Farms [`ClusterCampaign`]s out to `adc-server` peers.
@@ -261,33 +276,19 @@ impl ClusterExecutor {
     /// # Errors
     ///
     /// [`ClusterError::JobFailed`] when any job fails deterministically
-    /// (transient host trouble is retried or absorbed by local
-    /// execution instead).
+    /// or panics (transient host trouble is retried or absorbed by the
+    /// local pass instead).
     pub fn execute(&self, campaign: &ClusterCampaign) -> Result<ClusterReport, ClusterError> {
         let _task = adc_trace::task(campaign.seed);
         let _span = adc_trace::span_with("cluster-campaign", campaign.len() as u64);
         let n = campaign.len();
-        let mut sched = Sched {
-            pending: VecDeque::new(),
-            done: (0..n).map(|_| None).collect(),
-            attempts: vec![0; n],
-            remaining: n,
-            failed: None,
-            next_batch_id: 0,
-            host_down: vec![false; self.peers.len()],
-            stats: ClusterStats {
-                jobs: n as u64,
-                hosts: self.peers.len() as u64,
-                ..ClusterStats::default()
-            },
-        };
+        let mut sched = Sched::new(n, self.peers.len());
 
         // Local cache first: anything already known never leaves home.
         if let Some(cache) = &self.cache {
             for (id, job) in campaign.jobs().iter().enumerate() {
                 if let Some(line) = cache.get_line(&campaign.name, job.key) {
                     sched.done[id] = Some(line);
-                    sched.remaining -= 1;
                     sched.stats.local_cache_hits += 1;
                 }
             }
@@ -304,42 +305,34 @@ impl ClusterExecutor {
 
         std::thread::scope(|scope| {
             for (host, addr) in self.peers.iter().enumerate() {
-                for slot in 0..self.options.window.max(1) {
+                for slot in 0..WINDOW {
                     let shared = &shared;
                     scope.spawn(move || {
                         let _task = adc_trace::task(campaign.seed);
                         let _lane = adc_trace::span_with("cluster-host", host as u64);
-                        host_worker(
-                            shared,
-                            campaign,
-                            &self.options,
-                            self.registry.as_ref(),
-                            host,
-                            addr,
-                            slot,
-                        );
+                        host_worker(shared, campaign, &self.options, host, addr, slot);
                     });
                 }
             }
         });
 
-        // Whatever the peers did not finish — because there were none,
-        // or they were lost — runs right here, bit-identically.
-        self.run_remaining_locally(&shared, campaign);
-
-        let sched = shared
+        let mut sched = shared
             .sched
             .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(err) = sched.failed {
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(err) = sched.failed.take() {
             return Err(err);
         }
+        // Whatever the peers did not finish — because there were none,
+        // they were lost, or they kept rejecting a job — runs right
+        // here, bit-identically.
+        self.run_locally(&mut sched, campaign)?;
         let lines: Vec<String> = sched
             .done
             .into_iter()
             .enumerate()
             .map(|(id, line)| {
-                line.unwrap_or_else(|| unreachable!("job {id} unfinished with remaining == 0"))
+                line.unwrap_or_else(|| unreachable!("job {id} unfinished after the local pass"))
             })
             .collect();
 
@@ -356,74 +349,58 @@ impl ClusterExecutor {
         })
     }
 
-    /// Drains every still-undone job through the local registry.
-    fn run_remaining_locally(&self, shared: &Shared, campaign: &ClusterCampaign) {
-        let todo: Vec<usize> = {
-            let sched = shared.lock();
-            if sched.failed.is_some() {
-                return;
-            }
-            (0..campaign.len())
-                .filter(|&i| sched.done[i].is_none())
-                .collect()
-        };
+    /// The local pass: every still-undone job runs in one [`Campaign`]
+    /// through the registry, and its lines fill the empty slots (no
+    /// worker is left to race for them). The campaign numbers the
+    /// undone jobs `0..`, so each job is seeded with its own cluster
+    /// seed and enters the same trace task and `cluster-job` span a
+    /// host gives it.
+    fn run_locally(
+        &self,
+        sched: &mut Sched,
+        campaign: &ClusterCampaign,
+    ) -> Result<(), ClusterError> {
+        let todo: Vec<usize> = (0..campaign.len())
+            .filter(|&id| sched.done[id].is_none())
+            .collect();
         if todo.is_empty() {
-            return;
+            return Ok(());
         }
-        let threads = if self.options.local_threads == 0 {
-            adc_runtime::default_threads()
-        } else {
-            self.options.local_threads
-        };
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.max(1).min(todo.len()) {
-                scope.spawn(|| loop {
-                    let at = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&id) = todo.get(at) else { break };
-                    run_local_job(shared, campaign, self.registry.as_ref(), id);
-                    if shared.lock().failed.is_some() {
-                        break;
-                    }
-                });
-            }
-        });
+        let lines = Campaign::new(campaign.name.as_str(), campaign.seed)
+            .jobs(todo.iter().copied())
+            .threads(LOCAL_THREADS)
+            .run(|_ctx, &id| {
+                let seed = campaign.job_seed(id as u64);
+                let _trace_task = adc_trace::task(seed);
+                let _trace_span = adc_trace::span_with("cluster-job", id as u64);
+                self.registry
+                    .run(&campaign.kind, &campaign.jobs()[id].config, seed)
+                    .map_err(|e| JobError::Failed(e.to_string()))
+            })
+            .into_result()
+            .map_err(|(job, err)| ClusterError::JobFailed {
+                id: todo[job.0 as usize] as u64,
+                detail: match err {
+                    JobError::Failed(detail) => detail,
+                    other => other.to_string(),
+                },
+            })?;
+        for (id, line) in todo.into_iter().zip(lines) {
+            sched.done[id] = Some(line);
+            sched.stats.local_computed += 1;
+        }
+        Ok(())
     }
-}
-
-/// Executes job `id` through the registry and applies the outcome.
-fn run_local_job(shared: &Shared, campaign: &ClusterCampaign, registry: &JobRegistry, id: usize) {
-    let job = &campaign.jobs()[id];
-    let outcome = registry.run(&campaign.kind, &job.config, campaign.job_seed(id as u64));
-    let mut sched = shared.lock();
-    match outcome {
-        Ok(line) => {
-            if sched.done[id].is_none() {
-                sched.done[id] = Some(line);
-                sched.remaining -= 1;
-                sched.stats.local_computed += 1;
-            }
-        }
-        Err(e) => {
-            if sched.done[id].is_none() && sched.failed.is_none() {
-                sched.failed = Some(ClusterError::JobFailed {
-                    id: id as u64,
-                    detail: e.to_string(),
-                });
-            }
-        }
-    }
-    shared.cv.notify_all();
 }
 
 /// Connects to `addr` with bounded, backed-off retries.
 fn connect(addr: &str, options: &ClusterOptions) -> Option<Client> {
-    for attempt in 0..=options.connect_retries {
+    for attempt in 0..=CONNECT_RETRIES {
         if attempt > 0 {
             std::thread::sleep(options.backoff * attempt);
         }
         if let Ok(client) = Client::connect(addr) {
-            if client.set_read_timeout(Some(options.io_timeout)).is_ok() {
+            if client.set_read_timeout(Some(IO_TIMEOUT)).is_ok() {
                 return Some(client);
             }
         }
@@ -431,12 +408,13 @@ fn connect(addr: &str, options: &ClusterOptions) -> Option<Client> {
     None
 }
 
-/// Picks this worker's next action: drain pending, else wait for
-/// state to change.
-fn take_work(shared: &Shared, options: &ClusterOptions) -> Work {
+/// Picks this worker's next action: take a pending batch, finish when
+/// the campaign failed or nothing is pending or in flight, else wait
+/// for state to change.
+fn take_work(shared: &Shared) -> Work {
     let mut sched = shared.lock();
     loop {
-        if sched.failed.is_some() || sched.remaining == 0 {
+        if sched.failed.is_some() {
             return Work::Finished;
         }
         while let Some(batch) = sched.pending.pop_front() {
@@ -449,19 +427,23 @@ fn take_work(shared: &Shared, options: &ClusterOptions) -> Work {
             }
             let batch_id = sched.next_batch_id;
             sched.next_batch_id += 1;
+            sched.in_flight += 1;
             return Work::Batch(batch_id, jobs);
         }
-        let (guard, _timeout) = shared
+        if sched.in_flight == 0 {
+            return Work::Finished;
+        }
+        sched = shared
             .cv
-            .wait_timeout(sched, options.backoff.max(Duration::from_millis(10)))
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        sched = guard;
+            .wait(sched)
+            .unwrap_or_else(PoisonError::into_inner);
     }
 }
 
 /// Requeues a failed batch's undone jobs for any worker.
 fn requeue_flight(shared: &Shared, ids: &[usize]) {
     let mut sched = shared.lock();
+    sched.in_flight -= 1;
     let jobs: Vec<usize> = ids
         .iter()
         .copied()
@@ -476,14 +458,12 @@ fn requeue_flight(shared: &Shared, ids: &[usize]) {
 }
 
 /// Applies one result batch: first-writer-wins per job slot, typed
-/// failure on deterministic errors, requeue-or-local on rejections.
-fn apply_batch(
-    shared: &Shared,
-    options: &ClusterOptions,
-    outcomes: &[adc_server::JobOutcome],
-) -> Vec<Settle> {
+/// failure on deterministic errors, requeue on rejections until a job
+/// has drawn [`JOB_ATTEMPTS`] of them (it is then left for the local
+/// pass).
+fn apply_batch(shared: &Shared, outcomes: &[adc_server::JobOutcome]) {
     let mut sched = shared.lock();
-    let mut settled = Vec::with_capacity(outcomes.len());
+    sched.in_flight -= 1;
     let mut requeue = Vec::new();
     for outcome in outcomes {
         let id = outcome.id as usize;
@@ -496,39 +476,30 @@ fn apply_batch(
             }
             break;
         }
+        if sched.done[id].is_some() {
+            continue;
+        }
         match outcome.status {
             JobStatus::Computed | JobStatus::Cached => {
-                if sched.done[id].is_none() {
-                    sched.done[id] = Some(outcome.value.clone());
-                    sched.remaining -= 1;
-                    if outcome.status == JobStatus::Computed {
-                        sched.stats.remote_computed += 1;
-                    } else {
-                        sched.stats.remote_cached += 1;
-                    }
+                sched.done[id] = Some(outcome.value.clone());
+                if outcome.status == JobStatus::Computed {
+                    sched.stats.remote_computed += 1;
+                } else {
+                    sched.stats.remote_cached += 1;
                 }
-                settled.push(Settle::Applied);
             }
             JobStatus::Failed => {
-                if sched.done[id].is_none() && sched.failed.is_none() {
+                if sched.failed.is_none() {
                     sched.failed = Some(ClusterError::JobFailed {
                         id: outcome.id,
                         detail: outcome.value.clone(),
                     });
                 }
-                settled.push(Settle::Applied);
             }
             JobStatus::Rejected => {
-                if sched.done[id].is_none() {
-                    sched.attempts[id] += 1;
-                    if sched.attempts[id] >= options.job_attempts {
-                        settled.push(Settle::RunLocally(id));
-                    } else {
-                        requeue.push(id);
-                        settled.push(Settle::Applied);
-                    }
-                } else {
-                    settled.push(Settle::Applied);
+                sched.attempts[id] += 1;
+                if sched.attempts[id] < JOB_ATTEMPTS {
+                    requeue.push(id);
                 }
             }
         }
@@ -539,7 +510,6 @@ fn apply_batch(
     }
     drop(sched);
     shared.cv.notify_all();
-    settled
 }
 
 /// Marks `host` lost (once) for the stats.
@@ -553,21 +523,23 @@ fn host_lost(shared: &Shared, host: usize) {
     shared.cv.notify_all();
 }
 
-/// Post-campaign cache merge: pushes every computed line to the host
-/// (fill-after-compute). Best-effort; the host dedups.
+/// Post-campaign cache merge: pushes every result line to the host
+/// (fill-after-compute) once the remote phase has finished every job.
+/// Best-effort; the host dedups.
 fn backfill(shared: &Shared, campaign: &ClusterCampaign, client: &mut Client) {
-    let entries: Vec<(u64, String)> = {
+    let entries: Option<Vec<(u64, String)>> = {
         let sched = shared.lock();
-        if sched.failed.is_some() || sched.remaining != 0 {
+        if sched.failed.is_some() {
             return;
         }
         campaign
             .jobs()
             .iter()
-            .enumerate()
-            .filter_map(|(id, job)| sched.done[id].clone().map(|line| (job.key, line)))
+            .zip(&sched.done)
+            .map(|(job, line)| line.clone().map(|line| (job.key, line)))
             .collect()
     };
+    let Some(entries) = entries else { return };
     for chunk in entries.chunks(MAX_CACHE_ENTRIES as usize) {
         if client.cache_fill(&campaign.name, chunk).is_err() {
             return;
@@ -576,14 +548,13 @@ fn backfill(shared: &Shared, campaign: &ClusterCampaign, client: &mut Client) {
 }
 
 /// One worker connection's life: connect, then pull batches until the
-/// campaign settles; on transport trouble requeue, reconnect, and
+/// remote phase settles; on transport trouble requeue, reconnect, and
 /// eventually declare the host lost. Slot 0 backfills the host's cache
 /// at the end.
 fn host_worker(
     shared: &Shared,
     campaign: &ClusterCampaign,
     options: &ClusterOptions,
-    registry: &JobRegistry,
     host: usize,
     addr: &str,
     slot: usize,
@@ -592,11 +563,7 @@ fn host_worker(
         host_lost(shared, host);
         return;
     };
-    loop {
-        let (batch_id, ids) = match take_work(shared, options) {
-            Work::Finished => break,
-            Work::Batch(batch_id, ids) => (batch_id, ids),
-        };
+    while let Work::Batch(batch_id, ids) = take_work(shared) {
         let request = JobBatchRequest {
             batch_id,
             campaign: campaign.name.clone(),
@@ -605,13 +572,7 @@ fn host_worker(
             jobs: campaign.specs(&ids),
         };
         match client.job_batch(&request) {
-            Ok(result) => {
-                for settle in apply_batch(shared, options, &result.outcomes) {
-                    if let Settle::RunLocally(id) = settle {
-                        run_local_job(shared, campaign, registry, id);
-                    }
-                }
-            }
+            Ok(result) => apply_batch(shared, &result.outcomes),
             Err(ClientError::Server { .. }) => {
                 // Typed refusal (no runner, draining, ...): this host
                 // cannot serve this campaign — route its work
@@ -690,7 +651,6 @@ mod tests {
         };
         let executor =
             ClusterExecutor::new(vec![dead], standard_registry()).options(ClusterOptions {
-                connect_retries: 0,
                 backoff: Duration::from_millis(1),
                 ..ClusterOptions::default()
             });
@@ -734,5 +694,38 @@ mod tests {
         let report = executor.execute(&campaign).expect("empty");
         assert!(report.lines.is_empty());
         assert_eq!(report.stats.jobs, 0);
+    }
+
+    #[test]
+    fn a_job_rejected_job_attempts_times_is_left_for_the_local_pass() {
+        let mut sched = Sched::new(1, 1);
+        sched.pending.push_back(vec![0]);
+        let shared = Shared {
+            sched: Mutex::new(sched),
+            cv: Condvar::new(),
+        };
+        let rejected = [adc_server::JobOutcome {
+            id: 0,
+            key: 0,
+            status: JobStatus::Rejected,
+            value: "deadline expired".to_string(),
+        }];
+        for attempt in 0..JOB_ATTEMPTS {
+            assert_eq!(
+                take_work(&shared),
+                Work::Batch(u64::from(attempt), vec![0]),
+                "attempt {attempt} is dispatched"
+            );
+            apply_batch(&shared, &rejected);
+        }
+        {
+            let sched = shared.lock();
+            assert!(sched.pending.is_empty(), "not requeued: {sched:?}");
+            assert_eq!(sched.done[0], None, "not done");
+            assert_eq!(sched.in_flight, 0);
+            assert_eq!(sched.failed, None);
+            assert_eq!(sched.stats.resubmitted, u64::from(JOB_ATTEMPTS - 1));
+        }
+        assert_eq!(take_work(&shared), Work::Finished);
     }
 }

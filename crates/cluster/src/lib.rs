@@ -35,8 +35,10 @@
 //!   the Monte-Carlo bridge into `adc-testbench`'s campaign namespace.
 //! * [`executor`] — [`ClusterExecutor`]: per-host outstanding-window
 //!   scheduling from one shared queue, typed retry/timeout/backoff that
-//!   requeues a batch on transport error or timeout, and graceful
-//!   degradation to local execution when no peer is reachable.
+//!   requeues a batch on transport error or timeout, and one local pass
+//!   through an [`adc_runtime::Campaign`] for every job the hosts left
+//!   undone (no peer reachable, hosts lost, or a job rejected three
+//!   times). Host-worker threads only schedule; no job runs on one.
 //!
 //! ## Quick start
 //!

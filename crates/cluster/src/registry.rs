@@ -3,9 +3,9 @@
 //! The wire ships jobs as `(kind, rendered config, derived seed)`; the
 //! registry maps that triple back onto real computations. Both sides of
 //! a cluster hold the *same* registry — the server runs jobs through it
-//! via [`adc_server::JobRunner`], and the executor runs through it
-//! locally when degrading to in-process execution — so every execution
-//! site shares one implementation per kind.
+//! via [`adc_server::JobRunner`], and the executor's local pass runs
+//! through it — so every execution site shares one implementation per
+//! kind.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -19,7 +19,7 @@ use adc_testbench::measure_die;
 type Handler = dyn Fn(&str, u64) -> Result<String, JobRunError> + Send + Sync;
 
 /// A named map of job kinds, shared by servers (via [`JobRunner`]) and
-/// the executor's local-execution fallback.
+/// the executor's local pass.
 ///
 /// Handlers must be pure functions of `(config, seed)` — the cluster's
 /// bit-identity guarantee holds exactly as far as this contract does.

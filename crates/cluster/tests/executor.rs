@@ -2,12 +2,13 @@
 //! bit-identical to an in-process one at any host count, under host
 //! loss mid-campaign, and with pre-warmed remote caches.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use adc_cluster::{
     assemble_monte_carlo, monte_carlo_campaign, probe_mix_config, standard_registry,
-    ClusterCampaign, ClusterExecutor, ClusterOptions, ClusterStats,
+    ClusterCampaign, ClusterError, ClusterExecutor, ClusterOptions, ClusterStats, JobRegistry,
 };
 use adc_pipeline::config::AdcConfig;
 use adc_runtime::{canonical_key, ResultCache};
@@ -30,15 +31,12 @@ fn drain(handle: ServerHandle, join: ServerJoin) {
     join.join().expect("server thread").expect("serve");
 }
 
-/// Small options that force real scheduling: single-job batches, short
-/// windows, fast backoff.
+/// Small options that force real scheduling: two-job batches, fast
+/// backoff.
 fn tight_options() -> ClusterOptions {
     ClusterOptions {
-        window: 2,
         batch_jobs: 2,
         backoff: Duration::from_millis(5),
-        io_timeout: Duration::from_secs(10),
-        ..ClusterOptions::default()
     }
 }
 
@@ -156,10 +154,8 @@ fn killing_a_host_mid_campaign_keeps_results_bit_identical() {
 
     let report = ClusterExecutor::new(peers, standard_registry())
         .options(ClusterOptions {
-            window: 1,
             batch_jobs: 1,
             backoff: Duration::from_millis(5),
-            ..ClusterOptions::default()
         })
         .execute(&campaign)
         .expect("campaign survives host loss");
@@ -205,4 +201,63 @@ fn pre_warmed_disk_cache_survives_a_host_restart() {
     assert_every_job_counted_once(&second.stats, "second generation");
     drain(handle, join);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A registry whose one kind, `"panics"`, panics on every job — a
+/// runner bug, which repeats identically wherever it runs. `runs`
+/// counts the handler's calls.
+fn registry_with_a_panicking_kind(runs: &Arc<AtomicUsize>) -> Arc<JobRegistry> {
+    let runs = Arc::clone(runs);
+    let mut registry = JobRegistry::new();
+    registry.register("panics", move |config, _seed| {
+        runs.fetch_add(1, Ordering::SeqCst);
+        panic!("runner bug on {config:?}")
+    });
+    Arc::new(registry)
+}
+
+fn panicking_campaign() -> ClusterCampaign {
+    let mut campaign = ClusterCampaign::new("panic-e2e", "panics", 5);
+    campaign.push_job("x", 1);
+    campaign
+}
+
+#[test]
+fn a_panicking_job_fails_the_campaign_without_peers() {
+    let runs = Arc::new(AtomicUsize::new(0));
+    let err = ClusterExecutor::new(Vec::new(), registry_with_a_panicking_kind(&runs))
+        .execute(&panicking_campaign())
+        .unwrap_err();
+    assert!(
+        matches!(err, ClusterError::JobFailed { id: 0, ref detail } if detail.contains("runner bug")),
+        "{err}"
+    );
+    assert_eq!(runs.load(Ordering::SeqCst), 1);
+}
+
+#[test]
+fn a_panicking_job_fails_the_campaign_on_a_live_host_without_resubmission() {
+    // A failed campaign returns no `ClusterStats`, so the handler's run
+    // count stands in for `resubmitted == 0`: one run on the host, no
+    // resubmission and no local rerun.
+    let runs = Arc::new(AtomicUsize::new(0));
+    let registry = registry_with_a_panicking_kind(&runs);
+    let (handle, join) = Server::spawn(
+        "127.0.0.1:0",
+        ServerConfig {
+            job_runner: Some(registry.clone()),
+            threads: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("spawn host");
+    let executor =
+        ClusterExecutor::new(vec![handle.addr().to_string()], registry).options(tight_options());
+    let err = executor.execute(&panicking_campaign()).unwrap_err();
+    assert!(
+        matches!(err, ClusterError::JobFailed { id: 0, ref detail } if detail.contains("runner bug")),
+        "{err}"
+    );
+    assert_eq!(runs.load(Ordering::SeqCst), 1, "the host ran the job once");
+    drain(handle, join);
 }

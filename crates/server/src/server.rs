@@ -515,10 +515,11 @@ pub(crate) fn value_stream_crc(values: &[f64]) -> u32 {
 ///
 /// Every job concludes with a typed [`JobStatus`]: `Cached` hits skip
 /// the pool entirely; `Computed` results fill the warm cache before the
-/// response leaves; pool-level losses (draining, deadline, panic) come
-/// back `Rejected` so the client resubmits them — possibly elsewhere —
-/// while runner-level errors come back `Failed` (deterministic: a
-/// resubmission would fail identically).
+/// response leaves; pool-level losses (draining, deadline, a lost job)
+/// come back `Rejected` so the client resubmits them — possibly
+/// elsewhere — while runner errors and runner panics come back `Failed`
+/// (deterministic: a [`JobRunner`] is pure, so a resubmission would
+/// fail identically).
 pub(crate) fn run_job_batch(
     req: &JobBatchRequest,
     runner: &Arc<dyn JobRunner>,
@@ -574,16 +575,16 @@ pub(crate) fn run_job_batch(
                 (JobStatus::Computed, line)
             }
             None => match report.error {
-                // Runner errors (`JobRunError::Display` strings) are
-                // deterministic → Failed; everything the *pool* can do
-                // to a job (drain, deadline, worker panic) is
-                // scheduling, not computation → Rejected.
+                // Runner errors (`JobRunError::Display` strings) and
+                // runner panics are deterministic → Failed; what the
+                // *pool* can do to a job (drain, deadline, losing it)
+                // is scheduling, not computation → Rejected.
                 Some(JobError::Failed(detail)) => (JobStatus::Failed, detail),
+                Some(JobError::Panicked(msg)) => {
+                    (JobStatus::Failed, format!("worker panicked: {msg}"))
+                }
                 Some(err @ JobError::Draining) => (JobStatus::Rejected, err.to_string()),
                 Some(JobError::TimedOut) => (JobStatus::Rejected, "deadline expired".to_string()),
-                Some(JobError::Panicked(msg)) => {
-                    (JobStatus::Rejected, format!("worker panicked: {msg}"))
-                }
                 None => (JobStatus::Rejected, "job lost".to_string()),
             },
         };
@@ -785,6 +786,37 @@ mod tests {
         }
         assert_eq!(runner.0.load(Ordering::SeqCst), 4, "nothing persisted");
         let _ = std::fs::remove_file(&file);
+    }
+
+    #[test]
+    fn a_runner_panic_answers_failed_not_rejected() {
+        struct PanicRunner;
+        impl JobRunner for PanicRunner {
+            fn run(&self, _kind: &str, config: &str, _seed: u64) -> Result<String, JobRunError> {
+                panic!("runner bug on {config}")
+            }
+        }
+        let cfg = ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind("127.0.0.1:0", cfg).unwrap();
+        let req = JobBatchRequest {
+            batch_id: 1,
+            campaign: "panics".to_string(),
+            kind: "panic".to_string(),
+            deadline_ms: 0,
+            jobs: vec![JobSpec {
+                id: 0,
+                key: 7,
+                seed: 0,
+                config: "cfg".to_string(),
+            }],
+        };
+        let runner: Arc<dyn JobRunner> = Arc::new(PanicRunner);
+        let outcome = &run_job_batch(&req, &runner, &server.shared).outcomes[0];
+        assert_eq!(outcome.status, JobStatus::Failed, "{outcome:?}");
+        assert!(outcome.value.contains("runner bug on cfg"), "{outcome:?}");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use adc_pipeline::error::BuildAdcError;
 
 use adc_runtime::CacheCodec;
 
-use crate::policy::{campaign_id, ErrorFunnel, RunPolicy};
+use crate::policy::RunPolicy;
 use crate::session::MeasurementSession;
 
 /// One dynamic sweep point.
@@ -156,16 +156,16 @@ impl SweepRunner {
         rates_hz: &[f64],
         f_in_target_hz: f64,
     ) -> Result<Vec<DynamicPoint>, BuildAdcError> {
-        let funnel = ErrorFunnel::new();
-        let name = campaign_id("rate_sweep", &(self.fingerprint(), f_in_target_hz));
-        let run = self
-            .policy
-            .run_campaign(&name, self.seed, rates_hz.to_vec(), |ctx, &f_cr| {
+        self.policy.measure_campaign(
+            "rate_sweep",
+            &(self.fingerprint(), f_in_target_hz),
+            self.seed,
+            rates_hz.to_vec(),
+            |ctx, &f_cr| {
                 ctx.record_samples(self.record_len as u64);
                 self.measure_point(f_cr, f_in_target_hz, f_cr)
-                    .map_err(|e| funnel.capture(ctx.id, e))
-            });
-        funnel.resolve(run)
+            },
+        )
     }
 
     /// Fig. 6: dynamic metrics versus input frequency at a fixed
@@ -182,16 +182,16 @@ impl SweepRunner {
     ///
     /// Returns a build error if the base configuration is unbuildable.
     pub fn frequency_sweep(&self, fins_hz: &[f64]) -> Result<Vec<DynamicPoint>, BuildAdcError> {
-        let funnel = ErrorFunnel::new();
-        let name = campaign_id("frequency_sweep", &self.fingerprint());
-        let run = self
-            .policy
-            .run_campaign(&name, self.seed, fins_hz.to_vec(), |ctx, &fin| {
+        self.policy.measure_campaign(
+            "frequency_sweep",
+            &self.fingerprint(),
+            self.seed,
+            fins_hz.to_vec(),
+            |ctx, &fin| {
                 ctx.record_samples(self.record_len as u64);
                 self.measure_point(self.config.f_cr_hz, fin, fin)
-                    .map_err(|e| funnel.capture(ctx.id, e))
-            });
-        funnel.resolve(run)
+            },
+        )
     }
 
     /// Fig. 4: power versus conversion rate.
@@ -200,26 +200,23 @@ impl SweepRunner {
     ///
     /// Returns the first build error.
     pub fn power_sweep(&self, rates_hz: &[f64]) -> Result<Vec<PowerReading>, BuildAdcError> {
-        let funnel = ErrorFunnel::new();
-        let name = campaign_id("power_sweep", &self.fingerprint());
         // PowerReading is a foreign type, so it rides the cache as its
         // (f_cr, scaled, fixed, total) tuple.
-        let run = self
-            .policy
-            .run_campaign(&name, self.seed, rates_hz.to_vec(), |ctx, &f_cr| {
+        let tuples = self.policy.measure_campaign(
+            "power_sweep",
+            &self.fingerprint(),
+            self.seed,
+            rates_hz.to_vec(),
+            |_ctx, &f_cr| {
                 let config = AdcConfig {
                     f_cr_hz: f_cr,
                     ..self.config.clone()
                 };
-                PipelineAdc::build(config, self.seed)
-                    .map(|adc| {
-                        let r = adc.power_reading();
-                        (r.f_cr_hz, r.scaled_w, r.fixed_w, r.total_w)
-                    })
-                    .map_err(|e| funnel.capture(ctx.id, e))
-            });
-        Ok(funnel
-            .resolve(run)?
+                let r = PipelineAdc::build(config, self.seed)?.power_reading();
+                Ok((r.f_cr_hz, r.scaled_w, r.fixed_w, r.total_w))
+            },
+        )?;
+        Ok(tuples
             .into_iter()
             .map(|(f_cr_hz, scaled_w, fixed_w, total_w)| PowerReading {
                 f_cr_hz,
@@ -241,15 +238,14 @@ impl SweepRunner {
         f_in_target_hz: f64,
         levels_dbfs: &[f64],
     ) -> Result<Vec<(f64, DynamicPoint)>, BuildAdcError> {
-        let funnel = ErrorFunnel::new();
-        let name = campaign_id("amplitude_sweep", &(self.fingerprint(), f_in_target_hz));
-        let run = self
-            .policy
-            .run_campaign(&name, self.seed, levels_dbfs.to_vec(), |ctx, &dbfs| {
+        self.policy.measure_campaign(
+            "amplitude_sweep",
+            &(self.fingerprint(), f_in_target_hz),
+            self.seed,
+            levels_dbfs.to_vec(),
+            |ctx, &dbfs| {
                 ctx.record_samples(self.record_len as u64);
-                let mut s = self
-                    .session_at_rate(self.config.f_cr_hz)
-                    .map_err(|e| funnel.capture(ctx.id, e))?;
+                let mut s = self.session_at_rate(self.config.f_cr_hz)?;
                 s.amplitude_v = self.config.v_ref_v * 10f64.powf(dbfs / 20.0);
                 let m = s.measure_tone(f_in_target_hz);
                 Ok((
@@ -262,8 +258,8 @@ impl SweepRunner {
                         enob: m.analysis.enob,
                     },
                 ))
-            });
-        funnel.resolve(run)
+            },
+        )
     }
 }
 

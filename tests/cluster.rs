@@ -43,10 +43,8 @@ fn drain_all(hosts: Vec<(ServerHandle, ServerJoin)>) {
 
 fn tight_options() -> ClusterOptions {
     ClusterOptions {
-        window: 2,
         batch_jobs: 2,
         backoff: Duration::from_millis(5),
-        ..ClusterOptions::default()
     }
 }
 
