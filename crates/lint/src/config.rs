@@ -112,6 +112,13 @@ pub const PANIC_ROOTS: &[PanicRoot] = &[
         path: "crates/server/src/reactor.rs",
         symbol: Some("stage_frames"),
     },
+    // Every decoded frame crosses request handling on the reactor
+    // thread, and every work request is admitted (or shed) there; a
+    // panic would take down every connection, not just the sender.
+    PanicRoot {
+        path: "crates/server/src/reactor.rs",
+        symbol: Some("handle_request"),
+    },
     // Request validation is the one gate every decoded digitize request
     // crosses on the reactor thread before admission; like ingest, a
     // panic here would take down every connection, not just the sender.

@@ -38,7 +38,7 @@ pub(crate) struct Sym {
     pub file: usize,
     /// The parsed item (cloned out of `FileItems`).
     pub item: FnItem,
-    /// Display path, e.g. `runtime::pool::JobPool::submit`.
+    /// Display path, e.g. `runtime::submit::JobPool::submit_then`.
     pub qname: String,
 }
 

@@ -8,8 +8,9 @@
 //! **bit-identical to serial execution**, whatever the thread count or
 //! scheduling order. Serving workloads submit jobs one at a time to a
 //! long-lived [`JobPool`]; both schedulers run each job through one job
-//! runner, so seeding, panic confinement, observer hooks and the `job`
-//! trace span are the same on either path.
+//! runner, so seeding, panic confinement and the `job` trace span are
+//! the same on either path. Campaigns report to [`RunObserver`]s; a
+//! pool job reports to the completion callback it was submitted with.
 //!
 //! The determinism contract rests on three rules:
 //!
@@ -44,10 +45,11 @@
 //! - [`job`] — [`JobId`], [`JobCtx`], [`JobError`], [`JobReport`].
 //! - [`seed`] — SplitMix64 mixing and seed derivation.
 //! - [`cache`] — content-hash result cache ([`ResultCache`]).
-//! - [`observer`] — [`RunObserver`] lifecycle hooks and
+//! - [`observer`] — [`RunObserver`] campaign lifecycle hooks and
 //!   [`CampaignSummary`] statistics.
 //! - [`submit`] — [`JobPool`], the long-lived submission pool behind
-//!   serving workloads (`adc-server`).
+//!   serving workloads (`adc-server`): `new`, `threads`, `submit_then`
+//!   and `shutdown`.
 
 pub mod cache;
 pub mod campaign;
@@ -65,4 +67,4 @@ pub use job::{JobCtx, JobError, JobId, JobReport};
 pub use observer::{CampaignSummary, CollectingObserver, RunObserver};
 pub use pool::default_threads;
 pub use seed::{derive_seed, split_mix64};
-pub use submit::{JobHandle, JobPool};
+pub use submit::JobPool;

@@ -50,15 +50,14 @@ impl CampaignSummary {
     }
 }
 
-/// Lifecycle hooks for campaign runs and pool jobs. All methods
-/// default to no-ops so implementations override only what they need.
+/// Lifecycle hooks for campaign runs. All methods default to no-ops so
+/// implementations override only what they need.
 ///
-/// The job hooks fire from the crate's one job runner, for every job
-/// that runs — campaign jobs and [`JobPool`](crate::JobPool)
-/// submissions alike — under the job's own [`JobId`]. A cache hit or a
-/// submission rejected by a draining pool runs no job and fires no job
-/// hook. The campaign hooks fire for campaigns only and count the jobs
-/// that ran.
+/// The job hooks fire from the crate's one job runner, for every
+/// campaign job that runs, under the job's own [`JobId`]. A cache hit
+/// runs no job and fires no job hook, and the campaign hooks count the
+/// jobs that ran. A [`JobPool`](crate::JobPool) has no observers: each
+/// submission's completion callback receives its [`JobReport`].
 pub trait RunObserver: Send + Sync {
     /// The campaign is about to run `jobs` jobs on `threads` workers.
     fn on_campaign_start(&self, name: &str, jobs: usize, threads: usize) {

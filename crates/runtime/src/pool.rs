@@ -6,7 +6,9 @@
 //! [`JobCtx`], reports `on_job_start`, enters the job's trace task and
 //! `job` span, runs the work under `catch_unwind` (a diverging die
 //! fails its own job and the campaign completes), and reports the
-//! finished [`JobReport`] through `on_job_finish`.
+//! finished [`JobReport`] through `on_job_finish`. Only campaigns pass
+//! observers; the pool passes none and hands the report to the job's
+//! completion callback instead.
 //!
 //! `execute` runs a campaign's closed job set over scoped threads:
 //! one shared atomic cursor hands out `(JobId, &input)` pairs in order,

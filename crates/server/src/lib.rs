@@ -28,13 +28,16 @@
 //!   drain-then-shutdown. The socket side is a readiness-driven
 //!   reactor: one thread multiplexes every connection over `poll(2)`,
 //!   pipelines requests under client-chosen correlation ids (out-of-
-//!   order completion), runs each admitted request as one pool job,
-//!   and sheds overload from bounded admission queues with typed
-//!   [`ErrorCode::Overloaded`] frames.
+//!   order completion), admits every work request (digitizations, job
+//!   batches, cache fills) through one bounded queue per connection,
+//!   runs it on the pool, and sheds overload with typed
+//!   [`ErrorCode::Overloaded`] frames. The server starts no thread per
+//!   request.
 //! * [`metrics`] — lock-free request counters, an in-flight gauge, and
-//!   a log-linear latency histogram (~6% relative error) fed from the
-//!   pool's [`adc_runtime::RunObserver`] hooks; snapshots answer
-//!   `Metrics` requests.
+//!   a log-linear latency histogram (~6% relative error) of
+//!   digitizations, accounted by each digitization's pool completion
+//!   callback before its answer is posted; snapshots answer `Metrics`
+//!   requests.
 //! * [`client`] — a [`PipelinedClient`] that keeps many correlated
 //!   requests in flight on one connection and yields verified
 //!   completions in server finish order, and a blocking [`Client`]
@@ -50,8 +53,9 @@
 //!
 //! A host can additionally opt into **cluster duty** by installing a
 //! [`JobRunner`] (and optionally a cache directory) in its
-//! [`ServerConfig`]: it then executes [`JobBatch`](Request::JobBatch)
-//! campaign work on its job pool, answering jobs it already holds from
+//! [`ServerConfig`]: it then admits [`JobBatch`](Request::JobBatch)
+//! campaign work like any digitization and runs it on its job pool,
+//! one pool job per campaign job, answering jobs it already holds from
 //! one warm `adc-runtime` [`ResultCache`](adc_runtime::ResultCache),
 //! which keeps each campaign's entries apart and mirrors them to
 //! `<campaign>.cache` files under the cache directory, and merges

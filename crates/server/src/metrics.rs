@@ -1,16 +1,23 @@
 //! The server's metrics registry: lock-free counters, an in-flight
 //! gauge, and a log-linear latency histogram.
 //!
-//! The registry is fed from two directions:
+//! The registry counts digitizations (and ganged captures) only:
 //!
 //! * the reactor counts requests, connections, sheds, and error frames
-//!   directly;
-//! * the digitize job pool reports through the registry's
-//!   [`RunObserver`] implementation — `on_job_start` raises the
-//!   in-flight gauge, `on_job_finish` lowers it, records the job's wall
-//!   time into the histogram (one job serves one request), counts it
-//!   completed when it succeeded, and accumulates the samples of the
-//!   record it converted.
+//!   directly, and raises the in-flight gauge
+//!   ([`MetricsRegistry::digitize_dispatched`]) when it puts a
+//!   digitization on the job pool;
+//! * the digitization's completion callback, on the pool worker, calls
+//!   [`MetricsRegistry::digitize_finished`] *before* it posts the
+//!   answer: it records the job's wall time into the histogram (one
+//!   job serves one request), counts it completed when it succeeded,
+//!   accumulates the samples of the record it converted, and lowers
+//!   the gauge. A client holding its whole record therefore never
+//!   reads a snapshot that still counts the job in flight.
+//!
+//! Cluster job batches and cache fills run on the same pool but are
+//! counted only as `job_batches` and `cluster_cache_hits`: they never
+//! reach the gauge, the histogram or `completed`.
 //!
 //! [`MetricsRegistry::snapshot`] freezes everything into the wire-level
 //! [`MetricsSnapshot`] answered to a `Metrics` request, including
@@ -20,7 +27,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use adc_runtime::{JobId, JobReport, RunObserver};
+use adc_runtime::JobReport;
 
 use crate::protocol::MetricsSnapshot;
 
@@ -180,6 +187,35 @@ impl MetricsRegistry {
         self.cluster_cache_hits.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Raises the in-flight gauge for a digitization put on the pool.
+    pub fn digitize_dispatched(&self) {
+        let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+        adc_trace::counter("in_flight", now);
+    }
+
+    /// Accounts a dispatched digitization from its job report: records
+    /// its wall time, its samples and (when it succeeded) its
+    /// completion, then lowers the in-flight gauge.
+    pub fn digitize_finished(&self, report: &JobReport) {
+        self.latency.record(report.wall);
+        self.samples_streamed
+            .fetch_add(report.samples, Ordering::Relaxed);
+        self.completed
+            .fetch_add(u64::from(report.error.is_none()), Ordering::Relaxed);
+        let now = self
+            .in_flight
+            .fetch_sub(1, Ordering::Relaxed)
+            .saturating_sub(1);
+        // Mirror the gauge and the histogram's input into the trace
+        // stream: the same wall time lands in both, so a trace profile
+        // and a Metrics snapshot agree on request latency.
+        adc_trace::counter("in_flight", now);
+        adc_trace::counter(
+            "request_latency_us",
+            u64::try_from(report.wall.as_micros()).unwrap_or(u64::MAX),
+        );
+    }
+
     /// Freezes the registry into a wire snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -199,33 +235,6 @@ impl MetricsRegistry {
             overloaded: self.overloaded.load(Ordering::Relaxed),
             coalesced: 0,
         }
-    }
-}
-
-impl RunObserver for MetricsRegistry {
-    fn on_job_start(&self, _id: JobId) {
-        let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        adc_trace::counter("in_flight", now);
-    }
-
-    fn on_job_finish(&self, _id: JobId, report: &JobReport) {
-        let now = self
-            .in_flight
-            .fetch_sub(1, Ordering::Relaxed)
-            .saturating_sub(1);
-        self.latency.record(report.wall);
-        self.samples_streamed
-            .fetch_add(report.samples, Ordering::Relaxed);
-        self.completed
-            .fetch_add(u64::from(report.error.is_none()), Ordering::Relaxed);
-        // Mirror the gauge and the histogram's input into the trace
-        // stream: the same wall time lands in both, so a trace profile
-        // and a Metrics snapshot agree on request latency.
-        adc_trace::counter("in_flight", now);
-        adc_trace::counter(
-            "request_latency_us",
-            u64::try_from(report.wall.as_micros()).unwrap_or(u64::MAX),
-        );
     }
 }
 
@@ -289,37 +298,33 @@ mod tests {
     }
 
     #[test]
-    fn observer_hooks_drive_gauge_histogram_and_counters() {
-        use adc_runtime::JobError;
+    fn digitize_accounting_drives_gauge_histogram_and_counters() {
+        use adc_runtime::{JobError, JobId};
         let reg = MetricsRegistry::new();
-        reg.on_job_start(JobId(0));
+        reg.digitize_dispatched();
         assert_eq!(reg.snapshot().in_flight, 1);
-        reg.on_job_finish(
-            JobId(0),
-            &JobReport {
-                id: JobId(0),
-                wall: Duration::from_micros(300),
-                samples: 4096,
-                error: None,
-            },
-        );
+        reg.digitize_finished(&JobReport {
+            id: JobId(0),
+            wall: Duration::from_micros(300),
+            samples: 4096,
+            error: None,
+        });
         let snap = reg.snapshot();
         assert_eq!(snap.in_flight, 0);
         assert_eq!(snap.completed, 1);
         assert_eq!(snap.samples_streamed, 4096);
         assert!(snap.p50_us >= 300);
 
-        reg.on_job_start(JobId(1));
-        reg.on_job_finish(
-            JobId(1),
-            &JobReport {
-                id: JobId(1),
-                wall: Duration::from_micros(10),
-                samples: 0,
-                error: Some(JobError::TimedOut),
-            },
-        );
-        assert_eq!(reg.snapshot().completed, 1, "failed job not completed");
+        reg.digitize_dispatched();
+        reg.digitize_finished(&JobReport {
+            id: JobId(1),
+            wall: Duration::from_micros(10),
+            samples: 0,
+            error: Some(JobError::TimedOut),
+        });
+        let snap = reg.snapshot();
+        assert_eq!(snap.completed, 1, "failed job not completed");
+        assert_eq!(snap.in_flight, 0);
     }
 
     #[test]

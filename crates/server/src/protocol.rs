@@ -1052,7 +1052,8 @@ pub struct MetricsSnapshot {
     pub metrics_requests: u64,
     /// Error frames sent, any class.
     pub errors: u64,
-    /// Digitize jobs currently queued or running.
+    /// Digitize jobs dispatched onto the pool and not yet accounted
+    /// (queued there or running); never batch or fill jobs.
     pub in_flight: u64,
     /// Digitize jobs completed successfully.
     pub completed: u64,

@@ -9,28 +9,32 @@
 //!   [`Outbound`] stage that frames finished [`Answer`]s into bytes
 //!   only as the socket drains, one [`WRITE_CHUNK`] at a time.
 //! * Decoded requests either complete inline (`Ping`, `Metrics`,
-//!   `Shutdown`), run on a thread of their own because they block on
-//!   disk (`JobBatch`, `CacheFill`), or park in a bounded
-//!   per-connection **admission queue**.
-//!   A full queue sheds the newest request with a typed
-//!   [`ErrorCode::Overloaded`] frame instead of buffering unboundedly.
+//!   `Shutdown`) or park in a bounded per-connection **admission
+//!   queue** (`Submit`, `JobBatch`, `CacheFill`). A full queue sheds
+//!   the newest request with a typed [`ErrorCode::Overloaded`] frame
+//!   instead of buffering unboundedly.
 //! * [`Reactor::dispatch`] drains admission queues round-robin (one
 //!   request per connection per round, resuming after the last admitted
-//!   connection) into pool jobs, bounded by global and per-connection
-//!   in-flight caps. One admitted request is one pool job: it converts
-//!   through the exact in-process path, under its own deadline, and
-//!   ends with its answer ready. The request keeps its per-connection
-//!   slot until the answer's last byte is written, so the slot cap is
-//!   the backpressure: a peer that never reads gets no more work
-//!   dispatched and holds no pool worker.
+//!   connection) onto the pool, bounded by global and per-connection
+//!   in-flight caps; each request holds one slot of each. A
+//!   digitization is one pool job: it converts through the exact
+//!   in-process path, under its own deadline, and ends with its answer
+//!   ready. A cache fill is one pool job. A job batch fans out one pool
+//!   job per job (cache lookup, compute, cache put); the last of them
+//!   to finish persists the campaign and posts the batch's answer. The
+//!   request keeps its per-connection slot until the answer's last
+//!   byte is written, so the slot cap is the backpressure: a peer that
+//!   never reads gets no more work dispatched and holds no pool
+//!   worker.
 //! * A failed `accept(2)` is classified by [`accept_verdict`]: an
 //!   aborted handshake is skipped, resource exhaustion (`EMFILE`,
 //!   `ENFILE`, `ENOBUFS`, `ENOMEM`) pauses accepting for one poll
 //!   round, and only an unknown error stops the server.
-//! * Workers compute, the reactor writes: no pool worker or blocking
-//!   thread touches connection state. A finished job's [`Ticket`]
-//!   posts its answer through an event list plus a [`Waker`] byte that
-//!   interrupts `poll`, and only the reactor turns answers into bytes.
+//! * Workers compute, the reactor writes: no pool worker touches
+//!   connection state, and the server starts no thread per request. A
+//!   finished request's [`Ticket`] posts its answer through an event
+//!   list plus a [`Waker`] byte that interrupts `poll`, and only the
+//!   reactor turns answers into bytes.
 //!
 //! ## Correlation
 //!
@@ -57,14 +61,16 @@ use std::time::Duration;
 use adc_calib::GangedCapture;
 use adc_runtime::{JobCtx, JobError};
 
+use crate::jobs::JobRunner;
 use crate::protocol::{
-    encode_response, error_code_for_build, DigitizeDone, DigitizeRequest, ErrorCode,
-    FrameAssembler, GangedDone, GangedRequest, Request, Response, SubmitBody, SubmitRequest,
-    WireError,
+    encode_response, error_code_for_build, CacheFillRequest, DigitizeDone, DigitizeRequest,
+    ErrorCode, FrameAssembler, GangedDone, GangedRequest, JobBatchRequest, JobOutcome,
+    JobResultBatch, JobStatus, Request, Response, SubmitBody, SubmitRequest, WireError,
 };
 use crate::server::{
-    error_code_for_ganged, run_digitize, run_ganged, run_job_batch, stream_crc, validate,
-    validate_ganged, value_stream_crc, ServerConfig, Shared,
+    batch_outcome, error_code_for_ganged, fill_cache, run_batch_job, run_digitize, run_ganged,
+    stream_crc, validate, validate_ganged, value_stream_crc, ServerConfig, Shared,
+    MAX_REQUEST_PAYLOAD,
 };
 
 /// Bytes read from a socket per `read(2)` call.
@@ -175,9 +181,6 @@ pub(crate) fn waker_pair() -> io::Result<(Waker, WakerRx)> {
 pub(crate) struct JobDone {
     /// Connection the request belonged to.
     conn: u64,
-    /// `true` when the request held a global in-flight slot (batch jobs
-    /// run on their own thread and don't).
-    global: bool,
     answer: Answer,
 }
 
@@ -392,20 +395,16 @@ struct Ticket {
     shared: Arc<Shared>,
     conn: u64,
     corr: u64,
-    /// `true` when the request holds a global in-flight slot (batch
-    /// jobs run on their own thread and don't).
-    global: bool,
     /// The answer, once posted.
     answer: Option<Answer>,
 }
 
 impl Ticket {
-    fn new(shared: &Arc<Shared>, conn: u64, corr: u64, global: bool) -> Self {
+    fn new(shared: &Arc<Shared>, conn: u64, corr: u64) -> Self {
         Self {
             shared: Arc::clone(shared),
             conn,
             corr,
-            global,
             answer: None,
         }
     }
@@ -432,10 +431,29 @@ impl Drop for Ticket {
             .expect("reactor event lock")
             .push(JobDone {
                 conn: self.conn,
-                global: self.global,
                 answer,
             });
         self.shared.waker.wake();
+    }
+}
+
+/// An admitted work request, parked until it gets its in-flight slots.
+enum Work {
+    /// A digitization or ganged capture.
+    Submit(SubmitRequest),
+    /// A cluster job batch, with the runner that computes its jobs.
+    JobBatch(JobBatchRequest, Arc<dyn JobRunner>),
+    /// Peer results to merge into the warm cache.
+    CacheFill(CacheFillRequest),
+}
+
+impl Work {
+    /// The correlation id its answer travels under (`0`: untagged).
+    fn corr(&self) -> u64 {
+        match self {
+            Self::Submit(submit) => submit.corr_id,
+            Self::JobBatch(..) | Self::CacheFill(_) => 0,
+        }
     }
 }
 
@@ -445,8 +463,8 @@ struct Conn {
     assembler: FrameAssembler,
     out: Outbound,
     /// Admitted requests waiting for an in-flight slot.
-    pending: VecDeque<SubmitRequest>,
-    /// Requests running on the pool (or a thread of their own).
+    pending: VecDeque<Work>,
+    /// Requests running on the pool.
     running: u32,
     read_closed: bool,
     dead: bool,
@@ -480,7 +498,7 @@ struct Reactor {
     waker_rx: WakerRx,
     conns: BTreeMap<u64, Conn>,
     next_conn: u64,
-    /// Requests holding global in-flight slots: one pool job each.
+    /// Requests holding global in-flight slots.
     inflight: usize,
     /// Pool-depth ceiling: workers + 1 (one job running per worker,
     /// one queued ahead so workers never idle waiting on the reactor).
@@ -493,7 +511,6 @@ struct Reactor {
     accept_paused: bool,
     /// Fairness cursor: dispatch resumes after this connection id.
     cursor: u64,
-    blocking_threads: Vec<std::thread::JoinHandle<()>>,
     scratch: Vec<u8>,
 }
 
@@ -513,14 +530,9 @@ pub(crate) fn run(listener: TcpListener, waker_rx: WakerRx, shared: Arc<Shared>)
         pool_cap,
         accept_paused: false,
         cursor: 0,
-        blocking_threads: Vec::new(),
         scratch: vec![0u8; READ_CHUNK],
     };
-    let result = reactor.event_loop();
-    for join in reactor.blocking_threads.drain(..) {
-        let _ = join.join();
-    }
-    result
+    reactor.event_loop()
 }
 
 impl Reactor {
@@ -620,9 +632,7 @@ impl Reactor {
     fn process_events(&mut self) {
         let events = std::mem::take(&mut *self.shared.events.lock().expect("reactor event lock"));
         for done in events {
-            if done.global {
-                self.inflight = self.inflight.saturating_sub(1);
-            }
+            self.inflight = self.inflight.saturating_sub(1);
             if done.answer.is_error() {
                 self.shared.metrics.error();
             }
@@ -703,7 +713,7 @@ impl Reactor {
                             match ingest(
                                 &mut conn.assembler,
                                 &self.scratch[..n],
-                                self.shared.cfg.max_payload,
+                                MAX_REQUEST_PAYLOAD,
                             ) {
                                 Ok(requests) => decoded.extend(requests),
                                 Err(w) => {
@@ -739,22 +749,28 @@ impl Reactor {
     }
 
     /// Serves one decoded request: inline for ping, metrics and
-    /// shutdown, its own thread for a job batch or a cache fill (they
-    /// block on disk), the admission queue for digitization.
+    /// shutdown, the admission queue for all work (digitization, job
+    /// batches, cache fills). Runs on the reactor thread for every
+    /// decoded frame and is panic-free by construction (a symbol-level
+    /// panic root in `adc-lint`).
     fn handle_request(&mut self, id: u64, request: Request) {
-        let shared = Arc::clone(&self.shared);
-        let Some(conn) = self.conns.get_mut(&id) else {
+        // Typed, so adc-lint's panic pass follows the metrics and reply
+        // calls.
+        let shared: &Shared = &self.shared;
+        let Some(conn): Option<&mut Conn> = self.conns.get_mut(&id) else {
             return;
         };
-        match request {
+        let work = match request {
             Request::Ping { token } => {
                 shared.metrics.ping();
                 conn.reply(0, Response::Pong { token });
+                return;
             }
             Request::Metrics => {
                 shared.metrics.metrics_request();
                 let snapshot = shared.metrics.snapshot();
                 conn.reply(0, Response::Metrics(snapshot));
+                return;
             }
             Request::Shutdown => {
                 // Begin the drain *before* acking: once the client has
@@ -762,12 +778,13 @@ impl Reactor {
                 shared.draining.store(true, Ordering::SeqCst);
                 conn.reply(0, Response::ShutdownAck);
                 conn.read_closed = true;
+                return;
             }
             Request::Submit(submit) => {
                 shared.metrics.digitize();
                 let verdict = match &submit.body {
-                    SubmitBody::Digitize(req) => validate(req, &shared.cfg),
-                    SubmitBody::Ganged(req) => validate_ganged(req, &shared.cfg),
+                    SubmitBody::Digitize(req) => validate(req),
+                    SubmitBody::Ganged(req) => validate_ganged(req),
                 };
                 if let Err(detail) = verdict {
                     shared.metrics.error();
@@ -780,7 +797,7 @@ impl Reactor {
                     );
                     return;
                 }
-                enqueue(conn, &shared, submit);
+                Work::Submit(submit)
             }
             Request::JobBatch(req) => {
                 shared.metrics.job_batch();
@@ -795,46 +812,18 @@ impl Reactor {
                     );
                     return;
                 };
-                // Batch jobs orchestrate their own pool fan-out and
-                // block on cache I/O, so they get a plain thread instead
-                // of occupying a pool worker.
-                spawn_blocking(
-                    &mut self.blocking_threads,
-                    conn,
-                    &shared,
-                    id,
-                    move |shared| Response::JobResult(run_job_batch(&req, &runner, shared)),
-                );
+                Work::JobBatch(req, runner)
             }
-            Request::CacheFill(c) => {
-                // A campaign's first use reads its file, and `persist`
-                // rewrites the file whole: disk I/O that must not stall
-                // every connection.
-                spawn_blocking(
-                    &mut self.blocking_threads,
-                    conn,
-                    &shared,
-                    id,
-                    move |shared| {
-                        let mut accepted = 0u32;
-                        for (key, line) in &c.entries {
-                            if shared.cache.put_line(&c.campaign, *key, line) {
-                                accepted += 1;
-                            }
-                        }
-                        let _ = shared.cache.persist(&c.campaign);
-                        Response::CacheFillAck { accepted }
-                    },
-                );
-            }
-        }
+            Request::CacheFill(fill) => Work::CacheFill(fill),
+        };
+        enqueue(conn, shared, work);
     }
 
-    /// Moves admitted work onto the pool, one job per request: fair
-    /// round-robin across connections, bounded by the global and
-    /// per-connection in-flight caps and the pool-depth ceiling. A
-    /// connection's cap counts its unwritten answers too, so a peer
-    /// that stops reading stops getting work dispatched.
+    /// Moves admitted work onto the pool: fair round-robin across
+    /// connections, bounded by the global and per-connection in-flight
+    /// caps and the pool-depth ceiling. A connection's cap counts its
+    /// unwritten answers too, so a peer that stops reading stops
+    /// getting work dispatched.
     fn dispatch(&mut self) {
         let cap = self.shared.cfg.max_inflight.max(1).min(self.pool_cap);
         let per_conn = self.shared.cfg.max_inflight_per_conn.max(1);
@@ -868,33 +857,12 @@ impl Reactor {
                 conn.running += 1;
                 self.inflight += 1;
                 self.cursor = id;
-                let corr = work.corr_id;
-                let ticket = Ticket::new(&self.shared, id, corr, true);
-                let deadline_ms = match &work.body {
-                    SubmitBody::Digitize(req) => req.deadline_ms,
-                    SubmitBody::Ganged(req) => req.deadline_ms,
-                };
-                let deadline =
-                    (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
-                let cfg = self.shared.cfg.clone();
-                // The pool reports a failed job as a bare `JobError`, so
-                // the job leaves its error frame here for `then`.
-                let failure = Arc::new(OnceLock::new());
-                let cause = Arc::clone(&failure);
-                // The answer is posted from `then`, once the pool has
-                // accounted the job: a client holding its whole record
-                // never reads metrics still counting the job.
-                self.shared.pool.submit_then(
-                    deadline,
-                    move |ctx| serve_job(&cfg, ctx, corr, &work.body, &cause),
-                    move |answer, _report| match (answer, failure.get()) {
-                        (Some(answer), _) => ticket.post(answer),
-                        (None, Some(error)) => ticket.post(Answer::reply(corr, error.clone())),
-                        // Unwound or never run: the ticket's drop
-                        // posts the `Internal` error.
-                        (None, None) => {}
-                    },
-                );
+                let ticket = Ticket::new(&self.shared, id, work.corr());
+                match work {
+                    Work::Submit(submit) => start_submit(&self.shared, ticket, submit.body),
+                    Work::JobBatch(req, runner) => start_batch(&self.shared, ticket, req, runner),
+                    Work::CacheFill(fill) => start_fill(&self.shared, ticket, fill),
+                }
                 progressed = true;
             }
             if !progressed {
@@ -913,7 +881,7 @@ impl Reactor {
         }
     }
 
-    /// Removes finished connections and reaps finished blocking threads.
+    /// Removes finished connections.
     fn reap(&mut self) {
         let draining = self.shared.draining.load(Ordering::SeqCst);
         let done: Vec<u64> = self
@@ -933,33 +901,147 @@ impl Reactor {
         for id in done {
             self.conns.remove(&id);
         }
-        self.blocking_threads.retain(|h| !h.is_finished());
     }
 }
 
-/// Runs a control request that blocks on disk (a job batch, a cache
-/// fill) on its own thread, off the reactor and off the pool: the reply
-/// holds the connection's slot until written, but no global in-flight
-/// slot, and no pool job is counted in the metrics.
-fn spawn_blocking(
-    threads: &mut Vec<std::thread::JoinHandle<()>>,
-    conn: &mut Conn,
+/// The cooperative timeout a request's `deadline_ms` asks for (`0`:
+/// none), counted from dispatch onto the pool.
+fn deadline(deadline_ms: u32) -> Option<Duration> {
+    (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)))
+}
+
+/// Puts one digitization on the pool. Its completion callback accounts
+/// the job in the metrics, then posts the answer: a client holding its
+/// whole record never reads metrics still counting the job.
+fn start_submit(shared: &Arc<Shared>, ticket: Ticket, body: SubmitBody) {
+    let corr = ticket.corr;
+    let deadline_ms = match &body {
+        SubmitBody::Digitize(req) => req.deadline_ms,
+        SubmitBody::Ganged(req) => req.deadline_ms,
+    };
+    let cfg = shared.cfg.clone();
+    // The pool reports a failed job as a bare `JobError`, so the job
+    // leaves its error frame here for `then`.
+    let failure = Arc::new(OnceLock::new());
+    let cause = Arc::clone(&failure);
+    shared.metrics.digitize_dispatched();
+    shared.pool.submit_then(
+        deadline(deadline_ms),
+        move |ctx| serve_job(&cfg, ctx, corr, &body, &cause),
+        move |answer, report| {
+            ticket.shared.metrics.digitize_finished(&report);
+            match (answer, failure.get()) {
+                (Some(answer), _) => ticket.post(answer),
+                (None, Some(error)) => ticket.post(Answer::reply(corr, error.clone())),
+                // Unwound or never run: the ticket's drop posts the
+                // `Internal` error.
+                (None, None) => {}
+            }
+        },
+    );
+}
+
+/// One dispatched job batch, gathering its jobs' outcomes. Only the
+/// completion callbacks of the batch's pool jobs hold it, so the
+/// callback that releases the last reference answers the batch.
+struct BatchRun {
+    req: Arc<JobBatchRequest>,
+    /// One cell per job, set once by that job's callback.
+    outcomes: Vec<OnceLock<(JobStatus, String)>>,
+    ticket: Ticket,
+}
+
+impl BatchRun {
+    /// Records job `slot`'s outcome. The last job of the batch to get
+    /// here persists the campaign's new entries, so a restarted host
+    /// comes back warm, and posts the batch's answer.
+    fn settle(self: Arc<Self>, slot: usize, outcome: (JobStatus, String)) {
+        let _ = self.outcomes[slot].set(outcome);
+        let Some(run) = Arc::into_inner(self) else {
+            return;
+        };
+        // Cache I/O failures must not fail the batch.
+        let _ = run.ticket.shared.cache.persist(&run.req.campaign);
+        let outcomes = run
+            .req
+            .jobs
+            .iter()
+            .zip(run.outcomes)
+            .map(|(job, cell)| {
+                let (status, value) = cell
+                    .into_inner()
+                    .unwrap_or_else(|| batch_outcome(None, None));
+                JobOutcome {
+                    id: job.id,
+                    key: job.key,
+                    status,
+                    value,
+                }
+            })
+            .collect();
+        let batch_id = run.req.batch_id;
+        run.ticket.post(Answer::reply(
+            0,
+            Response::JobResult(JobResultBatch { batch_id, outcomes }),
+        ));
+    }
+}
+
+/// Fans a job batch out onto the pool, one job per batch job, each
+/// under the batch's deadline. An empty batch is answered at once.
+fn start_batch(
     shared: &Arc<Shared>,
-    id: u64,
-    work: impl FnOnce(&Arc<Shared>) -> Response + Send + 'static,
+    ticket: Ticket,
+    req: JobBatchRequest,
+    runner: Arc<dyn JobRunner>,
 ) {
-    conn.running += 1;
-    let ticket = Ticket::new(shared, id, 0, false);
-    let shared = Arc::clone(shared);
-    threads.push(std::thread::spawn(move || {
-        ticket.post(Answer::reply(0, work(&shared)));
-    }));
+    let n = req.jobs.len();
+    if n == 0 {
+        let empty = JobResultBatch {
+            batch_id: req.batch_id,
+            outcomes: Vec::new(),
+        };
+        ticket.post(Answer::reply(0, Response::JobResult(empty)));
+        return;
+    }
+    let deadline = deadline(req.deadline_ms);
+    let req = Arc::new(req);
+    let run = Arc::new(BatchRun {
+        req: Arc::clone(&req),
+        outcomes: (0..n).map(|_| OnceLock::new()).collect(),
+        ticket,
+    });
+    // `vec!` clones `run` n - 1 times and moves it into the last
+    // element, so once the loop is done only the callbacks hold it.
+    for (slot, run) in vec![run; n].into_iter().enumerate() {
+        let (worker, req, runner) = (Arc::clone(shared), Arc::clone(&req), Arc::clone(&runner));
+        shared.pool.submit_then(
+            deadline,
+            move |ctx| run_batch_job(&worker, &req, slot, &*runner, ctx),
+            move |value, report| run.settle(slot, batch_outcome(value, report.error)),
+        );
+    }
+}
+
+/// Puts one cache fill on the pool: the merge and the file write run on
+/// a worker, off the reactor.
+fn start_fill(shared: &Arc<Shared>, ticket: Ticket, fill: CacheFillRequest) {
+    let worker = Arc::clone(shared);
+    shared.pool.submit_then(
+        None,
+        move |_| Ok::<_, JobError>(fill_cache(&worker.cache, &fill)),
+        move |accepted, _| {
+            if let Some(accepted) = accepted {
+                ticket.post(Answer::reply(0, Response::CacheFillAck { accepted }));
+            }
+        },
+    );
 }
 
 /// Parks a request in the connection's admission queue, shedding the
 /// newest request with a typed [`ErrorCode::Overloaded`] frame when the
 /// queue is full.
-fn enqueue(conn: &mut Conn, shared: &Arc<Shared>, work: SubmitRequest) {
+fn enqueue(conn: &mut Conn, shared: &Shared, work: Work) {
     let cap = shared.cfg.max_pending_per_conn.max(1);
     if conn.pending.len() >= cap {
         shared.metrics.overloaded();
@@ -969,7 +1051,7 @@ fn enqueue(conn: &mut Conn, shared: &Arc<Shared>, work: SubmitRequest) {
             conn.pending.len()
         );
         conn.reply(
-            work.corr_id,
+            work.corr(),
             Response::Error {
                 code: ErrorCode::Overloaded,
                 detail,

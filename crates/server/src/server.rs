@@ -5,10 +5,11 @@
 //!
 //! * One **reactor thread** ([`Server::serve`]) owns the listener and
 //!   every connection socket, multiplexed over `poll(2)`: it decodes
-//!   frames incrementally, serves `Ping`/`Metrics`/cache traffic
-//!   inline, and admits digitization into bounded per-connection
-//!   queues.
-//! * Simulation runs on the [`JobPool`] — the runtime's long-lived
+//!   frames incrementally, answers `Ping`/`Metrics`/`Shutdown` inline,
+//!   and admits every work request — digitizations, cluster job
+//!   batches and cache fills — into bounded per-connection queues.
+//!   It is the only thread the server starts besides the pool's.
+//! * All work runs on the [`JobPool`] — the runtime's long-lived
 //!   work pool — so server-side conversions use exactly the same
 //!   session code path as an in-process `adc-testbench` run, and
 //!   results are bit-identical for the same config and seed. A job's
@@ -22,8 +23,11 @@
 //!   unwritten answers, and a peer that never reads holds no pool
 //!   worker.
 //! * Requests pipelined under nonzero correlation ids run concurrently
-//!   (up to the admission caps) and complete out of order; each
-//!   admitted request is one pool job.
+//!   (up to the admission caps) and complete out of order. An admitted
+//!   digitization or cache fill is one pool job; a job batch is one
+//!   pool job per job, and the last of them to finish answers the
+//!   batch. Either way the request holds one global and one
+//!   per-connection slot until its answer is posted.
 //!
 //! ## Deadlines
 //!
@@ -50,11 +54,10 @@
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use adc_pipeline::config::AdcConfig;
 use adc_pipeline::error::BuildAdcError;
-use adc_runtime::{JobError, JobPool, ResultCache, RunObserver};
+use adc_runtime::{JobCtx, JobError, JobPool, ResultCache};
 use adc_testbench::{clear_tone_hz, MeasurementSession, RampSource};
 
 use adc_calib::{Alignment, GangedCapture, GangedError, GangedScenario};
@@ -63,8 +66,8 @@ use adc_pipeline::interleave::InterleaveMismatch;
 use crate::jobs::JobRunner;
 use crate::metrics::MetricsRegistry;
 use crate::protocol::{
-    self, error_code_for_build, DigitizeRequest, ErrorCode, GangedCal, GangedRequest,
-    JobBatchRequest, JobOutcome, JobResultBatch, JobStatus, Preset, WaveformSpec,
+    self, error_code_for_build, CacheFillRequest, DigitizeRequest, ErrorCode, GangedCal,
+    GangedRequest, JobBatchRequest, JobStatus, Preset, WaveformSpec,
 };
 use crate::reactor::{self, JobDone, Waker};
 
@@ -81,20 +84,22 @@ pub const GANGED_BACKGROUND_EPOCH_LEN: u32 = 2048;
 /// their own fabrication seeds; this only names the pool's seed stream.
 const POOL_SEED: u64 = 0x5EC7_0A0D;
 
+/// Largest request payload the reactor accepts, bytes.
+pub(crate) const MAX_REQUEST_PAYLOAD: u32 = 1 << 20;
+/// Most samples one digitize or ganged request may ask for.
+const MAX_SAMPLES: u32 = 1 << 20;
+
 /// Tunables for one server instance.
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Digitize worker threads (`0` = all hardware parallelism).
+    /// Pool worker threads (`0` = all hardware parallelism).
     pub threads: usize,
-    /// Maximum accepted request payload, bytes.
-    pub max_payload: u32,
-    /// Maximum samples per digitize request.
-    pub max_samples: u32,
     /// Batch size used when a request passes `batch_size == 0`.
     pub default_batch: u32,
-    /// Global cap on digitizations in flight on the pool at once.
+    /// Global cap on work requests (digitizations, job batches, cache
+    /// fills) in flight on the pool at once.
     pub max_inflight: usize,
-    /// Per-connection cap on digitizations in flight at once. A
+    /// Per-connection cap on work requests in flight at once. A
     /// request holds its slot until the last byte of its answer is
     /// written, so the cap also bounds a connection's unwritten answers
     /// (the backpressure window).
@@ -115,8 +120,6 @@ impl std::fmt::Debug for ServerConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerConfig")
             .field("threads", &self.threads)
-            .field("max_payload", &self.max_payload)
-            .field("max_samples", &self.max_samples)
             .field("default_batch", &self.default_batch)
             .field("max_inflight", &self.max_inflight)
             .field("max_inflight_per_conn", &self.max_inflight_per_conn)
@@ -131,8 +134,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             threads: 0,
-            max_payload: 1 << 20,
-            max_samples: 1 << 20,
             default_batch: 1024,
             max_inflight: 64,
             max_inflight_per_conn: 16,
@@ -229,9 +230,7 @@ impl Server {
     pub fn bind<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let metrics = Arc::new(MetricsRegistry::new());
-        let observers: Vec<Arc<dyn RunObserver>> = vec![Arc::clone(&metrics) as _];
-        let pool = JobPool::with_observers("adc-server", POOL_SEED, cfg.threads, observers);
+        let pool = JobPool::new(POOL_SEED, cfg.threads);
         // Serving must not die on cache I/O: an unusable directory
         // leaves the warm cache memory-only.
         let cache = cfg
@@ -245,7 +244,7 @@ impl Server {
             addr,
             shared: Arc::new(Shared {
                 pool,
-                metrics,
+                metrics: Arc::new(MetricsRegistry::new()),
                 draining: AtomicBool::new(false),
                 cfg,
                 cache,
@@ -415,14 +414,14 @@ pub(crate) fn error_code_for_ganged(err: &GangedError) -> ErrorCode {
 }
 
 /// Request-level validation for ganged requests, mirroring [`validate`].
-pub(crate) fn validate_ganged(req: &GangedRequest, cfg: &ServerConfig) -> Result<(), String> {
+pub(crate) fn validate_ganged(req: &GangedRequest) -> Result<(), String> {
     if req.n_samples == 0 {
         return Err("n_samples must be positive".to_string());
     }
-    if req.n_samples > cfg.max_samples {
+    if req.n_samples > MAX_SAMPLES {
         return Err(format!(
-            "n_samples {} exceeds server limit {}",
-            req.n_samples, cfg.max_samples
+            "n_samples {} exceeds server limit {MAX_SAMPLES}",
+            req.n_samples
         ));
     }
     if !req.n_samples.is_power_of_two() {
@@ -441,14 +440,14 @@ pub(crate) fn validate_ganged(req: &GangedRequest, cfg: &ServerConfig) -> Result
 }
 
 /// Request-level validation, before any simulation work is queued.
-pub(crate) fn validate(req: &DigitizeRequest, cfg: &ServerConfig) -> Result<(), String> {
+pub(crate) fn validate(req: &DigitizeRequest) -> Result<(), String> {
     if req.n_samples == 0 {
         return Err("n_samples must be positive".to_string());
     }
-    if req.n_samples > cfg.max_samples {
+    if req.n_samples > MAX_SAMPLES {
         return Err(format!(
-            "n_samples {} exceeds server limit {}",
-            req.n_samples, cfg.max_samples
+            "n_samples {} exceeds server limit {MAX_SAMPLES}",
+            req.n_samples
         ));
     }
     if matches!(req.waveform, WaveformSpec::Tone { .. }) && !req.n_samples.is_power_of_two() {
@@ -510,127 +509,105 @@ pub(crate) fn value_stream_crc(values: &[f64]) -> u32 {
     protocol::crc32(&bytes)
 }
 
-/// Executes one job batch: warm-cache check first, then misses onto the
-/// pool, one outcome per job in submission order.
-///
-/// Every job concludes with a typed [`JobStatus`]: `Cached` hits skip
-/// the pool entirely; `Computed` results fill the warm cache before the
-/// response leaves; pool-level losses (draining, deadline, a lost job)
-/// come back `Rejected` so the client resubmits them — possibly
-/// elsewhere — while runner errors and runner panics come back `Failed`
-/// (deterministic: a [`JobRunner`] is pure, so a resubmission would
-/// fail identically).
-pub(crate) fn run_job_batch(
+/// Runs job `slot` of a job batch on a pool worker: answered `Cached`
+/// from the warm cache when the host holds its key, else computed by
+/// `runner` under the job's cooperative deadline and put into the
+/// cache as `Computed`.
+pub(crate) fn run_batch_job(
+    shared: &Shared,
     req: &JobBatchRequest,
-    runner: &Arc<dyn JobRunner>,
-    shared: &Arc<Shared>,
-) -> JobResultBatch {
-    let deadline = (req.deadline_ms > 0).then(|| Duration::from_millis(u64::from(req.deadline_ms)));
-    let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(req.jobs.len());
-    let mut pending = Vec::new();
-    for job in &req.jobs {
-        if let Some(line) = shared.cache.get_line(&req.campaign, job.key) {
-            shared.metrics.cluster_cache_hit();
-            outcomes.push(JobOutcome {
-                id: job.id,
-                key: job.key,
-                status: JobStatus::Cached,
-                value: line,
-            });
-            continue;
+    slot: usize,
+    runner: &dyn JobRunner,
+    ctx: &JobCtx,
+) -> Result<(JobStatus, String), JobError> {
+    let job = &req.jobs[slot];
+    if let Some(line) = shared.cache.get_line(&req.campaign, job.key) {
+        shared.metrics.cluster_cache_hit();
+        return Ok((JobStatus::Cached, line));
+    }
+    // Scope span ids to the campaign-derived job seed, not the pool's
+    // stream: whichever host runs this job emits the same span
+    // identity, so traces stitch across the fleet.
+    let _trace_task = adc_trace::task(job.seed);
+    let _trace_span = adc_trace::span_with("cluster-job", job.id);
+    if ctx.timed_out() {
+        return Err(JobError::TimedOut);
+    }
+    let line = runner
+        .run(&req.kind, &job.config, job.seed)
+        .map_err(|e| JobError::Failed(e.to_string()))?;
+    shared.cache.put_line(&req.campaign, job.key, &line);
+    Ok((JobStatus::Computed, line))
+}
+
+/// A batch job's typed outcome from its pool result. Runner errors
+/// (`JobRunError` display strings) and runner panics are deterministic
+/// — a [`JobRunner`] is pure, so a resubmission would fail identically
+/// — and come back `Failed`; what the *pool* does to a job (drain,
+/// deadline) is scheduling, not computation, and comes back `Rejected`
+/// so the client resubmits it, possibly elsewhere.
+pub(crate) fn batch_outcome(
+    value: Option<(JobStatus, String)>,
+    error: Option<JobError>,
+) -> (JobStatus, String) {
+    match (value, error) {
+        (Some(outcome), _) => outcome,
+        (None, Some(JobError::Failed(detail))) => (JobStatus::Failed, detail),
+        (None, Some(JobError::Panicked(msg))) => {
+            (JobStatus::Failed, format!("worker panicked: {msg}"))
         }
-        let runner = Arc::clone(runner);
-        let kind = req.kind.clone();
-        let config = job.config.clone();
-        let (id, key, seed) = (job.id, job.key, job.seed);
-        let handle = shared.pool.submit(deadline, move |ctx| {
-            // Scope span ids to the campaign-derived job seed, not the
-            // pool's stream: whichever host runs this job emits the
-            // same span identity, so traces stitch across the fleet.
-            let _trace_task = adc_trace::task(seed);
-            let _trace_span = adc_trace::span_with("cluster-job", id);
-            if ctx.timed_out() {
-                return Err(JobError::TimedOut);
-            }
-            runner
-                .run(&kind, &config, seed)
-                .map_err(|e| JobError::Failed(e.to_string()))
-        });
-        // Record the slot; the outcome is patched in below.
-        outcomes.push(JobOutcome {
-            id,
-            key,
-            status: JobStatus::Rejected,
-            value: String::new(),
-        });
-        pending.push((outcomes.len() - 1, handle));
+        (None, Some(err @ JobError::Draining)) => (JobStatus::Rejected, err.to_string()),
+        (None, Some(JobError::TimedOut)) => (JobStatus::Rejected, "deadline expired".to_string()),
+        (None, None) => (JobStatus::Rejected, "job lost".to_string()),
     }
-    for (slot, handle) in pending {
-        let (value, report) = handle.wait();
-        let (status, value) = match value {
-            Some(line) => {
-                shared
-                    .cache
-                    .put_line(&req.campaign, outcomes[slot].key, &line);
-                (JobStatus::Computed, line)
-            }
-            None => match report.error {
-                // Runner errors (`JobRunError::Display` strings) and
-                // runner panics are deterministic → Failed; what the
-                // *pool* can do to a job (drain, deadline, losing it)
-                // is scheduling, not computation → Rejected.
-                Some(JobError::Failed(detail)) => (JobStatus::Failed, detail),
-                Some(JobError::Panicked(msg)) => {
-                    (JobStatus::Failed, format!("worker panicked: {msg}"))
-                }
-                Some(err @ JobError::Draining) => (JobStatus::Rejected, err.to_string()),
-                Some(JobError::TimedOut) => (JobStatus::Rejected, "deadline expired".to_string()),
-                None => (JobStatus::Rejected, "job lost".to_string()),
-            },
-        };
-        outcomes[slot].status = status;
-        outcomes[slot].value = value;
-    }
-    // Mirror computed results to the campaign file so a restarted host
-    // comes back warm. Cache I/O failures must not fail the batch.
-    let _ = shared.cache.persist(&req.campaign);
-    JobResultBatch {
-        batch_id: req.batch_id,
-        outcomes,
-    }
+}
+
+/// Merges a peer's entries into the warm cache, then mirrors the
+/// campaign to its file; returns how many entries were new. Cache I/O
+/// failures must not fail the fill.
+pub(crate) fn fill_cache(cache: &ResultCache, fill: &CacheFillRequest) -> u32 {
+    let accepted = fill
+        .entries
+        .iter()
+        .filter(|(key, line)| cache.put_line(&fill.campaign, *key, line))
+        .count();
+    let _ = cache.persist(&fill.campaign);
+    u32::try_from(accepted).unwrap_or(u32::MAX)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    use crate::client::Client;
     use crate::jobs::JobRunError;
-    use crate::protocol::{ConfigOverrides, JobSpec};
+    use crate::protocol::{
+        decode_response_frame, encode_request, ConfigOverrides, FrameAssembler, JobOutcome,
+        JobSpec, Request, Response,
+    };
 
     #[test]
     fn validation_rejects_out_of_bounds_requests() {
-        let cfg = ServerConfig::default();
         let mut req = DigitizeRequest::tone(7, 10e6, 0);
-        assert!(validate(&req, &cfg).is_err(), "zero samples");
-        req.n_samples = cfg.max_samples + 1;
-        assert!(validate(&req, &cfg).is_err(), "too many samples");
+        assert!(validate(&req).is_err(), "zero samples");
+        req.n_samples = MAX_SAMPLES + 1;
+        assert!(validate(&req).is_err(), "too many samples");
         req.n_samples = 1000;
-        assert!(validate(&req, &cfg).is_err(), "tone needs power of two");
+        assert!(validate(&req).is_err(), "tone needs power of two");
         req.n_samples = 1024;
-        assert!(validate(&req, &cfg).is_ok());
+        assert!(validate(&req).is_ok());
         req.overrides = ConfigOverrides {
             f_cr_hz: Some(f64::NAN),
             ..ConfigOverrides::default()
         };
-        assert!(validate(&req, &cfg).is_err(), "NaN override");
+        assert!(validate(&req).is_err(), "NaN override");
         let dc = DigitizeRequest {
             waveform: WaveformSpec::Dc { level_v: 0.25 },
             n_samples: 1000,
             ..DigitizeRequest::tone(7, 10e6, 1000)
         };
-        assert!(
-            validate(&dc, &cfg).is_ok(),
-            "dc records need no power of two"
-        );
+        assert!(validate(&dc).is_ok(), "dc records need no power of two");
     }
 
     proptest::proptest! {
@@ -656,7 +633,7 @@ mod tests {
                 },
                 ..DigitizeRequest::tone(7, f_mhz * 1e6, n)
             };
-            let verdict = validate(&req, &ServerConfig::default());
+            let verdict = validate(&req);
             if n < 64 {
                 proptest::prop_assert!(verdict.is_err(), "n = {} admitted", n);
             } else {
@@ -713,8 +690,48 @@ mod tests {
         }
     }
 
-    /// Runs a two-job batch of `campaign` on a host over `cache_dir` and
-    /// returns each job's status and value.
+    /// A batch of `jobs` jobs of `campaign`, job `i` carrying config
+    /// `value-i`.
+    fn batch(campaign: &str, jobs: u64) -> JobBatchRequest {
+        JobBatchRequest {
+            batch_id: 1,
+            campaign: campaign.to_string(),
+            kind: "echo".to_string(),
+            deadline_ms: 0,
+            jobs: (0..jobs)
+                .map(|id| JobSpec {
+                    id,
+                    key: 100 + id,
+                    seed: id,
+                    config: format!("value-{id}"),
+                })
+                .collect(),
+        }
+    }
+
+    /// Serves `cfg` with `runner` installed, hands a client to `drive`,
+    /// then drains the server and returns what `drive` returned with
+    /// the final metrics.
+    fn with_host<R>(
+        cfg: ServerConfig,
+        runner: Arc<dyn JobRunner>,
+        drive: impl FnOnce(&mut Client) -> R,
+    ) -> (R, crate::protocol::MetricsSnapshot) {
+        let cfg = ServerConfig {
+            job_runner: Some(runner),
+            ..cfg
+        };
+        let (handle, join) = Server::spawn("127.0.0.1:0", cfg).unwrap();
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let out = drive(&mut client);
+        let snapshot = handle.metrics().snapshot();
+        handle.shutdown();
+        join.join().unwrap().unwrap();
+        (out, snapshot)
+    }
+
+    /// Runs a two-job batch of `campaign` twice on a host over
+    /// `cache_dir` and returns each job's first status and value.
     fn batch_on(
         cache_dir: Option<std::path::PathBuf>,
         runner: &Arc<EchoRunner>,
@@ -725,24 +742,13 @@ mod tests {
             cache_dir,
             ..ServerConfig::default()
         };
-        let server = Server::bind("127.0.0.1:0", cfg).unwrap();
-        let req = JobBatchRequest {
-            batch_id: 1,
-            campaign: campaign.to_string(),
-            kind: "echo".to_string(),
-            deadline_ms: 0,
-            jobs: (0..2)
-                .map(|id| JobSpec {
-                    id,
-                    key: 100 + id,
-                    seed: id,
-                    config: format!("value-{id}"),
-                })
-                .collect(),
-        };
-        let runner: Arc<dyn JobRunner> = Arc::clone(runner) as _;
-        let first = run_job_batch(&req, &runner, &server.shared);
-        let second = run_job_batch(&req, &runner, &server.shared);
+        let req = batch(campaign, 2);
+        let ((first, second), _) = with_host(cfg, Arc::clone(runner) as _, |client| {
+            (
+                client.job_batch(&req).unwrap(),
+                client.job_batch(&req).unwrap(),
+            )
+        });
         assert_eq!(first.outcomes.len(), 2);
         for (a, b) in first.outcomes.iter().zip(&second.outcomes) {
             assert_eq!(b.status, JobStatus::Cached, "a second batch hits in memory");
@@ -800,23 +806,114 @@ mod tests {
             threads: 1,
             ..ServerConfig::default()
         };
-        let server = Server::bind("127.0.0.1:0", cfg).unwrap();
-        let req = JobBatchRequest {
-            batch_id: 1,
-            campaign: "panics".to_string(),
-            kind: "panic".to_string(),
-            deadline_ms: 0,
-            jobs: vec![JobSpec {
-                id: 0,
-                key: 7,
-                seed: 0,
-                config: "cfg".to_string(),
-            }],
-        };
-        let runner: Arc<dyn JobRunner> = Arc::new(PanicRunner);
-        let outcome = &run_job_batch(&req, &runner, &server.shared).outcomes[0];
+        let req = batch("panics", 1);
+        let (result, _) = with_host(cfg, Arc::new(PanicRunner), |client| {
+            client.job_batch(&req).unwrap()
+        });
+        let outcome = &result.outcomes[0];
         assert_eq!(outcome.status, JobStatus::Failed, "{outcome:?}");
-        assert!(outcome.value.contains("runner bug on cfg"), "{outcome:?}");
+        assert!(
+            outcome.value.contains("runner bug on value-0"),
+            "{outcome:?}"
+        );
+    }
+
+    #[test]
+    fn job_batches_and_fills_stay_out_of_the_digitize_metrics() {
+        let cfg = ServerConfig {
+            threads: 2,
+            ..ServerConfig::default()
+        };
+        let runner = Arc::new(EchoRunner::default());
+        let ((result, accepted), snap) = with_host(cfg, runner, |client| {
+            let result = client.job_batch(&batch("metrics", 4)).unwrap();
+            let accepted = client
+                .cache_fill("metrics", &[(900, "peer".to_string())])
+                .unwrap();
+            (result, accepted)
+        });
+        let statuses: Vec<JobStatus> = result.outcomes.iter().map(|o| o.status).collect();
+        assert_eq!(statuses, vec![JobStatus::Computed; 4]);
+        assert_eq!(accepted, 1);
+        // Every cluster job ran on the pool, and none of them counts as
+        // a digitization: no completion, latency, samples or gauge.
+        assert_eq!(snap.job_batches, 1);
+        assert_eq!(snap.completed, 0);
+        assert_eq!(snap.p50_us, 0);
+        assert_eq!(snap.samples_streamed, 0);
+        assert_eq!(snap.in_flight, 0);
+    }
+
+    /// Answers every job with its config after a short sleep, so a batch
+    /// stays in flight while later frames arrive.
+    struct SlowRunner;
+
+    impl JobRunner for SlowRunner {
+        fn run(&self, _kind: &str, config: &str, _seed: u64) -> Result<String, JobRunError> {
+            std::thread::sleep(Duration::from_millis(20));
+            Ok(config.to_string())
+        }
+    }
+
+    #[test]
+    fn pipelined_job_batches_beyond_the_admission_queue_are_shed() {
+        // One worker, one slot, one parked request: four batch frames in
+        // one write must shed at least one with a typed Overloaded
+        // frame, and every frame is either answered or shed.
+        const OFFERED: usize = 4;
+        let cfg = ServerConfig {
+            threads: 1,
+            max_inflight: 1,
+            max_inflight_per_conn: 1,
+            max_pending_per_conn: 1,
+            job_runner: Some(Arc::new(SlowRunner)),
+            ..ServerConfig::default()
+        };
+        let (handle, join) = Server::spawn("127.0.0.1:0", cfg).unwrap();
+        let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let frames: Vec<u8> = (0..OFFERED)
+            .flat_map(|_| encode_request(&Request::JobBatch(batch("shed", 2))))
+            .collect();
+        std::io::Write::write_all(&mut raw, &frames).unwrap();
+
+        let mut assembler = FrameAssembler::new();
+        let mut buf = [0u8; 4096];
+        let mut responses = Vec::new();
+        while responses.len() < OFFERED {
+            let n = std::io::Read::read(&mut raw, &mut buf).expect("every frame is answered");
+            assert!(n > 0, "server closed after {} responses", responses.len());
+            assembler.extend(&buf[..n]);
+            while let Some((kind, payload)) = assembler.next_frame(protocol::MAX_PAYLOAD).unwrap() {
+                responses.push(decode_response_frame(kind, &payload).unwrap());
+            }
+        }
+        let mut answered = 0;
+        let mut shed = 0;
+        for response in &responses {
+            match response {
+                Response::JobResult(result) => {
+                    assert!(result
+                        .outcomes
+                        .iter()
+                        .all(|o: &JobOutcome| o.status != JobStatus::Rejected));
+                    answered += 1;
+                }
+                Response::Error {
+                    code: ErrorCode::Overloaded,
+                    ..
+                } => shed += 1,
+                other => panic!("unexpected response {other:?}"),
+            }
+        }
+        assert_eq!(answered + shed, OFFERED, "offered = answered + shed");
+        assert!(shed >= 1, "a 4-frame burst into a 1-slot queue must shed");
+        assert!(answered >= 1, "the admitted head of the burst is answered");
+        let snap = handle.metrics().snapshot();
+        assert_eq!(snap.overloaded, shed as u64);
+        assert_eq!(snap.job_batches, OFFERED as u64);
+        handle.shutdown();
+        join.join().unwrap().unwrap();
     }
 
     #[test]

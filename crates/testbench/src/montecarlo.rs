@@ -9,7 +9,7 @@ use adc_pipeline::config::AdcConfig;
 use adc_pipeline::error::BuildAdcError;
 use adc_runtime::{canonical_key, derive_seed, CacheCodec};
 
-use crate::policy::{campaign_id, ErrorFunnel, RunPolicy};
+use crate::policy::{campaign_id, RunPolicy};
 use crate::session::MeasurementSession;
 
 /// One die's Monte-Carlo measurement.
@@ -186,6 +186,20 @@ impl MonteCarloPlan {
     }
 }
 
+/// The Monte-Carlo campaign kind. With [`monte_carlo_fingerprint`] it
+/// names the campaign for [`monte_carlo_plan`] and
+/// [`run_monte_carlo_with`] alike, so both land in one cache namespace.
+const MONTE_CARLO_KIND: &str = "monte_carlo";
+
+/// Everything besides the die seed that shapes a die's result.
+fn monte_carlo_fingerprint(
+    config: &AdcConfig,
+    record_len: usize,
+    f_in_target_hz: f64,
+) -> (&AdcConfig, usize, u64) {
+    (config, record_len, f_in_target_hz.to_bits())
+}
+
 /// Lays out the Monte-Carlo campaign over `config`: die seeds
 /// `1..=die_count`, each measured at `f_in_target_hz` with
 /// `record_len`-point records.
@@ -202,8 +216,8 @@ pub fn monte_carlo_plan(
     assert!(die_count > 0, "need at least one die");
     MonteCarloPlan {
         campaign: campaign_id(
-            "monte_carlo",
-            &(config, record_len, f_in_target_hz.to_bits()),
+            MONTE_CARLO_KIND,
+            &monte_carlo_fingerprint(config, record_len, f_in_target_hz),
         ),
         seed: crate::session::GOLDEN_SEED,
         die_seeds: (1..=die_count as u64).collect(),
@@ -282,12 +296,16 @@ pub fn run_monte_carlo_with(
     policy: &RunPolicy,
 ) -> Result<MonteCarloResult, BuildAdcError> {
     let plan = monte_carlo_plan(config, die_count, f_in_target_hz, record_len);
-    let funnel = ErrorFunnel::new();
-    let run = policy.run_campaign(&plan.campaign, plan.seed, plan.die_seeds, |ctx, &seed| {
-        ctx.record_samples(record_len as u64);
-        measure_die(config, seed, f_in_target_hz, record_len).map_err(|e| funnel.capture(ctx.id, e))
-    });
-    let dies = funnel.resolve(run)?;
+    let dies = policy.measure_campaign(
+        MONTE_CARLO_KIND,
+        &monte_carlo_fingerprint(config, record_len, f_in_target_hz),
+        plan.seed,
+        plan.die_seeds,
+        |ctx, &seed| {
+            ctx.record_samples(record_len as u64);
+            measure_die(config, seed, f_in_target_hz, record_len)
+        },
+    )?;
     Ok(summarize_dies(dies))
 }
 
@@ -381,6 +399,26 @@ mod tests {
                 die.seed
             );
         }
+    }
+
+    #[test]
+    fn the_plan_names_the_campaign_the_run_uses() {
+        use std::sync::Arc;
+        let config = AdcConfig::nominal_110ms();
+        let observer = Arc::new(adc_runtime::CollectingObserver::default());
+        let policy = RunPolicy::serial().observe(Arc::clone(&observer) as _);
+        run_monte_carlo_with(&config, 2, 10e6, 512, &policy).expect("runs");
+        let plan = monte_carlo_plan(&config, 2, 10e6, 512);
+        let summaries = observer.summaries.lock().unwrap();
+        assert_eq!(summaries.len(), 1);
+        assert_eq!(
+            summaries[0].name, plan.campaign,
+            "run and plan share a name"
+        );
+        // The name is the one cache files and `--peers` runs have
+        // always used: kind plus a hash of (config, record, tone bits).
+        let spelled = campaign_id("monte_carlo", &(&config, 512usize, 10e6f64.to_bits()));
+        assert_eq!(plan.campaign, spelled);
     }
 
     #[test]

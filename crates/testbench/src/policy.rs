@@ -69,7 +69,7 @@ impl RunPolicy {
     }
 
     /// Builds a campaign over `inputs` configured per this policy.
-    pub(crate) fn campaign<I>(&self, name: &str, seed: u64, inputs: Vec<I>) -> Campaign<I> {
+    fn campaign<I>(&self, name: &str, seed: u64, inputs: Vec<I>) -> Campaign<I> {
         let mut campaign = Campaign::new(name, seed).jobs(inputs).threads(self.threads);
         for obs in &self.observers {
             campaign = campaign.observe(Arc::clone(obs));
@@ -128,7 +128,7 @@ impl RunPolicy {
     }
 
     /// Runs a campaign, through the cache when one is attached.
-    pub(crate) fn run_campaign<I, T, F>(
+    fn run_campaign<I, T, F>(
         &self,
         name: &str,
         seed: u64,
@@ -163,12 +163,12 @@ pub(crate) fn campaign_id<F: std::fmt::Debug>(kind: &str, fingerprint: &F) -> St
 /// [`ErrorFunnel::capture`], and [`ErrorFunnel::resolve`] returns the
 /// typed error of the *lowest-id* failed job — exactly the error the old
 /// serial loop would have returned first.
-pub(crate) struct ErrorFunnel {
+struct ErrorFunnel {
     errors: Mutex<Vec<(u64, BuildAdcError)>>,
 }
 
 impl ErrorFunnel {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             errors: Mutex::new(Vec::new()),
         }
@@ -176,7 +176,7 @@ impl ErrorFunnel {
 
     /// Records a typed error for job `id` and returns its [`JobError`]
     /// rendering for the runtime.
-    pub(crate) fn capture(&self, id: JobId, err: BuildAdcError) -> JobError {
+    fn capture(&self, id: JobId, err: BuildAdcError) -> JobError {
         let rendered = JobError::Failed(err.to_string());
         self.errors.lock().expect("funnel lock").push((id.0, err));
         rendered
@@ -187,7 +187,7 @@ impl ErrorFunnel {
     /// Panics (re-raising the message) if the failure was a worker panic
     /// rather than a captured build error — mirroring the serial
     /// harnesses, where a panic propagated to the caller.
-    pub(crate) fn resolve<T>(self, run: CampaignRun<T>) -> Result<Vec<T>, BuildAdcError> {
+    fn resolve<T>(self, run: CampaignRun<T>) -> Result<Vec<T>, BuildAdcError> {
         match run.into_result() {
             Ok(values) => Ok(values),
             Err((id, job_err)) => {
