@@ -1,7 +1,6 @@
 //! The ganged-capture scenario: one descriptor, one code path, shared by
-//! in-process tests, campaign sweeps, and the server's ganged-digitize
-//! mode — which is what makes served records bit-identical to local runs
-//! at the same seed.
+//! the forensics tests, campaign sweeps and benchmarks — so two runs of
+//! an equal scenario capture bit-identical records wherever they run.
 
 use adc_pipeline::interleave::{InterleaveMismatch, InterleavedAdc};
 use adc_pipeline::{AdcConfig, BuildAdcError};

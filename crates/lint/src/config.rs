@@ -23,7 +23,7 @@ pub const DETERMINISM_ROOTS: &[&str] = &[
     "crates/analog/src",
     // Background calibration feeds corrections back into conversion:
     // any nondeterminism here (wall-clock adaptation, hash-order state)
-    // would silently fork served ganged records from in-process runs.
+    // would make two ganged captures of one scenario differ.
     "crates/calib/src",
     // The tracing subsystem instruments the crates above, so it binds
     // the same rules: its one wall-clock site (the collector epoch) is
@@ -125,10 +125,6 @@ pub const PANIC_ROOTS: &[PanicRoot] = &[
     PanicRoot {
         path: "crates/server/src/server.rs",
         symbol: Some("validate"),
-    },
-    PanicRoot {
-        path: "crates/server/src/server.rs",
-        symbol: Some("validate_ganged"),
     },
 ];
 

@@ -1524,6 +1524,13 @@ fn call_result_ty(
         q -= 2;
     }
     if !quals.is_empty() {
+        // `Arc::clone(&e)` / `Rc::clone(&e)` keeps `e`'s type, as
+        // `e.clone()` does through [`IDENTITY_METHODS`].
+        if name == "clone" && quals.last().is_some_and(|q| q == "Arc" || q == "Rc") {
+            if let RecvClass::Typed(t) = receiver_class(ctx, fd, toks, close.checked_sub(1)) {
+                return t;
+            }
+        }
         let cands = resolve_qualified(ctx, &quals, name);
         return match cands.as_slice() {
             [] => EXT_TY.to_string(),
@@ -2027,6 +2034,45 @@ mod tests {
              Self::Exec { job } => job.run(),\n            Self::Halt => {}\n        }\n    }\n}\n",
         )]);
         assert_eq!(edges_of(&b, "Cmd::go"), vec!["server::f::Job::run"]);
+        assert_eq!(b.graph.stats.ambiguous, 0, "{:?}", b.graph.stats.unresolved);
+    }
+
+    #[test]
+    fn arc_and_rc_clone_paths_keep_the_argument_type() {
+        // Decoy impl makes `ping` ambiguous unless the clones are typed
+        // from their arguments: a field chain and a parameter.
+        let b = build_from(&[(
+            "crates/server/src/g.rs",
+            "pub struct Metrics;
+impl Metrics {
+    pub fn ping(&self) {}
+}
+             pub struct Decoy;
+impl Decoy {
+    pub fn ping(&self) {}
+}
+             pub struct Shared { metrics: Metrics }
+             pub struct Reactor { shared: Arc<Shared> }
+             impl Reactor {
+    pub fn handle(&self) {
+                     let shared = Arc::clone(&self.shared);
+        shared.metrics.ping();
+    }
+}
+             pub fn local(s: &Rc<Shared>) {
+                 let s = Rc::clone(s);
+    s.metrics.ping();
+}
+",
+        )]);
+        assert_eq!(
+            edges_of(&b, "Reactor::handle"),
+            vec!["server::g::Metrics::ping"]
+        );
+        assert_eq!(
+            edges_of(&b, "server::g::local"),
+            vec!["server::g::Metrics::ping"]
+        );
         assert_eq!(b.graph.stats.ambiguous, 0, "{:?}", b.graph.stats.unresolved);
     }
 

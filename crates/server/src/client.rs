@@ -21,10 +21,10 @@ use std::time::Duration;
 
 use crate::protocol::{
     self, encode_request, CacheFillRequest, DigitizeDone, DigitizeRequest, ErrorCode,
-    FrameAssembler, GangedDone, GangedRequest, JobBatchRequest, JobResultBatch, MetricsSnapshot,
-    Request, Response, SubmitBody, SubmitRequest, WireError,
+    FrameAssembler, JobBatchRequest, JobResultBatch, MetricsSnapshot, Request, Response,
+    SubmitBody, SubmitRequest, WireError,
 };
-use crate::server::{stream_crc, value_stream_crc};
+use crate::server::stream_crc;
 
 /// Everything a client call can fail with.
 #[derive(Debug)]
@@ -76,17 +76,6 @@ pub struct DigitizeResult {
     /// The server's end-of-stream summary (exact stimulus frequency,
     /// batch count, stream CRC).
     pub done: DigitizeDone,
-}
-
-/// A completed ganged digitization: the reassembled interleaved record
-/// (reconstructed volts, bit-exact) plus the server's summary.
-#[derive(Debug, Clone)]
-pub struct GangedResult {
-    /// The interleaved record values, in order.
-    pub values: Vec<f64>,
-    /// The server's end-of-stream summary (stimulus frequency,
-    /// calibration epochs, convergence, stream CRC).
-    pub done: GangedDone,
 }
 
 /// One blocking connection to an `adc-server`: a [`PipelinedClient`]
@@ -164,28 +153,6 @@ impl Client {
             _ => Err(ClientError::UnexpectedResponse(
                 "expected a digitize record",
             )),
-        }
-    }
-
-    /// Runs one ganged digitization through a server-side interleaved
-    /// array, blocking until the full record has streamed back. Verifies
-    /// batch ordering, the value count, and the server's stream CRC
-    /// before returning; values are bit-identical to an in-process
-    /// `adc_calib::GangedScenario` capture of the same request.
-    ///
-    /// # Errors
-    ///
-    /// Transport, wire, or server errors, and
-    /// [`ClientError::StreamCorrupt`] if reassembly fails a consistency
-    /// check.
-    pub fn digitize_ganged(
-        &mut self,
-        request: &GangedRequest,
-    ) -> Result<GangedResult, ClientError> {
-        let corr = self.inner.submit_ganged(request)?;
-        match self.completion(corr)? {
-            PipelinedOutcome::Ganged(result) => Ok(result),
-            _ => Err(ClientError::UnexpectedResponse("expected a ganged record")),
         }
     }
 
@@ -276,8 +243,6 @@ impl Client {
 pub enum PipelinedOutcome {
     /// The digitization completed and passed reassembly checks.
     Digitize(DigitizeResult),
-    /// The ganged digitization completed and passed reassembly checks.
-    Ganged(GangedResult),
     /// The server answered this request with a typed error frame
     /// (validation, overload shed, deadline, ...). Per-request — the
     /// connection and the other in-flight requests are unaffected.
@@ -289,57 +254,48 @@ pub enum PipelinedOutcome {
     },
 }
 
-/// One streamed record being reassembled: the items so far and the
+/// One streamed record being reassembled: the codes so far and the
 /// batch sequence number expected next.
 #[derive(Debug, Default)]
-struct Reassembly<T> {
-    items: Vec<T>,
+struct Reassembly {
+    codes: Vec<u16>,
     next_seq: u32,
 }
 
-impl<T: Copy> Reassembly<T> {
-    fn batch(&mut self, seq: u32, chunk: &[T]) -> Result<(), String> {
+impl Reassembly {
+    fn batch(&mut self, seq: u32, chunk: &[u16]) -> Result<(), String> {
         if seq != self.next_seq {
             return Err(format!("batch {seq} arrived, expected {}", self.next_seq));
         }
         self.next_seq += 1;
-        self.items.extend_from_slice(chunk);
+        self.codes.extend_from_slice(chunk);
         Ok(())
     }
 
     /// Checks the server's end-of-stream summary against what arrived.
-    fn finish(
-        self,
-        total: u32,
-        batches: u32,
-        crc: u32,
-        stream_crc: fn(&[T]) -> u32,
-    ) -> Result<Vec<T>, String> {
-        if total as usize != self.items.len() {
+    fn finish(self, done: &DigitizeDone) -> Result<Vec<u16>, String> {
+        if done.total_samples as usize != self.codes.len() {
             return Err(format!(
-                "done claims {total} items, reassembled {}",
-                self.items.len()
+                "done claims {} samples, reassembled {}",
+                done.total_samples,
+                self.codes.len()
             ));
         }
-        if batches != self.next_seq {
+        if done.batches != self.next_seq {
             return Err(format!(
-                "done claims {batches} batches, received {}",
-                self.next_seq
+                "done claims {} batches, received {}",
+                done.batches, self.next_seq
             ));
         }
-        let computed = stream_crc(&self.items);
-        if computed != crc {
-            return Err(format!("stream CRC {computed:08x} != server's {crc:08x}"));
+        let computed = stream_crc(&self.codes);
+        if computed != done.stream_crc32 {
+            return Err(format!(
+                "stream CRC {computed:08x} != server's {:08x}",
+                done.stream_crc32
+            ));
         }
-        Ok(self.items)
+        Ok(self.codes)
     }
-}
-
-/// In-progress reassembly of one pipelined request.
-#[derive(Debug)]
-enum Accum {
-    Digitize(Reassembly<u16>),
-    Ganged(Reassembly<f64>),
 }
 
 /// A pipelined connection: many requests in flight at once, completed
@@ -374,7 +330,7 @@ pub struct PipelinedClient {
     stream: TcpStream,
     assembler: FrameAssembler,
     next_corr: u64,
-    pending: BTreeMap<u64, Accum>,
+    pending: BTreeMap<u64, Reassembly>,
     ready: VecDeque<(u64, PipelinedOutcome)>,
     /// Untagged frames not yet consumed: control replies, or a
     /// connection-level error.
@@ -440,17 +396,6 @@ impl PipelinedClient {
         Ok(())
     }
 
-    fn submit_body(&mut self, body: SubmitBody, accum: Accum) -> Result<u64, ClientError> {
-        let corr = self.next_corr;
-        self.next_corr += 1;
-        self.send(&Request::Submit(SubmitRequest {
-            corr_id: corr,
-            body,
-        }))?;
-        self.pending.insert(corr, accum);
-        Ok(corr)
-    }
-
     /// Submits a digitization without waiting, returning its
     /// correlation id.
     ///
@@ -458,23 +403,14 @@ impl PipelinedClient {
     ///
     /// Transport failures writing the request frame.
     pub fn submit(&mut self, request: &DigitizeRequest) -> Result<u64, ClientError> {
-        self.submit_body(
-            SubmitBody::Digitize(request.clone()),
-            Accum::Digitize(Reassembly::default()),
-        )
-    }
-
-    /// Submits a ganged digitization without waiting, returning its
-    /// correlation id.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures writing the request frame.
-    pub fn submit_ganged(&mut self, request: &GangedRequest) -> Result<u64, ClientError> {
-        self.submit_body(
-            SubmitBody::Ganged(request.clone()),
-            Accum::Ganged(Reassembly::default()),
-        )
+        let corr = self.next_corr;
+        self.next_corr += 1;
+        self.send(&Request::Submit(SubmitRequest {
+            corr_id: corr,
+            body: SubmitBody::Digitize(request.clone()),
+        }))?;
+        self.pending.insert(corr, Reassembly::default());
+        Ok(corr)
     }
 
     /// Sends one control request and blocks for its untagged reply; a
@@ -587,43 +523,16 @@ impl PipelinedClient {
         let outcome = match inner {
             Response::Batch { seq, samples } => {
                 return match self.pending.get_mut(&corr) {
-                    Some(Accum::Digitize(r)) => r.batch(seq, &samples).map_err(corrupt),
-                    _ => Err(unknown("code batch")),
-                }
-            }
-            Response::GangedBatch { seq, values } => {
-                return match self.pending.get_mut(&corr) {
-                    Some(Accum::Ganged(r)) => r.batch(seq, &values).map_err(corrupt),
-                    _ => Err(unknown("ganged batch")),
+                    Some(r) => r.batch(seq, &samples).map_err(corrupt),
+                    None => Err(unknown("code batch")),
                 }
             }
             Response::Done(done) => match self.pending.remove(&corr) {
-                Some(Accum::Digitize(r)) => {
-                    let samples = r
-                        .finish(
-                            done.total_samples,
-                            done.batches,
-                            done.stream_crc32,
-                            stream_crc,
-                        )
-                        .map_err(corrupt)?;
+                Some(r) => {
+                    let samples = r.finish(&done).map_err(corrupt)?;
                     PipelinedOutcome::Digitize(DigitizeResult { samples, done })
                 }
-                _ => return Err(unknown("done")),
-            },
-            Response::GangedDone(done) => match self.pending.remove(&corr) {
-                Some(Accum::Ganged(r)) => {
-                    let values = r
-                        .finish(
-                            done.total_samples,
-                            done.batches,
-                            done.stream_crc32,
-                            value_stream_crc,
-                        )
-                        .map_err(corrupt)?;
-                    PipelinedOutcome::Ganged(GangedResult { values, done })
-                }
-                _ => return Err(unknown("ganged done")),
+                None => return Err(unknown("done")),
             },
             // Typed per-request failure (validation, overload shed,
             // deadline): the request is over, the connection fine.

@@ -43,13 +43,10 @@
 //!   completions in server finish order, and a blocking [`Client`]
 //!   for one-at-a-time calls that is a thin wrapper over it.
 //!
-//! Besides single-die digitization, the server speaks a **ganged**
-//! mode ([`GangedRequest`]): it fabricates an M-way time-interleaved
-//! array (optionally with the typical skew/bandwidth mismatch draw),
-//! aligns it raw / foreground / background-calibrated, and streams the
-//! interleaved record as bit-exact `f64` values — identical to an
-//! in-process [`adc_calib::GangedScenario`] capture of the same
-//! request (see [`ganged_scenario`] for the exact mapping).
+//! The server digitizes single dies only. The M-way time-interleaved
+//! array runs in process: `adc_calib::GangedScenario` describes and
+//! captures it, and the `interleaving` example walks its calibration
+//! step by step.
 //!
 //! A host can additionally opt into **cluster duty** by installing a
 //! [`JobRunner`] (and optionally a cache directory) in its
@@ -84,18 +81,12 @@ pub mod protocol;
 mod reactor;
 pub mod server;
 
-pub use client::{
-    Client, ClientError, DigitizeResult, GangedResult, PipelinedClient, PipelinedOutcome,
-};
+pub use client::{Client, ClientError, DigitizeResult, PipelinedClient, PipelinedOutcome};
 pub use jobs::{JobRunError, JobRunner};
 pub use metrics::{LatencyHistogram, MetricsRegistry};
 pub use protocol::{
-    CacheFillRequest, ConfigOverrides, DigitizeDone, DigitizeRequest, ErrorCode, GangedCal,
-    GangedDone, GangedRequest, JobBatchRequest, JobOutcome, JobResultBatch, JobSpec, JobStatus,
-    MetricsSnapshot, Preset, Request, Response, SubmitBody, SubmitRequest, WaveformSpec, WireError,
-    MAX_BATCH_JOBS, MAX_CACHE_ENTRIES,
+    CacheFillRequest, ConfigOverrides, DigitizeDone, DigitizeRequest, ErrorCode, JobBatchRequest,
+    JobOutcome, JobResultBatch, JobSpec, JobStatus, MetricsSnapshot, Preset, Request, Response,
+    SubmitBody, SubmitRequest, WaveformSpec, WireError, MAX_BATCH_JOBS, MAX_CACHE_ENTRIES,
 };
-pub use server::{
-    ganged_scenario, preset_config, Server, ServerConfig, ServerHandle, GANGED_BACKGROUND_EPOCHS,
-    GANGED_BACKGROUND_EPOCH_LEN, GANGED_FOREGROUND_AVERAGES,
-};
+pub use server::{preset_config, Server, ServerConfig, ServerHandle};

@@ -1,7 +1,7 @@
 //! The server's metrics registry: lock-free counters, an in-flight
 //! gauge, and a log-linear latency histogram.
 //!
-//! The registry counts digitizations (and ganged captures) only:
+//! The registry counts digitizations only:
 //!
 //! * the reactor counts requests, connections, sheds, and error frames
 //!   directly, and raises the in-flight gauge

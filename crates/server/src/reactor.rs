@@ -58,19 +58,17 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use adc_calib::GangedCapture;
 use adc_runtime::{JobCtx, JobError};
 
 use crate::jobs::JobRunner;
 use crate::protocol::{
     encode_response, error_code_for_build, CacheFillRequest, DigitizeDone, DigitizeRequest,
-    ErrorCode, FrameAssembler, GangedDone, GangedRequest, JobBatchRequest, JobOutcome,
-    JobResultBatch, JobStatus, Request, Response, SubmitBody, SubmitRequest, WireError,
+    ErrorCode, FrameAssembler, JobBatchRequest, JobOutcome, JobResultBatch, JobStatus, Request,
+    Response, SubmitBody, SubmitRequest, WireError,
 };
 use crate::server::{
-    batch_outcome, error_code_for_ganged, fill_cache, run_batch_job, run_digitize, run_ganged,
-    stream_crc, validate, validate_ganged, value_stream_crc, ServerConfig, Shared,
-    MAX_REQUEST_PAYLOAD,
+    batch_outcome, fill_cache, run_batch_job, run_digitize, stream_crc, validate, ServerConfig,
+    Shared, MAX_REQUEST_PAYLOAD,
 };
 
 /// Bytes read from a socket per `read(2)` call.
@@ -198,24 +196,16 @@ fn wrap(corr: u64, response: Response) -> Vec<u8> {
     }
 }
 
-/// The items of a converted record.
-#[derive(Debug)]
-enum Record {
-    None,
-    Codes(Vec<u16>),
-    Values(Vec<f64>),
-}
-
-/// A request's finished answer: an optional record, framed lazily as
-/// `batch`-sized `Batch`/`GangedBatch` frames, then one last frame (the
-/// record's summary, an error, or a control reply). Every frame is
+/// A request's finished answer: the converted codes (none for a reply),
+/// framed lazily as `batch`-sized `Batch` frames, then one last frame
+/// (the record's summary, an error, or a control reply). Every frame is
 /// wrapped for `corr` by [`wrap`].
 #[derive(Debug)]
 pub(crate) struct Answer {
     corr: u64,
-    record: Record,
+    codes: Vec<u16>,
     batch: usize,
-    /// Items framed so far.
+    /// Codes framed so far.
     framed: usize,
     /// Sequence number of the next batch frame.
     seq: u32,
@@ -231,7 +221,7 @@ impl Answer {
     fn reply(corr: u64, response: Response) -> Self {
         Self {
             corr,
-            record: Record::None,
+            codes: Vec::new(),
             batch: 0,
             framed: 0,
             seq: 0,
@@ -249,24 +239,7 @@ impl Answer {
             stream_crc32: stream_crc(&codes),
         });
         Self {
-            record: Record::Codes(codes),
-            batch,
-            ..Self::reply(corr, done)
-        }
-    }
-
-    /// A ganged capture's value record and its summary.
-    fn ganged(corr: u64, capture: GangedCapture, batch: usize) -> Self {
-        let done = Response::GangedDone(GangedDone {
-            total_samples: capture.values.len() as u32,
-            batches: capture.values.len().div_ceil(batch) as u32,
-            f_in_hz: capture.f_in_hz,
-            epochs_run: capture.epochs_run,
-            converged: capture.converged,
-            stream_crc32: value_stream_crc(&capture.values),
-        });
-        Self {
-            record: Record::Values(capture.values),
+            codes,
             batch,
             ..Self::reply(corr, done)
         }
@@ -277,19 +250,10 @@ impl Answer {
     fn take_frame(&mut self) -> Option<Vec<u8>> {
         let (seq, from) = (self.seq, self.framed);
         let to = from.saturating_add(self.batch);
-        let batch = match &self.record {
-            Record::None => None,
-            Record::Codes(codes) => window(codes, from, to).map(|samples| Response::Batch {
-                seq,
-                samples: samples.to_vec(),
-            }),
-            Record::Values(values) => {
-                window(values, from, to).map(|values| Response::GangedBatch {
-                    seq,
-                    values: values.to_vec(),
-                })
-            }
-        };
+        let batch = window(&self.codes, from, to).map(|samples| Response::Batch {
+            seq,
+            samples: samples.to_vec(),
+        });
         let response = match batch {
             Some(batch) => {
                 self.framed = to;
@@ -307,10 +271,10 @@ impl Answer {
     }
 }
 
-/// `items[from..to]` clipped to the record; `None` once it is empty.
-fn window<T>(items: &[T], from: usize, to: usize) -> Option<&[T]> {
-    items
-        .get(from..to.min(items.len()))
+/// `codes[from..to]` clipped to the record; `None` once it is empty.
+fn window(codes: &[u16], from: usize, to: usize) -> Option<&[u16]> {
+    codes
+        .get(from..to.min(codes.len()))
         .filter(|window| !window.is_empty())
 }
 
@@ -439,7 +403,7 @@ impl Drop for Ticket {
 
 /// An admitted work request, parked until it gets its in-flight slots.
 enum Work {
-    /// A digitization or ganged capture.
+    /// A digitization.
     Submit(SubmitRequest),
     /// A cluster job batch, with the runner that computes its jobs.
     JobBatch(JobBatchRequest, Arc<dyn JobRunner>),
@@ -782,11 +746,8 @@ impl Reactor {
             }
             Request::Submit(submit) => {
                 shared.metrics.digitize();
-                let verdict = match &submit.body {
-                    SubmitBody::Digitize(req) => validate(req),
-                    SubmitBody::Ganged(req) => validate_ganged(req),
-                };
-                if let Err(detail) = verdict {
+                let SubmitBody::Digitize(req) = &submit.body;
+                if let Err(detail) = validate(req) {
                     shared.metrics.error();
                     conn.reply(
                         submit.corr_id,
@@ -859,7 +820,10 @@ impl Reactor {
                 self.cursor = id;
                 let ticket = Ticket::new(&self.shared, id, work.corr());
                 match work {
-                    Work::Submit(submit) => start_submit(&self.shared, ticket, submit.body),
+                    Work::Submit(submit) => {
+                        let SubmitBody::Digitize(req) = submit.body;
+                        start_submit(&self.shared, ticket, req);
+                    }
                     Work::JobBatch(req, runner) => start_batch(&self.shared, ticket, req, runner),
                     Work::CacheFill(fill) => start_fill(&self.shared, ticket, fill),
                 }
@@ -913,12 +877,8 @@ fn deadline(deadline_ms: u32) -> Option<Duration> {
 /// Puts one digitization on the pool. Its completion callback accounts
 /// the job in the metrics, then posts the answer: a client holding its
 /// whole record never reads metrics still counting the job.
-fn start_submit(shared: &Arc<Shared>, ticket: Ticket, body: SubmitBody) {
+fn start_submit(shared: &Arc<Shared>, ticket: Ticket, req: DigitizeRequest) {
     let corr = ticket.corr;
-    let deadline_ms = match &body {
-        SubmitBody::Digitize(req) => req.deadline_ms,
-        SubmitBody::Ganged(req) => req.deadline_ms,
-    };
     let cfg = shared.cfg.clone();
     // The pool reports a failed job as a bare `JobError`, so the job
     // leaves its error frame here for `then`.
@@ -926,8 +886,8 @@ fn start_submit(shared: &Arc<Shared>, ticket: Ticket, body: SubmitBody) {
     let cause = Arc::clone(&failure);
     shared.metrics.digitize_dispatched();
     shared.pool.submit_then(
-        deadline(deadline_ms),
-        move |ctx| serve_job(&cfg, ctx, corr, &body, &cause),
+        deadline(req.deadline_ms),
+        move |ctx| serve_job(&cfg, ctx, corr, &req, &cause),
         move |answer, report| {
             ticket.shared.metrics.digitize_finished(&report);
             match (answer, failure.get()) {
@@ -1133,29 +1093,21 @@ pub(crate) fn ingest(
 /// A job's failure: the error frame's code and detail.
 type Failure = (ErrorCode, String);
 
-/// Serves one request through its kind's job on a pool worker and
-/// returns its answer. A failure's error frame is left in `failure`
-/// for the completion callback to post.
+/// Serves one digitization on a pool worker and returns its answer. A
+/// failure's error frame is left in `failure` for the completion
+/// callback to post.
 fn serve_job(
     cfg: &ServerConfig,
     ctx: &JobCtx,
     corr: u64,
-    body: &SubmitBody,
+    req: &DigitizeRequest,
     failure: &OnceLock<Response>,
 ) -> Result<Answer, JobError> {
-    let seed = match body {
-        SubmitBody::Digitize(req) => req.seed,
-        SubmitBody::Ganged(req) => req.seed,
-    };
     // Scope span ids to the request's fabrication seed — two server
     // runs serving the same request produce the same span identities.
-    let _trace_task = adc_trace::task(seed);
+    let _trace_task = adc_trace::task(req.seed);
     let _trace_job = adc_trace::span_with("request", ctx.id.0);
-    let result = match body {
-        SubmitBody::Digitize(req) => digitize_job(req, cfg, ctx, corr),
-        SubmitBody::Ganged(req) => ganged_job(req, cfg, ctx, corr),
-    };
-    result.map_err(|(code, detail)| {
+    digitize_job(req, cfg, ctx, corr).map_err(|(code, detail)| {
         let err = match code {
             ErrorCode::TimedOut => JobError::TimedOut,
             _ => JobError::Failed(detail.clone()),
@@ -1170,7 +1122,7 @@ fn expired(when: &str) -> Failure {
     (ErrorCode::TimedOut, format!("deadline expired {when}"))
 }
 
-/// Samples (or values) per streamed batch frame for a request.
+/// Samples per streamed batch frame for a request.
 fn batch_len(cfg: &ServerConfig, requested: u32) -> usize {
     match requested {
         0 => cfg.default_batch.max(1) as usize,
@@ -1201,29 +1153,6 @@ fn digitize_job(
     ctx.record_samples(codes.len() as u64);
     let batch = batch_len(cfg, req.batch_size);
     Ok(Answer::digitize(corr, codes, f_in_hz, batch))
-}
-
-/// Captures one ganged request through [`run_ganged`] into its answer.
-fn ganged_job(
-    req: &GangedRequest,
-    cfg: &ServerConfig,
-    ctx: &JobCtx,
-    corr: u64,
-) -> Result<Answer, Failure> {
-    if ctx.timed_out() {
-        return Err(expired("before simulation started"));
-    }
-    let capture = {
-        let _trace_ganged = adc_trace::span("ganged");
-        run_ganged(req)
-    };
-    let capture = capture.map_err(|err| (error_code_for_ganged(&err), err.to_string()))?;
-    if ctx.timed_out() {
-        return Err(expired("during conversion"));
-    }
-    ctx.record_samples(capture.values.len() as u64);
-    let batch = batch_len(cfg, req.batch_size);
-    Ok(Answer::ganged(corr, capture, batch))
 }
 
 #[cfg(test)]
@@ -1305,22 +1234,24 @@ mod tests {
     }
 
     /// The frames a worker used to stream for a record: one tagged
-    /// batch frame per `batch` items, then the tagged summary built from
+    /// batch frame per `batch` codes, then the tagged summary built from
     /// the batch count.
-    fn streamed_frames<T: Copy>(
-        corr: u64,
-        items: &[T],
-        batch: usize,
-        frame: fn(u32, Vec<T>) -> Response,
-        done: impl FnOnce(u32) -> Response,
-    ) -> Vec<Vec<u8>> {
-        let mut frames: Vec<Vec<u8>> = items
+    fn streamed_frames(corr: u64, codes: &[u16], batch: usize, f_in_hz: f64) -> Vec<Vec<u8>> {
+        let mut frames: Vec<Vec<u8>> = codes
             .chunks(batch)
             .zip(0u32..)
-            .map(|(chunk, seq)| tagged(corr, frame(seq, chunk.to_vec())))
+            .map(|(chunk, seq)| {
+                let samples = chunk.to_vec();
+                tagged(corr, Response::Batch { seq, samples })
+            })
             .collect();
-        let batches = frames.len() as u32;
-        frames.push(tagged(corr, done(batches)));
+        let done = Response::Done(DigitizeDone {
+            total_samples: codes.len() as u32,
+            batches: frames.len() as u32,
+            f_in_hz,
+            stream_crc32: stream_crc(codes),
+        });
+        frames.push(tagged(corr, done));
         frames
     }
 
@@ -1357,60 +1288,12 @@ mod tests {
         let codes: Vec<u16> = (0..RECORD_LEN).map(|i| (i * 37 % 4096) as u16).collect();
         let f_in_hz = 10.017e6;
         for batch in BATCHES {
-            let frames = streamed_frames(
-                9,
-                &codes,
-                batch,
-                |seq, samples| Response::Batch { seq, samples },
-                |batches| {
-                    Response::Done(DigitizeDone {
-                        total_samples: codes.len() as u32,
-                        batches,
-                        f_in_hz,
-                        stream_crc32: stream_crc(&codes),
-                    })
-                },
-            );
+            let frames = streamed_frames(9, &codes, batch, f_in_hz);
             let largest = frames.iter().map(Vec::len).max().unwrap();
             let expected = frames.concat();
             for max in WRITES {
                 let answer = Answer::digitize(9, codes.clone(), f_in_hz, batch);
                 let bytes = drain(answer, max, largest);
-                assert!(bytes == expected, "batch {batch}, {max}-byte writes");
-            }
-        }
-    }
-
-    #[test]
-    fn ganged_answers_drain_into_the_streamed_frame_bytes() {
-        let values: Vec<f64> = (0..RECORD_LEN).map(|i| (i as f64 * 0.37).sin()).collect();
-        let capture = || GangedCapture {
-            values: values.clone(),
-            f_in_hz: 10.017e6,
-            epochs_run: 5,
-            converged: true,
-        };
-        for batch in BATCHES {
-            let frames = streamed_frames(
-                11,
-                &values,
-                batch,
-                |seq, values| Response::GangedBatch { seq, values },
-                |batches| {
-                    Response::GangedDone(GangedDone {
-                        total_samples: values.len() as u32,
-                        batches,
-                        f_in_hz: 10.017e6,
-                        epochs_run: 5,
-                        converged: true,
-                        stream_crc32: value_stream_crc(&values),
-                    })
-                },
-            );
-            let largest = frames.iter().map(Vec::len).max().unwrap();
-            let expected = frames.concat();
-            for max in WRITES {
-                let bytes = drain(Answer::ganged(11, capture(), batch), max, largest);
                 assert!(bytes == expected, "batch {batch}, {max}-byte writes");
             }
         }

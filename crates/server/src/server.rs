@@ -35,10 +35,11 @@
 //! ([`adc_runtime::JobCtx::timed_out`]), counted from dispatch onto
 //! the pool. It covers dispatch through conversion: the worker polls
 //! it before fabricating the die and again once the record is
-//! converted, and reports [`ErrorCode::TimedOut`] when it fires. The
-//! conversion of one record is the indivisible unit (the converter's
-//! warmup semantics make a record a single pure computation), exactly
-//! like the campaign engine's per-die polling. Delivery is not under
+//! converted, and reports
+//! [`ErrorCode::TimedOut`](crate::ErrorCode::TimedOut) when it fires.
+//! The conversion of one record is the indivisible unit (the
+//! converter's warmup semantics make a record a single pure
+//! computation), exactly like the campaign engine's per-die polling. Delivery is not under
 //! the deadline: it is bounded by the connection's slot, which the
 //! answer holds until its last byte is written.
 //!
@@ -60,25 +61,12 @@ use adc_pipeline::error::BuildAdcError;
 use adc_runtime::{JobCtx, JobError, JobPool, ResultCache};
 use adc_testbench::{clear_tone_hz, MeasurementSession, RampSource};
 
-use adc_calib::{Alignment, GangedCapture, GangedError, GangedScenario};
-use adc_pipeline::interleave::InterleaveMismatch;
-
 use crate::jobs::JobRunner;
 use crate::metrics::MetricsRegistry;
 use crate::protocol::{
-    self, error_code_for_build, CacheFillRequest, DigitizeRequest, ErrorCode, GangedCal,
-    GangedRequest, JobBatchRequest, JobStatus, Preset, WaveformSpec,
+    self, CacheFillRequest, DigitizeRequest, JobBatchRequest, JobStatus, Preset, WaveformSpec,
 };
 use crate::reactor::{self, JobDone, Waker};
-
-/// Foreground alignment averaging the server uses for
-/// [`GangedCal::Foreground`] — fixed so a ganged request fully
-/// determines the served record.
-pub const GANGED_FOREGROUND_AVERAGES: u32 = 64;
-/// Background-calibration epoch budget for [`GangedCal::Background`].
-pub const GANGED_BACKGROUND_EPOCHS: u32 = 12;
-/// Samples converted per background-calibration epoch.
-pub const GANGED_BACKGROUND_EPOCH_LEN: u32 = 2048;
 
 /// Seed anchoring the pool's derived per-job seeds. Requests carry
 /// their own fabrication seeds; this only names the pool's seed stream.
@@ -86,7 +74,7 @@ const POOL_SEED: u64 = 0x5EC7_0A0D;
 
 /// Largest request payload the reactor accepts, bytes.
 pub(crate) const MAX_REQUEST_PAYLOAD: u32 = 1 << 20;
-/// Most samples one digitize or ganged request may ask for.
+/// Most samples one digitize request may ask for.
 const MAX_SAMPLES: u32 = 1 << 20;
 
 /// Tunables for one server instance.
@@ -105,10 +93,10 @@ pub struct ServerConfig {
     /// (the backpressure window).
     pub max_inflight_per_conn: usize,
     /// Per-connection admission-queue depth; requests beyond it are
-    /// shed with [`ErrorCode::Overloaded`].
+    /// shed with [`ErrorCode::Overloaded`](crate::ErrorCode::Overloaded).
     pub max_pending_per_conn: usize,
     /// The host's campaign-job capability; `None` (the default) answers
-    /// `JobBatch` requests with [`ErrorCode::Unsupported`].
+    /// `JobBatch` requests with [`ErrorCode::Unsupported`](crate::ErrorCode::Unsupported).
     pub job_runner: Option<Arc<dyn JobRunner>>,
     /// Directory for per-campaign warm-cache files; `None`, or a
     /// directory that cannot be created, keeps the warm cache
@@ -299,9 +287,9 @@ impl Server {
     }
 }
 
-/// The exact `AdcConfig` a preset maps to — public (like
-/// [`ganged_scenario`]) so clients, tests, and cluster job runners can
-/// rebuild the served computation and assert bit-identity.
+/// The exact `AdcConfig` a preset maps to — public so clients, tests,
+/// and cluster job runners can rebuild the served computation and
+/// assert bit-identity.
 pub fn preset_config(preset: Preset) -> AdcConfig {
     match preset {
         Preset::Nominal110 => AdcConfig::nominal_110ms(),
@@ -373,72 +361,6 @@ pub(crate) fn run_digitize(req: &DigitizeRequest) -> Result<(Vec<u16>, f64), Bui
     }
 }
 
-/// The in-process scenario a ganged request maps onto — public so
-/// clients and tests can rebuild the *exact* served computation and
-/// assert bit-identity.
-pub fn ganged_scenario(req: &GangedRequest) -> GangedScenario {
-    GangedScenario {
-        config: preset_config(req.preset),
-        channels: u32::from(req.channels),
-        seed: req.seed,
-        mismatch: if req.mismatch {
-            InterleaveMismatch::typical()
-        } else {
-            InterleaveMismatch::none()
-        },
-        f_target_hz: req.f_target_hz,
-        n_samples: req.n_samples,
-        alignment: match req.cal {
-            GangedCal::Raw => Alignment::Raw,
-            GangedCal::Foreground => Alignment::Foreground {
-                averages: GANGED_FOREGROUND_AVERAGES,
-            },
-            GangedCal::Background => Alignment::Background {
-                epochs: GANGED_BACKGROUND_EPOCHS,
-                epoch_len: GANGED_BACKGROUND_EPOCH_LEN,
-            },
-        },
-    }
-}
-
-pub(crate) fn run_ganged(req: &GangedRequest) -> Result<GangedCapture, GangedError> {
-    ganged_scenario(req).capture_tone()
-}
-
-pub(crate) fn error_code_for_ganged(err: &GangedError) -> ErrorCode {
-    match err {
-        GangedError::Build(build) => error_code_for_build(build),
-        GangedError::InvalidScenario(_) => ErrorCode::InvalidRequest,
-        GangedError::Calib(_) => ErrorCode::Internal,
-    }
-}
-
-/// Request-level validation for ganged requests, mirroring [`validate`].
-pub(crate) fn validate_ganged(req: &GangedRequest) -> Result<(), String> {
-    if req.n_samples == 0 {
-        return Err("n_samples must be positive".to_string());
-    }
-    if req.n_samples > MAX_SAMPLES {
-        return Err(format!(
-            "n_samples {} exceeds server limit {MAX_SAMPLES}",
-            req.n_samples
-        ));
-    }
-    if !req.n_samples.is_power_of_two() {
-        return Err(format!(
-            "ganged captures need a power-of-two record, got {}",
-            req.n_samples
-        ));
-    }
-    if !req.f_target_hz.is_finite() || req.f_target_hz <= 0.0 {
-        return Err(format!(
-            "tone frequency must be positive, got {}",
-            req.f_target_hz
-        ));
-    }
-    Ok(())
-}
-
 /// Request-level validation, before any simulation work is queued.
 pub(crate) fn validate(req: &DigitizeRequest) -> Result<(), String> {
     if req.n_samples == 0 {
@@ -495,16 +417,6 @@ pub(crate) fn stream_crc(codes: &[u16]) -> u32 {
     let mut bytes = Vec::with_capacity(codes.len() * 2);
     for &c in codes {
         bytes.extend_from_slice(&c.to_le_bytes());
-    }
-    protocol::crc32(&bytes)
-}
-
-/// CRC-32 over the little-endian IEEE-754 byte stream of a value
-/// record (ganged streams carry `f64`s).
-pub(crate) fn value_stream_crc(values: &[f64]) -> u32 {
-    let mut bytes = Vec::with_capacity(values.len() * 8);
-    for &v in values {
-        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
     }
     protocol::crc32(&bytes)
 }
@@ -583,8 +495,8 @@ mod tests {
     use crate::client::Client;
     use crate::jobs::JobRunError;
     use crate::protocol::{
-        decode_response_frame, encode_request, ConfigOverrides, FrameAssembler, JobOutcome,
-        JobSpec, Request, Response,
+        decode_response_frame, encode_request, error_code_for_build, ConfigOverrides, ErrorCode,
+        FrameAssembler, JobOutcome, JobSpec, Request, Response,
     };
 
     #[test]

@@ -8,10 +8,9 @@ use proptest::prelude::*;
 
 use adc_server::protocol::{
     decode_request, decode_response, encode_request, encode_response, CacheFillRequest,
-    ConfigOverrides, DigitizeDone, DigitizeRequest, ErrorCode, FrameAssembler, GangedCal,
-    GangedDone, GangedRequest, JobBatchRequest, JobOutcome, JobResultBatch, JobSpec, JobStatus,
-    MetricsSnapshot, Preset, Request, Response, SubmitBody, SubmitRequest, WaveformSpec, WireError,
-    MAX_GANGED_CHANNELS,
+    ConfigOverrides, DigitizeDone, DigitizeRequest, ErrorCode, FrameAssembler, JobBatchRequest,
+    JobOutcome, JobResultBatch, JobSpec, JobStatus, MetricsSnapshot, Preset, Request, Response,
+    SubmitBody, SubmitRequest, WaveformSpec, WireError,
 };
 
 fn preset(tag: u8) -> Preset {
@@ -51,34 +50,6 @@ fn digitize(
             thermal_noise: (mask & 4 != 0).then_some(mask & 8 != 0),
         },
         waveform: waveform(wf_tag, f_a, f_b),
-        n_samples,
-        batch_size,
-        deadline_ms,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn ganged(
-    preset_tag: u8,
-    seed: u64,
-    channels: u8,
-    flags: u8,
-    f_a: f64,
-    n_samples: u32,
-    batch_size: u32,
-    deadline_ms: u32,
-) -> GangedRequest {
-    GangedRequest {
-        preset: preset(preset_tag),
-        seed,
-        channels,
-        mismatch: flags & 1 != 0,
-        cal: match (flags >> 1) % 3 {
-            0 => GangedCal::Raw,
-            1 => GangedCal::Foreground,
-            _ => GangedCal::Background,
-        },
-        f_target_hz: f_a * 1e6,
         n_samples,
         batch_size,
         deadline_ms,
@@ -154,11 +125,11 @@ proptest! {
     /// Every request kind round-trips bit-exactly through the codec,
     /// and the same frame is rejected with a typed error when forged
     /// into a retired kind (the version-1 bare digitize 0x02 and
-    /// ganged 0x05, the version-2 cache probe 0x07), a version-1 or
-    /// version-2 header, or a `Submit` under correlation id 0.
+    /// ganged 0x05, the version-2 cache probe 0x07), a version-1, -2 or
+    /// -3 header, or a `Submit` under correlation id 0.
     #[test]
     fn requests_round_trip(
-        kind in 0u8..8,
+        kind in 0u8..7,
         token in 0u64..u64::MAX,
         corr_id in 1u64..u64::MAX,
         preset_tag in 0u8..3,
@@ -170,7 +141,6 @@ proptest! {
         n_samples in 1u32..100_000,
         batch_size in 0u32..10_000,
         deadline_ms in 0u32..100_000,
-        channels in 1u8..=MAX_GANGED_CHANNELS,
     ) {
         let request = match kind {
             0 => Request::Ping { token },
@@ -178,29 +148,19 @@ proptest! {
                 preset_tag, seed, mask, wf_tag, f_a, f_b, n_samples, batch_size, deadline_ms,
             ))),
             2 => Request::Metrics,
-            3 => submit(corr_id, SubmitBody::Ganged(ganged(
-                preset_tag, seed, channels, mask, f_a, n_samples, batch_size, deadline_ms,
-            ))),
-            4 => Request::Shutdown,
-            5 => Request::JobBatch(job_batch(
+            3 => Request::Shutdown,
+            4 => Request::JobBatch(job_batch(
                 token, seed, n_samples as usize % 20, batch_size as usize % 48,
             )),
-            6 => Request::CacheFill(CacheFillRequest {
+            5 => Request::CacheFill(CacheFillRequest {
                 campaign: format!("fill-{}", token & 0xF),
                 entries: cache_entries(seed, n_samples as usize % 16, batch_size as usize),
             }),
             // Submissions: any nonzero correlation id survives
             // exactly.
-            _ => submit(token.max(1), if wf_tag % 2 == 0 {
-                SubmitBody::Digitize(digitize(
-                    preset_tag, seed, mask, wf_tag, f_a, f_b, n_samples, batch_size,
-                    deadline_ms,
-                ))
-            } else {
-                SubmitBody::Ganged(ganged(
-                    preset_tag, seed, channels, mask, f_a, n_samples, batch_size, deadline_ms,
-                ))
-            }),
+            _ => submit(token.max(1), SubmitBody::Digitize(digitize(
+                preset_tag, seed, mask, wf_tag, f_a, f_b, n_samples, batch_size, deadline_ms,
+            ))),
         };
         let frame = encode_request(&request);
         let decoded = decode_request(&frame);
@@ -212,7 +172,7 @@ proptest! {
                 Err(WireError::UnknownKind(retired))
             );
         }
-        for old in [1u16, 2] {
+        for old in [1u16, 2, 3] {
             prop_assert_eq!(
                 decode_request(&with_version(&frame, old)),
                 Err(WireError::BadVersion(old))
@@ -224,52 +184,6 @@ proptest! {
                 Err(WireError::Malformed("submit corr_id 0"))
             );
         }
-    }
-
-    /// Out-of-range channel counts in a ganged frame decode to the typed
-    /// malformed error — for *any* surrounding field values.
-    #[test]
-    fn ganged_channel_counts_out_of_bounds_are_malformed(
-        preset_tag in 0u8..3,
-        seed in 0u64..u64::MAX,
-        raw_channels in 0u8..=255,
-        flags in 0u8..16,
-        f_a in 0.001f64..200.0,
-        n_samples in 1u32..100_000,
-    ) {
-        // Map the raw byte onto the out-of-range set: 0, or anything
-        // strictly above the ceiling.
-        let bad_channels = if raw_channels <= MAX_GANGED_CHANNELS {
-            raw_channels
-                .checked_add(MAX_GANGED_CHANNELS)
-                .map_or(0, |c| if c <= MAX_GANGED_CHANNELS { 0 } else { c })
-        } else {
-            raw_channels
-        };
-        let request = submit(1, SubmitBody::Ganged(ganged(
-            preset_tag, seed, bad_channels, flags, f_a, n_samples, 0, 0,
-        )));
-        // The encoder writes whatever it is given; the decoder must
-        // reject it with the typed error, never a panic.
-        let decoded = decode_request(&encode_request(&request));
-        prop_assert_eq!(decoded, Err(WireError::Malformed("channel count")));
-    }
-
-    /// Truncating a ganged frame anywhere yields a typed error.
-    #[test]
-    fn truncated_ganged_frames_are_rejected(
-        seed in 0u64..u64::MAX,
-        channels in 1u8..=MAX_GANGED_CHANNELS,
-        n_samples in 1u32..100_000,
-        cut_frac in 0.0f64..1.0,
-    ) {
-        let frame = encode_request(&submit(1, SubmitBody::Ganged(GangedRequest {
-            channels,
-            n_samples,
-            ..GangedRequest::tone(seed, 2, 20e6, 4096)
-        })));
-        let cut = ((frame.len() as f64 * cut_frac) as usize).min(frame.len() - 1);
-        prop_assert!(decode_request(&frame[..cut]).is_err());
     }
 
     /// Truncating a cluster job/cache frame anywhere yields a typed
@@ -333,11 +247,12 @@ proptest! {
 
     /// Every response kind round-trips bit-exactly through the codec,
     /// including non-finite floats (f64s travel as IEEE-754 bits), and
-    /// the same frame forged into the retired cache-hits kind 0x8A is
-    /// rejected as unknown.
+    /// the same frame is rejected with a typed error when forged into
+    /// a retired kind (the version-3 ganged batch 0x87 and summary
+    /// 0x88, the version-2 cache hits 0x8A) or a version-3 header.
     #[test]
     fn responses_round_trip(
-        kind in 0u8..11,
+        kind in 0u8..9,
         token in 0u64..u64::MAX,
         seq in 0u32..u32::MAX,
         len in 0usize..512,
@@ -403,28 +318,8 @@ proptest! {
                     detail: "e".repeat(detail_len),
                 }
             }
-            5 => Response::GangedBatch {
-                seq,
-                values: (0..len)
-                    .map(|i| match (i + f_sel as usize) % 5 {
-                        0 => f64::NAN,
-                        1 => f64::NEG_INFINITY,
-                        2 => -0.0,
-                        3 => f_val * (i as f64 + 1.0),
-                        _ => f64::MIN_POSITIVE,
-                    })
-                    .collect(),
-            },
-            6 => Response::GangedDone(GangedDone {
-                total_samples: seq,
-                batches: seq / 3,
-                f_in_hz,
-                epochs_run: fill as u32,
-                converged: fill & 1 != 0,
-                stream_crc32: token as u32,
-            }),
-            7 => Response::ShutdownAck,
-            8 => Response::JobResult(JobResultBatch {
+            5 => Response::ShutdownAck,
+            6 => Response::JobResult(JobResultBatch {
                 batch_id: token,
                 outcomes: (0..len % 24)
                     .map(|i| JobOutcome {
@@ -440,7 +335,7 @@ proptest! {
                     })
                     .collect(),
             }),
-            9 => Response::CacheFillAck { accepted: seq },
+            7 => Response::CacheFillAck { accepted: seq },
             // Tagged (pipelined) responses: any streamable inner frame
             // under any correlation id.
             _ => Response::Tagged {
@@ -456,25 +351,23 @@ proptest! {
                         f_in_hz: f_val * 1e6,
                         stream_crc32: token as u32,
                     }),
-                    2 => Response::Error {
+                    _ => Response::Error {
                         code: ErrorCode::Overloaded,
                         detail: "o".repeat(detail_len),
                     },
-                    _ => Response::GangedDone(GangedDone {
-                        total_samples: seq,
-                        batches: seq / 3,
-                        f_in_hz: f_val * 1e6,
-                        epochs_run: fill as u32,
-                        converged: fill & 1 != 0,
-                        stream_crc32: token as u32,
-                    }),
                 }),
             },
         };
         let frame = encode_response(&response);
+        for retired in [0x87u8, 0x88, 0x8A] {
+            prop_assert_eq!(
+                decode_response(&with_kind(&frame, retired)),
+                Err(WireError::UnknownKind(retired))
+            );
+        }
         prop_assert_eq!(
-            decode_response(&with_kind(&frame, 0x8A)),
-            Err(WireError::UnknownKind(0x8A))
+            decode_response(&with_version(&frame, 3)),
+            Err(WireError::BadVersion(3))
         );
         let decoded = decode_response(&frame).unwrap();
         // NaN != NaN under PartialEq; compare f64s by bit pattern.
@@ -483,22 +376,6 @@ proptest! {
                 prop_assert_eq!(a.f_in_hz.to_bits(), b.f_in_hz.to_bits());
                 prop_assert_eq!(a.total_samples, b.total_samples);
                 prop_assert_eq!(a.batches, b.batches);
-                prop_assert_eq!(a.stream_crc32, b.stream_crc32);
-            }
-            (Response::GangedBatch { seq: sa, values: va },
-             Response::GangedBatch { seq: sb, values: vb }) => {
-                prop_assert_eq!(sa, sb);
-                prop_assert_eq!(va.len(), vb.len());
-                for (a, b) in va.iter().zip(vb.iter()) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
-            (Response::GangedDone(a), Response::GangedDone(b)) => {
-                prop_assert_eq!(a.f_in_hz.to_bits(), b.f_in_hz.to_bits());
-                prop_assert_eq!(a.total_samples, b.total_samples);
-                prop_assert_eq!(a.batches, b.batches);
-                prop_assert_eq!(a.epochs_run, b.epochs_run);
-                prop_assert_eq!(a.converged, b.converged);
                 prop_assert_eq!(a.stream_crc32, b.stream_crc32);
             }
             _ => prop_assert_eq!(&decoded, &response),

@@ -66,14 +66,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// The object fields, if it is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Json {
